@@ -55,15 +55,6 @@ def emit(report, args, summary_lines):
             print(f"report written to {args.out}")
 
 
-def _threads_of(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CHARQUO_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def cmd_witness(args) -> int:
     if args.p is not None:
         p = args.p
@@ -245,9 +236,6 @@ def build_parser():
         sp.add_argument("--out", help="write the JSON report to this path (atomic)")
         sp.add_argument("--json", action="store_true",
                         help="print the JSON report to stdout instead of text")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (CHARQUO_THREADS); the engines are "
-                             "deterministic for every value")
 
     w = sub.add_parser("witness", help="build the witness configuration and "
                                        "validate the assumptions")
@@ -301,7 +289,6 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _threads_of(args)  # validated for interface compatibility
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -12,6 +12,21 @@ trace-key collision between inequivalent points raises KeyCollisionError
 
 Indices are assigned by ascending canonical key after enumeration
 closes, so reports are byte-reproducible regardless of traversal order.
+
+Each BFS layer is deduplicated without per-key Python code: the layer's
+image keys are stable-argsorted into groups of equal key, the unique
+keys are located by searchsorted in a sorted array of visited keys
+(kept beside the point index of each), new keys take the next point
+indices in ascending key order, and they are merged into the visited
+array once per layer.  Every row except the first of a new group is a
+recurrent edge, verified against its group's representative.
+
+The row kernels (fast_keys, exact verification, letter permutations,
+the backstop) run over CHUNK_ROWS rows at a time, so their temporaries
+are bounded whatever the orbit size.  What grows with the orbit is 128
+bytes per point (the int64 quadruple) plus 16 per visited key (key and
+point index), and, per layer, 128 bytes per image of the frontier
+(six per frontier point) with a few int64 words of sort state.
 """
 
 from __future__ import annotations
@@ -31,6 +46,15 @@ LETTERS = (bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i)
 GENS = (bq.S1, bq.S2, bq.S3)
 
 MAX_PACKED_PRIME = 509  # 7 base-p digits must fit in an int64
+
+# Rows per kernel call.  Results do not depend on it; it only bounds the
+# temporaries (a few KB per row) of fast_keys and exact verification.
+CHUNK_ROWS = 65_536
+
+
+def _row_chunks(n):
+    """Slices covering range(n), CHUNK_ROWS rows each."""
+    return [slice(s, s + CHUNK_ROWS) for s in range(0, n, CHUNK_ROWS)]
 
 
 class OrbitError(RuntimeError):
@@ -92,28 +116,35 @@ def _pack4(p, A):
     return ((A[..., 0] * p + A[..., 1]) * p + A[..., 2]) * p + A[..., 3]
 
 
-_SIGNS = np.array(FLIP_SIGNS, dtype=np.int64)  # (8, 7)
-
-
 def _quad_cols(arr):
     return arr[..., 0:4], arr[..., 4:8], arr[..., 8:12], arr[..., 12:16]
 
 
-def fast_keys(p, quads):
-    """Packed canonical trace key of each quadruple row."""
+def _keys_chunk(p, quads):
     A, B, C, D = _quad_cols(quads)
     m1 = _mm(p, _minv(p, B), A)
     m2 = _mm(p, _minv(p, A), C)
     m3 = _mm(p, _minv(p, D), C)
     m12 = _mm(p, m1, m2)
-    t = np.stack((_tr(p, m1), _tr(p, m2), _tr(p, m3),
-                  _tr(p, _mm(p, m2, m3)), _tr(p, _mm(p, m1, m3)),
-                  _tr(p, m12), _tr(p, _mm(p, m12, m3))), axis=-1)
-    flips = t[..., None, :] * _SIGNS % p  # (..., 8, 7)
-    packed = flips[..., 0]
-    for k in range(1, 7):
-        packed = packed * p + flips[..., k]
-    return packed.min(axis=-1)
+    t = (_tr(p, m1), _tr(p, m2), _tr(p, m3), _tr(p, _mm(p, m2, m3)),
+         _tr(p, _mm(p, m1, m3)), _tr(p, m12), _tr(p, _mm(p, m12, m3)))
+    signed = {1: t, -1: tuple((p - v) % p for v in t)}
+    best = None
+    for signs in FLIP_SIGNS:
+        packed = signed[signs[0]][0].copy()
+        for k in range(1, 7):
+            packed *= p
+            packed += signed[signs[k]][k]
+        best = packed if best is None else np.minimum(best, packed, out=best)
+    return best
+
+
+def fast_keys(p, quads):
+    """Packed canonical trace key of each row of an (m, 16) batch."""
+    out = np.empty(len(quads), dtype=np.int64)
+    for c in _row_chunks(len(quads)):
+        out[c] = _keys_chunk(p, quads[c])
+    return out
 
 
 def apply_letter_np(p, quads, letter):
@@ -222,6 +253,17 @@ def make_checker(params: Params) -> _ExactChecker:
                          params.centralizer("delta"), _inv_table(p))
 
 
+def _first_inequivalent(checker, Qs, q_rows, Rs, r_rows):
+    """Position j of the first pair with Qs[q_rows[j]] not equivalent to
+    Rs[r_rows[j]], checked in order, CHUNK_ROWS pairs at a time; None
+    when every pair is equivalent."""
+    for c in _row_chunks(len(q_rows)):
+        ok = checker.equivalent(Qs[q_rows[c]], Rs[r_rows[c]])
+        if not ok.all():
+            return c.start + int(np.argmin(ok))
+    return None
+
+
 # -- the orbit index ------------------------------------------------------
 
 @dataclass
@@ -262,8 +304,10 @@ class OrbitIndex:
     def letter_perm(self, letter) -> np.ndarray:
         """Index permutation of one braid letter."""
         if letter not in self._perm_cache:
-            images = apply_letter_np(self.p, self.points, letter)
-            idx = self.index_of_keys(fast_keys(self.p, images))
+            idx = np.empty(self.n, dtype=np.int64)
+            for c in _row_chunks(self.n):
+                images = apply_letter_np(self.p, self.points[c], letter)
+                idx[c] = self.index_of_keys(fast_keys(self.p, images))
             if (idx < 0).any():
                 raise OrbitError("orbit not closed: image key missing")
             self._perm_cache[letter] = idx
@@ -302,28 +346,51 @@ class OrbitIndex:
         """Binary stream of the 7-tuple canonical keys: header (magic,
         version, p, n) then n*7 little-endian u64 scalars."""
         p = self.p
-        coords = np.empty((self.n, 7), dtype="<u8")
-        k = self.keys.copy()
-        for j in range(6, -1, -1):
-            coords[:, j] = k % p
-            k //= p
         with open(path, "wb") as fh:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<IQQ", self.VERSION, p, self.n))
-            fh.write(coords.tobytes())
+            for c in _row_chunks(self.n):
+                k = self.keys[c]
+                coords = np.empty((len(k), 7), dtype="<u8")
+                for j in range(6, -1, -1):
+                    coords[:, j] = k % p
+                    k = k // p
+                fh.write(coords.tobytes())
 
 
 def read_dump(path):
-    """Read an orbit dump; returns (p, array of shape (n, 7))."""
+    """Read an orbit dump; returns (p, array of shape (n, 7)).
+
+    Raises ValueError, naming the file and the defect, unless the file
+    has the full header, exactly 56 bytes per point after it, every
+    coordinate below p and the packed keys strictly ascending.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != OrbitIndex.MAGIC:
-            raise ValueError("not an orbit dump (bad magic)")
-        version, p, n = struct.unpack("<IQQ", fh.read(20))
-        if version != OrbitIndex.VERSION:
-            raise ValueError(f"unsupported dump version {version}")
-        coords = np.frombuffer(fh.read(n * 7 * 8), dtype="<u8").reshape(n, 7)
-    return int(p), coords.astype(np.int64)
+        data = fh.read()
+    if data[:4] != OrbitIndex.MAGIC:
+        raise ValueError(f"{path}: not an orbit dump (bad magic)")
+    if len(data) < 24:
+        raise ValueError(f"{path}: truncated header ({len(data)} of 24 bytes)")
+    version, p, n = struct.unpack_from("<IQQ", data, 4)
+    if version != OrbitIndex.VERSION:
+        raise ValueError(f"{path}: unsupported dump version {version}")
+    if not 2 <= p <= MAX_PACKED_PRIME:
+        raise ValueError(f"{path}: p={p} outside the dump range 2..{MAX_PACKED_PRIME}")
+    if len(data) != 24 + 56 * n:
+        raise ValueError(f"{path}: {len(data)} bytes, but a dump of n={n} points "
+                         f"has {24 + 56 * n}")
+    coords = np.frombuffer(data, dtype="<u8", offset=24).reshape(n, 7)
+    bad = np.flatnonzero((coords >= p).any(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: row {int(bad[0])} has a coordinate >= p={p}")
+    coords = coords.astype(np.int64)
+    keys = coords[:, 0]
+    for j in range(1, 7):
+        keys = keys * p + coords[:, j]
+    bad = np.flatnonzero(keys[1:] <= keys[:-1])
+    if len(bad):
+        raise ValueError(f"{path}: keys not strictly ascending at row {int(bad[0]) + 1}")
+    return int(p), coords
 
 
 def canon_key_int(p, t) -> int:
@@ -377,9 +444,9 @@ def enumerate_orbit(P, params: Params, max_points=2_000_000,
         rng = random.Random(frontier_shuffle_seed)
 
     start = quad_to_row(P)[None, :]
-    start_key = int(fast_keys(p, start)[0])
     pts = start.copy()
-    key2idx = {start_key: 0}
+    vkeys = fast_keys(p, start)  # visited keys, ascending
+    vidx = np.zeros(1, dtype=np.int64)  # point index of each visited key
     frontier = np.array([0], dtype=np.int64)
     edges_verified = 0
 
@@ -388,71 +455,83 @@ def enumerate_orbit(P, params: Params, max_points=2_000_000,
             idx = list(range(len(frontier)))
             rng.shuffle(idx)
             frontier = frontier[np.array(idx, dtype=np.int64)]
-        batch = pts[frontier]
-        images = np.concatenate([apply_letter_np(p, batch, L) for L in LETTERS])
-        ikeys = fast_keys(p, images)
-
-        order_ = np.argsort(ikeys, kind="stable")
-        new_rows = []
-        recurrent_rows = []
-        recurrent_reps = []
-        j = 0
-        total = len(order_)
         n_now = len(pts)
-        while j < total:
-            r0 = order_[j]
-            k = int(ikeys[r0])
-            j2 = j
-            while j2 < total and int(ikeys[order_[j2]]) == k:
-                j2 += 1
-            idx = key2idx.get(k)
-            if idx is None:
-                idx = n_now + len(new_rows)
-                key2idx[k] = idx
-                new_rows.append(r0)
-                group = order_[j + 1:j2]
-            else:
-                group = order_[j:j2]
-            if exact_verify and len(group):
-                recurrent_rows.extend(int(g) for g in group)
-                recurrent_reps.extend([idx] * len(group))
-            j = j2
-
-        if len(pts) + len(new_rows) > max_points:
-            raise OrbitBudgetError(
-                f"orbit exceeds max_points={max_points}", len(pts) + len(new_rows))
-
-        if new_rows:
-            pts = np.concatenate([pts, images[np.array(new_rows, dtype=np.int64)]])
-        if exact_verify and recurrent_rows:
-            rows = np.array(recurrent_rows, dtype=np.int64)
-            reps = np.array(recurrent_reps, dtype=np.int64)
-            ok = checker.equivalent(images[rows], pts[reps])
-            edges_verified += len(rows)
-            if not ok.all():
-                bad = int(rows[~ok][0])
-                raise KeyCollisionError(
-                    "canonical trace key collision between inequivalent points "
-                    f"(key {int(ikeys[bad])}); exact dedup falsified at p={p}")
+        pts, vkeys, vidx, verified = _expand(p, pts, frontier, vkeys, vidx,
+                                             checker, max_points)
+        edges_verified += verified
         frontier = np.arange(n_now, len(pts), dtype=np.int64)
 
-    keys_sorted = sorted(key2idx)
-    keys = np.array(keys_sorted, dtype=np.int64)
-    old_order = np.array([key2idx[k] for k in keys_sorted], dtype=np.int64)
-    pts = pts[old_order]
+    pts = pts[vidx]
 
     # soundness backstop: every representative satisfies the defining equations
-    A, B, C, D = _quad_cols(pts)
-    gam = _mm(p, _mm(p, A, _minv(p, B)), _mm(p, C, _minv(p, D)))
-    del_ = _mm(p, _mm(p, _minv(p, A), B), _mm(p, _minv(p, C), D))
     gm = np.array(params.gamma_mat, dtype=np.int64)
     dm = np.array(params.delta_mat, dtype=np.int64)
-    plus = (gam == gm).all(axis=1) & (del_ == dm).all(axis=1)
-    minus = (gam == (p - gm) % p).all(axis=1) & (del_ == (p - dm) % p).all(axis=1)
-    if not (plus | minus).all():
-        raise OrbitError("internal error: representative violates the defining equations")
+    for c in _row_chunks(len(pts)):
+        A, B, C, D = _quad_cols(pts[c])
+        gam = _mm(p, _mm(p, A, _minv(p, B)), _mm(p, C, _minv(p, D)))
+        del_ = _mm(p, _mm(p, _minv(p, A), B), _mm(p, _minv(p, C), D))
+        plus = (gam == gm).all(axis=1) & (del_ == dm).all(axis=1)
+        minus = (gam == (p - gm) % p).all(axis=1) & (del_ == (p - dm) % p).all(axis=1)
+        if not (plus | minus).all():
+            raise OrbitError("internal error: representative violates the defining equations")
 
-    return OrbitIndex(params, pts, keys, exact_verify, edges_verified)
+    return OrbitIndex(params, pts, vkeys, exact_verify, edges_verified)
+
+
+def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
+    """One BFS layer: key the images of the frontier under the six
+    letters and deduplicate them against the sorted visited keys vkeys
+    (point indices vidx).  New keys become points n_now, n_now + 1, ...
+    in ascending key order.  With a checker, every image except the
+    first of each new key (a recurrent edge) is verified against its
+    key's representative, in sorted-key order.
+
+    Returns (pts, vkeys, vidx, edges verified); the layer's arrays die
+    with this call, before the next layer is built.
+    """
+    batch = pts[frontier]
+    images = np.concatenate([apply_letter_np(p, batch, L) for L in LETTERS])
+    del batch
+    ikeys = fast_keys(p, images)
+
+    # groups of equal key; a stable sort puts each group's smallest row first
+    order_ = np.argsort(ikeys, kind="stable")
+    skeys = ikeys[order_]
+    head = np.empty(len(skeys), dtype=bool)
+    head[0] = True
+    np.not_equal(skeys[1:], skeys[:-1], out=head[1:])
+    ukeys = skeys[head]
+    del skeys
+
+    pos = np.searchsorted(vkeys, ukeys)
+    new = vkeys[np.minimum(pos, len(vkeys) - 1)] != ukeys
+    n_now = len(pts)
+    n_next = n_now + int(new.sum())
+    if n_next > max_points:
+        raise OrbitBudgetError(f"orbit exceeds max_points={max_points}", n_next)
+    new_idx = np.arange(n_now, n_next, dtype=np.int64)
+    new_head = head.copy()
+    new_head[head] = new
+    pts = np.concatenate([pts, images[order_[new_head]]])
+
+    verified = 0
+    if checker is not None:
+        rep = np.empty(len(ukeys), dtype=np.int64)  # point index of each group
+        rep[~new] = vidx[pos[~new]]
+        rep[new] = new_idx
+        recurrent = ~new_head
+        rows = order_[recurrent]
+        reps = rep[np.cumsum(head)[recurrent] - 1]
+        bad = _first_inequivalent(checker, images, rows, pts, reps)
+        if bad is not None:
+            raise KeyCollisionError(
+                "canonical trace key collision between inequivalent points "
+                f"(key {int(ikeys[rows[bad]])}); exact dedup falsified at p={p}")
+        verified = len(rows)
+
+    vkeys = np.insert(vkeys, pos[new], ukeys[new])
+    vidx = np.insert(vidx, pos[new], new_idx)
+    return pts, vkeys, vidx, verified
 
 
 # -- the reversal twist ---------------------------------------------------
@@ -496,8 +575,8 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
         left = [pgl_canon(F, mat_mul(F, m, g)) for m, _ in cg]
         right = [(pgl_canon(F, mat_mul(F, h, m)), c) for m, c in params.centralizer("delta")]
         checker = _ExactChecker(p, left, [c for _, c in cg], right, inv_table)
-        ok = checker.equivalent(rev, orbit.points[idx])
-        if not ok.all():
+        rows = np.arange(orbit.n, dtype=np.int64)
+        if _first_inequivalent(checker, rev, rows, orbit.points, idx) is not None:
             raise EpsilonOutsideOrbitError(
                 "epsilon image fails exact equivalence with its representative")
     return idx

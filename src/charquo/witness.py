@@ -480,10 +480,6 @@ def _plus_centralizer(F: PrimeField, M: Mat):
     return out
 
 
-def _sign_canon_rows(p, A):
-    return _psl_canon(p, A)
-
-
 def enumerate_x_classes(params: Params, max_prime: int = 23):
     """Full enumeration of X~^(2)/~ deduplicated by the exact
     centralizer-coset key; independent of the counting loop.

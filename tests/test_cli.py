@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from charquo.cli import main
 
 
@@ -13,6 +15,14 @@ def test_witness_ok(capsys):
     code, out = run(capsys, "witness", "31")
     assert code == 0
     assert "split" in out and "nonsplit" in out
+
+
+def test_threads_setting_removed(capsys, monkeypatch):
+    monkeypatch.setenv("CHARQUO_THREADS", "two")
+    code, _ = run(capsys, "witness", "19")
+    assert code == 0
+    with pytest.raises(SystemExit):
+        main(["witness", "19", "--threads", "2"])
 
 
 def test_witness_degenerate(capsys):

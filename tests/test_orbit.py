@@ -1,14 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from charquo import braidquandle as bq
 from charquo import charvar as cv
+from charquo import orbit as orbit_mod
 from charquo import witness as wt
-from charquo.orbit import (OrbitBudgetError, enumerate_orbit, epsilon_perm,
-                           fast_keys, quad_to_row, read_dump)
+from charquo.cli import main
+from charquo.orbit import (KeyCollisionError, OrbitBudgetError, enumerate_orbit,
+                           epsilon_perm, fast_keys, quad_to_row, read_dump)
 from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
+DUMP19_SHA256 = "c4cff0503cc6e32199d43f7b281fe71217d4efe851436925418f754c71246ee7"
 
 
 def test_fast_keys_match_scalar(cfg19, rng):
@@ -72,20 +77,87 @@ def test_budget_error(cfg19):
     assert ei.value.partial_count > 10
 
 
-def test_traversal_order_independence(cfg19):
-    a = enumerate_orbit(cfg19.P, cfg19.params, exact_verify=False)
-    b = enumerate_orbit(cfg19.P, cfg19.params, exact_verify=False,
+def _check_order_independence(cfg19, exact):
+    a = enumerate_orbit(cfg19.P, cfg19.params, exact_verify=exact)
+    b = enumerate_orbit(cfg19.P, cfg19.params, exact_verify=exact,
                         frontier_shuffle_seed=123)
     assert a.n == b.n
     assert (a.keys == b.keys).all()
     assert (a.points == b.points).all()
+    assert a.edges_verified == b.edges_verified
     for L in LETTERS:
         assert (a.letter_perm(L) == b.letter_perm(L)).all()
+
+
+def test_traversal_order_independence(cfg19):
+    _check_order_independence(cfg19, exact=False)
+
+
+def test_traversal_order_independence_exact(cfg19):
+    # a shuffled frontier also reorders the verified rows within each layer
+    _check_order_independence(cfg19, exact=True)
 
 
 def test_exact_verification_ran(orbit19):
     assert orbit19.exact_verified
     assert orbit19.edges_verified == 5 * orbit19.n + 1
+
+
+def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
+    a_dump = tmp_path / "a.chqo"
+    orbit19.write_dump(a_dump)
+    a_perms = [orbit19.letter_perm(L) for L in LETTERS]
+    a_eps = epsilon_perm(orbit19, cfg19.params)
+
+    # a small odd chunk leaves a ragged last chunk in every kernel
+    monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    b = enumerate_orbit(cfg19.P, cfg19.params)
+    assert (b.keys == orbit19.keys).all()
+    assert (b.points == orbit19.points).all()
+    assert b.edges_verified == orbit19.edges_verified
+    b_dump = tmp_path / "b.chqo"
+    b.write_dump(b_dump)
+    assert b_dump.read_bytes() == a_dump.read_bytes()
+    for L, perm in zip(LETTERS, a_perms):
+        assert (b.letter_perm(L) == perm).all()
+    assert (epsilon_perm(b, cfg19.params) == a_eps).all()
+
+
+@pytest.fixture()
+def reject_second_chunk(monkeypatch):
+    """Make exact verification reject row 5 of the second chunk of the
+    first BFS layer that has two chunks; the rejected key is recorded."""
+    monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    keys, equivalent = orbit_mod.fast_keys, orbit_mod._ExactChecker.equivalent
+    state = {"calls": 0, "rejected": None}
+
+    def layer_keys(p, quads):  # the BFS keys each layer once, before verifying
+        state["calls"] = 0
+        return keys(p, quads)
+
+    def rejecting(self, Qs, Rs):
+        ok = equivalent(self, Qs, Rs)
+        state["calls"] += 1
+        if state["calls"] == 2 and state["rejected"] is None:
+            ok[5] = False
+            state["rejected"] = int(keys(self.p, Qs[5:6])[0])
+        return ok
+
+    monkeypatch.setattr(orbit_mod, "fast_keys", layer_keys)
+    monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent", rejecting)
+    return state
+
+
+def test_forced_collision_names_key(cfg19, reject_second_chunk):
+    with pytest.raises(KeyCollisionError) as ei:
+        enumerate_orbit(cfg19.P, cfg19.params)
+    assert f"(key {reject_second_chunk['rejected']})" in str(ei.value)
+
+
+def test_forced_collision_cli_exit(reject_second_chunk, capsys):
+    assert main(["orbit", "19", "--no-permutations"]) == 3
+    out = capsys.readouterr().out
+    assert f"(key {reject_second_chunk['rejected']})" in out
 
 
 def test_epsilon_involution_and_twist(orbit19, cfg19):
@@ -160,7 +232,44 @@ def test_dump_roundtrip(orbit19, tmp_path):
     for j in range(1, 7):
         packed = packed * p + coords[:, j]
     assert (packed == orbit19.keys).all()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP19_SHA256
     with pytest.raises(ValueError, match="magic"):
         bad = tmp_path / "bad.chqo"
         bad.write_bytes(b"NOPE" + b"\0" * 20)
         read_dump(bad)
+
+
+def _corrupt(orbit19, tmp_path, edit):
+    """A p = 19 dump with its (n, 7) coordinate body changed by edit."""
+    path = tmp_path / "orbit.chqo"
+    orbit19.write_dump(path)
+    data = path.read_bytes()
+    body = np.frombuffer(data, dtype="<u8", offset=24).reshape(-1, 7).copy()
+    path.write_bytes(edit(data[:24], body))
+    return path
+
+
+def _swap_rows(head, body):
+    body[[10, 11]] = body[[11, 10]]
+    return head + body.tobytes()
+
+
+def _out_of_range(head, body):
+    body[3, 2] = 19
+    return head + body.tobytes()
+
+
+@pytest.mark.parametrize("edit, defect", [
+    (lambda head, body: b"CHQO\x01\x00", "truncated header"),
+    (lambda head, body: head + body.tobytes()[:-10], "but a dump of n=32400"),
+    (_out_of_range, "row 3 has a coordinate >= p=19"),
+    (_swap_rows, "not strictly ascending at row 11"),
+])
+def test_read_dump_rejects_bad_dumps(orbit19, tmp_path, capsys, edit, defect):
+    path = _corrupt(orbit19, tmp_path, edit)
+    with pytest.raises(ValueError, match=defect) as ei:
+        read_dump(path)
+    assert str(path) in str(ei.value)
+    assert main(["count", "19", "--orbit", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert defect in err and str(path) in err
