@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
-                     mat_det, mat_inv, mat_mul, mat_trace, pgl_canon,
+                     mat_det, mat_inv, mat_mul, mat_trace, pack_np, pgl_canon,
                      centralizer_pgl)
 
 TraceTuple = tuple  # (a, b, c, x, y, z, p7), entries in [0, p)
@@ -41,6 +43,20 @@ def apply_flip(t: TraceTuple, signs, p: int) -> TraceTuple:
 def canonicalize(t: TraceTuple, p: int) -> TraceTuple:
     """Lexicographically minimal image of t under the 8 sign flips."""
     return min(apply_flip(t, s, p) for s in FLIP_SIGNS)
+
+
+def canon_keys_np(p: int, t) -> np.ndarray:
+    """Packed canonical key of each 7-tuple along the last axis of t:
+    canonicalize then pack_np, as the minimum of the packed flips,
+    taken one flip at a time."""
+    # coordinate-major layout, so each flip selects and packs whole columns
+    t = np.asfortranarray(t)
+    neg = (p - t) % p
+    best = None
+    for signs in FLIP_SIGNS:
+        key = pack_np(p, np.where(np.equal(signs, -1), neg, t))
+        best = key if best is None else np.minimum(best, key, out=best)
+    return best
 
 
 def from_quad(Q) -> TraceTuple:
@@ -79,12 +95,6 @@ def sigma_action(i: int, direction: int, t: TraceTuple, p: int) -> TraceTuple:
     else:
         raise ValueError(f"bad generator index {i}")
     return tuple(v % p for v in out)
-
-
-def sigma_word_action(word, t: TraceTuple, p: int) -> TraceTuple:
-    for i, e in word:
-        t = sigma_action(i, e, t, p)
-    return t
 
 
 def fricke_value(t: TraceTuple, p: int) -> int:
@@ -177,21 +187,6 @@ def membership(t: TraceTuple, params: Params) -> bool:
 
 # -- the exact (assumption-free) key ------------------------------------
 
-def transform_quad(F: PrimeField, Q, ghat: Mat, dhat: Mat):
-    """ghat * Q * dhat componentwise, as pgl-canonical matrices."""
-    return tuple(pgl_canon(F, mat_mul(F, mat_mul(F, ghat, X.m), dhat)) for X in Q)
-
-
-def quad_pgl_key(Q):
-    """Flattened pgl-canonical form of a quadruple (no centralizer
-    action); equal iff the quadruples are equal in PSL2^4."""
-    F = Q[0].field
-    out = []
-    for X in Q:
-        out.extend(pgl_canon(F, X.m))
-    return tuple(out)
-
-
 def key_exact(Q, params: Params):
     """Exact equality key on X^(2): the lexicographically minimal
     pgl-canonical quadruple over all equal-class centralizer pairs.
@@ -219,14 +214,12 @@ def are_equivalent(Q, R, params: Params) -> bool:
     with the same determinant class and match on B, C, D.
     """
     F = params.F
-    p = F.p
     dlook = params.delta_centralizer_lookup()
     ra = R[0].m
     for ghat, sg in params.centralizer("gamma"):
+        # dhat = ga^-1 ra up to scalar; the adjugate avoids a division
         ga = mat_mul(F, ghat, Q[0].m)
-        # dhat = ga^-1 ra up to scalar; use the adjugate to avoid division
-        adj = (ga[3], (-ga[1]) % p, (-ga[2]) % p, ga[0])
-        dhat = pgl_canon(F, mat_mul(F, adj, ra))
+        dhat = pgl_canon(F, mat_mul(F, mat_inv(F, ga), ra))
         sh = dlook.get(dhat)
         if sh is None or sh != sg:
             continue

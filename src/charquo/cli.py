@@ -17,7 +17,8 @@ import tempfile
 from . import __version__
 from . import qrep as qr
 from . import witness as wt
-from .orbit import KeyCollisionError, OrbitBudgetError, read_dump
+from .orbit import (EpsilonOutsideOrbitError, OrbitBudgetError, OrbitError,
+                    read_dump)
 from .qrep import BadSpecializationError
 
 EXIT_OK = 0
@@ -106,7 +107,11 @@ def cmd_orbit(args) -> int:
         report = {"p": args.p, "error": str(e), "seed": args.seed}
         emit(report, args, [f"pipeline failed: {e}"])
         return EXIT_PRECONDITION
-    except KeyCollisionError as e:
+    except EpsilonOutsideOrbitError as e:
+        report = {"p": args.p, "error": str(e), "seed": args.seed}
+        emit(report, args, [f"reversal twist fails at p = {args.p}: {e}"])
+        return EXIT_PRECONDITION
+    except OrbitError as e:
         report = {"p": args.p, "error": str(e), "seed": args.seed}
         emit(report, args, [f"internal invariant violated: {e}"])
         return EXIT_INTERNAL
@@ -282,7 +287,6 @@ def build_parser():
 
     s = sub.add_parser("selftest", help="run the quick self-check battery")
     s.add_argument("--fast", action="store_true", help="skip the slower checks")
-    common(s)
     s.set_defaults(func=cmd_selftest)
     return ap
 

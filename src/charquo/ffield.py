@@ -7,6 +7,10 @@ PGL2 elements are matrices mod scalars, canonicalized by scaling the
 first nonzero entry to 1; their determinant survives as a square /
 non-square class.
 
+The same arithmetic is vectorized over numpy int64 arrays whose last
+axis holds (m11, m12, m21, m22) (the `_np` functions), next to the
+base-p packing of digit vectors into order-preserving int64 keys.
+
 Everything here is a pure function of its inputs; no interior mutation.
 """
 
@@ -14,6 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .numutil import factorize, is_prime
 
@@ -59,9 +66,6 @@ class PrimeField:
         r = pow(x, self.half, self.p)
         return 1 if r == 1 else -1
 
-    def is_square(self, x: int) -> bool:
-        return self.legendre(x) >= 0
-
 
 # -- raw matrix helpers -------------------------------------------------
 
@@ -78,7 +82,8 @@ def mat_mul(F: PrimeField, A: Mat, B: Mat) -> Mat:
 
 
 def mat_inv(F: PrimeField, A: Mat) -> Mat:
-    """Inverse of a determinant-1 matrix."""
+    """Adjugate of A: its inverse when det A = 1, and its inverse up to
+    the scalar det A (so projectively exact) otherwise."""
     p = F.p
     a, b, c, d = A
     return (d, (-b) % p, (-c) % p, a)
@@ -133,6 +138,76 @@ def pgl_canon(F: PrimeField, A: Mat) -> Mat:
             p = F.p
             return tuple(v * s % p for v in A)
     raise ValueError("zero matrix is not a PGL2 element")
+
+
+# -- vectorized 2x2 arithmetic (last axis = (m11, m12, m21, m22)) --------
+
+def mm_np(p, A, B):
+    a, b, c, d = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
+    e, f, g, h = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
+    return np.stack(((a * e + b * g) % p, (a * f + b * h) % p,
+                     (c * e + d * g) % p, (c * f + d * h) % p), axis=-1)
+
+
+def minv_np(p, A):
+    """Adjugates (inverses of the determinant-1 matrices), as mat_inv."""
+    return np.stack((A[..., 3], (p - A[..., 1]) % p,
+                     (p - A[..., 2]) % p, A[..., 0]), axis=-1)
+
+
+def tr_np(p, A):
+    return (A[..., 0] + A[..., 3]) % p
+
+
+def _first_nonzero_np(A):
+    first = np.argmax(A != 0, axis=-1)
+    return np.take_along_axis(A, first[..., None], axis=-1)[..., 0]
+
+
+def psl_canon_np(p, A):
+    """Flip signs so the first nonzero entry lies in [1, (p-1)/2]."""
+    half = (p - 1) // 2
+    return np.where((_first_nonzero_np(A) > half)[..., None], (p - A) % p, A)
+
+
+@lru_cache(maxsize=None)
+def inv_table(p) -> np.ndarray:
+    """Read-only table of inverses mod p (entry 0 is 0)."""
+    t = np.zeros(p, dtype=np.int64)
+    t[1:] = [pow(i, p - 2, p) for i in range(1, p)]
+    t.flags.writeable = False
+    return t
+
+
+def pgl_canon_np(p, A):
+    """Scale so the first nonzero entry equals 1."""
+    return A * inv_table(p)[_first_nonzero_np(A)][..., None] % p
+
+
+def pack_np(p, digits):
+    """Base-p value of the digits along the last axis (most significant
+    first) as int64: order-preserving for digits in [0, p).  Raises
+    ValueError unless p**width < 2**63."""
+    digits = np.asarray(digits)
+    width = digits.shape[-1]
+    if p ** width >= 2 ** 63:
+        raise ValueError(f"{width} base-{p} digits overflow int64 "
+                         f"(packing needs p^{width} < 2^63)")
+    out = digits[..., 0].astype(np.int64)
+    for j in range(1, width):
+        out *= p
+        out += digits[..., j]
+    return out
+
+
+def unpack_np(p, keys, width):
+    """Inverse of pack_np: the width base-p digits of each key, along a
+    new last axis."""
+    keys = np.asarray(keys, dtype=np.int64)
+    out = np.empty(keys.shape + (width,), dtype=np.int64)
+    for j in range(width - 1, -1, -1):
+        keys, out[..., j] = np.divmod(keys, p)
+    return out
 
 
 # -- PSL2 elements ------------------------------------------------------
@@ -256,6 +331,20 @@ def is_maximal(M: ProjMat2) -> bool:
 
 # -- tori in PGL2 -------------------------------------------------------
 
+def torus_pencil(F: PrimeField, M: Mat):
+    """The invertible members x*I + M, x in F_p, of the pencil through M,
+    as (pgl-canonical matrix, determinant) pairs.  With the identity they
+    are the units of F_p[M] mod scalars: every g with g M g^-1 = M
+    exactly, when M is not scalar."""
+    p = F.p
+    a, b, c, d = M
+    for x in range(p):
+        g = ((x + a) % p, b, c, (x + d) % p)
+        det = mat_det(F, g)
+        if det:
+            yield pgl_canon(F, g), det
+
+
 def centralizer_pgl(M: ProjMat2):
     """The full torus centralizing M in PGL2(F_p).
 
@@ -269,14 +358,7 @@ def centralizer_pgl(M: ProjMat2):
         raise ValueError(f"centralizer enumeration unsupported for {cls}")
     F = M.field
     p = F.p
-    a, b, c, d = M.m
-    out = [(mat_id(), 1)]
-    for x in range(p):
-        g = ((x + a) % p, b, c, (x + d) % p)
-        det = mat_det(F, g)
-        if det == 0:
-            continue
-        out.append((pgl_canon(F, g), F.legendre(det)))
+    out = [(mat_id(), 1)] + [(g, F.legendre(det)) for g, det in torus_pencil(F, M.m)]
     expect = p - 1 if cls is ElementClass.SPLIT else p + 1
     assert len(out) == expect, (len(out), expect)
     return out
@@ -287,13 +369,9 @@ def centralizer_element_of_class(M: ProjMat2, det_class: int) -> Mat:
     if det_class == 1:
         return mat_id()
     F = M.field
-    p = F.p
-    a, b, c, d = M.m
-    for x in range(p):
-        g = ((x + a) % p, b, c, (x + d) % p)
-        det = mat_det(F, g)
-        if det and F.legendre(det) == det_class:
-            return pgl_canon(F, g)
+    for g, det in torus_pencil(F, M.m):
+        if F.legendre(det) == det_class:
+            return g
     raise ValueError("torus has no element of the requested class")
 
 
@@ -376,19 +454,30 @@ def _invertible_in_span(F: PrimeField, basis):
     return None
 
 
+def exact_conjugator(F: PrimeField, M: Mat, N: Mat) -> Mat:
+    """Invertible g with g M g^-1 = N exactly (not just up to sign).
+
+    Solves the linear system g M = N g over F_p and picks an invertible
+    solution; raises NotConjugateError when there is none.
+    """
+    basis = _transporter_basis(F, M, N)
+    g = _invertible_in_span(F, basis) if basis else None
+    if g is None:
+        raise NotConjugateError(f"{M} is not conjugate to {N} over F_{F.p}")
+    return g
+
+
 def conjugator(M: ProjMat2, N: ProjMat2):
     """A PGL2 element g with g M g^-1 = N at the PSL2 level.
 
-    Returns (g, det_class) with g pgl-canonical.  Solves the linear
-    system g M = +-N g over F_p and picks an invertible solution.
+    Returns (g, det_class) with g pgl-canonical: the exact conjugator
+    onto N, or onto -N when there is none.
     """
     F = M.field
     for target in (N.m, mat_neg(F, N.m)):
-        basis = _transporter_basis(F, M.m, target)
-        if not basis:
+        try:
+            g = pgl_canon(F, exact_conjugator(F, M.m, target))
+        except NotConjugateError:
             continue
-        g = _invertible_in_span(F, basis)
-        if g is not None:
-            g = pgl_canon(F, g)
-            return g, F.legendre(mat_det(F, g))
+        return g, F.legendre(mat_det(F, g))
     raise NotConjugateError(f"{M} is not PGL2-conjugate to {N}")

@@ -3,7 +3,10 @@ deterministic point indexing and generator-permutation extraction.
 
 The engine stores full matrix quadruples as numpy int64 arrays of shape
 (n, 16) (four sign-canonical determinant-1 lifts, row-major) and
-deduplicates on the packed canonical trace key.  In exact mode every
+deduplicates on the packed canonical trace key.  The 2x2 kernels and the
+base-p packing it runs on are ffield's `_np` functions; the trace key is
+charvar.canon_keys_np.  This module owns the BFS, the exact-equivalence
+checker, the index and the dump format.  In exact mode every
 recurrent BFS edge is re-verified against the stored representative
 with the centralizer-coset equivalence, so the enumeration is sound
 even where the injectivity of the trace map is unproven; a genuine
@@ -37,10 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import braidquandle as bq
-from .charvar import FLIP_SIGNS, Params, from_quad, canonicalize
+from .charvar import Params, canon_keys_np, from_quad
 from .ffield import (NotConjugateError, ProjMat2, conjugator,
-                     centralizer_element_of_class, mat_det, mat_mul, order,
-                     pgl_canon)
+                     centralizer_element_of_class, mat_det, mat_mul, minv_np,
+                     mm_np, order, pack_np, pgl_canon, pgl_canon_np,
+                     psl_canon_np, tr_np, unpack_np)
 
 LETTERS = (bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i)
 GENS = (bq.S1, bq.S2, bq.S3)
@@ -78,65 +82,20 @@ class EpsilonOutsideOrbitError(OrbitError):
     this prime, so it is reported, never hidden."""
 
 
-# -- vectorized 2x2 arithmetic (last axis = (m11, m12, m21, m22)) --------
-
-def _mm(p, A, B):
-    a, b, c, d = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
-    e, f, g, h = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
-    return np.stack(((a * e + b * g) % p, (a * f + b * h) % p,
-                     (c * e + d * g) % p, (c * f + d * h) % p), axis=-1)
-
-
-def _minv(p, A):
-    """Inverse of determinant-1 matrices."""
-    return np.stack((A[..., 3], (p - A[..., 1]) % p,
-                     (p - A[..., 2]) % p, A[..., 0]), axis=-1)
-
-
-def _tr(p, A):
-    return (A[..., 0] + A[..., 3]) % p
-
-
-def _psl_canon(p, A):
-    """Flip signs so the first nonzero entry lies in [1, (p-1)/2]."""
-    half = (p - 1) // 2
-    first = np.argmax(A != 0, axis=-1)
-    val = np.take_along_axis(A, first[..., None], axis=-1)[..., 0]
-    return np.where((val > half)[..., None], (p - A) % p, A)
-
-
-def _pgl_canon(p, A, inv_table):
-    """Scale so the first nonzero entry equals 1."""
-    first = np.argmax(A != 0, axis=-1)
-    val = np.take_along_axis(A, first[..., None], axis=-1)[..., 0]
-    return A * inv_table[val][..., None] % p
-
-
-def _pack4(p, A):
-    return ((A[..., 0] * p + A[..., 1]) * p + A[..., 2]) * p + A[..., 3]
-
-
 def _quad_cols(arr):
     return arr[..., 0:4], arr[..., 4:8], arr[..., 8:12], arr[..., 12:16]
 
 
 def _keys_chunk(p, quads):
+    """charvar.from_quad on each row, then its packed canonical key."""
     A, B, C, D = _quad_cols(quads)
-    m1 = _mm(p, _minv(p, B), A)
-    m2 = _mm(p, _minv(p, A), C)
-    m3 = _mm(p, _minv(p, D), C)
-    m12 = _mm(p, m1, m2)
-    t = (_tr(p, m1), _tr(p, m2), _tr(p, m3), _tr(p, _mm(p, m2, m3)),
-         _tr(p, _mm(p, m1, m3)), _tr(p, m12), _tr(p, _mm(p, m12, m3)))
-    signed = {1: t, -1: tuple((p - v) % p for v in t)}
-    best = None
-    for signs in FLIP_SIGNS:
-        packed = signed[signs[0]][0].copy()
-        for k in range(1, 7):
-            packed *= p
-            packed += signed[signs[k]][k]
-        best = packed if best is None else np.minimum(best, packed, out=best)
-    return best
+    m1 = mm_np(p, minv_np(p, B), A)
+    m2 = mm_np(p, minv_np(p, A), C)
+    m3 = mm_np(p, minv_np(p, D), C)
+    m12 = mm_np(p, m1, m2)
+    t = (tr_np(p, m1), tr_np(p, m2), tr_np(p, m3), tr_np(p, mm_np(p, m2, m3)),
+         tr_np(p, mm_np(p, m1, m3)), tr_np(p, m12), tr_np(p, mm_np(p, m12, m3)))
+    return canon_keys_np(p, np.stack(t).T)  # (m, 7), coordinate-major
 
 
 def fast_keys(p, quads):
@@ -153,7 +112,7 @@ def apply_letter_np(p, quads, letter):
     A, B, C, D = _quad_cols(quads)
 
     def tri(x, y):
-        return _psl_canon(p, _mm(p, _mm(p, x, _minv(p, y)), x))
+        return psl_canon_np(p, mm_np(p, mm_np(p, x, minv_np(p, y)), x))
 
     if e == 1:
         if i == 1:
@@ -195,16 +154,15 @@ class _ExactChecker:
     describe the admissible dhat coset, packed and sorted.
     """
 
-    def __init__(self, p, left_mats, left_classes, right_pairs, inv_table):
+    def __init__(self, p, left_mats, left_classes, right_pairs):
         self.p = p
         self.left = np.array(left_mats, dtype=np.int64)
         self.left_cls = np.array(left_classes, dtype=np.int64)
-        rk = np.array([_pack4(p, np.array(m, dtype=np.int64)) for m, _ in right_pairs])
+        rk = pack_np(p, np.array([m for m, _ in right_pairs], dtype=np.int64))
         rc = np.array([c for _, c in right_pairs], dtype=np.int64)
         srt = np.argsort(rk)
         self.right_keys = rk[srt]
         self.right_cls = rc[srt]
-        self.inv_table = inv_table
 
     def equivalent(self, Qs, Rs):
         """Boolean mask over rows: Q_j ~ R_j."""
@@ -212,18 +170,16 @@ class _ExactChecker:
         n = Qs.shape[0]
         found = np.zeros(n, dtype=bool)
         QA, QB, QC, QD = _quad_cols(Qs)
-        RA = _pgl_canon(p, Rs[..., 0:4], self.inv_table)
-        rest_R = [_pgl_canon(p, Rs[..., 4 * k:4 * k + 4], self.inv_table) for k in (1, 2, 3)]
+        RA = pgl_canon_np(p, Rs[..., 0:4])
+        rest_R = [pgl_canon_np(p, Rs[..., 4 * k:4 * k + 4]) for k in (1, 2, 3)]
         rest_Q = (QB, QC, QD)
         for L, lcls in zip(self.left, self.left_cls):
             todo = ~found
             if not todo.any():
                 break
-            ga = _mm(p, L[None, :], QA[todo])
-            adj = np.stack((ga[..., 3], (p - ga[..., 1]) % p,
-                            (p - ga[..., 2]) % p, ga[..., 0]), axis=-1)
-            dh = _pgl_canon(p, _mm(p, adj, RA[todo]), self.inv_table)
-            dkey = _pack4(p, dh)
+            ga = mm_np(p, L[None, :], QA[todo])
+            dh = pgl_canon_np(p, mm_np(p, minv_np(p, ga), RA[todo]))
+            dkey = pack_np(p, dh)
             pos = np.searchsorted(self.right_keys, dkey)
             pos_ok = pos < len(self.right_keys)
             pos_c = np.where(pos_ok, pos, 0)
@@ -234,23 +190,17 @@ class _ExactChecker:
             dh_h = dh[hit]
             ok = np.ones(len(sub), dtype=bool)
             for qcol, rcol in zip(rest_Q, rest_R):
-                lhs = _pgl_canon(p, _mm(p, _mm(p, L[None, :], qcol[sub]), dh_h), self.inv_table)
+                lhs = pgl_canon_np(p, mm_np(p, mm_np(p, L[None, :], qcol[sub]), dh_h))
                 ok &= (lhs == rcol[sub]).all(axis=-1)
             found[sub[ok]] = True
         return found
-
-
-def _inv_table(p):
-    t = np.zeros(p, dtype=np.int64)
-    t[1:] = np.array([pow(i, p - 2, p) for i in range(1, p)], dtype=np.int64)
-    return t
 
 
 def make_checker(params: Params) -> _ExactChecker:
     p = params.F.p
     cg = params.centralizer("gamma")
     return _ExactChecker(p, [m for m, _ in cg], [c for _, c in cg],
-                         params.centralizer("delta"), _inv_table(p))
+                         params.centralizer("delta"))
 
 
 def _first_inequivalent(checker, Qs, q_rows, Rs, r_rows):
@@ -295,8 +245,8 @@ class OrbitIndex:
         return np.where(good, pos_c, -1)
 
     def index_of_point(self, Q) -> int:
-        key = canon_key_int(self.p, from_quad(Q))
-        i = int(self.index_of_keys(np.array([key]))[0])
+        key = canon_keys_np(self.p, np.array([from_quad(Q)], dtype=np.int64))
+        i = int(self.index_of_keys(key)[0])
         if i < 0:
             raise OrbitError("point is not on the orbit")
         return i
@@ -333,9 +283,9 @@ class OrbitIndex:
         p = self.p
         A, B, C, D = _quad_cols(self.points)
         pair = {1: (A, B), 2: (B, C), 3: (C, D)}[i]
-        m = _mm(p, pair[0], _minv(p, pair[1]))
+        m = mm_np(p, pair[0], minv_np(p, pair[1]))
         ident = ((m[:, 1] == 0) & (m[:, 2] == 0) & (m[:, 0] == m[:, 3]))
-        return _tr(p, m), ident
+        return tr_np(p, m), ident
 
     # -- dump format ------------------------------------------------------
 
@@ -350,12 +300,7 @@ class OrbitIndex:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<IQQ", self.VERSION, p, self.n))
             for c in _row_chunks(self.n):
-                k = self.keys[c]
-                coords = np.empty((len(k), 7), dtype="<u8")
-                for j in range(6, -1, -1):
-                    coords[:, j] = k % p
-                    k = k // p
-                fh.write(coords.tobytes())
+                fh.write(unpack_np(p, self.keys[c], 7).astype("<u8").tobytes())
 
 
 def read_dump(path):
@@ -384,40 +329,32 @@ def read_dump(path):
     if len(bad):
         raise ValueError(f"{path}: row {int(bad[0])} has a coordinate >= p={p}")
     coords = coords.astype(np.int64)
-    keys = coords[:, 0]
-    for j in range(1, 7):
-        keys = keys * p + coords[:, j]
+    keys = pack_np(p, coords)
     bad = np.flatnonzero(keys[1:] <= keys[:-1])
     if len(bad):
         raise ValueError(f"{path}: keys not strictly ascending at row {int(bad[0]) + 1}")
     return int(p), coords
 
 
-def canon_key_int(p, t) -> int:
-    """Packed integer form of the canonical trace key."""
-    out = 0
-    for v in canonicalize(t, p):
-        out = out * p + v
-    return out
+def _on_x_mask(params: Params, rows) -> np.ndarray:
+    """Mask over (m, 16) rows: the defining equations hold, i.e.
+    (gamma, delta) of the lifts equal those of params up to one common
+    sign."""
+    p = params.F.p
+    gm = np.array(params.gamma_mat, dtype=np.int64)
+    dm = np.array(params.delta_mat, dtype=np.int64)
+    A, B, C, D = _quad_cols(rows)
+    gam = mm_np(p, mm_np(p, A, minv_np(p, B)), mm_np(p, C, minv_np(p, D)))
+    del_ = mm_np(p, mm_np(p, minv_np(p, A), B), mm_np(p, minv_np(p, C), D))
+    plus = (gam == gm).all(axis=-1) & (del_ == dm).all(axis=-1)
+    minus = (gam == (p - gm) % p).all(axis=-1) & (del_ == (p - dm) % p).all(axis=-1)
+    return plus | minus
 
 
-def _validate_start(P, params: Params):
-    """(gamma(P), delta(P)) from the canonical lifts must equal
-    (gamma, delta) up to one common sign."""
-    F = params.F
-    A, B, C, D = (X.m for X in P)
-    gm = mat_mul(F, mat_mul(F, A, _inv4(F, B)), mat_mul(F, C, _inv4(F, D)))
-    dm = mat_mul(F, mat_mul(F, _inv4(F, A), B), mat_mul(F, _inv4(F, C), D))
-    p = F.p
-    neg = lambda m: tuple((p - v) % p for v in m)
-    pair = (gm, dm)
-    if pair != (params.gamma_mat, params.delta_mat) and \
-            pair != (neg(params.gamma_mat), neg(params.delta_mat)):
+def validate_start(P, params: Params):
+    """Raise ValueError unless the quadruple P lies in X for params."""
+    if not _on_x_mask(params, quad_to_row(P)[None, :])[0]:
         raise ValueError("gamma mismatch: point does not lie in X for these parameters")
-
-
-def _inv4(F, m):
-    return (m[3], (-m[1]) % F.p, (-m[2]) % F.p, m[0])
 
 
 def enumerate_orbit(P, params: Params, max_points=2_000_000,
@@ -433,7 +370,7 @@ def enumerate_orbit(P, params: Params, max_points=2_000_000,
     if p > MAX_PACKED_PRIME:
         raise OrbitBudgetError(f"p={p} exceeds the packed-key engine bound "
                                f"{MAX_PACKED_PRIME} (orbit would be ~p^4 points)", 0)
-    _validate_start(P, params)
+    validate_start(P, params)
     if exact_verify is None:
         exact_verify = max(order(params.gamma), order(params.delta)) <= 60
     checker = make_checker(params) if exact_verify else None
@@ -464,15 +401,8 @@ def enumerate_orbit(P, params: Params, max_points=2_000_000,
     pts = pts[vidx]
 
     # soundness backstop: every representative satisfies the defining equations
-    gm = np.array(params.gamma_mat, dtype=np.int64)
-    dm = np.array(params.delta_mat, dtype=np.int64)
     for c in _row_chunks(len(pts)):
-        A, B, C, D = _quad_cols(pts[c])
-        gam = _mm(p, _mm(p, A, _minv(p, B)), _mm(p, C, _minv(p, D)))
-        del_ = _mm(p, _mm(p, _minv(p, A), B), _mm(p, _minv(p, C), D))
-        plus = (gam == gm).all(axis=1) & (del_ == dm).all(axis=1)
-        minus = (gam == (p - gm) % p).all(axis=1) & (del_ == (p - dm) % p).all(axis=1)
-        if not (plus | minus).all():
+        if not _on_x_mask(params, pts[c]).all():
             raise OrbitError("internal error: representative violates the defining equations")
 
     return OrbitIndex(params, pts, vkeys, exact_verify, edges_verified)
@@ -570,11 +500,10 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
             f"epsilon maps {int((idx < 0).sum())} points outside the orbit at p={p}")
     if orbit.exact_verified:
         F = params.F
-        inv_table = _inv_table(p)
         cg = params.centralizer("gamma")
         left = [pgl_canon(F, mat_mul(F, m, g)) for m, _ in cg]
         right = [(pgl_canon(F, mat_mul(F, h, m)), c) for m, c in params.centralizer("delta")]
-        checker = _ExactChecker(p, left, [c for _, c in cg], right, inv_table)
+        checker = _ExactChecker(p, left, [c for _, c in cg], right)
         rows = np.arange(orbit.n, dtype=np.int64)
         if _first_inequivalent(checker, rev, rows, orbit.points, idx) is not None:
             raise EpsilonOutsideOrbitError(

@@ -17,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import braidquandle as bq
-from .charvar import FLIP_SIGNS, Params
-from .ffield import (ElementClass, Mat, PrimeField, ProjMat2,
-                     _invertible_in_span, _transporter_basis, classify,
-                     centralizer_element_of_class, is_maximal, mat_det, mat_id,
-                     mat_inv, mat_mul, mat_neg, mat_trace, order, pgl_canon,
-                     psl_canon)
+from .charvar import Params, canon_keys_np, fricke_value
+from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
+                     centralizer_element_of_class, exact_conjugator,
+                     is_maximal, mat_det, mat_id, mat_inv, mat_mul, mat_neg,
+                     mat_trace, minv_np, mm_np, order, pack_np, pgl_canon,
+                     pgl_canon_np, psl_canon, torus_pencil, unpack_np)
 from .numutil import next_prime
-from .orbit import (OrbitIndex, _inv_table, _mm, _pack4, _pgl_canon,
-                    enumerate_orbit, epsilon_perm)
+from .orbit import OrbitIndex, enumerate_orbit, epsilon_perm, validate_start
 from .permgrp import GiantCertificate, classify_giant, sign
 
 TR_GAMMA = 3
@@ -49,13 +48,6 @@ def _degenerate(p: int) -> bool:
     return (TR_GAMMA % p) in bad or (TR_DELTA % p) in bad
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def find_prime(minimum: int = 5, mode: str = "relaxed") -> int:
     """Least usable prime >= minimum.
 
@@ -72,7 +64,8 @@ def find_prime(minimum: int = 5, mode: str = "relaxed") -> int:
         if mode == "strict":
             ok = p % 5 == 1 and p % 13 == 11
         else:
-            ok = _legendre(5, p) == 1 and _legendre(13, p) == -1
+            F = PrimeField(p)
+            ok = F.legendre(5) == 1 and F.legendre(13) == -1
         if ok and not _degenerate(p):
             return p
         p += 1
@@ -112,8 +105,7 @@ def build(p: int) -> WitnessConfig:
          ProjMat2.of(F, ui),
          ProjMat2.of(F, mat_mul(F, vi, ui)),
          ProjMat2.of(F, mat_mul(F, wi, mat_mul(F, vi, ui))))
-    from .orbit import _validate_start
-    _validate_start(P, params)
+    validate_start(P, params)
     return WitnessConfig(F, u, v, w, params, P)
 
 
@@ -290,9 +282,8 @@ def _uni_param_class(F: PrimeField, M: Mat) -> int:
 def _conj_by(F, g, M):
     """g M g^-1 for invertible g, exact in SL2."""
     p = F.p
-    adj = (g[3], (-g[1]) % p, (-g[2]) % p, g[0])
     det_inv = F.inv(mat_det(F, g))
-    out = mat_mul(F, mat_mul(F, g, M), adj)
+    out = mat_mul(F, mat_mul(F, g, M), mat_inv(F, g))
     return tuple(v * det_inv % p for v in out)
 
 
@@ -376,66 +367,31 @@ def count_x(params: Params, max_prime: int = 47) -> int:
         raise BudgetError(f"count_x refuses p={p} > {max_prime} (O(p^5) loop)")
     if not params.satisfies_nonconjugation():
         raise WitnessError("count_x requires the split/non-split assumption")
-    inv_table = _inv_table(p)
     idx = np.arange(p, dtype=np.int64)
     C3, X3, Z3 = np.meshgrid(idx, idx, idx, indexing="ij")
     c3, x3, z3 = C3.ravel(), X3.ravel(), Z3.ravel()
-    signs = np.array(FLIP_SIGNS, dtype=np.int64)
     keys = set()
-
-    def collect(tuples):
-        # tuples: (m, 7) -> canonical packed keys into the set
-        flips = tuples[:, None, :] * signs[None, :, :] % p
-        packed = flips[..., 0]
-        for k in range(1, 7):
-            packed = packed * p + flips[..., k]
-        keys.update(packed.min(axis=1).tolist())
-
-    def fricke_mask(a, b, c, x, y, z, p7):
-        s = a * x + b * y + c * z - a * b * c
-        q = (a * a + b * b + c * c + x * x + y * y + z * z
-             + x * y * z - a * b * z - b * c * x - c * a * y - 4)
-        return (p7 * p7 - s * p7 + q) % p == 0
-
     for eps in (1, -1):
         y0 = eps * params.tdelta % p
         target = eps * (params.tgamma + params.tdelta) % p
         for a in range(p):
             for b in range(p):
                 if b:
-                    p7 = (target - a * c3 + x3 * z3) % p * inv_table[b] % p
-                    m = fricke_mask(a, b, c3, x3, y0, z3, p7)
-                    if m.any():
-                        t = np.stack([np.full(int(m.sum()), a), np.full(int(m.sum()), b),
-                                      c3[m], x3[m], np.full(int(m.sum()), y0),
-                                      z3[m], p7[m]], axis=1)
-                        collect(t)
-                else:
+                    c, x, z = c3, x3, z3
+                    p7 = (target - a * c3 + x3 * z3) % p * F.inv(b) % p
+                else:  # p7 is free: every value is scanned
                     m0 = (a * c3 - x3 * z3) % p == target
-                    if not m0.any():
-                        continue
-                    cs, xs, zs = c3[m0], x3[m0], z3[m0]
-                    for p7v in range(p):
-                        m = fricke_mask(a, 0, cs, xs, y0, zs, p7v)
-                        if m.any():
-                            cnt = int(m.sum())
-                            t = np.stack([np.full(cnt, a), np.zeros(cnt, dtype=np.int64),
-                                          cs[m], xs[m], np.full(cnt, y0),
-                                          zs[m], np.full(cnt, p7v)], axis=1)
-                            collect(t)
+                    c, x, z = (np.tile(v[m0], p) for v in (c3, x3, z3))
+                    p7 = np.repeat(idx, int(m0.sum()))
+                t = (a, b, c, x, y0, z, p7)
+                m = fricke_value(t, p) == 0
+                if m.any():
+                    cols = [np.broadcast_to(v, m.shape)[m] for v in t]
+                    keys.update(canon_keys_np(p, np.stack(cols, axis=-1)).tolist())
     return len(keys)
 
 
 # -- independent exact enumeration of X^(2) -------------------------------
-
-def _exact_conjugator(F: PrimeField, M: Mat, N: Mat) -> Mat:
-    """Invertible g with g M g^-1 = N exactly (not just up to sign)."""
-    basis = _transporter_basis(F, M, N)
-    g = _invertible_in_span(F, basis) if basis else None
-    if g is None:
-        raise WitnessError("matrices are not conjugate")
-    return g
-
 
 def _all_sl2(F: PrimeField):
     """All of SL2(F_p) as an (n, 4) int64 array."""
@@ -469,17 +425,6 @@ def _conj_operators(F: PrimeField, taus):
     return np.array(ops, dtype=np.int64)  # (K, 4, 4)
 
 
-def _plus_centralizer(F: PrimeField, M: Mat):
-    """{g in PGL2 : g M g^-1 = M exactly} = units of F_p[M] mod scalars."""
-    p = F.p
-    out = [mat_id()]
-    for x in range(p):
-        g = ((x + M[0]) % p, M[1], M[2], (x + M[3]) % p)
-        if mat_det(F, g):
-            out.append(pgl_canon(F, g))
-    return out
-
-
 def enumerate_x_classes(params: Params, max_prime: int = 23):
     """Full enumeration of X~^(2)/~ deduplicated by the exact
     centralizer-coset key; independent of the counting loop.
@@ -498,7 +443,6 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
         raise BudgetError(f"enumerate_x_classes refuses p={p} > {max_prime}")
     if not params.satisfies_nonconjugation():
         raise WitnessError("enumeration requires the split/non-split assumption")
-    inv_table = _inv_table(p)
     sl2 = _all_sl2(F)
     tg, td = params.tgamma, params.tdelta
 
@@ -515,8 +459,7 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
         return np.array([R[0], R[2], R[1], R[3]], dtype=np.int64)
 
     reps_class_members = []  # (rep name, representative raw pairs)
-    sl2_inv = np.stack([sl2[:, 3], (p - sl2[:, 1]) % p,
-                        (p - sl2[:, 2]) % p, sl2[:, 0]], axis=1)
+    sl2_inv = minv_np(p, sl2)
 
     for name, R1 in reps:
         # admissible M3 for each sign branch
@@ -525,7 +468,7 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
         branch_m3 = {eps: sl2[tr_r1_m3 == eps * td % p] for eps in (1, -1)}
         # N = M2^-1 R1 M2 for all M2
         R1v = np.array(R1, dtype=np.int64)
-        N = _mm(p, _mm(p, sl2_inv, R1v[None, :]), sl2)
+        N = mm_np(p, mm_np(p, sl2_inv, R1v[None, :]), sl2)
         ncoeff = np.stack([N[:, 0], N[:, 2], N[:, 1], N[:, 3]], axis=1)
         raw = set()
         for eps in (1, -1):
@@ -537,8 +480,8 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
             if name == "id":
                 assert len(hits) == 0, "identity gauge must be empty under 5.1"
                 continue
-            m2k = _pack4(p, sl2[hits[:, 0]])
-            m3k = _pack4(p, M3s[hits[:, 1]])
+            m2k = pack_np(p, sl2[hits[:, 0]])
+            m3k = pack_np(p, M3s[hits[:, 1]])
             raw.update(zip(m2k.tolist(), m3k.tolist()))
         if not raw:
             reps_class_members.append((name, R1, []))
@@ -546,19 +489,11 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
 
         # residual symmetry: torus conjugation (extended by the sign
         # swap for the involution gauge), and independent sign flips
-        taus = _plus_centralizer(F, R1)
+        taus = [mat_id()] + [g for g, _ in torus_pencil(F, R1)]
         if mat_trace(F, R1) == 0:
-            rho = _exact_conjugator(F, R1, mat_neg(F, R1))
+            rho = exact_conjugator(F, R1, mat_neg(F, R1))
             taus = taus + [pgl_canon(F, mat_mul(F, rho, t)) for t in taus]
         ops = _conj_operators(F, taus)  # (K, 4, 4)
-
-        def unpack(keys):
-            ks = np.array(keys, dtype=np.int64)
-            out = np.empty((len(ks), 4), dtype=np.int64)
-            for j in range(3, -1, -1):
-                out[:, j] = ks % p
-                ks = ks // p
-            return out
 
         raw_sorted = sorted(raw)
         raw_set = set(raw)
@@ -568,40 +503,28 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
             if pair in seen:
                 continue
             class_reps.append(pair)
-            m2 = unpack([pair[0]])[0]
-            m3 = unpack([pair[1]])[0]
+            m2, m3 = unpack_np(p, pair, 4)
             im2 = ops @ m2 % p  # (K, 4)
             im3 = ops @ m3 % p
             for sm2 in (im2, (p - im2) % p):
                 for sm3 in (im3, (p - im3) % p):
-                    kk = list(zip(_pack4(p, sm2).tolist(), _pack4(p, sm3).tolist()))
+                    kk = list(zip(pack_np(p, sm2).tolist(), pack_np(p, sm3).tolist()))
                     seen.update(kk)
         # orbits must stay inside the solution set
         assert seen <= raw_set
         reps_class_members.append((name, R1, class_reps))
 
     # rebuild one quadruple per class and dedupe by the exact key
+    # (charvar.key_exact: the lexicographically minimal transformed row)
     exact_keys = set()
-    pairs = params.equal_class_pairs()
-    pair_g = np.array([g for g, _ in pairs], dtype=np.int64)
-    pair_d = np.array([d for _, d in pairs], dtype=np.int64)
+    pair_g, pair_d = _pair_arrays(params)
 
     for name, R1, class_reps in reps_class_members:
-        for m2k, m3k in class_reps:
-            m2 = _unpack4(p, m2k)
-            m3 = _unpack4(p, m3k)
+        for m2, m3 in unpack_np(p, class_reps, 4).tolist():
             row = _rebuild_quad_row(F, R1, m2, m3, params)
-            key = _exact_key_row(p, row, pair_g, pair_d, inv_table)
-            exact_keys.add(key)
+            flat = _pair_transforms(p, row, pair_g, pair_d)  # (K, 16)
+            exact_keys.add(tuple(min(map(tuple, flat.tolist()))))
     return len(exact_keys), sorted(exact_keys)
-
-
-def _unpack4(p, k):
-    out = [0, 0, 0, 0]
-    for j in range(3, -1, -1):
-        out[j] = k % p
-        k //= p
-    return tuple(out)
 
 
 def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
@@ -622,8 +545,8 @@ def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
     tgt_d = params.delta_mat if eps == 1 else mat_neg(F, params.delta_mat)
     assert mat_trace(F, G0) == mat_trace(F, tgt_g)
     assert mat_trace(F, D0) == mat_trace(F, tgt_d)
-    g = _exact_conjugator(F, G0, tgt_g)
-    h = _exact_conjugator(F, D0, tgt_d)
+    g = exact_conjugator(F, G0, tgt_g)
+    h = exact_conjugator(F, D0, tgt_d)
     cg = F.legendre(mat_det(F, g))
     ch = F.legendre(mat_det(F, h))
     if cg != ch:
@@ -631,34 +554,32 @@ def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
         g = mat_mul(F, z, g)
         cg = F.legendre(mat_det(F, g))
         assert cg == ch
-    hi_adj = (h[3], (-h[1]) % p, (-h[2]) % p, h[0])  # h^-1 up to scalar
+    hi_adj = mat_inv(F, h)  # h^-1 up to scalar
     row = []
     for x in Q0:
         row.extend(pgl_canon(F, mat_mul(F, mat_mul(F, g, x), hi_adj)))
     # defining equations at the projective level
     A, B, C, D = (tuple(row[4 * k:4 * k + 4]) for k in range(4))
-    gg = mat_mul(F, mat_mul(F, A, _adj(p, B)), mat_mul(F, C, _adj(p, D)))
+    gg = mat_mul(F, mat_mul(F, A, mat_inv(F, B)), mat_mul(F, C, mat_inv(F, D)))
     assert pgl_canon(F, gg) == pgl_canon(F, params.gamma_mat)
     return np.array(row, dtype=np.int64)
 
 
-def _adj(p, m):
-    return (int(m[3]), int(-m[1]) % p, int(-m[2]) % p, int(m[0]))
+def _pair_arrays(params: Params):
+    """The equal-class centralizer pairs as two (K, 4) arrays (ghat, dhat)."""
+    pairs = params.equal_class_pairs()
+    return (np.array([g for g, _ in pairs], dtype=np.int64),
+            np.array([d for _, d in pairs], dtype=np.int64))
 
 
-def _exact_key_row(p, row, pair_g, pair_d, inv_table):
-    """key_exact over a projective quadruple row, batched over pairs.
-
-    Returns the lexicographically minimal transformed quadruple as a
-    16-tuple (matches charvar.key_exact)."""
-    K = len(pair_g)
-    quads = np.broadcast_to(row, (K, 16))
+def _pair_transforms(p, rows, pair_g, pair_d):
+    """ghat X dhat, pgl-canonical, for every 2x2 block X of each (..., 16)
+    row and every pair: shape (..., K, 16)."""
     parts = []
     for k in range(4):
-        tr = _mm(p, _mm(p, pair_g, quads[:, 4 * k:4 * k + 4]), pair_d)
-        parts.append(_pgl_canon(p, tr, inv_table))
-    flat = np.concatenate(parts, axis=1)  # (K, 16)
-    return tuple(min(map(tuple, flat.tolist())))
+        t = mm_np(p, mm_np(p, pair_g, rows[..., None, 4 * k:4 * k + 4]), pair_d)
+        parts.append(pgl_canon_np(p, t))
+    return np.concatenate(parts, axis=-1)
 
 
 def orbit_exact_keys(orbit: OrbitIndex, params: Params, indices=None):
@@ -669,32 +590,17 @@ def orbit_exact_keys(orbit: OrbitIndex, params: Params, indices=None):
     digits each (order-preserving, so equal rows = equal exact keys).
     """
     p = orbit.p
-    assert p ** 8 < 2 ** 63
-    pairs = params.equal_class_pairs()
-    pair_g = np.array([g for g, _ in pairs], dtype=np.int64)
-    pair_d = np.array([d for _, d in pairs], dtype=np.int64)
-    inv_table = _inv_table(p)
+    pair_g, pair_d = _pair_arrays(params)
     rows = orbit.points if indices is None else orbit.points[indices]
 
-    def pack8(a):
-        out = a[..., 0]
-        for j in range(1, 8):
-            out = out * p + a[..., j]
-        return out
-
     out = np.empty((len(rows), 2), dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(1, len(pairs) * 16))
+    chunk = max(1, 4_000_000 // max(1, len(pair_g) * 16))
     big = np.iinfo(np.int64).max
     for start in range(0, len(rows), chunk):
         block = rows[start:start + chunk]
-        parts = []
-        for k in range(4):
-            t = _mm(p, pair_g[None, :, :], block[:, None, 4 * k:4 * k + 4])
-            t = _mm(p, t, pair_d[None, :, :])
-            parts.append(_pgl_canon(p, t, inv_table))
-        flat = np.concatenate(parts, axis=2)  # (B, K, 16)
-        k1 = pack8(flat[..., 0:8])
-        k2 = pack8(flat[..., 8:16])
+        flat = _pair_transforms(p, block, pair_g, pair_d)  # (B, K, 16)
+        k1 = pack_np(p, flat[..., 0:8])
+        k2 = pack_np(p, flat[..., 8:16])
         m1 = k1.min(axis=1)
         k2m = np.where(k1 == m1[:, None], k2, big).min(axis=1)
         out[start:start + len(block), 0] = m1

@@ -5,6 +5,8 @@ exact (zero tolerance) and every stated budget is asserted against the
 wall clock.
 """
 
+import hashlib
+import json
 import random
 import time
 from math import factorial
@@ -21,6 +23,9 @@ from charquo.numutil import binom
 from conftest import rand_psl2, rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
+# byte-level oracles for refactors of the exact-key and X-enumeration code
+EXACT_KEYS19_SHA256 = "6240ea4d5c4d293b0b3d7e4a12ea3ed7e6eabc193c6129eea52b887590350a81"
+X_CLASSES19_SHA256 = "051dc090b81162b814043bd22c507f56ae78763a463359f28667b7260b0b1a7e"
 
 
 def _report(k, detail):
@@ -87,6 +92,7 @@ def test_criterion_03_dual_key_agreement(orbit19, cfg19, orbit31, cfg31):
         assert orbit.edges_verified == 5 * orbit.n + 1
     keys19 = wt.orbit_exact_keys(orbit19, cfg19.params)
     assert len({(int(a), int(b)) for a, b in keys19}) == orbit19.n
+    assert hashlib.sha256(keys19.tobytes()).hexdigest() == EXACT_KEYS19_SHA256
     rng = np.random.default_rng(3)
     sample = rng.choice(orbit31.n, size=300, replace=False)
     keys31 = wt.orbit_exact_keys(orbit31, cfg31.params, indices=sample)
@@ -108,8 +114,10 @@ def test_criterion_04_counting_oracle_agreement(cfg19, orbit19):
     count = wt.count_x(cfg19.params)
     dt = time.time() - t0
     assert dt < 60, f"count_x took {dt:.1f}s"
-    n_exact, _ = wt.enumerate_x_classes(cfg19.params)
+    n_exact, class_keys = wt.enumerate_x_classes(cfg19.params)
     assert count == n_exact
+    digest = hashlib.sha256(json.dumps(class_keys).encode()).hexdigest()
+    assert digest == X_CLASSES19_SHA256
     assert orbit19.n <= count
     _report(4, f"count_x(19) = {count} = independent exact enumeration, "
                f"count in {dt:.1f}s")

@@ -107,3 +107,9 @@ def test_selftest_fast(capsys):
     code, out = run(capsys, "selftest", "--fast")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_takes_no_report_options():
+    for flag in (["--json"], ["--out", "report.json"]):
+        with pytest.raises(SystemExit):
+            main(["selftest", "--fast", *flag])

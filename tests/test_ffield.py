@@ -1,12 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 
 from charquo.ffield import (ElementClass, NotConjugateError, PrimeField,
                             ProjMat2, centralizer_element_of_class,
                             centralizer_pgl, classify, conjugator, is_maximal,
-                            mat_det, mat_inv, mat_mul, mat_neg, order,
-                            pgl_canon, psl_canon)
+                            mat_det, mat_inv, mat_mul, mat_neg, mat_trace,
+                            minv_np, mm_np, order, pack_np, pgl_canon,
+                            pgl_canon_np, psl_canon, psl_canon_np, tr_np,
+                            unpack_np)
+from charquo.numutil import is_prime
+from charquo.orbit import MAX_PACKED_PRIME
 from conftest import rand_psl2
 
 
@@ -151,3 +156,65 @@ def test_psl_canon_of_negation():
     for _ in range(200):
         A = rand_psl2(F, rng).m
         assert psl_canon(F, mat_neg(F, A)) == psl_canon(F, A)
+
+
+# -- vectorized kernels against their scalar twins ------------------------
+
+def _random_mats(F, rng, count):
+    """Random nonzero 2x2 matrices of any determinant; half of them have
+    leading zeros (first entry 0, or first two entries 0)."""
+    p = F.p
+    out = []
+    for i in range(count):
+        m = [rng.randrange(p) for _ in range(4)]
+        if i % 4 == 1:
+            m[0] = 0
+        elif i % 4 == 3:
+            m[0] = m[1] = 0
+        if not any(m):
+            m[3] = 1
+        out.append(tuple(m))
+    return out
+
+
+@pytest.mark.parametrize("p", [19, 509])
+def test_np_kernels_match_scalar(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    A = _random_mats(F, rng, 400)
+    B = _random_mats(F, rng, 400)
+    An, Bn = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+    assert sum(a[0] == 0 for a in A) >= 100
+    assert mm_np(p, An, Bn).tolist() == [list(mat_mul(F, a, b)) for a, b in zip(A, B)]
+    assert minv_np(p, An).tolist() == [list(mat_inv(F, a)) for a in A]
+    assert tr_np(p, An).tolist() == [mat_trace(F, a) for a in A]
+    assert pgl_canon_np(p, An).tolist() == [list(pgl_canon(F, a)) for a in A]
+    S = [rand_psl2(F, rng).m for _ in range(200)]
+    S += [(0, b, p - F.inv(b), rng.randrange(p)) for b in range(1, min(p, 101))]
+    Sn = np.array(S, dtype=np.int64)
+    Sneg = (p - Sn) % p
+    assert psl_canon_np(p, Sn).tolist() == [list(psl_canon(F, s)) for s in S]
+    assert psl_canon_np(p, Sneg).tolist() == [list(psl_canon(F, s)) for s in S]
+
+
+def test_pack_roundtrip_and_bound():
+    rng = np.random.default_rng(11)
+    for p, width in ((19, 4), (509, 7), (233, 8)):
+        digits = rng.integers(0, p, size=(50, 3, width))
+        keys = pack_np(p, digits)
+        assert keys.shape == (50, 3)
+        assert (unpack_np(p, keys, width) == digits).all()
+        # order-preserving: keys sort as the digit vectors do
+        flat = digits.reshape(-1, width).tolist()
+        assert sorted(range(len(flat)), key=flat.__getitem__) == \
+            np.argsort(keys.ravel(), kind="stable").tolist()
+    assert int(pack_np(509, [508] * 7)) == 509 ** 7 - 1
+    assert int(pack_np(233, [232] * 8)) == 233 ** 8 - 1
+    for p, width in ((521, 7), (239, 8)):
+        with pytest.raises(ValueError, match="overflow"):
+            pack_np(p, np.zeros(width, dtype=np.int64))
+
+
+def test_max_packed_prime_is_the_trace_key_bound():
+    largest = max(p for p in range(2, 600) if is_prime(p) and p ** 7 < 2 ** 63)
+    assert MAX_PACKED_PRIME == largest == 509

@@ -8,8 +8,9 @@ from charquo import charvar as cv
 from charquo import orbit as orbit_mod
 from charquo import witness as wt
 from charquo.cli import main
-from charquo.orbit import (KeyCollisionError, OrbitBudgetError, enumerate_orbit,
-                           epsilon_perm, fast_keys, quad_to_row, read_dump)
+from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError,
+                           OrbitBudgetError, enumerate_orbit, epsilon_perm,
+                           fast_keys, quad_to_row, read_dump)
 from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
@@ -158,6 +159,31 @@ def test_forced_collision_cli_exit(reject_second_chunk, capsys):
     assert main(["orbit", "19", "--no-permutations"]) == 3
     out = capsys.readouterr().out
     assert f"(key {reject_second_chunk['rejected']})" in out
+
+
+def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
+    # a failed reversal twist is a failed hypothesis at that prime: exit 1
+    def outside(orbit, params):
+        raise EpsilonOutsideOrbitError(f"epsilon maps 1 points outside the orbit at p={orbit.p}")
+
+    monkeypatch.setattr(wt, "epsilon_perm", outside)
+    assert main(["orbit", "19", "--no-permutations"]) == 1
+    out = capsys.readouterr().out
+    assert "reversal twist fails at p = 19" in out and "outside the orbit" in out
+
+
+def test_orbit_not_closed_cli_exit(monkeypatch, capsys):
+    # an image key missing from the index is an internal invariant: exit 3
+    index_of_keys = orbit_mod.OrbitIndex.index_of_keys
+
+    def lose_last(self, keys):
+        idx = index_of_keys(self, keys)
+        return np.where(idx == self.n - 1, -1, idx)
+
+    monkeypatch.setattr(orbit_mod.OrbitIndex, "index_of_keys", lose_last)
+    assert main(["orbit", "19", "--no-permutations"]) == 3
+    out = capsys.readouterr().out
+    assert "internal invariant violated: orbit not closed" in out
 
 
 def test_epsilon_involution_and_twist(orbit19, cfg19):
