@@ -48,13 +48,19 @@ def canonicalize(t: TraceTuple, p: int) -> TraceTuple:
 def canon_keys_np(p: int, t) -> np.ndarray:
     """Packed canonical key of each 7-tuple along the last axis of t:
     canonicalize then pack_np, as the minimum of the packed flips,
-    taken one flip at a time."""
-    # coordinate-major layout, so each flip selects and packs whole columns
+    taken one flip at a time.  Each flip sums 7 columns selected from
+    the weighted digits t_j p^(6-j) and ((p - t_j) % p) p^(6-j)."""
+    weights = pack_np(p, np.eye(7, dtype=np.int64))  # p^6 .. 1; checks p^7 < 2^63
+    # coordinate-major layout, so each flip selects whole columns
     t = np.asfortranarray(t)
-    neg = (p - t) % p
+    pos = t * weights
+    neg = (p - t) % p * weights
     best = None
     for signs in FLIP_SIGNS:
-        key = pack_np(p, np.where(np.equal(signs, -1), neg, t))
+        cols = [pos[..., j] if s == 1 else neg[..., j] for j, s in enumerate(signs)]
+        key = cols[0].copy()
+        for col in cols[1:]:
+            key += col
         best = key if best is None else np.minimum(best, key, out=best)
     return best
 

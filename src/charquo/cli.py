@@ -9,6 +9,7 @@ failure, 2 budget, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -28,7 +29,13 @@ EXIT_INTERNAL = 3
 
 
 def to_json(report) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # json.dumps would first list one small string per array entry
+    # (about 85 MB for the six permutations of a p = 31 report); json.dump
+    # streams the same text into one buffer
+    buf = io.StringIO()
+    json.dump(report, buf, sort_keys=True, indent=2)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def write_atomic(path: str, text: str):

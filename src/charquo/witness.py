@@ -19,7 +19,7 @@ import numpy as np
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np, fricke_value
 from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
-                     centralizer_element_of_class, exact_conjugator,
+                     centralizer_element_of_class, exact_conjugator, inv_table,
                      is_maximal, mat_det, mat_id, mat_inv, mat_mul, mat_neg,
                      mat_trace, minv_np, mm_np, order, pack_np, pgl_canon,
                      pgl_canon_np, psl_canon, torus_pencil, unpack_np)
@@ -409,31 +409,130 @@ def _all_sl2(F: PrimeField):
                         for d in range(p):
                             rows.append((0, b, c0, d))
     arr = np.array(rows, dtype=np.int64)
-    assert len(arr) == p * (p * p - 1)
+    if len(arr) != p * (p * p - 1):
+        raise WitnessError(f"listed {len(arr)} elements of SL2(F_{p}), not p(p^2 - 1)")
     return arr
 
 
-def _conj_operators(F: PrimeField, taus):
-    """Each tau as the 4x4 linear operator M -> tau M tau^-1."""
-    p = F.p
-    ops = []
-    for t in taus:
-        cols = []
-        for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-            cols.append(_conj_by(F, t, e))
-        ops.append(np.array(cols, dtype=np.int64).T)
-    return np.array(ops, dtype=np.int64)  # (K, 4, 4)
+def _operators(p, left, right):
+    """The linear maps X -> left_k X right_k on 2x2 matrices (as
+    4-vectors), for (K, 4) arrays left and right: shape (K, 4, 4)."""
+    unit = np.eye(4, dtype=np.int64)
+    return np.stack([mm_np(p, mm_np(p, left, unit[i]), right) for i in range(4)], axis=-1)
+
+
+def _conj_operators(p, taus):
+    """The conjugations M -> tau M tau^-1, exact in SL2 for invertible tau."""
+    taus = np.array(taus, dtype=np.int64)
+    det = (taus[:, 0] * taus[:, 3] - taus[:, 1] * taus[:, 2]) % p
+    return _operators(p, taus, minv_np(p, taus) * inv_table(p)[det][:, None] % p)
+
+
+# entries per temporary in the chunked oracle kernels (about 8 MB each)
+_CHUNK_ENTRIES = 1 << 20
+
+
+def _apply_np(p, X, ops):
+    """op X for each row of X (m, 4) and each operator of ops (K, 4, 4):
+    shape (m, K, 4).  One float64 product, exact because every entry of
+    it is a sum of four products of residues, below 4p^2."""
+    K = len(ops)
+    flat = X.astype(np.float64) @ ops.transpose(2, 0, 1).reshape(4, 4 * K).astype(np.float64)
+    return flat.astype(np.int64).reshape(len(X), K, 4) % p
+
+
+def _sorted_unique(keys):
+    """The distinct values of a 1-D array, ascending (np.unique, which
+    hashes first, is far slower on int64 keys)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _packed_signs(p, M):
+    """pack_np of M and of -M, both reduced mod p."""
+    return pack_np(p, M), pack_np(p, (p - M) % p)
+
+
+def _orbit_minima(p, raw, ops, gauge):
+    """Representatives of the packed (M2, M3) pairs raw (sorted, unique,
+    pack(M2) * p^4 + pack(M3)) under the group of the conjugations ops
+    and the independent lift signs of M2 and M3: the minimum of each
+    orbit.
+
+    Conjugation commutes with the signs, and the packed minimum of x and
+    -x is the packed psl_canon(x); so each pair of the sign-canonical
+    quarter of raw is labelled by the minimum over ops of
+    pack(psl_canon(tau M2 tau^-1)) * p^4 + pack(psl_canon(tau M3 tau^-1)),
+    and the labels are the orbit minima.  That holds only if ops is a
+    group and raw a union of orbits, so it is checked: all 4K images of
+    every representative lie in raw, and the image sets partition raw.
+    Raises WitnessError naming the gauge and the offending packed pair.
+    """
+    shift = p ** 4
+    digits = unpack_np(p, raw, 8)
+    canon = np.ones(len(raw), dtype=bool)
+    for half in (digits[:, :4], digits[:, 4:]):
+        plus, minus = _packed_signs(p, half)
+        canon &= plus <= minus
+    quarter = digits[canon]
+    step = max(1, _CHUNK_ENTRIES // (4 * len(ops)))
+    labels = []
+    for start in range(0, len(quarter), step):
+        block = quarter[start:start + step]
+        m2 = np.minimum(*_packed_signs(p, _apply_np(p, block[:, :4], ops)))
+        m3 = np.minimum(*_packed_signs(p, _apply_np(p, block[:, 4:], ops)))
+        labels.append((m2 * shift + m3).min(axis=1))
+    reps = _sorted_unique(np.concatenate(labels))
+
+    # the orbit of each representative, deduplicated within the orbit
+    rep_digits = unpack_np(p, reps, 8)
+    step = max(1, _CHUNK_ENTRIES // (16 * len(ops)))
+    members, owners = [], []
+    for start in range(0, len(reps), step):
+        block = rep_digits[start:start + step]
+        k2 = _packed_signs(p, _apply_np(p, block[:, :4], ops))
+        k3 = _packed_signs(p, _apply_np(p, block[:, 4:], ops))
+        images = np.concatenate([s2 * shift + s3 for s2 in k2 for s3 in k3], axis=1)
+        images.sort(axis=1)  # (B, 4K)
+        first = np.ones(images.shape, dtype=bool)
+        first[:, 1:] = images[:, 1:] != images[:, :-1]
+        members.append(images[first])
+        owners.append(start + np.nonzero(first)[0])
+    members = np.concatenate(members)
+    owners = np.concatenate(owners)
+
+    at = np.searchsorted(raw, members).clip(max=len(raw) - 1)
+    outside = np.nonzero(raw[at] != members)[0]
+    if len(outside):
+        i = outside[0]
+        raise WitnessError(f"gauge {gauge}: the orbit of pair {reps[owners[i]]} leaves "
+                           f"the solution set at pair {members[i]}")
+    hits = np.bincount(at, minlength=len(raw))  # orbits through each pair
+    if (hits > 1).any():
+        x = np.argmax(hits > 1)
+        i, j = owners[at == x][:2]
+        raise WitnessError(f"gauge {gauge}: the orbits of pairs {reps[i]} and {reps[j]} "
+                           f"overlap at pair {raw[x]}")
+    if (hits == 0).any():
+        raise WitnessError(f"gauge {gauge}: pair {raw[np.argmax(hits == 0)]} lies in no "
+                           "representative's orbit")
+    return reps
 
 
 def enumerate_x_classes(params: Params, max_prime: int = 23):
     """Full enumeration of X~^(2)/~ deduplicated by the exact
-    centralizer-coset key; independent of the counting loop.
+    centralizer-coset key; independent of the counting loop and of the
+    orbit BFS (it shares only the ffield kernels).
 
     Triples (M1, M2, M3) satisfying the two trace conditions are listed
-    with M1 gauge-fixed to conjugacy representatives, grouped into
-    orbits of the residual symmetries (torus conjugation and lift sign
-    flips), and one representative per orbit is rebuilt into an actual
-    quadruple and deduplicated by the exact key.
+    with M1 gauge-fixed to conjugacy representatives, as packed (M2, M3)
+    pairs.  The residual symmetries (torus conjugation and lift sign
+    flips) group them into orbits, each labelled by its minimum pair
+    (_orbit_minima, which checks that the orbits partition the pairs).
+    One representative per orbit is rebuilt into an actual quadruple,
+    and the quadruples are deduplicated by the exact key.
 
     Returns (count, class_keys) with class_keys the sorted exact keys.
     """
@@ -458,8 +557,8 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
         # tr(R M) = R11 M11 + R21 M12 + R12 M21 + R22 M22
         return np.array([R[0], R[2], R[1], R[3]], dtype=np.int64)
 
-    reps_class_members = []  # (rep name, representative raw pairs)
     sl2_inv = minv_np(p, sl2)
+    rows = []
 
     for name, R1 in reps:
         # admissible M3 for each sign branch
@@ -470,21 +569,22 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
         R1v = np.array(R1, dtype=np.int64)
         N = mm_np(p, mm_np(p, sl2_inv, R1v[None, :]), sl2)
         ncoeff = np.stack([N[:, 0], N[:, 2], N[:, 1], N[:, 3]], axis=1)
-        raw = set()
+        raw = []
         for eps in (1, -1):
             M3s = branch_m3[eps]
             if not len(M3s):
                 continue
             prod = ncoeff @ M3s.T % p  # (n_sl2, n_m3) = tr(N M3)
             hits = np.argwhere(prod == eps * tg % p)
-            if name == "id":
-                assert len(hits) == 0, "identity gauge must be empty under 5.1"
-                continue
-            m2k = pack_np(p, sl2[hits[:, 0]])
-            m3k = pack_np(p, M3s[hits[:, 1]])
-            raw.update(zip(m2k.tolist(), m3k.tolist()))
-        if not raw:
-            reps_class_members.append((name, R1, []))
+            # packed (M2, M3): 8 base-p digits, pack(M2) * p^4 + pack(M3)
+            raw.append(pack_np(p, np.concatenate([sl2[hits[:, 0]], M3s[hits[:, 1]]], axis=1)))
+        raw = _sorted_unique(np.concatenate(raw)) if raw else np.empty(0, dtype=np.int64)
+        if name == "id":
+            if len(raw):
+                raise WitnessError(f"gauge id: identity gauge must be empty under 5.1, "
+                                   f"found pair {raw[0]}")
+            continue
+        if not len(raw):
             continue
 
         # residual symmetry: torus conjugation (extended by the sign
@@ -493,38 +593,21 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
         if mat_trace(F, R1) == 0:
             rho = exact_conjugator(F, R1, mat_neg(F, R1))
             taus = taus + [pgl_canon(F, mat_mul(F, rho, t)) for t in taus]
-        ops = _conj_operators(F, taus)  # (K, 4, 4)
+        class_reps = _orbit_minima(p, raw, _conj_operators(p, taus), name)
+        for pair, (m2, m3) in zip(class_reps.tolist(),
+                                  unpack_np(p, class_reps, 8).reshape(-1, 2, 4).tolist()):
+            try:
+                rows.append(_rebuild_quad_row(F, R1, m2, m3, params))
+            except WitnessError as exc:
+                raise WitnessError(f"gauge {name}, pair {pair}: {exc}") from None
 
-        raw_sorted = sorted(raw)
-        raw_set = set(raw)
-        seen = set()
-        class_reps = []
-        for pair in raw_sorted:
-            if pair in seen:
-                continue
-            class_reps.append(pair)
-            m2, m3 = unpack_np(p, pair, 4)
-            im2 = ops @ m2 % p  # (K, 4)
-            im3 = ops @ m3 % p
-            for sm2 in (im2, (p - im2) % p):
-                for sm3 in (im3, (p - im3) % p):
-                    kk = list(zip(pack_np(p, sm2).tolist(), pack_np(p, sm3).tolist()))
-                    seen.update(kk)
-        # orbits must stay inside the solution set
-        assert seen <= raw_set
-        reps_class_members.append((name, R1, class_reps))
-
-    # rebuild one quadruple per class and dedupe by the exact key
-    # (charvar.key_exact: the lexicographically minimal transformed row)
-    exact_keys = set()
+    # dedupe the rebuilt quadruples by the exact key (charvar.key_exact:
+    # the lexicographically minimal transformed row)
     pair_g, pair_d = _pair_arrays(params)
-
-    for name, R1, class_reps in reps_class_members:
-        for m2, m3 in unpack_np(p, class_reps, 4).tolist():
-            row = _rebuild_quad_row(F, R1, m2, m3, params)
-            flat = _pair_transforms(p, row, pair_g, pair_d)  # (K, 16)
-            exact_keys.add(tuple(min(map(tuple, flat.tolist()))))
-    return len(exact_keys), sorted(exact_keys)
+    keys = _exact_keys_np(p, np.array(rows, dtype=np.int64).reshape(-1, 16), pair_g, pair_d)
+    keys = np.unique(keys, axis=0)
+    class_keys = [tuple(k) for k in unpack_np(p, keys, 8).reshape(-1, 16).tolist()]
+    return len(class_keys), class_keys
 
 
 def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
@@ -532,6 +615,8 @@ def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
 
     Starts from (1, M1^-1, M2, M2 M3^-1), then conjugates gamma(Q) and
     delta(Q) onto the true parameters with class-matched PGL2 elements.
+    Raises WitnessError when a trace, the determinant classes or the
+    defining equation fails to match.
     """
     p = F.p
     M1i = mat_inv(F, M1)
@@ -543,8 +628,12 @@ def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
     eps = 1 if mat_trace(F, G0) == params.tgamma % p else -1
     tgt_g = params.gamma_mat if eps == 1 else mat_neg(F, params.gamma_mat)
     tgt_d = params.delta_mat if eps == 1 else mat_neg(F, params.delta_mat)
-    assert mat_trace(F, G0) == mat_trace(F, tgt_g)
-    assert mat_trace(F, D0) == mat_trace(F, tgt_d)
+    if mat_trace(F, G0) != mat_trace(F, tgt_g):
+        raise WitnessError(f"tr(M1 M2 M3 M2^-1) = {mat_trace(F, G0)} is not "
+                           f"+-tr(gamma) = +-{params.tgamma}")
+    if mat_trace(F, D0) != mat_trace(F, tgt_d):
+        raise WitnessError(f"tr((M3 M1)^-1) = {mat_trace(F, D0)} does not match "
+                           f"{mat_trace(F, tgt_d)}, the sign-{eps} trace of delta")
     g = exact_conjugator(F, G0, tgt_g)
     h = exact_conjugator(F, D0, tgt_d)
     cg = F.legendre(mat_det(F, g))
@@ -553,7 +642,8 @@ def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
         z = centralizer_element_of_class(params.gamma, -1)
         g = mat_mul(F, z, g)
         cg = F.legendre(mat_det(F, g))
-        assert cg == ch
+        if cg != ch:
+            raise WitnessError(f"conjugator determinant classes {cg} and {ch} differ")
     hi_adj = mat_inv(F, h)  # h^-1 up to scalar
     row = []
     for x in Q0:
@@ -561,8 +651,9 @@ def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
     # defining equations at the projective level
     A, B, C, D = (tuple(row[4 * k:4 * k + 4]) for k in range(4))
     gg = mat_mul(F, mat_mul(F, A, mat_inv(F, B)), mat_mul(F, C, mat_inv(F, D)))
-    assert pgl_canon(F, gg) == pgl_canon(F, params.gamma_mat)
-    return np.array(row, dtype=np.int64)
+    if pgl_canon(F, gg) != pgl_canon(F, params.gamma_mat):
+        raise WitnessError(f"rebuilt row {row} has A B^-1 C D^-1 != gamma")
+    return row
 
 
 def _pair_arrays(params: Params):
@@ -572,40 +663,41 @@ def _pair_arrays(params: Params):
             np.array([d for _, d in pairs], dtype=np.int64))
 
 
-def _pair_transforms(p, rows, pair_g, pair_d):
-    """ghat X dhat, pgl-canonical, for every 2x2 block X of each (..., 16)
-    row and every pair: shape (..., K, 16)."""
-    parts = []
-    for k in range(4):
-        t = mm_np(p, mm_np(p, pair_g, rows[..., None, 4 * k:4 * k + 4]), pair_d)
-        parts.append(pgl_canon_np(p, t))
-    return np.concatenate(parts, axis=-1)
+def _exact_keys_np(p, rows, pair_g, pair_d):
+    """Exact centralizer-coset key (charvar.key_exact) of each (m, 16)
+    row, as an (m, 2) int64 array: the lexicographically minimal
+    pgl-canonical transformed row over the pairs (pair_g[k], pair_d[k]),
+    packed into two base-p integers of 8 digits each (order-preserving,
+    so equal rows = equal exact keys).
+
+    Blocks A and B are transformed for every pair; blocks C and D only
+    for the pairs attaining the minimum of the packed (A, B) half, ties
+    included.
+    """
+    ops = _operators(p, pair_g, pair_d)  # X -> ghat X dhat
+    out = np.empty((len(rows), 2), dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // (8 * len(ops)))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        first = [pgl_canon_np(p, _apply_np(p, block[:, j:j + 4], ops)) for j in (0, 4)]
+        k1 = pack_np(p, np.concatenate(first, axis=-1))  # (B, K)
+        m1 = k1.min(axis=1)
+        r, k = np.nonzero(k1 == m1[:, None])  # every (row, pair) attaining it
+        second = [pgl_canon_np(p, np.matmul(ops[k], block[r, j:j + 4, None])[..., 0] % p)
+                  for j in (8, 12)]
+        k2 = pack_np(p, np.concatenate(second, axis=-1))
+        m2 = np.full(len(block), np.iinfo(np.int64).max)
+        np.minimum.at(m2, r, k2)
+        out[start:start + len(block), 0] = m1
+        out[start:start + len(block), 1] = m2
+    return out
 
 
 def orbit_exact_keys(orbit: OrbitIndex, params: Params, indices=None):
-    """Exact centralizer-coset key of orbit points, batched.
-
-    Returns an (m, 2) int64 array: each key is the lexicographically
-    minimal transformed quadruple packed into two base-p integers of 8
-    digits each (order-preserving, so equal rows = equal exact keys).
-    """
-    p = orbit.p
-    pair_g, pair_d = _pair_arrays(params)
+    """Exact centralizer-coset key of orbit points, batched: an (m, 2)
+    int64 array from _exact_keys_np."""
     rows = orbit.points if indices is None else orbit.points[indices]
-
-    out = np.empty((len(rows), 2), dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(1, len(pair_g) * 16))
-    big = np.iinfo(np.int64).max
-    for start in range(0, len(rows), chunk):
-        block = rows[start:start + chunk]
-        flat = _pair_transforms(p, block, pair_g, pair_d)  # (B, K, 16)
-        k1 = pack_np(p, flat[..., 0:8])
-        k2 = pack_np(p, flat[..., 8:16])
-        m1 = k1.min(axis=1)
-        k2m = np.where(k1 == m1[:, None], k2, big).min(axis=1)
-        out[start:start + len(block), 0] = m1
-        out[start:start + len(block), 1] = k2m
-    return out
+    return _exact_keys_np(orbit.p, rows, *_pair_arrays(params))
 
 
 # -- sigma-matrix orders over an orbit ------------------------------------

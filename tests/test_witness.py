@@ -1,8 +1,13 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from charquo import braidquandle as bq
+from charquo import charvar as cv
 from charquo import witness as wt
-from charquo.ffield import ElementClass, classify, mat_trace, psl_canon
+from charquo.ffield import (ElementClass, classify, mat_inv, mat_mul, mat_neg, mat_trace,
+                            mm_np, pack_np, pgl_canon_np, psl_canon, torus_pencil)
 
 
 def test_find_prime():
@@ -149,3 +154,138 @@ def test_psl_order_table(cfg19):
     assert table[2] == 19      # unipotent trace
     assert table[0] == 2       # involution
     assert table[3] == 9       # split of full order at p = 19
+
+
+def test_enumerate_x_classes_budget(cfg19):
+    with pytest.raises(wt.BudgetError):
+        wt.enumerate_x_classes(cfg19.params, max_prime=7)
+
+
+def test_enumerate_x_classes_rejects_bad_params():
+    # both gamma and delta split at p = 101: precondition fails
+    cfg = wt.build(101)
+    with pytest.raises(wt.WitnessError):
+        wt.enumerate_x_classes(cfg.params, max_prime=101)
+
+
+def _pack_pair(p, m2, m3):
+    key = 0
+    for v in m2 + m3:
+        key = key * p + v
+    return key
+
+
+def _brute_orbit(F, taus, m2, m3):
+    """Packed images of (M2, M3) under conjugation by taus and the lift
+    signs, by scalar arithmetic."""
+    p = F.p
+    out = set()
+    for t in taus:
+        c2, c3 = wt._conj_by(F, t, m2), wt._conj_by(F, t, m3)
+        for s2 in (c2, mat_neg(F, c2)):
+            for s3 in (c3, mat_neg(F, c3)):
+                out.add(_pack_pair(p, s2, s3))
+    return out
+
+
+def test_orbit_minima_match_brute_force():
+    F = wt.PrimeField(11)
+    p = F.p
+    R1 = (0, p - 1, 1, 3)
+    taus = [(1, 0, 0, 1)] + [g for g, _ in torus_pencil(F, R1)]
+    sl2 = wt._all_sl2(F).tolist()
+    rng = np.random.default_rng(5)
+    orbits = {}
+    for i, j in rng.integers(0, len(sl2), size=(40, 2)):
+        orb = _brute_orbit(F, taus, tuple(sl2[i]), tuple(sl2[j]))
+        orbits[min(orb)] = orb
+    raw = np.array(sorted(set().union(*orbits.values())), dtype=np.int64)
+    ops = wt._conj_operators(p, taus)
+    reps = wt._orbit_minima(p, raw, ops, "toy")
+    assert reps.tolist() == sorted(orbits)
+
+    # a non-group operator set: the orbits no longer partition the pairs
+    with pytest.raises(wt.WitnessError, match="gauge toy: the orbits of pairs .* overlap"):
+        wt._orbit_minima(p, raw, ops[np.arange(len(ops)) != 2], "toy")
+    # a pair set that is not a union of orbits
+    missing = max(orbits[reps[0]])
+    with pytest.raises(wt.WitnessError, match=f"gauge toy: .* leaves the solution set at pair {missing}$"):
+        wt._orbit_minima(p, raw[raw != missing], ops, "toy")
+    # a stray pair whose sign-canonical partners are absent gets no label
+    stray = next(max(orb) for orb in (_brute_orbit(F, taus, tuple(a), tuple(b))
+                                      for a, b in zip(sl2, sl2[::-1])) if not orb & set(raw.tolist()))
+    with pytest.raises(wt.WitnessError, match=f"gauge toy: pair {stray} lies in no"):
+        wt._orbit_minima(p, np.sort(np.append(raw, stray)), ops, "toy")
+
+
+def _brute_exact_keys(p, rows, pair_g, pair_d):
+    """The full (K, 16) transformed rows and their lexicographic minimum."""
+    full = np.concatenate([pgl_canon_np(p, mm_np(p, mm_np(p, pair_g, rows[:, None, j:j + 4]), pair_d))
+                           for j in range(0, 16, 4)], axis=-1)  # (m, K, 16)
+    return [min(map(tuple, r)) for r in full.tolist()], full
+
+
+def test_exact_keys_np_against_brute_force(cfg19, orbit19):
+    F, params, p = cfg19.F, cfg19.params, 19
+    pair_g, pair_d = wt._pair_arrays(params)
+    rng = np.random.default_rng(11)
+    idx = rng.choice(orbit19.n, size=40, replace=False)
+    points = orbit19.points[idx]
+
+    # rebuilt rows: the same classes reached through their trace triples
+    rebuilt = []
+    for row in points.tolist():
+        A, B, C, D = (tuple(row[j:j + 4]) for j in range(0, 16, 4))
+        rebuilt.append(wt._rebuild_quad_row(F, mat_mul(F, mat_inv(F, B), A),
+                                            mat_mul(F, mat_inv(F, A), C),
+                                            mat_mul(F, mat_inv(F, D), C), params))
+    rebuilt = np.array(rebuilt, dtype=np.int64)
+    assert (rebuilt != points).any(axis=1).all()
+
+    # synthetic rows with forced ties: A and B are rank one with image
+    # an eigenvector v of gamma, so ghat A = A projectively for every
+    # ghat in C(gamma), and the (A, B) half depends on dhat alone
+    gm = params.gamma_mat
+    v = next((x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)
+             and (gm[0] * x + gm[1] * y) * y % p == (gm[2] * x + gm[3] * y) * x % p)
+    sl2 = wt._all_sl2(F)
+    synthetic = []
+    for _ in range(20):
+        w1, w2 = rng.integers(1, p, size=2), rng.integers(1, p, size=2)
+        C, D = sl2[rng.integers(0, len(sl2), size=2)]
+        A = [v[0] * w1[0] % p, v[0] * w1[1] % p, v[1] * w1[0] % p, v[1] * w1[1] % p]
+        B = [v[0] * w2[0] % p, v[0] * w2[1] % p, v[1] * w2[0] % p, v[1] * w2[1] % p]
+        synthetic.append(A + B + list(C) + list(D))
+    synthetic = np.array(synthetic, dtype=np.int64)
+
+    rows = np.concatenate([points, rebuilt, synthetic])
+    keys = wt._exact_keys_np(p, rows, pair_g, pair_d)
+    brute, full = _brute_exact_keys(p, rows, pair_g, pair_d)
+    assert keys.tolist() == [[int(pack_np(p, np.array(k[:8]))), int(pack_np(p, np.array(k[8:])))]
+                             for k in brute]
+    assert (keys[:len(idx)] == keys[len(idx):2 * len(idx)]).all()
+    # the tie path ran: several pairs attain the minimal (A, B) half
+    first = pack_np(p, full[2 * len(idx):, :, :8])
+    assert ((first == first.min(axis=1, keepdims=True)).sum(axis=1) > 1).all()
+
+    # both halves of the scalar key, on a few rows of each kind
+    for row, key in zip(rows[::10].tolist(), keys[::10].tolist()):
+        Q = [SimpleNamespace(m=tuple(row[j:j + 4])) for j in range(0, 16, 4)]
+        scalar = cv.key_exact(Q, params)
+        assert key == [int(pack_np(p, np.array(scalar[:8]))), int(pack_np(p, np.array(scalar[8:])))]
+
+
+def test_rebuild_rejects_a_wrong_triple(cfg19):
+    F = cfg19.F
+    # M1 = M2 = M3 = 1: tr(M1 M2 M3 M2^-1) = 2 is not +-tr(gamma)
+    with pytest.raises(wt.WitnessError, match="tr\\(gamma\\)"):
+        wt._rebuild_quad_row(F, (1, 0, 0, 1), (1, 0, 0, 1), (1, 0, 0, 1), cfg19.params)
+
+
+def test_enumerate_x_classes_names_gauge_and_pair(cfg19, monkeypatch):
+    def fail(F, M1, M2, M3, params):
+        raise wt.WitnessError("forced")
+
+    monkeypatch.setattr(wt, "_rebuild_quad_row", fail)
+    with pytest.raises(wt.WitnessError, match=r"^gauge uni, pair \d+: forced$"):
+        wt.enumerate_x_classes(cfg19.params)
