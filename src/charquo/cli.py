@@ -20,6 +20,7 @@ from . import qrep as qr
 from . import witness as wt
 from .orbit import (EpsilonOutsideOrbitError, OrbitBudgetError, OrbitError,
                     read_dump)
+from .permgrp import CertificateError
 from .qrep import BadSpecializationError
 
 EXIT_OK = 0
@@ -122,6 +123,11 @@ def cmd_orbit(args) -> int:
         report = {"p": args.p, "error": str(e), "seed": args.seed}
         emit(report, args, [f"internal invariant violated: {e}"])
         return EXIT_INTERNAL
+    except CertificateError as e:
+        error = f"classification at p = {args.p}: {e}"
+        emit({"p": args.p, "error": error, "seed": args.seed}, args,
+             [f"internal invariant violated: {error}"])
+        return EXIT_INTERNAL
     lines = [
         f"p = {report['p']}: orbit of {report['n']} points "
         f"(|X| = {report['x_count']}, ratio {report['orbit_ratio']})",
@@ -173,6 +179,7 @@ def cmd_qrep(args) -> int:
         return EXIT_INTERNAL
     report = {"n": n, "ell": ell, "dim": mats.dim}
     lines = [f"W_{n},{ell}: dimension {mats.dim}, braid relations verified exactly"]
+    J = None  # the n = 4 intertwiner, computed once for --verify and --specialize
 
     if args.verify:
         checks = {"braid_relations": True,
@@ -205,8 +212,7 @@ def cmd_qrep(args) -> int:
 
     if args.specialize:
         r, q0, s0 = args.specialize
-        J = None
-        if n == 4:
+        if n == 4 and J is None:
             J, _ = qr.intertwiner_J(mats)
         try:
             spec = qr.specialize(mats, r, q0, s0, J=J)

@@ -160,8 +160,12 @@ def tr_np(p, A):
 
 
 def _first_nonzero_np(A):
-    first = np.argmax(A != 0, axis=-1)
-    return np.take_along_axis(A, first[..., None], axis=-1)[..., 0]
+    """First nonzero entry along the last axis (0 for an all-zero row),
+    by a np.where cascade from the last entry to the first."""
+    out = A[..., -1]
+    for j in range(A.shape[-1] - 2, -1, -1):
+        out = np.where(A[..., j] != 0, A[..., j], out)
+    return out
 
 
 def psl_canon_np(p, A):

@@ -355,6 +355,15 @@ def normalize_unipotent_decomposition(F, dec):
 
 # -- counting X^(2) -------------------------------------------------------
 
+def _sorted_unique(keys):
+    """The distinct values of a 1-D array, ascending (np.unique, which
+    hashes first, is far slower on int64 keys)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def count_x(params: Params, max_prime: int = 47) -> int:
     """Number of canonical 7-tuple keys satisfying the membership
     equations: loop over (a, b, c, x, z), solve linearly for the last
@@ -370,11 +379,12 @@ def count_x(params: Params, max_prime: int = 47) -> int:
     idx = np.arange(p, dtype=np.int64)
     C3, X3, Z3 = np.meshgrid(idx, idx, idx, indexing="ij")
     c3, x3, z3 = C3.ravel(), X3.ravel(), Z3.ravel()
-    keys = set()
+    keys = np.empty(0, dtype=np.int64)
     for eps in (1, -1):
         y0 = eps * params.tdelta % p
         target = eps * (params.tgamma + params.tdelta) % p
         for a in range(p):
+            found = [keys]
             for b in range(p):
                 if b:
                     c, x, z = c3, x3, z3
@@ -387,7 +397,8 @@ def count_x(params: Params, max_prime: int = 47) -> int:
                 m = fricke_value(t, p) == 0
                 if m.any():
                     cols = [np.broadcast_to(v, m.shape)[m] for v in t]
-                    keys.update(canon_keys_np(p, np.stack(cols, axis=-1)).tolist())
+                    found.append(canon_keys_np(p, np.stack(cols, axis=-1)))
+            keys = _sorted_unique(np.concatenate(found))
     return len(keys)
 
 
@@ -439,15 +450,6 @@ def _apply_np(p, X, ops):
     K = len(ops)
     flat = X.astype(np.float64) @ ops.transpose(2, 0, 1).reshape(4, 4 * K).astype(np.float64)
     return flat.astype(np.int64).reshape(len(X), K, 4) % p
-
-
-def _sorted_unique(keys):
-    """The distinct values of a 1-D array, ascending (np.unique, which
-    hashes first, is far slower on int64 keys)."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
 
 
 def _packed_signs(p, M):
@@ -574,8 +576,12 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
             M3s = branch_m3[eps]
             if not len(M3s):
                 continue
-            prod = ncoeff @ M3s.T % p  # (n_sl2, n_m3) = tr(N M3)
-            hits = np.argwhere(prod == eps * tg % p)
+            # (M2 row, M3 row) with tr(N M3) = eps tg, over row slices of
+            # ncoeff so the (rows, n_m3) products stay near _CHUNK_ENTRIES
+            step = max(1, _CHUNK_ENTRIES // len(M3s))
+            hits = np.concatenate([
+                np.argwhere(ncoeff[i:i + step] @ M3s.T % p == eps * tg % p) + [i, 0]
+                for i in range(0, len(ncoeff), step)])
             # packed (M2, M3): 8 base-p digits, pack(M2) * p^4 + pack(M3)
             raw.append(pack_np(p, np.concatenate([sl2[hits[:, 0]], M3s[hits[:, 1]]], axis=1)))
         raw = _sorted_unique(np.concatenate(raw)) if raw else np.empty(0, dtype=np.int64)
@@ -767,15 +773,13 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = 2_000_000,
     x, y = orbit.f2_perms()
     lap("permutations_ms")
 
-    gens = [s1.tolist(), s2.tolist(), s3.tolist(), eps.tolist()]
-    cls = classify_giant(gens, orbit.n, seed=seed, budget=giant_budget)
+    gens = {"sigma1": s1, "sigma2": s2, "sigma3": s3, "epsilon": eps}
+    cls = classify_giant(list(gens.values()), orbit.n, seed=seed, budget=giant_budget)
     lap("classification_ms")
 
-    x_list = x.tolist()
-    x_is_id = all(i == j for i, j in enumerate(x_list))
-    x_sign = sign(x_list)
-    signs = {"sigma1": sign(gens[0]), "sigma2": sign(gens[1]),
-             "sigma3": sign(gens[2]), "epsilon": sign(gens[3])}
+    x_is_id = bool((x == np.arange(orbit.n)).all())
+    x_sign = sign(x)
+    signs = {name: sign(g) for name, g in gens.items()}
     if cls.kind in ("Alternating", "Symmetric") and not x_is_id and x_sign == 1:
         verdict = (f"F2 surjects onto A_{orbit.n}: x = s1 s3^-1 acts nontrivially and "
                    "evenly, and a nontrivial normal subgroup of a giant containing "
@@ -813,8 +817,6 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = 2_000_000,
         "timings_ms": timings,
     }
     if include_permutations:
-        out["permutations"] = {
-            "sigma1": gens[0], "sigma2": gens[1], "sigma3": gens[2],
-            "epsilon": gens[3], "x": x_list, "y": y.tolist(),
-        }
+        out["permutations"] = {name: g.tolist()
+                               for name, g in {**gens, "x": x, "y": y}.items()}
     return out

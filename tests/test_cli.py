@@ -68,6 +68,16 @@ def test_orbit_report_and_determinism(tmp_path, capsys):
     assert rep["orbit_ratio"] == 1.0
 
 
+def test_orbit_failed_certificate_exit(capsys, monkeypatch):
+    from charquo.permgrp import GiantCertificate
+    monkeypatch.setattr(GiantCertificate, "revalidate", lambda self, gens: False)
+    code, out = run(capsys, "orbit", "19", "--seed", "7", "--no-permutations",
+                    "--count-budget", "0")
+    assert code == 3
+    assert "internal invariant violated: classification at p = 19" in out
+    assert "q = 27941" in out
+
+
 def test_orbit_budget_exit(capsys):
     code, out = run(capsys, "orbit", "19", "--max-points", "10")
     assert code == 2

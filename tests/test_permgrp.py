@@ -1,9 +1,13 @@
+import ast
 import random
 from math import factorial
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from charquo import permgrp as pg
+from charquo.numutil import is_prime
 
 
 def cyc(n, *cycles):
@@ -162,3 +166,98 @@ def test_certificate_revalidation_tamper():
     cert = pg.giant_certificate(gens, 100, seed=9)
     bad = pg.GiantCertificate(cert.word, 4, cert.n)  # 4 is not prime
     assert not bad.revalidate(gens)
+
+
+# -- array path against the list reference ---------------------------------
+
+def _ref_cycle_lengths(p):
+    seen, out = [False] * len(p), []
+    for i in range(len(p)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length:
+            out.append(length)
+    return sorted(out)
+
+
+def _ref_sign(p):
+    return -1 if (len(p) - len(_ref_cycle_lengths(p))) % 2 else 1
+
+
+def _ref_is_transitive(gens, n):
+    seen, stack = {0}, [0]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                stack.append(g[x])
+    return n <= 1 or (bool(gens) and len(seen) == n)
+
+
+def _ref_word_perm(word, gens, n):
+    out = pg.id_perm(n)
+    for idx, e in word:
+        out = pg.mult(out, gens[idx] if e == 1 else pg.inverse(gens[idx]))
+    return out
+
+
+def _perm_cases(n, rng):
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    cases = [list(range(n)), cyc(n, tuple(range(n))), shuffled]
+    if n >= 4:  # fixed points, a transposition and a longer cycle together
+        cases.append(cyc(n, (0, n - 1), tuple(range(1, n // 2 + 1))))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 100, 5000])
+def test_array_and_list_inputs_agree(n):
+    rng = random.Random(n)
+    cases = _perm_cases(n, rng)
+    for p in cases:
+        want = _ref_cycle_lengths(p)
+        for arg in (p, np.array(p, dtype=np.int64)):
+            assert pg.cycle_lengths(arg) == want
+            assert pg.sign(arg) == _ref_sign(p)
+    half = n // 2  # two orbits {0..half-1}, {half..n-1} when n >= 2
+    intransitive = [cyc(n, tuple(range(half))) if half > 1 else list(range(n)),
+                    cyc(n, tuple(range(half, n))) if n - half > 1 else list(range(n))]
+    for gens in (cases, cases[:1], cases[1:2], intransitive, []):
+        want = _ref_is_transitive(gens, n)
+        assert pg.is_transitive(gens, n) == want
+        assert pg.is_transitive([np.array(g, dtype=np.int64) for g in gens], n) == want
+    assert not pg.is_transitive(intransitive, n) or n == 1
+
+    word = [(rng.randrange(len(cases)), rng.choice((1, -1))) for _ in range(40)]
+    ref = _ref_word_perm(word, cases, n)
+    arrays = [np.array(g, dtype=np.int64) for g in cases]
+    cls = _ref_cycle_lengths(ref)
+    for q in sorted(set(cls)) + [n // 2 + 1]:
+        cert = pg.GiantCertificate(word, q, n)
+        assert cert.permutation(cases).tolist() == ref
+        want = (is_prime(q) and n / 2 < q < n - 2 and q in cls)
+        assert cert.revalidate(cases) == want
+        assert cert.revalidate(arrays) == want
+
+
+def test_window_primes_sieve_matches_is_prime():
+    primes = [q for q in range(3001) if is_prime(q)]
+    for n in range(3001):
+        assert pg.window_primes(n) == [q for q in primes if n / 2 < q < n - 2], n
+
+
+def test_certificate_check_survives_optimize():
+    # revalidation in giant_certificate must be a check that raises, not an assert
+    tree = ast.parse(Path(pg.__file__).read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_failed_revalidation_raises(monkeypatch):
+    gens = [list(range(1, 100)) + [0], cyc(100, (0, 1))]
+    monkeypatch.setattr(pg.GiantCertificate, "revalidate", lambda self, gens: False)
+    with pytest.raises(pg.CertificateError, match=r"q = \d+, n = 100"):
+        pg.giant_certificate(gens, 100, seed=3)

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,12 @@ import pytest
 from charquo import braidquandle as bq
 from charquo import charvar as cv
 from charquo import witness as wt
+from charquo.cli import to_json
 from charquo.ffield import (ElementClass, classify, mat_inv, mat_mul, mat_neg, mat_trace,
                             mm_np, pack_np, pgl_canon_np, psl_canon, torus_pencil)
+
+# sha256 of to_json(run_pipeline(19, seed=7)) without "timings_ms"
+REPORT19_SEED7_SHA256 = "befefe47cbc4a369cb549f99b8f678c6fa8bca83d14bbb63fbb610901b78c996"
 
 
 def test_find_prime():
@@ -147,6 +152,10 @@ def test_run_pipeline_report_shape():
     assert GiantCertificate([tuple(w) for w in cert["word"]], cert["q"], n).revalidate(gens)
     assert {k: sign(v) for k, v in
             zip(("sigma1", "sigma2", "sigma3", "epsilon"), gens)} == rep["generator_signs"]
+    # the whole report, apart from the wall clock, is pinned byte for byte
+    assert (cert["q"], len(cert["word"])) == (27941, 22)
+    del rep["timings_ms"]
+    assert hashlib.sha256(to_json(rep).encode()).hexdigest() == REPORT19_SEED7_SHA256
 
 
 def test_psl_order_table(cfg19):
