@@ -355,15 +355,6 @@ def normalize_unipotent_decomposition(F, dec):
 
 # -- counting X^(2) -------------------------------------------------------
 
-def _sorted_unique(keys):
-    """The distinct values of a 1-D array, ascending (np.unique, which
-    hashes first, is far slower on int64 keys)."""
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
 def count_x(params: Params, max_prime: int = 47) -> int:
     """Number of canonical 7-tuple keys satisfying the membership
     equations: loop over (a, b, c, x, z), solve linearly for the last
@@ -450,6 +441,15 @@ def _apply_np(p, X, ops):
     K = len(ops)
     flat = X.astype(np.float64) @ ops.transpose(2, 0, 1).reshape(4, 4 * K).astype(np.float64)
     return flat.astype(np.int64).reshape(len(X), K, 4) % p
+
+
+def _sorted_unique(keys):
+    """The distinct values of a 1-D array, ascending (np.unique, which
+    hashes first, is far slower on int64 keys)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 def _packed_signs(p, M):
