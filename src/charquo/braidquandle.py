@@ -12,6 +12,8 @@ first.  This convention is fixed here and propagated everywhere
 
 from __future__ import annotations
 
+from .numutil import InvariantError
+
 # A letter is (i, e) with i in {1, 2, 3} and e = +1 or -1.
 S1, S2, S3 = (1, 1), (2, 1), (3, 1)
 S1i, S2i, S3i = (1, -1), (2, -1), (3, -1)
@@ -92,11 +94,15 @@ def right_mul(Q, g):
 def center_image(Q):
     """Image of Q under the center generator of B4.
 
-    Applies the center word and asserts the closed form
-    gamma * Q * delta^-1; a mismatch would be an implementation bug.
+    Applies the center word and checks the closed form
+    gamma * Q * delta^-1; a mismatch would be an implementation bug
+    (InvariantError).
     """
     R = apply_word(CENTER_WORD, Q)
     g, dinv = gamma(Q), delta(Q).inv()
     expected = tuple(g * x * dinv for x in Q)
-    assert all(r == e for r, e in zip(R, expected)), "center formula violated"
+    if any(r != e for r, e in zip(R, expected)):
+        field = getattr(Q[0], "field", None)
+        where = f" at p = {field.p}" if field is not None else ""
+        raise InvariantError(f"center word{where}: image differs from gamma Q delta^-1")
     return R

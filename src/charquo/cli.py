@@ -18,6 +18,7 @@ import tempfile
 from . import __version__
 from . import qrep as qr
 from . import witness as wt
+from .numutil import InvariantError
 from .orbit import (EpsilonOutsideOrbitError, OrbitBudgetError, OrbitError,
                     read_dump)
 from .permgrp import CertificateError
@@ -308,6 +309,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as e:
+        print(f"internal invariant violated: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PRECONDITION

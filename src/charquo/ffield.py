@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numutil import factorize, is_prime
+from .numutil import InvariantError, factorize, is_prime
 
 Mat = tuple  # (m11, m12, m21, m22), entries in [0, p)
 
@@ -142,11 +142,19 @@ def pgl_canon(F: PrimeField, A: Mat) -> Mat:
 
 # -- vectorized 2x2 arithmetic (last axis = (m11, m12, m21, m22)) --------
 
+def mm_raw(A, B):
+    """Unreduced 2x2 product of matrices given entrywise: A and B are
+    4-sequences (m11, m12, m21, m22) of ints or equal-shape arrays, such
+    as the rows of an entry-major (4, m) array.  Each entry is a sum of
+    two products, so below 2 max|A| max|B| in absolute value."""
+    a, b, c, d = A
+    e, f, g, h = B
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 def mm_np(p, A, B):
-    a, b, c, d = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
-    e, f, g, h = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
-    return np.stack(((a * e + b * g) % p, (a * f + b * h) % p,
-                     (c * e + d * g) % p, (c * f + d * h) % p), axis=-1)
+    return np.stack([x % p for x in mm_raw(np.moveaxis(A, -1, 0),
+                                           np.moveaxis(B, -1, 0))], axis=-1)
 
 
 def minv_np(p, A):
@@ -181,6 +189,40 @@ def inv_table(p) -> np.ndarray:
     t[1:] = [pow(i, p - 2, p) for i in range(1, p)]
     t.flags.writeable = False
     return t
+
+
+@lru_cache(maxsize=None)
+def legendre_table(p) -> np.ndarray:
+    """Read-only table of Legendre symbols mod p: +1 on squares, -1 on
+    non-squares, 0 at 0."""
+    t = -np.ones(p, dtype=np.int64)
+    t[0] = 0
+    t[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    t.flags.writeable = False
+    return t
+
+
+def pencil_annihilators(p, M: Mat):
+    """Two independent linear functionals on 2x2 matrices, as two
+    4-tuples of coefficients on (m11, m12, m21, m22) in [0, p), whose
+    common kernel is the pencil span(I, M).
+
+    They are two of the three independent entries of N M - M N: for a
+    non-scalar M the matrices commuting with M are exactly F_p[M] =
+    span(I, M), so on PGL2 the kernel is the torus centralizing M.
+    """
+    a, b, c, d = (int(x) % p for x in M)
+    t = (a - d) % p
+    rows = ((0, c, -b, 0), (b, -t, 0, -b), (c, 0, -t, -c))
+    if b:
+        pick = (0, 1)
+    elif c:
+        pick = (0, 2)
+    elif t:
+        pick = (1, 2)
+    else:
+        raise ValueError(f"scalar matrix {M} spans no pencil with I over F_{p}")
+    return tuple(tuple(x % p for x in rows[i]) for i in pick)
 
 
 def pgl_canon_np(p, A):
@@ -364,7 +406,9 @@ def centralizer_pgl(M: ProjMat2):
     p = F.p
     out = [(mat_id(), 1)] + [(g, F.legendre(det)) for g, det in torus_pencil(F, M.m)]
     expect = p - 1 if cls is ElementClass.SPLIT else p + 1
-    assert len(out) == expect, (len(out), expect)
+    if len(out) != expect:
+        raise InvariantError(f"centralizer of {M} at p = {p}: {len(out)} elements, "
+                             f"expected {expect}")
     return out
 
 

@@ -1,4 +1,5 @@
-"""Small integer number theory: primality, factoring, binomials.
+"""Small integer number theory: primality, factoring, binomials, and
+the package's invariant error.
 
 Deterministic Miller-Rabin is exact for all 64-bit inputs; factoring is
 trial division plus Pollard rho, enough for the torus orders (p -+ 1)/2
@@ -6,6 +7,13 @@ that the rest of the package feeds it.
 """
 
 from math import gcd
+
+
+class InvariantError(ArithmeticError):
+    """An internal invariant of a computation failed: a bug, never bad
+    input.  The message names the stage and the prime; the command line
+    reports it with exit code 3.  These checks are explicit raises, not
+    asserts, so they also run under python -O."""
 
 # Sufficient witness set for n < 3.3 * 10^24 (covers 64-bit and then some).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -59,7 +67,8 @@ def _pollard_rho(n: int) -> int:
 
 def factorize(n: int) -> dict:
     """Prime factorization of n >= 1 as {prime: exponent}."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"factorize needs n >= 1, got {n}")
     out: dict = {}
     for q in _SMALL_PRIMES:
         while n % q == 0:

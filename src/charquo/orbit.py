@@ -7,9 +7,14 @@ deduplicates on the packed canonical trace key.  The 2x2 kernels and the
 base-p packing it runs on are ffield's `_np` functions; the trace key is
 charvar.canon_keys_np.  This module owns the BFS, the exact-equivalence
 checker, the index and the dump format.  In exact mode every
-recurrent BFS edge is re-verified against the stored representative
-with the centralizer-coset equivalence, so the enumeration is sound
-even where the injectivity of the trace map is unproven; a genuine
+recurrent BFS edge, and every image of the reversal twist, is
+re-verified against the stored representative with the
+centralizer-coset equivalence, so the enumeration is sound even where
+the injectivity of the trace map is unproven.  The check solves for one
+candidate centralizer pair per row, where the pencil span(I, gamma)
+meets the pencil of pairs that the A blocks allow, and tests only that
+pair; rows where the intersection degenerates go to the scalar
+charvar.are_equivalent (see _ExactChecker).  A genuine
 trace-key collision between inequivalent points raises KeyCollisionError
 (the OrbitIndex contract requires pairwise-distinct keys).
 
@@ -40,10 +45,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import braidquandle as bq
-from .charvar import Params, canon_keys_np, from_quad
+from .charvar import Params, are_equivalent, canon_keys_np, from_quad
 from .ffield import (NotConjugateError, ProjMat2, conjugator,
-                     centralizer_element_of_class, mat_det, mat_mul, minv_np,
-                     mm_np, order, pack_np, pgl_canon, pgl_canon_np,
+                     centralizer_element_of_class, legendre_table, mat_det,
+                     mat_mul, minv_np, mm_np, mm_raw, order, pack_np,
+                     pencil_annihilators, pgl_canon,
                      psl_canon_np, tr_np, unpack_np)
 
 LETTERS = (bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i)
@@ -146,61 +152,86 @@ def row_to_quad(F, row):
 # -- exact (centralizer-coset) equivalence, batched ----------------------
 
 class _ExactChecker:
-    """Batched test 'left * Q * dhat = R for some torus pair of equal
-    determinant class', with dhat forced projectively by the A column.
+    """Batched test 'ghat Q dhat = R blockwise, projectively, for some
+    ghat in C(gamma) and dhat in C(delta) of equal determinant class',
+    with one candidate pair per row.
 
-    left_mats/left_classes enumerate the left coset acting on Q (the
-    gamma centralizer, possibly pre-twisted); right_keys/right_classes
-    describe the admissible dhat coset, packed and sorted.
+    Both centralizers are pencils: ghat lies in span(I, gamma), and
+    dhat^-1 in span(I, delta).  With X = adj(A_Q), U = A_R X and
+    V = A_R delta X, the A blocks force ghat = mu U + nu V up to a
+    scalar, and the two pencil annihilators of gamma put a 2x2 linear
+    system on (mu, nu).  A nonsingular system refuses the row.  A
+    singular one fixes the single projective candidate
+    ghat = mu U + nu V, dhat = adj(mu I + nu delta), which is accepted
+    when both are invertible, their determinants have equal Legendre
+    class and all four blocks match: ghat Q_k dhat adj(R_k) is a nonzero
+    scalar matrix.  When both annihilators vanish on U and V (the
+    system is zero: impossible when gamma and delta lie in tori of
+    different type) the row goes to the scalar charvar.are_equivalent.
+
+    The rows are lifts with invertible blocks.  The kernel works on
+    entry-major copies of the rows, with signed entries of absolute
+    value below p; no intermediate exceeds 16 p^4 in absolute value
+    before it is reduced mod p, far under 2^63 for p <= MAX_PACKED_PRIME,
+    and nothing is packed.
     """
 
-    def __init__(self, p, left_mats, left_classes, right_pairs):
-        self.p = p
-        self.left = np.array(left_mats, dtype=np.int64)
-        self.left_cls = np.array(left_classes, dtype=np.int64)
-        rk = pack_np(p, np.array([m for m, _ in right_pairs], dtype=np.int64))
-        rc = np.array([c for _, c in right_pairs], dtype=np.int64)
-        srt = np.argsort(rk)
-        self.right_keys = rk[srt]
-        self.right_cls = rc[srt]
+    def __init__(self, params: Params):
+        self.params = params
+        self.p = p = params.F.p
+        self.delta = tuple(params.delta_mat)
+        self.ann = pencil_annihilators(p, params.gamma_mat)
 
     def equivalent(self, Qs, Rs):
         """Boolean mask over rows: Q_j ~ R_j."""
+        ok = np.empty(len(Qs), dtype=bool)
+        degenerate = np.empty(len(Qs), dtype=bool)
+        # entry-major copies of 8192 rows at a time stay in cache
+        for s in range(0, len(Qs), 8192):
+            c = slice(s, s + 8192)
+            ok[c], degenerate[c] = self._one_candidate(Qs[c].T.copy(), Rs[c].T.copy())
+        F = self.params.F
+        for j in np.flatnonzero(degenerate):
+            ok[j] = are_equivalent(row_to_quad(F, Qs[j]), row_to_quad(F, Rs[j]),
+                                   self.params)
+        return ok
+
+    def _one_candidate(self, q, r):
+        """(accepted, degenerate) masks over the columns of the
+        entry-major (16, m) arrays q and r."""
         p = self.p
-        n = Qs.shape[0]
-        found = np.zeros(n, dtype=bool)
-        QA, QB, QC, QD = _quad_cols(Qs)
-        RA = pgl_canon_np(p, Rs[..., 0:4])
-        rest_R = [pgl_canon_np(p, Rs[..., 4 * k:4 * k + 4]) for k in (1, 2, 3)]
-        rest_Q = (QB, QC, QD)
-        for L, lcls in zip(self.left, self.left_cls):
-            todo = ~found
-            if not todo.any():
-                break
-            ga = mm_np(p, L[None, :], QA[todo])
-            dh = pgl_canon_np(p, mm_np(p, minv_np(p, ga), RA[todo]))
-            dkey = pack_np(p, dh)
-            pos = np.searchsorted(self.right_keys, dkey)
-            pos_ok = pos < len(self.right_keys)
-            pos_c = np.where(pos_ok, pos, 0)
-            hit = pos_ok & (self.right_keys[pos_c] == dkey) & (self.right_cls[pos_c] == lcls)
-            if not hit.any():
-                continue
-            sub = np.flatnonzero(todo)[hit]
-            dh_h = dh[hit]
-            ok = np.ones(len(sub), dtype=bool)
-            for qcol, rcol in zip(rest_Q, rest_R):
-                lhs = pgl_canon_np(p, mm_np(p, mm_np(p, L[None, :], qcol[sub]), dh_h))
-                ok &= (lhs == rcol[sub]).all(axis=-1)
-            found[sub[ok]] = True
-        return found
+        X = (q[3], -q[1], -q[2], q[0])  # adj(A_Q)
+        U = mm_raw(r[0:4], X)  # |U|, |V| < 2p^2
+        V = mm_raw([x % p for x in mm_raw(r[0:4], self.delta)], X)
+        # the system [l1(U) l1(V); l2(U) l2(V)] (mu, nu)^T = 0
+        (lu1, lu2), (lv1, lv2) = [[sum(c * x for c, x in zip(row, M) if c) % p
+                                   for row in self.ann] for M in (U, V)]
+        singular = (lu1 * lv2 - lv1 * lu2) % p == 0
+        first = (lu1 != 0) | (lv1 != 0)
+        degenerate = ~first & (lu2 == 0) & (lv2 == 0)
+        # its kernel, read off the first nonzero row
+        mu = np.where(first, lv1, lv2)
+        nu = -np.where(first, lu1, lu2)
+        g = [(mu * u + nu * v) % p for u, v in zip(U, V)]
+        d0, d1, d2, d3 = self.delta
+        dh = [(mu + nu * d3) % p, -nu * d1 % p, -nu * d2 % p, (mu + nu * d0) % p]
+        det_g = (g[0] * g[3] - g[1] * g[2]) % p
+        det_d = (dh[0] * dh[3] - dh[1] * dh[2]) % p
+        leg = legendre_table(p)
+        ok = singular & (det_g != 0) & (det_d != 0) & (leg[det_g] == leg[det_d])
+        for k in range(0, 16, 4):
+            a, b, c, d = r[k:k + 4]
+            s = mm_raw(mm_raw(mm_raw(g, q[k:k + 4]), dh), (d, -b, -c, a))
+            # np.fmod: the truncated remainder, zero exactly on multiples of p
+            ok &= ((np.fmod(s[1], p) == 0) & (np.fmod(s[2], p) == 0)
+                   & (np.fmod(s[0] - s[3], p) == 0) & (np.fmod(s[0], p) != 0))
+        return ok, degenerate
 
 
 def make_checker(params: Params) -> _ExactChecker:
-    p = params.F.p
-    cg = params.centralizer("gamma")
-    return _ExactChecker(p, [m for m, _ in cg], [c for _, c in cg],
-                         params.centralizer("delta"))
+    """The exact-equivalence checker of the BFS edges and the reversal
+    twist."""
+    return _ExactChecker(params)
 
 
 def _first_inequivalent(checker, Qs, q_rows, Rs, r_rows):
@@ -466,6 +497,9 @@ def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
 
 # -- the reversal twist ---------------------------------------------------
 
+_REVERSED = np.r_[12:16, 8:12, 4:8, 0:4]  # columns of (D, C, B, A)
+
+
 def epsilon_conjugators(params: Params):
     """(g, h, det_class): g gamma^-1 g^-1 = gamma, h delta h^-1 = delta^-1,
     with equal determinant classes (adjusted through the gamma torus)."""
@@ -487,25 +521,37 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     The trace key of the image is independent of (g, h) (two-sided
     torus twists only flip lift signs), so the index map needs only the
     reversed quadruple; the conjugators are still required to exist
-    with compatible classes, and in exact mode every image is verified
-    against its representative through the twisted coset.
+    with compatible classes.  In exact mode every image is verified
+    against its representative through the twisted coset
+    C(gamma) g x h C(delta): as class(g) = class(h), that is the plain
+    equivalence test on the rows g eps(Q) h.
     """
-    g, h, cls = epsilon_conjugators(params)
+    g, h, _ = epsilon_conjugators(params)
     p = orbit.p
-    rev = np.concatenate([orbit.points[:, 12:16], orbit.points[:, 8:12],
-                          orbit.points[:, 4:8], orbit.points[:, 0:4]], axis=-1)
-    idx = orbit.index_of_keys(fast_keys(p, rev))
+    idx = np.empty(orbit.n, dtype=np.int64)
+    for c in _row_chunks(orbit.n):
+        idx[c] = orbit.index_of_keys(fast_keys(p, orbit.points[c][:, _REVERSED]))
     if (idx < 0).any():
         raise EpsilonOutsideOrbitError(
             f"epsilon maps {int((idx < 0).sum())} points outside the orbit at p={p}")
     if orbit.exact_verified:
-        F = params.F
-        cg = params.centralizer("gamma")
-        left = [pgl_canon(F, mat_mul(F, m, g)) for m, _ in cg]
-        right = [(pgl_canon(F, mat_mul(F, h, m)), c) for m, c in params.centralizer("delta")]
-        checker = _ExactChecker(p, left, [c for _, c in cg], right)
-        rows = np.arange(orbit.n, dtype=np.int64)
-        if _first_inequivalent(checker, rev, rows, orbit.points, idx) is not None:
-            raise EpsilonOutsideOrbitError(
-                "epsilon image fails exact equivalence with its representative")
+        checker = make_checker(params)
+        for c in _row_chunks(orbit.n):
+            twisted = _twisted_reversal(params, g, h, orbit.points[c])
+            if not checker.equivalent(twisted, orbit.points[idx[c]]).all():
+                raise EpsilonOutsideOrbitError(
+                    "epsilon image fails exact equivalence with its representative")
     return idx
+
+
+def _twisted_reversal(params: Params, g, h, rows):
+    """The rows (g / s) eps(Q) h, blockwise, for conjugators g and h of
+    equal determinant class: det(g) det(h) is then a square s^2, and
+    the blocks are determinant-1 lifts, as the scalar fallback needs."""
+    F = params.F
+    p = F.p
+    dd = mat_det(F, g) * mat_det(F, h) % p
+    g = np.array(g) * F.inv(next(s for s in range(1, p) if s * s % p == dd)) % p
+    rev = rows[:, _REVERSED]
+    return np.concatenate([mm_np(p, mm_np(p, g, rev[:, k:k + 4]), np.array(h))
+                           for k in range(0, 16, 4)], axis=-1)

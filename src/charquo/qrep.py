@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .laurent import (ONE, ZERO, LaurentPoly2, RationalFn2, qbinom, qfact,
                       qs_monomial)
-from .numutil import binom, is_prime
+from .numutil import InvariantError, binom, is_prime
 from .qlinalg import (ScaledMatrix, mat_eq, mat_identity, mat_mul,
                       mat_transpose, nullspace, rank, solve_in_span)
 
@@ -157,7 +157,9 @@ def highest_weight_basis(n: int, ell: int):
             f"kernel dimension {len(basis)} != binom({n + ell - 2},{ell})")
     for vec in basis:
         img = mat_mul(E, [[v] for v in vec]) if E else []
-        assert all(e.is_zero() for row in img for e in row)
+        if not all(e.is_zero() for row in img for e in row):
+            raise InvariantError(f"highest-weight basis of W_{n},{ell}: "
+                                 "a basis vector is not killed by E")
     return basis
 
 

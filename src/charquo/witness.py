@@ -23,7 +23,7 @@ from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
                      is_maximal, mat_det, mat_id, mat_inv, mat_mul, mat_neg,
                      mat_trace, minv_np, mm_np, order, pack_np, pgl_canon,
                      pgl_canon_np, psl_canon, torus_pencil, unpack_np)
-from .numutil import next_prime
+from .numutil import InvariantError, next_prime
 from .orbit import OrbitIndex, enumerate_orbit, epsilon_perm, validate_start
 from .permgrp import GiantCertificate, classify_giant, sign
 
@@ -93,8 +93,10 @@ def build(p: int) -> WitnessConfig:
     w = tuple(x % p for x in W0)
     gamma = mat_mul(F, u, w)
     delta = mat_inv(F, mat_mul(F, mat_mul(F, u, v), mat_mul(F, w, mat_inv(F, v))))
-    assert mat_trace(F, gamma) == TR_GAMMA % p
-    assert mat_trace(F, delta) == TR_DELTA % p
+    for name, m, want in (("gamma", gamma, TR_GAMMA), ("delta", delta, TR_DELTA)):
+        if mat_trace(F, m) != want % p:
+            raise InvariantError(f"witness at p = {p}: tr({name}) = {mat_trace(F, m)}, "
+                                 f"expected {want % p}")
     for name, m in (("gamma", gamma), ("delta", delta)):
         cls = classify(ProjMat2.of(F, m))
         if cls in (ElementClass.IDENTITY, ElementClass.INVOLUTION, ElementClass.UNIPOTENT):
@@ -232,10 +234,10 @@ def proper_decomposition(Q, which: str = "first"):
         w = mat_mul(F, mat_mul(F, Di, C), mat_mul(F, Bi, C))
     else:
         raise ValueError(f"unknown foliation {which!r}")
-    gm = bq.gamma(Q)
-    dm = bq.delta(Q)
-    assert psl_canon(F, mat_mul(F, x, z)) == gm.m
-    assert psl_canon(F, mat_mul(F, w, y)) == dm.inv().m
+    if (psl_canon(F, mat_mul(F, x, z)) != bq.gamma(Q).m
+            or psl_canon(F, mat_mul(F, w, y)) != bq.delta(Q).inv().m):
+        raise InvariantError(f"{which} decomposition at p = {F.p}: "
+                             "x z != gamma or w y != delta^-1")
 
     def maximal_flag(m):
         M = ProjMat2.of(F, m)
@@ -264,7 +266,9 @@ def _trace2_unipotents(F: PrimeField):
                 continue
             n3 = (-n1 * n1) % p * F.inv(n2) % p
             out.append(((1 + n1) % p, n2, n3, (1 - n1) % p))
-    assert len(out) == p * p - 1
+    if len(out) != p * p - 1:
+        raise InvariantError(f"unipotent search at p = {p}: {len(out)} trace-2 "
+                             f"matrices, expected {p * p - 1}")
     return out
 
 
@@ -336,7 +340,9 @@ def unipotent_decompositions(params: Params):
             img = (_conj_by(F, ghat, x) + _conj_by(F, dhat, y)
                    + _conj_by(F, ghat, z) + _conj_by(F, dhat, w))
             members.add(img)
-        assert members <= set(candidates), "orbit left the candidate set"
+        if not members <= candidates.keys():
+            raise InvariantError(f"unipotent decompositions at p = {p}: "
+                                 "a centralizer orbit left the candidate set")
         seen |= members
         classes.append(sorted(members))
     return classes

@@ -49,7 +49,7 @@ def test_criterion_01_algebraic_identities(F1009):
         L = LETTERS[trial % 6]
         R = bq.apply_letter(L, Q)
         assert bq.gamma(R) == bq.gamma(Q) and bq.delta(R) == bq.delta(Q)
-        bq.center_image(Q)  # asserts the gamma...delta^-1 closed form
+        bq.center_image(Q)  # checks the gamma...delta^-1 closed form
         assert bq.epsilon(bq.apply_letter(bq.S1, bq.epsilon(Q))) == \
             bq.apply_letter(bq.S3i, Q)
         g = rand_psl2(F1009, rng)

@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from charquo import braidquandle as bq
+from charquo.numutil import InvariantError
 from charquo.ffield import PrimeField, ProjMat2
 from conftest import rand_psl2, rand_quad
 
@@ -73,10 +76,16 @@ def test_gamma_delta_invariance(F1009, rng):
 def test_center_formula(F1009, rng):
     for _ in range(100):
         Q = rand_quad(F1009, rng)
-        bq.center_image(Q)  # asserts the closed form internally
+        bq.center_image(Q)  # checks the closed form internally
     g = rand_psl2(F1009, rng)
     Q = (g, g, g, g)
     assert bq.center_image(Q) == Q
+
+
+def test_center_formula_failure_raises(F1009, rng, monkeypatch):
+    monkeypatch.setattr(bq, "CENTER_WORD", [])
+    with pytest.raises(InvariantError, match="center word at p = 1009"):
+        bq.center_image(rand_quad(F1009, rng))
 
 
 def test_epsilon_properties(F1009, rng):

@@ -78,6 +78,16 @@ def test_orbit_failed_certificate_exit(capsys, monkeypatch):
     assert "q = 27941" in out
 
 
+@pytest.mark.parametrize("command", [["witness", "19"], ["orbit", "19", "--no-permutations"]])
+def test_witness_invariant_exit(capsys, monkeypatch, command):
+    # a witness whose gamma trace disagrees with the recorded one is a bug: exit 3
+    from charquo import witness as wt
+    monkeypatch.setattr(wt, "TR_GAMMA", 4)
+    assert main(command) == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated: witness at p = 19: tr(gamma) = 3, expected 4" in err
+
+
 def test_orbit_budget_exit(capsys):
     code, out = run(capsys, "orbit", "19", "--max-points", "10")
     assert code == 2

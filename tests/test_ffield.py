@@ -6,10 +6,10 @@ import pytest
 from charquo.ffield import (ElementClass, NotConjugateError, PrimeField,
                             ProjMat2, centralizer_element_of_class,
                             centralizer_pgl, classify, conjugator, is_maximal,
-                            mat_det, mat_inv, mat_mul, mat_neg, mat_trace,
-                            minv_np, mm_np, order, pack_np, pgl_canon,
-                            pgl_canon_np, psl_canon, psl_canon_np, tr_np,
-                            unpack_np)
+                            legendre_table, mat_det, mat_inv, mat_mul, mat_neg,
+                            mat_trace, minv_np, mm_np, order, pack_np,
+                            pencil_annihilators, pgl_canon, pgl_canon_np,
+                            psl_canon, psl_canon_np, tr_np, unpack_np)
 from charquo.numutil import is_prime
 from charquo.orbit import MAX_PACKED_PRIME
 from conftest import rand_psl2
@@ -27,6 +27,34 @@ def test_legendre_euler():
     for x in range(1, 19):
         assert F.legendre(x) == (1 if x in squares else -1)
     assert F.legendre(0) == 0
+
+
+@pytest.mark.parametrize("p", [19, 509])
+def test_legendre_table(p):
+    F = PrimeField(p)
+    t = legendre_table(p)
+    assert t.tolist() == [F.legendre(x) for x in range(p)]
+    assert not t.flags.writeable
+
+
+def test_pencil_annihilators_cut_out_the_centralizer():
+    p = 19
+    F = PrimeField(p)
+    rng = random.Random(5)
+    # generic, lower and upper triangular, and diagonal matrices
+    Ms = [rand_psl2(F, rng).m for _ in range(20)]
+    Ms += [(3, 0, 5, 7), (3, 5, 0, 7), (3, 0, 0, 7)]
+    for M in Ms:
+        e1, e2 = pencil_annihilators(p, M)
+        assert all(0 <= c < p for c in e1 + e2)
+        # independent, so their common kernel is 2-dimensional ...
+        assert any((e1[i] * e2[j] - e1[j] * e2[i]) % p
+                   for i in range(4) for j in range(i + 1, 4))
+        # ... and it holds I and M, so it is the pencil span(I, M)
+        for m in ((1, 0, 0, 1), M):
+            assert [sum(a * x for a, x in zip(e, m)) % p for e in (e1, e2)] == [0, 0]
+    with pytest.raises(ValueError, match="scalar"):
+        pencil_annihilators(p, (4, 0, 0, 4))
 
 
 def test_canonical_sign():

@@ -27,3 +27,12 @@ def test_no_private_cross_module_imports():
     assert len(modules) > 5
     found = [hit for path in modules for hit in _private_imports(path)]
     assert not found, "\n".join(found)
+
+
+def test_no_asserts_in_package():
+    # python -O strips assert statements; every check in the package
+    # must be an explicit raise
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements: " + ", ".join(found)

@@ -1,3 +1,5 @@
+import pytest
+
 from charquo.numutil import binom, factorize, is_prime, next_prime
 
 
@@ -18,6 +20,8 @@ def test_factorize():
     assert factorize(n) == {10007: 1, 10009: 1}
     for n in (97, 1009, 65537):
         assert factorize(n) == {n: 1}
+    with pytest.raises(ValueError, match="n >= 1"):
+        factorize(0)
 
 
 def test_binom():
