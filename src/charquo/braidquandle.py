@@ -58,10 +58,6 @@ def apply_word(word, Q):
     return Q
 
 
-def invert_word(word):
-    return [(i, -e) for (i, e) in reversed(word)]
-
-
 def gamma(Q):
     """The preserved element a b^-1 c d^-1."""
     a, b, c, d = Q

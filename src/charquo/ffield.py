@@ -10,6 +10,10 @@ non-square class.
 The same arithmetic is vectorized over numpy int64 arrays whose last
 axis holds (m11, m12, m21, m22) (the `_np` functions), next to the
 base-p packing of digit vectors into order-preserving int64 keys.
+Conjugators between matrices of equal trace and determinant are closed
+form: each non-scalar 2x2 matrix is the companion matrix of its
+characteristic polynomial in the basis (v, Mv) of a cyclic vector v
+(conjugator_np), so no linear system is solved.
 
 Everything here is a pure function of its inputs; no interior mutation.
 """
@@ -423,96 +427,41 @@ def centralizer_element_of_class(M: ProjMat2, det_class: int) -> Mat:
     raise ValueError("torus has no element of the requested class")
 
 
-# -- conjugators via linear solves --------------------------------------
+# -- conjugators by cyclic vectors ---------------------------------------
 
-def _nullspace_mod_p(rows, p):
-    """Basis of the right nullspace of a small matrix over F_p."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(vi - f * vr) % p for vi, vr in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-rows[ri][fc]) % p
-        basis.append(tuple(v))
-    return basis
+def conjugator_np(p, M, N):
+    """g with g M g^-1 = N and det g != 0, row by row, for non-scalar
+    M and N of equal trace and determinant: g = [w | N w] adj([v | M v]).
 
+    v is a cyclic vector of M (e1 if m21 != 0, else e2 if m12 != 0, else
+    e1 + e2, M being diagonal) and w the same for N; in the bases (v, Mv)
+    and (w, Nw) both matrices are the companion matrix of their common
+    characteristic polynomial.  No check is made: other rows give some
+    matrix g, possibly singular.
+    """
+    def cyclic_basis(A):
+        a, b, c, d = np.moveaxis(A, -1, 0)
+        y = (c == 0).astype(np.int64)
+        x = ((c != 0) | (b == 0)).astype(np.int64)
+        return np.stack((x, (a * x + b * y) % p, y, (c * x + d * y) % p), axis=-1)
 
-def _transporter_basis(F: PrimeField, M: Mat, N: Mat):
-    """Basis of {g : g M = N g} as 4-vectors (g11, g12, g21, g22)."""
-    p = F.p
-    a, b, c, d = M
-    e, f, g2, h = N
-    # row-major coefficients of gM - Ng = 0 in the unknowns g11,g12,g21,g22
-    rows = [
-        ((a - e) % p, c % p, (-f) % p, 0),
-        (b % p, (d - e) % p, 0, (-f) % p),
-        ((-g2) % p, 0, (a - h) % p, c % p),
-        (0, (-g2) % p, b % p, (d - h) % p),
-    ]
-    return _nullspace_mod_p(rows, p)
-
-
-def _invertible_in_span(F: PrimeField, basis):
-    """An invertible matrix in the span of the basis 4-vectors, or None."""
-    p = F.p
-
-    def as_mat(v):
-        return (v[0] % p, v[1] % p, v[2] % p, v[3] % p)
-
-    for v in basis:
-        m = as_mat(v)
-        if mat_det(F, m):
-            return m
-    # dim 2: det is a quadratic form, at most 2 singular lines, so any
-    # three pairwise-independent directions include an invertible one.
-    if len(basis) >= 2:
-        b0, b1 = basis[0], basis[1]
-        for lam in range(1, p):
-            m = as_mat(tuple((x + lam * y) % p for x, y in zip(b0, b1)))
-            if mat_det(F, m):
-                return m
-    if len(basis) > 2:
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                m = as_mat(tuple((x + y) % p for x, y in zip(basis[i], basis[j])))
-                if mat_det(F, m):
-                    return m
-    return None
+    return mm_np(p, cyclic_basis(N), minv_np(p, cyclic_basis(M)))
 
 
 def exact_conjugator(F: PrimeField, M: Mat, N: Mat) -> Mat:
     """Invertible g with g M g^-1 = N exactly (not just up to sign).
 
-    Solves the linear system g M = N g over F_p and picks an invertible
-    solution; raises NotConjugateError when there is none.
+    Two non-scalar 2x2 matrices are conjugate exactly when their traces
+    and determinants agree (conjugator_np builds g); two scalars only
+    when equal, by the identity.  Raises NotConjugateError otherwise.
     """
-    basis = _transporter_basis(F, M, N)
-    g = _invertible_in_span(F, basis) if basis else None
-    if g is None:
+    if (mat_trace(F, M) != mat_trace(F, N) or mat_det(F, M) != mat_det(F, N)
+            or is_scalar(F, M) != is_scalar(F, N)):
         raise NotConjugateError(f"{M} is not conjugate to {N} over F_{F.p}")
-    return g
+    if is_scalar(F, M):
+        return mat_id()
+    g = conjugator_np(F.p, np.array(M, dtype=np.int64), np.array(N, dtype=np.int64))
+    return tuple(int(x) for x in g)
 
 
 def conjugator(M: ProjMat2, N: ProjMat2):

@@ -45,9 +45,6 @@ class LaurentPoly2:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -501,8 +501,8 @@ _REVERSED = np.r_[12:16, 8:12, 4:8, 0:4]  # columns of (D, C, B, A)
 
 
 def epsilon_conjugators(params: Params):
-    """(g, h, det_class): g gamma^-1 g^-1 = gamma, h delta h^-1 = delta^-1,
-    with equal determinant classes (adjusted through the gamma torus)."""
+    """(g, h): g gamma^-1 g^-1 = gamma, h delta h^-1 = delta^-1, with
+    equal determinant classes (adjusted through the gamma torus)."""
     g, cg = conjugator(params.gamma.inv(), params.gamma)
     h, ch = conjugator(params.delta, params.delta.inv())
     if cg != ch:
@@ -512,7 +512,7 @@ def epsilon_conjugators(params: Params):
         cg = F.legendre(mat_det(F, g))
         if cg != ch:
             raise NotConjugateError("no class-compatible reversal conjugators")
-    return g, h, cg
+    return g, h
 
 
 def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
@@ -526,7 +526,7 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     C(gamma) g x h C(delta): as class(g) = class(h), that is the plain
     equivalence test on the rows g eps(Q) h.
     """
-    g, h, _ = epsilon_conjugators(params)
+    g, h = epsilon_conjugators(params)
     p = orbit.p
     idx = np.empty(orbit.n, dtype=np.int64)
     for c in _row_chunks(orbit.n):

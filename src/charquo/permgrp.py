@@ -94,32 +94,6 @@ def cycle_lengths(p):
     return np.sort(sizes[sizes > 0]).tolist()
 
 
-def cycles(p):
-    """Nontrivial cycles of p, each rotated to start at its minimum."""
-    n = len(p)
-    seen = bytearray(n)
-    out = []
-    for i in range(n):
-        if seen[i] or p[i] == i:
-            seen[i] = 1
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = 1
-            cyc.append(j)
-            j = p[j]
-        out.append(cyc)
-    return out
-
-
-def fmt_cycles(p) -> str:
-    cs = cycles(p)
-    if not cs:
-        return "()"
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cs)
-
-
 def sign(p) -> int:
     """Parity via n minus the number of cycles."""
     lab = _cycle_labels(p)

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .laurent import ONE, ZERO, LaurentPoly2, RationalFn2
 
 
-def mat_zero(m, n):
-    return [[ZERO for _ in range(n)] for _ in range(m)]
-
-
 def mat_identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
@@ -42,10 +38,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_scale(A, c):
     return [[a * c for a in row] for row in A]
 
@@ -60,10 +52,6 @@ def mat_map(A, f):
 
 def mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_is_zero(A):
-    return all(a.is_zero() for row in A for a in row)
 
 
 def _pivot_row(rows, r, c):

@@ -19,10 +19,11 @@ import numpy as np
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np, fricke_value
 from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
-                     centralizer_element_of_class, exact_conjugator, inv_table,
-                     is_maximal, mat_det, mat_id, mat_inv, mat_mul, mat_neg,
-                     mat_trace, minv_np, mm_np, order, pack_np, pgl_canon,
-                     pgl_canon_np, psl_canon, torus_pencil, unpack_np)
+                     centralizer_element_of_class, conjugator_np, exact_conjugator,
+                     inv_table, is_maximal, legendre_table, mat_det, mat_id, mat_inv,
+                     mat_mul, mat_neg, mat_trace, minv_np, mm_np, order, pack_np,
+                     pgl_canon, pgl_canon_np, psl_canon, torus_pencil, tr_np,
+                     unpack_np)
 from .numutil import InvariantError, next_prime
 from .orbit import OrbitIndex, enumerate_orbit, epsilon_perm, validate_start
 from .permgrp import GiantCertificate, classify_giant, sign
@@ -539,8 +540,9 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
     pairs.  The residual symmetries (torus conjugation and lift sign
     flips) group them into orbits, each labelled by its minimum pair
     (_orbit_minima, which checks that the orbits partition the pairs).
-    One representative per orbit is rebuilt into an actual quadruple,
-    and the quadruples are deduplicated by the exact key.
+    The representatives of each gauge are rebuilt into actual quadruples
+    in one batch (_rebuild_rows, closed-form conjugators), and the
+    quadruples of all gauges are deduplicated by the exact key.
 
     Returns (count, class_keys) with class_keys the sorted exact keys.
     """
@@ -606,66 +608,66 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
             rho = exact_conjugator(F, R1, mat_neg(F, R1))
             taus = taus + [pgl_canon(F, mat_mul(F, rho, t)) for t in taus]
         class_reps = _orbit_minima(p, raw, _conj_operators(p, taus), name)
-        for pair, (m2, m3) in zip(class_reps.tolist(),
-                                  unpack_np(p, class_reps, 8).reshape(-1, 2, 4).tolist()):
-            try:
-                rows.append(_rebuild_quad_row(F, R1, m2, m3, params))
-            except WitnessError as exc:
-                raise WitnessError(f"gauge {name}, pair {pair}: {exc}") from None
+        rows.append(_rebuild_rows(p, R1, class_reps, params, name))
 
     # dedupe the rebuilt quadruples by the exact key (charvar.key_exact:
     # the lexicographically minimal transformed row)
     pair_g, pair_d = _pair_arrays(params)
-    keys = _exact_keys_np(p, np.array(rows, dtype=np.int64).reshape(-1, 16), pair_g, pair_d)
+    keys = _exact_keys_np(p, np.concatenate(rows), pair_g, pair_d)
     keys = np.unique(keys, axis=0)
     class_keys = [tuple(k) for k in unpack_np(p, keys, 8).reshape(-1, 16).tolist()]
     return len(class_keys), class_keys
 
 
-def _rebuild_quad_row(F: PrimeField, M1, M2, M3, params: Params):
-    """A projective quadruple row in X~ with trace triple (M1, M2, M3).
+def _rebuild_rows(p, M1, pairs, params: Params, gauge):
+    """Projective quadruple rows in X~, one for each packed pair
+    pack(M2) * p^4 + pack(M3) of pairs, with trace triple (M1, M2, M3);
+    M1 is one matrix or one per pair.
 
     Starts from (1, M1^-1, M2, M2 M3^-1), then conjugates gamma(Q) and
-    delta(Q) onto the true parameters with class-matched PGL2 elements.
-    Raises WitnessError when a trace, the determinant classes or the
-    defining equation fails to match.
+    delta(Q) onto +-gamma and +-delta (conjugator_np), moving g by a
+    gamma-torus element of the other determinant class where the classes
+    of g and h differ.  Raises WitnessError naming the gauge and the
+    first pair whose traces, determinant classes or defining equation
+    A B^-1 C D^-1 = gamma fail to match.
     """
-    p = F.p
-    M1i = mat_inv(F, M1)
-    M3i = mat_inv(F, M3)
-    Q0 = (mat_id(), M1i, M2, mat_mul(F, M2, M3i))
-    G0 = _conj_by(F, M2, M3)
-    G0 = mat_mul(F, M1, G0)          # M1 M2 M3 M2^-1
-    D0 = mat_inv(F, mat_mul(F, M3, M1))
-    eps = 1 if mat_trace(F, G0) == params.tgamma % p else -1
-    tgt_g = params.gamma_mat if eps == 1 else mat_neg(F, params.gamma_mat)
-    tgt_d = params.delta_mat if eps == 1 else mat_neg(F, params.delta_mat)
-    if mat_trace(F, G0) != mat_trace(F, tgt_g):
-        raise WitnessError(f"tr(M1 M2 M3 M2^-1) = {mat_trace(F, G0)} is not "
-                           f"+-tr(gamma) = +-{params.tgamma}")
-    if mat_trace(F, D0) != mat_trace(F, tgt_d):
-        raise WitnessError(f"tr((M3 M1)^-1) = {mat_trace(F, D0)} does not match "
-                           f"{mat_trace(F, tgt_d)}, the sign-{eps} trace of delta")
-    g = exact_conjugator(F, G0, tgt_g)
-    h = exact_conjugator(F, D0, tgt_d)
-    cg = F.legendre(mat_det(F, g))
-    ch = F.legendre(mat_det(F, h))
-    if cg != ch:
-        z = centralizer_element_of_class(params.gamma, -1)
-        g = mat_mul(F, z, g)
-        cg = F.legendre(mat_det(F, g))
-        if cg != ch:
-            raise WitnessError(f"conjugator determinant classes {cg} and {ch} differ")
-    hi_adj = mat_inv(F, h)  # h^-1 up to scalar
-    row = []
-    for x in Q0:
-        row.extend(pgl_canon(F, mat_mul(F, mat_mul(F, g, x), hi_adj)))
-    # defining equations at the projective level
-    A, B, C, D = (tuple(row[4 * k:4 * k + 4]) for k in range(4))
-    gg = mat_mul(F, mat_mul(F, A, mat_inv(F, B)), mat_mul(F, C, mat_inv(F, D)))
-    if pgl_canon(F, gg) != pgl_canon(F, params.gamma_mat):
-        raise WitnessError(f"rebuilt row {row} has A B^-1 C D^-1 != gamma")
-    return row
+    M2, M3 = np.moveaxis(unpack_np(p, pairs, 8).reshape(-1, 2, 4), 1, 0)
+    M1 = np.broadcast_to(np.asarray(M1, dtype=np.int64), M2.shape)
+    G0 = mm_np(p, mm_np(p, M1, M2), mm_np(p, M3, minv_np(p, M2)))  # M1 M2 M3 M2^-1
+    D0 = minv_np(p, mm_np(p, M3, M1))
+    flip = (tr_np(p, G0) != params.tgamma % p)[:, None]
+    tgt_g = np.where(flip, (-np.array(params.gamma_mat)) % p, params.gamma_mat)
+    tgt_d = np.where(flip, (-np.array(params.delta_mat)) % p, params.delta_mat)
+    g = conjugator_np(p, G0, tgt_g)
+    h = conjugator_np(p, D0, tgt_d)
+
+    def det_class(X):
+        return legendre_table(p)[(X[:, 0] * X[:, 3] - X[:, 1] * X[:, 2]) % p]
+
+    z = np.array(centralizer_element_of_class(params.gamma, -1), dtype=np.int64)
+    g = np.where((det_class(g) != det_class(h))[:, None], mm_np(p, z, g), g)
+    hi_adj = minv_np(p, h)  # h^-1 up to scalar
+    blocks = [pgl_canon_np(p, mm_np(p, mm_np(p, g, x), hi_adj))
+              for x in (np.array(mat_id()), minv_np(p, M1), M2, mm_np(p, M2, minv_np(p, M3)))]
+    A, B, C, D = blocks
+    gg = pgl_canon_np(p, mm_np(p, mm_np(p, A, minv_np(p, B)), mm_np(p, C, minv_np(p, D))))
+    rows = np.concatenate(blocks, axis=1)
+
+    # the checks of each row, in order; the first failing pair is named
+    tr_g, tr_d, cg, ch = tr_np(p, G0), tr_np(p, D0), det_class(g), det_class(h)
+    failed = np.stack([tr_g != tr_np(p, tgt_g), tr_d != tr_np(p, tgt_d), cg != ch,
+                       (gg != pgl_canon(params.F, params.gamma_mat)).any(axis=1)])
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        eps = -1 if flip[i, 0] else 1
+        messages = [f"tr(M1 M2 M3 M2^-1) = {tr_g[i]} is not +-tr(gamma) = +-{params.tgamma}",
+                    f"tr((M3 M1)^-1) = {tr_d[i]} does not match {tr_np(p, tgt_d)[i]}, "
+                    f"the sign-{eps} trace of delta",
+                    f"conjugator determinant classes {cg[i]} and {ch[i]} differ",
+                    f"rebuilt row {rows[i].tolist()} has A B^-1 C D^-1 != gamma"]
+        raise WitnessError(f"gauge {gauge}, pair {pairs[i]}: "
+                           f"{messages[int(np.argmax(failed[:, i]))]}")
+    return rows
 
 
 def _pair_arrays(params: Params):

@@ -168,7 +168,7 @@ def _twisted_coset_equivalent(params, g, h, Q, R):
 
 def test_epsilon_twisted_rows_match_twisted_coset(orbit19, cfg19, rng):
     params = cfg19.params
-    g, h, _ = epsilon_conjugators(params)
+    g, h = epsilon_conjugators(params)
     eps = epsilon_perm(orbit19, params)
     sample = np.array(rng.sample(range(orbit19.n), 12), dtype=np.int64)
     rows = np.concatenate([sample, sample])

@@ -5,7 +5,8 @@ import pytest
 
 from charquo.ffield import (ElementClass, NotConjugateError, PrimeField,
                             ProjMat2, centralizer_element_of_class,
-                            centralizer_pgl, classify, conjugator, is_maximal,
+                            centralizer_pgl, classify, conjugator, conjugator_np,
+                            exact_conjugator, inv_table, is_maximal,
                             legendre_table, mat_det, mat_inv, mat_mul, mat_neg,
                             mat_trace, minv_np, mm_np, order, pack_np,
                             pencil_annihilators, pgl_canon, pgl_canon_np,
@@ -164,18 +165,49 @@ def test_conjugator_weyl_and_errors():
     assert g2 == (1, 0, 0, 1) or mat_mul(F, g2, M.m) == mat_mul(F, M.m, g2)
     with pytest.raises(NotConjugateError):
         conjugator(ProjMat2.of(F, (0, 30, 1, 3)), ProjMat2.of(F, (0, 30, 1, 5)))
+    # exact_conjugator: unequal trace, unequal determinant, scalar against
+    # non-scalar (equal trace and determinant), equal scalars
+    for M, N in (((0, 30, 1, 3), (0, 30, 1, 5)), ((2, 0, 0, 3), (1, 0, 0, 4)),
+                 ((3, 0, 0, 3), (3, 1, 0, 3)), ((3, 1, 0, 3), (3, 0, 0, 3))):
+        with pytest.raises(NotConjugateError):
+            exact_conjugator(F, M, N)
+    assert exact_conjugator(F, (7, 0, 0, 7), (7, 0, 0, 7)) == (1, 0, 0, 1)
 
 
 def test_conjugator_random_pairs():
-    F = PrimeField(101)
-    rng = random.Random(3)
-    for _ in range(100):
-        M = rand_psl2(F, rng)
-        g = rand_psl2(F, rng)
-        N = g * M * g.inv()
-        h, _ = conjugator(M, N)
-        adj = (h[3], (-h[1]) % F.p, (-h[2]) % F.p, h[0])
-        assert pgl_canon(F, mat_mul(F, mat_mul(F, h, M.m), adj)) == pgl_canon(F, N.m)
+    for p in (19, 101, 509):
+        F = PrimeField(p)
+        rng = random.Random(3)
+        for _ in range(100):
+            M = rand_psl2(F, rng)
+            g = rand_psl2(F, rng)
+            N = g * M * g.inv()
+            h, _ = conjugator(M, N)
+            adj = (h[3], (-h[1]) % F.p, (-h[2]) % F.p, h[0])
+            assert pgl_canon(F, mat_mul(F, mat_mul(F, h, M.m), adj)) == pgl_canon(F, N.m)
+
+        # conjugator_np over arrays of any determinant: N = t M t^-1 for
+        # invertible t, M non-scalar; every cyclic-vector branch occurs on
+        # both sides (m21 != 0; m21 = 0 != m12; diagonal)
+        M = np.array(_random_mats(F, rng, 600), dtype=np.int64)
+        M[1::3, 2] = 0
+        M[2::3, 1:3] = 0
+        M[2::3, 3] = (M[2::3, 0] + 1) % p
+        t = np.array(_random_mats(F, rng, 600), dtype=np.int64)
+        t[1::3, 2] = 0
+        t[2::3, 1:3] = 0
+        det_t = (t[:, 0] * t[:, 3] - t[:, 1] * t[:, 2]) % p
+        keep = (det_t != 0) & ~((M[:, 1] == 0) & (M[:, 2] == 0) & (M[:, 0] == M[:, 3]))
+        M, t, det_t = M[keep], t[keep], det_t[keep]
+        N = mm_np(p, mm_np(p, t, M), minv_np(p, t)) * inv_table(p)[det_t][:, None] % p
+        for X in (M, N):
+            branch = np.where(X[:, 2] != 0, 0, np.where(X[:, 1] != 0, 1, 2))
+            assert np.bincount(branch, minlength=3).min() >= 20
+        assert ((M[:, 0] * M[:, 3] - M[:, 1] * M[:, 2]) % p != 1).sum() >= 100
+        g = conjugator_np(p, M, N)
+        for m, n, gi in zip(M.tolist(), N.tolist(), g.tolist()):
+            assert mat_det(F, gi) != 0
+            assert mat_mul(F, gi, m) == mat_mul(F, n, gi)
 
 
 def test_psl_canon_of_negation():

@@ -36,3 +36,47 @@ def test_no_asserts_in_package():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements: " + ", ".join(found)
+
+
+def _definitions(path):
+    """(name, first line, last line) of every function, class and method
+    in a module, dunders left out."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno, node.end_lineno
+
+
+def _references(path):
+    """(name, line) of every use of a name in a module: plain names,
+    attributes, imported names and string constants (monkeypatch
+    targets)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_no_unreferenced_definitions():
+    # a definition counts as used only when its name appears in src/ or
+    # tests/ outside its own body, so dead helpers (recursive ones too)
+    # are caught
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "tests").glob("*.py"))
+    uses = {}
+    for path in files:
+        for name, line in _references(path):
+            uses.setdefault(name, []).append((path, line))
+    found = [f"{path.name}:{first} {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for name, first, last in _definitions(path)
+             if not any(where != path or not first <= line <= last
+                        for where, line in uses.get(name, ()))]
+    assert not found, "unreferenced definitions: " + ", ".join(found)

@@ -242,13 +242,14 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
     points = orbit19.points[idx]
 
     # rebuilt rows: the same classes reached through their trace triples
-    rebuilt = []
+    triples = []
     for row in points.tolist():
         A, B, C, D = (tuple(row[j:j + 4]) for j in range(0, 16, 4))
-        rebuilt.append(wt._rebuild_quad_row(F, mat_mul(F, mat_inv(F, B), A),
-                                            mat_mul(F, mat_inv(F, A), C),
-                                            mat_mul(F, mat_inv(F, D), C), params))
-    rebuilt = np.array(rebuilt, dtype=np.int64)
+        triples.append((mat_mul(F, mat_inv(F, B), A), mat_mul(F, mat_inv(F, A), C),
+                        mat_mul(F, mat_inv(F, D), C)))
+    triples = np.array(triples, dtype=np.int64)
+    pairs = pack_np(p, triples[:, 1:].reshape(-1, 8))
+    rebuilt = wt._rebuild_rows(p, triples[:, 0], pairs, params, "orbit")
     assert (rebuilt != points).any(axis=1).all()
 
     # synthetic rows with forced ties: A and B are rank one with image
@@ -285,16 +286,32 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
 
 
 def test_rebuild_rejects_a_wrong_triple(cfg19):
-    F = cfg19.F
-    # M1 = M2 = M3 = 1: tr(M1 M2 M3 M2^-1) = 2 is not +-tr(gamma)
-    with pytest.raises(wt.WitnessError, match="tr\\(gamma\\)"):
-        wt._rebuild_quad_row(F, (1, 0, 0, 1), (1, 0, 0, 1), (1, 0, 0, 1), cfg19.params)
+    F, params, p = cfg19.F, cfg19.params, 19
+    A, B, C, D = (X.m for X in cfg19.P)
+    good = int(pack_np(p, np.array(mat_mul(F, mat_inv(F, A), C) + mat_mul(F, mat_inv(F, D), C))))
+    good_m1 = mat_mul(F, mat_inv(F, B), A)
+    one = (1, 0, 0, 1)
+    ones = int(pack_np(p, np.array(one + one)))
+    assert wt._rebuild_rows(p, good_m1, np.array([good]), params, "toy").shape == (1, 16)
+    # M1 = M2 = M3 = 1: tr(M1 M2 M3 M2^-1) = 2 is not +-tr(gamma); the
+    # first failing pair of the batch is named
+    with pytest.raises(wt.WitnessError,
+                       match=f"^gauge toy, pair {ones}: tr\\(M1 M2 M3 M2\\^-1\\) = 2 is not "
+                             "\\+-tr\\(gamma\\)"):
+        wt._rebuild_rows(p, np.array([good_m1, one]), np.array([good, ones]), params, "toy")
+    # M2 = M3 = 1: gamma(Q) = M1 passes with trace 3, delta(Q) = M1^-1
+    # has trace 3, not 11
+    with pytest.raises(wt.WitnessError, match=f"^gauge toy, pair {ones}: tr\\(\\(M3 M1\\)\\^-1\\) = 3 "
+                                              "does not match 11"):
+        wt._rebuild_rows(p, (0, p - 1, 1, 3), np.array([ones]), params, "toy")
 
 
 def test_enumerate_x_classes_names_gauge_and_pair(cfg19, monkeypatch):
-    def fail(F, M1, M2, M3, params):
-        raise wt.WitnessError("forced")
+    # a wrong conjugator (the identity) breaks the defining equation
+    def identity(p, M, N):
+        return np.broadcast_to(np.array([1, 0, 0, 1], dtype=np.int64), M.shape)
 
-    monkeypatch.setattr(wt, "_rebuild_quad_row", fail)
-    with pytest.raises(wt.WitnessError, match=r"^gauge uni, pair \d+: forced$"):
+    monkeypatch.setattr(wt, "conjugator_np", identity)
+    with pytest.raises(wt.WitnessError,
+                       match=r"^gauge uni, pair \d+: rebuilt row \[.*\] has A B\^-1 C D\^-1 != gamma$"):
         wt.enumerate_x_classes(cfg19.params)
