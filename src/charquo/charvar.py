@@ -219,11 +219,9 @@ def are_equivalent(Q, R, params: Params) -> bool:
     dhat = (ghat A_Q)^-1 A_R projectively; it must land in C(delta)
     with the same determinant class and match on B, C, D.
 
-    This is the production fallback of the batched one-candidate
-    checker in orbit, for rows where its pencil system degenerates and
-    fixes no candidate, and the scalar reference its tests compare it
-    with.  It reads only the matrices of the blocks, so it accepts any
-    invertible lifts.
+    This is the scalar reference that the tests compare the batched
+    one-candidate checker of orbit with.  It reads only the matrices of
+    the blocks, so it accepts any invertible lifts.
     """
     F = params.F
     dlook = params.delta_centralizer_lookup()

@@ -93,7 +93,7 @@ def cmd_witness(args) -> int:
         f"unipotent point assumption: {'ok' if rep.point_ok else 'FAIL'}",
         f"orders: gamma {rep.ord_gamma}, delta {rep.ord_delta} "
         f"(large-order assumption "
-        f"{'ok' if rep.large_orders_ok else 'fails - orbit dedup will be exact-verified'})",
+        f"{'ok' if rep.large_orders_ok else 'fails'})",
         f"generation of PSL2 by (gamma, delta): {rep.generation}",
     ]
     emit(report, args, lines)

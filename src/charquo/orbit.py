@@ -6,17 +6,16 @@ The engine stores full matrix quadruples as numpy int64 arrays of shape
 deduplicates on the packed canonical trace key.  The 2x2 kernels and the
 base-p packing it runs on are ffield's `_np` functions; the trace key is
 charvar.canon_keys_np.  This module owns the BFS, the exact-equivalence
-checker, the index and the dump format.  In exact mode every
-recurrent BFS edge, and every image of the reversal twist, is
-re-verified against the stored representative with the
-centralizer-coset equivalence, so the enumeration is sound even where
-the injectivity of the trace map is unproven.  The check solves for one
-candidate centralizer pair per row, where the pencil span(I, gamma)
-meets the pencil of pairs that the A blocks allow, and tests only that
-pair; rows where the intersection degenerates go to the scalar
-charvar.are_equivalent (see _ExactChecker).  A genuine
-trace-key collision between inequivalent points raises KeyCollisionError
-(the OrbitIndex contract requires pairwise-distinct keys).
+checker, the index and the dump format.  Every recurrent BFS edge, and
+every image of the reversal twist, is re-verified against the stored
+representative with the centralizer-coset equivalence, so the
+enumeration is sound even where the injectivity of the trace map is
+unproven.  The check solves for one candidate centralizer pair per row,
+where the pencil span(I, gamma) meets the pencil of pairs that the A
+blocks allow, and tests only that pair (see _ExactChecker); there is no
+other path.  A genuine trace-key collision between inequivalent points
+raises KeyCollisionError (the OrbitIndex contract requires
+pairwise-distinct keys).
 
 Indices are assigned by ascending canonical key after enumeration
 closes, so reports are byte-reproducible regardless of traversal order.
@@ -45,10 +44,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import braidquandle as bq
-from .charvar import Params, are_equivalent, canon_keys_np, from_quad
+from .charvar import Params, canon_keys_np, from_quad
 from .ffield import (NotConjugateError, ProjMat2, conjugator,
                      centralizer_element_of_class, legendre_table, mat_det,
-                     mat_mul, minv_np, mm_np, mm_raw, order, pack_np,
+                     mat_mul, minv_np, mm_np, mm_raw, pack_np,
                      pencil_annihilators, pgl_canon,
                      psl_canon_np, tr_np, unpack_np)
 
@@ -165,9 +164,13 @@ class _ExactChecker:
     ghat = mu U + nu V, dhat = adj(mu I + nu delta), which is accepted
     when both are invertible, their determinants have equal Legendre
     class and all four blocks match: ghat Q_k dhat adj(R_k) is a nonzero
-    scalar matrix.  When both annihilators vanish on U and V (the
-    system is zero: impossible when gamma and delta lie in tori of
-    different type) the row goes to the scalar charvar.are_equivalent.
+    scalar matrix.
+
+    Both annihilators vanish on U and V only if A_Q delta A_Q^-1 lies in
+    F_p[gamma], i.e. only if gamma and delta lie in tori of one type.
+    The split/non-split assumption excludes that, and the checker
+    refuses parameters that break it, so every row gets its candidate
+    (a row with a zero system would get g = 0 and be refused).
 
     The rows are lifts with invertible blocks.  The kernel works on
     entry-major copies of the rows, with signed entries of absolute
@@ -177,6 +180,9 @@ class _ExactChecker:
     """
 
     def __init__(self, params: Params):
+        if not params.satisfies_nonconjugation():
+            raise ValueError("exact equivalence needs gamma and delta in tori of "
+                             "different type (one split, one non-split)")
         self.params = params
         self.p = p = params.F.p
         self.delta = tuple(params.delta_mat)
@@ -185,20 +191,15 @@ class _ExactChecker:
     def equivalent(self, Qs, Rs):
         """Boolean mask over rows: Q_j ~ R_j."""
         ok = np.empty(len(Qs), dtype=bool)
-        degenerate = np.empty(len(Qs), dtype=bool)
         # entry-major copies of 8192 rows at a time stay in cache
         for s in range(0, len(Qs), 8192):
             c = slice(s, s + 8192)
-            ok[c], degenerate[c] = self._one_candidate(Qs[c].T.copy(), Rs[c].T.copy())
-        F = self.params.F
-        for j in np.flatnonzero(degenerate):
-            ok[j] = are_equivalent(row_to_quad(F, Qs[j]), row_to_quad(F, Rs[j]),
-                                   self.params)
+            ok[c] = self._one_candidate(Qs[c].T.copy(), Rs[c].T.copy())
         return ok
 
     def _one_candidate(self, q, r):
-        """(accepted, degenerate) masks over the columns of the
-        entry-major (16, m) arrays q and r."""
+        """Accepted mask over the columns of the entry-major (16, m)
+        arrays q and r."""
         p = self.p
         X = (q[3], -q[1], -q[2], q[0])  # adj(A_Q)
         U = mm_raw(r[0:4], X)  # |U|, |V| < 2p^2
@@ -208,7 +209,6 @@ class _ExactChecker:
                                    for row in self.ann] for M in (U, V)]
         singular = (lu1 * lv2 - lv1 * lu2) % p == 0
         first = (lu1 != 0) | (lv1 != 0)
-        degenerate = ~first & (lu2 == 0) & (lv2 == 0)
         # its kernel, read off the first nonzero row
         mu = np.where(first, lv1, lv2)
         nu = -np.where(first, lu1, lu2)
@@ -225,12 +225,13 @@ class _ExactChecker:
             # np.fmod: the truncated remainder, zero exactly on multiples of p
             ok &= ((np.fmod(s[1], p) == 0) & (np.fmod(s[2], p) == 0)
                    & (np.fmod(s[0] - s[3], p) == 0) & (np.fmod(s[0], p) != 0))
-        return ok, degenerate
+        return ok
 
 
 def make_checker(params: Params) -> _ExactChecker:
     """The exact-equivalence checker of the BFS edges and the reversal
-    twist."""
+    twist; ValueError unless params satisfy the split/non-split
+    assumption."""
     return _ExactChecker(params)
 
 
@@ -252,7 +253,6 @@ class OrbitIndex:
     params: Params
     points: np.ndarray  # (n, 16) int64, ascending key order
     keys: np.ndarray    # (n,) packed canonical trace keys, ascending
-    exact_verified: bool
     edges_verified: int = 0
     _perm_cache: dict = field(default_factory=dict, repr=False)
 
@@ -389,22 +389,17 @@ def validate_start(P, params: Params):
 
 
 def enumerate_orbit(P, params: Params, max_points=2_000_000,
-                    exact_verify=None, frontier_shuffle_seed=None) -> OrbitIndex:
-    """Closure of P under the six braid letters.
-
-    exact_verify=None re-verifies recurrent edges exactly whenever both
-    gamma and delta have order <= 60 (the regime where trace-key
-    injectivity is unproven); True/False force the mode.
-    """
+                    frontier_shuffle_seed=None) -> OrbitIndex:
+    """Closure of P under the six braid letters, every recurrent edge
+    verified exactly.  frontier_shuffle_seed reorders each frontier
+    (the result must not depend on it)."""
     F = params.F
     p = F.p
     if p > MAX_PACKED_PRIME:
         raise OrbitBudgetError(f"p={p} exceeds the packed-key engine bound "
                                f"{MAX_PACKED_PRIME} (orbit would be ~p^4 points)", 0)
+    checker = make_checker(params)
     validate_start(P, params)
-    if exact_verify is None:
-        exact_verify = max(order(params.gamma), order(params.delta)) <= 60
-    checker = make_checker(params) if exact_verify else None
 
     rng = None
     if frontier_shuffle_seed is not None:
@@ -436,16 +431,16 @@ def enumerate_orbit(P, params: Params, max_points=2_000_000,
         if not _on_x_mask(params, pts[c]).all():
             raise OrbitError("internal error: representative violates the defining equations")
 
-    return OrbitIndex(params, pts, vkeys, exact_verify, edges_verified)
+    return OrbitIndex(params, pts, vkeys, edges_verified)
 
 
 def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
     """One BFS layer: key the images of the frontier under the six
     letters and deduplicate them against the sorted visited keys vkeys
     (point indices vidx).  New keys become points n_now, n_now + 1, ...
-    in ascending key order.  With a checker, every image except the
-    first of each new key (a recurrent edge) is verified against its
-    key's representative, in sorted-key order.
+    in ascending key order.  Every image except the first of each new
+    key (a recurrent edge) is verified against its key's
+    representative, in sorted-key order.
 
     Returns (pts, vkeys, vidx, edges verified); the layer's arrays die
     with this call, before the next layer is built.
@@ -475,24 +470,21 @@ def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
     new_head[head] = new
     pts = np.concatenate([pts, images[order_[new_head]]])
 
-    verified = 0
-    if checker is not None:
-        rep = np.empty(len(ukeys), dtype=np.int64)  # point index of each group
-        rep[~new] = vidx[pos[~new]]
-        rep[new] = new_idx
-        recurrent = ~new_head
-        rows = order_[recurrent]
-        reps = rep[np.cumsum(head)[recurrent] - 1]
-        bad = _first_inequivalent(checker, images, rows, pts, reps)
-        if bad is not None:
-            raise KeyCollisionError(
-                "canonical trace key collision between inequivalent points "
-                f"(key {int(ikeys[rows[bad]])}); exact dedup falsified at p={p}")
-        verified = len(rows)
+    rep = np.empty(len(ukeys), dtype=np.int64)  # point index of each group
+    rep[~new] = vidx[pos[~new]]
+    rep[new] = new_idx
+    recurrent = ~new_head
+    rows = order_[recurrent]
+    reps = rep[np.cumsum(head)[recurrent] - 1]
+    bad = _first_inequivalent(checker, images, rows, pts, reps)
+    if bad is not None:
+        raise KeyCollisionError(
+            "canonical trace key collision between inequivalent points "
+            f"(key {int(ikeys[rows[bad]])}); exact dedup falsified at p={p}")
 
     vkeys = np.insert(vkeys, pos[new], ukeys[new])
     vidx = np.insert(vidx, pos[new], new_idx)
-    return pts, vkeys, vidx, verified
+    return pts, vkeys, vidx, len(rows)
 
 
 # -- the reversal twist ---------------------------------------------------
@@ -521,8 +513,8 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     The trace key of the image is independent of (g, h) (two-sided
     torus twists only flip lift signs), so the index map needs only the
     reversed quadruple; the conjugators are still required to exist
-    with compatible classes.  In exact mode every image is verified
-    against its representative through the twisted coset
+    with compatible classes.  Every image is verified against its
+    representative through the twisted coset
     C(gamma) g x h C(delta): as class(g) = class(h), that is the plain
     equivalence test on the rows g eps(Q) h.
     """
@@ -534,24 +526,19 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     if (idx < 0).any():
         raise EpsilonOutsideOrbitError(
             f"epsilon maps {int((idx < 0).sum())} points outside the orbit at p={p}")
-    if orbit.exact_verified:
-        checker = make_checker(params)
-        for c in _row_chunks(orbit.n):
-            twisted = _twisted_reversal(params, g, h, orbit.points[c])
-            if not checker.equivalent(twisted, orbit.points[idx[c]]).all():
-                raise EpsilonOutsideOrbitError(
-                    "epsilon image fails exact equivalence with its representative")
+    checker = make_checker(params)
+    for c in _row_chunks(orbit.n):
+        twisted = _twisted_reversal(p, g, h, orbit.points[c])
+        if not checker.equivalent(twisted, orbit.points[idx[c]]).all():
+            raise EpsilonOutsideOrbitError(
+                "epsilon image fails exact equivalence with its representative")
     return idx
 
 
-def _twisted_reversal(params: Params, g, h, rows):
-    """The rows (g / s) eps(Q) h, blockwise, for conjugators g and h of
-    equal determinant class: det(g) det(h) is then a square s^2, and
-    the blocks are determinant-1 lifts, as the scalar fallback needs."""
-    F = params.F
-    p = F.p
-    dd = mat_det(F, g) * mat_det(F, h) % p
-    g = np.array(g) * F.inv(next(s for s in range(1, p) if s * s % p == dd)) % p
+def _twisted_reversal(p, g, h, rows):
+    """The rows g eps(Q) h, blockwise: lifts of the twisted images with
+    invertible blocks, which is all the checker needs."""
+    g, h = np.array(g), np.array(h)
     rev = rows[:, _REVERSED]
-    return np.concatenate([mm_np(p, mm_np(p, g, rev[:, k:k + 4]), np.array(h))
+    return np.concatenate([mm_np(p, mm_np(p, g, rev[:, k:k + 4]), h)
                            for k in range(0, 16, 4)], axis=-1)

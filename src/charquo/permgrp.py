@@ -141,6 +141,11 @@ class BSGS:
         return is_id(h)
 
 
+# Largest degree at which the exact stabilizer chain runs (transversal
+# storage); giant recognition is the tool beyond it.
+ORACLE_BOUND = 5000
+
+
 class OracleBoundExceeded(ValueError):
     pass
 
@@ -160,19 +165,18 @@ def _orbit_transversal(point, gens, n):
     return transversal
 
 
-def schreier_sims(gens, n=None, oracle_bound=5000) -> BSGS:
+def schreier_sims(gens, n=None) -> BSGS:
     """Deterministic Schreier-Sims; exact group order and membership.
 
     Restart-on-change variant: simple and exact, quadratic in the chain
     size, plenty for the oracle regime.  Refuses degrees above
-    oracle_bound (transversal storage; giant recognition is the tool at
-    that scale).
+    ORACLE_BOUND.
     """
     gens = [list(g) for g in gens if not is_id(g)]
     if n is None:
         n = len(gens[0]) if gens else 1
-    if n > oracle_bound:
-        raise OracleBoundExceeded(f"degree {n} exceeds oracle bound {oracle_bound}")
+    if n > ORACLE_BOUND:
+        raise OracleBoundExceeded(f"degree {n} exceeds oracle bound {ORACLE_BOUND}")
     for g in gens:
         check_perm(g, n)
     if not gens:
@@ -394,22 +398,19 @@ class GiantClassification:
     reason: str = ""
 
 
-def classify_giant(gens, n, seed=0, budget=300, oracle_bound=5000) -> GiantClassification:
+def classify_giant(gens, n, seed=0, budget=300) -> GiantClassification:
     """Recognize the full alternating or symmetric group.
 
     Certificate path first (sound for any degree); exact stabilizer
-    chain as the fallback oracle at small degree.
+    chain as the fallback oracle up to degree ORACLE_BOUND.
     """
     gens = _int64_perms(gens)
     cert = giant_certificate(gens, n, seed=seed, budget=budget)
     if isinstance(cert, GiantCertificate):
         kind = "Alternating" if all(sign(g) == 1 for g in gens) else "Symmetric"
         return GiantClassification(kind, certificate=cert)
-    if n <= oracle_bound:
-        try:
-            bsgs = schreier_sims([g.tolist() for g in gens], n, oracle_bound=oracle_bound)
-        except OracleBoundExceeded:
-            return GiantClassification("Inconclusive", reason=cert.reason)
+    if n <= ORACLE_BOUND:
+        bsgs = schreier_sims([g.tolist() for g in gens], n)
         if bsgs.order == factorial(n):
             return GiantClassification("Symmetric", order=bsgs.order)
         if 2 * bsgs.order == factorial(n):

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from .laurent import ONE, ZERO, LaurentPoly2, RationalFn2
 
 
-def mat_identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def mat_mul(A, B):
     m, k = len(A), len(B)
     n = len(B[0]) if B else 0
@@ -46,10 +42,6 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_map(A, f):
-    return [[f(a) for a in row] for row in A]
-
-
 def mat_eq(A, B):
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
@@ -64,47 +56,6 @@ def _pivot_row(rows, r, c):
             if t == 1:
                 break
     return best
-
-
-def ff_echelon(A):
-    """One-step fraction-free row echelon form.
-
-    Returns (rows, pivots, last_pivot) with pivots the list of pivot
-    columns; rows is a fresh matrix.
-    """
-    rows = [list(r) for r in A]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    prev = ONE
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        i = _pivot_row(rows, r, c)
-        if i is None:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, m):
-            head = rows[i][c]
-            if head.terms:
-                rows[i] = [
-                    (rows[i][j] * piv - head * rows[r][j]).exact_div(prev)
-                    for j in range(n)]
-            else:
-                # zero head: the Bareiss minor update degenerates to a
-                # rescale, still divided exactly by the previous pivot
-                rows[i] = [(e * piv).exact_div(prev) if e.terms else e
-                           for e in rows[i]]
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return rows, pivots, prev
-
-
-def rank(A) -> int:
-    return len(ff_echelon(A)[1])
 
 
 def ff_jordan(A):
@@ -134,6 +85,8 @@ def ff_jordan(A):
                     (rows[i][j] * piv - head * rows[r][j]).exact_div(prev)
                     for j in range(n)]
             else:
+                # zero head: the Bareiss minor update degenerates to a
+                # rescale, still divided exactly by the previous pivot
                 rows[i] = [(e * piv).exact_div(prev) if e.terms else e
                            for e in rows[i]]
         prev = piv
@@ -192,10 +145,6 @@ class ScaledMatrix:
     num: list
     den: LaurentPoly2
 
-    @classmethod
-    def of_ring(cls, rows):
-        return cls([list(r) for r in rows], ONE)
-
     @property
     def shape(self):
         return len(self.num), len(self.num[0]) if self.num else 0
@@ -212,9 +161,6 @@ class ScaledMatrix:
 
     def transpose(self):
         return ScaledMatrix(mat_transpose(self.num), self.den)
-
-    def bar(self):
-        return ScaledMatrix(mat_map(self.num, lambda x: x.bar()), self.den.bar())
 
     def entry(self, i, j) -> RationalFn2:
         return RationalFn2(self.num[i][j], self.den)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .laurent import (ONE, ZERO, LaurentPoly2, RationalFn2, qbinom, qfact,
                       qs_monomial)
 from .numutil import InvariantError, binom, is_prime
-from .qlinalg import (ScaledMatrix, mat_eq, mat_identity, mat_mul,
-                      mat_transpose, nullspace, rank, solve_in_span)
+from .qlinalg import (ScaledMatrix, mat_eq, mat_mul, mat_transpose,
+                      nullspace, solve_in_span)
 
 
 class BadSpecializationError(ValueError):
@@ -85,41 +85,6 @@ def sigma_on_V(n: int, ell: int, i: int):
             b = a[:pos] + (t1, t2) + a[pos + 2:]
             M[index[b]][col] = M[index[b]][col] + coeff
     return M
-
-
-def _r_block(m: int):
-    """R restricted to span{v_x (x) v_{m-x}} in the basis x = 0..m."""
-    M = [[ZERO for _ in range(m + 1)] for _ in range(m + 1)]
-    for x in range(m + 1):
-        for (t1, t2), coeff in r_matrix(x, m - x):
-            M[t1][x] = M[t1][x] + coeff  # row index by first output factor
-    return M
-
-
-def sigma_inv_on_V(n: int, ell: int, i: int) -> ScaledMatrix:
-    """sigma_i^-1 on V_{n, ell}: the R-matrix blocks inverted exactly."""
-    blocks = {}
-    den = ONE
-    for m in range(ell + 1):
-        inv = solve_in_span(_r_block(m), mat_identity(m + 1))
-        blocks[m] = inv
-        den = den * inv.den
-    comps = compositions(n, ell)
-    index = {c: k for k, c in enumerate(comps)}
-    D = len(comps)
-    num = [[ZERO for _ in range(D)] for _ in range(D)]
-    pos = i - 1
-    for col, a in enumerate(comps):
-        m = a[pos] + a[pos + 1]
-        inv = blocks[m]
-        scale = den.exact_div(inv.den)
-        x = a[pos]
-        for t1 in range(m + 1):
-            entry = inv.num[t1][x]
-            if entry.terms:
-                b = a[:pos] + (t1, m - t1) + a[pos + 2:]
-                num[index[b]][col] = entry * scale
-    return ScaledMatrix(num, den)
 
 
 # -- quantum-group operators -------------------------------------------------
@@ -246,7 +211,9 @@ def decomposition_check(n: int, ell: int) -> bool:
     invariant under sigma_2..sigma_{n-1} (they do not touch the first
     factor); its dimension must be sum over the top j+1 summand
     dimensions, dim G_j = sum_{t = ell-j}^{ell} binom(n-3+t, t), which
-    stacks up to the claimed direct-sum decomposition.
+    stacks up to the claimed direct-sum decomposition.  G_j is computed
+    as the kernel of the rows of first index > j, so its dimension is
+    the length of that kernel basis.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -256,20 +223,17 @@ def decomposition_check(n: int, ell: int) -> bool:
     basis = highest_weight_basis(n, ell)
     d = len(basis)
     A = mat_transpose(basis)
+    sigmas = [sigma_on_V(n, ell, i) for i in range(2, n)]
     for j in range(ell + 1):
         high_rows = [A[r] for r, c in enumerate(comps) if c[0] > j]
-        dim_gj = d - rank(high_rows) if high_rows else d
-        if dim_gj != sum(binom(n - 3 + t, t) for t in range(ell - j, ell + 1)):
+        kern = nullspace(high_rows, ncols=d)
+        if len(kern) != sum(binom(n - 3 + t, t) for t in range(ell - j, ell + 1)):
             return False
         # invariance: members of G_j keep first index <= j under sigma_i>=2
-        kern = nullspace(high_rows, ncols=d) if high_rows else \
-            [[ONE if t == m else ZERO for t in range(d)] for m in range(d)]
-        if len(kern) != dim_gj:
-            return False
         for coeffs in kern:
             vec = mat_mul(A, [[c] for c in coeffs])
-            for i in range(2, n):
-                img = mat_mul(sigma_on_V(n, ell, i), vec)
+            for S in sigmas:
+                img = mat_mul(S, vec)
                 for r, c in enumerate(comps):
                     if c[0] > j and img[r][0].terms:
                         return False
@@ -367,16 +331,13 @@ def _d_t_matrices(ell: int):
 
 
 def reversal_conjugation_check(ell: int) -> bool:
-    """(D_4 T_4) sigma_i^-1 (D_4 T_4)^-1 = bar(sigma_(4-i)) on V_{4, ell}."""
-    Dm, Dm_inv, Tm = _d_t_matrices(ell)
-    L = ScaledMatrix.of_ring(mat_mul(Dm, Tm))
-    Linv = ScaledMatrix.of_ring(mat_mul(Tm, Dm_inv))
+    """L sigma_i^-1 L^-1 = bar(sigma_(4-i)) on V_{4, ell} for L = D_4 T_4,
+    tested in the equivalent inverse-free form L = bar(sigma_(4-i)) L sigma_i."""
+    Dm, _, Tm = _d_t_matrices(ell)
+    L = mat_mul(Dm, Tm)
     for i in (1, 2, 3):
-        inv = sigma_inv_on_V(4, ell, i)
-        lhs = (L @ inv) @ Linv
-        rhs = ScaledMatrix.of_ring([[e.bar() for e in row]
-                                    for row in sigma_on_V(4, ell, 4 - i)])
-        if not lhs == rhs:
+        bar = [[e.bar() for e in row] for row in sigma_on_V(4, ell, 4 - i)]
+        if not mat_eq(L, mat_mul(mat_mul(bar, L), sigma_on_V(4, ell, i))):
             return False
     return True
 
@@ -417,6 +378,8 @@ def intertwiner_J(mats: RepMatrices):
     """J with J sigma_i^T J^-1 = sigma_i on the W basis, from the
     nullspace of the commutation system; unique up to scalar by
     irreducibility (solution space of dimension != 1 is an error).
+    J is certified invertible by one nonsingular specialisation: its
+    determinant is then a nonzero element of the ring.
 
     Returns (J, info) with J over the ring, content-stripped.  The
     inverse-transpose automorphism A -> J (A^T)^-1 J^-1 then sends each
@@ -443,8 +406,12 @@ def intertwiner_J(mats: RepMatrices):
             "(falsifies irreducibility)")
     vec = kern[0]
     J = [[vec[r * d + c] for c in range(d)] for r in range(d)]
-    if rank(J) != d:
-        raise ArithmeticError("intertwiner is singular")
+    q0, s0, r = 2, 3, 2**61 - 1  # r prime
+    try:
+        _mat_inv_mod([[e.eval_mod(q0, s0, r) for e in row] for row in J], r)
+    except ZeroDivisionError:
+        raise InvariantError(f"intertwiner is singular at (q, s) = ({q0}, {s0}) "
+                             f"mod {r}: invertibility not certified") from None
     for i, S in mats.sigma.items():
         N = S.num
         if not mat_eq(mat_mul(J, mat_transpose(N)), mat_mul(N, J)):

@@ -1,7 +1,8 @@
 """The batched one-candidate equivalence kernel of the orbit engine,
 set against the scalar centralizer-coset test charvar.are_equivalent on
 the p = 19 orbit: twists of equal and of unequal determinant class,
-inequivalent pairs, degenerate rows and the reversal twist."""
+inequivalent pairs and the reversal twist; parameters with gamma and
+delta in tori of one type are refused."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from charquo import charvar as cv
 from charquo import orbit as orbit_mod
 from charquo.charvar import Params
 from charquo.ffield import ProjMat2, mat_det, mat_mul, pencil_annihilators, pgl_canon
-from charquo.orbit import epsilon_conjugators, epsilon_perm, make_checker, row_to_quad
-from conftest import rand_psl2
+from charquo.orbit import epsilon_conjugators, epsilon_perm, make_checker
 
 SHEAR = (1, 1, 0, 1)
 
@@ -42,18 +42,6 @@ def _rows(quads):
     return np.array([[v for X in Q for v in X.m] for Q in quads], dtype=np.int64)
 
 
-@pytest.fixture()
-def fallback_calls(monkeypatch):
-    calls = []
-
-    def spy(Q, R, params):
-        calls.append((Q, R))
-        return cv.are_equivalent(Q, R, params)
-
-    monkeypatch.setattr(orbit_mod, "are_equivalent", spy)
-    return calls
-
-
 def _sample(orbit19, rng, k):
     return [orbit19.point(rng.randrange(orbit19.n)) for _ in range(k)]
 
@@ -63,14 +51,13 @@ def _pairs_of_class(params, equal):
     return [(g, d) for g, sg in cg for d, sd in cd if (sg == sd) == equal]
 
 
-def test_equal_class_twists_accepted(orbit19, cfg19, rng, fallback_calls):
+def test_equal_class_twists_accepted(orbit19, cfg19, rng):
     params = cfg19.params
     pairs = params.equal_class_pairs()
     Qs = _sample(orbit19, rng, 60)
     Rs = [_twist(params.F, Q, *rng.choice(pairs)) for Q in Qs]
     assert all(cv.are_equivalent(Q, R, params) for Q, R in zip(Qs, Rs))
     assert make_checker(params).equivalent(_rows(Qs), _rows(Rs)).all()
-    assert not fallback_calls  # no degenerate row on the witness orbit
 
 
 def test_unequal_class_twists_refused(orbit19, cfg19, rng):
@@ -126,27 +113,16 @@ def test_inequivalent_pairs_refused(orbit19, cfg19, rng):
     assert not make_checker(params).equivalent(_rows(Qs), _rows(Rs)).any()
 
 
-def test_degenerate_rows_reach_scalar_fallback(cfg19, rng, fallback_calls):
-    # gamma and delta in one torus: when A_Q = 1 and A_R lies in that
-    # torus, the annihilators vanish on U and V, so no candidate is fixed
-    F = cfg19.F
-    params = Params(F, cfg19.params.gamma_mat, cfg19.params.gamma_mat)
-    one = ProjMat2.identity(F)
-    pairs = params.equal_class_pairs()
-    Qs, Rs, want = [], [], []
-    for j in range(16):
-        Q = (one,) + tuple(rand_psl2(F, rng) for _ in range(3))
-        if j % 2:
-            R = _twist(F, Q, *rng.choice(pairs))
-        else:
-            R = (one,) + tuple(rand_psl2(F, rng) for _ in range(3))
-        Qs.append(Q)
-        Rs.append(R)
-        want.append(cv.are_equivalent(Q, R, params))
-    assert any(want) and not all(want)
-    got = make_checker(params).equivalent(_rows(Qs), _rows(Rs))
-    assert got.tolist() == want
-    assert len(fallback_calls) == len(Qs)
+def test_one_torus_type_refused(cfg19):
+    # gamma and delta in one torus: rows with A_Q = 1 and A_R in that
+    # torus would fix no candidate, so the checker refuses the parameters
+    # (and with it the BFS and the reversal twist)
+    params = Params(cfg19.F, cfg19.params.gamma_mat, cfg19.params.gamma_mat)
+    assert not params.satisfies_nonconjugation()
+    with pytest.raises(ValueError, match="tori of different type"):
+        make_checker(params)
+    with pytest.raises(ValueError, match="tori of different type"):
+        orbit_mod.enumerate_orbit(cfg19.P, params)
 
 
 def _twisted_coset_equivalent(params, g, h, Q, R):
@@ -173,12 +149,9 @@ def test_epsilon_twisted_rows_match_twisted_coset(orbit19, cfg19, rng):
     sample = np.array(rng.sample(range(orbit19.n), 12), dtype=np.int64)
     rows = np.concatenate([sample, sample])
     targets = np.concatenate([eps[sample], eps[(sample + 1) % orbit19.n]])  # images, misses
-    twisted = orbit_mod._twisted_reversal(params, g, h, orbit19.points[rows])
+    twisted = orbit_mod._twisted_reversal(params.F.p, g, h, orbit19.points[rows])
     got = make_checker(params).equivalent(twisted, orbit19.points[targets])
     want = [_twisted_coset_equivalent(params, g, h, orbit19.point(i), orbit19.point(j))
             for i, j in zip(rows, targets)]
     assert got.tolist() == want
     assert want[:12] == [True] * 12 and not any(want[12:])
-    # the twisted rows are determinant-1 lifts of the images
-    for row in twisted[:3]:
-        row_to_quad(params.F, row)

@@ -110,6 +110,15 @@ def test_classify_small_fallback():
     assert cls.kind == "Symmetric"
 
 
+def test_classify_beyond_oracle_bound_inconclusive():
+    # above ORACLE_BOUND the stabilizer chain is not tried: the failed
+    # certificate search is the answer
+    n = pg.ORACLE_BOUND + 1
+    cls = pg.classify_giant([cyc(n, (0, 1))], n)
+    assert cls.kind == "Inconclusive" and cls.order is None
+    assert "not transitive" in cls.reason
+
+
 def test_imprimitive_wreath_inconclusive():
     # 50 blocks of size 2 inside degree 100: no prime cycle above n/2
     swap = cyc(100, (0, 1))

@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from charquo.laurent import ONE, ZERO, LaurentPoly2, qnum, qvar, svar
-from charquo.qlinalg import (ScaledMatrix, ff_echelon, ff_jordan, mat_eq,
-                             mat_mul, nullspace, rank, solve_in_span)
+from charquo.qlinalg import (ScaledMatrix, ff_jordan, mat_eq, mat_mul,
+                             nullspace, solve_in_span)
 
 
 def C(n):
@@ -15,22 +16,35 @@ def int_matrix(rows):
     return [[C(v) for v in row] for row in rows]
 
 
-def test_rank_integer_cases():
-    assert rank(int_matrix([[1, 2], [2, 4]])) == 1
-    assert rank(int_matrix([[1, 0], [0, 1]])) == 2
-    assert rank(int_matrix([[0, 0], [0, 0]])) == 0
-    assert rank([]) == 0
+def _det(M):
+    """Laplace expansion along the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    acc = ZERO
+    for j, a in enumerate(M[0]):
+        if a.terms:
+            term = a * _det([row[:j] + row[j + 1:] for row in M[1:]])
+            acc = acc + (term if j % 2 == 0 else -term)
+    return acc
 
 
-def test_ff_echelon_exactness():
-    rng = random.Random(3)
-    for _ in range(50):
-        A = int_matrix([[rng.randrange(-5, 6) for _ in range(5)] for _ in range(4)])
-        rows, pivots, _ = ff_echelon(A)
-        # echelon: below each pivot everything is zero
-        for k, c in enumerate(pivots):
-            for i in range(k + 1, len(rows)):
-                assert rows[i][c].is_zero()
+def _minor_rank(A):
+    """Largest k with a nonzero k x k minor: the rank over the fraction
+    field, computed without elimination."""
+    m, n = len(A), len(A[0]) if A else 0
+    for k in range(min(m, n), 0, -1):
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                if _det([[A[r][c] for c in cs] for r in rs]).terms:
+                    return k
+    return 0
+
+
+def test_minor_rank_integer_cases():
+    assert _minor_rank(int_matrix([[1, 2], [2, 4]])) == 1
+    assert _minor_rank(int_matrix([[1, 0], [0, 1]])) == 2
+    assert _minor_rank(int_matrix([[0, 0], [0, 0]])) == 0
+    assert _minor_rank([]) == 0
 
 
 def test_nullspace_verifies():
@@ -40,7 +54,7 @@ def test_nullspace_verifies():
         A = [[rng.choice([ZERO, ONE, qvar(1), svar(-1), qnum(2)])
               for _ in range(n)] for _ in range(m)]
         kern = nullspace(A, ncols=n)
-        assert len(kern) == n - rank(A)
+        assert len(kern) == n - _minor_rank(A)
         for vec in kern:
             img = mat_mul(A, [[v] for v in vec])
             assert all(e.is_zero() for row in img for e in row)
@@ -72,19 +86,32 @@ def test_solve_in_span_rejects_outside():
         solve_in_span(A, B)
 
 
+def _check_jordan_form(A):
+    """Every pivot entry equals the final pivot d, and each pivot column
+    is zero above and below its pivot; returns the rank."""
+    rows, pivots, d = ff_jordan(A)
+    for k, c in enumerate(pivots):
+        assert rows[k][c] == d
+        for i in range(len(rows)):
+            if i != k:
+                assert rows[i][c].is_zero()
+    return len(pivots)
+
+
 def test_jordan_pivot_normalization():
     rng = random.Random(5)
     for _ in range(30):
         n = rng.randrange(2, 5)
         A = int_matrix([[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)])
-        rows, pivots, d = ff_jordan(A)
-        if len(pivots) < n:
-            continue
-        for k, c in enumerate(pivots):
-            assert rows[k][c] == d
-            for i in range(n):
-                if i != k:
-                    assert rows[i][c].is_zero()
+        _check_jordan_form(A)
+    # rank-deficient 4 x 5 cases: a repeated row sum and a zero column
+    rng = random.Random(3)
+    for _ in range(50):
+        rows = [[rng.randrange(-5, 6) for _ in range(5)] for _ in range(3)]
+        rows.insert(rng.randrange(4), [a + b for a, b in zip(rows[0], rows[1])])
+        zero = rng.randrange(5)
+        A = int_matrix([[0 if c == zero else v for c, v in enumerate(r)] for r in rows])
+        assert _check_jordan_form(A) == _minor_rank(A) <= 3
 
 
 def test_scaled_matrix_ops():

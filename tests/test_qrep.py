@@ -3,7 +3,7 @@ import pytest
 from charquo import qrep as qr
 from charquo.laurent import (ONE, ZERO, RationalFn2, qbinom, qnum,
                              qs_monomial, qvar, svar)
-from charquo.numutil import binom
+from charquo.numutil import InvariantError, binom
 from charquo.qlinalg import ScaledMatrix, mat_eq, mat_mul
 
 
@@ -123,6 +123,16 @@ def test_intertwiner_J():
         assert info["phi_squared_scalar"]
 
 
+def test_intertwiner_J_singular_refused(monkeypatch):
+    # a one-entry kernel vector makes J singular at every point
+    mats = qr.braid_matrices(4, 1)
+    d = mats.dim
+    monkeypatch.setattr(qr, "nullspace",
+                        lambda rows: [[ONE] + [ZERO] * (d * d - 1)])
+    with pytest.raises(InvariantError, match="singular"):
+        qr.intertwiner_J(mats)
+
+
 def test_specialize_good_point():
     mats = qr.braid_matrices(4, 1)
     rep = qr.specialize(mats, 1009, 3, 5)
@@ -132,7 +142,7 @@ def test_specialize_good_point():
 
 
 def test_specialize_flip_at_unit_point():
-    S = ScaledMatrix.of_ring(qr.sigma_on_V(3, 2, 1))
+    S = ScaledMatrix(qr.sigma_on_V(3, 2, 1), ONE)
     M = S.eval_mod(1, 1, 97)
     comps = qr.compositions(3, 2)
     idx = {c: k for k, c in enumerate(comps)}
