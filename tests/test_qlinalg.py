@@ -104,8 +104,16 @@ def test_jordan_pivot_normalization():
         n = rng.randrange(2, 5)
         A = int_matrix([[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)])
         _check_jordan_form(A)
-    # rank-deficient 4 x 5 cases: a repeated row sum and a zero column
+
+
+def test_ff_echelon_exactness():
+    """Fraction-free elimination of 4 x 5 integer matrices stays exact:
+    the reduced echelon form holds and the pivot count is the rank."""
     rng = random.Random(3)
+    for _ in range(50):
+        A = int_matrix([[rng.randrange(-5, 6) for _ in range(5)] for _ in range(4)])
+        assert _check_jordan_form(A) == _minor_rank(A)
+    # rank-deficient cases: a repeated row sum and a zero column
     for _ in range(50):
         rows = [[rng.randrange(-5, 6) for _ in range(5)] for _ in range(3)]
         rows.insert(rng.randrange(4), [a + b for a, b in zip(rows[0], rows[1])])
