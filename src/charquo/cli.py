@@ -271,7 +271,7 @@ def build_parser():
     o.add_argument("--max-points", type=int, default=2_000_000)
     o.add_argument("--words", type=int, default=300,
                    help="random-word budget for giant recognition")
-    o.add_argument("--count-budget", type=int, default=47,
+    o.add_argument("--count-budget", type=int, default=59,
                    help="largest p for the |X| counting loop")
     o.add_argument("--dump", help="write the orbit key dump (CHQO format)")
     o.add_argument("--no-permutations", action="store_true",
@@ -282,7 +282,7 @@ def build_parser():
     c = sub.add_parser("count", help="count |X^(2)| by the membership equations")
     c.add_argument("p", type=int)
     c.add_argument("--orbit", help="orbit dump to compare against (ratio)")
-    c.add_argument("--count-budget", type=int, default=47)
+    c.add_argument("--count-budget", type=int, default=59)
     common(c)
     c.set_defaults(func=cmd_count)
 

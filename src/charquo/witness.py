@@ -362,41 +362,59 @@ def normalize_unipotent_decomposition(F, dec):
 
 # -- counting X^(2) -------------------------------------------------------
 
-def count_x(params: Params, max_prime: int = 47) -> int:
-    """Number of canonical 7-tuple keys satisfying the membership
-    equations: loop over (a, b, c, x, z), solve linearly for the last
-    coordinate when b != 0 (scan it when b = 0), filter by the Fricke
-    relation and y = tr(delta), dedupe by canonical key.
+def count_x(params: Params, max_prime: int = 59) -> int:
+    """Number of distinct canonical 7-tuple keys of the solution set S
+    of the membership equations, counted without the orbit.
+
+    S is the set of tuples (a, b, c, x, y, z, p7) with, for one sign
+    eps = +-1, y = eps tr(delta), b p7 + a c - x z = eps (tr(gamma) +
+    tr(delta)) and Fricke value 0.  Under a flip (e1, e2, e3) of
+    charvar.FLIP_SIGNS the coordinates scale by (e1, e2, e3, e2 e3,
+    e1 e3, e1 e2, e1 e2 e3), so y, a c, b p7 and x z all scale by
+    e1 e3, and the Fricke value is invariant: S is closed under the 8
+    flips, and a flip with e1 e3 = -1 swaps eps.  Hence every flip
+    orbit in S meets the slice eps = +1, a <= (p-1)/2, b <= (p-1)/2:
+    - (-1, 1, 1) moves a member with eps = -1 to eps = +1;
+    - (-1, 1, -1) then negates a and keeps b and y;
+    - (1, -1, 1) then negates b and keeps a and y.
+    A canonical key is the minimum over all 8 flips, so the slice has
+    exactly as many distinct keys as S.
+
+    The scan runs over (a, b) in that slice and all (c, x, z), solves
+    the linear equation for p7 when b != 0 (scans p7 when b = 0), keeps
+    the tuples with Fricke value 0 and dedupes them by canonical key:
+    ((p+1)/2)^2 slices of p^3 candidates each, O(p^5 / 4) work.
     """
     F = params.F
     p = F.p
     if p > max_prime:
-        raise BudgetError(f"count_x refuses p={p} > {max_prime} (O(p^5) loop)")
+        raise BudgetError(f"count_x refuses p={p} > {max_prime} "
+                          f"(about {((p + 1) // 2) ** 2 * p ** 3} candidate tuples)")
     if not params.satisfies_nonconjugation():
         raise WitnessError("count_x requires the split/non-split assumption")
     idx = np.arange(p, dtype=np.int64)
     C3, X3, Z3 = np.meshgrid(idx, idx, idx, indexing="ij")
     c3, x3, z3 = C3.ravel(), X3.ravel(), Z3.ravel()
+    y0 = params.tdelta % p
+    target = (params.tgamma + params.tdelta) % p
+    half = (p + 1) // 2  # a, b in [0, (p-1)/2]
     keys = np.empty(0, dtype=np.int64)
-    for eps in (1, -1):
-        y0 = eps * params.tdelta % p
-        target = eps * (params.tgamma + params.tdelta) % p
-        for a in range(p):
-            found = [keys]
-            for b in range(p):
-                if b:
-                    c, x, z = c3, x3, z3
-                    p7 = (target - a * c3 + x3 * z3) % p * F.inv(b) % p
-                else:  # p7 is free: every value is scanned
-                    m0 = (a * c3 - x3 * z3) % p == target
-                    c, x, z = (np.tile(v[m0], p) for v in (c3, x3, z3))
-                    p7 = np.repeat(idx, int(m0.sum()))
-                t = (a, b, c, x, y0, z, p7)
-                m = fricke_value(t, p) == 0
-                if m.any():
-                    cols = [np.broadcast_to(v, m.shape)[m] for v in t]
-                    found.append(canon_keys_np(p, np.stack(cols, axis=-1)))
-            keys = _sorted_unique(np.concatenate(found))
+    for a in range(half):
+        found = [keys]
+        for b in range(half):
+            if b:
+                c, x, z = c3, x3, z3
+                p7 = (target - a * c3 + x3 * z3) % p * F.inv(b) % p
+            else:  # p7 is free: every value is scanned
+                m0 = (a * c3 - x3 * z3) % p == target
+                c, x, z = (np.tile(v[m0], p) for v in (c3, x3, z3))
+                p7 = np.repeat(idx, int(m0.sum()))
+            t = (a, b, c, x, y0, z, p7)
+            m = fricke_value(t, p) == 0
+            if m.any():
+                cols = [np.broadcast_to(v, m.shape)[m] for v in t]
+                found.append(canon_keys_np(p, np.stack(cols, axis=-1)))
+        keys = _sorted_unique(np.concatenate(found))
     return len(keys)
 
 
@@ -746,7 +764,7 @@ class PipelineError(RuntimeError):
 
 
 def run_pipeline(p: int, seed: int = 0, max_points: int = 2_000_000,
-                 giant_budget: int = 300, count_budget: int = 47,
+                 giant_budget: int = 300, count_budget: int = 59,
                  include_permutations: bool = True, dump_path=None) -> dict:
     """Witness -> orbit -> permutations -> classification -> verdict.
 

@@ -133,6 +133,61 @@ def test_count_x_rejects_bad_params():
         wt.count_x(cfg.params, max_prime=101)
 
 
+def _reference_solutions(params):
+    """Every solution tuple of the membership equations, as an (N, 7)
+    array: the full scan over both signs eps and every (a, b), without
+    the flip-orbit slice that count_x uses."""
+    F, p = params.F, params.F.p
+    idx = np.arange(p, dtype=np.int64)
+    c3, x3, z3 = (v.ravel() for v in np.meshgrid(idx, idx, idx, indexing="ij"))
+    found = []
+    for eps in (1, -1):
+        y0 = eps * params.tdelta % p
+        target = eps * (params.tgamma + params.tdelta) % p
+        for a in range(p):
+            for b in range(p):
+                if b:
+                    c, x, z = c3, x3, z3
+                    p7 = (target - a * c3 + x3 * z3) % p * F.inv(b) % p
+                else:
+                    m0 = (a * c3 - x3 * z3) % p == target
+                    c, x, z = (np.tile(v[m0], p) for v in (c3, x3, z3))
+                    p7 = np.repeat(idx, int(m0.sum()))
+                t = (a, b, c, x, y0, z, p7)
+                m = cv.fricke_value(t, p) == 0
+                found.append(np.stack([np.broadcast_to(v, m.shape)[m] for v in t], axis=-1))
+    return np.concatenate(found)
+
+
+@pytest.mark.parametrize("p", [17, 19, 23])
+def test_count_x_matches_reference_scan(p):
+    params = wt.build(p).params
+    sols = _reference_solutions(params)
+    assert wt.count_x(params) == len(np.unique(cv.canon_keys_np(p, sols)))
+
+
+def test_flip_orbits_meet_the_count_slice(cfg19):
+    # the reduction count_x relies on: the solution set is closed under
+    # the 8 flips, and each flip orbit has a member in its slice
+    p, params = cfg19.p, cfg19.params
+    sols = _reference_solutions(params)
+    packed = np.sort(pack_np(p, sols))
+    half = (p - 1) // 2
+    in_slice = np.zeros(len(sols), dtype=bool)
+    for signs in cv.FLIP_SIGNS:
+        img = np.where(np.array(signs) == 1, sols, (p - sols) % p)
+        img_packed = pack_np(p, img)
+        pos = np.minimum(np.searchsorted(packed, img_packed), len(packed) - 1)
+        assert (packed[pos] == img_packed).all(), signs
+        in_slice |= ((img[:, 4] == params.tdelta % p)
+                     & (img[:, 0] <= half) & (img[:, 1] <= half))
+    assert in_slice.all()
+
+
+def test_count_x_equals_orbit_p31(cfg31, orbit31):
+    assert wt.count_x(cfg31.params) == orbit31.n == 230400
+
+
 def test_run_pipeline_report_shape():
     rep = wt.run_pipeline(19, seed=7, include_permutations=True)
     assert rep["p"] == 19
