@@ -28,18 +28,29 @@ indices in ascending key order, and they are merged into the visited
 array once per layer.  Every row except the first of a new group is a
 recurrent edge, verified against its group's representative.
 
-The row kernels (fast_keys, exact verification, letter permutations,
-the backstop) run over CHUNK_ROWS rows at a time, so their temporaries
-are bounded whatever the orbit size.  What grows with the orbit is 128
-bytes per point (the int64 quadruple) plus 16 per visited key (key and
-point index), and, per layer, 128 bytes per image of the frontier
-(six per frontier point) with a few int64 words of sort state.
+Each layer also returns where every image of its frontier landed: the
+point index of the image's key group, as int32.  These successor
+arrays are the verified BFS edges; once the BFS closes they are
+renumbered by ascending key into the six letter permutations, and the
+check that each sigma_i and sigma_i^-1 pair is mutually inverse makes
+them permutations.  No image is applied or keyed a second time.
+
+The row kernels (fast_keys, exact verification, the backstop) run over
+CHUNK_ROWS rows at a time, so their temporaries are bounded whatever
+the orbit size.  What grows with the orbit is 128 bytes per point (the
+int64 quadruple) plus 16 per visited key (key and point index) and,
+during the BFS, 24 per point of int32 successors (six letters); at rest
+the index keeps the six int64 letter permutations, 48 bytes per point.
+Per layer come 128 bytes per image of the frontier (six per frontier
+point, built in one buffer, one letter at a time) with a few int64
+words of sort state.  Successor indices are int32, so max_points must
+stay below 2^31.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,8 +264,8 @@ class OrbitIndex:
     params: Params
     points: np.ndarray  # (n, 16) int64, ascending key order
     keys: np.ndarray    # (n,) packed canonical trace keys, ascending
+    perms: dict         # letter -> (n,) int64 index permutation
     edges_verified: int = 0
-    _perm_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -283,16 +294,11 @@ class OrbitIndex:
         return i
 
     def letter_perm(self, letter) -> np.ndarray:
-        """Index permutation of one braid letter."""
-        if letter not in self._perm_cache:
-            idx = np.empty(self.n, dtype=np.int64)
-            for c in _row_chunks(self.n):
-                images = apply_letter_np(self.p, self.points[c], letter)
-                idx[c] = self.index_of_keys(fast_keys(self.p, images))
-            if (idx < 0).any():
-                raise OrbitError("orbit not closed: image key missing")
-            self._perm_cache[letter] = idx
-        return self._perm_cache[letter]
+        """Index permutation of one braid letter.  It is the BFS's map of
+        exact-verified edges (each image's key group, renumbered by
+        ascending key), not a second key lookup; enumerate_orbit checked
+        it against the letter's inverse."""
+        return self.perms[letter]
 
     def perm_of(self, word) -> np.ndarray:
         """Permutation of a braid word (leftmost letter applied first)."""
@@ -391,13 +397,18 @@ def validate_start(P, params: Params):
 def enumerate_orbit(P, params: Params, max_points=2_000_000,
                     frontier_shuffle_seed=None) -> OrbitIndex:
     """Closure of P under the six braid letters, every recurrent edge
-    verified exactly.  frontier_shuffle_seed reorders each frontier
-    (the result must not depend on it)."""
+    verified exactly, with the letter permutations read off the edges.
+    frontier_shuffle_seed reorders each frontier (the result must not
+    depend on it).  max_points must be below 2^31: successor indices
+    are stored as int32."""
     F = params.F
     p = F.p
     if p > MAX_PACKED_PRIME:
         raise OrbitBudgetError(f"p={p} exceeds the packed-key engine bound "
                                f"{MAX_PACKED_PRIME} (orbit would be ~p^4 points)", 0)
+    if max_points >= 2 ** 31:
+        raise OrbitBudgetError(f"max_points={max_points} is not below 2^31, the bound "
+                               "of the int32 BFS successor indices", 0)
     checker = make_checker(params)
     validate_start(P, params)
 
@@ -412,6 +423,7 @@ def enumerate_orbit(P, params: Params, max_points=2_000_000,
     vidx = np.zeros(1, dtype=np.int64)  # point index of each visited key
     frontier = np.array([0], dtype=np.int64)
     edges_verified = 0
+    layers = []  # (frontier, its (6, m) int32 successors) of each layer
 
     while len(frontier):
         if rng is not None:
@@ -419,11 +431,14 @@ def enumerate_orbit(P, params: Params, max_points=2_000_000,
             rng.shuffle(idx)
             frontier = frontier[np.array(idx, dtype=np.int64)]
         n_now = len(pts)
-        pts, vkeys, vidx, verified = _expand(p, pts, frontier, vkeys, vidx,
-                                             checker, max_points)
+        pts, vkeys, vidx, verified, succ = _expand(p, pts, frontier, vkeys, vidx,
+                                                   checker, max_points)
+        layers.append((frontier, succ))
         edges_verified += verified
         frontier = np.arange(n_now, len(pts), dtype=np.int64)
 
+    perms = _letter_perms(layers, vidx)
+    del layers
     pts = pts[vidx]
 
     # soundness backstop: every representative satisfies the defining equations
@@ -431,7 +446,28 @@ def enumerate_orbit(P, params: Params, max_points=2_000_000,
         if not _on_x_mask(params, pts[c]).all():
             raise OrbitError("internal error: representative violates the defining equations")
 
-    return OrbitIndex(params, pts, vkeys, edges_verified)
+    return OrbitIndex(params, pts, vkeys, perms, edges_verified)
+
+
+def _letter_perms(layers, vidx):
+    """The six letter permutations in ascending-key numbering, from the
+    per-layer successors (point numbering); OrbitError unless each
+    sigma_i undoes sigma_i^-1, which makes all six bijections."""
+    n = len(vidx)
+    succ = np.empty((len(LETTERS), n), dtype=np.int32)
+    for frontier, s in layers:
+        succ[:, frontier] = s
+    rank = np.empty(n, dtype=np.int64)  # point index -> ascending-key index
+    rank[vidx] = np.arange(n)
+    perms = {L: rank[succ[k][vidx]] for k, L in enumerate(LETTERS)}
+    ident = np.arange(n)
+    for i, _ in GENS:
+        moved = np.flatnonzero(perms[(i, 1)][perms[(i, -1)]] != ident)
+        if len(moved):
+            raise OrbitError(f"orbit not closed: the BFS edges of sigma{i} and "
+                             f"sigma{i}^-1 are not inverse at {len(moved)} points "
+                             f"(first: index {int(moved[0])})")
+    return perms
 
 
 def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
@@ -442,17 +478,23 @@ def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
     key (a recurrent edge) is verified against its key's
     representative, in sorted-key order.
 
-    Returns (pts, vkeys, vidx, edges verified); the layer's arrays die
-    with this call, before the next layer is built.
+    Returns (pts, vkeys, vidx, edges verified, successors): successors
+    is the (6, m) int32 point index of the image of each frontier point
+    under each letter.  The layer's other arrays die with this call,
+    before the next layer is built.
     """
+    m = len(frontier)
     batch = pts[frontier]
-    images = np.concatenate([apply_letter_np(p, batch, L) for L in LETTERS])
+    images = np.empty((len(LETTERS) * m, 16), dtype=np.int64)
+    for k, L in enumerate(LETTERS):
+        images[k * m:(k + 1) * m] = apply_letter_np(p, batch, L)
     del batch
     ikeys = fast_keys(p, images)
 
     # groups of equal key; a stable sort puts each group's smallest row first
     order_ = np.argsort(ikeys, kind="stable")
     skeys = ikeys[order_]
+    del ikeys
     head = np.empty(len(skeys), dtype=bool)
     head[0] = True
     np.not_equal(skeys[1:], skeys[:-1], out=head[1:])
@@ -475,16 +517,19 @@ def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
     rep[new] = new_idx
     recurrent = ~new_head
     rows = order_[recurrent]
-    reps = rep[np.cumsum(head)[recurrent] - 1]
-    bad = _first_inequivalent(checker, images, rows, pts, reps)
+    grec = (np.cumsum(head) - 1)[recurrent]  # group of each recurrent row
+    bad = _first_inequivalent(checker, images, rows, pts, rep[grec])
     if bad is not None:
         raise KeyCollisionError(
             "canonical trace key collision between inequivalent points "
-            f"(key {int(ikeys[rows[bad]])}); exact dedup falsified at p={p}")
+            f"(key {int(ukeys[grec[bad]])}); exact dedup falsified at p={p}")
+    del images
 
+    succ = np.empty(len(order_), dtype=np.int32)  # point index of each image
+    succ[order_] = rep[np.cumsum(head) - 1]
     vkeys = np.insert(vkeys, pos[new], ukeys[new])
     vidx = np.insert(vidx, pos[new], new_idx)
-    return pts, vkeys, vidx, len(rows)
+    return pts, vkeys, vidx, len(rows), succ.reshape(len(LETTERS), m)
 
 
 # -- the reversal twist ---------------------------------------------------

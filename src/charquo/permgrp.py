@@ -393,6 +393,7 @@ def giant_certificate(gens, n, seed=0, budget=300):
 @dataclass
 class GiantClassification:
     kind: str  # "Alternating" | "Symmetric" | "Inconclusive"
+    generator_signs: list  # sign of each generator, in order
     certificate: object = None  # GiantCertificate | None
     order: object = None  # exact order when the oracle ran
     reason: str = ""
@@ -402,19 +403,21 @@ def classify_giant(gens, n, seed=0, budget=300) -> GiantClassification:
     """Recognize the full alternating or symmetric group.
 
     Certificate path first (sound for any degree); exact stabilizer
-    chain as the fallback oracle up to degree ORACLE_BOUND.
+    chain as the fallback oracle up to degree ORACLE_BOUND.  The sign of
+    each generator is computed once and returned on every path.
     """
     gens = _int64_perms(gens)
+    signs = [sign(g) for g in gens]
     cert = giant_certificate(gens, n, seed=seed, budget=budget)
     if isinstance(cert, GiantCertificate):
-        kind = "Alternating" if all(sign(g) == 1 for g in gens) else "Symmetric"
-        return GiantClassification(kind, certificate=cert)
+        kind = "Alternating" if all(s == 1 for s in signs) else "Symmetric"
+        return GiantClassification(kind, signs, certificate=cert)
     if n <= ORACLE_BOUND:
         bsgs = schreier_sims([g.tolist() for g in gens], n)
         if bsgs.order == factorial(n):
-            return GiantClassification("Symmetric", order=bsgs.order)
+            return GiantClassification("Symmetric", signs, order=bsgs.order)
         if 2 * bsgs.order == factorial(n):
-            return GiantClassification("Alternating", order=bsgs.order)
-        return GiantClassification("Inconclusive", order=bsgs.order,
+            return GiantClassification("Alternating", signs, order=bsgs.order)
+        return GiantClassification("Inconclusive", signs, order=bsgs.order,
                                    reason="exact order below giant size")
-    return GiantClassification("Inconclusive", reason=cert.reason)
+    return GiantClassification("Inconclusive", signs, reason=cert.reason)

@@ -805,7 +805,7 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = 2_000_000,
 
     x_is_id = bool((x == np.arange(orbit.n)).all())
     x_sign = sign(x)
-    signs = {name: sign(g) for name, g in gens.items()}
+    signs = dict(zip(gens, cls.generator_signs))
     if cls.kind in ("Alternating", "Symmetric") and not x_is_id and x_sign == 1:
         verdict = (f"F2 surjects onto A_{orbit.n}: x = s1 s3^-1 acts nontrivially and "
                    "evenly, and a nontrivial normal subgroup of a giant containing "

@@ -94,6 +94,19 @@ def test_orbit_budget_exit(capsys):
     assert "budget" in out
 
 
+def test_orbit_max_points_int32_bound(capsys, monkeypatch):
+    # successor indices are int32: the bound is refused before any BFS layer
+    from charquo import orbit as orbit_mod
+
+    def no_layer(*args):
+        raise AssertionError("a BFS layer was expanded")
+
+    monkeypatch.setattr(orbit_mod, "_expand", no_layer)
+    code, out = run(capsys, "orbit", "19", "--max-points", "3000000000")
+    assert code == 2
+    assert "max_points=3000000000 is not below 2^31" in out
+
+
 def test_count_budget_refusal(capsys):
     code, out = run(capsys, "count", "9973")
     assert code == 2

@@ -163,17 +163,62 @@ def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
 
 
 def test_orbit_not_closed_cli_exit(monkeypatch, capsys):
-    # an image key missing from the index is an internal invariant: exit 3
-    index_of_keys = orbit_mod.OrbitIndex.index_of_keys
+    # a BFS edge map that is not a permutation is an internal invariant: exit 3
+    expand = orbit_mod._expand
+    state = {"done": False}
 
-    def lose_last(self, keys):
-        idx = index_of_keys(self, keys)
-        return np.where(idx == self.n - 1, -1, idx)
+    def redirect_one(*args):
+        *out, succ = expand(*args)
+        if not state["done"] and succ.shape[1] >= 2:
+            succ[0, 0] = succ[0, 1]  # two frontier points now share a sigma1 image
+            state["done"] = True
+        return (*out, succ)
 
-    monkeypatch.setattr(orbit_mod.OrbitIndex, "index_of_keys", lose_last)
+    monkeypatch.setattr(orbit_mod, "_expand", redirect_one)
     assert main(["orbit", "19", "--no-permutations"]) == 3
     out = capsys.readouterr().out
+    assert state["done"]
     assert "internal invariant violated: orbit not closed" in out
+    assert "sigma1 and sigma1^-1 are not inverse" in out
+
+
+def _reference_perm(orbit, letter):
+    """A letter's index permutation by re-keying: apply the letter to
+    every point, key the images and look the keys up in the index."""
+    images = orbit_mod.apply_letter_np(orbit.p, orbit.points, letter)
+    idx = orbit.index_of_keys(fast_keys(orbit.p, images))
+    assert (idx >= 0).all()
+    return idx
+
+
+def test_letter_perms_match_rekeying_p19(orbit19):
+    for L in LETTERS:
+        assert (orbit19.letter_perm(L) == _reference_perm(orbit19, L)).all(), L
+
+
+def test_letter_perms_match_rekeying_p31(orbit31):
+    for L in (bq.S1, bq.S2i):
+        assert (orbit31.letter_perm(L) == _reference_perm(orbit31, L)).all(), L
+
+
+def test_letter_perms_apply_no_letter(cfg19, monkeypatch):
+    # the permutations come from the BFS edges: after the BFS, reading
+    # them (and composing x and y) applies no letter
+    calls = []
+    apply = orbit_mod.apply_letter_np
+
+    def spy(*args):
+        calls.append(args[2])
+        return apply(*args)
+
+    monkeypatch.setattr(orbit_mod, "apply_letter_np", spy)
+    orbit = enumerate_orbit(cfg19.P, cfg19.params)
+    in_bfs = len(calls)
+    assert in_bfs > 0
+    for L in LETTERS:
+        orbit.letter_perm(L)
+    orbit.f2_perms()
+    assert len(calls) == in_bfs
 
 
 def test_epsilon_involution_and_twist(orbit19, cfg19):

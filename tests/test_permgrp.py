@@ -94,6 +94,7 @@ def test_giant_certificate_s100():
     assert cert.revalidate(gens)
     cls = pg.classify_giant(gens, 100, seed=3)
     assert cls.kind == "Symmetric"
+    assert cls.generator_signs == [-1, -1]  # a 100-cycle and a transposition
 
 
 def test_small_window_inconclusive():
@@ -106,8 +107,10 @@ def test_small_window_inconclusive():
 def test_classify_small_fallback():
     cls = pg.classify_giant([cyc(4, (0, 1, 2)), cyc(4, (1, 2, 3))], 4)
     assert cls.kind == "Alternating" and cls.order == 12
+    assert cls.generator_signs == [1, 1]
     cls = pg.classify_giant([cyc(4, (0, 1, 2, 3)), cyc(4, (0, 1))], 4)
     assert cls.kind == "Symmetric"
+    assert cls.generator_signs == [-1, -1]
 
 
 def test_classify_beyond_oracle_bound_inconclusive():
