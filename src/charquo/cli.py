@@ -18,10 +18,9 @@ import tempfile
 from . import __version__
 from . import qrep as qr
 from . import witness as wt
-from .numutil import InvariantError
-from .orbit import (EpsilonOutsideOrbitError, OrbitBudgetError, OrbitError,
-                    read_dump)
-from .permgrp import CertificateError
+from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitBudgetError,
+                    OrbitError, read_dump)
+from .permgrp import WORD_BUDGET, CertificateError
 from .qrep import BadSpecializationError
 
 EXIT_OK = 0
@@ -268,10 +267,10 @@ def build_parser():
                                      "the induced permutation action")
     o.add_argument("p", type=int)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--max-points", type=int, default=2_000_000)
-    o.add_argument("--words", type=int, default=300,
+    o.add_argument("--max-points", type=int, default=MAX_POINTS)
+    o.add_argument("--words", type=int, default=WORD_BUDGET,
                    help="random-word budget for giant recognition")
-    o.add_argument("--count-budget", type=int, default=59,
+    o.add_argument("--count-budget", type=int, default=wt.COUNT_MAX_PRIME,
                    help="largest p for the |X| counting loop")
     o.add_argument("--dump", help="write the orbit key dump (CHQO format)")
     o.add_argument("--no-permutations", action="store_true",
@@ -282,7 +281,7 @@ def build_parser():
     c = sub.add_parser("count", help="count |X^(2)| by the membership equations")
     c.add_argument("p", type=int)
     c.add_argument("--orbit", help="orbit dump to compare against (ratio)")
-    c.add_argument("--count-budget", type=int, default=59)
+    c.add_argument("--count-budget", type=int, default=wt.COUNT_MAX_PRIME)
     common(c)
     c.set_defaults(func=cmd_count)
 
@@ -309,7 +308,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvariantError as e:
+    except ArithmeticError as e:
+        # InvariantError, ExactDivisionError, bare raises: never bad input
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as e:

@@ -1,9 +1,9 @@
-"""Exact sparse arithmetic in Z[q^+-1, s^+-1] and its fraction field.
+"""Exact sparse arithmetic in the ring Z[q^+-1, s^+-1].
 
 A LaurentPoly2 is a dict {(q_exp, s_exp): coeff} with no zero
-coefficients; exponents may be negative.  Rational functions are
-reduced by integer and monomial content only (no multivariate gcd);
-equality goes through cross-multiplication.
+coefficients; exponents may be negative.  This module is the ring
+only: fractions are qlinalg.ScaledMatrix values (a ring matrix over
+one common denominator), 1x1 for a scalar.
 """
 
 from __future__ import annotations
@@ -274,89 +274,3 @@ def qbinom(n: int, k: int) -> LaurentPoly2:
         row = new
     return row[k]
 
-
-# -- rational functions ----------------------------------------------------
-
-class RationalFn2:
-    """num / den with both in the Laurent ring; reduced by content only."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly2, den: LaurentPoly2 = ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        npart, ncont = num.strip_content()
-        dpart, dcont = den.strip_content()
-        cn = next(iter(ncont.terms.items()))
-        cd = next(iter(dcont.terms.items()))
-        g = gcd(abs(cn[1]), abs(cd[1]))
-        sign = -1 if cd[1] < 0 else 1
-        self.num = npart * LaurentPoly2.monomial(sign * cn[1] // g,
-                                                 cn[0][0] - cd[0][0],
-                                                 cn[0][1] - cd[0][1])
-        self.den = dpart * LaurentPoly2.const(sign * cd[1] // g)
-
-    @classmethod
-    def of(cls, x):
-        if isinstance(x, RationalFn2):
-            return x
-        if isinstance(x, LaurentPoly2):
-            return cls(x)
-        return cls(LaurentPoly2.const(int(x)))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        other = RationalFn2.of(other)
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("rational functions are not hashable")
-
-    def __add__(self, other):
-        other = RationalFn2.of(other)
-        return RationalFn2(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn2(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RationalFn2.of(other))
-
-    def __rsub__(self, other):
-        return RationalFn2.of(other) - self
-
-    def __mul__(self, other):
-        other = RationalFn2.of(other)
-        return RationalFn2(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RationalFn2(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * RationalFn2.of(other).inv()
-
-    def bar(self):
-        return RationalFn2(self.num.bar(), self.den.bar())
-
-    def eval_mod(self, q0, s0, r):
-        d = self.den.eval_mod(q0, s0, r)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.eval_mod(q0, s0, r) * pow(d, r - 2, r) % r
-
-    def __repr__(self):
-        if self.den == ONE:
-            return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"

@@ -58,7 +58,7 @@ from . import braidquandle as bq
 from .charvar import Params, canon_keys_np, from_quad
 from .ffield import (NotConjugateError, ProjMat2, conjugator,
                      centralizer_element_of_class, legendre_table, mat_det,
-                     mat_mul, minv_np, mm_np, mm_raw, pack_np,
+                     mat_inv, mat_mul, mat_neg, minv_np, mm_np, mm_raw, pack_np,
                      pencil_annihilators, pgl_canon,
                      psl_canon_np, tr_np, unpack_np)
 
@@ -70,6 +70,10 @@ MAX_PACKED_PRIME = 509  # 7 base-p digits must fit in an int64
 # Rows per kernel call.  Results do not depend on it; it only bounds the
 # temporaries (a few KB per row) of fast_keys and exact verification.
 CHUNK_ROWS = 65_536
+
+# Default cap on the orbit size (the enumerate_orbit and pipeline
+# default, and that of `charquo orbit --max-points`).
+MAX_POINTS = 2_000_000
 
 
 def _row_chunks(n):
@@ -389,12 +393,19 @@ def _on_x_mask(params: Params, rows) -> np.ndarray:
 
 
 def validate_start(P, params: Params):
-    """Raise ValueError unless the quadruple P lies in X for params."""
-    if not _on_x_mask(params, quad_to_row(P)[None, :])[0]:
+    """Raise ValueError unless the quadruple P lies in X for params: the
+    equations of _on_x_mask, in Python ints, so exact at any p (the
+    int64 products of the mask are exact only below about p = 2^31)."""
+    F = params.F
+    A, B, C, D = (X.m for X in P)
+    gam = mat_mul(F, mat_mul(F, A, mat_inv(F, B)), mat_mul(F, C, mat_inv(F, D)))
+    del_ = mat_mul(F, mat_mul(F, mat_inv(F, A), B), mat_mul(F, mat_inv(F, C), D))
+    want = (tuple(params.gamma_mat), tuple(params.delta_mat))
+    if (gam, del_) not in (want, tuple(mat_neg(F, m) for m in want)):
         raise ValueError("gamma mismatch: point does not lie in X for these parameters")
 
 
-def enumerate_orbit(P, params: Params, max_points=2_000_000,
+def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
                     frontier_shuffle_seed=None) -> OrbitIndex:
     """Closure of P under the six braid letters, every recurrent edge
     verified exactly, with the letter permutations read off the edges.

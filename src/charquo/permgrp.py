@@ -145,6 +145,9 @@ class BSGS:
 # storage); giant recognition is the tool beyond it.
 ORACLE_BOUND = 5000
 
+# Default number of random words the giant-certificate search tries.
+WORD_BUDGET = 300
+
 
 class OracleBoundExceeded(ValueError):
     pass
@@ -363,7 +366,7 @@ def _random_word(n_gens, rng):
     return [(rng.randrange(n_gens), rng.choice((1, -1))) for _ in range(length)]
 
 
-def giant_certificate(gens, n, seed=0, budget=300):
+def giant_certificate(gens, n, seed=0, budget=WORD_BUDGET):
     """Monte-Carlo search for a prime-cycle certificate.
 
     One-sided: returns a GiantCertificate on success, otherwise an
@@ -399,7 +402,7 @@ class GiantClassification:
     reason: str = ""
 
 
-def classify_giant(gens, n, seed=0, budget=300) -> GiantClassification:
+def classify_giant(gens, n, seed=0, budget=WORD_BUDGET) -> GiantClassification:
     """Recognize the full alternating or symmetric group.
 
     Certificate path first (sound for any degree); exact stabilizer

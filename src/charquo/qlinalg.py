@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import ONE, ZERO, LaurentPoly2, RationalFn2
+from .laurent import ONE, ZERO, LaurentPoly2
 
 
 def mat_mul(A, B):
@@ -140,7 +140,8 @@ def _strip_vector(vec):
 
 @dataclass
 class ScaledMatrix:
-    """A matrix over the fraction field as (num matrix, common den)."""
+    """A matrix over the fraction field as (num matrix, common den); the
+    engine's one fraction type (a scalar is a 1x1 ScaledMatrix)."""
 
     num: list
     den: LaurentPoly2
@@ -161,9 +162,6 @@ class ScaledMatrix:
 
     def transpose(self):
         return ScaledMatrix(mat_transpose(self.num), self.den)
-
-    def entry(self, i, j) -> RationalFn2:
-        return RationalFn2(self.num[i][j], self.den)
 
     def is_scalar(self) -> bool:
         m, n = self.shape

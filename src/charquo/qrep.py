@@ -8,14 +8,18 @@ tensor power through the R-matrix on factors (i, i+1).  The weight
 space of tensors with index sum l is V_{n,l}; the highest-weight space
 W_{n,l} = ker(E) inside it carries the representation, of dimension
 binom(n+l-2, l).
+
+Fractions are qlinalg.ScaledMatrix values (a ring matrix over one common
+denominator): the braid matrices, the 1x1 W_{2,l} eigenvalue and the
+twisted hermitian form H, whose identities are checked on num(H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import matmul
 
-from .laurent import (ONE, ZERO, LaurentPoly2, RationalFn2, qbinom, qfact,
-                      qs_monomial)
+from .laurent import ONE, ZERO, LaurentPoly2, qbinom, qfact, qs_monomial
 from .numutil import InvariantError, binom, is_prime
 from .qlinalg import (ScaledMatrix, mat_eq, mat_mul, mat_transpose,
                       nullspace, solve_in_span)
@@ -140,16 +144,18 @@ class RepMatrices:
     sigma: dict          # generator index -> ScaledMatrix on the W basis
 
 
-def braid_relations_hold(sigma: dict, n: int) -> bool:
-    """Exact check of all defining relations among the given matrices."""
+def braid_relations_hold(sigma: dict, n: int, mul) -> bool:
+    """Check of all defining relations of B_n among sigma[1..n-1], with
+    mul the matrix product and == the equality of its results (exact for
+    ScaledMatrix and ring matrices, mod r for specialised ones)."""
     for i in range(1, n - 1):
         a, b = sigma[i], sigma[i + 1]
-        ab = a @ b
-        if not (ab @ a == b @ ab):
+        ab = mul(a, b)
+        if not mul(ab, a) == mul(b, ab):
             return False
     for i in range(1, n):
         for j in range(i + 2, n):
-            if not (sigma[i] @ sigma[j] == sigma[j] @ sigma[i]):
+            if not mul(sigma[i], sigma[j]) == mul(sigma[j], sigma[i]):
                 return False
     return True
 
@@ -165,29 +171,25 @@ def braid_matrices(n: int, ell: int) -> RepMatrices:
         S = sigma_on_V(n, ell, i)
         B = mat_mul(S, A)
         sigma[i] = solve_in_span(A, B)
-    if not braid_relations_hold(sigma, n):
+    if not braid_relations_hold(sigma, n, matmul):
         raise ArithmeticError(f"braid relations fail on W_{n},{ell}")
     return RepMatrices(n, ell, d, basis, A, sigma)
 
 
-def w2_eigenvalue(ell: int) -> RationalFn2:
-    """The scalar by which sigma_1 acts on the one-dimensional W_{2, ell}."""
-    mats = braid_matrices(2, ell)
-    return mats.sigma[1].entry(0, 0)
+def w2_eigenvalue(ell: int) -> ScaledMatrix:
+    """sigma_1 on the one-dimensional W_{2, ell}, a 1x1 ScaledMatrix."""
+    return braid_matrices(2, ell).sigma[1]
 
 
-def expected_w2_eigenvalue(ell: int) -> RationalFn2:
-    return RationalFn2(qs_monomial(ell * (ell - 1), -2 * ell,
-                                   -1 if ell % 2 else 1))
+def expected_w2_eigenvalue(ell: int) -> ScaledMatrix:
+    return ScaledMatrix([[qs_monomial(ell * (ell - 1), -2 * ell,
+                                      -1 if ell % 2 else 1)]], ONE)
 
 
 def yang_baxter_on_v(ell: int) -> bool:
     """(R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R) on V_{3, ell}, exact."""
-    s1 = sigma_on_V(3, ell, 1)
-    s2 = sigma_on_V(3, ell, 2)
-    lhs = mat_mul(mat_mul(s1, s2), s1)
-    rhs = mat_mul(mat_mul(s2, s1), s2)
-    return mat_eq(lhs, rhs)
+    return braid_relations_hold({i: sigma_on_V(3, ell, i) for i in (1, 2)},
+                                3, mat_mul)
 
 
 def e_commutes_with_braiding(n: int, ell: int) -> bool:
@@ -266,51 +268,41 @@ def qbinom_product_identity(t: int) -> bool:
 
 # -- the hermitian form -------------------------------------------------------
 
-def h_value(m: int) -> RationalFn2:
-    """(v_m, v_m) of the normalized invariant form."""
-    num = (qs_monomial(1, 0) - qs_monomial(-1, 0)) ** m
-    den = qfact(m) * _torus_factor(0, m, 0)
-    return RationalFn2(num, den)
-
-
-def hermitian_form(ell: int):
-    """The pairing matrix on V_{4, ell} for the reversal-twisted form:
-    <e_I, e_J> is nonzero only for J = reverse(I).  Returned as
-    (composition list, {row: (col, value)})."""
+def hermitian_form(ell: int) -> ScaledMatrix:
+    """The pairing matrix H on V_{4, ell} of the reversal-twisted form:
+    <e_I, e_J> is nonzero only for J = reverse(I), where it is the
+    product over the parts m of I of (v_m, v_m) = (q - q^-1)^m / den_m,
+    den_m = [m]! prod_{k<m} (s q^-k - s^-1 q^k).  A part m occurs at
+    most min(4, ell // m) times, so H has the common denominator
+    prod_m den_m^min(4, ell // m)."""
     comps = compositions(4, ell)
     index = {c: k for k, c in enumerate(comps)}
-    hv = {m: h_value(m) for m in range(ell + 1)}
-    entries = {}
+    dens = {m: qfact(m) * _torus_factor(0, m, 0) for m in range(1, ell + 1)}
+    top = {m: min(4, ell // m) for m in dens}
+    den = ONE
+    for m, e in top.items():
+        den = den * dens[m] ** e
+    # the parts of every composition sum to ell
+    lead = (qs_monomial(1, 0) - qs_monomial(-1, 0)) ** ell
+    H = [[ZERO] * len(comps) for _ in comps]
     for r, c in enumerate(comps):
-        col = index[c[::-1]]
-        val = RationalFn2.of(1)
-        for m in c:
-            val = val * hv[m]
-        entries[r] = (col, val)
-    return comps, entries
+        val = lead
+        for m, e in top.items():
+            val = val * dens[m] ** (e - c.count(m))
+        H[r][index[c[::-1]]] = val
+    return ScaledMatrix(H, den)
 
 
 def starred_identities_check(ell: int) -> bool:
     """sigma_1^T H bar(sigma_3) = sigma_2^T H bar(sigma_2)
-    = sigma_3^T H bar(sigma_1) = H on V_{4, ell}, exactly."""
-    comps, H = hermitian_form(ell)
-    D = len(comps)
+    = sigma_3^T H bar(sigma_1) = H on V_{4, ell}, exactly, on num(H):
+    the one scalar denominator of H cancels from both sides."""
+    N = hermitian_form(ell).num
     mats = {i: sigma_on_V(4, ell, i) for i in (1, 2, 3)}
-    bars = {i: [[e.bar() for e in row] for row in mats[i]] for i in (1, 2, 3)}
     for i in (1, 2, 3):
-        left, right = mats[i], bars[4 - i]
-        for a in range(D):
-            for b in range(D):
-                acc = RationalFn2.of(0)
-                for k in range(D):
-                    if not left[k][a].terms:
-                        continue
-                    colk, hk = H[k]
-                    if right[colk][b].terms:
-                        acc = acc + hk * (left[k][a] * right[colk][b])
-                want = H[a][1] if H[a][0] == b else RationalFn2.of(0)
-                if not acc == want:
-                    return False
+        bar = [[e.bar() for e in row] for row in mats[4 - i]]
+        if not mat_eq(mat_mul(mat_mul(mat_transpose(mats[i]), N), bar), N):
+            return False
     return True
 
 
@@ -343,34 +335,16 @@ def reversal_conjugation_check(ell: int) -> bool:
 
 
 def intertwiner_construction_check(ell: int) -> bool:
-    """The constructive transpose-intertwiner on V_{4, ell}: with H the
-    twisted form and L = D_4 T_4, J_V = H (L^-1)^T satisfies
-    J_V sigma_i^T = sigma_i J_V for every generator."""
-    comps, H = hermitian_form(ell)
-    D = len(comps)
-    Dm, Dm_inv, Tm = _d_t_matrices(ell)
-    LinvT = mat_transpose(mat_mul(Tm, Dm_inv))
-    # J_V[i][j] = sum_k H[i][k] LinvT[k][j]; H has one entry per row
-    JV = [[RationalFn2.of(0)] * D for _ in range(D)]
-    for i in range(D):
-        colk, hk = H[i]
-        for j in range(D):
-            if LinvT[colk][j].terms:
-                JV[i][j] = hk * LinvT[colk][j]
+    """Whether the constructive transpose-intertwiner on V_{4, ell}, with
+    H the twisted form and L = D_4 T_4, J_V = H (L^-1)^T, satisfies
+    J_V sigma_i^T = sigma_i J_V for every generator.  The scalar
+    denominator of H cancels, so J_V is taken as num(H) (T_4 D_4^-1)^T."""
+    _, Dm_inv, Tm = _d_t_matrices(ell)
+    J = mat_mul(hermitian_form(ell).num, mat_transpose(mat_mul(Tm, Dm_inv)))
     for i in (1, 2, 3):
         S = sigma_on_V(4, ell, i)
-        ST = mat_transpose(S)
-        for a in range(D):
-            for b in range(D):
-                lhs = RationalFn2.of(0)
-                rhs = RationalFn2.of(0)
-                for k in range(D):
-                    if ST[k][b].terms and not JV[a][k].is_zero():
-                        lhs = lhs + JV[a][k] * ST[k][b]
-                    if S[a][k].terms and not JV[k][b].is_zero():
-                        rhs = rhs + JV[k][b] * S[a][k]
-                if not lhs == rhs:
-                    return False
+        if not mat_eq(mat_mul(J, mat_transpose(S)), mat_mul(S, J)):
+            return False
     return True
 
 
@@ -497,16 +471,7 @@ def specialize(mats: RepMatrices, r: int, q0: int, s0: int, J=None) -> dict:
         return [[sum(A[i][k] * B[k][j] for k in range(n)) % r for j in range(n)]
                 for i in range(n)]
 
-    relations = True
-    for i in range(1, mats.n - 1):
-        ab = mult(spec[i], spec[i + 1])
-        if mult(ab, spec[i]) != mult(spec[i + 1], ab):
-            relations = False
-    for i in range(1, mats.n):
-        for j in range(i + 2, mats.n):
-            if mult(spec[i], spec[j]) != mult(spec[j], spec[i]):
-                relations = False
-
+    relations = braid_relations_hold(spec, mats.n, mult)
     out = {"r": r, "q0": q0 % r, "s0": s0 % r, "n": mats.n, "ell": mats.ell,
            "dim": mats.dim, "sigma": {i: spec[i] for i in spec},
            "relations_hold": relations}

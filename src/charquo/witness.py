@@ -25,8 +25,9 @@ from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
                      pgl_canon, pgl_canon_np, psl_canon, torus_pencil, tr_np,
                      unpack_np)
 from .numutil import InvariantError, next_prime
-from .orbit import OrbitIndex, enumerate_orbit, epsilon_perm, validate_start
-from .permgrp import GiantCertificate, classify_giant, sign
+from .orbit import (MAX_POINTS, OrbitIndex, enumerate_orbit, epsilon_perm,
+                    validate_start)
+from .permgrp import WORD_BUDGET, GiantCertificate, classify_giant, sign
 
 TR_GAMMA = 3
 TR_DELTA = 11
@@ -362,7 +363,11 @@ def normalize_unipotent_decomposition(F, dec):
 
 # -- counting X^(2) -------------------------------------------------------
 
-def count_x(params: Params, max_prime: int = 59) -> int:
+# Default count gate: the largest p whose |X| count_x computes.
+COUNT_MAX_PRIME = 59
+
+
+def count_x(params: Params, max_prime: int = COUNT_MAX_PRIME) -> int:
     """Number of distinct canonical 7-tuple keys of the solution set S
     of the membership equations, counted without the orbit.
 
@@ -763,8 +768,9 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-def run_pipeline(p: int, seed: int = 0, max_points: int = 2_000_000,
-                 giant_budget: int = 300, count_budget: int = 59,
+def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
+                 giant_budget: int = WORD_BUDGET,
+                 count_budget: int = COUNT_MAX_PRIME,
                  include_permutations: bool = True, dump_path=None) -> dict:
     """Witness -> orbit -> permutations -> classification -> verdict.
 

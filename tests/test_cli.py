@@ -122,6 +122,32 @@ def test_qrep_verify(capsys):
     assert all(rep["checks"].values())
 
 
+def test_qrep_internal_arithmetic_error_exit(capsys, monkeypatch):
+    # the intertwiner kernel (the one system with d^2 = 9 unknowns at
+    # W_4,1) comes back twice: intertwiner_J raises a bare ArithmeticError
+    from charquo import qrep as qr
+    real = qr.nullspace
+
+    def doubled(A, ncols=None):
+        kern = real(A, ncols)
+        return kern + kern if kern and len(kern[0]) == 9 else kern
+
+    monkeypatch.setattr(qr, "nullspace", doubled)
+    assert main(["qrep", "4", "1", "--verify"]) == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violated: intertwiner space has dimension 2" in err
+
+
+@pytest.mark.parametrize("argv", [["witness", "4611686018427387847"],
+                                  ["witness", "--min", "10000000000"]])
+def test_witness_beyond_int64_products(capsys, argv):
+    # the start point is checked in Python ints; int64 products would
+    # overflow and report a false gamma mismatch
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "split/non-split assumption: ok" in out
+
+
 def test_qrep_specialize_and_export(tmp_path, capsys):
     path = tmp_path / "w41.json"
     code, out = run(capsys, "qrep", "4", "1", "--specialize", "1009", "3", "5",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from charquo.laurent import (ONE, ZERO, ExactDivisionError, LaurentPoly2,
-                             RationalFn2, qbinom, qfact, qnum, qvar, svar)
+                             qbinom, qfact, qnum, qvar, svar)
 
 
 def rand_poly(rng, nterms=4, span=4):
@@ -79,30 +79,6 @@ def test_eval_mod():
     assert p.eval_mod(q0, s0, r) == want
     with pytest.raises(ZeroDivisionError):
         p.eval_mod(0, 1, r)
-
-
-def test_rational_basics():
-    a = RationalFn2(qnum(2), qnum(3))
-    b = RationalFn2(qnum(2) * qnum(4), qnum(3) * qnum(4))
-    assert a == b
-    assert a + (-a) == RationalFn2.of(0)
-    assert a * a.inv() == RationalFn2.of(1)
-    assert (a / a) == RationalFn2.of(1)
-    s = RationalFn2(svar(1) - svar(-1))
-    assert s.inv() * (svar(1) - svar(-1)) == RationalFn2.of(1)
-    with pytest.raises(ZeroDivisionError):
-        RationalFn2(ONE, ZERO)
-
-
-def test_rational_eval():
-    h = RationalFn2(qvar(1) - qvar(-1), svar(1) - svar(-1))
-    r = 97
-    q0, s0 = 3, 5
-    num = (3 - pow(3, r - 2, r)) % r
-    den = (5 - pow(5, r - 2, r)) % r
-    assert h.eval_mod(q0, s0, r) == num * pow(den, r - 2, r) % r
-    with pytest.raises(ZeroDivisionError):
-        h.eval_mod(2, 1, r)
 
 
 def test_repr_smoke():

@@ -1,8 +1,7 @@
 import pytest
 
 from charquo import qrep as qr
-from charquo.laurent import (ONE, ZERO, RationalFn2, qbinom, qnum,
-                             qs_monomial, qvar, svar)
+from charquo.laurent import ONE, ZERO, qbinom, qnum, qs_monomial, qvar, svar
 from charquo.numutil import InvariantError, binom
 from charquo.qlinalg import ScaledMatrix, mat_eq, mat_mul
 
@@ -66,7 +65,7 @@ def test_braid_matrices_and_eigenvalues():
         assert qr.w2_eigenvalue(ell) == qr.expected_w2_eigenvalue(ell)
     mats = qr.braid_matrices(4, 2)
     assert mats.dim == 6
-    assert qr.braid_relations_hold(mats.sigma, 4)
+    assert qr.braid_relations_hold(mats.sigma, 4, lambda a, b: a @ b)
 
 
 def test_central_element_scalar():
@@ -96,13 +95,69 @@ def test_qbinom_product_identity():
     assert [qbinom(2, m) for m in range(3)] == x2
 
 
+# pointwise references for the form checks: matrices evaluated at a
+# few (q0, s0) over F_R, where no denominator of H vanishes
+R = 1_000_003
+POINTS = ((3, 5), (7, 11), (123, 457))
+
+
+def _mm(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) % R for col in zip(*B)]
+            for row in A]
+
+
+def _tr(A):
+    return [list(col) for col in zip(*A)]
+
+
+def _at(M, q0, s0):
+    return ScaledMatrix(M, ONE).eval_mod(q0, s0, R)
+
+
+def _vv(m, q0, s0):
+    """(v_m, v_m) = (q - q^-1)^m / ([m]! prod_{k<m} (s q^-k - s^-1 q^k))."""
+    num = pow(q0 - pow(q0, -1, R), m, R)
+    den = 1
+    for k in range(1, m + 1):
+        den *= sum(pow(q0, k - 1 - 2 * j, R) for j in range(k))  # [k]_q
+    for k in range(m):
+        den *= s0 * pow(q0, -k, R) - pow(s0, -1, R) * pow(q0, k, R)
+    return num * pow(den, -1, R) % R
+
+
 def test_hermitian_values():
-    assert qr.h_value(0) == RationalFn2.of(1)
-    want = RationalFn2(qvar(1) - qvar(-1), svar(1) - svar(-1))
-    assert qr.h_value(1) == want
+    assert qr.hermitian_form(0) == ScaledMatrix([[ONE]], ONE)
+    h = qvar(1) - qvar(-1)
+    anti = [[h if r + c == 3 else ZERO for c in range(4)] for r in range(4)]
+    assert qr.hermitian_form(1) == ScaledMatrix(anti, svar(1) - svar(-1))
+    # every entry against the product of the (v_m, v_m), pointwise
+    for ell in range(4):
+        comps = qr.compositions(4, ell)
+        for q0, s0 in POINTS:
+            H = qr.hermitian_form(ell).eval_mod(q0, s0, R)
+            for r, c in enumerate(comps):
+                want = 1
+                for m in c:
+                    want = want * _vv(m, q0, s0) % R
+                assert H[r] == [want if comps[k] == c[::-1] else 0
+                                for k in range(len(comps))]
+
+
+def _starred_pointwise(ell):
+    S = {i: qr.sigma_on_V(4, ell, i) for i in (1, 2, 3)}
+    for q0, s0 in POINTS:
+        H = qr.hermitian_form(ell).eval_mod(q0, s0, R)
+        qi, si = pow(q0, -1, R), pow(s0, -1, R)
+        for i in (1, 2, 3):
+            # bar(sigma) at (q0, s0) is sigma at (q0^-1, s0^-1)
+            if _mm(_mm(_tr(_at(S[i], q0, s0)), H), _at(S[4 - i], qi, si)) != H:
+                return False
+    return True
 
 
 def test_starred_identities():
+    for ell in range(4):
+        assert qr.starred_identities_check(ell) == _starred_pointwise(ell)
     assert qr.starred_identities_check(1)
 
 
@@ -110,7 +165,22 @@ def test_reversal_conjugation():
     assert qr.reversal_conjugation_check(1)
 
 
+def _constructive_pointwise(ell):
+    _, Dm_inv, Tm = qr._d_t_matrices(ell)
+    for q0, s0 in POINTS:
+        H = qr.hermitian_form(ell).eval_mod(q0, s0, R)
+        J = _mm(H, _tr(_at(mat_mul(Tm, Dm_inv), q0, s0)))
+        for i in (1, 2, 3):
+            S = _at(qr.sigma_on_V(4, ell, i), q0, s0)
+            if _mm(J, _tr(S)) != _mm(S, J):
+                return False
+    return True
+
+
 def test_constructive_intertwiner():
+    for ell in range(4):
+        assert (qr.intertwiner_construction_check(ell)
+                == _constructive_pointwise(ell))
     assert qr.intertwiner_construction_check(1)
 
 
@@ -159,7 +229,7 @@ def test_specialize_bad_points():
     with pytest.raises(qr.BadSpecializationError):
         qr.specialize(mats, 1009, 0, 5)
     with pytest.raises(ZeroDivisionError):
-        qr.h_value(1).eval_mod(1, 1, 97)
+        qr.hermitian_form(1).eval_mod(1, 1, 97)
 
 
 def test_bad_denominator_is_named():
