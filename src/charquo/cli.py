@@ -2,8 +2,10 @@
 
 Subcommands: witness | orbit | count | qrep | selftest.  Every pipeline
 emits one JSON document (the machine format; the text summary is
-rendered from it).  Exit codes: 0 success, 1 precondition or assumption
-failure, 2 budget, 3 internal invariant violation.
+rendered from it), a failure too.  Exit codes: 0 success, 1 precondition
+or assumption failure (ValueError, OSError), 2 budget (BudgetError), 3
+internal invariant violation (ArithmeticError, InvariantError among
+them); main() alone maps an exception class to its code and report.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import tempfile
 from . import __version__
 from . import qrep as qr
 from . import witness as wt
-from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitBudgetError,
-                    OrbitError, read_dump)
-from .permgrp import WORD_BUDGET, CertificateError
+from .numutil import BudgetError
+from .orbit import MAX_POINTS, read_dump
+from .permgrp import WORD_BUDGET
 from .qrep import BadSpecializationError
 
 EXIT_OK = 0
@@ -40,8 +42,9 @@ def to_json(report) -> str:
 
 
 def write_atomic(path: str, text: str):
+    # the temporary file is named after the target, so an OSError names it
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".charquo-")
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -52,29 +55,26 @@ def write_atomic(path: str, text: str):
 
 
 def emit(report, args, summary_lines):
+    # a run writes --out at most once: when that write fails, the error
+    # report that follows goes to stdout only
     text = to_json(report)
-    if args.out:
-        write_atomic(args.out, text)
+    out, args.out = args.out, None
+    if out:
+        write_atomic(out, text)
     if args.json:
         sys.stdout.write(text)
     else:
         for line in summary_lines:
             print(line)
-        if args.out:
-            print(f"report written to {args.out}")
+        if out:
+            print(f"report written to {out}")
 
 
 def cmd_witness(args) -> int:
-    if args.p is not None:
-        p = args.p
-    else:
-        p = wt.find_prime(args.min, args.mode)
-    try:
-        cfg = wt.build(p)
-    except wt.WitnessError as e:
-        report = {"p": p, "error": str(e)}
-        emit(report, args, [f"p = {p}: {e}"])
-        return EXIT_PRECONDITION
+    if args.p is None:
+        args.p = wt.find_prime(args.min, args.mode)
+    p = args.p
+    cfg = wt.build(p)
     rep = wt.check_assumptions(cfg)
     report = {
         "p": p,
@@ -100,34 +100,11 @@ def cmd_witness(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    try:
-        report = wt.run_pipeline(
-            args.p, seed=args.seed, max_points=args.max_points,
-            giant_budget=args.words, count_budget=args.count_budget,
-            include_permutations=not args.no_permutations,
-            dump_path=args.dump)
-    except OrbitBudgetError as e:
-        report = {"p": args.p, "error": str(e), "partial_count": e.partial_count,
-                  "seed": args.seed}
-        emit(report, args, [f"budget exhausted: {e}"])
-        return EXIT_BUDGET
-    except wt.PipelineError as e:
-        report = {"p": args.p, "error": str(e), "seed": args.seed}
-        emit(report, args, [f"pipeline failed: {e}"])
-        return EXIT_PRECONDITION
-    except EpsilonOutsideOrbitError as e:
-        report = {"p": args.p, "error": str(e), "seed": args.seed}
-        emit(report, args, [f"reversal twist fails at p = {args.p}: {e}"])
-        return EXIT_PRECONDITION
-    except OrbitError as e:
-        report = {"p": args.p, "error": str(e), "seed": args.seed}
-        emit(report, args, [f"internal invariant violated: {e}"])
-        return EXIT_INTERNAL
-    except CertificateError as e:
-        error = f"classification at p = {args.p}: {e}"
-        emit({"p": args.p, "error": error, "seed": args.seed}, args,
-             [f"internal invariant violated: {error}"])
-        return EXIT_INTERNAL
+    report = wt.run_pipeline(
+        args.p, seed=args.seed, max_points=args.max_points,
+        giant_budget=args.words, count_budget=args.count_budget,
+        include_permutations=not args.no_permutations,
+        dump_path=args.dump)
     lines = [
         f"p = {report['p']}: orbit of {report['n']} points "
         f"(|X| = {report['x_count']}, ratio {report['orbit_ratio']})",
@@ -146,19 +123,13 @@ def cmd_orbit(args) -> int:
 
 def cmd_count(args) -> int:
     cfg = wt.build(args.p)
-    try:
-        count = wt.count_x(cfg.params, max_prime=args.count_budget)
-    except wt.BudgetError as e:
-        emit({"p": args.p, "error": str(e)}, args, [str(e)])
-        return EXIT_BUDGET
+    count = wt.count_x(cfg.params, max_prime=args.count_budget)
     report = {"p": args.p, "x_count": count}
     lines = [f"|X^(2)| at p = {args.p}: {count} points"]
     if args.orbit:
         p_dump, coords = read_dump(args.orbit)
         if p_dump != args.p:
-            emit({"p": args.p, "error": f"dump is for p={p_dump}"}, args,
-                 [f"orbit dump is for p = {p_dump}, not {args.p}"])
-            return EXIT_PRECONDITION
+            raise ValueError(f"{args.orbit}: orbit dump is for p = {p_dump}, not {args.p}")
         report["orbit_n"] = len(coords)
         report["orbit_ratio"] = len(coords) / count
         lines.append(f"orbit: {len(coords)} points, ratio {report['orbit_ratio']}")
@@ -169,14 +140,9 @@ def cmd_count(args) -> int:
 def cmd_qrep(args) -> int:
     n, ell = args.n, args.ell
     if not (2 <= n <= args.max_n and 0 <= ell <= args.max_ell):
-        print(f"refusing (n, ell) = ({n}, {ell}) beyond caps "
-              f"({args.max_n}, {args.max_ell})", file=sys.stderr)
-        return EXIT_BUDGET
-    try:
-        mats = qr.braid_matrices(n, ell)
-    except ArithmeticError as e:
-        emit({"n": n, "ell": ell, "error": str(e)}, args, [str(e)])
-        return EXIT_INTERNAL
+        raise BudgetError(f"refusing (n, ell) = ({n}, {ell}) beyond caps "
+                          f"({args.max_n}, {args.max_ell})")
+    mats = qr.braid_matrices(n, ell)
     report = {"n": n, "ell": ell, "dim": mats.dim}
     lines = [f"W_{n},{ell}: dimension {mats.dim}, braid relations verified exactly"]
     J = None  # the n = 4 intertwiner, computed once for --verify and --specialize
@@ -308,13 +274,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BudgetError as e:
+        kind, code, error = "budget exhausted", EXIT_BUDGET, e
     except ArithmeticError as e:
         # InvariantError, ExactDivisionError, bare raises: never bad input
-        print(f"internal invariant violated: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        kind, code, error = "internal invariant violated", EXIT_INTERNAL, e
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        kind, code, error = "error", EXIT_PRECONDITION, e
+    report = {k: v for k, v in vars(args).items() if k in ("p", "n", "ell", "seed")}
+    report["error"] = str(error)
+    if hasattr(error, "partial_count"):
+        report["partial_count"] = error.partial_count
+    emit(report, args, [f"{kind}: {error}"])
+    return code
 
 
 if __name__ == "__main__":

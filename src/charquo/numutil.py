@@ -1,9 +1,10 @@
 """Small integer number theory: primality, factoring, binomials, and
-the package's invariant error.
+the package's two error bases that are not ValueError: BudgetError
+(exit code 2) and InvariantError (exit code 3).
 
-Deterministic Miller-Rabin is exact for all 64-bit inputs; factoring is
-trial division plus Pollard rho, enough for the torus orders (p -+ 1)/2
-that the rest of the package feeds it.
+Deterministic Miller-Rabin is exact below psi_13 (about 3.3 * 10^24)
+and refuses larger inputs; factoring is trial division plus Pollard rho, enough for
+the torus orders (p -+ 1)/2 that the rest of the package feeds it.
 """
 
 from math import gcd
@@ -15,14 +16,27 @@ class InvariantError(ArithmeticError):
     reports it with exit code 3.  These checks are explicit raises, not
     asserts, so they also run under python -O."""
 
-# Sufficient witness set for n < 3.3 * 10^24 (covers 64-bit and then some).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+class BudgetError(RuntimeError):
+    """A computation refused or exhausted its size budget; the command
+    line reports it with exit code 2."""
+
+
+# The first 13 primes as witnesses decide primality exactly below
+# psi_13, the least strong pseudoprime to all of them.  Twelve are not
+# enough: psi_12 = 318665857834031151167461 = 399165290221 *
+# 798330580441 passes the witnesses 2..37.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (exact below 3.3e24)."""
+    """Deterministic Miller-Rabin primality test, exact below
+    psi_13 = 3317044064679887385961981; ValueError for larger n."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

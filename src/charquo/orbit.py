@@ -61,6 +61,7 @@ from .ffield import (NotConjugateError, ProjMat2, conjugator,
                      mat_inv, mat_mul, mat_neg, minv_np, mm_np, mm_raw, pack_np,
                      pencil_annihilators, pgl_canon,
                      psl_canon_np, tr_np, unpack_np)
+from .numutil import BudgetError, InvariantError
 
 LETTERS = (bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i)
 GENS = (bq.S1, bq.S2, bq.S3)
@@ -81,11 +82,11 @@ def _row_chunks(n):
     return [slice(s, s + CHUNK_ROWS) for s in range(0, n, CHUNK_ROWS)]
 
 
-class OrbitError(RuntimeError):
+class OrbitError(InvariantError):
     pass
 
 
-class OrbitBudgetError(OrbitError):
+class OrbitBudgetError(BudgetError):
     def __init__(self, message, partial_count):
         super().__init__(message)
         self.partial_count = partial_count
@@ -96,10 +97,11 @@ class KeyCollisionError(OrbitError):
     desk-scale injectivity of the trace map on this orbit)."""
 
 
-class EpsilonOutsideOrbitError(OrbitError):
+class EpsilonOutsideOrbitError(ValueError):
     """The reversal twist maps some orbit point outside the orbit; this
     would block the extension from B4 to the full automorphism action at
-    this prime, so it is reported, never hidden."""
+    this prime, so it is reported (a failed hypothesis at this prime),
+    never hidden."""
 
 
 def _quad_cols(arr):
@@ -294,7 +296,7 @@ class OrbitIndex:
         key = canon_keys_np(self.p, np.array([from_quad(Q)], dtype=np.int64))
         i = int(self.index_of_keys(key)[0])
         if i < 0:
-            raise OrbitError("point is not on the orbit")
+            raise ValueError("point is not on the orbit")
         return i
 
     def letter_perm(self, letter) -> np.ndarray:

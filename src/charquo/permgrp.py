@@ -22,7 +22,7 @@ from math import factorial, isqrt
 
 import numpy as np
 
-from .numutil import is_prime
+from .numutil import BudgetError, InvariantError, is_prime
 
 
 def id_perm(n):
@@ -149,7 +149,7 @@ ORACLE_BOUND = 5000
 WORD_BUDGET = 300
 
 
-class OracleBoundExceeded(ValueError):
+class OracleBoundExceeded(BudgetError):
     pass
 
 
@@ -291,7 +291,7 @@ def minimal_block(gens, alpha, beta, n):
 
 # -- giant recognition ---------------------------------------------------
 
-class CertificateError(RuntimeError):
+class CertificateError(InvariantError):
     """A certificate found by the search failed its own revalidation."""
 
 

@@ -24,10 +24,10 @@ from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
                      mat_mul, mat_neg, mat_trace, minv_np, mm_np, order, pack_np,
                      pgl_canon, pgl_canon_np, psl_canon, torus_pencil, tr_np,
                      unpack_np)
-from .numutil import InvariantError, next_prime
-from .orbit import (MAX_POINTS, OrbitIndex, enumerate_orbit, epsilon_perm,
-                    validate_start)
-from .permgrp import WORD_BUDGET, GiantCertificate, classify_giant, sign
+from .numutil import BudgetError, InvariantError, next_prime
+from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
+                    epsilon_perm, validate_start)
+from .permgrp import WORD_BUDGET, CertificateError, GiantCertificate, classify_giant, sign
 
 TR_GAMMA = 3
 TR_DELTA = 11
@@ -38,10 +38,6 @@ W0 = (-1, 1, -4, 3)
 
 
 class WitnessError(ValueError):
-    pass
-
-
-class BudgetError(RuntimeError):
     pass
 
 
@@ -762,19 +758,16 @@ def orbit_sigma_orders(orbit: OrbitIndex, i: int):
 
 # -- the pipeline ----------------------------------------------------------
 
-class PipelineError(RuntimeError):
-    def __init__(self, stage, message):
-        super().__init__(f"{stage}: {message}")
-        self.stage = stage
-
-
 def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
                  giant_budget: int = WORD_BUDGET,
                  count_budget: int = COUNT_MAX_PRIME,
                  include_permutations: bool = True, dump_path=None) -> dict:
     """Witness -> orbit -> permutations -> classification -> verdict.
 
-    Returns the QuotientReport as a plain dict (JSON-ready).
+    Returns the QuotientReport as a plain dict (JSON-ready).  Failures
+    name their stage: WitnessError for a failed assumption,
+    EpsilonOutsideOrbitError for a failed reversal twist and
+    CertificateError for a certificate that fails revalidation.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -789,9 +782,9 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     report = check_assumptions(cfg)
     lap("witness_ms")
     if not report.nonconjugation_ok:
-        raise PipelineError("assumptions", "split/non-split assumption fails")
+        raise WitnessError("assumptions: split/non-split assumption fails")
     if not report.point_ok:
-        raise PipelineError("assumptions", "unipotent point assumption fails")
+        raise WitnessError("assumptions: unipotent point assumption fails")
 
     orbit = enumerate_orbit(cfg.P, cfg.params, max_points=max_points)
     if dump_path is not None:
@@ -801,12 +794,18 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     s1 = orbit.letter_perm(bq.S1)
     s2 = orbit.letter_perm(bq.S2)
     s3 = orbit.letter_perm(bq.S3)
-    eps = epsilon_perm(orbit, cfg.params)
+    try:
+        eps = epsilon_perm(orbit, cfg.params)
+    except EpsilonOutsideOrbitError as e:
+        raise EpsilonOutsideOrbitError(f"reversal twist fails at p = {p}: {e}") from e
     x, y = orbit.f2_perms()
     lap("permutations_ms")
 
     gens = {"sigma1": s1, "sigma2": s2, "sigma3": s3, "epsilon": eps}
-    cls = classify_giant(list(gens.values()), orbit.n, seed=seed, budget=giant_budget)
+    try:
+        cls = classify_giant(list(gens.values()), orbit.n, seed=seed, budget=giant_budget)
+    except CertificateError as e:
+        raise CertificateError(f"classification at p = {p}: {e}") from e
     lap("classification_ms")
 
     x_is_id = bool((x == np.arange(orbit.n)).all())

@@ -84,8 +84,8 @@ def test_witness_invariant_exit(capsys, monkeypatch, command):
     from charquo import witness as wt
     monkeypatch.setattr(wt, "TR_GAMMA", 4)
     assert main(command) == 3
-    err = capsys.readouterr().err
-    assert "internal invariant violated: witness at p = 19: tr(gamma) = 3, expected 4" in err
+    out = capsys.readouterr().out
+    assert "internal invariant violated: witness at p = 19: tr(gamma) = 3, expected 4" in out
 
 
 def test_orbit_budget_exit(capsys):
@@ -134,8 +134,8 @@ def test_qrep_internal_arithmetic_error_exit(capsys, monkeypatch):
 
     monkeypatch.setattr(qr, "nullspace", doubled)
     assert main(["qrep", "4", "1", "--verify"]) == 3
-    err = capsys.readouterr().err
-    assert "internal invariant violated: intertwiner space has dimension 2" in err
+    out = capsys.readouterr().out
+    assert "internal invariant violated: intertwiner space has dimension 2" in out
 
 
 @pytest.mark.parametrize("argv", [["witness", "4611686018427387847"],
@@ -160,6 +160,53 @@ def test_qrep_specialize_and_export(tmp_path, capsys):
 def test_qrep_caps(capsys):
     code, _ = run(capsys, "qrep", "9", "9")
     assert code == 2
+
+
+# (argv, exit code, patched witness constants, keys of the error report)
+FAILURES = [
+    (["witness", "4"], 1, {}, {"p"}),
+    (["witness", "318665857834031151167461"], 1, {}, {"p"}),  # psi_12, composite
+    (["witness", "--min", "10000000000000000000000000"], 1, {}, {"p"}),
+    (["count", "19", "--orbit", "{tmp}/missing.chqo"], 1, {}, {"p"}),
+    (["qrep", "4", "2", "--specialize", "4", "3", "5"], 1, {}, {"n", "ell"}),
+    (["qrep", "9", "9"], 2, {}, {"n", "ell"}),
+    (["count", "61"], 2, {}, {"p"}),
+    (["orbit", "19", "--max-points", "10"], 2, {}, {"p", "seed", "partial_count"}),
+    (["witness", "19"], 3, {"TR_GAMMA": 4}, {"p"}),
+]
+KINDS = {1: "error", 2: "budget exhausted", 3: "internal invariant violated"}
+
+
+@pytest.mark.parametrize("argv, code, patches, keys", FAILURES,
+                         ids=[" ".join(f[0]) for f in FAILURES])
+def test_failure_reports(tmp_path, capsys, monkeypatch, argv, code, patches, keys):
+    # every failure prints exactly one JSON document under --json, and
+    # replaces a stale --out file with the same error report
+    from charquo import witness as wt
+    for name, value in patches.items():
+        monkeypatch.setattr(wt, name, value)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    got, out = run(capsys, *argv, "--json")
+    assert got == code
+    report = json.loads(out)
+    assert set(report) == keys | {"error"}
+    assert report["error"]
+
+    stale = tmp_path / "r.json"
+    stale.write_text('{"stale": true}\n')
+    got, out = run(capsys, *argv, "--out", str(stale))
+    assert got == code
+    assert out.startswith(f"{KINDS[code]}: {report['error']}\n")
+    assert json.loads(stale.read_text()) == report
+
+
+def test_unwritable_out(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    assert main(["witness", "19", "--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("error: ") and str(path) in captured.out
+    assert captured.err == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_selftest_fast(capsys):

@@ -3,6 +3,7 @@ dunder) name from a sibling module; what is shared is public in its one
 owner."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "charquo"
@@ -80,3 +81,22 @@ def test_no_unreferenced_definitions():
              if not any(where != path or not first <= line <= last
                         for where, line in uses.get(name, ()))]
     assert not found, "unreferenced definitions: " + ", ".join(found)
+
+
+def test_exception_taxonomy():
+    # the command line maps an exception to its exit code by base class:
+    # ValueError 1, BudgetError 2, ArithmeticError 3; a class outside
+    # these would reach the user as a traceback
+    from charquo.numutil import BudgetError
+    bases = (ValueError, BudgetError, ArithmeticError)
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "charquo" if path.stem == "__init__" else f"charquo.{path.stem}")
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+    assert len(classes) > 5
+    found = [f"{cls.__module__}.{cls.__name__}" for cls in classes
+             if sum(issubclass(cls, base) for base in bases) != 1]
+    assert not found, "exceptions outside the exit-code taxonomy: " + ", ".join(found)

@@ -10,6 +10,10 @@ def test_is_prime():
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)
     assert is_prime(27941)
+    # psi_12 = 399165290221 * 798330580441 fools the witnesses 2..37
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="exact only below 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 def test_factorize():

@@ -332,5 +332,5 @@ def test_read_dump_rejects_bad_dumps(orbit19, tmp_path, capsys, edit, defect):
         read_dump(path)
     assert str(path) in str(ei.value)
     assert main(["count", "19", "--orbit", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert defect in err and str(path) in err
+    out = capsys.readouterr().out
+    assert defect in out and str(path) in out
