@@ -17,6 +17,8 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from . import __version__
 from . import qrep as qr
 from . import witness as wt
@@ -32,13 +34,46 @@ EXIT_INTERNAL = 3
 
 
 def to_json(report) -> str:
-    # json.dumps would first list one small string per array entry
-    # (about 85 MB for the six permutations of a p = 31 report); json.dump
-    # streams the same text into one buffer
+    """The report as JSON text: json.dump(report, sort_keys=True,
+    indent=2) and a newline, with the int arrays of report["permutations"]
+    written as JSON lists.
+
+    Each array is written by one join over its entries and spliced into
+    the json.dump text of the rest of the report, where a placeholder
+    string (a NUL and the array's name, which no report value is) stands
+    in for it.  json.dump with indent takes the pure-Python encoder,
+    which would spend about a second on the six arrays of a p = 31
+    report, and would need them as Python lists.
+    """
+    perms = report.get("permutations") or {}
+    marks = {name: "\0" + name for name in perms}
+    if perms:
+        report = {**report, "permutations": marks}
     buf = io.StringIO()
     json.dump(report, buf, sort_keys=True, indent=2)
     buf.write("\n")
-    return buf.getvalue()
+    rest = buf.getvalue()
+    pieces = []
+    for name in sorted(perms):  # the order of sort_keys
+        head, rest = rest.split(json.dumps(marks[name]), 1)
+        pieces += [head, _json_array(perms[name])]
+    pieces.append(rest)
+    return "".join(pieces)
+
+
+def _json_array(a) -> str:
+    """An int array as json.dump writes a list at depth 2 of an indent=2
+    document: one entry per line at 6 spaces, the bracket at 4."""
+    if not len(a):
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, np.asarray(a).tolist())) + "\n    ]"
+
+
+def write_text(fh, text: str):
+    # a megabyte at a time: one write of a whole orbit report would first
+    # encode all of it, a second copy of the report
+    for s in range(0, len(text), 1 << 20):
+        fh.write(text[s:s + (1 << 20)])
 
 
 def write_atomic(path: str, text: str):
@@ -47,7 +82,7 @@ def write_atomic(path: str, text: str):
     fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write_text(fh, text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -62,7 +97,7 @@ def emit(report, args, summary_lines):
     if out:
         write_atomic(out, text)
     if args.json:
-        sys.stdout.write(text)
+        write_text(sys.stdout, text)
     else:
         for line in summary_lines:
             print(line)

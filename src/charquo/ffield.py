@@ -8,7 +8,8 @@ first nonzero entry to 1; their determinant survives as a square /
 non-square class.
 
 The same arithmetic is vectorized over numpy int64 arrays whose last
-axis holds (m11, m12, m21, m22) (the `_np` functions), next to the
+axis holds (m11, m12, m21, m22) (the `_np` functions), or entrywise
+over the rows of entry-major copies (mm_raw, entry_major), next to the
 base-p packing of digit vectors into order-preserving int64 keys.
 Conjugators between matrices of equal trace and determinant are closed
 form: each non-scalar 2x2 matrix is the companion matrix of its
@@ -154,6 +155,13 @@ def mm_raw(A, B):
     a, b, c, d = A
     e, f, g, h = B
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def entry_major(rows):
+    """An entry-major int64 (k, m) copy of the (m, k) rows, of any integer
+    dtype.  Kernels over narrow stored rows compute on this copy: in
+    uint16, products wrap and so does the -x of an adjugate."""
+    return np.ascontiguousarray(rows.T, dtype=np.int64)
 
 
 def mm_np(p, A, B):

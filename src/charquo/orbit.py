@@ -1,16 +1,16 @@
 """BFS enumeration of the braid orbit of a quadruple in X^(2), with
 deterministic point indexing and generator-permutation extraction.
 
-The engine stores full matrix quadruples as numpy int64 arrays of shape
+The engine stores full matrix quadruples as numpy arrays of shape
 (n, 16) (four sign-canonical determinant-1 lifts, row-major) and
 deduplicates on the packed canonical trace key.  The 2x2 kernels and the
-base-p packing it runs on are ffield's `_np` functions; the trace key is
-charvar.canon_keys_np.  This module owns the BFS, the exact-equivalence
-checker, the index and the dump format.  Every recurrent BFS edge, and
-every image of the reversal twist, is re-verified against the stored
-representative with the centralizer-coset equivalence, so the
-enumeration is sound even where the injectivity of the trace map is
-unproven.  The check solves for one candidate centralizer pair per row,
+base-p packing it runs on are ffield's (mm_raw on entry-major copies,
+and the `_np` functions); the trace key is charvar.canon_keys_np.  This
+module owns the BFS, the exact-equivalence checker, the index and the
+dump format.  Every recurrent BFS edge, and every image of the
+reversal twist, is re-verified against the stored representative with
+the centralizer-coset equivalence, so the enumeration is sound even
+where the injectivity of the trace map is unproven.  The check solves for one candidate centralizer pair per row,
 where the pencil span(I, gamma) meets the pencil of pairs that the A
 blocks allow, and tests only that pair (see _ExactChecker); there is no
 other path.  A genuine trace-key collision between inequivalent points
@@ -35,13 +35,17 @@ renumbered by ascending key into the six letter permutations, and the
 check that each sigma_i and sigma_i^-1 pair is mutually inverse makes
 them permutations.  No image is applied or keyed a second time.
 
-The row kernels (fast_keys, exact verification, the backstop) run over
-CHUNK_ROWS rows at a time, so their temporaries are bounded whatever
-the orbit size.  What grows with the orbit is 128 bytes per point (the
-int64 quadruple) plus 16 per visited key (key and point index) and,
+Rows are stored as ROW_DTYPE (uint16): every entry is a residue below
+p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np,
+exact verification, the backstop, the twist and the sigma traces) widen
+WIDE_ROWS rows at a time into an entry-major int64 copy
+(ffield.entry_major) and compute on it with mm_raw, so no narrow array
+reaches int arithmetic and the temporaries are bounded whatever the
+orbit size.  What grows with the orbit is 32 bytes per point (the
+uint16 quadruple) plus 16 per visited key (key and point index) and,
 during the BFS, 24 per point of int32 successors (six letters); at rest
 the index keeps the six int64 letter permutations, 48 bytes per point.
-Per layer come 128 bytes per image of the frontier (six per frontier
+Per layer come 32 bytes per image of the frontier (six per frontier
 point, built in one buffer, one letter at a time) with a few int64
 words of sort state.  Successor indices are int32, so max_points must
 stay below 2^31.
@@ -56,11 +60,10 @@ import numpy as np
 
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np, from_quad
-from .ffield import (NotConjugateError, ProjMat2, conjugator,
-                     centralizer_element_of_class, legendre_table, mat_det,
-                     mat_inv, mat_mul, mat_neg, minv_np, mm_np, mm_raw, pack_np,
-                     pencil_annihilators, pgl_canon,
-                     psl_canon_np, tr_np, unpack_np)
+from .ffield import (NotConjugateError, ProjMat2, centralizer_element_of_class,
+                     conjugator, entry_major, legendre_table, mat_det, mat_inv,
+                     mat_mul, mat_neg, mm_raw, pack_np, pencil_annihilators,
+                     pgl_canon, psl_canon_np, unpack_np)
 from .numutil import BudgetError, InvariantError
 
 LETTERS = (bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i)
@@ -68,18 +71,28 @@ GENS = (bq.S1, bq.S2, bq.S3)
 
 MAX_PACKED_PRIME = 509  # 7 base-p digits must fit in an int64
 
-# Rows per kernel call.  Results do not depend on it; it only bounds the
-# temporaries (a few KB per row) of fast_keys and exact verification.
+# dtype of the stored rows: every entry is a residue below p, so it
+# must hold MAX_PACKED_PRIME - 1
+ROW_DTYPE = np.uint16
+if np.iinfo(ROW_DTYPE).max < MAX_PACKED_PRIME:
+    raise InvariantError(f"{ROW_DTYPE.__name__} rows cannot hold residues mod {MAX_PACKED_PRIME}")
+
+# Rows per gather of the BFS checks, the twist and the dump.  Results do
+# not depend on it; it only bounds their temporaries.
 CHUNK_ROWS = 65_536
+
+# Rows per widened copy: a row kernel's int64 (16, WIDE_ROWS) copy and
+# its (WIDE_ROWS,) temporaries stay in cache.
+WIDE_ROWS = 8192
 
 # Default cap on the orbit size (the enumerate_orbit and pipeline
 # default, and that of `charquo orbit --max-points`).
 MAX_POINTS = 2_000_000
 
 
-def _row_chunks(n):
-    """Slices covering range(n), CHUNK_ROWS rows each."""
-    return [slice(s, s + CHUNK_ROWS) for s in range(0, n, CHUNK_ROWS)]
+def _row_chunks(n, size):
+    """Slices covering range(n), size rows each."""
+    return [slice(s, s + size) for s in range(0, n, size)]
 
 
 class OrbitError(InvariantError):
@@ -104,60 +117,68 @@ class EpsilonOutsideOrbitError(ValueError):
     never hidden."""
 
 
-def _quad_cols(arr):
-    return arr[..., 0:4], arr[..., 4:8], arr[..., 8:12], arr[..., 12:16]
+# -- row kernels on entry-major int64 copies --------------------------------
+
+def _adj(X):
+    """Adjugate of an entry-major 2x2 block: the inverse of a
+    determinant-1 lift, with signed entries."""
+    a, b, c, d = X
+    return (d, -b, -c, a)
 
 
-def _keys_chunk(p, quads):
-    """charvar.from_quad on each row, then its packed canonical key."""
-    A, B, C, D = _quad_cols(quads)
-    m1 = mm_np(p, minv_np(p, B), A)
-    m2 = mm_np(p, minv_np(p, A), C)
-    m3 = mm_np(p, minv_np(p, D), C)
-    m12 = mm_np(p, m1, m2)
-    t = (tr_np(p, m1), tr_np(p, m2), tr_np(p, m3), tr_np(p, mm_np(p, m2, m3)),
-         tr_np(p, mm_np(p, m1, m3)), tr_np(p, m12), tr_np(p, mm_np(p, m12, m3)))
-    return canon_keys_np(p, np.stack(t).T)  # (m, 7), coordinate-major
+def _mm(p, A, B):
+    """Entry-major 2x2 product mod p, as a (4, m) array."""
+    return np.stack([x % p for x in mm_raw(A, B)])
+
+
+def _tr_mm(p, A, B):
+    """tr(AB) mod p as a sum of four products."""
+    return (A[0] * B[0] + A[1] * B[2] + A[2] * B[1] + A[3] * B[3]) % p
+
+
+def _keys_chunk(p, q):
+    """charvar.from_quad on each column of the entry-major (16, m) q,
+    then its packed canonical key."""
+    A, B, C, D = q[0:4], q[4:8], q[8:12], q[12:16]
+    m1 = _mm(p, _adj(B), A)
+    m2 = _mm(p, _adj(A), C)
+    m3 = _mm(p, _adj(D), C)
+    m12 = _mm(p, m1, m2)
+    t = np.stack([(m1[0] + m1[3]) % p, (m2[0] + m2[3]) % p, (m3[0] + m3[3]) % p,
+                  _tr_mm(p, m2, m3), _tr_mm(p, m1, m3), (m12[0] + m12[3]) % p,
+                  _tr_mm(p, m12, m3)])
+    return canon_keys_np(p, t.T)  # (m, 7), coordinate-major
 
 
 def fast_keys(p, quads):
     """Packed canonical trace key of each row of an (m, 16) batch."""
     out = np.empty(len(quads), dtype=np.int64)
-    for c in _row_chunks(len(quads)):
-        out[c] = _keys_chunk(p, quads[c])
+    for c in _row_chunks(len(quads), WIDE_ROWS):
+        out[c] = _keys_chunk(p, entry_major(quads[c]))
     return out
 
 
 def apply_letter_np(p, quads, letter):
-    """One braid letter acting on an (n, 16) batch."""
+    """One braid letter acting on an (n, 16) batch: an (n, 16) ROW_DTYPE
+    array.  The letter acts on the blocks x, y = i-1, i (sigma_i) or
+    i, i-1 (sigma_i^-1): block x moves to y's place, and
+    psl_canon(X Y^-1 X) takes x's."""
     i, e = letter
-    A, B, C, D = _quad_cols(quads)
-
-    def tri(x, y):
-        return psl_canon_np(p, mm_np(p, mm_np(p, x, minv_np(p, y)), x))
-
-    if e == 1:
-        if i == 1:
-            parts = (tri(A, B), A, C, D)
-        elif i == 2:
-            parts = (A, tri(B, C), B, D)
-        else:
-            parts = (A, B, tri(C, D), C)
-    else:
-        if i == 1:
-            parts = (B, tri(B, A), C, D)
-        elif i == 2:
-            parts = (A, C, tri(C, B), D)
-        else:
-            parts = (A, B, D, tri(D, C))
-    return np.concatenate(parts, axis=-1)
+    x, y = (4 * (i - 1), 4 * i) if e == 1 else (4 * i, 4 * (i - 1))
+    out = quads.astype(ROW_DTYPE)
+    out[:, y:y + 4] = quads[:, x:x + 4]
+    for c in _row_chunks(len(quads), WIDE_ROWS):
+        q = entry_major(quads[c])
+        X, Y = q[x:x + 4], q[y:y + 4]
+        out[c, x:x + 4] = psl_canon_np(p, _mm(p, _mm(p, X, _adj(Y)), X).T)
+    return out
 
 
 def quad_to_row(Q):
     out = []
     for X in Q:
         out.extend(X.m)
-    return np.array(out, dtype=np.int64)
+    return np.array(out, dtype=ROW_DTYPE)
 
 
 def row_to_quad(F, row):
@@ -208,17 +229,15 @@ class _ExactChecker:
     def equivalent(self, Qs, Rs):
         """Boolean mask over rows: Q_j ~ R_j."""
         ok = np.empty(len(Qs), dtype=bool)
-        # entry-major copies of 8192 rows at a time stay in cache
-        for s in range(0, len(Qs), 8192):
-            c = slice(s, s + 8192)
-            ok[c] = self._one_candidate(Qs[c].T.copy(), Rs[c].T.copy())
+        for c in _row_chunks(len(Qs), WIDE_ROWS):
+            ok[c] = self._one_candidate(entry_major(Qs[c]), entry_major(Rs[c]))
         return ok
 
     def _one_candidate(self, q, r):
         """Accepted mask over the columns of the entry-major (16, m)
         arrays q and r."""
         p = self.p
-        X = (q[3], -q[1], -q[2], q[0])  # adj(A_Q)
+        X = _adj(q[0:4])
         U = mm_raw(r[0:4], X)  # |U|, |V| < 2p^2
         V = mm_raw([x % p for x in mm_raw(r[0:4], self.delta)], X)
         # the system [l1(U) l1(V); l2(U) l2(V)] (mu, nu)^T = 0
@@ -237,8 +256,7 @@ class _ExactChecker:
         leg = legendre_table(p)
         ok = singular & (det_g != 0) & (det_d != 0) & (leg[det_g] == leg[det_d])
         for k in range(0, 16, 4):
-            a, b, c, d = r[k:k + 4]
-            s = mm_raw(mm_raw(mm_raw(g, q[k:k + 4]), dh), (d, -b, -c, a))
+            s = mm_raw(mm_raw(mm_raw(g, q[k:k + 4]), dh), _adj(r[k:k + 4]))
             # np.fmod: the truncated remainder, zero exactly on multiples of p
             ok &= ((np.fmod(s[1], p) == 0) & (np.fmod(s[2], p) == 0)
                    & (np.fmod(s[0] - s[3], p) == 0) & (np.fmod(s[0], p) != 0))
@@ -256,7 +274,7 @@ def _first_inequivalent(checker, Qs, q_rows, Rs, r_rows):
     """Position j of the first pair with Qs[q_rows[j]] not equivalent to
     Rs[r_rows[j]], checked in order, CHUNK_ROWS pairs at a time; None
     when every pair is equivalent."""
-    for c in _row_chunks(len(q_rows)):
+    for c in _row_chunks(len(q_rows), CHUNK_ROWS):
         ok = checker.equivalent(Qs[q_rows[c]], Rs[r_rows[c]])
         if not ok.all():
             return c.start + int(np.argmin(ok))
@@ -268,7 +286,7 @@ def _first_inequivalent(checker, Qs, q_rows, Rs, r_rows):
 @dataclass
 class OrbitIndex:
     params: Params
-    points: np.ndarray  # (n, 16) int64, ascending key order
+    points: np.ndarray  # (n, 16) ROW_DTYPE residues, ascending key order
     keys: np.ndarray    # (n,) packed canonical trace keys, ascending
     perms: dict         # letter -> (n,) int64 index permutation
     edges_verified: int = 0
@@ -324,11 +342,15 @@ class OrbitIndex:
         """Trace of the sigma_i matrix of every point, plus the mask of
         points where that matrix is the identity."""
         p = self.p
-        A, B, C, D = _quad_cols(self.points)
-        pair = {1: (A, B), 2: (B, C), 3: (C, D)}[i]
-        m = mm_np(p, pair[0], minv_np(p, pair[1]))
-        ident = ((m[:, 1] == 0) & (m[:, 2] == 0) & (m[:, 0] == m[:, 3]))
-        return tr_np(p, m), ident
+        x, y = 4 * (i - 1), 4 * i  # sigma_i's matrix is block i-1 times block i inverse
+        tr = np.empty(self.n, dtype=np.int64)
+        ident = np.empty(self.n, dtype=bool)
+        for c in _row_chunks(self.n, WIDE_ROWS):
+            q = entry_major(self.points[c])
+            m = _mm(p, q[x:x + 4], _adj(q[y:y + 4]))
+            tr[c] = (m[0] + m[3]) % p
+            ident[c] = (m[1] == 0) & (m[2] == 0) & (m[0] == m[3])
+        return tr, ident
 
     # -- dump format ------------------------------------------------------
 
@@ -342,7 +364,7 @@ class OrbitIndex:
         with open(path, "wb") as fh:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<IQQ", self.VERSION, p, self.n))
-            for c in _row_chunks(self.n):
+            for c in _row_chunks(self.n, CHUNK_ROWS):
                 fh.write(unpack_np(p, self.keys[c], 7).astype("<u8").tobytes())
 
 
@@ -384,14 +406,18 @@ def _on_x_mask(params: Params, rows) -> np.ndarray:
     (gamma, delta) of the lifts equal those of params up to one common
     sign."""
     p = params.F.p
-    gm = np.array(params.gamma_mat, dtype=np.int64)
-    dm = np.array(params.delta_mat, dtype=np.int64)
-    A, B, C, D = _quad_cols(rows)
-    gam = mm_np(p, mm_np(p, A, minv_np(p, B)), mm_np(p, C, minv_np(p, D)))
-    del_ = mm_np(p, mm_np(p, minv_np(p, A), B), mm_np(p, minv_np(p, C), D))
-    plus = (gam == gm).all(axis=-1) & (del_ == dm).all(axis=-1)
-    minus = (gam == (p - gm) % p).all(axis=-1) & (del_ == (p - dm) % p).all(axis=-1)
-    return plus | minus
+    gm = np.array(params.gamma_mat, dtype=np.int64)[:, None]
+    dm = np.array(params.delta_mat, dtype=np.int64)[:, None]
+    ok = np.empty(len(rows), dtype=bool)
+    for c in _row_chunks(len(rows), WIDE_ROWS):
+        q = entry_major(rows[c])
+        A, B, C, D = q[0:4], q[4:8], q[8:12], q[12:16]
+        gam = _mm(p, _mm(p, A, _adj(B)), _mm(p, C, _adj(D)))
+        del_ = _mm(p, _mm(p, _adj(A), B), _mm(p, _adj(C), D))
+        plus = (gam == gm).all(axis=0) & (del_ == dm).all(axis=0)
+        minus = (gam == (p - gm) % p).all(axis=0) & (del_ == (p - dm) % p).all(axis=0)
+        ok[c] = plus | minus
+    return ok
 
 
 def validate_start(P, params: Params):
@@ -455,9 +481,8 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
     pts = pts[vidx]
 
     # soundness backstop: every representative satisfies the defining equations
-    for c in _row_chunks(len(pts)):
-        if not _on_x_mask(params, pts[c]).all():
-            raise OrbitError("internal error: representative violates the defining equations")
+    if not _on_x_mask(params, pts).all():
+        raise OrbitError("internal error: representative violates the defining equations")
 
     return OrbitIndex(params, pts, vkeys, perms, edges_verified)
 
@@ -498,7 +523,7 @@ def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
     """
     m = len(frontier)
     batch = pts[frontier]
-    images = np.empty((len(LETTERS) * m, 16), dtype=np.int64)
+    images = np.empty((len(LETTERS) * m, 16), dtype=ROW_DTYPE)
     for k, L in enumerate(LETTERS):
         images[k * m:(k + 1) * m] = apply_letter_np(p, batch, L)
     del batch
@@ -579,13 +604,13 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     g, h = epsilon_conjugators(params)
     p = orbit.p
     idx = np.empty(orbit.n, dtype=np.int64)
-    for c in _row_chunks(orbit.n):
+    for c in _row_chunks(orbit.n, CHUNK_ROWS):
         idx[c] = orbit.index_of_keys(fast_keys(p, orbit.points[c][:, _REVERSED]))
     if (idx < 0).any():
         raise EpsilonOutsideOrbitError(
             f"epsilon maps {int((idx < 0).sum())} points outside the orbit at p={p}")
     checker = make_checker(params)
-    for c in _row_chunks(orbit.n):
+    for c in _row_chunks(orbit.n, CHUNK_ROWS):
         twisted = _twisted_reversal(p, g, h, orbit.points[c])
         if not checker.equivalent(twisted, orbit.points[idx[c]]).all():
             raise EpsilonOutsideOrbitError(
@@ -594,9 +619,11 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
 
 
 def _twisted_reversal(p, g, h, rows):
-    """The rows g eps(Q) h, blockwise: lifts of the twisted images with
-    invertible blocks, which is all the checker needs."""
-    g, h = np.array(g), np.array(h)
-    rev = rows[:, _REVERSED]
-    return np.concatenate([mm_np(p, mm_np(p, g, rev[:, k:k + 4]), h)
-                           for k in range(0, 16, 4)], axis=-1)
+    """The rows g eps(Q) h, blockwise, as ROW_DTYPE: lifts of the twisted
+    images with invertible blocks, which is all the checker needs."""
+    out = np.empty(rows.shape, dtype=ROW_DTYPE)
+    for c in _row_chunks(len(rows), WIDE_ROWS):
+        q = entry_major(rows[c])
+        for k in range(0, 16, 4):  # eps reverses the blocks
+            out[c, k:k + 4] = _mm(p, _mm(p, g, q[12 - k:16 - k]), h).T
+    return out

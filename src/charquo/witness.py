@@ -19,11 +19,11 @@ import numpy as np
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np, fricke_value
 from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
-                     centralizer_element_of_class, conjugator_np, exact_conjugator,
-                     inv_table, is_maximal, legendre_table, mat_det, mat_id, mat_inv,
-                     mat_mul, mat_neg, mat_trace, minv_np, mm_np, order, pack_np,
-                     pgl_canon, pgl_canon_np, psl_canon, torus_pencil, tr_np,
-                     unpack_np)
+                     centralizer_element_of_class, conjugator_np, entry_major,
+                     exact_conjugator, inv_table, is_maximal, legendre_table,
+                     mat_det, mat_id, mat_inv, mat_mul, mat_neg, mat_trace, minv_np,
+                     mm_np, order, pack_np, pgl_canon, pgl_canon_np, psl_canon,
+                     torus_pencil, tr_np, unpack_np)
 from .numutil import BudgetError, InvariantError, next_prime
 from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
                     epsilon_perm, validate_start)
@@ -438,7 +438,7 @@ def _all_sl2(F: PrimeField):
                             rows.append((0, b, c0, d))
     arr = np.array(rows, dtype=np.int64)
     if len(arr) != p * (p * p - 1):
-        raise WitnessError(f"listed {len(arr)} elements of SL2(F_{p}), not p(p^2 - 1)")
+        raise InvariantError(f"listed {len(arr)} elements of SL2(F_{p}), not p(p^2 - 1)")
     return arr
 
 
@@ -496,7 +496,7 @@ def _orbit_minima(p, raw, ops, gauge):
     and the labels are the orbit minima.  That holds only if ops is a
     group and raw a union of orbits, so it is checked: all 4K images of
     every representative lie in raw, and the image sets partition raw.
-    Raises WitnessError naming the gauge and the offending packed pair.
+    Raises InvariantError naming the gauge and the offending packed pair.
     """
     shift = p ** 4
     digits = unpack_np(p, raw, 8)
@@ -535,16 +535,16 @@ def _orbit_minima(p, raw, ops, gauge):
     outside = np.nonzero(raw[at] != members)[0]
     if len(outside):
         i = outside[0]
-        raise WitnessError(f"gauge {gauge}: the orbit of pair {reps[owners[i]]} leaves "
+        raise InvariantError(f"gauge {gauge}: the orbit of pair {reps[owners[i]]} leaves "
                            f"the solution set at pair {members[i]}")
     hits = np.bincount(at, minlength=len(raw))  # orbits through each pair
     if (hits > 1).any():
         x = np.argmax(hits > 1)
         i, j = owners[at == x][:2]
-        raise WitnessError(f"gauge {gauge}: the orbits of pairs {reps[i]} and {reps[j]} "
+        raise InvariantError(f"gauge {gauge}: the orbits of pairs {reps[i]} and {reps[j]} "
                            f"overlap at pair {raw[x]}")
     if (hits == 0).any():
-        raise WitnessError(f"gauge {gauge}: pair {raw[np.argmax(hits == 0)]} lies in no "
+        raise InvariantError(f"gauge {gauge}: pair {raw[np.argmax(hits == 0)]} lies in no "
                            "representative's orbit")
     return reps
 
@@ -614,7 +614,7 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
         raw = _sorted_unique(np.concatenate(raw)) if raw else np.empty(0, dtype=np.int64)
         if name == "id":
             if len(raw):
-                raise WitnessError(f"gauge id: identity gauge must be empty under 5.1, "
+                raise InvariantError(f"gauge id: identity gauge must be empty under 5.1, "
                                    f"found pair {raw[0]}")
             continue
         if not len(raw):
@@ -646,7 +646,7 @@ def _rebuild_rows(p, M1, pairs, params: Params, gauge):
     Starts from (1, M1^-1, M2, M2 M3^-1), then conjugates gamma(Q) and
     delta(Q) onto +-gamma and +-delta (conjugator_np), moving g by a
     gamma-torus element of the other determinant class where the classes
-    of g and h differ.  Raises WitnessError naming the gauge and the
+    of g and h differ.  Raises InvariantError naming the gauge and the
     first pair whose traces, determinant classes or defining equation
     A B^-1 C D^-1 = gamma fail to match.
     """
@@ -684,7 +684,7 @@ def _rebuild_rows(p, M1, pairs, params: Params, gauge):
                     f"the sign-{eps} trace of delta",
                     f"conjugator determinant classes {cg[i]} and {ch[i]} differ",
                     f"rebuilt row {rows[i].tolist()} has A B^-1 C D^-1 != gamma"]
-        raise WitnessError(f"gauge {gauge}, pair {pairs[i]}: "
+        raise InvariantError(f"gauge {gauge}, pair {pairs[i]}: "
                            f"{messages[int(np.argmax(failed[:, i]))]}")
     return rows
 
@@ -701,7 +701,8 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     row, as an (m, 2) int64 array: the lexicographically minimal
     pgl-canonical transformed row over the pairs (pair_g[k], pair_d[k]),
     packed into two base-p integers of 8 digits each (order-preserving,
-    so equal rows = equal exact keys).
+    so equal rows = equal exact keys).  The rows may have any integer
+    dtype: each block of them is widened by entry_major first.
 
     Blocks A and B are transformed for every pair; blocks C and D only
     for the pairs attaining the minimum of the packed (A, B) half, ties
@@ -711,18 +712,18 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     out = np.empty((len(rows), 2), dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // (8 * len(ops)))
     for start in range(0, len(rows), step):
-        block = rows[start:start + step]
-        first = [pgl_canon_np(p, _apply_np(p, block[:, j:j + 4], ops)) for j in (0, 4)]
+        block = entry_major(rows[start:start + step])  # (16, B) int64
+        first = [pgl_canon_np(p, _apply_np(p, block[j:j + 4].T, ops)) for j in (0, 4)]
         k1 = pack_np(p, np.concatenate(first, axis=-1))  # (B, K)
         m1 = k1.min(axis=1)
         r, k = np.nonzero(k1 == m1[:, None])  # every (row, pair) attaining it
-        second = [pgl_canon_np(p, np.matmul(ops[k], block[r, j:j + 4, None])[..., 0] % p)
+        second = [pgl_canon_np(p, np.matmul(ops[k], block[j:j + 4, r].T[..., None])[..., 0] % p)
                   for j in (8, 12)]
         k2 = pack_np(p, np.concatenate(second, axis=-1))
-        m2 = np.full(len(block), np.iinfo(np.int64).max)
+        m2 = np.full(len(m1), np.iinfo(np.int64).max)
         np.minimum.at(m2, r, k2)
-        out[start:start + len(block), 0] = m1
-        out[start:start + len(block), 1] = m2
+        out[start:start + len(m1), 0] = m1
+        out[start:start + len(m1), 1] = m2
     return out
 
 
@@ -764,10 +765,12 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
                  include_permutations: bool = True, dump_path=None) -> dict:
     """Witness -> orbit -> permutations -> classification -> verdict.
 
-    Returns the QuotientReport as a plain dict (JSON-ready).  Failures
-    name their stage: WitnessError for a failed assumption,
-    EpsilonOutsideOrbitError for a failed reversal twist and
-    CertificateError for a certificate that fails revalidation.
+    Returns the QuotientReport as a plain dict.  Its "permutations"
+    (when included) are the six int64 arrays, not lists: cli.to_json
+    writes them as JSON lists.  Failures name their stage: WitnessError
+    for a failed assumption, EpsilonOutsideOrbitError for a failed
+    reversal twist and CertificateError for a certificate that fails
+    revalidation.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -848,6 +851,5 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
         "timings_ms": timings,
     }
     if include_permutations:
-        out["permutations"] = {name: g.tolist()
-                               for name, g in {**gens, "x": x, "y": y}.items()}
+        out["permutations"] = {**gens, "x": x, "y": y}
     return out

@@ -1,7 +1,10 @@
+import io
 import json
 
+import numpy as np
 import pytest
 
+from charquo import cli
 from charquo.cli import main
 
 
@@ -219,3 +222,44 @@ def test_selftest_takes_no_report_options():
     for flag in (["--json"], ["--out", "report.json"]):
         with pytest.raises(SystemExit):
             main(["selftest", "--fast", *flag])
+
+
+def _json_dump_text(report):
+    """json.dump of the report with its arrays as lists, and a newline."""
+    def as_lists(obj):
+        if isinstance(obj, dict):
+            return {k: as_lists(v) for k, v in obj.items()}
+        return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+    buf = io.StringIO()
+    json.dump(as_lists(report), buf, sort_keys=True, indent=2)
+    return buf.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "19", "--seed", "7"],
+    ["orbit", "19", "--no-permutations"],
+    ["orbit", "19", "--max-points", "10"],  # a budget error report
+    ["qrep", "4", "2", "--verify"],
+])
+def test_to_json_writes_what_json_dump_writes(argv, capsys, monkeypatch):
+    written = []
+    to_json = cli.to_json
+
+    def recording(report):
+        written.append((report, to_json(report)))
+        return written[-1][1]
+
+    monkeypatch.setattr(cli, "to_json", recording)
+    main(argv + ["--json"])
+    assert capsys.readouterr().out == written[-1][1]
+    [(report, text)] = written
+    if argv[-1] == "7":  # the permutations reach the writer as arrays
+        assert all(isinstance(a, np.ndarray) for a in report["permutations"].values())
+    assert text == _json_dump_text(report)
+
+
+def test_to_json_arrays_of_any_length():
+    report = {"permutations": {"b": np.arange(3), "a": np.array([], dtype=np.int64),
+                               "c": np.array([7])}, "n": 3}
+    assert cli.to_json(report) == _json_dump_text(report)

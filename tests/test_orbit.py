@@ -8,6 +8,7 @@ from charquo import charvar as cv
 from charquo import orbit as orbit_mod
 from charquo import witness as wt
 from charquo.cli import main
+from charquo.ffield import inv_table
 from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError,
                            OrbitBudgetError, enumerate_orbit, epsilon_perm,
                            fast_keys, quad_to_row, read_dump)
@@ -28,6 +29,14 @@ def test_fast_keys_match_scalar(cfg19, rng):
         for v in t:
             want = want * p + v
         assert packed == want
+
+
+def test_apply_letter_np_matches_scalar(cfg19, rng):
+    quads = [rand_quad(cfg19.F, rng) for _ in range(20)]
+    rows = np.stack([quad_to_row(Q) for Q in quads])
+    for L in LETTERS:
+        want = np.stack([quad_to_row(bq.apply_letter(L, Q)) for Q in quads])
+        assert (orbit_mod.apply_letter_np(19, rows, L) == want).all(), L
 
 
 def test_orbit_contains_start_and_exceeds_p(orbit19, cfg19):
@@ -100,8 +109,9 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
     a_perms = [orbit19.letter_perm(L) for L in LETTERS]
     a_eps = epsilon_perm(orbit19, cfg19.params)
 
-    # a small odd chunk leaves a ragged last chunk in every kernel
+    # small odd chunks leave a ragged last chunk in every gather and kernel
     monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    monkeypatch.setattr(orbit_mod, "WIDE_ROWS", 389)
     b = enumerate_orbit(cfg19.P, cfg19.params)
     assert (b.keys == orbit19.keys).all()
     assert (b.points == orbit19.points).all()
@@ -334,3 +344,66 @@ def test_read_dump_rejects_bad_dumps(orbit19, tmp_path, capsys, edit, defect):
     assert main(["count", "19", "--orbit", str(path)]) == 1
     out = capsys.readouterr().out
     assert defect in out and str(path) in out
+
+
+# -- stored rows are narrow; every row kernel widens them --------------------
+
+def test_row_dtype_holds_every_residue():
+    assert np.iinfo(orbit_mod.ROW_DTYPE).max >= orbit_mod.MAX_PACKED_PRIME
+    assert np.iinfo(orbit_mod.ROW_DTYPE).bits == 16
+
+
+def _random_lifts(p, m, seed):
+    """m rows of four random determinant-1 lifts over F_p, as int64."""
+    gen = np.random.default_rng(seed)
+    a = gen.integers(1, p, size=(m, 4))
+    b, c = gen.integers(0, p, size=(2, m, 4))
+    d = (1 + b * c) % p * inv_table(p)[a] % p
+    return np.stack([a, b, c, d], axis=-1).reshape(m, 16)
+
+
+@pytest.mark.parametrize("p", [19, 233, 509])
+def test_row_kernels_agree_on_narrow_and_wide_rows(p, request):
+    """Each row kernel gives the same output on uint16 rows as on int64
+    copies: on p = 19 orbit rows, and on random lifts at p = 233 and 509,
+    where a sum of two uint16 products of residues wraps."""
+    if p == 19:
+        params = request.getfixturevalue("cfg19").params
+        rows = request.getfixturevalue("orbit19").points[::97]
+    else:
+        cfg = wt.build(p)
+        params = cfg.params
+        rows = np.concatenate([quad_to_row(cfg.P)[None, :],
+                               _random_lifts(p, 300, seed=p).astype(orbit_mod.ROW_DTYPE)])
+    assert rows.dtype == orbit_mod.ROW_DTYPE
+    wide = rows.astype(np.int64)
+    if p > 19:  # the arithmetic the kernels must not do: in uint16 it wraps
+        assert ((rows[:, 0] * rows[:, 3] + rows[:, 1] * rows[:, 2])
+                != (wide[:, 0] * wide[:, 3] + wide[:, 1] * wide[:, 2])).any()
+
+    def same(kernel):
+        """The kernel's output on the uint16 rows, equal to its output on
+        int64 copies of them."""
+        got, want = kernel(rows), kernel(wide)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        return got
+
+    same(lambda r: fast_keys(p, r))
+    for L in LETTERS:
+        same(lambda r: orbit_mod.apply_letter_np(p, r, L))
+    checker = orbit_mod.make_checker(params)
+    assert same(lambda r: checker.equivalent(r, r)).all()
+    assert not same(lambda r: checker.equivalent(r, np.roll(r, 1, axis=0))).all()
+    on_x = same(lambda r: orbit_mod._on_x_mask(params, r))
+    assert on_x.all() if p == 19 else on_x[0] and not on_x[1:].any()
+    g, h = orbit_mod.epsilon_conjugators(params)
+    same(lambda r: orbit_mod._twisted_reversal(p, g, h, r))
+
+    def index(r):
+        return orbit_mod.OrbitIndex(params, r, fast_keys(p, r), {})
+
+    for i in (1, 2, 3):
+        same(lambda r: np.stack(index(r).sigma_matrix_traces(i)))
+    if p ** 8 < 2 ** 63:  # the exact key packs 8 base-p digits
+        # 27 144 centralizer pairs per row at p = 233: a few rows do
+        same(lambda r: wt.orbit_exact_keys(index(r), params, np.arange(0, len(r), 50)))

@@ -10,6 +10,7 @@ from charquo import witness as wt
 from charquo.cli import to_json
 from charquo.ffield import (ElementClass, classify, mat_inv, mat_mul, mat_neg, mat_trace,
                             mm_np, pack_np, pgl_canon_np, psl_canon, torus_pencil)
+from charquo.numutil import InvariantError
 
 # sha256 of to_json(run_pipeline(19, seed=7)) without "timings_ms"
 REPORT19_SEED7_SHA256 = "befefe47cbc4a369cb549f99b8f678c6fa8bca83d14bbb63fbb610901b78c996"
@@ -269,16 +270,16 @@ def test_orbit_minima_match_brute_force():
     assert reps.tolist() == sorted(orbits)
 
     # a non-group operator set: the orbits no longer partition the pairs
-    with pytest.raises(wt.WitnessError, match="gauge toy: the orbits of pairs .* overlap"):
+    with pytest.raises(InvariantError, match="gauge toy: the orbits of pairs .* overlap"):
         wt._orbit_minima(p, raw, ops[np.arange(len(ops)) != 2], "toy")
     # a pair set that is not a union of orbits
     missing = max(orbits[reps[0]])
-    with pytest.raises(wt.WitnessError, match=f"gauge toy: .* leaves the solution set at pair {missing}$"):
+    with pytest.raises(InvariantError, match=f"gauge toy: .* leaves the solution set at pair {missing}$"):
         wt._orbit_minima(p, raw[raw != missing], ops, "toy")
     # a stray pair whose sign-canonical partners are absent gets no label
     stray = next(max(orb) for orb in (_brute_orbit(F, taus, tuple(a), tuple(b))
                                       for a, b in zip(sl2, sl2[::-1])) if not orb & set(raw.tolist()))
-    with pytest.raises(wt.WitnessError, match=f"gauge toy: pair {stray} lies in no"):
+    with pytest.raises(InvariantError, match=f"gauge toy: pair {stray} lies in no"):
         wt._orbit_minima(p, np.sort(np.append(raw, stray)), ops, "toy")
 
 
@@ -350,13 +351,13 @@ def test_rebuild_rejects_a_wrong_triple(cfg19):
     assert wt._rebuild_rows(p, good_m1, np.array([good]), params, "toy").shape == (1, 16)
     # M1 = M2 = M3 = 1: tr(M1 M2 M3 M2^-1) = 2 is not +-tr(gamma); the
     # first failing pair of the batch is named
-    with pytest.raises(wt.WitnessError,
+    with pytest.raises(InvariantError,
                        match=f"^gauge toy, pair {ones}: tr\\(M1 M2 M3 M2\\^-1\\) = 2 is not "
                              "\\+-tr\\(gamma\\)"):
         wt._rebuild_rows(p, np.array([good_m1, one]), np.array([good, ones]), params, "toy")
     # M2 = M3 = 1: gamma(Q) = M1 passes with trace 3, delta(Q) = M1^-1
     # has trace 3, not 11
-    with pytest.raises(wt.WitnessError, match=f"^gauge toy, pair {ones}: tr\\(\\(M3 M1\\)\\^-1\\) = 3 "
+    with pytest.raises(InvariantError, match=f"^gauge toy, pair {ones}: tr\\(\\(M3 M1\\)\\^-1\\) = 3 "
                                               "does not match 11"):
         wt._rebuild_rows(p, (0, p - 1, 1, 3), np.array([ones]), params, "toy")
 
@@ -367,6 +368,16 @@ def test_enumerate_x_classes_names_gauge_and_pair(cfg19, monkeypatch):
         return np.broadcast_to(np.array([1, 0, 0, 1], dtype=np.int64), M.shape)
 
     monkeypatch.setattr(wt, "conjugator_np", identity)
-    with pytest.raises(wt.WitnessError,
+    with pytest.raises(InvariantError,
                        match=r"^gauge uni, pair \d+: rebuilt row \[.*\] has A B\^-1 C D\^-1 != gamma$"):
         wt.enumerate_x_classes(cfg19.params)
+
+
+def test_enumerate_x_classes_orbit_fault_is_an_invariant(cfg19, monkeypatch):
+    # a torus that is not a group breaks the oracle's own partition
+    # check: an internal fault (exit 3 by class), not bad input
+    conj_operators = wt._conj_operators
+    monkeypatch.setattr(wt, "_conj_operators", lambda p, taus: conj_operators(p, taus)[:-1])
+    with pytest.raises(InvariantError, match="^gauge uni: ") as ei:
+        wt.enumerate_x_classes(cfg19.params)
+    assert not isinstance(ei.value, ValueError)
