@@ -179,7 +179,7 @@ def tr_np(p, A):
     return (A[..., 0] + A[..., 3]) % p
 
 
-def _first_nonzero_np(A):
+def first_nonzero_np(A):
     """First nonzero entry along the last axis (0 for an all-zero row),
     by a np.where cascade from the last entry to the first."""
     out = A[..., -1]
@@ -191,7 +191,7 @@ def _first_nonzero_np(A):
 def psl_canon_np(p, A):
     """Flip signs so the first nonzero entry lies in [1, (p-1)/2]."""
     half = (p - 1) // 2
-    return np.where((_first_nonzero_np(A) > half)[..., None], (p - A) % p, A)
+    return np.where((first_nonzero_np(A) > half)[..., None], (p - A) % p, A)
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +239,7 @@ def pencil_annihilators(p, M: Mat):
 
 def pgl_canon_np(p, A):
     """Scale so the first nonzero entry equals 1."""
-    return A * inv_table(p)[_first_nonzero_np(A)][..., None] % p
+    return A * inv_table(p)[first_nonzero_np(A)][..., None] % p
 
 
 def pack_np(p, digits):

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import braidquandle as bq
-from .charvar import Params, canon_keys_np, fricke_value
+from .charvar import Params, canon_keys_np
 from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
                      centralizer_element_of_class, conjugator_np, entry_major,
-                     exact_conjugator, inv_table, is_maximal, legendre_table,
-                     mat_det, mat_id, mat_inv, mat_mul, mat_neg, mat_trace, minv_np,
-                     mm_np, order, pack_np, pgl_canon, pgl_canon_np, psl_canon,
-                     torus_pencil, tr_np, unpack_np)
+                     exact_conjugator, first_nonzero_np, inv_table, is_maximal,
+                     legendre_table, mat_det, mat_id, mat_inv, mat_mul, mat_neg, mat_trace,
+                     minv_np, mm_np, order, pack_np, pgl_canon, pgl_canon_np, psl_canon,
+                     psl_canon_np, torus_pencil, tr_np, unpack_np)
 from .numutil import BudgetError, InvariantError, next_prime
 from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
                     epsilon_perm, validate_start)
@@ -399,21 +399,34 @@ def count_x(params: Params, max_prime: int = COUNT_MAX_PRIME) -> int:
     y0 = params.tdelta % p
     target = (params.tgamma + params.tdelta) % p
     half = (p + 1) // 2  # a, b in [0, (p-1)/2]
+
+    # The Fricke value of (a, b, c, x, y0, z, p7) is q + p7^2 - s p7 with
+    # s = s0 - b (a c - y0), s0 = a x + c z, and q = w0 + b^2 - b v,
+    # v = a z + c x, w0 = a^2 + c^2 + x^2 + y0^2 + z^2 + y0 x z - a y0 c - 4.
+    # On a slice b p7 = lin = target - a c + x z (mod p), so it equals
+    # p7 (p7 - s0) - b v + w + b^2 with w = w0 + (a c - y0) lin: the arrays
+    # s0, v and w are built once per a, and a slice adds only the scalars
+    # b and b^2.
     keys = np.empty(0, dtype=np.int64)
     for a in range(half):
         found = [keys]
+        ac = a * c3
+        lin = (target - ac + x3 * z3) % p
+        s0, v = a * x3 + c3 * z3, a * z3 + c3 * x3
+        w = ((c3 - y0 * a) * c3 + (x3 + y0 * z3) * x3 + z3 * z3 + (a * a + y0 * y0 - 4)
+             + (ac - y0) * lin)
         for b in range(half):
             if b:
-                c, x, z = c3, x3, z3
-                p7 = (target - a * c3 + x3 * z3) % p * F.inv(b) % p
-            else:  # p7 is free: every value is scanned
-                m0 = (a * c3 - x3 * z3) % p == target
-                c, x, z = (np.tile(v[m0], p) for v in (c3, x3, z3))
+                c, x, z, sb, vb, wb = c3, x3, z3, s0, v, w
+                p7 = lin * F.inv(b) % p
+            else:  # lin = 0 and p7 is free: every value is scanned
+                m0 = lin == 0
+                c, x, z, sb, vb, wb = (np.tile(u[m0], p) for u in (c3, x3, z3, s0, v, w))
                 p7 = np.repeat(idx, int(m0.sum()))
             t = (a, b, c, x, y0, z, p7)
-            m = fricke_value(t, p) == 0
+            m = (p7 * (p7 - sb) - b * vb + wb + b * b) % p == 0
             if m.any():
-                cols = [np.broadcast_to(v, m.shape)[m] for v in t]
+                cols = [np.broadcast_to(col, m.shape)[m] for col in t]
                 found.append(canon_keys_np(p, np.stack(cols, axis=-1)))
         keys = _sorted_unique(np.concatenate(found))
     return len(keys)
@@ -483,6 +496,33 @@ def _packed_signs(p, M):
     return pack_np(p, M), pack_np(p, (p - M) % p)
 
 
+def _generators(p, ops):
+    """A generating set of the group of the (K, 4, 4) maps ops, as a
+    (G, 4, 4) array: the maps in descending order of their order mod p,
+    each kept when it lies outside the group the kept ones generate.
+    For a cyclic torus that is one generator; for the torus extended by
+    a reflection, one generator and the first reflection.  Returns
+    (generators, their orders)."""
+    def closure(gens):
+        one = np.eye(4, dtype=np.int64)
+        seen = {one.tobytes()}
+        frontier = [one]
+        while frontier:
+            images = [g @ x % p for x in frontier for g in gens]
+            frontier = [y for y in images if y.tobytes() not in seen]
+            seen.update(y.tobytes() for y in frontier)
+        return seen
+
+    orders = [len(closure([op])) for op in ops]
+    chosen = []
+    group = closure(chosen)
+    for k in sorted(range(len(ops)), key=lambda k: -orders[k]):
+        if ops[k].tobytes() not in group:
+            chosen.append(k)
+            group = closure(ops[chosen])
+    return ops[chosen], [orders[k] for k in chosen]
+
+
 def _orbit_minima(p, raw, ops, gauge):
     """Representatives of the packed (M2, M3) pairs raw (sorted, unique,
     pack(M2) * p^4 + pack(M3)) under the group of the conjugations ops
@@ -490,29 +530,48 @@ def _orbit_minima(p, raw, ops, gauge):
     orbit.
 
     Conjugation commutes with the signs, and the packed minimum of x and
-    -x is the packed psl_canon(x); so each pair of the sign-canonical
-    quarter of raw is labelled by the minimum over ops of
-    pack(psl_canon(tau M2 tau^-1)) * p^4 + pack(psl_canon(tau M3 tau^-1)),
-    and the labels are the orbit minima.  That holds only if ops is a
-    group and raw a union of orbits, so it is checked: all 4K images of
-    every representative lie in raw, and the image sets partition raw.
-    Raises InvariantError naming the gauge and the offending packed pair.
+    -x is the packed psl_canon(x); so an orbit's minimum lies in the
+    sign-canonical quarter of raw, and the orbits of the quarter are
+    those of its permutations tau: (M2, M3) -> psl_canon of
+    (tau M2 tau^-1, tau M3 tau^-1), one for each of a few generators of
+    ops (_generators).  Every pair is labelled by the minimum over its
+    orbit: starting from its own key, min-label pointer doubling along
+    each generator's permutation (ceil(log2 order) rounds make the label
+    constant on its cycles), swept over the generators until a sweep
+    changes nothing.  A pair that is its own label is a representative.
+
+    That holds only if ops is a group and raw a union of orbits, so it
+    is checked: each generator maps the quarter into itself, all 4K
+    images of every representative under ops lie in raw, and the image
+    sets partition raw, which proves that the generated orbits are
+    those of all of ops.  Raises InvariantError naming the gauge and
+    the offending packed pair.
     """
     shift = p ** 4
     digits = unpack_np(p, raw, 8)
-    canon = np.ones(len(raw), dtype=bool)
-    for half in (digits[:, :4], digits[:, 4:]):
-        plus, minus = _packed_signs(p, half)
-        canon &= plus <= minus
-    quarter = digits[canon]
-    step = max(1, _CHUNK_ENTRIES // (4 * len(ops)))
-    labels = []
-    for start in range(0, len(quarter), step):
-        block = quarter[start:start + step]
-        m2 = np.minimum(*_packed_signs(p, _apply_np(p, block[:, :4], ops)))
-        m3 = np.minimum(*_packed_signs(p, _apply_np(p, block[:, 4:], ops)))
-        labels.append((m2 * shift + m3).min(axis=1))
-    reps = _sorted_unique(np.concatenate(labels))
+    half = (p - 1) // 2
+    canon = (first_nonzero_np(digits[:, :4]) <= half) & (first_nonzero_np(digits[:, 4:]) <= half)
+    quarter, keys = digits[canon], raw[canon]
+    gens, orders = _generators(p, ops)
+    images = (pack_np(p, psl_canon_np(p, _apply_np(p, quarter[:, :4], gens))) * shift
+              + pack_np(p, psl_canon_np(p, _apply_np(p, quarter[:, 4:], gens))))  # (n, G)
+    succ = np.searchsorted(keys, images).clip(max=len(keys) - 1)
+    outside = np.nonzero(keys[succ] != images)
+    if len(outside[0]):
+        i, k = outside[0][0], outside[1][0]
+        raise InvariantError(f"gauge {gauge}: the orbit of pair {keys[i]} leaves "
+                             f"the solution set at pair {images[i, k]}")
+    labels = keys
+    changed = True
+    while changed:
+        before = labels
+        for k, order_k in enumerate(orders):
+            f = succ[:, k]
+            for _ in range((order_k - 1).bit_length()):
+                labels = np.minimum(labels, labels[f])
+                f = f[f]
+        changed = (labels != before).any()
+    reps = keys[labels == keys]
 
     # the orbit of each representative, deduplicated within the orbit
     rep_digits = unpack_np(p, reps, 8)
@@ -704,26 +763,37 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     so equal rows = equal exact keys).  The rows may have any integer
     dtype: each block of them is widened by entry_major first.
 
-    Blocks A and B are transformed for every pair; blocks C and D only
-    for the pairs attaining the minimum of the packed (A, B) half, ties
-    included.
+    The minimum is taken block by block: block A is transformed for
+    every pair, block B only for the pairs attaining the minimal packed
+    A, and blocks C and D only for the pairs that still attain the
+    minimal packed (A, B), ties included.  That is the lexicographic
+    minimum over all pairs.
     """
     ops = _operators(p, pair_g, pair_d)  # X -> ghat X dhat
+
+    def tied(block, r, k, js):
+        """Packed images of the blocks js of the rows r under ops[k]."""
+        images = [pgl_canon_np(p, np.matmul(ops[k], block[j:j + 4, r].T[..., None])[..., 0] % p)
+                  for j in js]
+        return pack_np(p, np.concatenate(images, axis=-1))
+
+    def row_minima(r, keys):
+        # r is ascending and names every row of the block
+        return np.minimum.reduceat(keys, np.flatnonzero(np.diff(r, prepend=-1)))
+
     out = np.empty((len(rows), 2), dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // (8 * len(ops)))
+    step = max(1, _CHUNK_ENTRIES // (4 * len(ops)))
     for start in range(0, len(rows), step):
         block = entry_major(rows[start:start + step])  # (16, B) int64
-        first = [pgl_canon_np(p, _apply_np(p, block[j:j + 4].T, ops)) for j in (0, 4)]
-        k1 = pack_np(p, np.concatenate(first, axis=-1))  # (B, K)
-        m1 = k1.min(axis=1)
-        r, k = np.nonzero(k1 == m1[:, None])  # every (row, pair) attaining it
-        second = [pgl_canon_np(p, np.matmul(ops[k], block[j:j + 4, r].T[..., None])[..., 0] % p)
-                  for j in (8, 12)]
-        k2 = pack_np(p, np.concatenate(second, axis=-1))
-        m2 = np.full(len(m1), np.iinfo(np.int64).max)
-        np.minimum.at(m2, r, k2)
-        out[start:start + len(m1), 0] = m1
-        out[start:start + len(m1), 1] = m2
+        ka = pack_np(p, pgl_canon_np(p, _apply_np(p, block[:4].T, ops)))  # (B, K)
+        ma = ka.min(axis=1)
+        r, k = np.nonzero(ka == ma[:, None])  # every (row, pair) attaining it
+        kb = tied(block, r, k, (4,))
+        mb = row_minima(r, kb)
+        tie = kb == mb[r]
+        r, k = r[tie], k[tie]  # every (row, pair) attaining the minimal (A, B)
+        out[start:start + len(ma), 0] = ma * p ** 4 + mb
+        out[start:start + len(ma), 1] = row_minima(r, tied(block, r, k, (8, 12)))
     return out
 
 

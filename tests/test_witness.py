@@ -8,8 +8,9 @@ from charquo import braidquandle as bq
 from charquo import charvar as cv
 from charquo import witness as wt
 from charquo.cli import to_json
-from charquo.ffield import (ElementClass, classify, mat_inv, mat_mul, mat_neg, mat_trace,
-                            mm_np, pack_np, pgl_canon_np, psl_canon, torus_pencil)
+from charquo.ffield import (ElementClass, classify, exact_conjugator, mat_inv, mat_mul, mat_neg,
+                            mat_trace, mm_np, pack_np, pgl_canon, pgl_canon_np, psl_canon,
+                            torus_pencil, unpack_np)
 from charquo.numutil import InvariantError
 
 # sha256 of to_json(run_pipeline(19, seed=7)) without "timings_ms"
@@ -253,33 +254,83 @@ def _brute_orbit(F, taus, m2, m3):
     return out
 
 
-def test_orbit_minima_match_brute_force():
-    F = wt.PrimeField(11)
-    p = F.p
-    R1 = (0, p - 1, 1, 3)
+def _gauge_taus(F, R1):
+    """The residual conjugations of the gauge R1, as enumerate_x_classes
+    builds them: the torus of R1, extended by rho (rho R1 rho^-1 = -R1)
+    when tr R1 = 0."""
     taus = [(1, 0, 0, 1)] + [g for g, _ in torus_pencil(F, R1)]
+    if mat_trace(F, R1) == 0:
+        rho = exact_conjugator(F, R1, mat_neg(F, R1))
+        taus += [pgl_canon(F, mat_mul(F, rho, t)) for t in taus]
+    return taus
+
+
+def _toy_orbits(F, taus):
+    """The orbits of 40 random pairs under taus and the lift signs,
+    keyed by their minima, and their union as a sorted array."""
     sl2 = wt._all_sl2(F).tolist()
     rng = np.random.default_rng(5)
     orbits = {}
     for i, j in rng.integers(0, len(sl2), size=(40, 2)):
         orb = _brute_orbit(F, taus, tuple(sl2[i]), tuple(sl2[j]))
         orbits[min(orb)] = orb
-    raw = np.array(sorted(set().union(*orbits.values())), dtype=np.int64)
+    return orbits, np.array(sorted(set().union(*orbits.values())), dtype=np.int64)
+
+
+def test_orbit_minima_match_brute_force(monkeypatch):
+    F = wt.PrimeField(11)
+    p = F.p
+    apply_np = wt._apply_np
+    # split torus, unipotent, and the dihedral trace-0 gauge (torus and rho)
+    for R1, n_gens in (((0, p - 1, 1, 3), 1), ((1, 1, 0, 1), 1), ((0, p - 1, 1, 0), 2)):
+        taus = _gauge_taus(F, R1)
+        orbits, raw = _toy_orbits(F, taus)
+        ops = wt._conj_operators(p, taus)
+        # the label pass maps the sign-canonical quarter once per half,
+        # by the few generators; only the partition check applies all
+        # of ops
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(wt, "_apply_np",
+                      lambda p, X, ops: calls.append((len(X), len(ops))) or apply_np(p, X, ops))
+            reps = wt._orbit_minima(p, raw, ops, "toy")
+        assert reps.tolist() == sorted(orbits), R1
+        assert [c for c in calls if c[1] != len(ops)] == [(len(raw) // 4, n_gens)] * 2, R1
+
+    taus = _gauge_taus(F, (0, p - 1, 1, 3))
+    orbits, raw = _toy_orbits(F, taus)
     ops = wt._conj_operators(p, taus)
     reps = wt._orbit_minima(p, raw, ops, "toy")
-    assert reps.tolist() == sorted(orbits)
-
-    # a non-group operator set: the orbits no longer partition the pairs
-    with pytest.raises(InvariantError, match="gauge toy: the orbits of pairs .* overlap"):
+    # a non-group operator set: its maps generate the whole torus, whose
+    # orbits label the pairs, but the images under the set itself miss
+    # pairs of those orbits
+    kept = [t for i, t in enumerate(taus) if i != 2]
+    covered = set().union(*(_brute_orbit(F, kept, tuple(d[:4]), tuple(d[4:]))
+                            for d in unpack_np(p, reps, 8).tolist()))
+    uncovered = min(set(raw.tolist()) - covered)
+    with pytest.raises(InvariantError,
+                       match=f"^gauge toy: pair {uncovered} lies in no representative's orbit$"):
         wt._orbit_minima(p, raw, ops[np.arange(len(ops)) != 2], "toy")
-    # a pair set that is not a union of orbits
-    missing = max(orbits[reps[0]])
-    with pytest.raises(InvariantError, match=f"gauge toy: .* leaves the solution set at pair {missing}$"):
-        wt._orbit_minima(p, raw[raw != missing], ops, "toy")
+    # generators of a proper subgroup: their orbits split those of ops,
+    # and the images under ops of two representatives overlap
+    gens, orders = wt._generators(p, ops)
+    square = (gens[0] @ gens[0] % p)[None], [orders[0] // 2]
+    with monkeypatch.context() as m:
+        m.setattr(wt, "_generators", lambda p, ops: square)
+        with pytest.raises(InvariantError,
+                           match=r"^gauge toy: the orbits of pairs \d+ and \d+ overlap at pair \d+$"):
+            wt._orbit_minima(p, raw, ops, "toy")
+    # a pair set that is not a union of orbits: a sign-canonical pair is
+    # missed by the label pass, any other by the partition check
+    for missing in (reps[0], max(orbits[reps[0]])):
+        with pytest.raises(InvariantError, match=f"^gauge toy: the orbit of pair \\d+ leaves "
+                                                 f"the solution set at pair {missing}$"):
+            wt._orbit_minima(p, raw[raw != missing], ops, "toy")
     # a stray pair whose sign-canonical partners are absent gets no label
+    sl2 = wt._all_sl2(F).tolist()
     stray = next(max(orb) for orb in (_brute_orbit(F, taus, tuple(a), tuple(b))
                                       for a, b in zip(sl2, sl2[::-1])) if not orb & set(raw.tolist()))
-    with pytest.raises(InvariantError, match=f"gauge toy: pair {stray} lies in no"):
+    with pytest.raises(InvariantError, match=f"^gauge toy: pair {stray} lies in no"):
         wt._orbit_minima(p, np.sort(np.append(raw, stray)), ops, "toy")
 
 
@@ -322,6 +373,13 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
         A = [v[0] * w1[0] % p, v[0] * w1[1] % p, v[1] * w1[0] % p, v[1] * w1[1] % p]
         B = [v[0] * w2[0] % p, v[0] * w2[1] % p, v[1] * w2[0] % p, v[1] * w2[1] % p]
         synthetic.append(A + B + list(C) + list(D))
+    # and rows that tie on A alone: A as above, B generic, so B breaks
+    # the tie
+    for _ in range(20):
+        w1 = rng.integers(1, p, size=2)
+        B, C, D = sl2[rng.integers(0, len(sl2), size=3)]
+        A = [v[0] * w1[0] % p, v[0] * w1[1] % p, v[1] * w1[0] % p, v[1] * w1[1] % p]
+        synthetic.append(A + list(B) + list(C) + list(D))
     synthetic = np.array(synthetic, dtype=np.int64)
 
     rows = np.concatenate([points, rebuilt, synthetic])
@@ -330,9 +388,18 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
     assert keys.tolist() == [[int(pack_np(p, np.array(k[:8]))), int(pack_np(p, np.array(k[8:])))]
                              for k in brute]
     assert (keys[:len(idx)] == keys[len(idx):2 * len(idx)]).all()
-    # the tie path ran: several pairs attain the minimal (A, B) half
-    first = pack_np(p, full[2 * len(idx):, :, :8])
-    assert ((first == first.min(axis=1, keepdims=True)).sum(axis=1) > 1).all()
+
+    def ties(width):
+        # the number of pairs attaining the minimal packed first width entries
+        first = pack_np(p, full[2 * len(idx):, :, :width])
+        return (first == first.min(axis=1, keepdims=True)).sum(axis=1)
+
+    # both tie paths ran: several pairs attain the minimal (A, B) half of
+    # the first synthetic rows; of the second, several attain the
+    # minimal A and fewer the minimal (A, B)
+    ties_a, ties_ab = ties(4), ties(8)
+    assert (ties_ab[:20] > 1).all()
+    assert (ties_a[20:] > 1).all() and (ties_ab[20:] < ties_a[20:]).all()
 
     # both halves of the scalar key, on a few rows of each kind
     for row, key in zip(rows[::10].tolist(), keys[::10].tolist()):
