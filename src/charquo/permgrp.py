@@ -5,20 +5,23 @@ one-sided Monte-Carlo recognition of giants (groups containing A_n).
 Permutations are 0-based image arrays.  Composition is in diagram
 order: mult(p, q) applies p first, then q.
 
-The giant-recognition path (cycle_lengths, sign, is_transitive,
-window_primes, giant_certificate, GiantCertificate, classify_giant)
-accepts lists or numpy arrays and works on numpy arrays, so it scales
-to orbits of millions of points.  id_perm, mult, inverse, power,
-check_perm, minimal_block and the Schreier-Sims chain keep plain lists:
-they are the small-degree exact oracle, and readers of a JSON report
-compare their results with lists.
+Everything that computes works on int64 numpy arrays and accepts lists:
+the giant-recognition path (cycle_lengths, sign, is_transitive,
+window_primes, giant_certificate, GiantCertificate, classify_giant),
+which scales to orbits of millions of points, and the exact stabilizer
+chain (schreier_sims, BSGS) up to ORACLE_BOUND.  id_perm, mult, inverse
+and check_perm stay on plain lists, because readers of a JSON report
+compare their results with lists.  minimal_block, which only tests
+call, stays a union-find over lists: an array port by class-label
+propagation measured slower (11.5 s against 9.2 s per 100 calls at
+p = 19).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import factorial, isqrt
+from math import factorial, isqrt, prod
 
 import numpy as np
 
@@ -27,10 +30,6 @@ from .numutil import BudgetError, InvariantError, is_prime
 
 def id_perm(n):
     return list(range(n))
-
-
-def is_id(p) -> bool:
-    return all(i == j for i, j in enumerate(p))
 
 
 def mult(p, q):
@@ -42,19 +41,6 @@ def inverse(p):
     out = [0] * len(p)
     for i, j in enumerate(p):
         out[j] = i
-    return out
-
-
-def power(p, k):
-    n = len(p)
-    if k < 0:
-        return power(inverse(p), -k)
-    out = id_perm(n)
-    while k:
-        if k & 1:
-            out = mult(out, p)
-        p = mult(p, p)
-        k >>= 1
     return out
 
 
@@ -123,27 +109,10 @@ def is_transitive(gens, n) -> bool:
 
 # -- stabilizer chains ---------------------------------------------------
 
-@dataclass
-class BSGS:
-    """Base and strong generating set with basic orbit transversals."""
-
-    base: list
-    levels: list  # per level: (gens, orbit transversal {pt: perm base[i]->pt})
-    order: int
-
-    def contains(self, g) -> bool:
-        h = list(g)
-        for b, (gens, transversal) in zip(self.base, self.levels):
-            img = h[b]
-            if img not in transversal:
-                return False
-            h = mult(h, inverse(transversal[img]))
-        return is_id(h)
-
-
-# Largest degree at which the exact stabilizer chain runs (transversal
-# storage); giant recognition is the tool beyond it.
-ORACLE_BOUND = 5000
+# Largest degree at which the exact stabilizer chain runs: S_100 and
+# A_100 take about 13-15 s on a 2-core x86-64 host, S_50 under 1 s.
+# Giant recognition by certificate is the tool beyond it.
+ORACLE_BOUND = 100
 
 # Default number of random words the giant-certificate search tries.
 WORD_BUDGET = 300
@@ -153,97 +122,119 @@ class OracleBoundExceeded(BudgetError):
     pass
 
 
-def _orbit_transversal(point, gens, n):
-    transversal = {point: id_perm(n)}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = g[x]
+def _inverse(g):
+    inv = np.empty_like(g)
+    inv[g] = np.arange(len(g), dtype=np.int64)
+    return inv
+
+
+@dataclass
+class BSGS:
+    """Base and strong generating set.  Level i holds the base point
+    base[i], the strong generators gens[i] that fix base[:i], and the
+    transversal transversals[i] = {x: (u, u^-1)} of the orbit of base[i]
+    under gens[i], u an int64 array mapping base[i] to x."""
+
+    base: list
+    gens: list
+    transversals: list
+
+    @property
+    def order(self) -> int:
+        return prod(len(t) for t in self.transversals)
+
+    def sift(self, h, start=0):
+        """Strip h through levels start, start+1, ...: the residue and
+        the level it leaves the chain at (len(base) if it passes all)."""
+        for j in range(start, len(self.base)):
+            entry = self.transversals[j].get(int(h[self.base[j]]))
+            if entry is None:
+                return h, j
+            h = entry[1][h]
+        return h, len(self.base)
+
+    def contains(self, g) -> bool:
+        h, j = self.sift(np.asarray(g, dtype=np.int64))
+        return j == len(self.base) and bool((h == np.arange(len(h))).all())
+
+
+def _extend_orbit(transversal, gens, points, new_gens):
+    """Add to a transversal the images of points under new_gens, then
+    close the new points under all of gens.  Entries already present
+    are never replaced, so a sift that passed the chain still does."""
+    while points:
+        found = []
+        for x in points:
+            u = transversal[x][0]
+            for s in new_gens:
+                y = int(s[x])
                 if y not in transversal:
-                    transversal[y] = mult(transversal[x], g)
-                    nxt.append(y)
-        frontier = nxt
-    return transversal
+                    us = s[u]
+                    transversal[y] = (us, _inverse(us))
+                    found.append(y)
+        points, new_gens = found, gens
 
 
 def schreier_sims(gens, n=None) -> BSGS:
-    """Deterministic Schreier-Sims; exact group order and membership.
-
-    Restart-on-change variant: simple and exact, quadratic in the chain
-    size, plenty for the oracle regime.  Refuses degrees above
+    """Sims' incremental Schreier-Sims on int64 arrays (Seress 2003,
+    ch. 4; Holt-Eick-O'Brien 2005, 4.4): exact group order and
+    membership.  Each Schreier pair (orbit point, generator index) of
+    level i is sifted once, from level i + 1; a non-identity residue
+    that leaves the chain at level j becomes a strong generator of
+    levels i + 1 .. j, opening a new level when j = len(base).  The
+    deepest pending level is processed next.  Refuses degrees above
     ORACLE_BOUND.
     """
-    gens = [list(g) for g in gens if not is_id(g)]
+    gens = _int64_perms(gens)
     if n is None:
         n = len(gens[0]) if gens else 1
     if n > ORACLE_BOUND:
         raise OracleBoundExceeded(f"degree {n} exceeds oracle bound {ORACLE_BOUND}")
     for g in gens:
         check_perm(g, n)
-    if not gens:
-        return BSGS([], [], 1)
+    ident = np.arange(n, dtype=np.int64)
+    chain = BSGS([], [], [])
+    done: list = []  # per level: the Schreier pairs already sifted
 
-    base: list = []
-    strong: list = []
-    transversals: list = []
+    def add(h, lo, hi):
+        if hi == len(chain.base):
+            point = int(np.flatnonzero(h != ident)[0])
+            chain.base.append(point)
+            chain.gens.append([])
+            chain.transversals.append({point: (ident, ident)})
+            done.append(set())
+        for i in range(lo, hi + 1):
+            chain.gens[i].append(h)
+            _extend_orbit(chain.transversals[i], chain.gens[i],
+                          list(chain.transversals[i]), [h])
 
-    def level_gens(i):
-        return [g for g in strong if all(g[base[j]] == base[j] for j in range(i))]
+    def residue(h, j):
+        return j < len(chain.base) or not (h == ident).all()
 
-    def rebuild():
-        transversals.clear()
-        for i in range(len(base)):
-            transversals.append(_orbit_transversal(base[i], level_gens(i), n))
-
-    def sift(h):
-        for i in range(len(base)):
-            img = h[base[i]]
-            t = transversals[i]
-            if img not in t:
-                return h
-            h = mult(h, inverse(t[img]))
-        return None if is_id(h) else h
-
-    def add_strong(g):
-        if all(g[b] == b for b in base):
-            for pt in range(n):
-                if g[pt] != pt:
-                    base.append(pt)
-                    break
-        strong.append(g)
-        rebuild()
-
-    for g in gens:
-        add_strong(g)
-
-    def find_new_strong():
-        """A sifted Schreier generator outside the current chain, if any."""
-        for i in range(len(base)):
-            lg = level_gens(i)
-            t = transversals[i]
-            for pt, u in t.items():
-                for s in lg:
-                    us = mult(u, s)
-                    g2 = mult(us, inverse(t[us[base[i]]]))
-                    residue = sift(g2)
-                    if residue is not None:
-                        return residue
+    def first_residue(i):
+        t = chain.transversals[i]
+        for x, (u, _) in list(t.items()):
+            for k, s in enumerate(chain.gens[i]):
+                if (x, k) not in done[i]:
+                    done[i].add((x, k))
+                    h, j = chain.sift(t[int(s[x])][1][s[u]], i + 1)
+                    if residue(h, j):
+                        return h, j
         return None
 
-    while True:
-        residue = find_new_strong()
-        if residue is None:
-            break
-        add_strong(residue)
-
-    order = 1
-    levels = []
-    for i in range(len(base)):
-        order *= len(transversals[i])
-        levels.append((level_gens(i), transversals[i]))
-    return BSGS(base, levels, order)
+    for g in gens:
+        h, j = chain.sift(g)
+        if residue(h, j):
+            add(h, 0, j)
+    i = len(chain.base) - 1
+    while i >= 0:
+        found = first_residue(i)
+        if found is None:
+            i -= 1
+        else:
+            add(found[0], i + 1, found[1])
+            i = found[1]
+    return chain
 
 
 # -- block systems -------------------------------------------------------
@@ -297,12 +288,7 @@ class CertificateError(InvariantError):
 
 def _inverses(gens):
     """The inverse of each int64 generator, one scatter each."""
-    out = []
-    for g in gens:
-        inv = np.empty_like(g)
-        inv[g] = np.arange(len(g), dtype=np.int64)
-        out.append(inv)
-    return out
+    return [_inverse(g) for g in gens]
 
 
 def _word_perm(word, gens, invs, n):
@@ -405,9 +391,10 @@ class GiantClassification:
 def classify_giant(gens, n, seed=0, budget=WORD_BUDGET) -> GiantClassification:
     """Recognize the full alternating or symmetric group.
 
-    Certificate path first (sound for any degree); exact stabilizer
-    chain as the fallback oracle up to degree ORACLE_BOUND.  The sign of
-    each generator is computed once and returned on every path.
+    Certificate path first (sound for any degree).  When it comes back
+    empty and n <= ORACLE_BOUND, the exact stabilizer chain decides from
+    the group order; beyond that bound the answer is Inconclusive.  The
+    sign of each generator is computed once and returned on every path.
     """
     gens = _int64_perms(gens)
     signs = [sign(g) for g in gens]
@@ -416,7 +403,7 @@ def classify_giant(gens, n, seed=0, budget=WORD_BUDGET) -> GiantClassification:
         kind = "Alternating" if all(s == 1 for s in signs) else "Symmetric"
         return GiantClassification(kind, signs, certificate=cert)
     if n <= ORACLE_BOUND:
-        bsgs = schreier_sims([g.tolist() for g in gens], n)
+        bsgs = schreier_sims(gens, n)
         if bsgs.order == factorial(n):
             return GiantClassification("Symmetric", signs, order=bsgs.order)
         if 2 * bsgs.order == factorial(n):

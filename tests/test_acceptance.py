@@ -240,7 +240,7 @@ def test_criterion_10_permutation_group_oracle():
     corpus += [
         ("Klein4", [cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))], 4),
         ("D6", [cyc(6, tuple(range(6))), [(6 - i) % 6 for i in range(6)]], 6),
-        ("S2wrS3", [cyc(6, (0, 1)), cyc(6, (2, 3)), cyc(6, (4, 5)),
+        ("C2wrC3", [cyc(6, (0, 1)), cyc(6, (2, 3)), cyc(6, (4, 5)),
                     cyc(6, (0, 2, 4), (1, 3, 5))], 6),
         ("C2wrC4", [cyc(8, (0, 1)), cyc(8, (0, 2, 4, 6), (1, 3, 5, 7))], 8),
         ("S12", [cyc(12, tuple(range(12))), cyc(12, (0, 1))], 12),

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from math import factorial
 from pathlib import Path
@@ -45,9 +46,6 @@ def test_cycle_machinery():
     p = cyc(8, (0, 1, 2), (4, 5))
     assert pg.cycle_lengths(p) == [1, 1, 1, 2, 3]
     assert pg.inverse(pg.inverse(p)) == p
-    assert pg.power(p, 5) == pg.mult(pg.mult(p, p), pg.mult(p, pg.mult(p, p)))
-    assert pg.power(p, -1) == pg.inverse(p)
-    assert pg.power(p, 6) == pg.mult(pg.power(p, 5), p)
 
 
 def test_is_transitive():
@@ -67,9 +65,63 @@ def test_schreier_sims_known_orders():
     assert not b.contains(cyc(6, (0, 1)))
 
 
+def _closure(gens, n):
+    """Every element of <gens>, as tuples, by breadth-first search."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        images = {tuple(s[i] for i in g) for g in frontier for s in gens}
+        frontier = list(images - seen)
+        seen |= images
+    return seen
+
+
+def test_schreier_sims_matches_closure():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            g = list(range(n))
+            rng.shuffle(g)
+            gens.append(g)
+        group = _closure(gens, n)
+        bsgs = pg.schreier_sims(gens, n)
+        assert bsgs.order == len(group), gens
+        for p in itertools.permutations(range(n)):
+            assert bsgs.contains(list(p)) == (p in group), (gens, p)
+
+
+def _psl2(q):
+    # PSL(2, q) on the projective line 0..q-1, infinity = q:
+    # generated by x -> x + 1 and x -> -1/x
+    shift = [(x + 1) % q for x in range(q)] + [q]
+    flip = [q if x == 0 else -pow(x, q - 2, q) % q for x in range(q)] + [0]
+    return [shift, flip]
+
+
+@pytest.mark.parametrize("q, order", [(13, 1092), (97, 456288)])
+def test_schreier_sims_psl2(q, order):
+    bsgs = pg.schreier_sims(_psl2(q))
+    assert bsgs.order == order == q * (q * q - 1) // 2
+    square = 4
+    non_square = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
+    assert bsgs.contains([square * x % q for x in range(q)] + [q])
+    assert not bsgs.contains([non_square * x % q for x in range(q)] + [q])
+
+
+def test_schreier_sims_s50_a50():
+    n = 50
+    s50 = pg.schreier_sims([cyc(n, tuple(range(n))), cyc(n, (0, 1))])
+    a50 = pg.schreier_sims([cyc(n, (0, 1, 2)), cyc(n, tuple(range(1, n)))])
+    assert s50.order == factorial(n)
+    assert 2 * a50.order == factorial(n)
+
+
 def test_schreier_sims_bound():
+    n = pg.ORACLE_BOUND + 1
     with pytest.raises(pg.OracleBoundExceeded):
-        pg.schreier_sims([list(range(1, 6001)) + [0]], 6001)
+        pg.schreier_sims([list(range(1, n)) + [0]], n)
 
 
 def test_minimal_block_examples():
@@ -128,10 +180,12 @@ def test_imprimitive_wreath_inconclusive():
     rot = list(range(2, 100)) + [0, 1]
     cls = pg.classify_giant([swap, rot], 100, seed=1, budget=120)
     assert cls.kind == "Inconclusive"
+    assert cls.order == 2 ** 50 * 50  # C2 wr C50
 
 
-def _wreath_s2_s3():
-    # S2 wr S3 on 6 points: block swaps and block rotation
+def _wreath_c2_c3():
+    # C2 wr C3 on 6 points: block swaps and a block rotation (a 3-cycle
+    # of blocks, so the top group is C3, not S3)
     return [cyc(6, (0, 1)), cyc(6, (2, 3)), cyc(6, (4, 5)),
             cyc(6, (0, 2, 4), (1, 3, 5))]
 
@@ -145,7 +199,7 @@ def test_corpus_agreement():
                                  cyc(n, tuple(range(1, n)))], n))
         corpus.append((f"C{n}", [cyc(n, tuple(range(n)))], n))
     corpus.append(("Klein4", [cyc(4, (0, 1), (2, 3)), cyc(4, (0, 2), (1, 3))], 4))
-    corpus.append(("S2wrS3", _wreath_s2_s3(), 6))
+    corpus.append(("C2wrC3", _wreath_c2_c3(), 6))
     corpus.append(("D6", [cyc(6, tuple(range(6))), [(6 - i) % 6 for i in range(6)]], 6))
     corpus.append(("S12", [cyc(12, tuple(range(12))), cyc(12, (0, 1))], 12))
     corpus.append(("A12", [cyc(12, (0, 1, 2)), cyc(12, tuple(range(1, 12)))], 12))
@@ -165,11 +219,12 @@ def test_bsgs_order_divisibility():
     # |G| divides n! and n divides |G| for transitive G
     for gens, n in (([cyc(6, tuple(range(6)))], 6),
                     ([cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1))], 5),
-                    (_wreath_s2_s3(), 6)):
+                    (_wreath_c2_c3(), 6)):
         order = pg.schreier_sims(gens, n).order
         assert factorial(n) % order == 0
         if pg.is_transitive(gens, n):
             assert order % n == 0
+    assert pg.schreier_sims(_wreath_c2_c3(), 6).order == 2 ** 3 * 3
 
 
 def test_certificate_revalidation_tamper():
