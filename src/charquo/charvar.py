@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
-                     mat_det, mat_inv, mat_mul, mat_trace, pack_np, pgl_canon,
-                     centralizer_pgl)
+from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, adj, centralizer_pgl,
+                     classify, det, mm, pack_np, pgl_canon, tr, tr_mm)
 
 TraceTuple = tuple  # (a, b, c, x, y, z, p7), entries in [0, p)
 
@@ -65,19 +64,21 @@ def canon_keys_np(p: int, t) -> np.ndarray:
     return best
 
 
+def trace_coords(p, A, B, C, D) -> TraceTuple:
+    """The 7 trace coordinates of the lifts (A, B, C, D), entrywise as
+    the ffield kernels: ints, or one coordinate array per matrix of
+    entry-major blocks."""
+    m1 = mm(p, adj(p, B), A)
+    m2 = mm(p, adj(p, A), C)
+    m3 = mm(p, adj(p, D), C)
+    m12 = mm(p, m1, m2)
+    return (tr(p, m1), tr(p, m2), tr(p, m3), tr_mm(p, m2, m3), tr_mm(p, m1, m3),
+            tr(p, m12), tr_mm(p, m12, m3))
+
+
 def from_quad(Q) -> TraceTuple:
     """The 7 trace coordinates of a quadruple of ProjMat2."""
-    A, B, C, D = Q
-    F = A.field
-    m1 = mat_mul(F, mat_inv(F, B.m), A.m)
-    m2 = mat_mul(F, mat_inv(F, A.m), C.m)
-    m3 = mat_mul(F, mat_inv(F, D.m), C.m)
-    m12 = mat_mul(F, m1, m2)
-    return (mat_trace(F, m1), mat_trace(F, m2), mat_trace(F, m3),
-            mat_trace(F, mat_mul(F, m2, m3)),
-            mat_trace(F, mat_mul(F, m1, m3)),
-            mat_trace(F, m12),
-            mat_trace(F, mat_mul(F, m12, m3)))
+    return trace_coords(Q[0].field.p, *(X.m for X in Q))
 
 
 def sigma_action(i: int, direction: int, t: TraceTuple, p: int) -> TraceTuple:
@@ -131,12 +132,13 @@ class Params:
 
     def __post_init__(self):
         F = self.F
-        if mat_det(F, self.gamma_mat) != 1 or mat_det(F, self.delta_mat) != 1:
+        p = F.p
+        if det(p, self.gamma_mat) != 1 or det(p, self.delta_mat) != 1:
             raise ValueError("gamma, delta must be SL2 matrices")
         self.gamma = ProjMat2.of(F, self.gamma_mat)
         self.delta = ProjMat2.of(F, self.delta_mat)
-        self.tgamma = mat_trace(F, self.gamma_mat)
-        self.tdelta = mat_trace(F, self.delta_mat)
+        self.tgamma = tr(p, self.gamma_mat)
+        self.tdelta = tr(p, self.delta_mat)
 
     def satisfies_nonconjugation(self) -> bool:
         """The standing assumption: both non-trivial non-involution
@@ -201,11 +203,12 @@ def key_exact(Q, params: Params):
     |C(delta)| / 2 transformed quadruples per call.
     """
     F = params.F
+    p = F.p
     best = None
     for ghat, dhat in params.equal_class_pairs():
         cand = []
         for X in Q:
-            cand.extend(pgl_canon(F, mat_mul(F, mat_mul(F, ghat, X.m), dhat)))
+            cand.extend(pgl_canon(F, mm(p, mm(p, ghat, X.m), dhat)))
         cand = tuple(cand)
         if best is None or cand < best:
             best = cand
@@ -224,16 +227,17 @@ def are_equivalent(Q, R, params: Params) -> bool:
     the blocks, so it accepts any invertible lifts.
     """
     F = params.F
+    p = F.p
     dlook = params.delta_centralizer_lookup()
     ra = R[0].m
     for ghat, sg in params.centralizer("gamma"):
         # dhat = ga^-1 ra up to scalar; the adjugate avoids a division
-        ga = mat_mul(F, ghat, Q[0].m)
-        dhat = pgl_canon(F, mat_mul(F, mat_inv(F, ga), ra))
+        ga = mm(p, ghat, Q[0].m)
+        dhat = pgl_canon(F, mm(p, adj(p, ga), ra))
         sh = dlook.get(dhat)
         if sh is None or sh != sg:
             continue
-        if all(pgl_canon(F, mat_mul(F, mat_mul(F, ghat, Q[k].m), dhat)) == pgl_canon(F, R[k].m)
+        if all(pgl_canon(F, mm(p, mm(p, ghat, Q[k].m), dhat)) == pgl_canon(F, R[k].m)
                for k in (1, 2, 3)):
             return True
     return False

@@ -1,20 +1,24 @@
 """Exact arithmetic in F_p and in SL2 / PSL2 / PGL2(F_p).
 
-Matrices are 4-tuples (m11, m12, m21, m22) with entries reduced to
+Matrices are 4-sequences (m11, m12, m21, m22) with entries reduced to
 [0, p).  A PSL2 element is stored as its sign-canonical determinant-1
 lift: the first nonzero entry in row-major order lies in [1, (p-1)/2].
 PGL2 elements are matrices mod scalars, canonicalized by scaling the
 first nonzero entry to 1; their determinant survives as a square /
 non-square class.
 
-The same arithmetic is vectorized over numpy int64 arrays whose last
-axis holds (m11, m12, m21, m22) (the `_np` functions), or entrywise
-over the rows of entry-major copies (mm_raw, entry_major), next to the
-base-p packing of digit vectors into order-preserving int64 keys.
-Conjugators between matrices of equal trace and determinant are closed
-form: each non-scalar 2x2 matrix is the companion matrix of its
-characteristic polynomial in the basis (v, Mv) of a cyclic vector v
-(conjugator_np), so no linear system is solved.
+One set of 2x2 kernels (mm, adj, neg, det, tr, tr_mm, eq and the
+unreduced mm_raw) serves every caller: they work entrywise, so the
+entries may be Python ints or equal-shape int64 arrays.  One function
+multiplies two tuples, two entry-major (4, m) blocks (entry_major
+copies stored rows into one), or a fixed matrix against a block by
+broadcasting.  psl_canon_np, pgl_canon_np and conjugator_np branch per
+matrix with np.where on the same 4-sequences; base-p packing of digit
+vectors into order-preserving int64 keys (pack_np) reads digits on the
+last axis.  Conjugators between matrices of equal trace and
+determinant are closed form: each non-scalar 2x2 matrix is the
+companion matrix of its characteristic polynomial in the basis (v, Mv)
+of a cyclic vector v (conjugator_np), so no linear system is solved.
 
 Everything here is a pure function of its inputs; no interior mutation.
 """
@@ -72,55 +76,74 @@ class PrimeField:
         return 1 if r == 1 else -1
 
 
-# -- raw matrix helpers -------------------------------------------------
+# -- 2x2 kernels -----------------------------------------------------------
+#
+# A and B are 4-sequences (m11, m12, m21, m22) whose entries are ints or
+# equal-shape (or broadcastable) int64 arrays, in [0, p).  Matrices come
+# back as 4-tuples and scalars as single values of the same kind,
+# reduced to [0, p) except by mm_raw.
 
-def mat_id() -> Mat:
-    return (1, 0, 0, 1)
+I2 = (1, 0, 0, 1)
 
 
-def mat_mul(F: PrimeField, A: Mat, B: Mat) -> Mat:
-    p = F.p
+def mm_raw(A, B):
+    """Unreduced 2x2 product.  Each entry is a sum of two products, so
+    below 2 max|A| max|B| in absolute value."""
     a, b, c, d = A
     e, f, g, h = B
-    return ((a * e + b * g) % p, (a * f + b * h) % p,
-            (c * e + d * g) % p, (c * f + d * h) % p)
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def mat_inv(F: PrimeField, A: Mat) -> Mat:
+def mm(p, A, B):
+    return tuple(x % p for x in mm_raw(A, B))
+
+
+def adj(p, A):
     """Adjugate of A: its inverse when det A = 1, and its inverse up to
     the scalar det A (so projectively exact) otherwise."""
-    p = F.p
     a, b, c, d = A
-    return (d, (-b) % p, (-c) % p, a)
+    return (d, -b % p, -c % p, a)
 
 
-def mat_neg(F: PrimeField, A: Mat) -> Mat:
-    p = F.p
-    return tuple((-x) % p for x in A)
+def neg(p, A):
+    return tuple(-x % p for x in A)
 
 
-def mat_det(F: PrimeField, A: Mat) -> int:
-    return (A[0] * A[3] - A[1] * A[2]) % F.p
+def det(p, A):
+    a, b, c, d = A
+    return (a * d - b * c) % p
 
 
-def mat_trace(F: PrimeField, A: Mat) -> int:
-    return (A[0] + A[3]) % F.p
+def tr(p, A):
+    return (A[0] + A[3]) % p
+
+
+def tr_mm(p, A, B):
+    """tr(A B) mod p as a sum of four products, without forming A B."""
+    return (A[0] * B[0] + A[1] * B[2] + A[2] * B[1] + A[3] * B[3]) % p
+
+
+def eq(A, B):
+    """A == B entry by entry: a bool, or a mask over a block."""
+    return (A[0] == B[0]) & (A[1] == B[1]) & (A[2] == B[2]) & (A[3] == B[3])
+
+
+def is_scalar(A):
+    """Whether A is a scalar matrix: a bool, or a mask over a block."""
+    return (A[1] == 0) & (A[2] == 0) & (A[0] == A[3])
 
 
 def mat_pow(F: PrimeField, A: Mat, n: int) -> Mat:
+    p = F.p
     if n < 0:
-        return mat_pow(F, mat_inv(F, A), -n)
-    out = mat_id()
+        return mat_pow(F, adj(p, A), -n)
+    out = I2
     while n:
         if n & 1:
-            out = mat_mul(F, out, A)
-        A = mat_mul(F, A, A)
+            out = mm(p, out, A)
+        A = mm(p, A, A)
         n >>= 1
     return out
-
-
-def is_scalar(F: PrimeField, A: Mat) -> bool:
-    return A[1] == 0 and A[2] == 0 and A[0] == A[3]
 
 
 def psl_canon(F: PrimeField, A: Mat) -> Mat:
@@ -128,7 +151,7 @@ def psl_canon(F: PrimeField, A: Mat) -> Mat:
     for x in A:
         if x != 0:
             if x > F.half:
-                return mat_neg(F, A)
+                return neg(F.p, A)
             return A
     raise ValueError("zero matrix has no canonical lift")
 
@@ -145,17 +168,7 @@ def pgl_canon(F: PrimeField, A: Mat) -> Mat:
     raise ValueError("zero matrix is not a PGL2 element")
 
 
-# -- vectorized 2x2 arithmetic (last axis = (m11, m12, m21, m22)) --------
-
-def mm_raw(A, B):
-    """Unreduced 2x2 product of matrices given entrywise: A and B are
-    4-sequences (m11, m12, m21, m22) of ints or equal-shape arrays, such
-    as the rows of an entry-major (4, m) array.  Each entry is a sum of
-    two products, so below 2 max|A| max|B| in absolute value."""
-    a, b, c, d = A
-    e, f, g, h = B
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
+# -- per-matrix branches and packing over arrays --------------------------
 
 def entry_major(rows):
     """An entry-major int64 (k, m) copy of the (m, k) rows, of any integer
@@ -164,34 +177,20 @@ def entry_major(rows):
     return np.ascontiguousarray(rows.T, dtype=np.int64)
 
 
-def mm_np(p, A, B):
-    return np.stack([x % p for x in mm_raw(np.moveaxis(A, -1, 0),
-                                           np.moveaxis(B, -1, 0))], axis=-1)
-
-
-def minv_np(p, A):
-    """Adjugates (inverses of the determinant-1 matrices), as mat_inv."""
-    return np.stack((A[..., 3], (p - A[..., 1]) % p,
-                     (p - A[..., 2]) % p, A[..., 0]), axis=-1)
-
-
-def tr_np(p, A):
-    return (A[..., 0] + A[..., 3]) % p
-
-
 def first_nonzero_np(A):
-    """First nonzero entry along the last axis (0 for an all-zero row),
-    by a np.where cascade from the last entry to the first."""
-    out = A[..., -1]
-    for j in range(A.shape[-1] - 2, -1, -1):
-        out = np.where(A[..., j] != 0, A[..., j], out)
+    """First nonzero entry of each matrix of the 4-sequence A (0 for a
+    zero matrix), by a np.where cascade from the last entry to the
+    first."""
+    out = A[-1]
+    for x in A[-2::-1]:
+        out = np.where(x != 0, x, out)
     return out
 
 
 def psl_canon_np(p, A):
     """Flip signs so the first nonzero entry lies in [1, (p-1)/2]."""
-    half = (p - 1) // 2
-    return np.where((first_nonzero_np(A) > half)[..., None], (p - A) % p, A)
+    flip = first_nonzero_np(A) > (p - 1) // 2
+    return tuple(np.where(flip, (p - x) % p, x) for x in A)
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +238,8 @@ def pencil_annihilators(p, M: Mat):
 
 def pgl_canon_np(p, A):
     """Scale so the first nonzero entry equals 1."""
-    return A * inv_table(p)[first_nonzero_np(A)][..., None] % p
+    s = inv_table(p)[first_nonzero_np(A)]
+    return tuple(x * s % p for x in A)
 
 
 def pack_np(p, digits):
@@ -289,29 +289,29 @@ class ProjMat2:
     def of(cls, F: PrimeField, entries) -> "ProjMat2":
         p = F.p
         m = tuple(int(x) % p for x in entries)
-        if mat_det(F, m) != 1:
-            raise ValueError(f"determinant is {mat_det(F, m)}, not 1")
+        if det(p, m) != 1:
+            raise ValueError(f"determinant is {det(p, m)}, not 1")
         return cls(F, psl_canon(F, m))
 
     @classmethod
     def identity(cls, F: PrimeField) -> "ProjMat2":
-        return cls(F, mat_id())
+        return cls(F, I2)
 
     def __mul__(self, other: "ProjMat2") -> "ProjMat2":
-        return ProjMat2(self.field, psl_canon(self.field, mat_mul(self.field, self.m, other.m)))
+        return ProjMat2(self.field, psl_canon(self.field, mm(self.field.p, self.m, other.m)))
 
     def inv(self) -> "ProjMat2":
-        return ProjMat2(self.field, psl_canon(self.field, mat_inv(self.field, self.m)))
+        return ProjMat2(self.field, psl_canon(self.field, adj(self.field.p, self.m)))
 
     def trace(self) -> int:
         """Trace of the canonical lift (one of the two signed traces)."""
-        return mat_trace(self.field, self.m)
+        return tr(self.field.p, self.m)
 
     def __pow__(self, n: int) -> "ProjMat2":
         return ProjMat2(self.field, psl_canon(self.field, mat_pow(self.field, self.m, n)))
 
     def is_one(self) -> bool:
-        return is_scalar(self.field, self.m)
+        return is_scalar(self.m)
 
     def __repr__(self):
         a, b, c, d = self.m
@@ -372,7 +372,7 @@ def order(M: ProjMat2) -> int:
     F = M.field
     n = centralizer_order(M)
     for q in factorize(n):
-        while n % q == 0 and is_scalar(F, mat_pow(F, M.m, n // q)):
+        while n % q == 0 and is_scalar(mat_pow(F, M.m, n // q)):
             n //= q
     return n
 
@@ -398,9 +398,9 @@ def torus_pencil(F: PrimeField, M: Mat):
     a, b, c, d = M
     for x in range(p):
         g = ((x + a) % p, b, c, (x + d) % p)
-        det = mat_det(F, g)
-        if det:
-            yield pgl_canon(F, g), det
+        det_g = det(p, g)
+        if det_g:
+            yield pgl_canon(F, g), det_g
 
 
 def centralizer_pgl(M: ProjMat2):
@@ -416,7 +416,7 @@ def centralizer_pgl(M: ProjMat2):
         raise ValueError(f"centralizer enumeration unsupported for {cls}")
     F = M.field
     p = F.p
-    out = [(mat_id(), 1)] + [(g, F.legendre(det)) for g, det in torus_pencil(F, M.m)]
+    out = [(I2, 1)] + [(g, F.legendre(d)) for g, d in torus_pencil(F, M.m)]
     expect = p - 1 if cls is ElementClass.SPLIT else p + 1
     if len(out) != expect:
         raise InvariantError(f"centralizer of {M} at p = {p}: {len(out)} elements, "
@@ -427,10 +427,10 @@ def centralizer_pgl(M: ProjMat2):
 def centralizer_element_of_class(M: ProjMat2, det_class: int) -> Mat:
     """Some element of C_PGL2(M) with the requested determinant class."""
     if det_class == 1:
-        return mat_id()
+        return I2
     F = M.field
-    for g, det in torus_pencil(F, M.m):
-        if F.legendre(det) == det_class:
+    for g, d in torus_pencil(F, M.m):
+        if F.legendre(d) == det_class:
             return g
     raise ValueError("torus has no element of the requested class")
 
@@ -438,22 +438,23 @@ def centralizer_element_of_class(M: ProjMat2, det_class: int) -> Mat:
 # -- conjugators by cyclic vectors ---------------------------------------
 
 def conjugator_np(p, M, N):
-    """g with g M g^-1 = N and det g != 0, row by row, for non-scalar
-    M and N of equal trace and determinant: g = [w | N w] adj([v | M v]).
+    """g with g M g^-1 = N and det g != 0, matrix by matrix of the
+    4-sequences M and N, for non-scalar M and N of equal trace and
+    determinant: g = [w | N w] adj([v | M v]).
 
     v is a cyclic vector of M (e1 if m21 != 0, else e2 if m12 != 0, else
     e1 + e2, M being diagonal) and w the same for N; in the bases (v, Mv)
     and (w, Nw) both matrices are the companion matrix of their common
-    characteristic polynomial.  No check is made: other rows give some
-    matrix g, possibly singular.
+    characteristic polynomial.  No check is made: other matrices give
+    some matrix g, possibly singular.
     """
     def cyclic_basis(A):
-        a, b, c, d = np.moveaxis(A, -1, 0)
-        y = (c == 0).astype(np.int64)
-        x = ((c != 0) | (b == 0)).astype(np.int64)
-        return np.stack((x, (a * x + b * y) % p, y, (c * x + d * y) % p), axis=-1)
+        a, b, c, d = A
+        y = np.where(c == 0, 1, 0)
+        x = np.where((c != 0) | (b == 0), 1, 0)
+        return (x, (a * x + b * y) % p, y, (c * x + d * y) % p)
 
-    return mm_np(p, cyclic_basis(N), minv_np(p, cyclic_basis(M)))
+    return mm(p, cyclic_basis(N), adj(p, cyclic_basis(M)))
 
 
 def exact_conjugator(F: PrimeField, M: Mat, N: Mat) -> Mat:
@@ -463,13 +464,13 @@ def exact_conjugator(F: PrimeField, M: Mat, N: Mat) -> Mat:
     and determinants agree (conjugator_np builds g); two scalars only
     when equal, by the identity.  Raises NotConjugateError otherwise.
     """
-    if (mat_trace(F, M) != mat_trace(F, N) or mat_det(F, M) != mat_det(F, N)
-            or is_scalar(F, M) != is_scalar(F, N)):
-        raise NotConjugateError(f"{M} is not conjugate to {N} over F_{F.p}")
-    if is_scalar(F, M):
-        return mat_id()
-    g = conjugator_np(F.p, np.array(M, dtype=np.int64), np.array(N, dtype=np.int64))
-    return tuple(int(x) for x in g)
+    p = F.p
+    if (tr(p, M) != tr(p, N) or det(p, M) != det(p, N)
+            or is_scalar(M) != is_scalar(N)):
+        raise NotConjugateError(f"{M} is not conjugate to {N} over F_{p}")
+    if is_scalar(M):
+        return I2
+    return tuple(int(x) for x in conjugator_np(p, M, N))
 
 
 def conjugator(M: ProjMat2, N: ProjMat2):
@@ -479,10 +480,10 @@ def conjugator(M: ProjMat2, N: ProjMat2):
     onto N, or onto -N when there is none.
     """
     F = M.field
-    for target in (N.m, mat_neg(F, N.m)):
+    for target in (N.m, neg(F.p, N.m)):
         try:
             g = pgl_canon(F, exact_conjugator(F, M.m, target))
         except NotConjugateError:
             continue
-        return g, F.legendre(mat_det(F, g))
+        return g, F.legendre(det(F.p, g))
     raise NotConjugateError(f"{M} is not PGL2-conjugate to {N}")

@@ -4,10 +4,11 @@ deterministic point indexing and generator-permutation extraction.
 The engine stores full matrix quadruples as numpy arrays of shape
 (n, 16) (four sign-canonical determinant-1 lifts, row-major) and
 deduplicates on the packed canonical trace key.  The 2x2 kernels and the
-base-p packing it runs on are ffield's (mm_raw on entry-major copies,
-and the `_np` functions); the trace key is charvar.canon_keys_np.  This
-module owns the BFS, the exact-equivalence checker, the index and the
-dump format.  Every recurrent BFS edge, and every image of the
+base-p packing it runs on are ffield's, applied to entry-major copies of
+the rows; the trace coordinates and their key are charvar's
+(trace_coords, canon_keys_np).  This module owns the BFS, the
+exact-equivalence checker, the index and the dump format.  Every
+recurrent BFS edge, and every image of the
 reversal twist, is re-verified against the stored representative with
 the centralizer-coset equivalence, so the enumeration is sound even
 where the injectivity of the trace map is unproven.  The check solves for one candidate centralizer pair per row,
@@ -38,13 +39,14 @@ them permutations.  No image is applied or keyed a second time.
 Rows are stored as ROW_DTYPE (uint16): every entry is a residue below
 p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np,
 exact verification, the backstop, the twist and the sigma traces) widen
-WIDE_ROWS rows at a time into an entry-major int64 copy
-(ffield.entry_major) and compute on it with mm_raw, so no narrow array
-reaches int arithmetic and the temporaries are bounded whatever the
-orbit size.  What grows with the orbit is 32 bytes per point (the
-uint16 quadruple) plus 16 per visited key (key and point index) and,
-during the BFS, 24 per point of int32 successors (six letters); at rest
-the index keeps the six int64 letter permutations, 48 bytes per point.
+WIDE_ROWS rows at a time into an entry-major int64 (16, m) copy
+(ffield.entry_major), whose slices of four rows are blocks for the
+ffield kernels, so no narrow array reaches int arithmetic and the
+temporaries are bounded whatever the orbit size.  What grows with the
+orbit is 32 bytes per point (the uint16 quadruple) plus 16 per visited
+key (key and point index) and, during the BFS, 24 per point of int32
+successors (six letters); at rest the index keeps the six int64 letter
+permutations, 48 bytes per point.
 Per layer come 32 bytes per image of the frontier (six per frontier
 point, built in one buffer, one letter at a time) with a few int64
 words of sort state.  Successor indices are int32, so max_points must
@@ -59,11 +61,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import braidquandle as bq
-from .charvar import Params, canon_keys_np, from_quad
-from .ffield import (NotConjugateError, ProjMat2, centralizer_element_of_class,
-                     conjugator, entry_major, legendre_table, mat_det, mat_inv,
-                     mat_mul, mat_neg, mm_raw, pack_np, pencil_annihilators,
-                     pgl_canon, psl_canon_np, unpack_np)
+from .charvar import Params, canon_keys_np, from_quad, trace_coords
+from .ffield import (NotConjugateError, ProjMat2, adj, centralizer_element_of_class,
+                     conjugator, det, entry_major, eq, is_scalar, legendre_table, mm,
+                     mm_raw, neg, pack_np, pencil_annihilators, pgl_canon, psl_canon_np,
+                     tr, unpack_np)
 from .numutil import BudgetError, InvariantError
 
 LETTERS = (bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i)
@@ -119,42 +121,12 @@ class EpsilonOutsideOrbitError(ValueError):
 
 # -- row kernels on entry-major int64 copies --------------------------------
 
-def _adj(X):
-    """Adjugate of an entry-major 2x2 block: the inverse of a
-    determinant-1 lift, with signed entries."""
-    a, b, c, d = X
-    return (d, -b, -c, a)
-
-
-def _mm(p, A, B):
-    """Entry-major 2x2 product mod p, as a (4, m) array."""
-    return np.stack([x % p for x in mm_raw(A, B)])
-
-
-def _tr_mm(p, A, B):
-    """tr(AB) mod p as a sum of four products."""
-    return (A[0] * B[0] + A[1] * B[2] + A[2] * B[1] + A[3] * B[3]) % p
-
-
-def _keys_chunk(p, q):
-    """charvar.from_quad on each column of the entry-major (16, m) q,
-    then its packed canonical key."""
-    A, B, C, D = q[0:4], q[4:8], q[8:12], q[12:16]
-    m1 = _mm(p, _adj(B), A)
-    m2 = _mm(p, _adj(A), C)
-    m3 = _mm(p, _adj(D), C)
-    m12 = _mm(p, m1, m2)
-    t = np.stack([(m1[0] + m1[3]) % p, (m2[0] + m2[3]) % p, (m3[0] + m3[3]) % p,
-                  _tr_mm(p, m2, m3), _tr_mm(p, m1, m3), (m12[0] + m12[3]) % p,
-                  _tr_mm(p, m12, m3)])
-    return canon_keys_np(p, t.T)  # (m, 7), coordinate-major
-
-
 def fast_keys(p, quads):
     """Packed canonical trace key of each row of an (m, 16) batch."""
     out = np.empty(len(quads), dtype=np.int64)
     for c in _row_chunks(len(quads), WIDE_ROWS):
-        out[c] = _keys_chunk(p, entry_major(quads[c]))
+        t = np.stack(trace_coords(p, *entry_major(quads[c]).reshape(4, 4, -1)))
+        out[c] = canon_keys_np(p, t.T)  # (m, 7), coordinate-major
     return out
 
 
@@ -170,7 +142,8 @@ def apply_letter_np(p, quads, letter):
     for c in _row_chunks(len(quads), WIDE_ROWS):
         q = entry_major(quads[c])
         X, Y = q[x:x + 4], q[y:y + 4]
-        out[c, x:x + 4] = psl_canon_np(p, _mm(p, _mm(p, X, _adj(Y)), X).T)
+        for j, v in enumerate(psl_canon_np(p, mm(p, mm(p, X, adj(p, Y)), X)), x):
+            out[c, j] = v
     return out
 
 
@@ -211,10 +184,10 @@ class _ExactChecker:
     (a row with a zero system would get g = 0 and be refused).
 
     The rows are lifts with invertible blocks.  The kernel works on
-    entry-major copies of the rows, with signed entries of absolute
-    value below p; no intermediate exceeds 16 p^4 in absolute value
-    before it is reduced mod p, far under 2^63 for p <= MAX_PACKED_PRIME,
-    and nothing is packed.
+    entry-major copies of the rows, with entries in [0, p), and keeps
+    some products unreduced (mm_raw); no intermediate exceeds 16 p^4 in
+    absolute value before it is reduced mod p, far under 2^63 for
+    p <= MAX_PACKED_PRIME, and nothing is packed.
     """
 
     def __init__(self, params: Params):
@@ -237,9 +210,9 @@ class _ExactChecker:
         """Accepted mask over the columns of the entry-major (16, m)
         arrays q and r."""
         p = self.p
-        X = _adj(q[0:4])
+        X = adj(p, q[0:4])
         U = mm_raw(r[0:4], X)  # |U|, |V| < 2p^2
-        V = mm_raw([x % p for x in mm_raw(r[0:4], self.delta)], X)
+        V = mm_raw(mm(p, r[0:4], self.delta), X)
         # the system [l1(U) l1(V); l2(U) l2(V)] (mu, nu)^T = 0
         (lu1, lu2), (lv1, lv2) = [[sum(c * x for c, x in zip(row, M) if c) % p
                                    for row in self.ann] for M in (U, V)]
@@ -250,13 +223,12 @@ class _ExactChecker:
         nu = -np.where(first, lu1, lu2)
         g = [(mu * u + nu * v) % p for u, v in zip(U, V)]
         d0, d1, d2, d3 = self.delta
-        dh = [(mu + nu * d3) % p, -nu * d1 % p, -nu * d2 % p, (mu + nu * d0) % p]
-        det_g = (g[0] * g[3] - g[1] * g[2]) % p
-        det_d = (dh[0] * dh[3] - dh[1] * dh[2]) % p
+        dh = adj(p, ((mu + nu * d0) % p, nu * d1 % p, nu * d2 % p, (mu + nu * d3) % p))
+        det_g, det_d = det(p, g), det(p, dh)
         leg = legendre_table(p)
         ok = singular & (det_g != 0) & (det_d != 0) & (leg[det_g] == leg[det_d])
         for k in range(0, 16, 4):
-            s = mm_raw(mm_raw(mm_raw(g, q[k:k + 4]), dh), _adj(r[k:k + 4]))
+            s = mm_raw(mm_raw(mm_raw(g, q[k:k + 4]), dh), adj(p, r[k:k + 4]))
             # np.fmod: the truncated remainder, zero exactly on multiples of p
             ok &= ((np.fmod(s[1], p) == 0) & (np.fmod(s[2], p) == 0)
                    & (np.fmod(s[0] - s[3], p) == 0) & (np.fmod(s[0], p) != 0))
@@ -343,14 +315,14 @@ class OrbitIndex:
         points where that matrix is the identity."""
         p = self.p
         x, y = 4 * (i - 1), 4 * i  # sigma_i's matrix is block i-1 times block i inverse
-        tr = np.empty(self.n, dtype=np.int64)
+        traces = np.empty(self.n, dtype=np.int64)
         ident = np.empty(self.n, dtype=bool)
         for c in _row_chunks(self.n, WIDE_ROWS):
             q = entry_major(self.points[c])
-            m = _mm(p, q[x:x + 4], _adj(q[y:y + 4]))
-            tr[c] = (m[0] + m[3]) % p
-            ident[c] = (m[1] == 0) & (m[2] == 0) & (m[0] == m[3])
-        return tr, ident
+            m = mm(p, q[x:x + 4], adj(p, q[y:y + 4]))
+            traces[c] = tr(p, m)
+            ident[c] = is_scalar(m)
+        return traces, ident
 
     # -- dump format ------------------------------------------------------
 
@@ -401,35 +373,32 @@ def read_dump(path):
     return int(p), coords
 
 
-def _on_x_mask(params: Params, rows) -> np.ndarray:
-    """Mask over (m, 16) rows: the defining equations hold, i.e.
-    (gamma, delta) of the lifts equal those of params up to one common
-    sign."""
+def _on_x(params: Params, A, B, C, D):
+    """Whether the lifts (A, B, C, D) satisfy the defining equations:
+    gamma = A B^-1 C D^-1 and delta = A^-1 B C^-1 D equal those of
+    params up to one common sign.  Entrywise as the ffield kernels: a
+    bool for ints, a mask for blocks."""
     p = params.F.p
-    gm = np.array(params.gamma_mat, dtype=np.int64)[:, None]
-    dm = np.array(params.delta_mat, dtype=np.int64)[:, None]
+    gm, dm = params.gamma_mat, params.delta_mat
+    gam = mm(p, mm(p, A, adj(p, B)), mm(p, C, adj(p, D)))
+    del_ = mm(p, mm(p, adj(p, A), B), mm(p, adj(p, C), D))
+    return ((eq(gam, gm) & eq(del_, dm))
+            | (eq(gam, neg(p, gm)) & eq(del_, neg(p, dm))))
+
+
+def _on_x_mask(params: Params, rows) -> np.ndarray:
+    """Mask over (m, 16) rows: _on_x of each."""
     ok = np.empty(len(rows), dtype=bool)
     for c in _row_chunks(len(rows), WIDE_ROWS):
-        q = entry_major(rows[c])
-        A, B, C, D = q[0:4], q[4:8], q[8:12], q[12:16]
-        gam = _mm(p, _mm(p, A, _adj(B)), _mm(p, C, _adj(D)))
-        del_ = _mm(p, _mm(p, _adj(A), B), _mm(p, _adj(C), D))
-        plus = (gam == gm).all(axis=0) & (del_ == dm).all(axis=0)
-        minus = (gam == (p - gm) % p).all(axis=0) & (del_ == (p - dm) % p).all(axis=0)
-        ok[c] = plus | minus
+        ok[c] = _on_x(params, *entry_major(rows[c]).reshape(4, 4, -1))
     return ok
 
 
 def validate_start(P, params: Params):
-    """Raise ValueError unless the quadruple P lies in X for params: the
-    equations of _on_x_mask, in Python ints, so exact at any p (the
-    int64 products of the mask are exact only below about p = 2^31)."""
-    F = params.F
-    A, B, C, D = (X.m for X in P)
-    gam = mat_mul(F, mat_mul(F, A, mat_inv(F, B)), mat_mul(F, C, mat_inv(F, D)))
-    del_ = mat_mul(F, mat_mul(F, mat_inv(F, A), B), mat_mul(F, mat_inv(F, C), D))
-    want = (tuple(params.gamma_mat), tuple(params.delta_mat))
-    if (gam, del_) not in (want, tuple(mat_neg(F, m) for m in want)):
+    """Raise ValueError unless the quadruple P lies in X for params:
+    _on_x in Python ints, so exact at any p (the int64 products of
+    _on_x_mask are exact only below about p = 2^31)."""
+    if not _on_x(params, *(X.m for X in P)):
         raise ValueError("gamma mismatch: point does not lie in X for these parameters")
 
 
@@ -583,8 +552,8 @@ def epsilon_conjugators(params: Params):
     if cg != ch:
         F = params.F
         z = centralizer_element_of_class(params.gamma, -1)
-        g = pgl_canon(F, mat_mul(F, z, g))
-        cg = F.legendre(mat_det(F, g))
+        g = pgl_canon(F, mm(F.p, z, g))
+        cg = F.legendre(det(F.p, g))
         if cg != ch:
             raise NotConjugateError("no class-compatible reversal conjugators")
     return g, h
@@ -625,5 +594,6 @@ def _twisted_reversal(p, g, h, rows):
     for c in _row_chunks(len(rows), WIDE_ROWS):
         q = entry_major(rows[c])
         for k in range(0, 16, 4):  # eps reverses the blocks
-            out[c, k:k + 4] = _mm(p, _mm(p, g, q[12 - k:16 - k]), h).T
+            for j, v in enumerate(mm(p, mm(p, g, q[12 - k:16 - k]), h), k):
+                out[c, j] = v
     return out

@@ -286,11 +286,6 @@ class CertificateError(InvariantError):
     """A certificate found by the search failed its own revalidation."""
 
 
-def _inverses(gens):
-    """The inverse of each int64 generator, one scatter each."""
-    return [_inverse(g) for g in gens]
-
-
 def _word_perm(word, gens, invs, n):
     """Permutation of a word [(index, +-1), ...] over int64 generators
     and their inverses (leftmost letter applied first), composed by
@@ -317,7 +312,7 @@ class GiantCertificate:
     def permutation(self, gens):
         """The word's permutation as an int64 array."""
         gens = _int64_perms(gens)
-        return _word_perm(self.word, gens, _inverses(gens), self.n)
+        return _word_perm(self.word, gens, [_inverse(g) for g in gens], self.n)
 
     def revalidate(self, gens) -> bool:
         if not is_prime(self.q) or not (2 * self.q > self.n and self.q < self.n - 2):
@@ -366,7 +361,7 @@ def giant_certificate(gens, n, seed=0, budget=WORD_BUDGET):
         return Inconclusive("generators are not transitive")
     rng = random.Random(seed)
     gens = _int64_perms(gens)
-    invs = _inverses(gens)
+    invs = [_inverse(g) for g in gens]
     for _ in range(budget):
         word = _random_word(len(gens), rng)
         for length in set(cycle_lengths(_word_perm(word, gens, invs, n))):

@@ -338,7 +338,12 @@ def intertwiner_construction_check(ell: int) -> bool:
     """Whether the constructive transpose-intertwiner on V_{4, ell}, with
     H the twisted form and L = D_4 T_4, J_V = H (L^-1)^T, satisfies
     J_V sigma_i^T = sigma_i J_V for every generator.  The scalar
-    denominator of H cancels, so J_V is taken as num(H) (T_4 D_4^-1)^T."""
+    denominator of H cancels, so J_V is taken as num(H) (T_4 D_4^-1)^T.
+
+    It holds at ell <= 1 only: the check returns True, True, False,
+    False for ell = 0, 1, 2, 3, so the construction is not a general
+    intertwiner (intertwiner_J solves for one at any ell).  `qrep
+    --verify` runs it at ell = 1 whatever ell is asked."""
     _, Dm_inv, Tm = _d_t_matrices(ell)
     J = mat_mul(hermitian_form(ell).num, mat_transpose(mat_mul(Tm, Dm_inv)))
     for i in (1, 2, 3):

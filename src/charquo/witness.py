@@ -18,12 +18,11 @@ import numpy as np
 
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np
-from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, classify,
-                     centralizer_element_of_class, conjugator_np, entry_major,
+from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, classify,
+                     centralizer_element_of_class, conjugator_np, det, entry_major, eq,
                      exact_conjugator, first_nonzero_np, inv_table, is_maximal,
-                     legendre_table, mat_det, mat_id, mat_inv, mat_mul, mat_neg, mat_trace,
-                     minv_np, mm_np, order, pack_np, pgl_canon, pgl_canon_np, psl_canon,
-                     psl_canon_np, torus_pencil, tr_np, unpack_np)
+                     legendre_table, mm, neg, order, pack_np, pgl_canon, pgl_canon_np,
+                     psl_canon, psl_canon_np, torus_pencil, tr, tr_mm, unpack_np)
 from .numutil import BudgetError, InvariantError, next_prime
 from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
                     epsilon_perm, validate_start)
@@ -89,22 +88,22 @@ def build(p: int) -> WitnessConfig:
     u = tuple(x % p for x in U0)
     v = tuple(x % p for x in V0)
     w = tuple(x % p for x in W0)
-    gamma = mat_mul(F, u, w)
-    delta = mat_inv(F, mat_mul(F, mat_mul(F, u, v), mat_mul(F, w, mat_inv(F, v))))
+    gamma = mm(p, u, w)
+    delta = adj(p, mm(p, mm(p, u, v), mm(p, w, adj(p, v))))
     for name, m, want in (("gamma", gamma, TR_GAMMA), ("delta", delta, TR_DELTA)):
-        if mat_trace(F, m) != want % p:
-            raise InvariantError(f"witness at p = {p}: tr({name}) = {mat_trace(F, m)}, "
+        if tr(p, m) != want % p:
+            raise InvariantError(f"witness at p = {p}: tr({name}) = {tr(p, m)}, "
                                  f"expected {want % p}")
     for name, m in (("gamma", gamma), ("delta", delta)):
         cls = classify(ProjMat2.of(F, m))
         if cls in (ElementClass.IDENTITY, ElementClass.INVOLUTION, ElementClass.UNIPOTENT):
             raise WitnessError(f"degenerate prime {p}: {name} is {cls.value}")
     params = Params(F, gamma, delta)
-    ui, vi, wi = mat_inv(F, u), mat_inv(F, v), mat_inv(F, w)
+    ui, vi, wi = adj(p, u), adj(p, v), adj(p, w)
     P = (ProjMat2.identity(F),
          ProjMat2.of(F, ui),
-         ProjMat2.of(F, mat_mul(F, vi, ui)),
-         ProjMat2.of(F, mat_mul(F, wi, mat_mul(F, vi, ui))))
+         ProjMat2.of(F, mm(p, vi, ui)),
+         ProjMat2.of(F, mm(p, wi, mm(p, vi, ui))))
     validate_start(P, params)
     return WitnessConfig(F, u, v, w, params, P)
 
@@ -142,7 +141,7 @@ class AssumptionReport:
 def _fixed_line(F: PrimeField, M: Mat):
     """The unique projective fixed point of a unipotent, as a scaled key."""
     p = F.p
-    s = M if mat_trace(F, M) == 2 else mat_neg(F, M)
+    s = M if tr(p, M) == 2 else neg(p, M)
     n1, n2, n3, n4 = (s[0] - 1) % p, s[1], s[2], (s[3] - 1) % p
     if n1 or n2:
         vec = ((-n2) % p, n1)
@@ -156,7 +155,7 @@ def _fixed_line(F: PrimeField, M: Mat):
 
 
 def _commutes_proj(F, a, b):
-    return pgl_canon(F, mat_mul(F, a, b)) == pgl_canon(F, mat_mul(F, b, a))
+    return pgl_canon(F, mm(F.p, a, b)) == pgl_canon(F, mm(F.p, b, a))
 
 
 def generates_psl2(F: PrimeField, a: Mat, b: Mat):
@@ -165,17 +164,18 @@ def generates_psl2(F: PrimeField, a: Mat, b: Mat):
     True / False are certified; None means the quick criteria were
     inconclusive (possible dihedral or exceptional containment).
     """
+    p = F.p
     A, B = ProjMat2.of(F, a), ProjMat2.of(F, b)
-    comm = mat_mul(F, mat_mul(F, a, b), mat_mul(F, mat_inv(F, a), mat_inv(F, b)))
-    if mat_trace(F, comm) == 2:
+    comm = mm(p, mm(p, a, b), mm(p, adj(p, a), adj(p, b)))
+    if tr(p, comm) == 2:
         return False  # reducible over the closure: inside a Borel or cyclic
-    sq = [mat_mul(F, m, m) for m in (a, b, mat_mul(F, a, b))]
+    sq = [mm(p, m, m) for m in (a, b, mm(p, a, b))]
     pairwise = all(_commutes_proj(F, sq[i], sq[j])
                    for i in range(3) for j in range(i + 1, 3))
     if pairwise:
         return None  # squares inside one torus: dihedral not excluded
     orders = []
-    for m in (a, b, mat_mul(F, a, b)):
+    for m in (a, b, mm(p, a, b)):
         Pm = ProjMat2.of(F, m)
         if not Pm.is_one():
             orders.append(order(Pm))
@@ -218,22 +218,23 @@ def proper_decomposition(Q, which: str = "first"):
     canonical lifts.
     """
     F = Q[0].field
+    p = F.p
     A, B, C, D = (X.m for X in Q)
-    Bi, Ci, Di = mat_inv(F, B), mat_inv(F, C), mat_inv(F, D)
+    Bi, Ci, Di = adj(p, B), adj(p, C), adj(p, D)
     if which == "first":
-        x = mat_mul(F, A, Bi)
-        y = mat_mul(F, Bi, A)
-        z = mat_mul(F, C, Di)
-        w = mat_mul(F, Di, C)
+        x = mm(p, A, Bi)
+        y = mm(p, Bi, A)
+        z = mm(p, C, Di)
+        w = mm(p, Di, C)
     elif which == "second":
-        x = mat_mul(F, A, Ci)
-        y = mat_mul(F, Ci, A)
-        z = mat_mul(F, mat_mul(F, C, Bi), mat_mul(F, C, Di))
-        w = mat_mul(F, mat_mul(F, Di, C), mat_mul(F, Bi, C))
+        x = mm(p, A, Ci)
+        y = mm(p, Ci, A)
+        z = mm(p, mm(p, C, Bi), mm(p, C, Di))
+        w = mm(p, mm(p, Di, C), mm(p, Bi, C))
     else:
         raise ValueError(f"unknown foliation {which!r}")
-    if (psl_canon(F, mat_mul(F, x, z)) != bq.gamma(Q).m
-            or psl_canon(F, mat_mul(F, w, y)) != bq.delta(Q).inv().m):
+    if (psl_canon(F, mm(p, x, z)) != bq.gamma(Q).m
+            or psl_canon(F, mm(p, w, y)) != bq.delta(Q).inv().m):
         raise InvariantError(f"{which} decomposition at p = {F.p}: "
                              "x z != gamma or w y != delta^-1")
 
@@ -274,7 +275,7 @@ def _uni_param_class(F: PrimeField, M: Mat) -> int:
     """SL2-conjugacy class of a +-unipotent: the square class of the
     off-diagonal parameter."""
     p = F.p
-    s = M if mat_trace(F, M) == 2 else mat_neg(F, M)
+    s = M if tr(p, M) == 2 else neg(p, M)
     n12, n21 = s[1], (s[2]) % p
     if n12:
         return F.legendre(n12)
@@ -284,8 +285,8 @@ def _uni_param_class(F: PrimeField, M: Mat) -> int:
 def _conj_by(F, g, M):
     """g M g^-1 for invertible g, exact in SL2."""
     p = F.p
-    det_inv = F.inv(mat_det(F, g))
-    out = mat_mul(F, mat_mul(F, g, M), mat_inv(F, g))
+    det_inv = F.inv(det(p, g))
+    out = mm(p, mm(p, g, M), adj(p, g))
     return tuple(v * det_inv % p for v in out)
 
 
@@ -305,8 +306,8 @@ def unipotent_decompositions(params: Params):
     def factor_pairs(target):
         out = []
         for x in unis:
-            z = mat_mul(F, mat_inv(F, x), target)
-            if mat_trace(F, z) == 2 and z != mat_id():
+            z = mm(p, adj(p, x), target)
+            if tr(p, z) == 2 and z != I2:
                 out.append((x, z))
         return out
 
@@ -315,9 +316,9 @@ def unipotent_decompositions(params: Params):
     # w y = eps delta^-1 with one common sign
     candidates = {}
     for eps in (1, -1):
-        tg = params.gamma_mat if eps == 1 else mat_neg(F, params.gamma_mat)
-        td = mat_inv(F, params.delta_mat)
-        td = td if eps == 1 else mat_neg(F, td)
+        tg = params.gamma_mat if eps == 1 else neg(p, params.gamma_mat)
+        td = adj(p, params.delta_mat)
+        td = td if eps == 1 else neg(p, td)
         Lg = factor_pairs(tg)
         Ld = factor_pairs(td)
         for x, z in Lg:
@@ -349,11 +350,12 @@ def unipotent_decompositions(params: Params):
 def normalize_unipotent_decomposition(F, dec):
     """Flip the (x,y) and (z,w) pairs so both traces are +2, matching
     the search's normal form."""
+    p = F.p
     x, y, z, w = dec
-    if mat_trace(F, x) != 2:
-        x, y = mat_neg(F, x), mat_neg(F, y)
-    if mat_trace(F, z) != 2:
-        z, w = mat_neg(F, z), mat_neg(F, w)
+    if tr(p, x) != 2:
+        x, y = neg(p, x), neg(p, y)
+    if tr(p, z) != 2:
+        z, w = neg(p, z), neg(p, w)
     return (x, y, z, w)
 
 
@@ -457,16 +459,17 @@ def _all_sl2(F: PrimeField):
 
 def _operators(p, left, right):
     """The linear maps X -> left_k X right_k on 2x2 matrices (as
-    4-vectors), for (K, 4) arrays left and right: shape (K, 4, 4)."""
-    unit = np.eye(4, dtype=np.int64)
-    return np.stack([mm_np(p, mm_np(p, left, unit[i]), right) for i in range(4)], axis=-1)
+    4-vectors), for entry-major (4, K) blocks left and right: shape
+    (K, 4, 4)."""
+    return np.stack([np.stack(mm(p, mm(p, left, unit), right), axis=-1)
+                     for unit in np.eye(4, dtype=np.int64)], axis=-1)
 
 
 def _conj_operators(p, taus):
     """The conjugations M -> tau M tau^-1, exact in SL2 for invertible tau."""
-    taus = np.array(taus, dtype=np.int64)
-    det = (taus[:, 0] * taus[:, 3] - taus[:, 1] * taus[:, 2]) % p
-    return _operators(p, taus, minv_np(p, taus) * inv_table(p)[det][:, None] % p)
+    taus = np.array(taus, dtype=np.int64).T
+    scale = inv_table(p)[det(p, taus)]
+    return _operators(p, taus, [x * scale % p for x in adj(p, taus)])
 
 
 # entries per temporary in the chunked oracle kernels (about 8 MB each)
@@ -494,6 +497,17 @@ def _sorted_unique(keys):
 def _packed_signs(p, M):
     """pack_np of M and of -M, both reduced mod p."""
     return pack_np(p, M), pack_np(p, (p - M) % p)
+
+
+def _canon_packed(p, canon, M):
+    """pack_np of canon(p, M) (psl_canon_np or pgl_canon_np) for
+    matrices M on the last axis."""
+    return pack_np(p, np.stack(canon(p, np.moveaxis(M, -1, 0)), axis=-1))
+
+
+def _where(mask, A, B):
+    """A where mask holds, else B, entry by entry of two 4-sequences."""
+    return tuple(np.where(mask, a, b) for a, b in zip(A, B))
 
 
 def _generators(p, ops):
@@ -550,11 +564,12 @@ def _orbit_minima(p, raw, ops, gauge):
     shift = p ** 4
     digits = unpack_np(p, raw, 8)
     half = (p - 1) // 2
-    canon = (first_nonzero_np(digits[:, :4]) <= half) & (first_nonzero_np(digits[:, 4:]) <= half)
+    canon = ((first_nonzero_np(digits.T[:4]) <= half)
+             & (first_nonzero_np(digits.T[4:]) <= half))
     quarter, keys = digits[canon], raw[canon]
     gens, orders = _generators(p, ops)
-    images = (pack_np(p, psl_canon_np(p, _apply_np(p, quarter[:, :4], gens))) * shift
-              + pack_np(p, psl_canon_np(p, _apply_np(p, quarter[:, 4:], gens))))  # (n, G)
+    images = (_canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, :4], gens)) * shift
+              + _canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, 4:], gens)))  # (n, G)
     succ = np.searchsorted(keys, images).clip(max=len(keys) - 1)
     outside = np.nonzero(keys[succ] != images)
     if len(outside[0]):
@@ -631,32 +646,27 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
     if not params.satisfies_nonconjugation():
         raise WitnessError("enumeration requires the split/non-split assumption")
     sl2 = _all_sl2(F)
+    S = sl2.T  # SL2 as an entry-major block
     tg, td = params.tgamma, params.tdelta
 
     # gauge representatives for M1: identity, one unipotent, companions
-    reps = [("id", mat_id()), ("uni", (1, 1, 0, 1))]
+    reps = [("id", I2), ("uni", (1, 1, 0, 1))]
     for t in range(0, (p - 1) // 2 + 1):
         if t == 2:
             continue
         reps.append((f"t{t}", (0, p - 1, 1, t)))
 
-    # SL2 elements as (n,4); traces of R1 * M3 are linear in M3
-    def trace_of_product_coeffs(R):
-        # tr(R M) = R11 M11 + R21 M12 + R12 M21 + R22 M22
-        return np.array([R[0], R[2], R[1], R[3]], dtype=np.int64)
-
-    sl2_inv = minv_np(p, sl2)
+    sl2_inv = adj(p, S)
     rows = []
 
     for name, R1 in reps:
         # admissible M3 for each sign branch
-        coeff = trace_of_product_coeffs(R1)
-        tr_r1_m3 = sl2 @ coeff % p
+        tr_r1_m3 = tr_mm(p, R1, S)
         branch_m3 = {eps: sl2[tr_r1_m3 == eps * td % p] for eps in (1, -1)}
-        # N = M2^-1 R1 M2 for all M2
-        R1v = np.array(R1, dtype=np.int64)
-        N = mm_np(p, mm_np(p, sl2_inv, R1v[None, :]), sl2)
-        ncoeff = np.stack([N[:, 0], N[:, 2], N[:, 1], N[:, 3]], axis=1)
+        # N = M2^-1 R1 M2 for all M2; tr(N M3) is the dot product of the
+        # entries of N^T with those of M3
+        N = mm(p, mm(p, sl2_inv, R1), S)
+        ncoeff = np.stack([N[0], N[2], N[1], N[3]], axis=1)
         raw = []
         for eps in (1, -1):
             M3s = branch_m3[eps]
@@ -681,10 +691,10 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
 
         # residual symmetry: torus conjugation (extended by the sign
         # swap for the involution gauge), and independent sign flips
-        taus = [mat_id()] + [g for g, _ in torus_pencil(F, R1)]
-        if mat_trace(F, R1) == 0:
-            rho = exact_conjugator(F, R1, mat_neg(F, R1))
-            taus = taus + [pgl_canon(F, mat_mul(F, rho, t)) for t in taus]
+        taus = [I2] + [g for g, _ in torus_pencil(F, R1)]
+        if tr(p, R1) == 0:
+            rho = exact_conjugator(F, R1, neg(p, R1))
+            taus = taus + [pgl_canon(F, mm(p, rho, t)) for t in taus]
         class_reps = _orbit_minima(p, raw, _conj_operators(p, taus), name)
         rows.append(_rebuild_rows(p, R1, class_reps, params, name))
 
@@ -700,7 +710,7 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
 def _rebuild_rows(p, M1, pairs, params: Params, gauge):
     """Projective quadruple rows in X~, one for each packed pair
     pack(M2) * p^4 + pack(M3) of pairs, with trace triple (M1, M2, M3);
-    M1 is one matrix or one per pair.
+    M1 is one matrix or an entry-major block of one per pair.
 
     Starts from (1, M1^-1, M2, M2 M3^-1), then conjugates gamma(Q) and
     delta(Q) onto +-gamma and +-delta (conjugator_np), moving g by a
@@ -709,37 +719,36 @@ def _rebuild_rows(p, M1, pairs, params: Params, gauge):
     first pair whose traces, determinant classes or defining equation
     A B^-1 C D^-1 = gamma fail to match.
     """
-    M2, M3 = np.moveaxis(unpack_np(p, pairs, 8).reshape(-1, 2, 4), 1, 0)
-    M1 = np.broadcast_to(np.asarray(M1, dtype=np.int64), M2.shape)
-    G0 = mm_np(p, mm_np(p, M1, M2), mm_np(p, M3, minv_np(p, M2)))  # M1 M2 M3 M2^-1
-    D0 = minv_np(p, mm_np(p, M3, M1))
-    flip = (tr_np(p, G0) != params.tgamma % p)[:, None]
-    tgt_g = np.where(flip, (-np.array(params.gamma_mat)) % p, params.gamma_mat)
-    tgt_d = np.where(flip, (-np.array(params.delta_mat)) % p, params.delta_mat)
+    digits = unpack_np(p, pairs, 8).T
+    M2, M3 = digits[:4], digits[4:]
+    G0 = mm(p, mm(p, M1, M2), mm(p, M3, adj(p, M2)))  # M1 M2 M3 M2^-1
+    D0 = adj(p, mm(p, M3, M1))
+    flip = tr(p, G0) != params.tgamma % p
+    tgt_g = _where(flip, neg(p, params.gamma_mat), params.gamma_mat)
+    tgt_d = _where(flip, neg(p, params.delta_mat), params.delta_mat)
     g = conjugator_np(p, G0, tgt_g)
     h = conjugator_np(p, D0, tgt_d)
 
     def det_class(X):
-        return legendre_table(p)[(X[:, 0] * X[:, 3] - X[:, 1] * X[:, 2]) % p]
+        return legendre_table(p)[det(p, X)]
 
-    z = np.array(centralizer_element_of_class(params.gamma, -1), dtype=np.int64)
-    g = np.where((det_class(g) != det_class(h))[:, None], mm_np(p, z, g), g)
-    hi_adj = minv_np(p, h)  # h^-1 up to scalar
-    blocks = [pgl_canon_np(p, mm_np(p, mm_np(p, g, x), hi_adj))
-              for x in (np.array(mat_id()), minv_np(p, M1), M2, mm_np(p, M2, minv_np(p, M3)))]
-    A, B, C, D = blocks
-    gg = pgl_canon_np(p, mm_np(p, mm_np(p, A, minv_np(p, B)), mm_np(p, C, minv_np(p, D))))
-    rows = np.concatenate(blocks, axis=1)
+    z = centralizer_element_of_class(params.gamma, -1)
+    g = _where(det_class(g) != det_class(h), mm(p, z, g), g)
+    hi_adj = adj(p, h)  # h^-1 up to scalar
+    A, B, C, D = [pgl_canon_np(p, mm(p, mm(p, g, x), hi_adj))
+                  for x in (I2, adj(p, M1), M2, mm(p, M2, adj(p, M3)))]
+    gg = pgl_canon_np(p, mm(p, mm(p, A, adj(p, B)), mm(p, C, adj(p, D))))
+    rows = np.stack(A + B + C + D, axis=1)
 
     # the checks of each row, in order; the first failing pair is named
-    tr_g, tr_d, cg, ch = tr_np(p, G0), tr_np(p, D0), det_class(g), det_class(h)
-    failed = np.stack([tr_g != tr_np(p, tgt_g), tr_d != tr_np(p, tgt_d), cg != ch,
-                       (gg != pgl_canon(params.F, params.gamma_mat)).any(axis=1)])
+    tr_g, tr_d, cg, ch = tr(p, G0), tr(p, D0), det_class(g), det_class(h)
+    failed = np.stack([tr_g != tr(p, tgt_g), tr_d != tr(p, tgt_d), cg != ch,
+                       ~eq(gg, pgl_canon(params.F, params.gamma_mat))])
     if failed.any():
         i = int(np.argmax(failed.any(axis=0)))
-        eps = -1 if flip[i, 0] else 1
+        eps = -1 if flip[i] else 1
         messages = [f"tr(M1 M2 M3 M2^-1) = {tr_g[i]} is not +-tr(gamma) = +-{params.tgamma}",
-                    f"tr((M3 M1)^-1) = {tr_d[i]} does not match {tr_np(p, tgt_d)[i]}, "
+                    f"tr((M3 M1)^-1) = {tr_d[i]} does not match {tr(p, tgt_d)[i]}, "
                     f"the sign-{eps} trace of delta",
                     f"conjugator determinant classes {cg[i]} and {ch[i]} differ",
                     f"rebuilt row {rows[i].tolist()} has A B^-1 C D^-1 != gamma"]
@@ -749,16 +758,18 @@ def _rebuild_rows(p, M1, pairs, params: Params, gauge):
 
 
 def _pair_arrays(params: Params):
-    """The equal-class centralizer pairs as two (K, 4) arrays (ghat, dhat)."""
+    """The equal-class centralizer pairs as two entry-major (4, K) blocks
+    (ghat, dhat)."""
     pairs = params.equal_class_pairs()
-    return (np.array([g for g, _ in pairs], dtype=np.int64),
-            np.array([d for _, d in pairs], dtype=np.int64))
+    return (np.array([g for g, _ in pairs], dtype=np.int64).T,
+            np.array([d for _, d in pairs], dtype=np.int64).T)
 
 
 def _exact_keys_np(p, rows, pair_g, pair_d):
     """Exact centralizer-coset key (charvar.key_exact) of each (m, 16)
     row, as an (m, 2) int64 array: the lexicographically minimal
-    pgl-canonical transformed row over the pairs (pair_g[k], pair_d[k]),
+    pgl-canonical transformed row over the pairs of the k-th matrices of
+    the blocks pair_g and pair_d,
     packed into two base-p integers of 8 digits each (order-preserving,
     so equal rows = equal exact keys).  The rows may have any integer
     dtype: each block of them is widened by entry_major first.
@@ -773,9 +784,11 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
 
     def tied(block, r, k, js):
         """Packed images of the blocks js of the rows r under ops[k]."""
-        images = [pgl_canon_np(p, np.matmul(ops[k], block[j:j + 4, r].T[..., None])[..., 0] % p)
-                  for j in js]
-        return pack_np(p, np.concatenate(images, axis=-1))
+        digits = []
+        for j in js:
+            image = np.matmul(ops[k], block[j:j + 4, r].T[..., None])[..., 0] % p  # (n, 4)
+            digits.extend(pgl_canon_np(p, image.T))
+        return pack_np(p, np.stack(digits, axis=-1))
 
     def row_minima(r, keys):
         # r is ascending and names every row of the block
@@ -784,8 +797,9 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     out = np.empty((len(rows), 2), dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // (4 * len(ops)))
     for start in range(0, len(rows), step):
-        block = entry_major(rows[start:start + step])  # (16, B) int64
-        ka = pack_np(p, pgl_canon_np(p, _apply_np(p, block[:4].T, ops)))  # (B, K)
+        chunk = rows[start:start + step]
+        block = entry_major(chunk)  # (16, B) int64
+        ka = _canon_packed(p, pgl_canon_np, _apply_np(p, chunk[:, :4], ops))  # (B, K)
         ma = ka.min(axis=1)
         r, k = np.nonzero(ka == ma[:, None])  # every (row, pair) attaining it
         kb = tied(block, r, k, (4,))

@@ -3,7 +3,7 @@ import random
 from charquo import braidquandle as bq
 from charquo import charvar as cv
 from charquo import witness as wt
-from charquo.ffield import mat_mul, ProjMat2
+from charquo.ffield import ProjMat2, det, mm
 from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
@@ -105,7 +105,6 @@ def test_trace_key_invariant_under_centralizer_twists(cfg19, rng):
     for x in range(1, p):
         sqrt_table.setdefault(x * x % p, x)
     pairs = params.equal_class_pairs()
-    from charquo.ffield import mat_det
     Q = cfg19.P
     for _ in range(40):
         Q = bq.apply_letter(rng.choice(LETTERS), Q)
@@ -114,8 +113,8 @@ def test_trace_key_invariant_under_centralizer_twists(cfg19, rng):
             ghat, dhat = rng.choice(pairs)
             twisted = []
             for X in Q:
-                m = mat_mul(F, mat_mul(F, ghat, X.m), dhat)
-                lam = F.inv(sqrt_table[mat_det(F, m)])
+                m = mm(p, mm(p, ghat, X.m), dhat)
+                lam = F.inv(sqrt_table[det(p, m)])
                 twisted.append(ProjMat2.of(F, tuple(v * lam % p for v in m)))
             assert cv.canonicalize(cv.from_quad(tuple(twisted)), p) == base
             assert cv.are_equivalent(Q, tuple(twisted), params)

@@ -10,7 +10,7 @@ import pytest
 from charquo import charvar as cv
 from charquo import orbit as orbit_mod
 from charquo.charvar import Params
-from charquo.ffield import ProjMat2, mat_det, mat_mul, pencil_annihilators, pgl_canon
+from charquo.ffield import ProjMat2, det, mm, pencil_annihilators, pgl_canon
 from charquo.orbit import epsilon_conjugators, epsilon_perm, make_checker
 
 SHEAR = (1, 1, 0, 1)
@@ -28,10 +28,10 @@ def _twist(F, Q, ghat, dhat):
     p = F.p
     out = []
     for X in Q:
-        m = mat_mul(F, mat_mul(F, ghat, X.m), dhat)
-        det = mat_det(F, m)
-        if F.legendre(det) == 1:
-            lam = F.inv(_sqrt(F, det))
+        m = mm(p, mm(p, ghat, X.m), dhat)
+        d = det(p, m)
+        if F.legendre(d) == 1:
+            lam = F.inv(_sqrt(F, d))
             out.append(ProjMat2.of(F, tuple(v * lam % p for v in m)))
         else:
             out.append(ProjMat2(F, m))
@@ -78,8 +78,8 @@ def _off_torus_twist(params, rng):
     while True:
         g = tuple(rng.randrange(F.p) for _ in range(4))
         on = [sum(a * x for a, x in zip(ell, g)) % F.p for ell in (first, second)]
-        if on[0] == 0 and on[1] and mat_det(F, g):
-            cls = F.legendre(mat_det(F, g))
+        if on[0] == 0 and on[1] and det(F.p, g):
+            cls = F.legendre(det(F.p, g))
             return g, next(d for d, c in params.centralizer("delta") if c == cls)
 
 
@@ -98,7 +98,7 @@ def test_inequivalent_pairs_refused(orbit19, cfg19, rng):
     # an equivalent twist with one block sheared on the right or
     # squeezed on the left, for each block
     for k in (0, 1, 2, 3) * 5:
-        for perturb in (lambda m: mat_mul(F, m, SHEAR), lambda m: mat_mul(F, squeeze, m)):
+        for perturb in (lambda m: mm(F.p, m, SHEAR), lambda m: mm(F.p, squeeze, m)):
             Q = orbit19.point(rng.randrange(orbit19.n))
             R = list(_twist(F, Q, *rng.choice(pairs)))
             R[k] = ProjMat2.of(F, perturb(R[k].m))
@@ -132,11 +132,11 @@ def _twisted_coset_equivalent(params, g, h, Q, R):
     F = params.F
     target = [pgl_canon(F, X.m) for X in R]
     for m, c in params.centralizer("gamma"):
-        left = mat_mul(F, m, g)
+        left = mm(F.p, m, g)
         for m2, c2 in params.centralizer("delta"):
             if c == c2:
-                right = mat_mul(F, h, m2)
-                if all(pgl_canon(F, mat_mul(F, mat_mul(F, left, X.m), right)) == t
+                right = mm(F.p, h, m2)
+                if all(pgl_canon(F, mm(F.p, mm(F.p, left, X.m), right)) == t
                        for X, t in zip(Q[::-1], target)):
                     return True
     return False

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from charquo.ffield import (ElementClass, NotConjugateError, PrimeField,
-                            ProjMat2, centralizer_element_of_class,
+                            ProjMat2, adj, centralizer_element_of_class,
                             centralizer_pgl, classify, conjugator, conjugator_np,
-                            exact_conjugator, inv_table, is_maximal,
-                            legendre_table, mat_det, mat_inv, mat_mul, mat_neg,
-                            mat_trace, minv_np, mm_np, order, pack_np,
+                            det, exact_conjugator, inv_table, is_maximal, is_scalar,
+                            legendre_table, mm, neg, order, pack_np,
                             pencil_annihilators, pgl_canon, pgl_canon_np,
-                            psl_canon, psl_canon_np, tr_np, unpack_np)
+                            psl_canon, psl_canon_np, tr, tr_mm, unpack_np)
 from charquo.numutil import is_prime
 from charquo.orbit import MAX_PACKED_PRIME
 from conftest import rand_psl2
@@ -63,7 +62,7 @@ def test_canonical_sign():
     rng = random.Random(5)
     for _ in range(200):
         A = rand_psl2(F, rng)
-        assert ProjMat2.of(F, mat_neg(F, A.m)) == A
+        assert ProjMat2.of(F, neg(F.p, A.m)) == A
         first = next(x for x in A.m if x)
         assert 1 <= first <= (F.p - 1) // 2
 
@@ -144,25 +143,25 @@ def test_centralizer_sizes_and_classes():
     assert len(tor) == 18
     assert {c for _, c in tor} == {1, -1}
     for g, c in tor:
-        assert pgl_canon(F, mat_mul(F, g, Msplit.m)) == pgl_canon(F, mat_mul(F, Msplit.m, g))
+        assert pgl_canon(F, mm(F.p, g, Msplit.m)) == pgl_canon(F, mm(F.p, Msplit.m, g))
     Mns = ProjMat2.of(F, (0, 18, 1, 5))
     assert classify(Mns) is ElementClass.NONSPLIT
     assert len(centralizer_pgl(Mns)) == 20
     with pytest.raises(ValueError):
         centralizer_pgl(ProjMat2.identity(F))
     z = centralizer_element_of_class(Msplit, -1)
-    assert F.legendre(mat_det(F, z)) == -1
+    assert F.legendre(det(F.p, z)) == -1
 
 
 def test_conjugator_weyl_and_errors():
     F = PrimeField(31)
     lam = 5
     M = ProjMat2.of(F, (lam, 0, 0, F.inv(lam)))
+    p = F.p
     g, cls = conjugator(M, M.inv())
-    adj = (g[3], (-g[1]) % F.p, (-g[2]) % F.p, g[0])
-    assert pgl_canon(F, mat_mul(F, mat_mul(F, g, M.m), adj)) == pgl_canon(F, mat_inv(F, M.m))
+    assert pgl_canon(F, mm(p, mm(p, g, M.m), adj(p, g))) == pgl_canon(F, adj(p, M.m))
     g2, _ = conjugator(M, M)
-    assert g2 == (1, 0, 0, 1) or mat_mul(F, g2, M.m) == mat_mul(F, M.m, g2)
+    assert g2 == (1, 0, 0, 1) or mm(p, g2, M.m) == mm(p, M.m, g2)
     with pytest.raises(NotConjugateError):
         conjugator(ProjMat2.of(F, (0, 30, 1, 3)), ProjMat2.of(F, (0, 30, 1, 5)))
     # exact_conjugator: unequal trace, unequal determinant, scalar against
@@ -183,8 +182,7 @@ def test_conjugator_random_pairs():
             g = rand_psl2(F, rng)
             N = g * M * g.inv()
             h, _ = conjugator(M, N)
-            adj = (h[3], (-h[1]) % F.p, (-h[2]) % F.p, h[0])
-            assert pgl_canon(F, mat_mul(F, mat_mul(F, h, M.m), adj)) == pgl_canon(F, N.m)
+            assert pgl_canon(F, mm(p, mm(p, h, M.m), adj(p, h))) == pgl_canon(F, N.m)
 
         # conjugator_np over arrays of any determinant: N = t M t^-1 for
         # invertible t, M non-scalar; every cyclic-vector branch occurs on
@@ -196,18 +194,20 @@ def test_conjugator_random_pairs():
         t = np.array(_random_mats(F, rng, 600), dtype=np.int64)
         t[1::3, 2] = 0
         t[2::3, 1:3] = 0
-        det_t = (t[:, 0] * t[:, 3] - t[:, 1] * t[:, 2]) % p
-        keep = (det_t != 0) & ~((M[:, 1] == 0) & (M[:, 2] == 0) & (M[:, 0] == M[:, 3]))
-        M, t, det_t = M[keep], t[keep], det_t[keep]
-        N = mm_np(p, mm_np(p, t, M), minv_np(p, t)) * inv_table(p)[det_t][:, None] % p
+        # as entry-major blocks
+        M, t = M.T, t.T
+        keep = (det(p, t) != 0) & ~is_scalar(M)
+        M, t = M[:, keep], t[:, keep]
+        scale = inv_table(p)[det(p, t)]
+        N = [x * scale % p for x in mm(p, mm(p, t, M), adj(p, t))]
         for X in (M, N):
-            branch = np.where(X[:, 2] != 0, 0, np.where(X[:, 1] != 0, 1, 2))
+            branch = np.where(X[2] != 0, 0, np.where(X[1] != 0, 1, 2))
             assert np.bincount(branch, minlength=3).min() >= 20
-        assert ((M[:, 0] * M[:, 3] - M[:, 1] * M[:, 2]) % p != 1).sum() >= 100
+        assert (det(p, M) != 1).sum() >= 100
         g = conjugator_np(p, M, N)
-        for m, n, gi in zip(M.tolist(), N.tolist(), g.tolist()):
-            assert mat_det(F, gi) != 0
-            assert mat_mul(F, gi, m) == mat_mul(F, n, gi)
+        for m, n, gi in zip(M.T.tolist(), np.transpose(N).tolist(), np.transpose(g).tolist()):
+            assert det(p, gi) != 0
+            assert mm(p, gi, m) == mm(p, n, gi)
 
 
 def test_psl_canon_of_negation():
@@ -215,10 +215,10 @@ def test_psl_canon_of_negation():
     rng = random.Random(9)
     for _ in range(200):
         A = rand_psl2(F, rng).m
-        assert psl_canon(F, mat_neg(F, A)) == psl_canon(F, A)
+        assert psl_canon(F, neg(F.p, A)) == psl_canon(F, A)
 
 
-# -- vectorized kernels against their scalar twins ------------------------
+# -- the 2x2 kernels ------------------------------------------------------
 
 def _random_mats(F, rng, count):
     """Random nonzero 2x2 matrices of any determinant; half of them have
@@ -237,24 +237,63 @@ def _random_mats(F, rng, count):
     return out
 
 
+@pytest.mark.parametrize("p", [19, MAX_PACKED_PRIME])
+def test_kernels_against_references(p):
+    """mm, adj, det, tr, tr_mm and neg agree on int tuples and on
+    entry-major (4, m) blocks, and a tuple broadcasts against a block;
+    the results are checked against np.matmul and np.trace on
+    (m, 2, 2) reshapes, and A adj(A) = adj(A) A = det(A) I mod p."""
+    F = PrimeField(p)
+    rng = random.Random(p)
+    A = np.array(_random_mats(F, rng, 400), dtype=np.int64)
+    B = np.array(_random_mats(F, rng, 400), dtype=np.int64)
+    assert (A[:, 0] == 0).sum() >= 100
+    a0, b0 = tuple(A[0].tolist()), tuple(B[0].tolist())
+
+    def both(kernel, *Xs):
+        """kernel over the matrices of the (m, 4) arrays Xs, once per
+        matrix on int tuples and once on blocks: equal, as (m, 4) or (m,)."""
+        ints = [kernel(p, *ms) for ms in zip(*(map(tuple, X.tolist()) for X in Xs))]
+        assert all(type(x) is int for r in ints for x in (r if type(r) is tuple else [r]))
+        block = np.transpose(kernel(p, *(X.T for X in Xs)))
+        assert np.array_equal(np.array(ints), block)
+        return block
+
+    def matmul(X, Y):
+        return (X.reshape(-1, 2, 2) @ Y.reshape(-1, 2, 2) % p).reshape(-1, 4)
+
+    def trace(X):
+        return np.trace(X.reshape(-1, 2, 2), axis1=1, axis2=2) % p
+
+    assert np.array_equal(both(mm, A, B), matmul(A, B))
+    assert np.array_equal(np.transpose(mm(p, a0, B.T)), matmul(A[:1], B))
+    assert np.array_equal(np.transpose(mm(p, A.T, b0)), matmul(A, B[:1]))
+    assert np.array_equal(both(tr, A), trace(A))
+    assert np.array_equal(both(tr_mm, A, B), trace(matmul(A, B)))
+    assert np.array_equal(tr_mm(p, a0, B.T), trace(matmul(A[:1], B)))
+    d, adjA = both(det, A), both(adj, A)
+    scalar = d[:, None] * np.array([1, 0, 0, 1])
+    assert np.array_equal(matmul(A, adjA), scalar)
+    assert np.array_equal(matmul(adjA, A), scalar)
+    assert (d != 0).sum() >= 200 and (d == 0).sum() >= 100
+    minus = both(neg, A)
+    assert ((A + minus) % p == 0).all() and 0 <= minus.min() and minus.max() < p
+
+
 @pytest.mark.parametrize("p", [19, 509])
 def test_np_kernels_match_scalar(p):
     F = PrimeField(p)
     rng = random.Random(p)
     A = _random_mats(F, rng, 400)
-    B = _random_mats(F, rng, 400)
-    An, Bn = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+    An = np.array(A, dtype=np.int64)
     assert sum(a[0] == 0 for a in A) >= 100
-    assert mm_np(p, An, Bn).tolist() == [list(mat_mul(F, a, b)) for a, b in zip(A, B)]
-    assert minv_np(p, An).tolist() == [list(mat_inv(F, a)) for a in A]
-    assert tr_np(p, An).tolist() == [mat_trace(F, a) for a in A]
-    assert pgl_canon_np(p, An).tolist() == [list(pgl_canon(F, a)) for a in A]
+    assert np.transpose(pgl_canon_np(p, An.T)).tolist() == [list(pgl_canon(F, a)) for a in A]
     S = [rand_psl2(F, rng).m for _ in range(200)]
     S += [(0, b, p - F.inv(b), rng.randrange(p)) for b in range(1, min(p, 101))]
-    Sn = np.array(S, dtype=np.int64)
+    Sn = np.array(S, dtype=np.int64).T
     Sneg = (p - Sn) % p
-    assert psl_canon_np(p, Sn).tolist() == [list(psl_canon(F, s)) for s in S]
-    assert psl_canon_np(p, Sneg).tolist() == [list(psl_canon(F, s)) for s in S]
+    assert np.transpose(psl_canon_np(p, Sn)).tolist() == [list(psl_canon(F, s)) for s in S]
+    assert np.transpose(psl_canon_np(p, Sneg)).tolist() == [list(psl_canon(F, s)) for s in S]
 
 
 def test_pack_roundtrip_and_bound():

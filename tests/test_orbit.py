@@ -16,6 +16,7 @@ from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
 DUMP19_SHA256 = "c4cff0503cc6e32199d43f7b281fe71217d4efe851436925418f754c71246ee7"
+DUMP31_SHA256 = "b36aebeddc5c2aa68e856bb61e48b1cfd24503e7dccf2e2839bf61c9eb7a69f2"
 
 
 def test_fast_keys_match_scalar(cfg19, rng):
@@ -308,6 +309,13 @@ def test_dump_roundtrip(orbit19, tmp_path):
         bad = tmp_path / "bad.chqo"
         bad.write_bytes(b"NOPE" + b"\0" * 20)
         read_dump(bad)
+
+
+def test_dump31_digest(orbit31, tmp_path):
+    # the p = 31 refactor oracle: the dump must stay byte-identical
+    path = tmp_path / "orbit31.chqo"
+    orbit31.write_dump(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP31_SHA256
 
 
 def _corrupt(orbit19, tmp_path, edit):

@@ -8,9 +8,8 @@ from charquo import braidquandle as bq
 from charquo import charvar as cv
 from charquo import witness as wt
 from charquo.cli import to_json
-from charquo.ffield import (ElementClass, classify, exact_conjugator, mat_inv, mat_mul, mat_neg,
-                            mat_trace, mm_np, pack_np, pgl_canon, pgl_canon_np, psl_canon,
-                            torus_pencil, unpack_np)
+from charquo.ffield import (ElementClass, adj, classify, exact_conjugator, mm, neg, pack_np,
+                            pgl_canon, pgl_canon_np, psl_canon, torus_pencil, tr, unpack_np)
 from charquo.numutil import InvariantError
 
 # sha256 of to_json(run_pipeline(19, seed=7)) without "timings_ms"
@@ -41,11 +40,11 @@ def test_build_rejects_degenerate():
 def test_sigma_matrices_of_P(cfg19):
     # A B^-1 = u, B C^-1 = v, C D^-1 = w on the canonical lifts
     F = cfg19.F
+    p = F.p
     A, B, C, D = (X.m for X in cfg19.P)
-    from charquo.ffield import mat_inv, mat_mul
-    assert psl_canon(F, mat_mul(F, A, mat_inv(F, B))) == psl_canon(F, cfg19.u)
-    assert psl_canon(F, mat_mul(F, B, mat_inv(F, C))) == psl_canon(F, cfg19.v)
-    assert psl_canon(F, mat_mul(F, C, mat_inv(F, D))) == psl_canon(F, cfg19.w)
+    assert psl_canon(F, mm(p, A, adj(p, B))) == psl_canon(F, cfg19.u)
+    assert psl_canon(F, mm(p, B, adj(p, C))) == psl_canon(F, cfg19.v)
+    assert psl_canon(F, mm(p, C, adj(p, D))) == psl_canon(F, cfg19.w)
 
 
 def test_assumptions_at_desk_primes(cfg19, cfg31):
@@ -107,7 +106,7 @@ def test_unipotent_enumeration_count():
     F = wt.PrimeField(19)
     unis = wt._trace2_unipotents(F)
     assert len(unis) == 19 * 19 - 1
-    assert all(mat_trace(F, m) == 2 for m in unis)
+    assert all(tr(F.p, m) == 2 for m in unis)
 
 
 def test_unipotent_decompositions_unique(cfg19):
@@ -248,8 +247,8 @@ def _brute_orbit(F, taus, m2, m3):
     out = set()
     for t in taus:
         c2, c3 = wt._conj_by(F, t, m2), wt._conj_by(F, t, m3)
-        for s2 in (c2, mat_neg(F, c2)):
-            for s3 in (c3, mat_neg(F, c3)):
+        for s2 in (c2, neg(p, c2)):
+            for s3 in (c3, neg(p, c3)):
                 out.add(_pack_pair(p, s2, s3))
     return out
 
@@ -259,9 +258,9 @@ def _gauge_taus(F, R1):
     builds them: the torus of R1, extended by rho (rho R1 rho^-1 = -R1)
     when tr R1 = 0."""
     taus = [(1, 0, 0, 1)] + [g for g, _ in torus_pencil(F, R1)]
-    if mat_trace(F, R1) == 0:
-        rho = exact_conjugator(F, R1, mat_neg(F, R1))
-        taus += [pgl_canon(F, mat_mul(F, rho, t)) for t in taus]
+    if tr(F.p, R1) == 0:
+        rho = exact_conjugator(F, R1, neg(F.p, R1))
+        taus += [pgl_canon(F, mm(F.p, rho, t)) for t in taus]
     return taus
 
 
@@ -336,8 +335,10 @@ def test_orbit_minima_match_brute_force(monkeypatch):
 
 def _brute_exact_keys(p, rows, pair_g, pair_d):
     """The full (K, 16) transformed rows and their lexicographic minimum."""
-    full = np.concatenate([pgl_canon_np(p, mm_np(p, mm_np(p, pair_g, rows[:, None, j:j + 4]), pair_d))
-                           for j in range(0, 16, 4)], axis=-1)  # (m, K, 16)
+    # each entry of a block as an (m, 1) column, against the (K,) pair entries
+    full = np.stack([x for j in range(0, 16, 4) for x in pgl_canon_np(
+        p, mm(p, mm(p, pair_g, [v[:, None] for v in rows[:, j:j + 4].T]), pair_d))],
+        axis=-1)  # (m, K, 16)
     return [min(map(tuple, r)) for r in full.tolist()], full
 
 
@@ -352,11 +353,10 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
     triples = []
     for row in points.tolist():
         A, B, C, D = (tuple(row[j:j + 4]) for j in range(0, 16, 4))
-        triples.append((mat_mul(F, mat_inv(F, B), A), mat_mul(F, mat_inv(F, A), C),
-                        mat_mul(F, mat_inv(F, D), C)))
+        triples.append((mm(p, adj(p, B), A), mm(p, adj(p, A), C), mm(p, adj(p, D), C)))
     triples = np.array(triples, dtype=np.int64)
     pairs = pack_np(p, triples[:, 1:].reshape(-1, 8))
-    rebuilt = wt._rebuild_rows(p, triples[:, 0], pairs, params, "orbit")
+    rebuilt = wt._rebuild_rows(p, triples[:, 0].T, pairs, params, "orbit")
     assert (rebuilt != points).any(axis=1).all()
 
     # synthetic rows with forced ties: A and B are rank one with image
@@ -411,8 +411,8 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
 def test_rebuild_rejects_a_wrong_triple(cfg19):
     F, params, p = cfg19.F, cfg19.params, 19
     A, B, C, D = (X.m for X in cfg19.P)
-    good = int(pack_np(p, np.array(mat_mul(F, mat_inv(F, A), C) + mat_mul(F, mat_inv(F, D), C))))
-    good_m1 = mat_mul(F, mat_inv(F, B), A)
+    good = int(pack_np(p, np.array(mm(p, adj(p, A), C) + mm(p, adj(p, D), C))))
+    good_m1 = mm(p, adj(p, B), A)
     one = (1, 0, 0, 1)
     ones = int(pack_np(p, np.array(one + one)))
     assert wt._rebuild_rows(p, good_m1, np.array([good]), params, "toy").shape == (1, 16)
@@ -421,7 +421,7 @@ def test_rebuild_rejects_a_wrong_triple(cfg19):
     with pytest.raises(InvariantError,
                        match=f"^gauge toy, pair {ones}: tr\\(M1 M2 M3 M2\\^-1\\) = 2 is not "
                              "\\+-tr\\(gamma\\)"):
-        wt._rebuild_rows(p, np.array([good_m1, one]), np.array([good, ones]), params, "toy")
+        wt._rebuild_rows(p, np.array([good_m1, one]).T, np.array([good, ones]), params, "toy")
     # M2 = M3 = 1: gamma(Q) = M1 passes with trace 3, delta(Q) = M1^-1
     # has trace 3, not 11
     with pytest.raises(InvariantError, match=f"^gauge toy, pair {ones}: tr\\(\\(M3 M1\\)\\^-1\\) = 3 "
@@ -432,7 +432,7 @@ def test_rebuild_rejects_a_wrong_triple(cfg19):
 def test_enumerate_x_classes_names_gauge_and_pair(cfg19, monkeypatch):
     # a wrong conjugator (the identity) breaks the defining equation
     def identity(p, M, N):
-        return np.broadcast_to(np.array([1, 0, 0, 1], dtype=np.int64), M.shape)
+        return tuple(np.full_like(M[0], x) for x in (1, 0, 0, 1))
 
     monkeypatch.setattr(wt, "conjugator_np", identity)
     with pytest.raises(InvariantError,
