@@ -2,20 +2,21 @@
 
 Subcommands: witness | orbit | count | qrep | selftest.  Every pipeline
 emits one JSON document (the machine format; the text summary is
-rendered from it), a failure too.  Exit codes: 0 success, 1 precondition
-or assumption failure (ValueError, OSError), 2 budget (BudgetError), 3
+rendered from it), a failure too.  to_json writes it to its file as it
+is produced, a bounded piece at a time: to stdout for --json, through
+write_atomic for --out and qrep --export.  Exit codes: 0 success, 1
+precondition or assumption failure (ValueError, OSError; also a stdout
+closed by its reader, with no report), 2 budget (BudgetError), 3
 internal invariant violation (ArithmeticError, InvariantError among
-them); main() alone maps an exception class to its code and report.
+them); run() alone maps an exception class to its code and report.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -32,57 +33,49 @@ EXIT_PRECONDITION = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
+ARRAY_PIECE = 1 << 16  # permutation entries turned into text per write
 
-def to_json(report) -> str:
-    """The report as JSON text: json.dump(report, sort_keys=True,
-    indent=2) and a newline, with the int arrays of report["permutations"]
-    written as JSON lists.
 
-    Each array is written by one join over its entries and spliced into
-    the json.dump text of the rest of the report, where a placeholder
-    string (a NUL and the array's name, which no report value is) stands
-    in for it.  json.dump with indent takes the pure-Python encoder,
-    which would spend about a second on the six arrays of a p = 31
-    report, and would need them as Python lists.
+def to_json(report, fh):
+    """Write the report to fh as JSON text: json.dump(report,
+    sort_keys=True, indent=2) and a newline, with the int arrays of
+    report["permutations"] written as JSON lists.
+
+    The json.dump text of the rest of the report is written around the
+    arrays, where a placeholder string (a NUL and the array's name, which
+    no report value is) stands in for each; an array is written
+    ARRAY_PIECE entries at a time, as json.dump writes a list at depth 2
+    (an entry a line at 6 spaces, the bracket at 4).  So no text of the
+    whole report or of a whole array is built.  json.dump with indent
+    takes the pure-Python encoder, which would spend about a second on
+    the six arrays of a p = 31 report, and would need them as lists.
     """
     perms = report.get("permutations") or {}
     marks = {name: "\0" + name for name in perms}
     if perms:
         report = {**report, "permutations": marks}
-    buf = io.StringIO()
-    json.dump(report, buf, sort_keys=True, indent=2)
-    buf.write("\n")
-    rest = buf.getvalue()
-    pieces = []
+    # built before the first write: a value json cannot write fails the
+    # report before any of it reaches fh
+    rest = json.dumps(report, sort_keys=True, indent=2) + "\n"
     for name in sorted(perms):  # the order of sort_keys
         head, rest = rest.split(json.dumps(marks[name]), 1)
-        pieces += [head, _json_array(perms[name])]
-    pieces.append(rest)
-    return "".join(pieces)
+        fh.write(head)
+        a, lead = np.asarray(perms[name]), "[\n      "
+        for s in range(0, len(a), ARRAY_PIECE):
+            fh.write(lead + ",\n      ".join(map(str, a[s:s + ARRAY_PIECE].tolist())))
+            lead = ",\n      "
+        fh.write("\n    ]" if len(a) else "[]")
+    fh.write(rest)
 
 
-def _json_array(a) -> str:
-    """An int array as json.dump writes a list at depth 2 of an indent=2
-    document: one entry per line at 6 spaces, the bracket at 4."""
-    if not len(a):
-        return "[]"
-    return "[\n      " + ",\n      ".join(map(str, np.asarray(a).tolist())) + "\n    ]"
-
-
-def write_text(fh, text: str):
-    # a megabyte at a time: one write of a whole orbit report would first
-    # encode all of it, a second copy of the report
-    for s in range(0, len(text), 1 << 20):
-        fh.write(text[s:s + (1 << 20)])
-
-
-def write_atomic(path: str, text: str):
-    # the temporary file is named after the target, so an OSError names it
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=os.path.basename(path) + ".")
+def write_atomic(path: str, report):
+    # a new file beside path, created under the umask and named after
+    # path (so an OSError names it), replaces path once it is written
+    tmp = f"{path}.{os.urandom(4).hex()}"
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
-            write_text(fh, text)
+        with fh:
+            to_json(report, fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -92,12 +85,11 @@ def write_atomic(path: str, text: str):
 def emit(report, args, summary_lines):
     # a run writes --out at most once: when that write fails, the error
     # report that follows goes to stdout only
-    text = to_json(report)
     out, args.out = args.out, None
     if out:
-        write_atomic(out, text)
+        write_atomic(out, report)
     if args.json:
-        write_text(sys.stdout, text)
+        to_json(report, sys.stdout)
     else:
         for line in summary_lines:
             print(line)
@@ -106,8 +98,12 @@ def emit(report, args, summary_lines):
 
 
 def cmd_witness(args) -> int:
+    search = {k: v for k, v in (("minimum", args.min), ("mode", args.mode)) if v is not None}
     if args.p is None:
-        args.p = wt.find_prime(args.min, args.mode)
+        args.p = wt.find_prime(**search)
+    elif search:
+        flag = "--min" if "minimum" in search else "--mode"
+        raise ValueError(f"{flag} applies only when p is omitted, and p = {args.p} was given")
     p = args.p
     cfg = wt.build(p)
     rep = wt.check_assumptions(cfg)
@@ -230,7 +226,7 @@ def cmd_qrep(args) -> int:
                          f"x nonscalar: {spec['x_nonscalar']}")
 
     if args.export:
-        write_atomic(args.export, to_json(qr.export_rep(mats)))
+        write_atomic(args.export, qr.export_rep(mats))
         lines.append(f"matrices exported to {args.export}")
 
     emit(report, args, lines)
@@ -259,8 +255,9 @@ def build_parser():
     w = sub.add_parser("witness", help="build the witness configuration and "
                                        "validate the assumptions")
     w.add_argument("p", type=int, nargs="?", default=None)
-    w.add_argument("--mode", choices=("strict", "relaxed"), default="relaxed")
-    w.add_argument("--min", type=int, default=5, help="smallest prime to consider")
+    w.add_argument("--mode", choices=("strict", "relaxed"),
+                   help="congruences the searched p meets (default relaxed)")
+    w.add_argument("--min", type=int, help="smallest prime the search considers (default 5)")
     common(w)
     w.set_defaults(func=cmd_witness)
 
@@ -308,7 +305,19 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        code = run(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # no report can reach stdout: what is buffered goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PRECONDITION
+
+
+def run(args) -> int:
+    try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except BudgetError as e:
         kind, code, error = "budget exhausted", EXIT_BUDGET, e
     except ArithmeticError as e:

@@ -140,14 +140,6 @@ class LaurentPoly2:
         es = min(f for _, f in self.terms)
         return g, eq, es
 
-    def strip_content(self):
-        """(primitive part, content monomial) with self = part * content."""
-        if not self.terms:
-            return self, LaurentPoly2.const(1)
-        g, eq, es = self.content()
-        part = LaurentPoly2({(e - eq, f - es): v // g for (e, f), v in self.terms.items()})
-        return part, LaurentPoly2.monomial(g, eq, es)
-
     def exact_div(self, d: "LaurentPoly2") -> "LaurentPoly2":
         """Exact quotient self / d; raises ExactDivisionError otherwise."""
         if d.is_zero():

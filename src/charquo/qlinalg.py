@@ -160,9 +160,6 @@ class ScaledMatrix:
         B = mat_scale(other.num, self.den)
         return mat_eq(A, B)
 
-    def transpose(self):
-        return ScaledMatrix(mat_transpose(self.num), self.den)
-
     def is_scalar(self) -> bool:
         m, n = self.shape
         if m != n:

@@ -1,5 +1,11 @@
 import io
 import json
+import os
+import re
+import stat
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,6 +176,8 @@ FAILURES = [
     (["witness", "4"], 1, {}, {"p"}),
     (["witness", "318665857834031151167461"], 1, {}, {"p"}),  # psi_12, composite
     (["witness", "--min", "10000000000000000000000000"], 1, {}, {"p"}),
+    (["witness", "31", "--min", "40", "--mode", "strict"], 1, {}, {"p"}),
+    (["witness", "31", "--mode", "relaxed"], 1, {}, {"p"}),
     (["count", "19", "--orbit", "{tmp}/missing.chqo"], 1, {}, {"p"}),
     (["qrep", "4", "2", "--specialize", "4", "3", "5"], 1, {}, {"n", "ell"}),
     (["qrep", "9", "9"], 2, {}, {"n", "ell"}),
@@ -212,6 +220,39 @@ def test_unwritable_out(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv, keep", [(["witness", "31"], 0),
+                                        (["orbit", "19", "--json"], 3)])
+def test_closed_stdout(argv, keep):
+    # the reader keeps `keep` lines of stdout and closes it: the run exits
+    # 1 without a traceback, and makes no second write that would fail at exit
+    import charquo
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(charquo.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "charquo.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(keep):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err == b""
+
+
+def test_written_files_follow_umask(tmp_path, capsys):
+    # --out and --export files are created under the umask, a replaced
+    # report too
+    old = os.umask(0o022)
+    try:
+        out, export = tmp_path / "r.json", tmp_path / "w.json"
+        assert main(["qrep", "2", "1", "--export", str(export), "--out", str(out)]) == 0
+        assert main(["witness", "19", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(export.stat().st_mode) == 0o644
+    assert stat.S_IMODE(out.stat().st_mode) == 0o644
+    assert json.loads(out.read_text())["p"] == 19
+    assert sorted(os.listdir(tmp_path)) == ["r.json", "w.json"]
+
+
 def test_selftest_fast(capsys):
     code, out = run(capsys, "selftest", "--fast")
     assert code == 0
@@ -242,24 +283,49 @@ def _json_dump_text(report):
     ["orbit", "19", "--max-points", "10"],  # a budget error report
     ["qrep", "4", "2", "--verify"],
 ])
-def test_to_json_writes_what_json_dump_writes(argv, capsys, monkeypatch):
-    written = []
+def test_to_json_writes_what_json_dump_writes(argv, tmp_path, capsys, monkeypatch):
+    # --out and --json of one run write one text, the report's json.dump
+    reports = []
     to_json = cli.to_json
 
-    def recording(report):
-        written.append((report, to_json(report)))
-        return written[-1][1]
+    def recording(report, fh):
+        reports.append(report)
+        to_json(report, fh)
 
     monkeypatch.setattr(cli, "to_json", recording)
-    main(argv + ["--json"])
-    assert capsys.readouterr().out == written[-1][1]
-    [(report, text)] = written
+    path = tmp_path / "r.json"
+    main(argv + ["--json", "--out", str(path)])
+    out = capsys.readouterr().out
+    assert path.read_text() == out
+    report, again = reports
+    assert again is report
     if argv[-1] == "7":  # the permutations reach the writer as arrays
         assert all(isinstance(a, np.ndarray) for a in report["permutations"].values())
-    assert text == _json_dump_text(report)
+    assert out == _json_dump_text(report)
 
 
-def test_to_json_arrays_of_any_length():
-    report = {"permutations": {"b": np.arange(3), "a": np.array([], dtype=np.int64),
-                               "c": np.array([7])}, "n": 3}
-    assert cli.to_json(report) == _json_dump_text(report)
+def test_to_json_arrays_of_any_length(monkeypatch):
+    # 0 and 1 entries, one piece, two pieces, two pieces and one entry
+    monkeypatch.setattr(cli, "ARRAY_PIECE", 5)
+    lengths = {"d": 10, "a": 0, "e": 11, "b": 1, "c": 5}
+    perms = {k: np.arange(n, dtype=np.int64)[::-1] * 3 for k, n in lengths.items()}
+    report = {"permutations": perms, "n": 11, "z": [1, 2]}
+    buf = io.StringIO()
+    cli.to_json(report, buf)
+    assert buf.getvalue() == _json_dump_text(report)
+
+
+def test_to_json_bounded_writes(monkeypatch):
+    # each write of a p = 19 report carries one piece of one array (no
+    # key, at most ARRAY_PIECE entries) or the text between two arrays
+    from charquo import witness as wt
+    monkeypatch.setattr(cli, "ARRAY_PIECE", 1000)
+    report = wt.run_pipeline(19, seed=7)
+    writes = []
+    cli.to_json(report, SimpleNamespace(write=writes.append))
+    assert "".join(writes) == _json_dump_text(report)
+    entries = [len(re.findall(r"^ {6}\d+,?$", w, re.M)) for w in writes]
+    assert max(entries) == 1000
+    assert sum(entries) == 6 * report["n"]
+    for w, k in zip(writes, entries):
+        assert k == 0 or '"' not in w

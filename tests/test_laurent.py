@@ -53,10 +53,10 @@ def test_exact_division():
 
 def test_content_stripping():
     p = LaurentPoly2.from_dict({(2, 1): 6, (0, 1): -9})
-    part, cont = p.strip_content()
-    assert part * cont == p
-    g, eq, es = part.content()
-    assert (g, eq, es) == (1, 0, 0)
+    assert p.content() == (3, 0, 1)
+    assert (-p).content() == (-3, 0, 1)
+    assert LaurentPoly2.from_dict({(-1, 2): 4}).content() == (4, -1, 2)
+    assert LaurentPoly2.from_dict({}).content() == (1, 0, 0)
 
 
 def test_qnum_qfact_qbinom():

@@ -126,7 +126,6 @@ def test_scaled_matrix_ops():
     A = ScaledMatrix([[qvar(1), ONE], [ZERO, qvar(1)]], qnum(2))
     B = ScaledMatrix([[qvar(2), qvar(1) * 2], [ZERO, qvar(2)]], qnum(2) * qnum(2))
     assert A @ A == B
-    assert A.transpose().transpose() == A
     assert not A.is_scalar()
     S = ScaledMatrix([[qvar(3), ZERO], [ZERO, qvar(3)]], svar(1))
     assert S.is_scalar()
