@@ -130,7 +130,15 @@ def cmd_witness(args) -> int:
     return EXIT_OK if ok else EXIT_PRECONDITION
 
 
+def at_least(name, value, least):
+    """Refuse a numeric argument below its least meaningful value."""
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, not {value}")
+
+
 def cmd_orbit(args) -> int:
+    at_least("--max-points", args.max_points, 1)
+    at_least("--words", args.words, 1)
     report = wt.run_pipeline(
         args.p, seed=args.seed, max_points=args.max_points,
         giant_budget=args.words, count_budget=args.count_budget,
@@ -170,7 +178,9 @@ def cmd_count(args) -> int:
 
 def cmd_qrep(args) -> int:
     n, ell = args.n, args.ell
-    if not (2 <= n <= args.max_n and 0 <= ell <= args.max_ell):
+    at_least("n", n, 2)
+    at_least("ell", ell, 0)
+    if not (n <= args.max_n and ell <= args.max_ell):
         raise BudgetError(f"refusing (n, ell) = ({n}, {ell}) beyond caps "
                           f"({args.max_n}, {args.max_ell})")
     mats = qr.braid_matrices(n, ell)

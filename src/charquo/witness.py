@@ -20,9 +20,9 @@ from . import braidquandle as bq
 from .charvar import Params, canon_keys_np
 from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, classify,
                      centralizer_element_of_class, conjugator_np, det, entry_major, eq,
-                     exact_conjugator, first_nonzero_np, inv_table, is_maximal,
-                     legendre_table, mm, neg, order, pack_np, pgl_canon, pgl_canon_np,
-                     psl_canon, psl_canon_np, torus_pencil, tr, tr_mm, unpack_np)
+                     exact_conjugator, inv_table, is_maximal, legendre_table, mm, neg,
+                     order, pack_np, pgl_canon, pgl_canon_np, psl_canon, psl_canon_np,
+                     torus_pencil, tr, tr_mm, unpack_np)
 from .numutil import BudgetError, InvariantError, next_prime
 from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
                     epsilon_perm, validate_start)
@@ -537,6 +537,16 @@ def _generators(p, ops):
     return ops[chosen], [orders[k] for k in chosen]
 
 
+def _sign_canonical(p, packed):
+    """Whether each packed 4-digit value is 0 or has its first nonzero
+    digit in [1, (p-1)/2], as psl_canon_np leaves it.  A value whose
+    leading power is p^j is so exactly when it lies below ((p+1)/2) p^j,
+    that is when an even number of the bounds ((p+1)/2) p^j and p^(j+1)
+    (j = 0, 1, 2) and ((p+1)/2) p^3 are at most it."""
+    bounds = [b for j in range(4) for b in ((p + 1) // 2 * p ** j, p ** (j + 1))][:-1]
+    return np.searchsorted(bounds, packed, side="right") % 2 == 0
+
+
 def _orbit_minima(p, raw, ops, gauge):
     """Representatives of the packed (M2, M3) pairs raw (sorted, unique,
     pack(M2) * p^4 + pack(M3)) under the group of the conjugations ops
@@ -545,8 +555,9 @@ def _orbit_minima(p, raw, ops, gauge):
 
     Conjugation commutes with the signs, and the packed minimum of x and
     -x is the packed psl_canon(x); so an orbit's minimum lies in the
-    sign-canonical quarter of raw, and the orbits of the quarter are
-    those of its permutations tau: (M2, M3) -> psl_canon of
+    sign-canonical quarter of raw (chosen on the packed halves by
+    _sign_canonical, so only the quarter is unpacked), and the orbits of
+    the quarter are those of its permutations tau: (M2, M3) -> psl_canon of
     (tau M2 tau^-1, tau M3 tau^-1), one for each of a few generators of
     ops (_generators).  Every pair is labelled by the minimum over its
     orbit: starting from its own key, min-label pointer doubling along
@@ -558,15 +569,15 @@ def _orbit_minima(p, raw, ops, gauge):
     is checked: each generator maps the quarter into itself, all 4K
     images of every representative under ops lie in raw, and the image
     sets partition raw, which proves that the generated orbits are
-    those of all of ops.  Raises InvariantError naming the gauge and
-    the offending packed pair.
+    those of all of ops.  The image sets partition raw exactly when
+    their concatenation, sorted, equals raw; only when it does not are
+    the images located in raw to find the fault.  Raises InvariantError
+    naming the gauge and the offending packed pair.
     """
     shift = p ** 4
-    digits = unpack_np(p, raw, 8)
-    half = (p - 1) // 2
-    canon = ((first_nonzero_np(digits.T[:4]) <= half)
-             & (first_nonzero_np(digits.T[4:]) <= half))
-    quarter, keys = digits[canon], raw[canon]
+    m2, m3 = np.divmod(raw, shift)
+    keys = raw[_sign_canonical(p, m2) & _sign_canonical(p, m3)]
+    quarter = unpack_np(p, keys, 8)
     gens, orders = _generators(p, ops)
     images = (_canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, :4], gens)) * shift
               + _canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, 4:], gens)))  # (n, G)
@@ -603,8 +614,10 @@ def _orbit_minima(p, raw, ops, gauge):
         members.append(images[first])
         owners.append(start + np.nonzero(first)[0])
     members = np.concatenate(members)
-    owners = np.concatenate(owners)
+    if len(members) == len(raw) and (np.sort(members) == raw).all():
+        return reps  # the orbits partition raw: none of the checks below fails
 
+    owners = np.concatenate(owners)
     at = np.searchsorted(raw, members).clip(max=len(raw) - 1)
     outside = np.nonzero(raw[at] != members)[0]
     if len(outside):
@@ -623,19 +636,78 @@ def _orbit_minima(p, raw, ops, gauge):
     return reps
 
 
+def _gauges(p):
+    """Conjugacy representatives for M1, named: the identity, one
+    unipotent and the companions (0, -1, 1, t) of the traces t in
+    [0, (p-1)/2] other than 2."""
+    return ([("id", I2), ("uni", (1, 1, 0, 1))]
+            + [(f"t{t}", (0, p - 1, 1, t)) for t in range((p - 1) // 2 + 1) if t != 2])
+
+
+def _runs(first, size, groups):
+    """The positions first[g], ..., first[g] + size[g] - 1 of each group
+    g of groups, concatenated in order, and their counts size[groups]
+    (the np.repeat counts of one entry per group)."""
+    n = size[groups]
+    return np.repeat(first[groups] - (np.cumsum(n) - n), n) + np.arange(n.sum()), n
+
+
+def _trace_hits(p, ncoeff, M3s, target):
+    """The (i, j) with tr(N_i M3_j) = target, for N given by the rows
+    ncoeff of its transposed entries (so the trace is a dot product with
+    the entries of M3), over row slices of ncoeff so the (rows, n_m3)
+    products stay near _CHUNK_ENTRIES."""
+    step = max(1, _CHUNK_ENTRIES // len(M3s))
+    return np.concatenate([np.argwhere(ncoeff[i:i + step] @ M3s.T % p == target) + [i, 0]
+                           for i in range(0, len(ncoeff), step)])
+
+
+def _list_pairs(p, sl2, R1, tg, td):
+    """The packed pairs pack(M2) * p^4 + pack(M3), sorted and unique, of
+    M2, M3 in SL2 (the rows of sl2) with tr(R1 M3) = eps td and
+    tr(M2^-1 R1 M2 M3) = eps tg for one sign eps.
+
+    N = M2^-1 R1 M2 depends only on the coset C(R1) M2: the trace
+    equation is solved once per distinct N (p(p^2 - 1) / |C(R1)| of
+    them, about p^2 for a non-scalar R1), and each solution (N, M3) is
+    expanded to every M2 of N's coset."""
+    S = sl2.T  # SL2 as an entry-major block
+    N = mm(p, mm(p, adj(p, S), R1), S)
+    distinct, which = np.unique(pack_np(p, np.stack(N, axis=1)), return_inverse=True)
+    # the entries of each distinct N^T: tr(N M3) is their dot product with those of M3
+    ncoeff = unpack_np(p, distinct, 4)[:, [0, 2, 1, 3]]
+    order = np.argsort(which, kind="stable")  # the M2 of each distinct N, grouped
+    size = np.bincount(which)
+    first = np.cumsum(size) - size
+    m2_keys = pack_np(p, sl2) * p ** 4
+    tr_r1_m3 = tr_mm(p, R1, S)
+    raw = []
+    for eps in (1, -1):
+        M3s = sl2[tr_r1_m3 == eps * td % p]
+        if not len(M3s):
+            continue
+        hits = _trace_hits(p, ncoeff, M3s, eps * tg % p)
+        at, n = _runs(first, size, hits[:, 0])
+        raw.append(m2_keys[order[at]] + np.repeat(pack_np(p, M3s)[hits[:, 1]], n))
+    return _sorted_unique(np.concatenate(raw)) if raw else np.empty(0, dtype=np.int64)
+
+
 def enumerate_x_classes(params: Params, max_prime: int = 23):
     """Full enumeration of X~^(2)/~ deduplicated by the exact
     centralizer-coset key; independent of the counting loop and of the
     orbit BFS (it shares only the ffield kernels).
 
     Triples (M1, M2, M3) satisfying the two trace conditions are listed
-    with M1 gauge-fixed to conjugacy representatives, as packed (M2, M3)
-    pairs.  The residual symmetries (torus conjugation and lift sign
-    flips) group them into orbits, each labelled by its minimum pair
-    (_orbit_minima, which checks that the orbits partition the pairs).
-    The representatives of each gauge are rebuilt into actual quadruples
-    in one batch (_rebuild_rows, closed-form conjugators), and the
-    quadruples of all gauges are deduplicated by the exact key.
+    with M1 gauge-fixed to conjugacy representatives (_gauges), as
+    packed (M2, M3) pairs (_list_pairs, which solves the trace equation
+    once per distinct M2^-1 M1 M2).  The residual symmetries (torus
+    conjugation and lift sign flips) group them into orbits, each
+    labelled by its minimum pair (_orbit_minima, which checks that the
+    orbits partition the pairs).  The representatives of each gauge are
+    rebuilt into actual quadruples in one batch (_rebuild_rows,
+    closed-form conjugators), and the quadruples of all gauges are
+    deduplicated by the exact key (_exact_keys_np, which keys block A
+    once per distinct A).
 
     Returns (count, class_keys) with class_keys the sorted exact keys.
     """
@@ -646,41 +718,9 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
     if not params.satisfies_nonconjugation():
         raise WitnessError("enumeration requires the split/non-split assumption")
     sl2 = _all_sl2(F)
-    S = sl2.T  # SL2 as an entry-major block
-    tg, td = params.tgamma, params.tdelta
-
-    # gauge representatives for M1: identity, one unipotent, companions
-    reps = [("id", I2), ("uni", (1, 1, 0, 1))]
-    for t in range(0, (p - 1) // 2 + 1):
-        if t == 2:
-            continue
-        reps.append((f"t{t}", (0, p - 1, 1, t)))
-
-    sl2_inv = adj(p, S)
     rows = []
-
-    for name, R1 in reps:
-        # admissible M3 for each sign branch
-        tr_r1_m3 = tr_mm(p, R1, S)
-        branch_m3 = {eps: sl2[tr_r1_m3 == eps * td % p] for eps in (1, -1)}
-        # N = M2^-1 R1 M2 for all M2; tr(N M3) is the dot product of the
-        # entries of N^T with those of M3
-        N = mm(p, mm(p, sl2_inv, R1), S)
-        ncoeff = np.stack([N[0], N[2], N[1], N[3]], axis=1)
-        raw = []
-        for eps in (1, -1):
-            M3s = branch_m3[eps]
-            if not len(M3s):
-                continue
-            # (M2 row, M3 row) with tr(N M3) = eps tg, over row slices of
-            # ncoeff so the (rows, n_m3) products stay near _CHUNK_ENTRIES
-            step = max(1, _CHUNK_ENTRIES // len(M3s))
-            hits = np.concatenate([
-                np.argwhere(ncoeff[i:i + step] @ M3s.T % p == eps * tg % p) + [i, 0]
-                for i in range(0, len(ncoeff), step)])
-            # packed (M2, M3): 8 base-p digits, pack(M2) * p^4 + pack(M3)
-            raw.append(pack_np(p, np.concatenate([sl2[hits[:, 0]], M3s[hits[:, 1]]], axis=1)))
-        raw = _sorted_unique(np.concatenate(raw)) if raw else np.empty(0, dtype=np.int64)
+    for name, R1 in _gauges(p):
+        raw = _list_pairs(p, sl2, R1, params.tgamma, params.tdelta)
         if name == "id":
             if len(raw):
                 raise InvariantError(f"gauge id: identity gauge must be empty under 5.1, "
@@ -772,14 +812,20 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     the blocks pair_g and pair_d,
     packed into two base-p integers of 8 digits each (order-preserving,
     so equal rows = equal exact keys).  The rows may have any integer
-    dtype: each block of them is widened by entry_major first.
+    dtype, with entries in [0, p): each block of them is widened by
+    entry_major first.
 
-    The minimum is taken block by block: block A is transformed for
-    every pair, block B only for the pairs attaining the minimal packed
-    A, and blocks C and D only for the pairs that still attain the
-    minimal packed (A, B), ties included.  That is the lexicographic
-    minimum over all pairs.
+    The minimum is taken block by block.  The minimal packed image of
+    block A over all pairs, and the pairs attaining it, depend on A
+    alone: they are computed once per distinct packed A (np.unique), a
+    chunk of distinct blocks at a time.  Then, row by row, block B is
+    transformed only for the pairs attaining the minimal A of its row,
+    and blocks C and D only for the pairs that still attain the minimal
+    packed (A, B), ties included.  That is the lexicographic minimum
+    over all pairs.
     """
+    if not len(rows):
+        return np.empty((0, 2), dtype=np.int64)
     ops = _operators(p, pair_g, pair_d)  # X -> ghat X dhat
 
     def tied(block, r, k, js):
@@ -794,20 +840,36 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
         # r is ascending and names every row of the block
         return np.minimum.reduceat(keys, np.flatnonzero(np.diff(r, prepend=-1)))
 
-    out = np.empty((len(rows), 2), dtype=np.int64)
+    # the minimal A of each distinct A, and the pairs attaining it,
+    # grouped by distinct A (first and size index into pair)
+    distinct, which = np.unique(pack_np(p, rows[:, :4]), return_inverse=True)
+    min_a = np.empty(len(distinct), dtype=np.int64)
+    owner, pair = [], []
     step = max(1, _CHUNK_ENTRIES // (4 * len(ops)))
+    for start in range(0, len(distinct), step):
+        blocks = unpack_np(p, distinct[start:start + step], 4)
+        ka = _canon_packed(p, pgl_canon_np, _apply_np(p, blocks, ops))  # (U, K)
+        ma = min_a[start:start + len(ka)] = ka.min(axis=1)
+        u, k = np.nonzero(ka == ma[:, None])
+        owner.append(start + u)
+        pair.append(k)
+    pair = np.concatenate(pair)
+    size = np.bincount(np.concatenate(owner), minlength=len(distinct))
+    first = np.cumsum(size) - size
+
+    out = np.empty((len(rows), 2), dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // (16 * int(size.max())))  # bounds the ops[k] of tied
     for start in range(0, len(rows), step):
-        chunk = rows[start:start + step]
-        block = entry_major(chunk)  # (16, B) int64
-        ka = _canon_packed(p, pgl_canon_np, _apply_np(p, chunk[:, :4], ops))  # (B, K)
-        ma = ka.min(axis=1)
-        r, k = np.nonzero(ka == ma[:, None])  # every (row, pair) attaining it
+        block = entry_major(rows[start:start + step])  # (16, B) int64
+        u = which[start:start + step]
+        at, n = _runs(first, size, u)
+        r, k = np.repeat(np.arange(len(u)), n), pair[at]  # every (row, pair) attaining it
         kb = tied(block, r, k, (4,))
         mb = row_minima(r, kb)
         tie = kb == mb[r]
         r, k = r[tie], k[tie]  # every (row, pair) attaining the minimal (A, B)
-        out[start:start + len(ma), 0] = ma * p ** 4 + mb
-        out[start:start + len(ma), 1] = row_minima(r, tied(block, r, k, (8, 12)))
+        out[start:start + len(u), 0] = min_a[u] * p ** 4 + mb
+        out[start:start + len(u), 1] = row_minima(r, tied(block, r, k, (8, 12)))
     return out
 
 

@@ -180,6 +180,11 @@ FAILURES = [
     (["witness", "31", "--mode", "relaxed"], 1, {}, {"p"}),
     (["count", "19", "--orbit", "{tmp}/missing.chqo"], 1, {}, {"p"}),
     (["qrep", "4", "2", "--specialize", "4", "3", "5"], 1, {}, {"n", "ell"}),
+    (["qrep", "1", "2"], 1, {}, {"n", "ell"}),
+    (["qrep", "4", "-1"], 1, {}, {"n", "ell"}),
+    # build = None: the refusal comes before the witness is built
+    (["orbit", "19", "--max-points", "0"], 1, {"build": None}, {"p", "seed"}),
+    (["orbit", "19", "--words", "0"], 1, {"build": None}, {"p", "seed"}),
     (["qrep", "9", "9"], 2, {}, {"n", "ell"}),
     (["count", "61"], 2, {}, {"p"}),
     (["orbit", "19", "--max-points", "10"], 2, {}, {"p", "seed", "partial_count"}),
@@ -209,6 +214,15 @@ def test_failure_reports(tmp_path, capsys, monkeypatch, argv, code, patches, key
     assert got == code
     assert out.startswith(f"{KINDS[code]}: {report['error']}\n")
     assert json.loads(stale.read_text()) == report
+
+
+@pytest.mark.parametrize("argv, name", [(["qrep", "1", "2"], "n"), (["qrep", "4", "-1"], "ell"),
+                                        (["orbit", "19", "--max-points", "0"], "--max-points"),
+                                        (["orbit", "19", "--words", "-3"], "--words")])
+def test_out_of_range_arguments_are_named(capsys, argv, name):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out.startswith(f"error: {name} must be at least ")
 
 
 def test_unwritable_out(tmp_path, capsys):

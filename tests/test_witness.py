@@ -9,8 +9,9 @@ from charquo import braidquandle as bq
 from charquo import charvar as cv
 from charquo import witness as wt
 from charquo.cli import to_json
-from charquo.ffield import (ElementClass, adj, classify, exact_conjugator, mm, neg, pack_np,
-                            pgl_canon, pgl_canon_np, psl_canon, torus_pencil, tr, unpack_np)
+from charquo.ffield import (ElementClass, adj, classify, eq, exact_conjugator, first_nonzero_np,
+                            mm, neg, pack_np, pgl_canon, pgl_canon_np, psl_canon, torus_pencil,
+                            tr, tr_mm, unpack_np)
 from charquo.numutil import InvariantError
 
 # sha256 of the to_json text of run_pipeline(19, seed=7) without "timings_ms"
@@ -334,6 +335,12 @@ def test_orbit_minima_match_brute_force(monkeypatch):
                                       for a, b in zip(sl2, sl2[::-1])) if not orb & set(raw.tolist()))
     with pytest.raises(InvariantError, match=f"^gauge toy: pair {stray} lies in no"):
         wt._orbit_minima(p, np.sort(np.append(raw, stray)), ops, "toy")
+    # both at once: as many images as pairs, yet not the same ones
+    missing = max(orbits[reps[0]])
+    swapped = np.sort(np.append(raw[raw != missing], stray))
+    with pytest.raises(InvariantError, match=f"^gauge toy: the orbit of pair \\d+ leaves "
+                                             f"the solution set at pair {missing}$"):
+        wt._orbit_minima(p, swapped, ops, "toy")
 
 
 def _brute_exact_keys(p, rows, pair_g, pair_d):
@@ -343,6 +350,40 @@ def _brute_exact_keys(p, rows, pair_g, pair_d):
         p, mm(p, mm(p, pair_g, [v[:, None] for v in rows[:, j:j + 4].T]), pair_d))],
         axis=-1)  # (m, K, 16)
     return [min(map(tuple, r)) for r in full.tolist()], full
+
+
+def _tie_rows(params, rng):
+    """40 rows with forced ties.  In the first 20, A and B are rank one
+    with image an eigenvector v of gamma, so ghat A = A projectively for
+    every ghat in C(gamma), and the (A, B) half depends on dhat alone;
+    the last 20 tie on A alone: A as above, B generic, so B breaks the
+    tie."""
+    F = params.F
+    p = F.p
+    gm = params.gamma_mat
+    v = next((x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)
+             and (gm[0] * x + gm[1] * y) * y % p == (gm[2] * x + gm[3] * y) * x % p)
+    sl2 = wt._all_sl2(F)
+
+    def rank_one():
+        w = rng.integers(1, p, size=2)
+        return [v[0] * w[0] % p, v[0] * w[1] % p, v[1] * w[0] % p, v[1] * w[1] % p]
+
+    synthetic = []
+    for _ in range(20):
+        A, B = rank_one(), rank_one()
+        C, D = sl2[rng.integers(0, len(sl2), size=2)]
+        synthetic.append(A + B + list(C) + list(D))
+    for _ in range(20):
+        A = rank_one()
+        B, C, D = sl2[rng.integers(0, len(sl2), size=3)]
+        synthetic.append(A + list(B) + list(C) + list(D))
+    return np.array(synthetic, dtype=np.int64)
+
+
+def _packed_brute_keys(p, rows, pair_g, pair_d):
+    brute, _ = _brute_exact_keys(p, rows, pair_g, pair_d)
+    return [[int(pack_np(p, np.array(k[:8]))), int(pack_np(p, np.array(k[8:])))] for k in brute]
 
 
 def test_exact_keys_np_against_brute_force(cfg19, orbit19):
@@ -362,34 +403,11 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
     rebuilt = wt._rebuild_rows(p, triples[:, 0].T, pairs, params, "orbit")
     assert (rebuilt != points).any(axis=1).all()
 
-    # synthetic rows with forced ties: A and B are rank one with image
-    # an eigenvector v of gamma, so ghat A = A projectively for every
-    # ghat in C(gamma), and the (A, B) half depends on dhat alone
-    gm = params.gamma_mat
-    v = next((x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)
-             and (gm[0] * x + gm[1] * y) * y % p == (gm[2] * x + gm[3] * y) * x % p)
-    sl2 = wt._all_sl2(F)
-    synthetic = []
-    for _ in range(20):
-        w1, w2 = rng.integers(1, p, size=2), rng.integers(1, p, size=2)
-        C, D = sl2[rng.integers(0, len(sl2), size=2)]
-        A = [v[0] * w1[0] % p, v[0] * w1[1] % p, v[1] * w1[0] % p, v[1] * w1[1] % p]
-        B = [v[0] * w2[0] % p, v[0] * w2[1] % p, v[1] * w2[0] % p, v[1] * w2[1] % p]
-        synthetic.append(A + B + list(C) + list(D))
-    # and rows that tie on A alone: A as above, B generic, so B breaks
-    # the tie
-    for _ in range(20):
-        w1 = rng.integers(1, p, size=2)
-        B, C, D = sl2[rng.integers(0, len(sl2), size=3)]
-        A = [v[0] * w1[0] % p, v[0] * w1[1] % p, v[1] * w1[0] % p, v[1] * w1[1] % p]
-        synthetic.append(A + list(B) + list(C) + list(D))
-    synthetic = np.array(synthetic, dtype=np.int64)
-
+    synthetic = _tie_rows(params, rng)
     rows = np.concatenate([points, rebuilt, synthetic])
     keys = wt._exact_keys_np(p, rows, pair_g, pair_d)
-    brute, full = _brute_exact_keys(p, rows, pair_g, pair_d)
-    assert keys.tolist() == [[int(pack_np(p, np.array(k[:8]))), int(pack_np(p, np.array(k[8:])))]
-                             for k in brute]
+    _, full = _brute_exact_keys(p, rows, pair_g, pair_d)
+    assert keys.tolist() == _packed_brute_keys(p, rows, pair_g, pair_d)
     assert (keys[:len(idx)] == keys[len(idx):2 * len(idx)]).all()
 
     def ties(width):
@@ -409,6 +427,71 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
         Q = [SimpleNamespace(m=tuple(row[j:j + 4])) for j in range(0, 16, 4)]
         scalar = cv.key_exact(Q, params)
         assert key == [int(pack_np(p, np.array(scalar[:8]))), int(pack_np(p, np.array(scalar[8:])))]
+
+
+def test_exact_keys_np_in_small_chunks(cfg19, orbit19, monkeypatch):
+    # distinct A blocks and rows both split into several chunks; one A
+    # block recurs with other B, C, D in rows of different chunks
+    params, p = cfg19.params, 19
+    pair_g, pair_d = wt._pair_arrays(params)
+    rng = np.random.default_rng(12)
+    points = orbit19.points[rng.choice(orbit19.n, size=30, replace=False)].astype(np.int64)
+    shared = np.concatenate([np.repeat(points[:1, :4], 12, axis=0),
+                             points[rng.integers(0, 30, size=12), 4:]], axis=1)
+    rows = np.concatenate([points, shared, _tie_rows(params, rng)])
+    rows = rows[rng.permutation(len(rows))]
+
+    chunks, a_calls = [], []
+    entry_major, apply_np = wt.entry_major, wt._apply_np
+    monkeypatch.setattr(wt, "_CHUNK_ENTRIES", 4 * pair_g.shape[1] * 3)
+    monkeypatch.setattr(wt, "entry_major", lambda r: chunks.append(r) or entry_major(r))
+    monkeypatch.setattr(wt, "_apply_np", lambda p, X, ops: a_calls.append(len(X))
+                        or apply_np(p, X, ops))
+    keys = wt._exact_keys_np(p, rows, pair_g, pair_d)
+    assert keys.tolist() == _packed_brute_keys(p, rows, pair_g, pair_d)
+
+    distinct_a = len(np.unique(pack_np(p, rows[:, :4])))
+    assert sum(a_calls) == distinct_a and len(a_calls) > 1 and max(a_calls) == 3
+    assert sum(map(len, chunks)) == len(rows) and len(chunks) > 1
+    assert sum((c[:, :4] == points[0, :4]).all(axis=1).any() for c in chunks) > 1
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_sign_canonical_matches_first_nonzero(p):
+    values = np.arange(p ** 4, dtype=np.int64)
+    want = first_nonzero_np(unpack_np(p, values, 4).T) <= (p - 1) // 2
+    assert (wt._sign_canonical(p, values) == want).all()
+
+
+def _brute_pairs(p, sl2, R1, tg, td):
+    """The packed (M2, M3) pairs of the gauge R1, listed over every M2."""
+    S = sl2.T
+    N = mm(p, mm(p, adj(p, S), R1), S)
+    out = []
+    for eps in (1, -1):
+        M3s = sl2[tr_mm(p, R1, S) == eps * td % p]
+        trace = sum(N[a][:, None] * M3s[:, b] for a, b in ((0, 0), (1, 2), (2, 1), (3, 3))) % p
+        i, j = np.nonzero(trace == eps * tg % p)
+        out.append(pack_np(p, sl2[i]) * p ** 4 + pack_np(p, M3s[j]))
+    return np.unique(np.concatenate(out))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_list_pairs_solves_once_per_distinct_n(p, monkeypatch):
+    F = wt.PrimeField(p)
+    sl2 = wt._all_sl2(F)
+    trace_hits = wt._trace_hits
+    seen = []
+    monkeypatch.setattr(wt, "_trace_hits", lambda p, ncoeff, M3s, target:
+                        seen.append(ncoeff) or trace_hits(p, ncoeff, M3s, target))
+    for name, R1 in wt._gauges(p):
+        seen.clear()
+        raw = wt._list_pairs(p, sl2, R1, 3, 11)
+        assert raw.tolist() == _brute_pairs(p, sl2, R1, 3, 11).tolist(), name
+        # the trace products see each distinct N once: |SL2| / |C(R1)| rows
+        centralizer = int(eq(mm(p, sl2.T, R1), mm(p, R1, sl2.T)).sum())
+        assert seen and all(len(np.unique(n, axis=0)) == len(n) == len(sl2) // centralizer
+                            for n in seen), name
 
 
 def test_rebuild_rejects_a_wrong_triple(cfg19):
