@@ -183,6 +183,8 @@ def cmd_qrep(args) -> int:
     if not (n <= args.max_n and ell <= args.max_ell):
         raise BudgetError(f"refusing (n, ell) = ({n}, {ell}) beyond caps "
                           f"({args.max_n}, {args.max_ell})")
+    if n == 4 and (args.verify or args.specialize):
+        qr.check_intertwiner_size(n, ell)  # before any work
     mats = qr.braid_matrices(n, ell)
     report = {"n": n, "ell": ell, "dim": mats.dim}
     lines = [f"W_{n},{ell}: dimension {mats.dim}, braid relations verified exactly"]
@@ -201,7 +203,7 @@ def cmd_qrep(args) -> int:
         if n == 3:
             checks["yang_baxter_on_v"] = qr.yang_baxter_on_v(ell)
         if n >= 3:
-            checks["bn1_decomposition"] = qr.decomposition_check(n, ell)
+            checks["bn1_decomposition"] = qr.decomposition_check(n, ell, mats.basis)
             checks["e_commutes"] = qr.e_commutes_with_braiding(n, ell)
         if n == 4:
             # the form checks live on V_{4,1}: small and exact

@@ -8,6 +8,7 @@ one common denominator), 1x1 for a scalar.
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 
@@ -253,8 +254,10 @@ def qfact(n: int) -> LaurentPoly2:
     return out
 
 
+@cache
 def qbinom(n: int, k: int) -> LaurentPoly2:
-    """Gaussian binomial via the q-Pascal recurrence (division-free)."""
+    """Gaussian binomial via the q-Pascal recurrence (division-free);
+    memoised, as no LaurentPoly2 is changed in place."""
     if k < 0 or k > n:
         return ZERO
     row = [ONE]

@@ -5,6 +5,13 @@ fraction-free (Bareiss): every division is exact in the ring and
 raises if not, so a wrong pivot chain cannot corrupt silently.
 Kernels and solutions come out with a single common denominator (the
 final pivot), which keeps downstream matrix products in the ring.
+
+ff_jordan is the one elimination.  It rescales a row lazily: a row
+whose head is zero at a step keeps a stamp, the pivot it was last
+brought up to, and stands for row * prev / stamp.  Bareiss entries are
+minors (Sylvester's identity), so bringing a row up to date is one
+exact division; the pivots, the rows and d are those of the eager
+elimination.
 """
 
 from __future__ import annotations
@@ -58,40 +65,75 @@ def _pivot_row(rows, r, c):
     return best
 
 
+def _rescale(row, num, den):
+    """The row times num / den, entry by entry, each division exact."""
+    return [(e * num).exact_div(den) if e.terms else e for e in row]
+
+
 def ff_jordan(A):
     """Fraction-free Gauss-Jordan: returns (rows, pivots, d) with the
     pivot entries all equal to d after full reduction, so a consistent
-    system A x = b reads off x = row / d."""
+    system A x = b reads off x = row / d.
+
+    Bareiss's step at pivot piv (previous pivot prev) sends each other
+    row to (row * piv - head * pivot_row) / prev; a row with a zero
+    head only gets rescaled by piv / prev.  That rescale is deferred:
+    rows[i] carries the stamp of the pivot it was last brought up to,
+    and its Bareiss value is rows[i] * prev / stamp.  The factor
+    telescopes over the skipped steps and the value is a matrix of
+    minors, so the one exact_div that brings a row up to date cannot
+    fail.  A row is brought up to date only where the step updates it
+    anyway (a nonzero head) and once more at the end.  Pivots are
+    chosen among up-to-date candidates by _pivot_row, so the pivots,
+    the rows and d are those of the eager elimination.  Entries zero
+    in both the row and the pivot row stay ZERO without arithmetic.
+    """
     rows = [list(r) for r in A]
     m = len(rows)
     n = len(rows[0]) if m else 0
+    stamps = [ONE] * m
     prev = ONE
     pivots = []
     r = 0
     for c in range(n):
         if r >= m:
             break
+        for i in range(r, m):  # the candidates, brought up to date
+            if rows[i][c].terms and stamps[i] is not prev:
+                rows[i] = _rescale(rows[i], prev, stamps[i])
+                stamps[i] = prev
         i = _pivot_row(rows, r, c)
         if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
+        stamps[r], stamps[i] = stamps[i], stamps[r]
+        prow = rows[r]
+        piv = prow[c]
         for i in range(m):
-            if i == r:
+            if i == r or not rows[i][c].terms:
                 continue
-            head = rows[i][c]
-            if head.terms:
-                rows[i] = [
-                    (rows[i][j] * piv - head * rows[r][j]).exact_div(prev)
-                    for j in range(n)]
-            else:
-                # zero head: the Bareiss minor update degenerates to a
-                # rescale, still divided exactly by the previous pivot
-                rows[i] = [(e * piv).exact_div(prev) if e.terms else e
-                           for e in rows[i]]
+            row = rows[i]
+            if stamps[i] is not prev:
+                row = _rescale(row, prev, stamps[i])
+            head = row[c]
+            new = []
+            for e, p in zip(row, prow):
+                if p.terms:
+                    v = e * piv - head * p if e.terms else -(head * p)
+                elif e.terms:
+                    v = e * piv
+                else:
+                    new.append(ZERO)
+                    continue
+                new.append(v.exact_div(prev))
+            rows[i] = new
+            stamps[i] = piv
+        stamps[r] = piv
         prev = piv
         pivots.append(c)
         r += 1
+    rows = [row if stamp is prev else _rescale(row, prev, stamp)
+            for row, stamp in zip(rows, stamps)]
     return rows, pivots, prev
 
 

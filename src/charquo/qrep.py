@@ -17,10 +17,11 @@ twisted hermitian form H, whose identities are checked on num(H).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import matmul
 
 from .laurent import ONE, ZERO, LaurentPoly2, qbinom, qfact, qs_monomial
-from .numutil import InvariantError, binom, is_prime
+from .numutil import BudgetError, InvariantError, binom, is_prime
 from .qlinalg import (ScaledMatrix, mat_eq, mat_mul, mat_transpose,
                       nullspace, solve_in_span)
 
@@ -57,8 +58,10 @@ def hw_dim(n, ell):
 
 # -- the R-matrix ------------------------------------------------------------
 
+@cache
 def _torus_factor(k_lo: int, count: int, j: int) -> LaurentPoly2:
-    """prod_{k=k_lo}^{k_lo+count-1} (s q^(-k-j) - s^-1 q^(k+j))."""
+    """prod_{k=k_lo}^{k_lo+count-1} (s q^(-k-j) - s^-1 q^(k+j)), memoised
+    like laurent.qbinom."""
     out = ONE
     for k in range(k_lo, k_lo + count):
         out = out * (qs_monomial(-k - j, 1) - qs_monomial(k + j, -1))
@@ -166,11 +169,16 @@ def braid_matrices(n: int, ell: int) -> RepMatrices:
     basis = highest_weight_basis(n, ell)
     d = len(basis)
     A = mat_transpose(basis)  # V-dim x d
-    sigma = {}
+    # one elimination of A for all generators: A X = [S_1 A | ... | S_n-1 A];
+    # the pivots depend on A alone, so each block of X is the solution
+    # of its own system over the same denominator
+    B = [[] for _ in A]
     for i in range(1, n):
-        S = sigma_on_V(n, ell, i)
-        B = mat_mul(S, A)
-        sigma[i] = solve_in_span(A, B)
+        for row, img in zip(B, mat_mul(sigma_on_V(n, ell, i), A)):
+            row.extend(img)
+    X = solve_in_span(A, B)
+    sigma = {i: ScaledMatrix([row[(i - 1) * d:i * d] for row in X.num], X.den)
+             for i in range(1, n)}
     if not braid_relations_hold(sigma, n, matmul):
         raise ArithmeticError(f"braid relations fail on W_{n},{ell}")
     return RepMatrices(n, ell, d, basis, A, sigma)
@@ -205,7 +213,7 @@ def e_commutes_with_braiding(n: int, ell: int) -> bool:
     return True
 
 
-def decomposition_check(n: int, ell: int) -> bool:
+def decomposition_check(n: int, ell: int, basis) -> bool:
     """Dimension bookkeeping of the restriction to the braid subgroup on
     strands 2..n, plus the first-index filtration realizing it.
 
@@ -215,14 +223,14 @@ def decomposition_check(n: int, ell: int) -> bool:
     dimensions, dim G_j = sum_{t = ell-j}^{ell} binom(n-3+t, t), which
     stacks up to the claimed direct-sum decomposition.  G_j is computed
     as the kernel of the rows of first index > j, so its dimension is
-    the length of that kernel basis.
+    the length of that kernel basis.  basis is highest_weight_basis(n,
+    ell), as RepMatrices.basis holds it.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if hw_dim(n, ell) != sum(binom(n + k - 3, k) for k in range(ell + 1)):
         return False
     comps = compositions(n, ell)
-    basis = highest_weight_basis(n, ell)
     d = len(basis)
     A = mat_transpose(basis)
     sigmas = [sigma_on_V(n, ell, i) for i in range(2, n)]
@@ -353,6 +361,39 @@ def intertwiner_construction_check(ell: int) -> bool:
     return True
 
 
+# The largest W dimension whose intertwiner is solved.  On a 2-core
+# x86 host d = 6 at (4, 2) takes under 0.5 s, while d = 10 at (4, 3), a
+# 300 x 100 ring system, takes about 400 s.
+MAX_INTERTWINER_DIM = 6
+
+
+def check_intertwiner_size(n: int, ell: int):
+    """Raise BudgetError if the intertwiner of W_{n, ell} is too large."""
+    d = hw_dim(n, ell)
+    if d > MAX_INTERTWINER_DIM:
+        raise BudgetError(f"refusing the intertwiner of W_{n},{ell}: "
+                          f"dimension {d} exceeds {MAX_INTERTWINER_DIM}")
+
+
+def commutation_system(mats: RepMatrices):
+    """Rows of J sigma_i^T - sigma_i J = 0 in the d^2 entries of J
+    (row-major), sigma_i taken by their numerators: d^2 equations per
+    generator."""
+    d = mats.dim
+    rows = []
+    for S in mats.sigma.values():
+        N = S.num
+        for r in range(d):
+            for c in range(d):
+                row = [ZERO] * (d * d)
+                for j in range(d):
+                    row[r * d + j] = row[r * d + j] + N[c][j]   # J[r][j] N^T[j][c]
+                for k in range(d):
+                    row[k * d + c] = row[k * d + c] - N[r][k]   # N[r][k] J[k][c]
+                rows.append(row)
+    return rows
+
+
 def intertwiner_J(mats: RepMatrices):
     """J with J sigma_i^T J^-1 = sigma_i on the W basis, from the
     nullspace of the commutation system; unique up to scalar by
@@ -364,21 +405,11 @@ def intertwiner_J(mats: RepMatrices):
     inverse-transpose automorphism A -> J (A^T)^-1 J^-1 then sends each
     sigma_i to sigma_i^-1 (same relation, inverted), and it squares to
     a scalar iff J is proportional to its own transpose, which is
-    checked exactly.
+    checked exactly.  Raises BudgetError above MAX_INTERTWINER_DIM.
     """
+    check_intertwiner_size(mats.n, mats.ell)
     d = mats.dim
-    rows = []
-    for i, S in mats.sigma.items():
-        N = S.num
-        for r in range(d):
-            for c in range(d):
-                row = [ZERO] * (d * d)
-                for j in range(d):
-                    row[r * d + j] = row[r * d + j] + N[c][j]   # J[r][j] N^T[j][c]
-                for k in range(d):
-                    row[k * d + c] = row[k * d + c] - N[r][k]   # N[r][k] J[k][c]
-                rows.append(row)
-    kern = nullspace(rows)
+    kern = nullspace(commutation_system(mats))
     if len(kern) != 1:
         raise ArithmeticError(
             f"intertwiner space has dimension {len(kern)}, not 1 "

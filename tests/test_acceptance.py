@@ -195,7 +195,7 @@ def test_criterion_08_quantum_engine():
         assert qr.w2_eigenvalue(ell) == qr.expected_w2_eigenvalue(ell)
     for n in range(3, 6):
         for ell in range(4):
-            assert qr.decomposition_check(n, ell)
+            assert qr.decomposition_check(n, ell, qr.highest_weight_basis(n, ell))
     for t in range(7):
         assert qr.qbinom_product_identity(t)
     for ell in range(5):

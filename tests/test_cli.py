@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -171,6 +172,35 @@ def test_qrep_caps(capsys):
     assert code == 2
 
 
+def test_qrep_intertwiner_refused_before_work(capsys, monkeypatch):
+    # W_4,3 has dimension 10: its matrices are built and verified, but
+    # --verify and --specialize, which need J, are refused up front
+    from charquo import qrep as qr
+    code, out = run(capsys, "qrep", "4", "3")
+    assert code == 0
+    assert "W_4,3: dimension 10, braid relations verified exactly" in out
+    monkeypatch.setattr(qr, "braid_matrices", None)
+    for flags in (["--verify"], ["--specialize", "1009", "3", "5"]):
+        code, out = run(capsys, "qrep", "4", "3", *flags)
+        assert code == 2
+        assert "intertwiner of W_4,3: dimension 10 exceeds 6" in out
+
+
+# sha256 of `qrep N ELL --verify --specialize 1009 517 897 --json`
+QREP_REPORT_DIGESTS = {
+    (4, 2): "468c636884ac11ccf8fe99f40b472ca31f4774892a09486f3a6781703b98c08f",
+    (5, 3): "e28afae41508b762e66af3d2f1cbb64611bb80816739dd289572ea7cd2e6cf4a",
+}
+
+
+@pytest.mark.parametrize("n, ell", sorted(QREP_REPORT_DIGESTS))
+def test_qrep_report_digest(capsys, n, ell):
+    code, out = run(capsys, "qrep", str(n), str(ell), "--verify", "--specialize",
+                    "1009", "517", "897", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == QREP_REPORT_DIGESTS[n, ell]
+
+
 # (argv, exit code, patched witness constants, keys of the error report)
 FAILURES = [
     (["witness", "4"], 1, {}, {"p"}),
@@ -186,6 +216,8 @@ FAILURES = [
     (["orbit", "19", "--max-points", "0"], 1, {"build": None}, {"p", "seed"}),
     (["orbit", "19", "--words", "0"], 1, {"build": None}, {"p", "seed"}),
     (["qrep", "9", "9"], 2, {}, {"n", "ell"}),
+    (["qrep", "4", "3", "--verify"], 2, {}, {"n", "ell"}),
+    (["qrep", "4", "3", "--specialize", "1009", "3", "5"], 2, {}, {"n", "ell"}),
     (["count", "61"], 2, {}, {"p"}),
     (["orbit", "19", "--max-points", "10"], 2, {}, {"p", "seed", "partial_count"}),
     (["witness", "19"], 3, {"TR_GAMMA": 4}, {"p"}),

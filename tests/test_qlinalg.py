@@ -3,9 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from charquo.laurent import ONE, ZERO, LaurentPoly2, qnum, qvar, svar
+from charquo import qrep as qr
+from charquo.laurent import ONE, ZERO, LaurentPoly2, qnum, qs_monomial, qvar, svar
 from charquo.qlinalg import (ScaledMatrix, ff_jordan, mat_eq, mat_mul,
-                             nullspace, solve_in_span)
+                             mat_transpose, nullspace, solve_in_span)
 
 
 def C(n):
@@ -132,3 +133,114 @@ def test_scaled_matrix_ops():
     got = A.eval_mod(2, 3, 101)
     den = qnum(2).eval_mod(2, 3, 101)
     assert got[0][0] == 2 * pow(den, 99, 101) % 101
+
+
+# -- the eager elimination as reference --------------------------------------
+
+def _eager_pivot_row(rows, r, c):
+    best = None
+    for i in range(r, len(rows)):
+        t = len(rows[i][c].terms)
+        if t and (best is None or t < len(rows[best][c].terms)):
+            best = i
+            if t == 1:
+                break
+    return best
+
+
+def _eager_ff_jordan(A):
+    """One-step Bareiss Gauss-Jordan that updates every row at every
+    step, rescaling rows with a zero head by piv / prev."""
+    rows = [list(r) for r in A]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    prev = ONE
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        i = _eager_pivot_row(rows, r, c)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        piv = rows[r][c]
+        for i in range(m):
+            if i == r:
+                continue
+            head = rows[i][c]
+            if head.terms:
+                rows[i] = [(rows[i][j] * piv - head * rows[r][j]).exact_div(prev)
+                           for j in range(n)]
+            else:
+                rows[i] = [(e * piv).exact_div(prev) if e.terms else e
+                           for e in rows[i]]
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return rows, pivots, prev
+
+
+def _assert_same_elimination(A):
+    rows, pivots, d = ff_jordan(A)
+    ref_rows, ref_pivots, ref_d = _eager_ff_jordan(A)
+    assert pivots == ref_pivots
+    assert d == ref_d
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        assert row == ref
+    return len(pivots)
+
+
+def _random_poly(rng):
+    if rng.random() < 0.55:
+        return ZERO
+    acc = ZERO
+    for _ in range(rng.randrange(1, 4)):
+        acc = acc + qs_monomial(rng.randrange(-2, 3), rng.randrange(-2, 3),
+                                rng.choice([-3, -2, -1, 1, 1, 2]))
+    return acc
+
+
+def _random_system(rng, m, n, deficient=False, zero_col=False):
+    A = [[_random_poly(rng) for _ in range(n)] for _ in range(m)]
+    if deficient and m >= 3:
+        # a ring combination of two rows replaces a third
+        a, b = _random_poly(rng) or ONE, _random_poly(rng) or qvar(1)
+        A[rng.randrange(2, m)] = [x * a + y * b for x, y in zip(A[0], A[1])]
+    if zero_col:
+        z = rng.randrange(n)
+        for row in A:
+            row[z] = ZERO
+    return A
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lazy_jordan_matches_eager(seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        m, n = rng.randrange(1, 8), rng.randrange(1, 8)
+        _assert_same_elimination(_random_system(
+            rng, m, n, deficient=rng.random() < 0.4, zero_col=rng.random() < 0.3))
+    # wide, tall and rank-deficient shapes all occur
+    _assert_same_elimination(_random_system(rng, 3, 7))
+    _assert_same_elimination(_random_system(rng, 7, 3, zero_col=True))
+    _assert_same_elimination(_random_system(rng, 6, 6, deficient=True))
+    assert _assert_same_elimination(_random_system(rng, 6, 6, deficient=True)) < 6
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_lazy_jordan_matches_eager_on_intertwiner_system(ell):
+    mats = qr.braid_matrices(4, ell)
+    rank = _assert_same_elimination(qr.commutation_system(mats))
+    assert rank == mats.dim ** 2 - 1
+
+
+def test_single_solve_matches_per_generator_solves():
+    n, ell = 5, 3
+    mats = qr.braid_matrices(n, ell)
+    A = mat_transpose(mats.basis)
+    for i in range(1, n):
+        ref = solve_in_span(A, mat_mul(qr.sigma_on_V(n, ell, i), A))
+        assert mats.sigma[i].den == ref.den
+        assert mat_eq(mats.sigma[i].num, ref.num)

@@ -2,7 +2,7 @@ import pytest
 
 from charquo import qrep as qr
 from charquo.laurent import ONE, ZERO, qbinom, qnum, qs_monomial, qvar, svar
-from charquo.numutil import InvariantError, binom
+from charquo.numutil import BudgetError, InvariantError, binom
 from charquo.qlinalg import ScaledMatrix, mat_eq, mat_mul
 
 
@@ -79,9 +79,9 @@ def test_central_element_scalar():
 
 
 def test_decomposition_check():
-    assert qr.decomposition_check(4, 2)
-    assert qr.decomposition_check(3, 2)
-    assert qr.decomposition_check(5, 3)
+    assert qr.decomposition_check(4, 2, qr.highest_weight_basis(4, 2))
+    assert qr.decomposition_check(3, 2, qr.highest_weight_basis(3, 2))
+    assert qr.decomposition_check(5, 3, qr.highest_weight_basis(5, 3))
     assert binom(4, 2) == 1 + 2 + 3
     assert binom(3, 2) == 1 + 1 + 1
     assert binom(6, 3) == 1 + 3 + 6 + 10
@@ -191,6 +191,13 @@ def test_intertwiner_J():
         assert info["unique_up_to_scalar"]
         assert info["invertible"]
         assert info["phi_squared_scalar"]
+
+
+def test_intertwiner_J_refused_above_bound():
+    assert binom(4, 2) == qr.MAX_INTERTWINER_DIM
+    mats = qr.braid_matrices(4, 3)
+    with pytest.raises(BudgetError, match="dimension 10 exceeds 6"):
+        qr.intertwiner_J(mats)
 
 
 def test_intertwiner_J_singular_refused(monkeypatch):
