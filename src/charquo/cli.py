@@ -185,6 +185,8 @@ def cmd_qrep(args) -> int:
                           f"({args.max_n}, {args.max_ell})")
     if n == 4 and (args.verify or args.specialize):
         qr.check_intertwiner_size(n, ell)  # before any work
+    if args.specialize:
+        qr.check_modulus(args.specialize[0])
     mats = qr.braid_matrices(n, ell)
     report = {"n": n, "ell": ell, "dim": mats.dim}
     lines = [f"W_{n},{ell}: dimension {mats.dim}, braid relations verified exactly"]
@@ -198,8 +200,7 @@ def cmd_qrep(args) -> int:
         if n == 2:
             ev = qr.w2_eigenvalue(ell)
             checks["w2_eigenvalue"] = ev == qr.expected_w2_eigenvalue(ell)
-            lines.append(f"eigenvalue: {mats.sigma[1].num[0][0]!r} "
-                         f"/ {mats.sigma[1].den!r}")
+            lines.append(f"eigenvalue: {mats.sigma[1].num[0][0]!r}")
         if n == 3:
             checks["yang_baxter_on_v"] = qr.yang_baxter_on_v(ell)
         if n >= 3:

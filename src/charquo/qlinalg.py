@@ -3,8 +3,10 @@
 Matrices are lists of rows of LaurentPoly2.  Elimination is one-step
 fraction-free (Bareiss): every division is exact in the ring and
 raises if not, so a wrong pivot chain cannot corrupt silently.
-Kernels and solutions come out with a single common denominator (the
-final pivot), which keeps downstream matrix products in the ring.
+Kernel vectors come out over the ring, content-stripped; the one
+fraction type is ScaledMatrix (a ring matrix over a common
+denominator).  mat_mul skips zero entries, so its cost is the number
+of nonzero products, not m * k * n.
 
 ff_jordan is the one elimination.  It rescales a row lazily: a row
 whose head is zero at a step keeps a stamp, the pivot it was last
@@ -22,21 +24,18 @@ from .laurent import ONE, ZERO, LaurentPoly2
 
 
 def mat_mul(A, B):
-    m, k = len(A), len(B)
+    """A B.  Each nonzero a = A[i][t], in t order, adds a * B[t][j] to
+    entry j of row i over the nonzero B[t][j]: the terms and their order
+    are those of the dense triple loop."""
     n = len(B[0]) if B else 0
+    Bnz = [[(j, b) for j, b in enumerate(row) if b.terms] for row in B]
     out = []
-    for i in range(m):
-        Ai = A[i]
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for t in range(k):
-                a = Ai[t]
-                if a.terms:
-                    b = B[t][j]
-                    if b.terms:
-                        acc = acc + a * b
-            row.append(acc)
+    for Ai in A:
+        row = [ZERO] * n
+        for a, bt in zip(Ai, Bnz):
+            if a.terms:
+                for j, b in bt:
+                    row[j] = row[j] + a * b
         out.append(row)
     return out
 
@@ -143,7 +142,9 @@ def nullspace(A, ncols=None):
     Fraction-free Gauss-Jordan leaves every pivot entry equal to the
     final pivot d, so the kernel vector of a free column f is read off
     in the ring: v[f] = d, v[pivot_k] = -row_k[f].  Free columns in
-    ascending order give a deterministic basis."""
+    ascending order give a deterministic basis.  v is zero at the other
+    free columns and at every pivot column after f (row_k is zero left
+    of its pivot), so f is the last nonzero coordinate of v."""
     rows, pivots, d = ff_jordan(A)
     n = len(A[0]) if A else (ncols or 0)
     free = [c for c in range(n) if c not in pivots]
@@ -223,29 +224,3 @@ class ScaledMatrix:
         dinv = pow(d, r - 2, r)
         return [[e.eval_mod(q0, s0, r) * dinv % r for e in row] for row in self.num]
 
-
-def solve_in_span(A, B) -> ScaledMatrix:
-    """X with A X = B, A of full column rank; entries share one
-    denominator (the final pivot).  Raises if B leaves the span.
-
-    Fraction-free Gauss-Jordan on [A | B]; the result is verified by
-    back-substitution (A num(X) = den(X) B) before returning.
-    """
-    m = len(A)
-    k = len(A[0]) if A else 0
-    jcols = len(B[0]) if B else 0
-    aug = [list(ra) + list(rb) for ra, rb in zip(A, B)]
-    rows, pivots, d = ff_jordan(aug)
-    if len(pivots) != k or any(c >= k for c in pivots):
-        raise ValueError("solve_in_span: matrix is rank-deficient or "
-                         "the right side leaves the span")
-    for i in range(len(pivots), m):
-        if any(rows[i][j].terms for j in range(k, k + jcols)):
-            raise ValueError("solve_in_span: inconsistent system")
-    X = [[rows[r][k + j] for j in range(jcols)] for r in range(k)]
-    out = ScaledMatrix(X, d)
-    lhs = mat_mul(A, X)
-    rhs = mat_scale(B, d)
-    if not mat_eq(lhs, rhs):
-        raise ArithmeticError("solve_in_span: verification failed")
-    return out

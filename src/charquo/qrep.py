@@ -10,20 +10,19 @@ W_{n,l} = ker(E) inside it carries the representation, of dimension
 binom(n+l-2, l).
 
 Fractions are qlinalg.ScaledMatrix values (a ring matrix over one common
-denominator): the braid matrices, the 1x1 W_{2,l} eigenvalue and the
-twisted hermitian form H, whose identities are checked on num(H).
+denominator): the braid matrices (integral, den 1: see braid_matrices),
+the 1x1 W_{2,l} eigenvalue and the twisted hermitian form H, whose
+identities are checked on num(H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import matmul
 
 from .laurent import ONE, ZERO, LaurentPoly2, qbinom, qfact, qs_monomial
 from .numutil import BudgetError, InvariantError, binom, is_prime
-from .qlinalg import (ScaledMatrix, mat_eq, mat_mul, mat_transpose,
-                      nullspace, solve_in_span)
+from .qlinalg import ScaledMatrix, mat_eq, mat_mul, mat_transpose, nullspace
 
 
 class BadSpecializationError(ValueError):
@@ -59,11 +58,11 @@ def hw_dim(n, ell):
 # -- the R-matrix ------------------------------------------------------------
 
 @cache
-def _torus_factor(k_lo: int, count: int, j: int) -> LaurentPoly2:
-    """prod_{k=k_lo}^{k_lo+count-1} (s q^(-k-j) - s^-1 q^(k+j)), memoised
-    like laurent.qbinom."""
+def _torus_factor(count: int, j: int) -> LaurentPoly2:
+    """prod_{k=0}^{count-1} (s q^(-k-j) - s^-1 q^(k+j)), memoised like
+    laurent.qbinom."""
     out = ONE
-    for k in range(k_lo, k_lo + count):
+    for k in range(count):
         out = out * (qs_monomial(-k - j, 1) - qs_monomial(k + j, -1))
     return out
 
@@ -73,7 +72,7 @@ def r_matrix(i: int, j: int):
     out = []
     for k in range(i + 1):
         coeff = qs_monomial(2 * (i - k) * (j + k) + k * (k - 1) // 2, -i - j)
-        coeff = coeff * qbinom(k + j, j) * _torus_factor(0, k, j)
+        coeff = coeff * qbinom(k + j, j) * _torus_factor(k, j)
         out.append(((j + k, i - k), coeff))
     return out
 
@@ -164,24 +163,35 @@ def braid_relations_hold(sigma: dict, n: int, mul) -> bool:
 
 
 def braid_matrices(n: int, ell: int) -> RepMatrices:
-    """The braid representation on W_{n, ell}; relations verified exactly
-    before returning."""
+    """The braid representation on W_{n, ell}, integral on the basis;
+    A sigma_i = S_i A and the braid relations verified exactly before
+    returning.
+
+    Basis vector k is the kernel vector of a free column f_k of E, its
+    last nonzero coordinate (qlinalg.nullspace), and is zero at the
+    other free columns; at ell = 0 the basis is the identity and f_k = k.
+    A[f_k][k] is a unit +-q^a s^b, so the basis is a lattice basis of W
+    cap R^D, R = Z[q^+-1, s^+-1]: each such w is sum_k (w[f_k] /
+    A[f_k][k]) b_k.  Row k of sigma_i is therefore row f_k of S_i A
+    divided by that unit, with no elimination, and sigma_i has den 1.
+    """
     basis = highest_weight_basis(n, ell)
-    d = len(basis)
     A = mat_transpose(basis)  # V-dim x d
-    # one elimination of A for all generators: A X = [S_1 A | ... | S_n-1 A];
-    # the pivots depend on A alone, so each block of X is the solution
-    # of its own system over the same denominator
-    B = [[] for _ in A]
+    free = [max(r for r, e in enumerate(vec) if e.terms) for vec in basis]
+    units = [A[f][k] for k, f in enumerate(free)]
+    if not all(len(u.terms) == 1 and abs(*u.terms.values()) == 1 for u in units):
+        raise InvariantError(f"highest-weight basis of W_{n},{ell}: "
+                             "a free-column entry is not a unit")
+    nums = {}
     for i in range(1, n):
-        for row, img in zip(B, mat_mul(sigma_on_V(n, ell, i), A)):
-            row.extend(img)
-    X = solve_in_span(A, B)
-    sigma = {i: ScaledMatrix([row[(i - 1) * d:i * d] for row in X.num], X.den)
-             for i in range(1, n)}
-    if not braid_relations_hold(sigma, n, matmul):
+        SA = mat_mul(sigma_on_V(n, ell, i), A)
+        nums[i] = [[e.exact_div(u) for e in SA[f]] for f, u in zip(free, units)]
+        if not mat_eq(mat_mul(A, nums[i]), SA):
+            raise ArithmeticError(f"sigma_{i} on W_{n},{ell}: A sigma_{i} != S_{i} A")
+    if not braid_relations_hold(nums, n, mat_mul):
         raise ArithmeticError(f"braid relations fail on W_{n},{ell}")
-    return RepMatrices(n, ell, d, basis, A, sigma)
+    sigma = {i: ScaledMatrix(num, ONE) for i, num in nums.items()}
+    return RepMatrices(n, ell, len(basis), basis, A, sigma)
 
 
 def w2_eigenvalue(ell: int) -> ScaledMatrix:
@@ -217,36 +227,34 @@ def decomposition_check(n: int, ell: int, basis) -> bool:
     """Dimension bookkeeping of the restriction to the braid subgroup on
     strands 2..n, plus the first-index filtration realizing it.
 
-    G_j = vectors of W_{n, ell} supported on first tensor index <= j is
-    invariant under sigma_2..sigma_{n-1} (they do not touch the first
-    factor); its dimension must be sum over the top j+1 summand
-    dimensions, dim G_j = sum_{t = ell-j}^{ell} binom(n-3+t, t), which
-    stacks up to the claimed direct-sum decomposition.  G_j is computed
-    as the kernel of the rows of first index > j, so its dimension is
-    the length of that kernel basis.  basis is highest_weight_basis(n,
-    ell), as RepMatrices.basis holds it.
+    sigma_2..sigma_{n-1} act on tensor factors 2..n, so every nonzero
+    entry of their matrices on V_{n, ell} must join compositions with
+    the same first part; one pass over each matrix checks that.  They
+    then keep each V_{<=j} (first tensor index <= j), and since W_{n,
+    ell} is invariant (braid_matrices certifies it) they keep G_j = W
+    cap V_{<=j}.  dim G_j must be the sum of the top j+1 summand
+    dimensions, sum_{t = ell-j}^{ell} binom(n-3+t, t), which stacks up
+    to the claimed direct-sum decomposition.  G_j is the kernel of the
+    basis rows of first index > j, so its dimension is the length of
+    that kernel basis.  basis is highest_weight_basis(n, ell), as
+    RepMatrices.basis holds it.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if hw_dim(n, ell) != sum(binom(n + k - 3, k) for k in range(ell + 1)):
         return False
     comps = compositions(n, ell)
-    d = len(basis)
+    for i in range(2, n):
+        if any(e.terms and comps[r][0] != comps[c][0]
+               for r, row in enumerate(sigma_on_V(n, ell, i))
+               for c, e in enumerate(row)):
+            return False
     A = mat_transpose(basis)
-    sigmas = [sigma_on_V(n, ell, i) for i in range(2, n)]
     for j in range(ell + 1):
         high_rows = [A[r] for r, c in enumerate(comps) if c[0] > j]
-        kern = nullspace(high_rows, ncols=d)
+        kern = nullspace(high_rows, ncols=len(basis))
         if len(kern) != sum(binom(n - 3 + t, t) for t in range(ell - j, ell + 1)):
             return False
-        # invariance: members of G_j keep first index <= j under sigma_i>=2
-        for coeffs in kern:
-            vec = mat_mul(A, [[c] for c in coeffs])
-            for S in sigmas:
-                img = mat_mul(S, vec)
-                for r, c in enumerate(comps):
-                    if c[0] > j and img[r][0].terms:
-                        return False
     return True
 
 
@@ -285,7 +293,7 @@ def hermitian_form(ell: int) -> ScaledMatrix:
     prod_m den_m^min(4, ell // m)."""
     comps = compositions(4, ell)
     index = {c: k for k, c in enumerate(comps)}
-    dens = {m: qfact(m) * _torus_factor(0, m, 0) for m in range(1, ell + 1)}
+    dens = {m: qfact(m) * _torus_factor(m, 0) for m in range(1, ell + 1)}
     top = {m: min(4, ell // m) for m in dens}
     den = ONE
     for m, e in top.items():
@@ -480,6 +488,12 @@ def _is_zero_mod(A, r):
     return all(v % r == 0 for row in A for v in row)
 
 
+def check_modulus(r: int):
+    """Raise ValueError unless the specialization modulus r is prime."""
+    if not is_prime(r):
+        raise ValueError(f"modulus {r} is not prime")
+
+
 def specialize(mats: RepMatrices, r: int, q0: int, s0: int, J=None) -> dict:
     """Evaluate the representation at (q0, s0) over F_r.
 
@@ -489,8 +503,7 @@ def specialize(mats: RepMatrices, r: int, q0: int, s0: int, J=None) -> dict:
     BadSpecializationError naming the offending matrix when a
     denominator vanishes.
     """
-    if not is_prime(r):
-        raise ValueError(f"modulus {r} is not prime")
+    check_modulus(r)
     if q0 % r == 0 or s0 % r == 0:
         raise BadSpecializationError("q0, s0 must be invertible mod r")
     spec = {}
@@ -558,7 +571,7 @@ def _vec_apply_E(vec):
 def _vec_apply_F(nn, vec):
     out = {}
     for j, c in vec.items():
-        coeff = qbinom(nn + j, j) * _torus_factor(0, nn, j)
+        coeff = qbinom(nn + j, j) * _torus_factor(nn, j)
         out[j + nn] = out.get(j + nn, ZERO) + c * coeff
     return {j: c for j, c in out.items() if c.terms}
 

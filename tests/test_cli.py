@@ -186,17 +186,26 @@ def test_qrep_intertwiner_refused_before_work(capsys, monkeypatch):
         assert "intertwiner of W_4,3: dimension 10 exceeds 6" in out
 
 
-# sha256 of `qrep N ELL --verify --specialize 1009 517 897 --json`
+def test_qrep_modulus_refused_before_work(capsys, monkeypatch):
+    from charquo import qrep as qr
+    monkeypatch.setattr(qr, "braid_matrices", None)
+    code, out = run(capsys, "qrep", "4", "2", "--specialize", "4", "3", "5")
+    assert code == 1
+    assert "modulus 4 is not prime" in out
+
+
+# sha256 of `qrep N ELL --verify --specialize 1009 517 897 --max-n N --json`
 QREP_REPORT_DIGESTS = {
     (4, 2): "468c636884ac11ccf8fe99f40b472ca31f4774892a09486f3a6781703b98c08f",
     (5, 3): "e28afae41508b762e66af3d2f1cbb64611bb80816739dd289572ea7cd2e6cf4a",
+    (6, 3): "c2268089f220d27a2b0804ae8e7c10f03ee0658211308730d274b3099be43861",
 }
 
 
 @pytest.mark.parametrize("n, ell", sorted(QREP_REPORT_DIGESTS))
 def test_qrep_report_digest(capsys, n, ell):
     code, out = run(capsys, "qrep", str(n), str(ell), "--verify", "--specialize",
-                    "1009", "517", "897", "--json")
+                    "1009", "517", "897", "--max-n", str(n), "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == QREP_REPORT_DIGESTS[n, ell]
 

@@ -5,8 +5,8 @@ import pytest
 
 from charquo import qrep as qr
 from charquo.laurent import ONE, ZERO, LaurentPoly2, qnum, qs_monomial, qvar, svar
-from charquo.qlinalg import (ScaledMatrix, ff_jordan, mat_eq, mat_mul,
-                             mat_transpose, nullspace, solve_in_span)
+from charquo.qlinalg import (ScaledMatrix, ff_jordan, mat_mul, mat_transpose,
+                             nullspace)
 
 
 def C(n):
@@ -68,23 +68,6 @@ def test_nullspace_deterministic():
     k2 = nullspace(A, ncols=3)
     assert len(k1) == 2
     assert all(a == b for va, vb in zip(k1, k2) for a, b in zip(va, vb))
-
-
-def test_solve_in_span():
-    A = [[ONE, qvar(1)], [ZERO, qnum(2)], [svar(1), ZERO]]
-    X0 = [[qvar(-1)], [svar(2) + 1]]
-    B = mat_mul(A, X0)
-    sol = solve_in_span(A, B)
-    lhs = mat_mul(A, sol.num)
-    rhs = [[b * sol.den for b in row] for row in B]
-    assert mat_eq(lhs, rhs)
-
-
-def test_solve_in_span_rejects_outside():
-    A = [[ONE], [ZERO]]
-    B = [[ZERO], [ONE]]
-    with pytest.raises(ValueError):
-        solve_in_span(A, B)
 
 
 def _check_jordan_form(A):
@@ -236,11 +219,53 @@ def test_lazy_jordan_matches_eager_on_intertwiner_system(ell):
     assert rank == mats.dim ** 2 - 1
 
 
-def test_single_solve_matches_per_generator_solves():
-    n, ell = 5, 3
+def _reference_solve(A, B):
+    """X with A X = B, A of full column rank, as a ScaledMatrix over the
+    final pivot: Gauss-Jordan on [A | B], read off the pivot rows."""
+    k = len(A[0])
+    rows, pivots, d = ff_jordan([ra + rb for ra, rb in zip(A, B)])
+    assert pivots == list(range(k))
+    assert all(not e.terms for row in rows[k:] for e in row)
+    return ScaledMatrix([row[k:] for row in rows[:k]], d)
+
+
+@pytest.mark.parametrize("n, ell", [(4, 2), (5, 3)])
+def test_sigma_matches_reference_solve(n, ell):
     mats = qr.braid_matrices(n, ell)
     A = mat_transpose(mats.basis)
     for i in range(1, n):
-        ref = solve_in_span(A, mat_mul(qr.sigma_on_V(n, ell, i), A))
-        assert mats.sigma[i].den == ref.den
-        assert mat_eq(mats.sigma[i].num, ref.num)
+        ref = _reference_solve(A, mat_mul(qr.sigma_on_V(n, ell, i), A))
+        assert mats.sigma[i].den == ONE
+        assert mats.sigma[i] == ref
+
+
+def _dense_mat_mul(A, B):
+    """The triple loop over every (i, j, t)."""
+    m, k = len(A), len(B)
+    n = len(B[0]) if B else 0
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            acc = ZERO
+            for t in range(k):
+                if A[i][t].terms and B[t][j].terms:
+                    acc = acc + A[i][t] * B[t][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mat_mul_matches_dense_loop(seed):
+    rng = random.Random(seed)
+    shapes = [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randrange(1, 7) for _ in range(3)) for _ in range(10)]
+    for m, k, n in shapes:
+        A = [[_random_poly(rng) for _ in range(k)] for _ in range(m)]
+        B = [[_random_poly(rng) for _ in range(n)] for _ in range(k)]
+        got, want = mat_mul(A, B), _dense_mat_mul(A, B)
+        assert len(got) == m
+        # the same terms added in the same order: equal dicts, same key order
+        assert [[list(e.terms.items()) for e in row] for row in got] == \
+            [[list(e.terms.items()) for e in row] for row in want]

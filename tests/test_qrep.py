@@ -3,7 +3,7 @@ import pytest
 from charquo import qrep as qr
 from charquo.laurent import ONE, ZERO, qbinom, qnum, qs_monomial, qvar, svar
 from charquo.numutil import BudgetError, InvariantError, binom
-from charquo.qlinalg import ScaledMatrix, mat_eq, mat_mul
+from charquo.qlinalg import ScaledMatrix, ff_jordan, mat_eq, mat_mul
 
 
 def test_compositions():
@@ -68,6 +68,22 @@ def test_braid_matrices_and_eigenvalues():
     assert qr.braid_relations_hold(mats.sigma, 4, lambda a, b: a @ b)
 
 
+def test_braid_matrices_certifies_each_generator(monkeypatch):
+    # sigma_2 with one extra diagonal entry leaves W_4,2, so no matrix
+    # read off S_2 A satisfies A sigma_2 = S_2 A
+    real = qr.sigma_on_V
+
+    def patched(n, ell, i):
+        M = real(n, ell, i)
+        if i == 2:
+            M[0][0] = M[0][0] + ONE
+        return M
+
+    monkeypatch.setattr(qr, "sigma_on_V", patched)
+    with pytest.raises(ArithmeticError, match="sigma_2 on W_4,2"):
+        qr.braid_matrices(4, 2)
+
+
 def test_central_element_scalar():
     # (s1 s2 s3)^4 is central in B_4, so it acts as a scalar on the
     # irreducible W_{4, ell}
@@ -85,6 +101,50 @@ def test_decomposition_check():
     assert binom(4, 2) == 1 + 2 + 3
     assert binom(3, 2) == 1 + 1 + 1
     assert binom(6, 3) == 1 + 3 + 6 + 10
+
+
+def test_decomposition_check_rejects_first_index_moves(monkeypatch):
+    real = qr.sigma_on_V
+    comps = qr.compositions(4, 2)
+    r, c = comps.index((1, 1, 0, 0)), comps.index((0, 2, 0, 0))
+
+    def patched(n, ell, i):
+        M = real(n, ell, i)
+        if i == 3:
+            M[r][c] = ONE  # sends first part 0 to first part 1
+        return M
+
+    monkeypatch.setattr(qr, "sigma_on_V", patched)
+    assert not qr.decomposition_check(4, 2, qr.highest_weight_basis(4, 2))
+
+
+def test_decomposition_check_rejects_a_dropped_vector():
+    for n, ell in ((3, 2), (4, 2), (5, 3)):
+        basis = qr.highest_weight_basis(n, ell)
+        for k in (0, len(basis) - 1):
+            assert not qr.decomposition_check(n, ell, basis[:k] + basis[k + 1:])
+
+
+def _is_unit(u):
+    return len(u.terms) == 1 and abs(*u.terms.values()) == 1
+
+
+def test_basis_is_unit_diagonal_on_free_columns():
+    # the free columns of E, from its own elimination: basis vector k is
+    # a unit at the k-th of them, zero at the others, and that column is
+    # its last nonzero coordinate
+    for n in range(2, 7):
+        for ell in range(5):
+            basis = qr.highest_weight_basis(n, ell)
+            E = qr.e_matrix(n, ell)
+            D = qr.weight_dim(n, ell)
+            pivots = ff_jordan(E)[1] if E else []
+            free = [c for c in range(D) if c not in pivots]
+            assert len(free) == len(basis)
+            for k, vec in enumerate(basis):
+                assert all(_is_unit(vec[f]) if j == k else not vec[f].terms
+                           for j, f in enumerate(free))
+                assert not any(e.terms for e in vec[free[k] + 1:])
 
 
 def test_qbinom_product_identity():
