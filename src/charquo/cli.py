@@ -26,7 +26,6 @@ from . import witness as wt
 from .numutil import BudgetError
 from .orbit import MAX_POINTS, read_dump
 from .permgrp import WORD_BUDGET
-from .qrep import BadSpecializationError
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -186,7 +185,7 @@ def cmd_qrep(args) -> int:
     if n == 4 and (args.verify or args.specialize):
         qr.check_intertwiner_size(n, ell)  # before any work
     if args.specialize:
-        qr.check_modulus(args.specialize[0])
+        qr.check_point(*args.specialize)
     mats = qr.braid_matrices(n, ell)
     report = {"n": n, "ell": ell, "dim": mats.dim}
     lines = [f"W_{n},{ell}: dimension {mats.dim}, braid relations verified exactly"]
@@ -200,7 +199,7 @@ def cmd_qrep(args) -> int:
         if n == 2:
             ev = qr.w2_eigenvalue(ell)
             checks["w2_eigenvalue"] = ev == qr.expected_w2_eigenvalue(ell)
-            lines.append(f"eigenvalue: {mats.sigma[1].num[0][0]!r}")
+            lines.append(f"eigenvalue: {mats.sigma[1][0][0]!r}")
         if n == 3:
             checks["yang_baxter_on_v"] = qr.yang_baxter_on_v(ell)
         if n >= 3:
@@ -224,12 +223,7 @@ def cmd_qrep(args) -> int:
         r, q0, s0 = args.specialize
         if n == 4 and J is None:
             J, _ = qr.intertwiner_J(mats)
-        try:
-            spec = qr.specialize(mats, r, q0, s0, J=J)
-        except BadSpecializationError as e:
-            report["specialization_error"] = {"message": str(e), "entry": e.entry}
-            emit(report, args, lines + [f"bad specialization point: {e}"])
-            return EXIT_PRECONDITION
+        spec = qr.specialize(mats, r, q0, s0, J=J)
         report["specialization"] = spec
         lines.append(f"specialized at (q0, s0) = ({q0}, {s0}) over F_{r}: "
                      f"relations {'ok' if spec['relations_hold'] else 'FAIL'}")

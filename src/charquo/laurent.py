@@ -1,9 +1,9 @@
 """Exact sparse arithmetic in the ring Z[q^+-1, s^+-1].
 
 A LaurentPoly2 is a dict {(q_exp, s_exp): coeff} with no zero
-coefficients; exponents may be negative.  This module is the ring
-only: fractions are qlinalg.ScaledMatrix values (a ring matrix over
-one common denominator), 1x1 for a scalar.
+coefficients; exponents may be negative.  The quantum engine works in
+this ring alone: every matrix it computes is a ring matrix, with no
+denominator.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Matrices are lists of rows of LaurentPoly2.  Elimination is one-step
 fraction-free (Bareiss): every division is exact in the ring and
 raises if not, so a wrong pivot chain cannot corrupt silently.
-Kernel vectors come out over the ring, content-stripped; the one
-fraction type is ScaledMatrix (a ring matrix over a common
-denominator).  mat_mul skips zero entries, so its cost is the number
-of nonzero products, not m * k * n.
+Kernel vectors come out over the ring, content-stripped, and there is
+no fraction type: the engine's matrices are ring matrices, compared
+with ==.  mat_mul skips zero entries, so its cost is the number of
+nonzero products, not m * k * n.
 
 ff_jordan is the one elimination.  It rescales a row lazily: a row
 whose head is zero at a step keeps a stamp, the pivot it was last
@@ -17,8 +17,6 @@ elimination.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .laurent import ONE, ZERO, LaurentPoly2
 
@@ -40,16 +38,8 @@ def mat_mul(A, B):
     return out
 
 
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
-
-
 def mat_transpose(A):
     return [list(col) for col in zip(*A)]
-
-
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def _pivot_row(rows, r, c):
@@ -179,48 +169,4 @@ def _strip_vector(vec):
         g = -g
     mono = LaurentPoly2.monomial(g, eq, es)
     return [v.exact_div(mono) if v.terms else v for v in vec]
-
-
-@dataclass
-class ScaledMatrix:
-    """A matrix over the fraction field as (num matrix, common den); the
-    engine's one fraction type (a scalar is a 1x1 ScaledMatrix)."""
-
-    num: list
-    den: LaurentPoly2
-
-    @property
-    def shape(self):
-        return len(self.num), len(self.num[0]) if self.num else 0
-
-    def __matmul__(self, other):
-        return ScaledMatrix(mat_mul(self.num, other.num), self.den * other.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, ScaledMatrix):
-            return NotImplemented
-        A = mat_scale(self.num, other.den)
-        B = mat_scale(other.num, self.den)
-        return mat_eq(A, B)
-
-    def is_scalar(self) -> bool:
-        m, n = self.shape
-        if m != n:
-            return False
-        d = self.num[0][0]
-        for i in range(m):
-            for j in range(n):
-                if i == j:
-                    if self.num[i][j] != d:
-                        return False
-                elif self.num[i][j].terms:
-                    return False
-        return True
-
-    def eval_mod(self, q0, s0, r):
-        d = self.den.eval_mod(q0, s0, r)
-        if d == 0:
-            raise ZeroDivisionError("common denominator vanishes at the point")
-        dinv = pow(d, r - 2, r)
-        return [[e.eval_mod(q0, s0, r) * dinv % r for e in row] for row in self.num]
 

@@ -9,10 +9,11 @@ space of tensors with index sum l is V_{n,l}; the highest-weight space
 W_{n,l} = ker(E) inside it carries the representation, of dimension
 binom(n+l-2, l).
 
-Fractions are qlinalg.ScaledMatrix values (a ring matrix over one common
-denominator): the braid matrices (integral, den 1: see braid_matrices),
-the 1x1 W_{2,l} eigenvalue and the twisted hermitian form H, whose
-identities are checked on num(H).
+Every matrix here is a ring matrix, with no denominator: the braid
+matrices are integral on the W basis (see braid_matrices), the W_{2,l}
+eigenvalue is a ring element, and the twisted hermitian form H is kept
+as num(H), its one scalar denominator cleared, since every identity
+checked on it is homogeneous in H.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from functools import cache
 
 from .laurent import ONE, ZERO, LaurentPoly2, qbinom, qfact, qs_monomial
 from .numutil import BudgetError, InvariantError, binom, is_prime
-from .qlinalg import ScaledMatrix, mat_eq, mat_mul, mat_transpose, nullspace
-
-
-class BadSpecializationError(ValueError):
-    def __init__(self, message, entry=None):
-        super().__init__(message)
-        self.entry = entry
+from .qlinalg import mat_mul, mat_transpose, nullspace
 
 
 # -- weight bases -----------------------------------------------------------
@@ -126,11 +121,9 @@ def highest_weight_basis(n: int, ell: int):
     if len(basis) != hw_dim(n, ell):
         raise ArithmeticError(
             f"kernel dimension {len(basis)} != binom({n + ell - 2},{ell})")
-    for vec in basis:
-        img = mat_mul(E, [[v] for v in vec]) if E else []
-        if not all(e.is_zero() for row in img for e in row):
-            raise InvariantError(f"highest-weight basis of W_{n},{ell}: "
-                                 "a basis vector is not killed by E")
+    if E and any(e.terms for row in mat_mul(E, mat_transpose(basis)) for e in row):
+        raise InvariantError(f"highest-weight basis of W_{n},{ell}: "
+                             "a basis vector is not killed by E")
     return basis
 
 
@@ -142,14 +135,13 @@ class RepMatrices:
     ell: int
     dim: int
     basis: list          # W basis vectors as V-coordinates over the ring
-    basis_matrix: list   # V-dim x dim, columns are the basis vectors
-    sigma: dict          # generator index -> ScaledMatrix on the W basis
+    sigma: dict          # generator index -> ring matrix on the W basis
 
 
 def braid_relations_hold(sigma: dict, n: int, mul) -> bool:
     """Check of all defining relations of B_n among sigma[1..n-1], with
     mul the matrix product and == the equality of its results (exact for
-    ScaledMatrix and ring matrices, mod r for specialised ones)."""
+    ring matrices, mod r for specialised ones)."""
     for i in range(1, n - 1):
         a, b = sigma[i], sigma[i + 1]
         ab = mul(a, b)
@@ -173,7 +165,7 @@ def braid_matrices(n: int, ell: int) -> RepMatrices:
     A[f_k][k] is a unit +-q^a s^b, so the basis is a lattice basis of W
     cap R^D, R = Z[q^+-1, s^+-1]: each such w is sum_k (w[f_k] /
     A[f_k][k]) b_k.  Row k of sigma_i is therefore row f_k of S_i A
-    divided by that unit, with no elimination, and sigma_i has den 1.
+    divided by that unit, with no elimination: sigma_i is a ring matrix.
     """
     basis = highest_weight_basis(n, ell)
     A = mat_transpose(basis)  # V-dim x d
@@ -182,26 +174,24 @@ def braid_matrices(n: int, ell: int) -> RepMatrices:
     if not all(len(u.terms) == 1 and abs(*u.terms.values()) == 1 for u in units):
         raise InvariantError(f"highest-weight basis of W_{n},{ell}: "
                              "a free-column entry is not a unit")
-    nums = {}
+    sigma = {}
     for i in range(1, n):
         SA = mat_mul(sigma_on_V(n, ell, i), A)
-        nums[i] = [[e.exact_div(u) for e in SA[f]] for f, u in zip(free, units)]
-        if not mat_eq(mat_mul(A, nums[i]), SA):
+        sigma[i] = [[e.exact_div(u) for e in SA[f]] for f, u in zip(free, units)]
+        if mat_mul(A, sigma[i]) != SA:
             raise ArithmeticError(f"sigma_{i} on W_{n},{ell}: A sigma_{i} != S_{i} A")
-    if not braid_relations_hold(nums, n, mat_mul):
+    if not braid_relations_hold(sigma, n, mat_mul):
         raise ArithmeticError(f"braid relations fail on W_{n},{ell}")
-    sigma = {i: ScaledMatrix(num, ONE) for i, num in nums.items()}
-    return RepMatrices(n, ell, len(basis), basis, A, sigma)
+    return RepMatrices(n, ell, len(basis), basis, sigma)
 
 
-def w2_eigenvalue(ell: int) -> ScaledMatrix:
-    """sigma_1 on the one-dimensional W_{2, ell}, a 1x1 ScaledMatrix."""
-    return braid_matrices(2, ell).sigma[1]
+def w2_eigenvalue(ell: int) -> LaurentPoly2:
+    """The scalar by which sigma_1 acts on the one-dimensional W_{2, ell}."""
+    return braid_matrices(2, ell).sigma[1][0][0]
 
 
-def expected_w2_eigenvalue(ell: int) -> ScaledMatrix:
-    return ScaledMatrix([[qs_monomial(ell * (ell - 1), -2 * ell,
-                                      -1 if ell % 2 else 1)]], ONE)
+def expected_w2_eigenvalue(ell: int) -> LaurentPoly2:
+    return qs_monomial(ell * (ell - 1), -2 * ell, -1 if ell % 2 else 1)
 
 
 def yang_baxter_on_v(ell: int) -> bool:
@@ -218,7 +208,7 @@ def e_commutes_with_braiding(n: int, ell: int) -> bool:
     for i in range(1, n):
         upper = sigma_on_V(n, ell, i)
         lower = sigma_on_V(n, ell - 1, i)
-        if not mat_eq(mat_mul(E, upper), mat_mul(lower, E)):
+        if mat_mul(E, upper) != mat_mul(lower, E):
             return False
     return True
 
@@ -284,20 +274,18 @@ def qbinom_product_identity(t: int) -> bool:
 
 # -- the hermitian form -------------------------------------------------------
 
-def hermitian_form(ell: int) -> ScaledMatrix:
-    """The pairing matrix H on V_{4, ell} of the reversal-twisted form:
-    <e_I, e_J> is nonzero only for J = reverse(I), where it is the
-    product over the parts m of I of (v_m, v_m) = (q - q^-1)^m / den_m,
-    den_m = [m]! prod_{k<m} (s q^-k - s^-1 q^k).  A part m occurs at
-    most min(4, ell // m) times, so H has the common denominator
-    prod_m den_m^min(4, ell // m)."""
+def hermitian_form(ell: int):
+    """num(H) = den H for the pairing matrix H on V_{4, ell} of the
+    reversal-twisted form: <e_I, e_J> is nonzero only for J =
+    reverse(I), where it is the product over the parts m of I of
+    (v_m, v_m) = (q - q^-1)^m / den_m, den_m = [m]! prod_{k<m} (s q^-k -
+    s^-1 q^k).  A part m occurs at most min(4, ell // m) times, so den =
+    prod_m den_m^min(4, ell // m) clears every denominator of H and
+    num(H) is a ring matrix."""
     comps = compositions(4, ell)
     index = {c: k for k, c in enumerate(comps)}
     dens = {m: qfact(m) * _torus_factor(m, 0) for m in range(1, ell + 1)}
     top = {m: min(4, ell // m) for m in dens}
-    den = ONE
-    for m, e in top.items():
-        den = den * dens[m] ** e
     # the parts of every composition sum to ell
     lead = (qs_monomial(1, 0) - qs_monomial(-1, 0)) ** ell
     H = [[ZERO] * len(comps) for _ in comps]
@@ -306,18 +294,18 @@ def hermitian_form(ell: int) -> ScaledMatrix:
         for m, e in top.items():
             val = val * dens[m] ** (e - c.count(m))
         H[r][index[c[::-1]]] = val
-    return ScaledMatrix(H, den)
+    return H
 
 
 def starred_identities_check(ell: int) -> bool:
     """sigma_1^T H bar(sigma_3) = sigma_2^T H bar(sigma_2)
     = sigma_3^T H bar(sigma_1) = H on V_{4, ell}, exactly, on num(H):
     the one scalar denominator of H cancels from both sides."""
-    N = hermitian_form(ell).num
+    N = hermitian_form(ell)
     mats = {i: sigma_on_V(4, ell, i) for i in (1, 2, 3)}
     for i in (1, 2, 3):
         bar = [[e.bar() for e in row] for row in mats[4 - i]]
-        if not mat_eq(mat_mul(mat_mul(mat_transpose(mats[i]), N), bar), N):
+        if mat_mul(mat_mul(mat_transpose(mats[i]), N), bar) != N:
             return False
     return True
 
@@ -345,7 +333,7 @@ def reversal_conjugation_check(ell: int) -> bool:
     L = mat_mul(Dm, Tm)
     for i in (1, 2, 3):
         bar = [[e.bar() for e in row] for row in sigma_on_V(4, ell, 4 - i)]
-        if not mat_eq(L, mat_mul(mat_mul(bar, L), sigma_on_V(4, ell, i))):
+        if L != mat_mul(mat_mul(bar, L), sigma_on_V(4, ell, i)):
             return False
     return True
 
@@ -361,10 +349,10 @@ def intertwiner_construction_check(ell: int) -> bool:
     intertwiner (intertwiner_J solves for one at any ell).  `qrep
     --verify` runs it at ell = 1 whatever ell is asked."""
     _, Dm_inv, Tm = _d_t_matrices(ell)
-    J = mat_mul(hermitian_form(ell).num, mat_transpose(mat_mul(Tm, Dm_inv)))
+    J = mat_mul(hermitian_form(ell), mat_transpose(mat_mul(Tm, Dm_inv)))
     for i in (1, 2, 3):
         S = sigma_on_V(4, ell, i)
-        if not mat_eq(mat_mul(J, mat_transpose(S)), mat_mul(S, J)):
+        if mat_mul(J, mat_transpose(S)) != mat_mul(S, J):
             return False
     return True
 
@@ -385,12 +373,10 @@ def check_intertwiner_size(n: int, ell: int):
 
 def commutation_system(mats: RepMatrices):
     """Rows of J sigma_i^T - sigma_i J = 0 in the d^2 entries of J
-    (row-major), sigma_i taken by their numerators: d^2 equations per
-    generator."""
+    (row-major): d^2 equations per generator."""
     d = mats.dim
     rows = []
-    for S in mats.sigma.values():
-        N = S.num
+    for N in mats.sigma.values():
         for r in range(d):
             for c in range(d):
                 row = [ZERO] * (d * d)
@@ -430,9 +416,8 @@ def intertwiner_J(mats: RepMatrices):
     except ZeroDivisionError:
         raise InvariantError(f"intertwiner is singular at (q, s) = ({q0}, {s0}) "
                              f"mod {r}: invertibility not certified") from None
-    for i, S in mats.sigma.items():
-        N = S.num
-        if not mat_eq(mat_mul(J, mat_transpose(N)), mat_mul(N, J)):
+    for N in mats.sigma.values():
+        if mat_mul(J, mat_transpose(N)) != mat_mul(N, J):
             raise ArithmeticError("intertwiner verification failed")
     # phi^2 scalar <=> J proportional to J^T
     ab = next((r, c) for r in range(d) for c in range(d) if J[r][c].terms)
@@ -488,32 +473,27 @@ def _is_zero_mod(A, r):
     return all(v % r == 0 for row in A for v in row)
 
 
-def check_modulus(r: int):
-    """Raise ValueError unless the specialization modulus r is prime."""
+def check_point(r: int, q0: int, s0: int):
+    """Raise ValueError unless (q0, s0) is a point over F_r at which the
+    ring can be evaluated: r prime, q0 and s0 units mod r."""
     if not is_prime(r):
         raise ValueError(f"modulus {r} is not prime")
+    if q0 % r == 0 or s0 % r == 0:
+        raise ValueError(f"q0 = {q0} and s0 = {s0} must be units mod {r}")
 
 
 def specialize(mats: RepMatrices, r: int, q0: int, s0: int, J=None) -> dict:
-    """Evaluate the representation at (q0, s0) over F_r.
+    """Evaluate the representation at (q0, s0) over F_r, entry by entry:
+    the matrices are integral, so no denominator can vanish.
 
     Re-verifies the braid relations over F_r, reports whether sigma_1
     and sigma_3 agree projectively (they must not) and whether
     x = sigma_1 sigma_3^-1 is scalar (it must not be).  Raises
-    BadSpecializationError naming the offending matrix when a
-    denominator vanishes.
+    ValueError at a point check_point refuses.
     """
-    check_modulus(r)
-    if q0 % r == 0 or s0 % r == 0:
-        raise BadSpecializationError("q0, s0 must be invertible mod r")
-    spec = {}
-    for i, S in mats.sigma.items():
-        try:
-            spec[i] = S.eval_mod(q0, s0, r)
-        except ZeroDivisionError:
-            raise BadSpecializationError(
-                f"denominator of sigma_{i} vanishes at (q0, s0) = ({q0}, {s0}) mod {r}",
-                entry=f"sigma_{i}") from None
+    check_point(r, q0, s0)
+    spec = {i: [[e.eval_mod(q0, s0, r) for e in row] for row in S]
+            for i, S in mats.sigma.items()}
 
     def mult(A, B):
         n = len(A)
@@ -540,16 +520,15 @@ def poly_json(p: LaurentPoly2):
     return [[c, e, f] for (e, f), c in sorted(p.terms.items())]
 
 
-def scaled_json(S: ScaledMatrix):
-    return {"num": [[poly_json(e) for e in row] for row in S.num],
-            "den": poly_json(S.den)}
-
-
 def export_rep(mats: RepMatrices) -> dict:
+    """The basis and the braid matrices as lists of terms, each integral
+    sigma_i written as {"num": sigma_i, "den": 1}."""
     return {
         "n": mats.n, "ell": mats.ell, "dim": mats.dim,
         "basis": [[poly_json(e) for e in vec] for vec in mats.basis],
-        "sigma": {str(i): scaled_json(S) for i, S in mats.sigma.items()},
+        "sigma": {str(i): {"num": [[poly_json(e) for e in row] for row in S],
+                           "den": poly_json(ONE)}
+                  for i, S in mats.sigma.items()},
     }
 
 

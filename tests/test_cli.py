@@ -192,6 +192,9 @@ def test_qrep_modulus_refused_before_work(capsys, monkeypatch):
     code, out = run(capsys, "qrep", "4", "2", "--specialize", "4", "3", "5")
     assert code == 1
     assert "modulus 4 is not prime" in out
+    code, out = run(capsys, "qrep", "4", "2", "--specialize", "1009", "3", "1009")
+    assert code == 1
+    assert "q0 = 3 and s0 = 1009 must be units mod 1009" in out
 
 
 # sha256 of `qrep N ELL --verify --specialize 1009 517 897 --max-n N --json`
@@ -210,6 +213,17 @@ def test_qrep_report_digest(capsys, n, ell):
     assert hashlib.sha256(out.encode()).hexdigest() == QREP_REPORT_DIGESTS[n, ell]
 
 
+# sha256 of the file `qrep 5 3 --export` writes
+QREP_EXPORT_DIGEST = "b0691a46a6a0bcddd918e4a940dc46a753ff6af67cccbe82d7c948fec292c976"
+
+
+def test_qrep_export_digest(tmp_path, capsys):
+    path = tmp_path / "w53.json"
+    code, _ = run(capsys, "qrep", "5", "3", "--export", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == QREP_EXPORT_DIGEST
+
+
 # (argv, exit code, patched witness constants, keys of the error report)
 FAILURES = [
     (["witness", "4"], 1, {}, {"p"}),
@@ -219,6 +233,7 @@ FAILURES = [
     (["witness", "31", "--mode", "relaxed"], 1, {}, {"p"}),
     (["count", "19", "--orbit", "{tmp}/missing.chqo"], 1, {}, {"p"}),
     (["qrep", "4", "2", "--specialize", "4", "3", "5"], 1, {}, {"n", "ell"}),
+    (["qrep", "4", "1", "--specialize", "1009", "0", "5"], 1, {}, {"n", "ell"}),
     (["qrep", "1", "2"], 1, {}, {"n", "ell"}),
     (["qrep", "4", "-1"], 1, {}, {"n", "ell"}),
     # build = None: the refusal comes before the witness is built

@@ -83,6 +83,41 @@ def test_no_unreferenced_definitions():
     assert not found, "unreferenced definitions: " + ", ".join(found)
 
 
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(dec, "id", None) == "dataclass" or getattr(dec, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(path):
+    """(class, field, line) of every annotated field of a dataclass."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno
+
+
+def test_no_unread_dataclass_fields():
+    # the rule of test_no_unreferenced_definitions for dataclass fields:
+    # a field counts as read only when its name appears in src/ or tests/
+    # outside its own declaration, so a field that is only ever filled in
+    # is caught
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parent.parent / "tests").glob("*.py"))
+    uses = {}
+    for path in files:
+        for name, line in _references(path):
+            uses.setdefault(name, []).append((path, line))
+    found = [f"{path.name}:{line} {cls}.{name}"
+             for path in sorted(SRC.glob("*.py"))
+             for cls, name, line in _dataclass_fields(path)
+             if not any((where, at) != (path, line) for where, at in uses.get(name, ()))]
+    assert not found, "unread dataclass fields: " + ", ".join(found)
+
+
 def test_exception_taxonomy():
     # the command line maps an exception to its exit code by base class:
     # ValueError 1, BudgetError 2, ArithmeticError 3; a class outside
