@@ -197,8 +197,7 @@ def cmd_qrep(args) -> int:
                                             for t in range(7)),
                   "operator_relations": qr.operator_relations_check()}
         if n == 2:
-            ev = qr.w2_eigenvalue(ell)
-            checks["w2_eigenvalue"] = ev == qr.expected_w2_eigenvalue(ell)
+            checks["w2_eigenvalue"] = mats.sigma[1][0][0] == qr.expected_w2_eigenvalue(ell)
             lines.append(f"eigenvalue: {mats.sigma[1][0][0]!r}")
         if n == 3:
             checks["yang_baxter_on_v"] = qr.yang_baxter_on_v(ell)

@@ -11,9 +11,15 @@ binom(n+l-2, l).
 
 Every matrix here is a ring matrix, with no denominator: the braid
 matrices are integral on the W basis (see braid_matrices), the W_{2,l}
-eigenvalue is a ring element, and the twisted hermitian form H is kept
-as num(H), its one scalar denominator cleared, since every identity
-checked on it is homogeneous in H.
+eigenvalue is their one entry at n = 2, and the twisted hermitian form
+H is kept as num(H), its one scalar denominator cleared, since every
+identity checked on it is homogeneous in H.
+
+The checks read their answers off what is already built: the W basis
+ends at distinct free columns (_free_columns), which gives each
+braid-matrix row and each filtration dimension without elimination,
+and K, E and F^(n) send v_j to a ring multiple of one basis vector, so
+each operator relation on v_j is one ring identity.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ def compositions(n: int, ell: int):
     for a in range(ell + 1):
         for rest in compositions(n - 1, ell - a):
             out.append((a,) + rest)
-    out.sort()
     return out
 
 
@@ -154,14 +159,26 @@ def braid_relations_hold(sigma: dict, n: int, mul) -> bool:
     return True
 
 
+def _free_columns(basis):
+    """The free column of each vector of a highest_weight_basis: its last
+    nonzero coordinate.  Vectors with distinct last nonzero coordinates
+    are in echelon form; InvariantError if two vectors share one."""
+    free = [max(r for r, e in enumerate(vec) if e.terms) for vec in basis]
+    if len(set(free)) != len(free):
+        raise InvariantError("highest-weight basis: two vectors end at the "
+                             "same coordinate, not in echelon form")
+    return free
+
+
 def braid_matrices(n: int, ell: int) -> RepMatrices:
     """The braid representation on W_{n, ell}, integral on the basis;
     A sigma_i = S_i A and the braid relations verified exactly before
     returning.
 
     Basis vector k is the kernel vector of a free column f_k of E, its
-    last nonzero coordinate (qlinalg.nullspace), and is zero at the
-    other free columns; at ell = 0 the basis is the identity and f_k = k.
+    last nonzero coordinate (qlinalg.nullspace; read by _free_columns),
+    and is zero at the other free columns; at ell = 0 the basis is the
+    identity and f_k = k.
     A[f_k][k] is a unit +-q^a s^b, so the basis is a lattice basis of W
     cap R^D, R = Z[q^+-1, s^+-1]: each such w is sum_k (w[f_k] /
     A[f_k][k]) b_k.  Row k of sigma_i is therefore row f_k of S_i A
@@ -169,7 +186,7 @@ def braid_matrices(n: int, ell: int) -> RepMatrices:
     """
     basis = highest_weight_basis(n, ell)
     A = mat_transpose(basis)  # V-dim x d
-    free = [max(r for r, e in enumerate(vec) if e.terms) for vec in basis]
+    free = _free_columns(basis)
     units = [A[f][k] for k, f in enumerate(free)]
     if not all(len(u.terms) == 1 and abs(*u.terms.values()) == 1 for u in units):
         raise InvariantError(f"highest-weight basis of W_{n},{ell}: "
@@ -185,12 +202,9 @@ def braid_matrices(n: int, ell: int) -> RepMatrices:
     return RepMatrices(n, ell, len(basis), basis, sigma)
 
 
-def w2_eigenvalue(ell: int) -> LaurentPoly2:
-    """The scalar by which sigma_1 acts on the one-dimensional W_{2, ell}."""
-    return braid_matrices(2, ell).sigma[1][0][0]
-
-
 def expected_w2_eigenvalue(ell: int) -> LaurentPoly2:
+    """The scalar by which sigma_1 must act on the one-dimensional
+    W_{2, ell}: braid_matrices(2, ell).sigma[1][0][0]."""
     return qs_monomial(ell * (ell - 1), -2 * ell, -1 if ell % 2 else 1)
 
 
@@ -224,10 +238,14 @@ def decomposition_check(n: int, ell: int, basis) -> bool:
     ell} is invariant (braid_matrices certifies it) they keep G_j = W
     cap V_{<=j}.  dim G_j must be the sum of the top j+1 summand
     dimensions, sum_{t = ell-j}^{ell} binom(n-3+t, t), which stacks up
-    to the claimed direct-sum decomposition.  G_j is the kernel of the
-    basis rows of first index > j, so its dimension is the length of
-    that kernel basis.  basis is highest_weight_basis(n, ell), as
-    RepMatrices.basis holds it.
+    to the claimed direct-sum decomposition.
+
+    basis must be highest_weight_basis(n, ell), as RepMatrices.basis
+    holds it: its vectors end at distinct free columns f_k
+    (_free_columns, which raises otherwise), so they are in echelon
+    form.  Compositions are in lex order, so V_{<=j} is a prefix of the
+    coordinates, and dim G_j = #{k : comps[f_k][0] <= j}, with no
+    elimination.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -239,13 +257,10 @@ def decomposition_check(n: int, ell: int, basis) -> bool:
                for r, row in enumerate(sigma_on_V(n, ell, i))
                for c, e in enumerate(row)):
             return False
-    A = mat_transpose(basis)
-    for j in range(ell + 1):
-        high_rows = [A[r] for r, c in enumerate(comps) if c[0] > j]
-        kern = nullspace(high_rows, ncols=len(basis))
-        if len(kern) != sum(binom(n - 3 + t, t) for t in range(ell - j, ell + 1)):
-            return False
-    return True
+    firsts = [comps[f][0] for f in _free_columns(basis)]
+    return all(sum(a <= j for a in firsts)
+               == sum(binom(n - 3 + t, t) for t in range(ell - j, ell + 1))
+               for j in range(ell + 1))
 
 
 def qbinom_product_identity(t: int) -> bool:
@@ -534,69 +549,33 @@ def export_rep(mats: RepMatrices) -> dict:
 
 # -- single-module operator identities ---------------------------------------
 
-def _vec_apply_K(vec, invert=False):
-    sgn = -1 if invert else 1
-    return {j: c * qs_monomial(-2 * j * sgn, sgn) for j, c in vec.items()}
-
-
-def _vec_apply_E(vec):
-    out = {}
-    for j, c in vec.items():
-        if j >= 1:
-            out[j - 1] = out.get(j - 1, ZERO) + c
-    return {j: c for j, c in out.items() if c.terms}
-
-
-def _vec_apply_F(nn, vec):
-    out = {}
-    for j, c in vec.items():
-        coeff = qbinom(nn + j, j) * _torus_factor(nn, j)
-        out[j + nn] = out.get(j + nn, ZERO) + c * coeff
-    return {j: c for j, c in out.items() if c.terms}
-
-
-def _vec_eq(a, b):
-    keys = set(a) | set(b)
-    return all(a.get(k, ZERO) == b.get(k, ZERO) for k in keys)
-
-
 def operator_relations_check(jmax: int = 6, nmax: int = 3) -> bool:
     """Defining relations as operator identities on v_0..v_jmax:
     K E K^-1 = q^2 E, K F^(n) K^-1 = q^(-2n) F^(n),
     F^(n) F^(m) = [n+m choose n]_q F^(n+m),
-    [E, F^(n+1)] = F^(n) (q^-n K - q^n K^-1)."""
+    [E, F^(n+1)] = F^(n) (q^-n K - q^n K^-1).
+
+    K, K^-1, E and F^(n) each send v_j to a ring multiple of one basis
+    vector (K^-1 v_j = s^-1 q^2j v_j, E v_j = v_{j-1} or 0), so each
+    relation on v_j is one identity of ring coefficients."""
+    def k(j):  # K v_j = k(j) v_j
+        return qs_monomial(-2 * j, 1)
+
+    def f(n, j):  # F^(n) v_j = f(n, j) v_{j+n}
+        return qbinom(n + j, j) * _torus_factor(n, j)
+
     for j in range(jmax + 1):
-        v = {j: ONE}
-        if not _vec_eq(_vec_apply_K(_vec_apply_E(v)),
-                       {k: c * qs_monomial(2, 0)
-                        for k, c in _vec_apply_E(_vec_apply_K(v)).items()}):
+        if j >= 1 and k(j - 1) != k(j).shift(2, 0):
             return False
         for nn in range(1, nmax + 1):
-            lhs = _vec_apply_K(_vec_apply_F(nn, v))
-            rhs = {k: c * qs_monomial(-2 * nn, 0)
-                   for k, c in _vec_apply_F(nn, _vec_apply_K(v)).items()}
-            if not _vec_eq(lhs, rhs):
+            if k(j + nn) != k(j).shift(-2 * nn, 0):
                 return False
         for nn in range(nmax + 1):
             for mm in range(nmax + 1):
-                lhs = _vec_apply_F(nn, _vec_apply_F(mm, v))
-                rhs = {k: c * qbinom(nn + mm, nn)
-                       for k, c in _vec_apply_F(nn + mm, v).items()}
-                if not _vec_eq(lhs, rhs):
+                if f(mm, j) * f(nn, j + mm) != qbinom(nn + mm, nn) * f(nn + mm, j):
                     return False
         for nn in range(nmax + 1):
-            lhs1 = _vec_apply_E(_vec_apply_F(nn + 1, v))
-            lhs2 = _vec_apply_F(nn + 1, _vec_apply_E(v))
-            lhs = {k: lhs1.get(k, ZERO) - lhs2.get(k, ZERO)
-                   for k in set(lhs1) | set(lhs2)}
-            mid1 = {k: c * qs_monomial(-nn, 0)
-                    for k, c in _vec_apply_K(v).items()}
-            mid2 = {k: c * qs_monomial(nn, 0)
-                    for k, c in _vec_apply_K(v, invert=True).items()}
-            mid = {k: mid1.get(k, ZERO) - mid2.get(k, ZERO)
-                   for k in set(mid1) | set(mid2)}
-            rhs = _vec_apply_F(nn, mid)
-            lhs = {k: c for k, c in lhs.items() if c.terms}
-            if not _vec_eq(lhs, rhs):
+            lhs = f(nn + 1, j) - (f(nn + 1, j - 1) if j >= 1 else ZERO)
+            if lhs != f(nn, j) * (k(j).shift(-nn, 0) - qs_monomial(2 * j + nn, -1)):
                 return False
     return True

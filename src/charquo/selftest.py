@@ -78,7 +78,7 @@ def _check_qrep():
     if not qr.operator_relations_check(jmax=4, nmax=2):
         return False
     for ell in range(3):
-        if not qr.w2_eigenvalue(ell) == qr.expected_w2_eigenvalue(ell):
+        if qr.braid_matrices(2, ell).sigma[1][0][0] != qr.expected_w2_eigenvalue(ell):
             return False
     mats = qr.braid_matrices(4, 2)
     return mats.dim == 6

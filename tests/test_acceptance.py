@@ -192,7 +192,7 @@ def test_criterion_08_quantum_engine():
             mats = qr.braid_matrices(n, ell)  # verifies relations exactly
             assert mats.dim == binom(n + ell - 2, ell)
     for ell in range(5):
-        assert qr.w2_eigenvalue(ell) == qr.expected_w2_eigenvalue(ell)
+        assert qr.braid_matrices(2, ell).sigma[1][0][0] == qr.expected_w2_eigenvalue(ell)
     for n in range(3, 6):
         for ell in range(4):
             assert qr.decomposition_check(n, ell, qr.highest_weight_basis(n, ell))

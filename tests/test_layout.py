@@ -4,6 +4,8 @@ owner."""
 
 import ast
 import importlib
+import inspect
+import types
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "charquo"
@@ -135,3 +137,69 @@ def test_exception_taxonomy():
     found = [f"{cls.__module__}.{cls.__name__}" for cls in classes
              if sum(issubclass(cls, base) for base in bases) != 1]
     assert not found, "exceptions outside the exit-code taxonomy: " + ", ".join(found)
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+MISSING = object()
+
+
+def _resolve(node, env):
+    """The object an expression names, from the charquo names bound in
+    env: a name, an attribute of a resolved object (MISSING when absent),
+    or a call of a resolved function (its return annotation)."""
+    if isinstance(node, ast.Name):
+        return env.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, env)
+        return None if owner in (None, MISSING) else getattr(owner, node.attr, MISSING)
+    if isinstance(node, ast.Call):
+        fn = _resolve(node.func, env)
+        if callable(fn):
+            return inspect.signature(fn, eval_str=True).return_annotation
+    return None
+
+
+def _hook_targets(path):
+    """(line, text, resolved) of every charquo attribute a perfbench
+    file reads and of every tracer target w(owner, "name", ...) in it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nodes = sorted((n for n in ast.walk(tree) if hasattr(n, "lineno")),
+                   key=lambda n: (n.lineno, n.col_offset))
+    env = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            env.update({a.asname or a.name: importlib.import_module(a.name)
+                        for a in node.names if a.name.split(".")[0] == "charquo"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "charquo":
+            env.update({a.asname or a.name: importlib.import_module(f"charquo.{a.name}")
+                        for a in node.names})
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)):
+            value = _resolve(node.value, env)
+            if value not in (None, MISSING):
+                env[node.targets[0].id] = value
+    for node in nodes:
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(_resolve(node.value, env), types.ModuleType)):
+            yield node.lineno, ast.unparse(node), _resolve(node, env)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "w"):
+            owner, attr = node.args[0], node.args[1].value
+            target = _resolve(owner, env)
+            resolved = (MISSING if target in (None, MISSING)
+                        else getattr(target, attr, MISSING))
+            yield node.lineno, f"{ast.unparse(owner)}.{attr}", resolved
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark's tracer wraps charquo functions by name and its
+    # child calls them by name: a renamed or deleted one must fail here,
+    # not only inside a benchmark run
+    found, checked = [], 0
+    for name in ("tracing.py", "child.py"):
+        for line, text, resolved in _hook_targets(PERFBENCH / name):
+            checked += 1
+            if resolved is MISSING:
+                found.append(f"{name}:{line} {text}")
+    assert checked > 30
+    assert not found, "benchmark hooks that do not resolve: " + ", ".join(found)

@@ -38,6 +38,14 @@ def test_operator_relations():
     assert qr.operator_relations_check()
 
 
+@pytest.mark.parametrize("name, at", [("_torus_factor", (2, 1)), ("qbinom", (3, 1))])
+def test_operator_relations_rejects_a_perturbed_coefficient(monkeypatch, name, at):
+    # one F^(n) coefficient, or one q-binomial, off by a factor q
+    real = getattr(qr, name)
+    monkeypatch.setattr(qr, name, lambda *a: real(*a).shift(1, 0) if a == at else real(*a))
+    assert not qr.operator_relations_check()
+
+
 def test_hw_dims_and_kernel():
     for n in range(2, 6):
         for ell in range(4):
@@ -77,7 +85,7 @@ def test_w2_kernel_vector_formula():
 
 def test_braid_matrices_and_eigenvalues():
     for ell in range(5):
-        assert qr.w2_eigenvalue(ell) == qr.expected_w2_eigenvalue(ell)
+        assert qr.braid_matrices(2, ell).sigma[1][0][0] == qr.expected_w2_eigenvalue(ell)
     mats = qr.braid_matrices(4, 2)
     assert mats.dim == 6
     assert qr.braid_relations_hold(mats.sigma, 4, mat_mul)
@@ -144,6 +152,14 @@ def test_decomposition_check_rejects_a_dropped_vector():
         basis = qr.highest_weight_basis(n, ell)
         for k in (0, len(basis) - 1):
             assert not qr.decomposition_check(n, ell, basis[:k] + basis[k + 1:])
+
+
+def test_decomposition_check_rejects_a_non_echelon_basis():
+    # b_0 + b_last spans the same W but ends where b_last does
+    basis = qr.highest_weight_basis(4, 2)
+    basis[0] = [a + b for a, b in zip(basis[0], basis[-1])]
+    with pytest.raises(InvariantError, match="not in echelon form"):
+        qr.decomposition_check(4, 2, basis)
 
 
 def _is_unit(u):
