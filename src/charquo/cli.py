@@ -47,7 +47,9 @@ def to_json(report, fh):
     (an entry a line at 6 spaces, the bracket at 4).  So no text of the
     whole report or of a whole array is built.  json.dump with indent
     takes the pure-Python encoder, which would spend about a second on
-    the six arrays of a p = 31 report, and would need them as lists.
+    the six arrays of a p = 31 report, and would need them as lists;
+    _entry_lines writes a piece of a permutation (non-negative entries)
+    with numpy, making no Python int.
     """
     perms = report.get("permutations") or {}
     marks = {name: "\0" + name for name in perms}
@@ -59,12 +61,37 @@ def to_json(report, fh):
     for name in sorted(perms):  # the order of sort_keys
         head, rest = rest.split(json.dumps(marks[name]), 1)
         fh.write(head)
-        a, lead = np.asarray(perms[name]), "[\n      "
+        a = np.asarray(perms[name])
         for s in range(0, len(a), ARRAY_PIECE):
-            fh.write(lead + ",\n      ".join(map(str, a[s:s + ARRAY_PIECE].tolist())))
-            lead = ",\n      "
+            fh.write(_entry_lines(a[s:s + ARRAY_PIECE], first=s == 0))
         fh.write("\n    ]" if len(a) else "[]")
     fh.write(rest)
+
+
+# bytes, made an array per piece: a numpy array built at import raised
+# the peak of runs that write no array (qrep) by about 0.3 MB
+_ENTRY_SEP = b",\n      "
+
+
+def _entry_lines(a, first):
+    """The non-negative ints a as json.dump writes list entries at depth
+    2, each after ",\\n      " (after "[\\n      " for the first entry of
+    a list), from a digit matrix: each row is the separator and the
+    entry's digits padded with leading zeros, which a mask then drops
+    (all but the last digit of 0)."""
+    width = len(str(int(a.max())))
+    sep = len(_ENTRY_SEP)
+    text = np.empty((len(a), sep + width), dtype=np.uint8)
+    text[:, :sep] = np.frombuffer(_ENTRY_SEP, dtype=np.uint8)
+    rest = a.astype(np.int64)
+    for j in range(sep + width - 1, sep - 1, -1):
+        text[:, j] = rest % 10 + ord("0")
+        rest //= 10
+    keep = np.ones(text.shape, dtype=bool)
+    np.logical_or.accumulate(text[:, sep:-1] != ord("0"), axis=1, out=keep[:, sep:-1])
+    if first:
+        text[0, 0] = ord("[")
+    return text[keep].tobytes().decode("ascii")
 
 
 def write_atomic(path: str, report):
@@ -202,8 +229,9 @@ def cmd_qrep(args) -> int:
         if n == 3:
             checks["yang_baxter_on_v"] = qr.yang_baxter_on_v(ell)
         if n >= 3:
-            checks["bn1_decomposition"] = qr.decomposition_check(n, ell, mats.basis)
-            checks["e_commutes"] = qr.e_commutes_with_braiding(n, ell)
+            checks["bn1_decomposition"] = qr.decomposition_check(n, ell, mats.basis,
+                                                                 mats.sigma_v)
+            checks["e_commutes"] = qr.e_commutes_with_braiding(n, ell, mats.sigma_v)
         if n == 4:
             # the form checks live on V_{4,1}: small and exact
             checks["starred_identities_v41"] = qr.starred_identities_check(1)

@@ -21,36 +21,44 @@ pairwise-distinct keys).
 Indices are assigned by ascending canonical key after enumeration
 closes, so reports are byte-reproducible regardless of traversal order.
 
-Each BFS layer is deduplicated without per-key Python code: the layer's
-image keys are stable-argsorted into groups of equal key, the unique
-keys are located by searchsorted in a sorted array of visited keys
-(kept beside the point index of each), new keys take the next point
-indices in ascending key order, and they are merged into the visited
-array once per layer.  Every row except the first of a new group is a
-recurrent edge, verified against its group's representative.
+Each BFS layer is deduplicated without per-key Python code, in slices:
+each letter in turn is applied to CHUNK_ROWS frontier points at a time
+(the layer's letter-major image order).  A slice's image keys are
+stable-argsorted into groups of equal key, and each group's key is
+located by searchsorted in the sorted visited keys (kept beside the
+point index of each) and in the sorted keys new earlier in this layer.
+The first image of a key found in neither is its representative; every
+other image is a recurrent edge, verified against its key's
+representative (an older point, or a row new in this layer).  When the
+layer closes, its new keys take the next point indices in ascending key
+order and are merged into the visited keys once.
 
 Each layer also returns where every image of its frontier landed: the
 point index of the image's key group, as int32.  These successor
 arrays are the verified BFS edges; once the BFS closes they are
-renumbered by ascending key into the six letter permutations, and the
-check that each sigma_i and sigma_i^-1 pair is mutually inverse makes
-them permutations.  No image is applied or keyed a second time.
+renumbered by ascending key into the six letter permutations, one
+letter at a time, and the check that each sigma_i and sigma_i^-1 pair
+is mutually inverse makes them permutations.  No image is applied or
+keyed a second time.
 
 Rows are stored as ROW_DTYPE (uint16): every entry is a residue below
 p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np,
 exact verification, the backstop, the twist and the sigma traces) widen
 WIDE_ROWS rows at a time into an entry-major int64 (16, m) copy
 (ffield.entry_major), whose slices of four rows are blocks for the
-ffield kernels, so no narrow array reaches int arithmetic and the
-temporaries are bounded whatever the orbit size.  What grows with the
-orbit is 32 bytes per point (the uint16 quadruple) plus 16 per visited
-key (key and point index) and, during the BFS, 24 per point of int32
-successors (six letters); at rest the index keeps the six int64 letter
-permutations, 48 bytes per point.
-Per layer come 32 bytes per image of the frontier (six per frontier
-point, built in one buffer, one letter at a time) with a few int64
-words of sort state.  Successor indices are int32, so max_points must
-stay below 2^31.
+ffield kernels, so no narrow array reaches int arithmetic.
+
+Memory.  What grows with the orbit is 32 bytes per point (the uint16
+quadruple) plus 12 per visited key (int64 key, int32 point index) and,
+during the BFS, 28 per point of int32 successors and frontiers (six
+letters); at rest the index keeps the six int64 letter permutations,
+48 bytes per point, 88 bytes per point in all.  A layer adds its new
+rows and keys (until they are merged, the visited arrays are copied
+once), and the transient of a slice is bounded by CHUNK_ROWS, not by
+the layer.  The permutations are filled one letter at a time, each
+letter's successors freed once read, and the rows are put into key
+order in place.  Point indices are int32, so max_points must stay
+below 2^31.
 """
 
 from __future__ import annotations
@@ -79,9 +87,18 @@ ROW_DTYPE = np.uint16
 if np.iinfo(ROW_DTYPE).max < MAX_PACKED_PRIME:
     raise InvariantError(f"{ROW_DTYPE.__name__} rows cannot hold residues mod {MAX_PACKED_PRIME}")
 
-# Rows per gather of the BFS checks, the twist and the dump.  Results do
-# not depend on it; it only bounds their temporaries.
-CHUNK_ROWS = 65_536
+# Frontier points per slice of a BFS layer (one letter at a time), and
+# rows per gather of the twist and the dump.  Results do not depend on
+# it; it bounds their temporaries (about 4 MB for a BFS slice).  Each
+# slice also re-inserts into the layer's sorted new keys, so smaller
+# slices cost time on large layers: 2.4 s of a 23 s BFS at p = 59 on a
+# 2-core x86-64 host.
+CHUNK_ROWS = 16_384
+
+# A key above every packed trace key (p^7 < 2^63 - 1 for p <=
+# MAX_PACKED_PRIME): it ends each BFS layer's sorted array of new keys,
+# so a searchsorted there always lands on an entry.
+_NO_KEY = np.iinfo(np.int64).max
 
 # Rows per widened copy: a row kernel's int64 (16, WIDE_ROWS) copy and
 # its (WIDE_ROWS,) temporaries stay in cache.
@@ -94,7 +111,7 @@ MAX_POINTS = 2_000_000
 
 def _row_chunks(n, size):
     """Slices covering range(n), size rows each."""
-    return [slice(s, s + size) for s in range(0, n, size)]
+    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
 class OrbitError(InvariantError):
@@ -200,10 +217,13 @@ class _ExactChecker:
         self.ann = pencil_annihilators(p, params.gamma_mat)
 
     def equivalent(self, Qs, Rs):
-        """Boolean mask over rows: Q_j ~ R_j."""
-        ok = np.empty(len(Qs), dtype=bool)
-        for c in _row_chunks(len(Qs), WIDE_ROWS):
-            ok[c] = self._one_candidate(entry_major(Qs[c]), entry_major(Rs[c]))
+        """Boolean mask over rows: Q_j ~ R_j.  Equal rows are equivalent
+        (ghat = dhat = I); the others get the candidate test."""
+        ok = (Qs == Rs).all(axis=1)
+        rest = np.flatnonzero(~ok)
+        Qs, Rs = Qs.take(rest, axis=0), Rs.take(rest, axis=0)
+        for c in _row_chunks(len(rest), WIDE_ROWS):
+            ok[rest[c]] = self._one_candidate(entry_major(Qs[c]), entry_major(Rs[c]))
         return ok
 
     def _one_candidate(self, q, r):
@@ -240,17 +260,6 @@ def make_checker(params: Params) -> _ExactChecker:
     twist; ValueError unless params satisfy the split/non-split
     assumption."""
     return _ExactChecker(params)
-
-
-def _first_inequivalent(checker, Qs, q_rows, Rs, r_rows):
-    """Position j of the first pair with Qs[q_rows[j]] not equivalent to
-    Rs[r_rows[j]], checked in order, CHUNK_ROWS pairs at a time; None
-    when every pair is equivalent."""
-    for c in _row_chunks(len(q_rows), CHUNK_ROWS):
-        ok = checker.equivalent(Qs[q_rows[c]], Rs[r_rows[c]])
-        if not ok.all():
-            return c.start + int(np.argmin(ok))
-    return None
 
 
 # -- the orbit index ------------------------------------------------------
@@ -337,7 +346,7 @@ class OrbitIndex:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<IQQ", self.VERSION, p, self.n))
             for c in _row_chunks(self.n, CHUNK_ROWS):
-                fh.write(unpack_np(p, self.keys[c], 7).astype("<u8").tobytes())
+                fh.write(unpack_np(p, self.keys[c], 7).astype("<u8"))
 
 
 def read_dump(path):
@@ -402,13 +411,25 @@ def validate_start(P, params: Params):
         raise ValueError("gamma mismatch: point does not lie in X for these parameters")
 
 
+@dataclass
+class _Visited:
+    """What the BFS has found so far: the rows in point order, and the
+    visited keys, ascending, beside the point index of each.  _expand
+    replaces each array once per layer; nothing else holds them, so the
+    old array is freed before the next one grows."""
+
+    rows: np.ndarray
+    keys: np.ndarray
+    idx: np.ndarray
+
+
 def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
                     frontier_shuffle_seed=None) -> OrbitIndex:
     """Closure of P under the six braid letters, every recurrent edge
     verified exactly, with the letter permutations read off the edges.
     frontier_shuffle_seed reorders each frontier (the result must not
-    depend on it).  max_points must be below 2^31: successor indices
-    are stored as int32."""
+    depend on it).  max_points must be below 2^31: point indices in
+    the BFS are stored as int32."""
     F = params.F
     p = F.p
     if p > MAX_PACKED_PRIME:
@@ -426,50 +447,62 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
         rng = random.Random(frontier_shuffle_seed)
 
     start = quad_to_row(P)[None, :]
-    pts = start.copy()
-    vkeys = fast_keys(p, start)  # visited keys, ascending
-    vidx = np.zeros(1, dtype=np.int64)  # point index of each visited key
-    frontier = np.array([0], dtype=np.int64)
+    seen = _Visited(start.copy(), fast_keys(p, start), np.zeros(1, dtype=np.int32))
+    frontier = np.zeros(1, dtype=np.int32)
     edges_verified = 0
-    layers = []  # (frontier, its (6, m) int32 successors) of each layer
+    layers = []  # (frontier, its int32 successors under each letter) of each layer
 
     while len(frontier):
         if rng is not None:
             idx = list(range(len(frontier)))
             rng.shuffle(idx)
             frontier = frontier[np.array(idx, dtype=np.int64)]
-        n_now = len(pts)
-        pts, vkeys, vidx, verified, succ = _expand(p, pts, frontier, vkeys, vidx,
-                                                   checker, max_points)
-        layers.append((frontier, succ))
+        n_now = len(seen.rows)
+        verified, succ = _expand(p, seen, frontier, checker, max_points)
+        # one array per letter, so that _letter_perms can free each once read
+        layers.append((frontier, [s.copy() for s in succ]))
         edges_verified += verified
-        frontier = np.arange(n_now, len(pts), dtype=np.int64)
+        frontier = np.arange(n_now, len(seen.rows), dtype=np.int32)
 
-    perms = _letter_perms(layers, vidx)
-    del layers
-    pts = pts[vidx]
+    pts, keys, idx = seen.rows, seen.keys, seen.idx
+    del seen
+    rank = np.empty(len(idx), dtype=np.int32)  # point index -> ascending-key index
+    rank[idx] = np.arange(len(idx), dtype=np.int32)
+    # the rows into ascending-key order in place: a row is four 8-byte
+    # words, gathered one word column at a time
+    words = pts.view(np.uint64)
+    for j in range(words.shape[1]):
+        words[:, j] = words[:, j].take(idx)
+    del idx, words
+    perms = _letter_perms(layers, rank)
 
     # soundness backstop: every representative satisfies the defining equations
     if not _on_x_mask(params, pts).all():
         raise OrbitError("internal error: representative violates the defining equations")
 
-    return OrbitIndex(params, pts, vkeys, perms, edges_verified)
+    return OrbitIndex(params, pts, keys, perms, edges_verified)
 
 
-def _letter_perms(layers, vidx):
+def _letter_perms(layers, rank):
     """The six letter permutations in ascending-key numbering, from the
-    per-layer successors (point numbering); OrbitError unless each
-    sigma_i undoes sigma_i^-1, which makes all six bijections."""
-    n = len(vidx)
-    succ = np.empty((len(LETTERS), n), dtype=np.int32)
-    for frontier, s in layers:
-        succ[:, frontier] = s
-    rank = np.empty(n, dtype=np.int64)  # point index -> ascending-key index
-    rank[vidx] = np.arange(n)
-    perms = {L: rank[succ[k][vidx]] for k, L in enumerate(LETTERS)}
-    ident = np.arange(n)
+    per-layer successors (point numbering, renumbered by rank), one
+    letter at a time; each letter's successors are freed once read.
+    OrbitError unless each sigma_i undoes sigma_i^-1, which makes all
+    six bijections."""
+    n = len(rank)
+    succ = np.empty(n, dtype=np.int32)  # one letter's successors, point numbering
+    perms = {}
+    for k, L in enumerate(LETTERS):
+        for frontier, s in layers:
+            succ[frontier] = s[k]
+            s[k] = None
+        perms[L] = perm = np.empty(n, dtype=np.int64)
+        for c in _row_chunks(n, CHUNK_ROWS):
+            perm[rank[c]] = rank[succ[c]]
     for i, _ in GENS:
-        moved = np.flatnonzero(perms[(i, 1)][perms[(i, -1)]] != ident)
+        moved = np.concatenate([
+            np.flatnonzero(perms[(i, 1)][perms[(i, -1)][c]] != np.arange(c.start, c.stop))
+            + c.start for c in _row_chunks(n, CHUNK_ROWS)])
         if len(moved):
             raise OrbitError(f"orbit not closed: the BFS edges of sigma{i} and "
                              f"sigma{i}^-1 are not inverse at {len(moved)} points "
@@ -477,66 +510,92 @@ def _letter_perms(layers, vidx):
     return perms
 
 
-def _expand(p, pts, frontier, vkeys, vidx, checker, max_points):
-    """One BFS layer: key the images of the frontier under the six
-    letters and deduplicate them against the sorted visited keys vkeys
-    (point indices vidx).  New keys become points n_now, n_now + 1, ...
-    in ascending key order.  Every image except the first of each new
-    key (a recurrent edge) is verified against its key's
-    representative, in sorted-key order.
+def _expand(p, seen, frontier, checker, max_points):
+    """One BFS layer, in slices: each letter in turn is applied to
+    CHUNK_ROWS frontier points at a time, so the slices follow the
+    layer's letter-major image order.  A slice's keys are deduplicated
+    against the visited keys and against the keys new earlier in this
+    layer.  The first image of a key found in neither is its
+    representative; every other image (a recurrent edge) is verified
+    against its key's representative, an older point or a row new in
+    this layer.  When the layer closes, its new keys become points
+    n_now, n_now + 1, ... in ascending key order, and seen takes them in
+    one merge.
 
-    Returns (pts, vkeys, vidx, edges verified, successors): successors
-    is the (6, m) int32 point index of the image of each frontier point
-    under each letter.  The layer's other arrays die with this call,
-    before the next layer is built.
+    Returns (edges verified, successors): successors is the (6, m) int32
+    point index of the image of each frontier point under each letter.
+    Apart from the layer's new rows and keys, the temporaries are those
+    of one slice.
     """
-    m = len(frontier)
-    batch = pts[frontier]
-    images = np.empty((len(LETTERS) * m, 16), dtype=ROW_DTYPE)
+    pts = seen.rows
+    n_now, m = len(pts), len(frontier)
+    succ = np.empty((len(LETTERS), m), dtype=np.int32)
+    # keys new in this layer, ascending, ending in a sentinel above every key
+    lkeys = np.array([_NO_KEY], dtype=np.int64)
+    lnum = np.array([-1], dtype=np.int64)  # the order in which each was found
+    lrows = np.empty((0, 16), dtype=ROW_DTYPE)  # their representatives, in that order
+    n_new = verified = 0
     for k, L in enumerate(LETTERS):
-        images[k * m:(k + 1) * m] = apply_letter_np(p, batch, L)
-    del batch
-    ikeys = fast_keys(p, images)
+        for c in _row_chunks(m, CHUNK_ROWS):
+            images = apply_letter_np(p, pts.take(frontier[c], axis=0), L)
+            ikeys = fast_keys(p, images)
+            # groups of equal key; a stable sort puts each group's first image first
+            order_ = np.argsort(ikeys, kind="stable")
+            skeys = ikeys[order_]
+            head = np.empty(len(skeys), dtype=bool)
+            head[0] = True
+            np.not_equal(skeys[1:], skeys[:-1], out=head[1:])
+            group = np.cumsum(head) - 1  # key group of each sorted image
+            ukeys = skeys[head]
 
-    # groups of equal key; a stable sort puts each group's smallest row first
-    order_ = np.argsort(ikeys, kind="stable")
-    skeys = ikeys[order_]
-    del ikeys
-    head = np.empty(len(skeys), dtype=bool)
-    head[0] = True
-    np.not_equal(skeys[1:], skeys[:-1], out=head[1:])
-    ukeys = skeys[head]
-    del skeys
+            pos = np.minimum(np.searchsorted(seen.keys, ukeys), n_now - 1)
+            old = seen.keys[pos] == ukeys
+            lpos = np.searchsorted(lkeys, ukeys)
+            fresh = ~old & (lkeys[lpos] != ukeys)
+            # point index of each group; for this layer's keys n_now + the find order
+            rep = np.where(old, seen.idx[pos], n_now + lnum[lpos])
+            found = np.arange(n_new, n_new + int(np.count_nonzero(fresh)))
+            rep[fresh] = n_now + found
+            head[head] = fresh  # now the representatives
+            if n_new + len(found) > len(lrows):
+                grown = np.empty((max(2 * len(lrows), n_new + len(found)), 16), dtype=ROW_DTYPE)
+                grown[:n_new] = lrows[:n_new]
+                lrows = grown
+            lrows[n_new:n_new + len(found)] = images.take(order_[head], axis=0)
+            lkeys = np.insert(lkeys, lpos[fresh], ukeys[fresh])
+            lnum = np.insert(lnum, lpos[fresh], found)
+            n_new += len(found)
 
-    pos = np.searchsorted(vkeys, ukeys)
-    new = vkeys[np.minimum(pos, len(vkeys) - 1)] != ukeys
-    n_now = len(pts)
-    n_next = n_now + int(new.sum())
+            rec = ~head  # recurrent edges
+            reps = rep[group[rec]]
+            rrows = pts.take(np.minimum(reps, n_now - 1), axis=0)
+            late = np.flatnonzero(reps >= n_now)  # representatives new in this layer
+            rrows[late] = lrows.take(reps[late] - n_now, axis=0)
+            ok = checker.equivalent(images.take(order_[rec], axis=0), rrows)
+            if not ok.all():
+                raise KeyCollisionError(
+                    "canonical trace key collision between inequivalent points "
+                    f"(key {int(skeys[rec][np.argmin(ok)])}); exact dedup falsified at p={p}")
+            verified += len(reps)
+            succ[k, c][order_] = rep[group]
+
+    n_next = n_now + n_new
     if n_next > max_points:
         raise OrbitBudgetError(f"orbit exceeds max_points={max_points}", n_next)
-    new_idx = np.arange(n_now, n_next, dtype=np.int64)
-    new_head = head.copy()
-    new_head[head] = new
-    pts = np.concatenate([pts, images[order_[new_head]]])
-
-    rep = np.empty(len(ukeys), dtype=np.int64)  # point index of each group
-    rep[~new] = vidx[pos[~new]]
-    rep[new] = new_idx
-    recurrent = ~new_head
-    rows = order_[recurrent]
-    grec = (np.cumsum(head) - 1)[recurrent]  # group of each recurrent row
-    bad = _first_inequivalent(checker, images, rows, pts, rep[grec])
-    if bad is not None:
-        raise KeyCollisionError(
-            "canonical trace key collision between inequivalent points "
-            f"(key {int(ukeys[grec[bad]])}); exact dedup falsified at p={p}")
-    del images
-
-    succ = np.empty(len(order_), dtype=np.int32)  # point index of each image
-    succ[order_] = rep[np.cumsum(head) - 1]
-    vkeys = np.insert(vkeys, pos[new], ukeys[new])
-    vidx = np.insert(vidx, pos[new], new_idx)
-    return pts, vkeys, vidx, len(rows), succ.reshape(len(LETTERS), m)
+    lkeys, lnum = lkeys[:-1], lnum[:-1]
+    renum = np.empty(n_new, dtype=np.int32)  # find order -> ascending-key point index
+    renum[lnum] = np.arange(n_now, n_next, dtype=np.int32)
+    late = succ >= n_now
+    succ[late] = renum[succ[late] - n_now]
+    at = np.searchsorted(seen.keys, lkeys)
+    seen.keys = np.insert(seen.keys, at, lkeys)
+    seen.idx = np.insert(seen.idx, at, np.arange(n_now, n_next, dtype=np.int32))
+    del pts
+    rows = np.empty((n_next, 16), dtype=ROW_DTYPE)
+    rows[:n_now] = seen.rows
+    seen.rows = rows
+    np.take(lrows, lnum, axis=0, out=rows[n_now:])
+    return verified, succ
 
 
 # -- the reversal twist ---------------------------------------------------
@@ -581,7 +640,7 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     checker = make_checker(params)
     for c in _row_chunks(orbit.n, CHUNK_ROWS):
         twisted = _twisted_reversal(p, g, h, orbit.points[c])
-        if not checker.equivalent(twisted, orbit.points[idx[c]]).all():
+        if not checker.equivalent(twisted, orbit.points.take(idx[c], axis=0)).all():
             raise EpsilonOutsideOrbitError(
                 "epsilon image fails exact equivalence with its representative")
     return idx

@@ -364,14 +364,18 @@ def giant_certificate(gens, n, seed=0, budget=WORD_BUDGET):
     invs = [_inverse(g) for g in gens]
     for _ in range(budget):
         word = _random_word(len(gens), rng)
-        for length in set(cycle_lengths(_word_perm(word, gens, invs, n))):
-            if length in primes:
-                cert = GiantCertificate(word, length, n)
-                if not cert.revalidate(gens):
-                    raise CertificateError(f"certificate word of {len(word)} letters "
-                                           f"fails revalidation (q = {length}, n = {n})")
-                return cert
-    return Inconclusive(f"budget of {budget} random words exhausted")
+        q = next((length for length in set(cycle_lengths(_word_perm(word, gens, invs, n)))
+                  if length in primes), None)
+        if q is not None:
+            break
+    else:
+        return Inconclusive(f"budget of {budget} random words exhausted")
+    del invs  # revalidate builds its own, from the generators alone
+    cert = GiantCertificate(word, q, n)
+    if not cert.revalidate(gens):
+        raise CertificateError(f"certificate word of {len(word)} letters "
+                               f"fails revalidation (q = {q}, n = {n})")
+    return cert
 
 
 @dataclass

@@ -141,6 +141,7 @@ class RepMatrices:
     dim: int
     basis: list          # W basis vectors as V-coordinates over the ring
     sigma: dict          # generator index -> ring matrix on the W basis
+    sigma_v: dict        # generator index -> sigma_on_V(n, ell, i), built once
 
 
 def braid_relations_hold(sigma: dict, n: int, mul) -> bool:
@@ -191,15 +192,16 @@ def braid_matrices(n: int, ell: int) -> RepMatrices:
     if not all(len(u.terms) == 1 and abs(*u.terms.values()) == 1 for u in units):
         raise InvariantError(f"highest-weight basis of W_{n},{ell}: "
                              "a free-column entry is not a unit")
+    sigma_v = {i: sigma_on_V(n, ell, i) for i in range(1, n)}
     sigma = {}
     for i in range(1, n):
-        SA = mat_mul(sigma_on_V(n, ell, i), A)
+        SA = mat_mul(sigma_v[i], A)
         sigma[i] = [[e.exact_div(u) for e in SA[f]] for f, u in zip(free, units)]
         if mat_mul(A, sigma[i]) != SA:
             raise ArithmeticError(f"sigma_{i} on W_{n},{ell}: A sigma_{i} != S_{i} A")
     if not braid_relations_hold(sigma, n, mat_mul):
         raise ArithmeticError(f"braid relations fail on W_{n},{ell}")
-    return RepMatrices(n, ell, len(basis), basis, sigma)
+    return RepMatrices(n, ell, len(basis), basis, sigma, sigma_v)
 
 
 def expected_w2_eigenvalue(ell: int) -> LaurentPoly2:
@@ -214,20 +216,22 @@ def yang_baxter_on_v(ell: int) -> bool:
                                 3, mat_mul)
 
 
-def e_commutes_with_braiding(n: int, ell: int) -> bool:
-    """The two actions commute: E sigma_i = sigma_i E on V_{n, ell}."""
+def e_commutes_with_braiding(n: int, ell: int, sigma_v=None) -> bool:
+    """The two actions commute: E sigma_i = sigma_i E on V_{n, ell}.
+    sigma_v, when given, holds the sigma_i on V_{n, ell}
+    (RepMatrices.sigma_v); otherwise they are built here."""
     if ell == 0:
         return True
+    sigma_v = sigma_v or {i: sigma_on_V(n, ell, i) for i in range(1, n)}
     E = e_matrix(n, ell)
     for i in range(1, n):
-        upper = sigma_on_V(n, ell, i)
         lower = sigma_on_V(n, ell - 1, i)
-        if mat_mul(E, upper) != mat_mul(lower, E):
+        if mat_mul(E, sigma_v[i]) != mat_mul(lower, E):
             return False
     return True
 
 
-def decomposition_check(n: int, ell: int, basis) -> bool:
+def decomposition_check(n: int, ell: int, basis, sigma_v=None) -> bool:
     """Dimension bookkeeping of the restriction to the braid subgroup on
     strands 2..n, plus the first-index filtration realizing it.
 
@@ -245,16 +249,18 @@ def decomposition_check(n: int, ell: int, basis) -> bool:
     (_free_columns, which raises otherwise), so they are in echelon
     form.  Compositions are in lex order, so V_{<=j} is a prefix of the
     coordinates, and dim G_j = #{k : comps[f_k][0] <= j}, with no
-    elimination.
+    elimination.  sigma_v, when given, holds the sigma_i on V_{n, ell}
+    (RepMatrices.sigma_v); otherwise they are built here.
     """
     if n < 3:
         raise ValueError("need n >= 3")
     if hw_dim(n, ell) != sum(binom(n + k - 3, k) for k in range(ell + 1)):
         return False
+    sigma_v = sigma_v or {i: sigma_on_V(n, ell, i) for i in range(1, n)}
     comps = compositions(n, ell)
     for i in range(2, n):
         if any(e.terms and comps[r][0] != comps[c][0]
-               for r, row in enumerate(sigma_on_V(n, ell, i))
+               for r, row in enumerate(sigma_v[i])
                for c, e in enumerate(row)):
             return False
     firsts = [comps[f][0] for f in _free_columns(basis)]

@@ -948,20 +948,22 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     except EpsilonOutsideOrbitError as e:
         raise EpsilonOutsideOrbitError(f"reversal twist fails at p = {p}: {e}") from e
     x, y = orbit.f2_perms()
+    n, edges_verified = orbit.n, orbit.edges_verified
+    del orbit  # from here on only the permutations are needed
     lap("permutations_ms")
 
     gens = {"sigma1": s1, "sigma2": s2, "sigma3": s3, "epsilon": eps}
     try:
-        cls = classify_giant(list(gens.values()), orbit.n, seed=seed, budget=giant_budget)
+        cls = classify_giant(list(gens.values()), n, seed=seed, budget=giant_budget)
     except CertificateError as e:
         raise CertificateError(f"classification at p = {p}: {e}") from e
     lap("classification_ms")
 
-    x_is_id = bool((x == np.arange(orbit.n)).all())
+    x_is_id = bool((x == np.arange(n)).all())
     x_sign = sign(x)
     signs = dict(zip(gens, cls.generator_signs))
     if cls.kind in ("Alternating", "Symmetric") and not x_is_id and x_sign == 1:
-        verdict = (f"F2 surjects onto A_{orbit.n}: x = s1 s3^-1 acts nontrivially and "
+        verdict = (f"F2 surjects onto A_{n}: x = s1 s3^-1 acts nontrivially and "
                    "evenly, and a nontrivial normal subgroup of a giant containing "
                    "no odd permutations is the alternating group")
     elif cls.kind in ("Alternating", "Symmetric"):
@@ -981,9 +983,9 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
 
     out = {
         "p": p,
-        "n": orbit.n,
+        "n": n,
         "x_count": x_count,
-        "orbit_ratio": (orbit.n / x_count) if x_count else None,
+        "orbit_ratio": (n / x_count) if x_count else None,
         "classification": cls.kind,
         "generator_signs": signs,
         "f2_verdict": verdict,
@@ -993,7 +995,7 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
         "seed": seed,
         "assumptions": report.to_dict(),
         "exact_dedup_verified": True,
-        "edges_verified": orbit.edges_verified,
+        "edges_verified": edges_verified,
         "timings_ms": timings,
     }
     if include_permutations:

@@ -385,6 +385,19 @@ def test_to_json_arrays_of_any_length(monkeypatch):
     assert buf.getvalue() == _json_dump_text(report)
 
 
+def test_to_json_entry_digits():
+    # every digit count from 1 to 7 (0, 9, 10, 99, 100, ..., 10**6), in
+    # arrays one entry shorter and longer than a piece, and all zeros
+    edges = [0] + [v for k in range(1, 7) for v in (10 ** k - 1, 10 ** k)]
+    perms = {"a": np.resize(np.array(edges, dtype=np.int64), cli.ARRAY_PIECE - 1),
+             "b": np.resize(np.array(edges[::-1], dtype=np.int64), cli.ARRAY_PIECE + 1),
+             "c": np.zeros(cli.ARRAY_PIECE + 1, dtype=np.int64)}
+    report = {"permutations": perms, "n": len(edges)}
+    buf = io.StringIO()
+    cli.to_json(report, buf)
+    assert buf.getvalue() == _json_dump_text(report)
+
+
 def test_to_json_bounded_writes(monkeypatch):
     # each write of a p = 19 report carries one piece of one array (no
     # key, at most ARRAY_PIECE entries) or the text between two arrays

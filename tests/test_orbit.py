@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,56 +111,90 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
     a_perms = [orbit19.letter_perm(L) for L in LETTERS]
     a_eps = epsilon_perm(orbit19, cfg19.params)
 
-    # small odd chunks leave a ragged last chunk in every gather and kernel
+    # small odd chunks leave a ragged last chunk in every gather and
+    # kernel; at 61 rows every large layer spans many slices per letter,
+    # so most keys new in a layer recur in its later slices
+    for chunk in (997, 61):
+        monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(orbit_mod, "WIDE_ROWS", 389)
+        b = enumerate_orbit(cfg19.P, cfg19.params)
+        assert (b.keys == orbit19.keys).all()
+        assert (b.points == orbit19.points).all()
+        assert b.edges_verified == orbit19.edges_verified == 5 * b.n + 1
+        b_dump = tmp_path / "b.chqo"
+        b.write_dump(b_dump)
+        assert b_dump.read_bytes() == a_dump.read_bytes()
+        for L, perm in zip(LETTERS, a_perms):
+            assert (b.letter_perm(L) == perm).all()
+        assert (epsilon_perm(b, cfg19.params) == a_eps).all()
+
+
+def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
+    # the BFS builds no whole layer: with 997-row slices (the largest
+    # p = 19 frontier has 9 844 points) its tracemalloc peak stays below
+    # the resting size of the index it returns, plus 40 bytes per point
+    # of bookkeeping (the rank, the int32 frontiers and successors, the
+    # inverse check) and 512 bytes per slice row; keying that largest
+    # layer at once would add over 3 MB
     monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
     monkeypatch.setattr(orbit_mod, "WIDE_ROWS", 389)
-    b = enumerate_orbit(cfg19.P, cfg19.params)
-    assert (b.keys == orbit19.keys).all()
-    assert (b.points == orbit19.points).all()
-    assert b.edges_verified == orbit19.edges_verified
-    b_dump = tmp_path / "b.chqo"
-    b.write_dump(b_dump)
-    assert b_dump.read_bytes() == a_dump.read_bytes()
-    for L, perm in zip(LETTERS, a_perms):
-        assert (b.letter_perm(L) == perm).all()
-    assert (epsilon_perm(b, cfg19.params) == a_eps).all()
+    tracemalloc.start()
+    try:
+        orbit = enumerate_orbit(cfg19.P, cfg19.params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    resting = (orbit.points.nbytes + orbit.keys.nbytes
+               + sum(perm.nbytes for perm in orbit.perms.values()))
+    assert peak < resting + 40 * orbit.n + 512 * orbit_mod.CHUNK_ROWS
 
 
 @pytest.fixture()
-def reject_second_chunk(monkeypatch):
-    """Make exact verification reject row 5 of the second chunk of the
-    first BFS layer that has two chunks; the rejected key is recorded."""
+def reject_in_later_slice(monkeypatch):
+    """Make exact verification reject one recurrent edge of a layer whose
+    frontier spans several slices (CHUNK_ROWS = 997): the first edge
+    whose representative is a point new in that layer, found in an
+    earlier slice of it.  The rejected key is recorded."""
     monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
-    keys, equivalent = orbit_mod.fast_keys, orbit_mod._ExactChecker.equivalent
-    state = {"calls": 0, "rejected": None}
+    keys, expand = orbit_mod.fast_keys, orbit_mod._expand
+    equivalent = orbit_mod._ExactChecker.equivalent
+    state = {"rejected": None, "slices": [], "frontier": 0}
 
-    def layer_keys(p, quads):  # the BFS keys each layer once, before verifying
-        state["calls"] = 0
-        return keys(p, quads)
+    def layer(p, seen, frontier, *args):
+        state.update(older=seen.keys.copy(), slices=[], frontier=len(frontier))
+        return expand(p, seen, frontier, *args)
+
+    def slice_keys(p, quads):  # the BFS keys each slice once, before verifying it
+        state["slices"].append(keys(p, quads))
+        return state["slices"][-1]
 
     def rejecting(self, Qs, Rs):
         ok = equivalent(self, Qs, Rs)
-        state["calls"] += 1
-        if state["calls"] == 2 and state["rejected"] is None:
-            ok[5] = False
-            state["rejected"] = int(keys(self.p, Qs[5:6])[0])
+        if state["rejected"] is None and state["frontier"] > orbit_mod.CHUNK_ROWS:
+            rkeys = keys(self.p, Rs)
+            earlier = np.concatenate([np.empty(0, dtype=np.int64), *state["slices"][:-1]])
+            hits = np.flatnonzero(np.isin(rkeys, earlier) & ~np.isin(rkeys, state["older"]))
+            if len(hits):
+                ok[hits[0]] = False
+                state["rejected"] = int(rkeys[hits[0]])
         return ok
 
-    monkeypatch.setattr(orbit_mod, "fast_keys", layer_keys)
+    monkeypatch.setattr(orbit_mod, "_expand", layer)
+    monkeypatch.setattr(orbit_mod, "fast_keys", slice_keys)
     monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent", rejecting)
     return state
 
 
-def test_forced_collision_names_key(cfg19, reject_second_chunk):
+def test_forced_collision_names_key(cfg19, reject_in_later_slice):
     with pytest.raises(KeyCollisionError) as ei:
         enumerate_orbit(cfg19.P, cfg19.params)
-    assert f"(key {reject_second_chunk['rejected']})" in str(ei.value)
+    assert f"(key {reject_in_later_slice['rejected']})" in str(ei.value)
 
 
-def test_forced_collision_cli_exit(reject_second_chunk, capsys):
+def test_forced_collision_cli_exit(reject_in_later_slice, capsys):
     assert main(["orbit", "19", "--no-permutations"]) == 3
     out = capsys.readouterr().out
-    assert f"(key {reject_second_chunk['rejected']})" in out
+    assert f"(key {reject_in_later_slice['rejected']})" in out
 
 
 def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
