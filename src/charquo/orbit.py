@@ -8,38 +8,45 @@ base-p packing it runs on are ffield's, applied to entry-major copies of
 the rows; the trace coordinates and their key are charvar's
 (trace_coords, canon_keys_np).  This module owns the BFS, the
 exact-equivalence checker, the index and the dump format.  Every
-recurrent BFS edge, and every image of the
-reversal twist, is re-verified against the stored representative with
+recurrent BFS edge, every sigma_i^-1 edge and every image of the
+reversal twist is re-verified against the stored representative with
 the centralizer-coset equivalence, so the enumeration is sound even
-where the injectivity of the trace map is unproven.  The check solves for one candidate centralizer pair per row,
-where the pencil span(I, gamma) meets the pencil of pairs that the A
-blocks allow, and tests only that pair (see _ExactChecker); there is no
-other path.  A genuine trace-key collision between inequivalent points
-raises KeyCollisionError (the OrbitIndex contract requires
-pairwise-distinct keys).
+where the injectivity of the trace map is unproven.  The check solves
+for one candidate centralizer pair per row, where the pencil
+span(I, gamma) meets the pencil of pairs that the A blocks allow, and
+tests only that pair (see _ExactChecker); there is no other path.  A
+genuine trace-key collision between inequivalent points raises
+KeyCollisionError (the OrbitIndex contract requires pairwise-distinct
+keys).
 
 Indices are assigned by ascending canonical key after enumeration
 closes, so reports are byte-reproducible regardless of traversal order.
 
-Each BFS layer is deduplicated without per-key Python code, in slices:
-each letter in turn is applied to CHUNK_ROWS frontier points at a time
-(the layer's letter-major image order).  A slice's image keys are
+The BFS applies and keys only the forward letters sigma_1, sigma_2,
+sigma_3: the orbit is finite, so closure under them is the group orbit.
+Each layer is deduplicated without per-key Python code, in slices: each
+letter in turn is applied to CHUNK_ROWS frontier points at a time (the
+layer's letter-major image order).  A slice's image keys are
 stable-argsorted into groups of equal key, and each group's key is
 located by searchsorted in the sorted visited keys (kept beside the
 point index of each) and in the sorted keys new earlier in this layer.
 The first image of a key found in neither is its representative; every
 other image is a recurrent edge, verified against its key's
-representative (an older point, or a row new in this layer).  When the
-layer closes, its new keys take the next point indices in ascending key
-order and are merged into the visited keys once.
+representative (an older point, or a row new in this layer).  A letter
+maps distinct points to distinct keys, so the representative does not
+depend on the frontier's order.  When the layer closes, its new keys
+take the next point indices in ascending key order and are merged into
+the visited keys once.
 
 Each layer also returns where every image of its frontier landed: the
 point index of the image's key group, as int32.  These successor
-arrays are the verified BFS edges; once the BFS closes they are
-renumbered by ascending key into the six letter permutations, one
-letter at a time, and the check that each sigma_i and sigma_i^-1 pair
-is mutually inverse makes them permutations.  No image is applied or
-keyed a second time.
+arrays are the verified forward edges; once the BFS closes they are
+renumbered by ascending key into sigma_1, sigma_2 and sigma_3, one
+letter at a time.  Each must be a bijection, and sigma_i^-1 is its
+inverse.  Then a pass without keys applies sigma_i^-1 to every point
+and verifies the image exactly against the row the inverse names.  The
+edges verified are the 3n - (n - 1) = 2n + 1 recurrent forward edges
+plus the 3n inverse edges, 5n + 1 in all.  No image is keyed twice.
 
 Rows are stored as ROW_DTYPE (uint16): every entry is a residue below
 p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np,
@@ -50,15 +57,15 @@ ffield kernels, so no narrow array reaches int arithmetic.
 
 Memory.  What grows with the orbit is 32 bytes per point (the uint16
 quadruple) plus 12 per visited key (int64 key, int32 point index) and,
-during the BFS, 28 per point of int32 successors and frontiers (six
+during the BFS, 16 per point of int32 successors and frontiers (three
 letters); at rest the index keeps the six int64 letter permutations,
 48 bytes per point, 88 bytes per point in all.  A layer adds its new
 rows and keys (until they are merged, the visited arrays are copied
 once), and the transient of a slice is bounded by CHUNK_ROWS, not by
-the layer.  The permutations are filled one letter at a time, each
-letter's successors freed once read, and the rows are put into key
-order in place.  Point indices are int32, so max_points must stay
-below 2^31.
+the layer.  The permutations are filled one sigma_i at a time, each
+letter's successors freed once read, its inverse scattered beside it,
+and the rows are put into key order in place.  Point indices are
+int32, so max_points must stay below 2^31.
 """
 
 from __future__ import annotations
@@ -76,7 +83,6 @@ from .ffield import (NotConjugateError, ProjMat2, adj, centralizer_element_of_cl
                      tr, unpack_np)
 from .numutil import BudgetError, InvariantError
 
-LETTERS = (bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i)
 GENS = (bq.S1, bq.S2, bq.S3)
 
 MAX_PACKED_PRIME = 509  # 7 base-p digits must fit in an int64
@@ -299,10 +305,12 @@ class OrbitIndex:
         return i
 
     def letter_perm(self, letter) -> np.ndarray:
-        """Index permutation of one braid letter.  It is the BFS's map of
-        exact-verified edges (each image's key group, renumbered by
-        ascending key), not a second key lookup; enumerate_orbit checked
-        it against the letter's inverse."""
+        """Index permutation of one braid letter, not a second key lookup.
+        For sigma_i it is the BFS's map of exact-verified edges (each
+        image's key group, renumbered by ascending key), which
+        enumerate_orbit checked to be a bijection; for sigma_i^-1 it is
+        that map's inverse, each of whose edges enumerate_orbit verified
+        exactly against the point it came from."""
         return self.perms[letter]
 
     def perm_of(self, word) -> np.ndarray:
@@ -314,9 +322,14 @@ class OrbitIndex:
 
     def f2_perms(self):
         """Permutations of the free generators x = s1 s3^-1 and
-        y = s2 x s2^-1."""
-        x = self.perm_of([bq.S1, bq.S3i])
-        y = self.perm_of([bq.S2, bq.S1, bq.S3i, bq.S2i])
+        y = s2 x s2^-1, two gathers each: x = s3^-1[s1] and
+        y = s2^-1[x[s2]], the latter a slice at a time, so that no
+        whole intermediate is built."""
+        s2, s2i = self.letter_perm(bq.S2), self.letter_perm(bq.S2i)
+        x = self.letter_perm(bq.S3i).take(self.letter_perm(bq.S1))
+        y = np.empty(self.n, dtype=np.int64)
+        for c in _row_chunks(self.n, CHUNK_ROWS):
+            np.take(s2i, x.take(s2[c]), out=y[c])
         return x, y
 
     def sigma_matrix_traces(self, i: int):
@@ -425,8 +438,10 @@ class _Visited:
 
 def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
                     frontier_shuffle_seed=None) -> OrbitIndex:
-    """Closure of P under the six braid letters, every recurrent edge
-    verified exactly, with the letter permutations read off the edges.
+    """Closure of P under sigma_1, sigma_2 and sigma_3 (on a finite orbit,
+    the braid group orbit), every recurrent edge verified exactly, with
+    the letter permutations read off the edges and every sigma_i^-1
+    edge verified against the point it came from.
     frontier_shuffle_seed reorders each frontier (the result must not
     depend on it).  max_points must be below 2^31: point indices in
     the BFS are stored as int32."""
@@ -450,7 +465,7 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
     seen = _Visited(start.copy(), fast_keys(p, start), np.zeros(1, dtype=np.int32))
     frontier = np.zeros(1, dtype=np.int32)
     edges_verified = 0
-    layers = []  # (frontier, its int32 successors under each letter) of each layer
+    layers = []  # (frontier, its int32 successors under each sigma_i) of each layer
 
     while len(frontier):
         if rng is not None:
@@ -475,6 +490,8 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
         words[:, j] = words[:, j].take(idx)
     del idx, words
     perms = _letter_perms(layers, rank)
+    del rank
+    edges_verified += _verify_inverse_edges(p, pts, perms, checker)
 
     # soundness backstop: every representative satisfies the defining equations
     if not _on_x_mask(params, pts).all():
@@ -484,58 +501,79 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
 
 
 def _letter_perms(layers, rank):
-    """The six letter permutations in ascending-key numbering, from the
-    per-layer successors (point numbering, renumbered by rank), one
-    letter at a time; each letter's successors are freed once read.
-    OrbitError unless each sigma_i undoes sigma_i^-1, which makes all
-    six bijections."""
+    """The six letter permutations in ascending-key numbering.  Each
+    sigma_i is read off the per-layer successors (point numbering,
+    renumbered by rank), one letter at a time, each letter's successors
+    freed once read; OrbitError unless it is a bijection, and
+    sigma_i^-1 is its inverse.  Bijectivity is read off the scatter of
+    the inverse: a point no index lands on keeps the -1 it started
+    with."""
     n = len(rank)
     succ = np.empty(n, dtype=np.int32)  # one letter's successors, point numbering
     perms = {}
-    for k, L in enumerate(LETTERS):
+    for k, (i, _) in enumerate(GENS):
         for frontier, s in layers:
             succ[frontier] = s[k]
             s[k] = None
-        perms[L] = perm = np.empty(n, dtype=np.int64)
+        perm = np.empty(n, dtype=np.int64)
+        inv = np.full(n, -1, dtype=np.int64)
         for c in _row_chunks(n, CHUNK_ROWS):
             perm[rank[c]] = rank[succ[c]]
-    for i, _ in GENS:
-        moved = np.concatenate([
-            np.flatnonzero(perms[(i, 1)][perms[(i, -1)][c]] != np.arange(c.start, c.stop))
-            + c.start for c in _row_chunks(n, CHUNK_ROWS)])
-        if len(moved):
-            raise OrbitError(f"orbit not closed: the BFS edges of sigma{i} and "
-                             f"sigma{i}^-1 are not inverse at {len(moved)} points "
-                             f"(first: index {int(moved[0])})")
+        for c in _row_chunks(n, CHUNK_ROWS):
+            inv[perm[c]] = np.arange(c.start, c.stop)
+        missed = np.flatnonzero(inv < 0)
+        if len(missed):
+            raise OrbitError(f"orbit not closed: sigma{i} is not a bijection of the "
+                             f"BFS points (first point without a preimage: index "
+                             f"{int(missed[0])}, of {len(missed)})")
+        perms[(i, 1)], perms[(i, -1)] = perm, inv
     return perms
 
 
+def _verify_inverse_edges(p, pts, perms, checker):
+    """Exact check of every sigma_i^-1 edge: sigma_i^-1 of each point is
+    equivalent to the row that the inverse permutation names.  Nothing
+    is keyed.  Returns the number of edges verified, 3n; OrbitError
+    names the letter and the first point whose edge fails."""
+    for i, _ in GENS:
+        inv = perms[(i, -1)]
+        for c in _row_chunks(len(pts), CHUNK_ROWS):
+            images = apply_letter_np(p, pts[c], (i, -1))
+            ok = checker.equivalent(images, pts.take(inv[c], axis=0))
+            if not ok.all():
+                raise OrbitError(f"the edge of sigma{i}^-1 at point index "
+                                 f"{c.start + int(np.argmin(ok))} fails exact "
+                                 f"verification at p={p} (it inverts a verified "
+                                 f"sigma{i} edge)")
+    return len(GENS) * len(pts)
+
+
 def _expand(p, seen, frontier, checker, max_points):
-    """One BFS layer, in slices: each letter in turn is applied to
-    CHUNK_ROWS frontier points at a time, so the slices follow the
-    layer's letter-major image order.  A slice's keys are deduplicated
-    against the visited keys and against the keys new earlier in this
-    layer.  The first image of a key found in neither is its
-    representative; every other image (a recurrent edge) is verified
+    """One BFS layer, in slices: each of sigma_1, sigma_2, sigma_3 in
+    turn is applied to CHUNK_ROWS frontier points at a time, so the
+    slices follow the layer's letter-major image order.  A slice's keys
+    are deduplicated against the visited keys and against the keys new
+    earlier in this layer.  The first image of a key found in neither is
+    its representative; every other image (a recurrent edge) is verified
     against its key's representative, an older point or a row new in
     this layer.  When the layer closes, its new keys become points
     n_now, n_now + 1, ... in ascending key order, and seen takes them in
     one merge.
 
-    Returns (edges verified, successors): successors is the (6, m) int32
-    point index of the image of each frontier point under each letter.
+    Returns (edges verified, successors): successors is the (3, m) int32
+    point index of the image of each frontier point under each sigma_i.
     Apart from the layer's new rows and keys, the temporaries are those
     of one slice.
     """
     pts = seen.rows
     n_now, m = len(pts), len(frontier)
-    succ = np.empty((len(LETTERS), m), dtype=np.int32)
+    succ = np.empty((len(GENS), m), dtype=np.int32)
     # keys new in this layer, ascending, ending in a sentinel above every key
     lkeys = np.array([_NO_KEY], dtype=np.int64)
     lnum = np.array([-1], dtype=np.int64)  # the order in which each was found
     lrows = np.empty((0, 16), dtype=ROW_DTYPE)  # their representatives, in that order
     n_new = verified = 0
-    for k, L in enumerate(LETTERS):
+    for k, L in enumerate(GENS):
         for c in _row_chunks(m, CHUNK_ROWS):
             images = apply_letter_np(p, pts.take(frontier[c], axis=0), L)
             ikeys = fast_keys(p, images)
@@ -619,7 +657,8 @@ def epsilon_conjugators(params: Params):
 
 
 def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
-    """Index permutation of the reversal twist Q -> g eps(Q) h.
+    """Index permutation of the reversal twist Q -> g eps(Q) h, an
+    involution (OrbitError names the first point where it is not).
 
     The trace key of the image is independent of (g, h) (two-sided
     torus twists only flip lift signs), so the index map needs only the
@@ -637,6 +676,12 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     if (idx < 0).any():
         raise EpsilonOutsideOrbitError(
             f"epsilon maps {int((idx < 0).sum())} points outside the orbit at p={p}")
+    for c in _row_chunks(orbit.n, CHUNK_ROWS):
+        bad = np.flatnonzero(idx.take(idx[c]) != np.arange(c.start, c.stop))
+        if len(bad):
+            i = c.start + int(bad[0])
+            raise OrbitError(f"epsilon is not an involution on the orbit at p={p}: "
+                             f"index {i} -> {int(idx[i])} -> {int(idx[idx[i]])}")
     checker = make_checker(params)
     for c in _row_chunks(orbit.n, CHUNK_ROWS):
         twisted = _twisted_reversal(p, g, h, orbit.points[c])

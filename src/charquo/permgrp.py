@@ -286,15 +286,32 @@ class CertificateError(InvariantError):
     """A certificate found by the search failed its own revalidation."""
 
 
+def _inverses(gens):
+    """The inverse array of each int64 generator; an involution
+    (g[g] = id) is its own, the very array, which is how _word_perm
+    tells involutions apart."""
+    return [g if (g.take(g) == np.arange(len(g))).all() else _inverse(g) for g in gens]
+
+
 def _word_perm(word, gens, invs, n):
     """Permutation of a word [(index, +-1), ...] over int64 generators
-    and their inverses (leftmost letter applied first), composed by
-    gathers from the last letter back: out <- out[g].  Each gather then
-    reads out at a generator's images, which for orbit letters lie near
-    their points; g[out] would read g at the scattered entries of a long
-    product (about 1.6x slower on p = 31 orbit letters)."""
+    and their inverses (leftmost letter applied first; invs as
+    _inverses builds them).  The word is freely reduced first: adjacent
+    (i, e)(i, -e) cancel, and so do two adjacent letters of an
+    involution.  The rest is composed by gathers from the last letter
+    back: out <- out[g].  Each gather then reads out at a generator's
+    images, which for orbit letters lie near their points; g[out] would
+    read g at the scattered entries of a long product (about 1.6x slower
+    on p = 31 orbit letters)."""
+    reduced = []
+    for idx, e in word:
+        if reduced and reduced[-1][0] == idx and (reduced[-1][1] == -e
+                                                  or invs[idx] is gens[idx]):
+            reduced.pop()
+        else:
+            reduced.append((idx, e))
     out = np.arange(n, dtype=np.int64)
-    for idx, e in reversed(word):
+    for idx, e in reversed(reduced):
         out = np.take(out, gens[idx] if e == 1 else invs[idx])
     return out
 
@@ -312,7 +329,7 @@ class GiantCertificate:
     def permutation(self, gens):
         """The word's permutation as an int64 array."""
         gens = _int64_perms(gens)
-        return _word_perm(self.word, gens, [_inverse(g) for g in gens], self.n)
+        return _word_perm(self.word, gens, _inverses(gens), self.n)
 
     def revalidate(self, gens) -> bool:
         if not is_prime(self.q) or not (2 * self.q > self.n and self.q < self.n - 2):
@@ -361,7 +378,7 @@ def giant_certificate(gens, n, seed=0, budget=WORD_BUDGET):
         return Inconclusive("generators are not transitive")
     rng = random.Random(seed)
     gens = _int64_perms(gens)
-    invs = [_inverse(g) for g in gens]
+    invs = _inverses(gens)
     for _ in range(budget):
         word = _random_word(len(gens), rng)
         q = next((length for length in set(cycle_lengths(_word_perm(word, gens, invs, n)))

@@ -208,6 +208,78 @@ def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
     assert "reversal twist fails at p = 19" in out and "outside the orbit" in out
 
 
+def test_bfs_work_counts(cfg19, monkeypatch):
+    # the BFS keys only the forward images (and the start row); the
+    # inverse edges are applied and verified, never keyed: 3n + 1 rows
+    # keyed, 6n applied, 5n + 1 edges checked exactly
+    rows = {"fast_keys": 0, "apply_letter_np": 0, "equivalent": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            rows[name] += len(args[1])  # (p, quads, ...) and (self, Qs, Rs)
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(orbit_mod, "fast_keys", counting("fast_keys", orbit_mod.fast_keys))
+    monkeypatch.setattr(orbit_mod, "apply_letter_np",
+                        counting("apply_letter_np", orbit_mod.apply_letter_np))
+    monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent",
+                        counting("equivalent", orbit_mod._ExactChecker.equivalent))
+    orbit = enumerate_orbit(cfg19.P, cfg19.params)
+    n = orbit.n
+    assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 6 * n,
+                    "equivalent": 5 * n + 1}
+    assert orbit.edges_verified == 5 * n + 1
+
+
+@pytest.fixture()
+def reject_inverse_edge(monkeypatch):
+    """Make exact verification reject one sigma_2^-1 edge of the pass
+    after the BFS: that of point index 1000, row 3 of the second
+    997-row slice."""
+    monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    verify, apply = orbit_mod._verify_inverse_edges, orbit_mod.apply_letter_np
+    equivalent = orbit_mod._ExactChecker.equivalent
+    state = {"inverse_pass": False, "s2i_slices": 0, "rejected": False}
+
+    def inverse_pass(*args):
+        state["inverse_pass"] = True
+        return verify(*args)
+
+    def tracking(p, quads, letter):
+        if state["inverse_pass"] and letter == bq.S2i:
+            state["s2i_slices"] += 1
+        return apply(p, quads, letter)
+
+    def rejecting(self, Qs, Rs):
+        ok = equivalent(self, Qs, Rs)
+        if state["s2i_slices"] == 2 and not state["rejected"]:
+            ok[3] = False
+            state["rejected"] = True
+        return ok
+
+    monkeypatch.setattr(orbit_mod, "_verify_inverse_edges", inverse_pass)
+    monkeypatch.setattr(orbit_mod, "apply_letter_np", tracking)
+    monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent", rejecting)
+    return state
+
+
+def test_inverse_edge_rejected(cfg19, reject_inverse_edge):
+    with pytest.raises(orbit_mod.OrbitError) as ei:
+        enumerate_orbit(cfg19.P, cfg19.params)
+    assert reject_inverse_edge["rejected"]
+    assert not isinstance(ei.value, KeyCollisionError)
+    assert "sigma2^-1 at point index 1000 fails exact verification" in str(ei.value)
+
+
+def test_inverse_edge_rejected_cli_exit(reject_inverse_edge, capsys):
+    assert main(["orbit", "19", "--no-permutations"]) == 3
+    out = capsys.readouterr().out
+    assert reject_inverse_edge["rejected"]
+    assert "internal invariant violated" in out
+    assert "sigma2^-1 at point index 1000" in out
+
+
 def test_orbit_not_closed_cli_exit(monkeypatch, capsys):
     # a BFS edge map that is not a permutation is an internal invariant: exit 3
     expand = orbit_mod._expand
@@ -225,7 +297,45 @@ def test_orbit_not_closed_cli_exit(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert state["done"]
     assert "internal invariant violated: orbit not closed" in out
-    assert "sigma1 and sigma1^-1 are not inverse" in out
+    assert "sigma1 is not a bijection of the BFS points" in out
+
+
+def _break_epsilon_involution(monkeypatch):
+    """Make the reversal twist's key lookup send point 0 where point 1
+    goes, so that its index map is no longer an involution."""
+    index_of_keys = orbit_mod.OrbitIndex.index_of_keys
+
+    def tampered(self, keys):
+        idx = index_of_keys(self, keys)
+        if len(idx) > 1:
+            idx[0] = idx[1]
+        return idx
+
+    monkeypatch.setattr(orbit_mod.OrbitIndex, "index_of_keys", tampered)
+
+
+def _first_non_involution(orbit19, cfg19):
+    eps = epsilon_perm(orbit19, cfg19.params)
+    eps[0] = eps[1]
+    i = int(np.flatnonzero(eps[eps] != np.arange(orbit19.n))[0])
+    return f"index {i} -> {int(eps[i])} -> {int(eps[eps[i]])}"
+
+
+def test_epsilon_not_involution_rejected(orbit19, cfg19, monkeypatch):
+    want = _first_non_involution(orbit19, cfg19)
+    _break_epsilon_involution(monkeypatch)
+    with pytest.raises(orbit_mod.OrbitError, match="not an involution") as ei:
+        epsilon_perm(orbit19, cfg19.params)
+    assert want in str(ei.value)
+
+
+def test_epsilon_not_involution_cli_exit(orbit19, cfg19, monkeypatch, capsys):
+    want = _first_non_involution(orbit19, cfg19)
+    _break_epsilon_involution(monkeypatch)
+    assert main(["orbit", "19", "--no-permutations"]) == 3
+    out = capsys.readouterr().out
+    assert "internal invariant violated: epsilon is not an involution" in out
+    assert want in out
 
 
 def _reference_perm(orbit, letter):

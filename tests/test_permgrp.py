@@ -310,6 +310,53 @@ def test_array_and_list_inputs_agree(n):
         assert cert.revalidate(arrays) == want
 
 
+def test_reduced_word_perm_matches_list_composition():
+    # _word_perm cancels g g^-1, g^-1 g and, for an involution, g g
+    # before composing; the product must equal letter-by-letter list
+    # composition with mult and inverse
+    rng = random.Random(25)
+    for n in (2, 5, 12, 31):
+        gens = []
+        for _ in range(3):
+            g = list(range(n))
+            rng.shuffle(g)
+            gens.append(g)
+        gens.append(cyc(n, *[(k, k + 1) for k in range(0, n - 1, 2)]))  # an involution
+        arrays = [np.array(g, dtype=np.int64) for g in gens]
+        invs = pg._inverses(arrays)
+        assert invs[3] is arrays[3] and pg.mult(gens[3], gens[3]) == pg.id_perm(n)
+        for _ in range(40):
+            word = []
+            for _ in range(rng.randint(1, 30)):
+                letter = (rng.randrange(len(gens)), rng.choice((1, -1)))
+                word.append(letter)
+                if rng.random() < 0.4:  # a run that cancels: g g^-1, or g g for the involution
+                    i, e = letter
+                    word += [(i, e if i == 3 else -e), letter] * rng.randint(1, 3)
+            ref = _ref_word_perm(word, gens, n)
+            assert pg._word_perm(word, arrays, invs, n).tolist() == ref
+            assert pg.GiantCertificate(word, 2, n).permutation(gens).tolist() == ref
+    # words that cancel to nothing give the identity
+    for word in ([(0, 1), (1, -1), (1, 1), (0, -1)], [(3, 1), (3, 1)], [(3, -1), (3, 1)],
+                 [(2, -1), (3, 1), (3, -1), (2, 1)], []):
+        assert pg._word_perm(word, arrays, invs, n).tolist() == pg.id_perm(n)
+
+
+def test_revalidate_rejects_wrong_q_after_reduction():
+    # an involution among the generators: the reduced product still
+    # decides revalidation exactly
+    gens = [list(range(1, 100)) + [0], cyc(100, (0, 1)),
+            cyc(100, *[(k, 99 - k) for k in range(50)])]
+    cert = pg.giant_certificate(gens, 100, seed=9)
+    assert isinstance(cert, pg.GiantCertificate) and cert.revalidate(gens)
+    lengths = set(_ref_cycle_lengths(_ref_word_perm(cert.word, gens, 100)))
+    assert cert.q in lengths
+    wrong = next(q for q in pg.window_primes(100) if q not in lengths)
+    assert not pg.GiantCertificate(cert.word, wrong, 100).revalidate(gens)
+    padded = [cert.word[0], (2, 1), (2, 1), (1, 1), (1, -1)] + cert.word[1:]
+    assert pg.GiantCertificate(padded, cert.q, 100).revalidate(gens)
+
+
 def test_window_primes_sieve_matches_is_prime():
     primes = [q for q in range(3001) if is_prime(q)]
     for n in range(3001):
