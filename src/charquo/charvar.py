@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, adj, centralizer_pgl,
-                     classify, det, mm, pack_np, pgl_canon, tr, tr_mm)
+from .ffield import (ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw,
+                     centralizer_pgl, classify, det, mm, mm_raw, pack_np, pgl_canon,
+                     residue, tr, tr_mm)
 
 TraceTuple = tuple  # (a, b, c, x, y, z, p7), entries in [0, p)
 
@@ -48,12 +49,13 @@ def canon_keys_np(p: int, t) -> np.ndarray:
     """Packed canonical key of each 7-tuple along the last axis of t:
     canonicalize then pack_np, as the minimum of the packed flips,
     taken one flip at a time.  Each flip sums 7 columns selected from
-    the weighted digits t_j p^(6-j) and ((p - t_j) % p) p^(6-j)."""
+    the weighted digits t_j p^(6-j) and (-t_j mod p) p^(6-j)."""
     weights = pack_np(p, np.eye(7, dtype=np.int64))  # p^6 .. 1; checks p^7 < 2^63
     # coordinate-major layout, so each flip selects whole columns
     t = np.asfortranarray(t)
     pos = t * weights
-    neg = (p - t) % p * weights
+    neg = residue(p, -t)
+    neg *= weights
     best = None
     for signs in FLIP_SIGNS:
         cols = [pos[..., j] if s == 1 else neg[..., j] for j, s in enumerate(signs)]
@@ -67,11 +69,16 @@ def canon_keys_np(p: int, t) -> np.ndarray:
 def trace_coords(p, A, B, C, D) -> TraceTuple:
     """The 7 trace coordinates of the lifts (A, B, C, D), entrywise as
     the ffield kernels: ints, or one coordinate array per matrix of
-    entry-major blocks."""
-    m1 = mm(p, adj(p, B), A)
-    m2 = mm(p, adj(p, A), C)
-    m3 = mm(p, adj(p, D), C)
-    m12 = mm(p, m1, m2)
+    entry-major blocks.
+
+    Only the 7 traces are reduced.  For entries in [0, p), M1, M2 and
+    M3 are unreduced products below 2p^2 in absolute value, M1 M2 below
+    8p^4, and the largest sum, tr(M1 M2 M3), below 64 p^6 < 2^60 for
+    p <= 509."""
+    m1 = mm_raw(adj_raw(B), A)
+    m2 = mm_raw(adj_raw(A), C)
+    m3 = mm_raw(adj_raw(D), C)
+    m12 = mm_raw(m1, m2)
     return (tr(p, m1), tr(p, m2), tr(p, m3), tr_mm(p, m2, m3), tr_mm(p, m1, m3),
             tr(p, m12), tr_mm(p, m12, m3))
 

@@ -79,11 +79,31 @@ class PrimeField:
 # -- 2x2 kernels -----------------------------------------------------------
 #
 # A and B are 4-sequences (m11, m12, m21, m22) whose entries are ints or
-# equal-shape (or broadcastable) int64 arrays, in [0, p).  Matrices come
-# back as 4-tuples and scalars as single values of the same kind,
-# reduced to [0, p) except by mm_raw.
+# equal-shape (or broadcastable) int64 arrays.  Matrices come back as
+# 4-tuples and scalars as single values of the same kind.  Every kernel
+# reduces its output to [0, p) once, by residue, except two whose output
+# only feeds another product: mm_raw (entries below 2 max|A| max|B| in
+# absolute value) and adj_raw (the entries of A, two of them negated).
+# The reducing kernels accept such unreduced inputs.  A caller that
+# chains unreduced products (conjugator_np here, charvar.trace_coords,
+# and orbit's apply_letter_np, _twisted_reversal and exact checker)
+# states the bound of its largest intermediate, which must stay below
+# 2^63 for p <= 509, the largest prime whose 7-digit trace keys fit in
+# int64.
 
 I2 = (1, 0, 0, 1)
+
+
+def residue(p, x):
+    """x mod p in [0, p), for an int or an int64 array of either sign:
+    x - (x // p) p, with the quotient array reused for the result.
+    Numpy divides an array by a scalar with a multiply-and-shift
+    (division by invariant integers), several times faster than its
+    integer remainder, so this is the one reduction of every kernel."""
+    q = x // p
+    q *= -p
+    q += x
+    return q
 
 
 def mm_raw(A, B):
@@ -95,32 +115,37 @@ def mm_raw(A, B):
 
 
 def mm(p, A, B):
-    return tuple(x % p for x in mm_raw(A, B))
+    return tuple(residue(p, x) for x in mm_raw(A, B))
+
+
+def adj_raw(A):
+    """Unreduced adjugate of A: entries of A, two of them negated."""
+    a, b, c, d = A
+    return (d, -b, -c, a)
 
 
 def adj(p, A):
     """Adjugate of A: its inverse when det A = 1, and its inverse up to
     the scalar det A (so projectively exact) otherwise."""
-    a, b, c, d = A
-    return (d, -b % p, -c % p, a)
+    return tuple(residue(p, x) for x in adj_raw(A))
 
 
 def neg(p, A):
-    return tuple(-x % p for x in A)
+    return tuple(residue(p, -x) for x in A)
 
 
 def det(p, A):
     a, b, c, d = A
-    return (a * d - b * c) % p
+    return residue(p, a * d - b * c)
 
 
 def tr(p, A):
-    return (A[0] + A[3]) % p
+    return residue(p, A[0] + A[3])
 
 
 def tr_mm(p, A, B):
     """tr(A B) mod p as a sum of four products, without forming A B."""
-    return (A[0] * B[0] + A[1] * B[2] + A[2] * B[1] + A[3] * B[3]) % p
+    return residue(p, A[0] * B[0] + A[1] * B[2] + A[2] * B[1] + A[3] * B[3])
 
 
 def eq(A, B):
@@ -190,7 +215,7 @@ def first_nonzero_np(A):
 def psl_canon_np(p, A):
     """Flip signs so the first nonzero entry lies in [1, (p-1)/2]."""
     flip = first_nonzero_np(A) > (p - 1) // 2
-    return tuple(np.where(flip, (p - x) % p, x) for x in A)
+    return tuple(np.where(flip, residue(p, -x), x) for x in A)
 
 
 @lru_cache(maxsize=None)
@@ -239,7 +264,7 @@ def pencil_annihilators(p, M: Mat):
 def pgl_canon_np(p, A):
     """Scale so the first nonzero entry equals 1."""
     s = inv_table(p)[first_nonzero_np(A)]
-    return tuple(x * s % p for x in A)
+    return tuple(residue(p, x * s) for x in A)
 
 
 def pack_np(p, digits):
@@ -446,15 +471,17 @@ def conjugator_np(p, M, N):
     e1 + e2, M being diagonal) and w the same for N; in the bases (v, Mv)
     and (w, Nw) both matrices are the companion matrix of their common
     characteristic polynomial.  No check is made: other matrices give
-    some matrix g, possibly singular.
+    some matrix g, possibly singular.  The bases are left unreduced
+    (entries below 2p for M and N reduced), so g's entries are reduced
+    once, from below 8 p^2.
     """
     def cyclic_basis(A):
         a, b, c, d = A
         y = np.where(c == 0, 1, 0)
         x = np.where((c != 0) | (b == 0), 1, 0)
-        return (x, (a * x + b * y) % p, y, (c * x + d * y) % p)
+        return (x, a * x + b * y, y, c * x + d * y)
 
-    return mm(p, cyclic_basis(N), adj(p, cyclic_basis(M)))
+    return mm(p, cyclic_basis(N), adj_raw(cyclic_basis(M)))
 
 
 def exact_conjugator(F: PrimeField, M: Mat, N: Mat) -> Mat:

@@ -77,10 +77,10 @@ import numpy as np
 
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np, from_quad, trace_coords
-from .ffield import (NotConjugateError, ProjMat2, adj, centralizer_element_of_class,
+from .ffield import (NotConjugateError, ProjMat2, adj_raw, centralizer_element_of_class,
                      conjugator, det, entry_major, eq, is_scalar, legendre_table, mm,
                      mm_raw, neg, pack_np, pencil_annihilators, pgl_canon, psl_canon_np,
-                     tr, unpack_np)
+                     residue, tr, unpack_np)
 from .numutil import BudgetError, InvariantError
 
 GENS = (bq.S1, bq.S2, bq.S3)
@@ -157,7 +157,8 @@ def apply_letter_np(p, quads, letter):
     """One braid letter acting on an (n, 16) batch: an (n, 16) ROW_DTYPE
     array.  The letter acts on the blocks x, y = i-1, i (sigma_i) or
     i, i-1 (sigma_i^-1): block x moves to y's place, and
-    psl_canon(X Y^-1 X) takes x's."""
+    psl_canon(X Y^-1 X) takes x's.  X adj(Y) is left unreduced (below
+    2p^2), so X Y^-1 X is reduced once, from below 4p^3."""
     i, e = letter
     x, y = (4 * (i - 1), 4 * i) if e == 1 else (4 * i, 4 * (i - 1))
     out = quads.astype(ROW_DTYPE)
@@ -165,7 +166,7 @@ def apply_letter_np(p, quads, letter):
     for c in _row_chunks(len(quads), WIDE_ROWS):
         q = entry_major(quads[c])
         X, Y = q[x:x + 4], q[y:y + 4]
-        for j, v in enumerate(psl_canon_np(p, mm(p, mm(p, X, adj(p, Y)), X)), x):
+        for j, v in enumerate(psl_canon_np(p, mm(p, mm_raw(X, adj_raw(Y)), X)), x):
             out[c, j] = v
     return out
 
@@ -207,10 +208,16 @@ class _ExactChecker:
     (a row with a zero system would get g = 0 and be refused).
 
     The rows are lifts with invertible blocks.  The kernel works on
-    entry-major copies of the rows, with entries in [0, p), and keeps
-    some products unreduced (mm_raw); no intermediate exceeds 16 p^4 in
-    absolute value before it is reduced mod p, far under 2^63 for
-    p <= MAX_PACKED_PRIME, and nothing is packed.
+    entry-major copies of the rows, with entries in [0, p), and reduces
+    (ffield.residue) only what a test or a table reads (the system's
+    coefficients and determinant, the two determinants, the entries of
+    each block's scalar test) and ghat, which keeps the block products
+    small.  The rest stays unreduced (mm_raw, adj_raw): U and V below
+    2p^2 in absolute value, the coefficients below 8p^3 before they are
+    reduced, dhat below p^2, the block products ghat Q_k dhat adj(R_k)
+    below 8p^5, and the difference of two of their entries below
+    16p^5, the largest intermediate, far under 2^63 for
+    p <= MAX_PACKED_PRIME.  Nothing is packed.
     """
 
     def __init__(self, params: Params):
@@ -236,28 +243,27 @@ class _ExactChecker:
         """Accepted mask over the columns of the entry-major (16, m)
         arrays q and r."""
         p = self.p
-        X = adj(p, q[0:4])
+        X = adj_raw(q[0:4])
         U = mm_raw(r[0:4], X)  # |U|, |V| < 2p^2
         V = mm_raw(mm(p, r[0:4], self.delta), X)
         # the system [l1(U) l1(V); l2(U) l2(V)] (mu, nu)^T = 0
-        (lu1, lu2), (lv1, lv2) = [[sum(c * x for c, x in zip(row, M) if c) % p
+        (lu1, lu2), (lv1, lv2) = [[residue(p, sum(c * x for c, x in zip(row, M) if c))
                                    for row in self.ann] for M in (U, V)]
-        singular = (lu1 * lv2 - lv1 * lu2) % p == 0
+        singular = det(p, (lu1, lv1, lu2, lv2)) == 0
         first = (lu1 != 0) | (lv1 != 0)
         # its kernel, read off the first nonzero row
         mu = np.where(first, lv1, lv2)
         nu = -np.where(first, lu1, lu2)
-        g = [(mu * u + nu * v) % p for u, v in zip(U, V)]
+        g = [residue(p, mu * u + nu * v) for u, v in zip(U, V)]
         d0, d1, d2, d3 = self.delta
-        dh = adj(p, ((mu + nu * d0) % p, nu * d1 % p, nu * d2 % p, (mu + nu * d3) % p))
+        dh = adj_raw((mu + nu * d0, nu * d1, nu * d2, mu + nu * d3))  # below p^2
         det_g, det_d = det(p, g), det(p, dh)
         leg = legendre_table(p)
         ok = singular & (det_g != 0) & (det_d != 0) & (leg[det_g] == leg[det_d])
         for k in range(0, 16, 4):
-            s = mm_raw(mm_raw(mm_raw(g, q[k:k + 4]), dh), adj(p, r[k:k + 4]))
-            # np.fmod: the truncated remainder, zero exactly on multiples of p
-            ok &= ((np.fmod(s[1], p) == 0) & (np.fmod(s[2], p) == 0)
-                   & (np.fmod(s[0] - s[3], p) == 0) & (np.fmod(s[0], p) != 0))
+            s = mm_raw(mm_raw(mm_raw(g, q[k:k + 4]), dh), adj_raw(r[k:k + 4]))
+            ok &= ((residue(p, s[1]) == 0) & (residue(p, s[2]) == 0)
+                   & (residue(p, s[0] - s[3]) == 0) & (residue(p, s[0]) != 0))
         return ok
 
 
@@ -341,7 +347,7 @@ class OrbitIndex:
         ident = np.empty(self.n, dtype=bool)
         for c in _row_chunks(self.n, WIDE_ROWS):
             q = entry_major(self.points[c])
-            m = mm(p, q[x:x + 4], adj(p, q[y:y + 4]))
+            m = mm(p, q[x:x + 4], adj_raw(q[y:y + 4]))
             traces[c] = tr(p, m)
             ident[c] = is_scalar(m)
         return traces, ident
@@ -402,8 +408,8 @@ def _on_x(params: Params, A, B, C, D):
     bool for ints, a mask for blocks."""
     p = params.F.p
     gm, dm = params.gamma_mat, params.delta_mat
-    gam = mm(p, mm(p, A, adj(p, B)), mm(p, C, adj(p, D)))
-    del_ = mm(p, mm(p, adj(p, A), B), mm(p, adj(p, C), D))
+    gam = mm(p, mm(p, A, adj_raw(B)), mm(p, C, adj_raw(D)))
+    del_ = mm(p, mm(p, adj_raw(A), B), mm(p, adj_raw(C), D))
     return ((eq(gam, gm) & eq(del_, dm))
             | (eq(gam, neg(p, gm)) & eq(del_, neg(p, dm))))
 
@@ -693,11 +699,12 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
 
 def _twisted_reversal(p, g, h, rows):
     """The rows g eps(Q) h, blockwise, as ROW_DTYPE: lifts of the twisted
-    images with invertible blocks, which is all the checker needs."""
+    images with invertible blocks, which is all the checker needs.  g Q_k
+    is left unreduced (below 2p^2), so each block is reduced once."""
     out = np.empty(rows.shape, dtype=ROW_DTYPE)
     for c in _row_chunks(len(rows), WIDE_ROWS):
         q = entry_major(rows[c])
         for k in range(0, 16, 4):  # eps reverses the blocks
-            for j, v in enumerate(mm(p, mm(p, g, q[12 - k:16 - k]), h), k):
+            for j, v in enumerate(mm(p, mm_raw(g, q[12 - k:16 - k]), h), k):
                 out[c, j] = v
     return out

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np
-from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, classify,
+from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, classify,
                      centralizer_element_of_class, conjugator_np, det, entry_major, eq,
-                     exact_conjugator, inv_table, is_maximal, legendre_table, mm, neg,
-                     order, pack_np, pgl_canon, pgl_canon_np, psl_canon, psl_canon_np,
-                     torus_pencil, tr, tr_mm, unpack_np)
+                     exact_conjugator, inv_table, is_maximal, legendre_table, mm, mm_raw,
+                     neg, order, pack_np, pgl_canon, pgl_canon_np, psl_canon, psl_canon_np,
+                     residue, torus_pencil, tr, tr_mm, unpack_np)
 from .numutil import BudgetError, InvariantError, next_prime
 from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
                     epsilon_perm, validate_start)
@@ -413,20 +413,20 @@ def count_x(params: Params, max_prime: int = COUNT_MAX_PRIME) -> int:
     for a in range(half):
         found = [keys]
         ac = a * c3
-        lin = (target - ac + x3 * z3) % p
+        lin = residue(p, target - ac + x3 * z3)
         s0, v = a * x3 + c3 * z3, a * z3 + c3 * x3
         w = ((c3 - y0 * a) * c3 + (x3 + y0 * z3) * x3 + z3 * z3 + (a * a + y0 * y0 - 4)
              + (ac - y0) * lin)
         for b in range(half):
             if b:
                 c, x, z, sb, vb, wb = c3, x3, z3, s0, v, w
-                p7 = lin * F.inv(b) % p
+                p7 = residue(p, lin * F.inv(b))
             else:  # lin = 0 and p7 is free: every value is scanned
                 m0 = lin == 0
                 c, x, z, sb, vb, wb = (np.tile(u[m0], p) for u in (c3, x3, z3, s0, v, w))
                 p7 = np.repeat(idx, int(m0.sum()))
             t = (a, b, c, x, y0, z, p7)
-            m = (p7 * (p7 - sb) - b * vb + wb + b * b) % p == 0
+            m = residue(p, p7 * (p7 - sb) - b * vb + wb + b * b) == 0
             if m.any():
                 cols = [np.broadcast_to(col, m.shape)[m] for col in t]
                 found.append(canon_keys_np(p, np.stack(cols, axis=-1)))
@@ -482,7 +482,7 @@ def _apply_np(p, X, ops):
     it is a sum of four products of residues, below 4p^2."""
     K = len(ops)
     flat = X.astype(np.float64) @ ops.transpose(2, 0, 1).reshape(4, 4 * K).astype(np.float64)
-    return flat.astype(np.int64).reshape(len(X), K, 4) % p
+    return residue(p, flat.astype(np.int64).reshape(len(X), K, 4))
 
 
 def _sorted_unique(keys):
@@ -496,7 +496,7 @@ def _sorted_unique(keys):
 
 def _packed_signs(p, M):
     """pack_np of M and of -M, both reduced mod p."""
-    return pack_np(p, M), pack_np(p, (p - M) % p)
+    return pack_np(p, M), pack_np(p, residue(p, -M))
 
 
 def _canon_packed(p, canon, M):
@@ -658,7 +658,8 @@ def _trace_hits(p, ncoeff, M3s, target):
     the entries of M3), over row slices of ncoeff so the (rows, n_m3)
     products stay near _CHUNK_ENTRIES."""
     step = max(1, _CHUNK_ENTRIES // len(M3s))
-    return np.concatenate([np.argwhere(ncoeff[i:i + step] @ M3s.T % p == target) + [i, 0]
+    return np.concatenate([np.argwhere(residue(p, ncoeff[i:i + step] @ M3s.T) == target)
+                           + [i, 0]
                            for i in range(0, len(ncoeff), step)])
 
 
@@ -672,7 +673,7 @@ def _list_pairs(p, sl2, R1, tg, td):
     them, about p^2 for a non-scalar R1), and each solution (N, M3) is
     expanded to every M2 of N's coset."""
     S = sl2.T  # SL2 as an entry-major block
-    N = mm(p, mm(p, adj(p, S), R1), S)
+    N = mm(p, mm_raw(adj_raw(S), R1), S)  # S^-1 R1 unreduced, below 2p^2
     distinct, which = np.unique(pack_np(p, np.stack(N, axis=1)), return_inverse=True)
     # the entries of each distinct N^T: tr(N M3) is their dot product with those of M3
     ncoeff = unpack_np(p, distinct, 4)[:, [0, 2, 1, 3]]
@@ -832,7 +833,7 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
         """Packed images of the blocks js of the rows r under ops[k]."""
         digits = []
         for j in js:
-            image = np.matmul(ops[k], block[j:j + 4, r].T[..., None])[..., 0] % p  # (n, 4)
+            image = residue(p, np.matmul(ops[k], block[j:j + 4, r].T[..., None])[..., 0])  # (n, 4)
             digits.extend(pgl_canon_np(p, image.T))
         return pack_np(p, np.stack(digits, axis=-1))
 

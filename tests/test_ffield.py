@@ -9,7 +9,7 @@ from charquo.ffield import (ElementClass, NotConjugateError, PrimeField,
                             det, exact_conjugator, inv_table, is_maximal, is_scalar,
                             legendre_table, mm, neg, order, pack_np,
                             pencil_annihilators, pgl_canon, pgl_canon_np,
-                            psl_canon, psl_canon_np, tr, tr_mm, unpack_np)
+                            psl_canon, psl_canon_np, residue, tr, tr_mm, unpack_np)
 from charquo.numutil import is_prime
 from charquo.orbit import MAX_PACKED_PRIME
 from conftest import rand_psl2
@@ -294,6 +294,32 @@ def test_np_kernels_match_scalar(p):
     Sneg = (p - Sn) % p
     assert np.transpose(psl_canon_np(p, Sn)).tolist() == [list(psl_canon(F, s)) for s in S]
     assert np.transpose(psl_canon_np(p, Sneg)).tolist() == [list(psl_canon(F, s)) for s in S]
+
+
+@pytest.mark.parametrize("p", [5, 19, 31, MAX_PACKED_PRIME])
+def test_residue_equals_python_mod(p):
+    """residue agrees with Python's % on ints and on int64 arrays of
+    either sign, exact multiples of p included, up to 64 p^6 in absolute
+    value: the largest unreduced intermediate of a kernel at p = 509
+    (charvar.trace_coords's tr(M1 M2 M3))."""
+    bound = 64 * MAX_PACKED_PRIME ** 6
+    assert bound < 2 ** 60
+    rng = np.random.default_rng(p)
+    x = np.concatenate([rng.integers(-bound, bound, size=5000),
+                        rng.integers(-bound // p, bound // p, size=1000) * p,
+                        rng.integers(-3 * p, 3 * p, size=1000),
+                        [0, p, -p, 1, -1, p - 1, 1 - p, bound, -bound,
+                         bound // p * p, -(bound // p) * p]]).astype(np.int64)
+    before = x.copy()
+    want = [v % p for v in x.tolist()]
+    got = residue(p, x)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert np.array_equal(x, before)  # the argument is not reduced in place
+    ints = [residue(p, v) for v in x.tolist()]
+    assert all(type(v) is int for v in ints) and ints == want
+    # the multiples of p, and only they, reduce to 0
+    assert ((got == 0) == (x.astype(object) % p == 0)).all()
+    assert np.array_equal(residue(p, x.reshape(3, -1)), got.reshape(3, -1))
 
 
 def test_pack_roundtrip_and_bound():

@@ -9,7 +9,7 @@ from charquo import charvar as cv
 from charquo import orbit as orbit_mod
 from charquo import witness as wt
 from charquo.cli import main
-from charquo.ffield import inv_table
+from charquo.ffield import entry_major, inv_table, mm
 from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError,
                            OrbitBudgetError, enumerate_orbit, epsilon_perm,
                            fast_keys, quad_to_row, read_dump)
@@ -18,6 +18,12 @@ from conftest import rand_quad
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
 DUMP19_SHA256 = "c4cff0503cc6e32199d43f7b281fe71217d4efe851436925418f754c71246ee7"
 DUMP31_SHA256 = "b36aebeddc5c2aa68e856bb61e48b1cfd24503e7dccf2e2839bf61c9eb7a69f2"
+# sha256 of the int64 bytes of epsilon_perm and of f2_perms' x and y at p = 31
+PERMS31_SHA256 = {
+    "epsilon": "8a15b94c4663849144cdc7188ac20f7309b5c13f16e25485c4051959e2e58854",
+    "x": "3ecd6dc331d2c972f84cb3641ca61e644da214fe594d1b35cc89e6c998269969",
+    "y": "27ec0032bba4f1822c60ce0009af14b81b699427795a3d7fbf426bbc5dc2fbf4",
+}
 
 
 def test_fast_keys_match_scalar(cfg19, rng):
@@ -463,6 +469,17 @@ def test_dump31_digest(orbit31, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP31_SHA256
 
 
+def test_perms31_digests(orbit31, cfg31):
+    # the p = 31 oracle of the permutation stage: the twist and the free
+    # generators must stay byte-identical
+    x, y = orbit31.f2_perms()
+    perms = {"epsilon": epsilon_perm(orbit31, cfg31.params), "x": x, "y": y}
+    assert {name: (a.dtype, a.shape) for name, a in perms.items()} == \
+        {name: (np.dtype(np.int64), (orbit31.n,)) for name in PERMS31_SHA256}
+    assert {name: hashlib.sha256(a.tobytes()).hexdigest()
+            for name, a in perms.items()} == PERMS31_SHA256
+
+
 def _corrupt(orbit19, tmp_path, edit):
     """A p = 19 dump with its (n, 7) coordinate body changed by edit."""
     path = tmp_path / "orbit.chqo"
@@ -560,3 +577,35 @@ def test_row_kernels_agree_on_narrow_and_wide_rows(p, request):
     if p ** 8 < 2 ** 63:  # the exact key packs 8 base-p digits
         # 27 144 centralizer pairs per row at p = 233: a few rows do
         same(lambda r: wt.orbit_exact_keys(index(r), params, np.arange(0, len(r), 50)))
+
+
+def test_unreduced_intermediates_exact_at_largest_packed_prime():
+    """At p = MAX_PACKED_PRIME, where the unreduced intermediates of the
+    row kernels are largest, the kernels agree with the int path:
+    trace_coords on entry-major random lifts equals charvar.from_quad
+    on the same lifts as ProjMat2, and the exact checker accepts rows
+    twisted by an equal-class centralizer pair and refuses the rows it
+    was not twisted from, as charvar.are_equivalent does."""
+    p = orbit_mod.MAX_PACKED_PRIME
+    params = wt.build(p).params
+    F = params.F
+    quads = [orbit_mod.row_to_quad(F, r) for r in _random_lifts(p, 300, seed=11)]
+    rows = np.stack([quad_to_row(Q) for Q in quads])  # the sign-canonical lifts
+    got = np.stack(cv.trace_coords(p, *entry_major(rows).reshape(4, 4, -1)))
+    assert np.array_equal(got.T, np.array([cv.from_quad(Q) for Q in quads]))
+
+    gen = np.random.default_rng(p)
+    cg, cd = params.centralizer("gamma"), params.centralizer("delta")
+    twisted = []
+    for Q in quads:
+        ghat, sg = cg[gen.integers(len(cg))]
+        same_class = [h for h, sh in cd if sh == sg]
+        dhat = same_class[gen.integers(len(same_class))]
+        twisted.append([v for X in Q for v in mm(p, mm(p, ghat, X.m), dhat)])
+    twisted = np.array(twisted, dtype=orbit_mod.ROW_DTYPE)
+    assert (twisted != rows).any(axis=1).all()
+    checker = orbit_mod.make_checker(params)
+    assert checker.equivalent(twisted, rows).all()
+    assert not checker.equivalent(twisted, np.roll(rows, 1, axis=0)).any()
+    for Q, R in zip(quads[:5], quads[-1:] + quads[:4]):
+        assert not cv.are_equivalent(Q, R, params)
