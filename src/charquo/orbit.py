@@ -26,17 +26,17 @@ The BFS applies and keys only the forward letters sigma_1, sigma_2,
 sigma_3: the orbit is finite, so closure under them is the group orbit.
 Each layer is deduplicated without per-key Python code, in slices: each
 letter in turn is applied to CHUNK_ROWS frontier points at a time (the
-layer's letter-major image order).  A slice's image keys are
-stable-argsorted into groups of equal key, and each group's key is
-located by searchsorted in the sorted visited keys (kept beside the
-point index of each) and in the sorted keys new earlier in this layer.
-The first image of a key found in neither is its representative; every
-other image is a recurrent edge, verified against its key's
-representative (an older point, or a row new in this layer).  A letter
-maps distinct points to distinct keys, so the representative does not
-depend on the frontier's order.  When the layer closes, its new keys
-take the next point indices in ascending key order and are merged into
-the visited keys once.
+layer's letter-major image order), and each image's key is located by
+searchsorted in the sorted visited keys (kept beside the point index of
+each).  An image on a visited key is a recurrent edge, verified in its
+slice against that older point.  The images on unvisited keys are kept,
+key and row, until the layer closes.  Then one stable argsort groups
+them by key: the first image of each group in letter-major order is its
+representative, and every other member is a recurrent edge, verified
+against it.  A letter maps distinct points to distinct keys, so the
+representative does not depend on the frontier's order.  The groups
+take the next point indices in ascending key order, and their keys are
+merged into the visited keys once.
 
 Each layer also returns where every image of its frontier landed: the
 point index of the image's key group, as int32.  These successor
@@ -59,10 +59,13 @@ Memory.  What grows with the orbit is 32 bytes per point (the uint16
 quadruple) plus 12 per visited key (int64 key, int32 point index) and,
 during the BFS, 16 per point of int32 successors and frontiers (three
 letters); at rest the index keeps the six int64 letter permutations,
-48 bytes per point, 88 bytes per point in all.  A layer adds its new
-rows and keys (until they are merged, the visited arrays are copied
-once), and the transient of a slice is bounded by CHUNK_ROWS, not by
-the layer.  The permutations are filled one sigma_i at a time, each
+48 bytes per point, 88 bytes per point in all.  A layer adds its images
+on unvisited keys, 40 bytes each (row and key; there are about 1.65 per
+new point at p = 19 and 31), and at its close their sort order, groups
+and representatives; these go before the rows grow, in place, by the
+new points (until the keys are merged, the visited keys and indices are
+copied once).  The other temporaries of a layer are those of one slice, bounded by
+CHUNK_ROWS.  The permutations are filled one sigma_i at a time, each
 letter's successors freed once read, its inverse scattered beside it,
 and the rows are put into key order in place.  Point indices are
 int32, so max_points must stay below 2^31.
@@ -95,16 +98,8 @@ if np.iinfo(ROW_DTYPE).max < MAX_PACKED_PRIME:
 
 # Frontier points per slice of a BFS layer (one letter at a time), and
 # rows per gather of the twist and the dump.  Results do not depend on
-# it; it bounds their temporaries (about 4 MB for a BFS slice).  Each
-# slice also re-inserts into the layer's sorted new keys, so smaller
-# slices cost time on large layers: 2.4 s of a 23 s BFS at p = 59 on a
-# 2-core x86-64 host.
+# it; it bounds their temporaries (about 4 MB for a BFS slice).
 CHUNK_ROWS = 16_384
-
-# A key above every packed trace key (p^7 < 2^63 - 1 for p <=
-# MAX_PACKED_PRIME): it ends each BFS layer's sorted array of new keys,
-# so a searchsorted there always lands on an entry.
-_NO_KEY = np.iinfo(np.int64).max
 
 # Rows per widened copy: a row kernel's int64 (16, WIDE_ROWS) copy and
 # its (WIDE_ROWS,) temporaries stay in cache.
@@ -433,9 +428,10 @@ def validate_start(P, params: Params):
 @dataclass
 class _Visited:
     """What the BFS has found so far: the rows in point order, and the
-    visited keys, ascending, beside the point index of each.  _expand
-    replaces each array once per layer; nothing else holds them, so the
-    old array is freed before the next one grows."""
+    visited keys, ascending, beside the point index of each.  Nothing
+    else holds these arrays: _expand replaces the keys and indices once
+    per layer, so the old ones are freed, and grows the rows in place
+    (ndarray.resize, which refuses an array held elsewhere)."""
 
     rows: np.ndarray
     keys: np.ndarray
@@ -464,8 +460,7 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
 
     rng = None
     if frontier_shuffle_seed is not None:
-        import random
-        rng = random.Random(frontier_shuffle_seed)
+        rng = np.random.default_rng(frontier_shuffle_seed)
 
     start = quad_to_row(P)[None, :]
     seen = _Visited(start.copy(), fast_keys(p, start), np.zeros(1, dtype=np.int32))
@@ -475,9 +470,7 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
 
     while len(frontier):
         if rng is not None:
-            idx = list(range(len(frontier)))
-            rng.shuffle(idx)
-            frontier = frontier[np.array(idx, dtype=np.int64)]
+            frontier = rng.permutation(frontier)
         n_now = len(seen.rows)
         verified, succ = _expand(p, seen, frontier, checker, max_points)
         # one array per letter, so that _letter_perms can free each once read
@@ -554,91 +547,86 @@ def _verify_inverse_edges(p, pts, perms, checker):
     return len(GENS) * len(pts)
 
 
+def _verify_recurrent(p, checker, images, reps, keys):
+    """Exact check of recurrent edges: each image against the
+    representative of its key.  Returns the number of edges verified;
+    KeyCollisionError names the key of the first image that fails."""
+    ok = checker.equivalent(images, reps)
+    if not ok.all():
+        raise KeyCollisionError(
+            "canonical trace key collision between inequivalent points "
+            f"(key {int(keys[np.argmin(ok)])}); exact dedup falsified at p={p}")
+    return len(ok)
+
+
 def _expand(p, seen, frontier, checker, max_points):
     """One BFS layer, in slices: each of sigma_1, sigma_2, sigma_3 in
     turn is applied to CHUNK_ROWS frontier points at a time, so the
-    slices follow the layer's letter-major image order.  A slice's keys
-    are deduplicated against the visited keys and against the keys new
-    earlier in this layer.  The first image of a key found in neither is
-    its representative; every other image (a recurrent edge) is verified
-    against its key's representative, an older point or a row new in
-    this layer.  When the layer closes, its new keys become points
-    n_now, n_now + 1, ... in ascending key order, and seen takes them in
-    one merge.
+    slices follow the layer's letter-major image order.  An image whose
+    key is visited is verified against that older point in its slice.
+    The others are kept, key and row, until the layer closes; then one
+    stable sort groups them by key, the first image of each group in
+    letter-major order is its representative, every other member is
+    verified against it, and the groups become points n_now, n_now + 1,
+    ... in ascending key order, merged into seen once.
 
     Returns (edges verified, successors): successors is the (3, m) int32
     point index of the image of each frontier point under each sigma_i.
-    Apart from the layer's new rows and keys, the temporaries are those
-    of one slice.
+    Apart from the layer's images on unvisited keys, the temporaries are
+    those of one slice.
     """
     pts = seen.rows
     n_now, m = len(pts), len(frontier)
+    # -1 marks an image on an unvisited key until the layer closes
     succ = np.empty((len(GENS), m), dtype=np.int32)
-    # keys new in this layer, ascending, ending in a sentinel above every key
-    lkeys = np.array([_NO_KEY], dtype=np.int64)
-    lnum = np.array([-1], dtype=np.int64)  # the order in which each was found
-    lrows = np.empty((0, 16), dtype=ROW_DTYPE)  # their representatives, in that order
-    n_new = verified = 0
+    new_keys, new_rows = [], []  # those images, in letter-major order
+    verified = 0
     for k, L in enumerate(GENS):
         for c in _row_chunks(m, CHUNK_ROWS):
             images = apply_letter_np(p, pts.take(frontier[c], axis=0), L)
             ikeys = fast_keys(p, images)
-            # groups of equal key; a stable sort puts each group's first image first
-            order_ = np.argsort(ikeys, kind="stable")
-            skeys = ikeys[order_]
-            head = np.empty(len(skeys), dtype=bool)
-            head[0] = True
-            np.not_equal(skeys[1:], skeys[:-1], out=head[1:])
-            group = np.cumsum(head) - 1  # key group of each sorted image
-            ukeys = skeys[head]
+            asc = np.argsort(ikeys)  # searchsorted is fastest on ascending needles
+            pos = np.empty_like(asc)
+            pos[asc] = np.minimum(np.searchsorted(seen.keys, ikeys[asc]), n_now - 1)
+            old = seen.keys[pos] == ikeys
+            at = np.where(old, seen.idx[pos], -1)
+            verified += _verify_recurrent(p, checker, images[old],
+                                          pts.take(at[old], axis=0), ikeys[old])
+            succ[k, c] = at
+            new_keys.append(ikeys[~old])
+            new_rows.append(images[~old])
 
-            pos = np.minimum(np.searchsorted(seen.keys, ukeys), n_now - 1)
-            old = seen.keys[pos] == ukeys
-            lpos = np.searchsorted(lkeys, ukeys)
-            fresh = ~old & (lkeys[lpos] != ukeys)
-            # point index of each group; for this layer's keys n_now + the find order
-            rep = np.where(old, seen.idx[pos], n_now + lnum[lpos])
-            found = np.arange(n_new, n_new + int(np.count_nonzero(fresh)))
-            rep[fresh] = n_now + found
-            head[head] = fresh  # now the representatives
-            if n_new + len(found) > len(lrows):
-                grown = np.empty((max(2 * len(lrows), n_new + len(found)), 16), dtype=ROW_DTYPE)
-                grown[:n_new] = lrows[:n_new]
-                lrows = grown
-            lrows[n_new:n_new + len(found)] = images.take(order_[head], axis=0)
-            lkeys = np.insert(lkeys, lpos[fresh], ukeys[fresh])
-            lnum = np.insert(lnum, lpos[fresh], found)
-            n_new += len(found)
-
-            rec = ~head  # recurrent edges
-            reps = rep[group[rec]]
-            rrows = pts.take(np.minimum(reps, n_now - 1), axis=0)
-            late = np.flatnonzero(reps >= n_now)  # representatives new in this layer
-            rrows[late] = lrows.take(reps[late] - n_now, axis=0)
-            ok = checker.equivalent(images.take(order_[rec], axis=0), rrows)
-            if not ok.all():
-                raise KeyCollisionError(
-                    "canonical trace key collision between inequivalent points "
-                    f"(key {int(skeys[rec][np.argmin(ok)])}); exact dedup falsified at p={p}")
-            verified += len(reps)
-            succ[k, c][order_] = rep[group]
-
-    n_next = n_now + n_new
+    keys = np.concatenate(new_keys)
+    del new_keys
+    order = np.argsort(keys, kind="stable")  # each group's first image first
+    keys.sort()
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    group = np.cumsum(head, dtype=np.int32)
+    group -= 1  # each sorted image's new point, less n_now
+    n_next = n_now + int(np.count_nonzero(head))
     if n_next > max_points:
         raise OrbitBudgetError(f"orbit exceeds max_points={max_points}", n_next)
-    lkeys, lnum = lkeys[:-1], lnum[:-1]
-    renum = np.empty(n_new, dtype=np.int32)  # find order -> ascending-key point index
-    renum[lnum] = np.arange(n_now, n_next, dtype=np.int32)
-    late = succ >= n_now
-    succ[late] = renum[succ[late] - n_now]
-    at = np.searchsorted(seen.keys, lkeys)
-    seen.keys = np.insert(seen.keys, at, lkeys)
+    pending = np.concatenate(new_rows)
+    del new_rows
+    first = order[head]  # each new point's representative
+    rec = np.flatnonzero(~head)
+    for c in _row_chunks(len(rec), CHUNK_ROWS):
+        r = rec[c]
+        verified += _verify_recurrent(p, checker, pending.take(order[r], axis=0),
+                                      pending.take(first[group[r]], axis=0), keys[r])
+    dest = np.empty(len(order), dtype=np.int32)
+    dest[order] = group
+    dest += n_now
+    succ[succ < 0] = dest  # in C order, the -1 entries are the kept images' order
+    keys = keys[head]
+    at = np.searchsorted(seen.keys, keys)
+    seen.keys = np.insert(seen.keys, at, keys)
     seen.idx = np.insert(seen.idx, at, np.arange(n_now, n_next, dtype=np.int32))
-    del pts
-    rows = np.empty((n_next, 16), dtype=ROW_DTYPE)
-    rows[:n_now] = seen.rows
-    seen.rows = rows
-    np.take(lrows, lnum, axis=0, out=rows[n_now:])
+    del keys, order, head, group, rec, dest, at, pts  # resize refuses a held array
+    seen.rows.resize((n_next, 16))
+    np.take(pending, first, axis=0, out=seen.rows[n_now:])
     return verified, succ
 
 

@@ -425,11 +425,14 @@ def count_x(params: Params, max_prime: int = COUNT_MAX_PRIME) -> int:
                 m0 = lin == 0
                 c, x, z, sb, vb, wb = (np.tile(u[m0], p) for u in (c3, x3, z3, s0, v, w))
                 p7 = np.repeat(idx, int(m0.sum()))
-            t = (a, b, c, x, y0, z, p7)
             m = residue(p, p7 * (p7 - sb) - b * vb + wb + b * b) == 0
             if m.any():
-                cols = [np.broadcast_to(col, m.shape)[m] for col in t]
-                found.append(canon_keys_np(p, np.stack(cols, axis=-1)))
+                # the tuples (a, b, c, x, y0, z, p7): only c, x, z, p7 vary
+                t = np.empty((7, int(np.count_nonzero(m))), dtype=np.int64)
+                t[0], t[1], t[4] = a, b, y0
+                for j, col in ((2, c), (3, x), (5, z), (6, p7)):
+                    np.compress(m, col, out=t[j])
+                found.append(canon_keys_np(p, t.T))
         keys = _sorted_unique(np.concatenate(found))
     return len(keys)
 

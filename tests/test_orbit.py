@@ -137,11 +137,11 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
 
 def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
     # the BFS builds no whole layer: with 997-row slices (the largest
-    # p = 19 frontier has 9 844 points) its tracemalloc peak stays below
+    # p = 19 frontier has 7 147 points) its tracemalloc peak stays below
     # the resting size of the index it returns, plus 40 bytes per point
     # of bookkeeping (the rank, the int32 frontiers and successors, the
-    # inverse check) and 512 bytes per slice row; keying that largest
-    # layer at once would add over 3 MB
+    # inverse check) and 512 bytes per slice row; keying each letter's
+    # images of that largest frontier at once would add about 2.9 MB
     monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
     monkeypatch.setattr(orbit_mod, "WIDE_ROWS", 389)
     tracemalloc.start()
@@ -155,52 +155,49 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
     assert peak < resting + 40 * orbit.n + 512 * orbit_mod.CHUNK_ROWS
 
 
-@pytest.fixture()
-def reject_in_later_slice(monkeypatch):
+@pytest.fixture(params=["earlier-layer", "same-layer"])
+def reject_recurrent_edge(request, monkeypatch):
     """Make exact verification reject one recurrent edge of a layer whose
-    frontier spans several slices (CHUNK_ROWS = 997): the first edge
-    whose representative is a point new in that layer, found in an
-    earlier slice of it.  The rejected key is recorded."""
+    frontier spans several slices (CHUNK_ROWS = 997): the first whose
+    representative is a point of an earlier layer (checked in the slice
+    that finds it), or the first whose representative is a point new in
+    that layer (checked when the layer closes).  The rejected key is
+    recorded."""
     monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
     keys, expand = orbit_mod.fast_keys, orbit_mod._expand
     equivalent = orbit_mod._ExactChecker.equivalent
-    state = {"rejected": None, "slices": [], "frontier": 0}
+    state = {"rejected": None, "frontier": 0}
 
     def layer(p, seen, frontier, *args):
-        state.update(older=seen.keys.copy(), slices=[], frontier=len(frontier))
+        state.update(older=seen.keys.copy(), frontier=len(frontier))
         return expand(p, seen, frontier, *args)
-
-    def slice_keys(p, quads):  # the BFS keys each slice once, before verifying it
-        state["slices"].append(keys(p, quads))
-        return state["slices"][-1]
 
     def rejecting(self, Qs, Rs):
         ok = equivalent(self, Qs, Rs)
         if state["rejected"] is None and state["frontier"] > orbit_mod.CHUNK_ROWS:
             rkeys = keys(self.p, Rs)
-            earlier = np.concatenate([np.empty(0, dtype=np.int64), *state["slices"][:-1]])
-            hits = np.flatnonzero(np.isin(rkeys, earlier) & ~np.isin(rkeys, state["older"]))
+            older = np.isin(rkeys, state["older"])
+            hits = np.flatnonzero(older if request.param == "earlier-layer" else ~older)
             if len(hits):
                 ok[hits[0]] = False
                 state["rejected"] = int(rkeys[hits[0]])
         return ok
 
     monkeypatch.setattr(orbit_mod, "_expand", layer)
-    monkeypatch.setattr(orbit_mod, "fast_keys", slice_keys)
     monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent", rejecting)
     return state
 
 
-def test_forced_collision_names_key(cfg19, reject_in_later_slice):
+def test_forced_collision_names_key(cfg19, reject_recurrent_edge):
     with pytest.raises(KeyCollisionError) as ei:
         enumerate_orbit(cfg19.P, cfg19.params)
-    assert f"(key {reject_in_later_slice['rejected']})" in str(ei.value)
+    assert f"(key {reject_recurrent_edge['rejected']})" in str(ei.value)
 
 
-def test_forced_collision_cli_exit(reject_in_later_slice, capsys):
+def test_forced_collision_cli_exit(reject_recurrent_edge, capsys):
     assert main(["orbit", "19", "--no-permutations"]) == 3
     out = capsys.readouterr().out
-    assert f"(key {reject_in_later_slice['rejected']})" in out
+    assert f"(key {reject_recurrent_edge['rejected']})" in out
 
 
 def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
