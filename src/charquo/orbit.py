@@ -50,10 +50,11 @@ plus the 3n inverse edges, 5n + 1 in all.  No image is keyed twice.
 
 Rows are stored as ROW_DTYPE (uint16): every entry is a residue below
 p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np,
-exact verification, the backstop, the twist and the sigma traces) widen
-WIDE_ROWS rows at a time into an entry-major int64 (16, m) copy
-(ffield.entry_major), whose slices of four rows are blocks for the
-ffield kernels, so no narrow array reaches int arithmetic.
+exact verification and the twist) widen their whole input, at most
+CHUNK_ROWS rows from every caller, into an entry-major int64 (16, m)
+copy (ffield.entry_major), whose slices of four rows are blocks for the
+ffield kernels, so no narrow array reaches int arithmetic; the backstop
+and the sigma traces widen CHUNK_ROWS rows at a time.
 
 Memory.  What grows with the orbit is 32 bytes per point (the uint16
 quadruple) plus 12 per visited key (int64 key, int32 point index) and,
@@ -62,10 +63,11 @@ letters); at rest the index keeps the six int64 letter permutations,
 48 bytes per point, 88 bytes per point in all.  A layer adds its images
 on unvisited keys, 40 bytes each (row and key; there are about 1.65 per
 new point at p = 19 and 31), and at its close their sort order, groups
-and representatives; these go before the rows grow, in place, by the
-new points (until the keys are merged, the visited keys and indices are
-copied once).  The other temporaries of a layer are those of one slice, bounded by
-CHUNK_ROWS.  The permutations are filled one sigma_i at a time, each
+and representatives.  All but the kept rows and the representatives go
+before the rows grow by the new points (ndarray.resize, which may move
+them; until the keys are merged, the visited keys and indices are
+copied once).  The other temporaries of a layer are those of one slice,
+bounded by CHUNK_ROWS.  The permutations are filled one sigma_i at a time, each
 letter's successors freed once read, its inverse scattered beside it,
 and the rows are put into key order in place.  Point indices are
 int32, so max_points must stay below 2^31.
@@ -96,14 +98,12 @@ ROW_DTYPE = np.uint16
 if np.iinfo(ROW_DTYPE).max < MAX_PACKED_PRIME:
     raise InvariantError(f"{ROW_DTYPE.__name__} rows cannot hold residues mod {MAX_PACKED_PRIME}")
 
-# Frontier points per slice of a BFS layer (one letter at a time), and
-# rows per gather of the twist and the dump.  Results do not depend on
-# it; it bounds their temporaries (about 4 MB for a BFS slice).
-CHUNK_ROWS = 16_384
-
-# Rows per widened copy: a row kernel's int64 (16, WIDE_ROWS) copy and
-# its (WIDE_ROWS,) temporaries stay in cache.
-WIDE_ROWS = 8192
+# Rows per slice: BFS frontier points per slice (one letter at a time),
+# and the most rows any caller passes a row kernel.  Results do not
+# depend on it; it bounds the temporaries (about 2 MB for a BFS slice).
+# At p = 31 on a 2-core x86-64 host, 16 384 rows per kernel call raised
+# the BFS peak by about 5 MB, and 4096 the whole run's by about 3 MB.
+CHUNK_ROWS = 8192
 
 # Default cap on the orbit size (the enumerate_orbit and pipeline
 # default, and that of `charquo orbit --max-points`).
@@ -141,11 +141,8 @@ class EpsilonOutsideOrbitError(ValueError):
 
 def fast_keys(p, quads):
     """Packed canonical trace key of each row of an (m, 16) batch."""
-    out = np.empty(len(quads), dtype=np.int64)
-    for c in _row_chunks(len(quads), WIDE_ROWS):
-        t = np.stack(trace_coords(p, *entry_major(quads[c]).reshape(4, 4, -1)))
-        out[c] = canon_keys_np(p, t.T)  # (m, 7), coordinate-major
-    return out
+    t = np.stack(trace_coords(p, *entry_major(quads).reshape(4, 4, -1)))
+    return canon_keys_np(p, t.T)  # (m, 7), coordinate-major
 
 
 def apply_letter_np(p, quads, letter):
@@ -158,11 +155,10 @@ def apply_letter_np(p, quads, letter):
     x, y = (4 * (i - 1), 4 * i) if e == 1 else (4 * i, 4 * (i - 1))
     out = quads.astype(ROW_DTYPE)
     out[:, y:y + 4] = quads[:, x:x + 4]
-    for c in _row_chunks(len(quads), WIDE_ROWS):
-        q = entry_major(quads[c])
-        X, Y = q[x:x + 4], q[y:y + 4]
-        for j, v in enumerate(psl_canon_np(p, mm(p, mm_raw(X, adj_raw(Y)), X)), x):
-            out[c, j] = v
+    q = entry_major(quads)
+    X, Y = q[x:x + 4], q[y:y + 4]
+    for j, v in enumerate(psl_canon_np(p, mm(p, mm_raw(X, adj_raw(Y)), X)), x):
+        out[:, j] = v
     return out
 
 
@@ -229,9 +225,7 @@ class _ExactChecker:
         (ghat = dhat = I); the others get the candidate test."""
         ok = (Qs == Rs).all(axis=1)
         rest = np.flatnonzero(~ok)
-        Qs, Rs = Qs.take(rest, axis=0), Rs.take(rest, axis=0)
-        for c in _row_chunks(len(rest), WIDE_ROWS):
-            ok[rest[c]] = self._one_candidate(entry_major(Qs[c]), entry_major(Rs[c]))
+        ok[rest] = self._one_candidate(entry_major(Qs[rest]), entry_major(Rs[rest]))
         return ok
 
     def _one_candidate(self, q, r):
@@ -340,7 +334,7 @@ class OrbitIndex:
         x, y = 4 * (i - 1), 4 * i  # sigma_i's matrix is block i-1 times block i inverse
         traces = np.empty(self.n, dtype=np.int64)
         ident = np.empty(self.n, dtype=bool)
-        for c in _row_chunks(self.n, WIDE_ROWS):
+        for c in _row_chunks(self.n, CHUNK_ROWS):
             q = entry_major(self.points[c])
             m = mm(p, q[x:x + 4], adj_raw(q[y:y + 4]))
             traces[c] = tr(p, m)
@@ -412,7 +406,7 @@ def _on_x(params: Params, A, B, C, D):
 def _on_x_mask(params: Params, rows) -> np.ndarray:
     """Mask over (m, 16) rows: _on_x of each."""
     ok = np.empty(len(rows), dtype=bool)
-    for c in _row_chunks(len(rows), WIDE_ROWS):
+    for c in _row_chunks(len(rows), CHUNK_ROWS):
         ok[c] = _on_x(params, *entry_major(rows[c]).reshape(4, 4, -1))
     return ok
 
@@ -428,10 +422,12 @@ def validate_start(P, params: Params):
 @dataclass
 class _Visited:
     """What the BFS has found so far: the rows in point order, and the
-    visited keys, ascending, beside the point index of each.  Nothing
-    else holds these arrays: _expand replaces the keys and indices once
-    per layer, so the old ones are freed, and grows the rows in place
-    (ndarray.resize, which refuses an array held elsewhere)."""
+    visited keys, ascending, beside the point index of each.  _expand
+    replaces the keys and indices once per layer and grows the rows by
+    ndarray.resize without its reference check.  That is safe because
+    every read of the rows is a take, which copies, so no view of them
+    exists when a layer closes; any other reference (a profiler's) is
+    to the same object, which sees the new buffer."""
 
     rows: np.ndarray
     keys: np.ndarray
@@ -624,8 +620,8 @@ def _expand(p, seen, frontier, checker, max_points):
     at = np.searchsorted(seen.keys, keys)
     seen.keys = np.insert(seen.keys, at, keys)
     seen.idx = np.insert(seen.idx, at, np.arange(n_now, n_next, dtype=np.int32))
-    del keys, order, head, group, rec, dest, at, pts  # resize refuses a held array
-    seen.rows.resize((n_next, 16))
+    del keys, order, head, group, rec, dest, at  # freed before the rows grow
+    seen.rows.resize((n_next, 16), refcheck=False)  # see _Visited
     np.take(pending, first, axis=0, out=seen.rows[n_now:])
     return verified, succ
 
@@ -690,9 +686,8 @@ def _twisted_reversal(p, g, h, rows):
     images with invertible blocks, which is all the checker needs.  g Q_k
     is left unreduced (below 2p^2), so each block is reduced once."""
     out = np.empty(rows.shape, dtype=ROW_DTYPE)
-    for c in _row_chunks(len(rows), WIDE_ROWS):
-        q = entry_major(rows[c])
-        for k in range(0, 16, 4):  # eps reverses the blocks
-            for j, v in enumerate(mm(p, mm_raw(g, q[12 - k:16 - k]), h), k):
-                out[c, j] = v
+    q = entry_major(rows)
+    for k in range(0, 16, 4):  # eps reverses the blocks
+        for j, v in enumerate(mm(p, mm_raw(g, q[12 - k:16 - k]), h), k):
+            out[:, j] = v
     return out

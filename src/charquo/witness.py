@@ -4,9 +4,10 @@ brute-force point-counting oracle for X^(2), and the end-to-end
 quotient pipeline.
 
 gamma = u w has trace 3 and delta = (u v w v^-1)^-1 has trace 11, so a
-usable prime must keep 3 and 11 away from {0, +-2} mod p and make
-tr(gamma)^2 - 4 = 5 a square while tr(delta)^2 - 4 = 117 = 9 * 13 is
-not one.
+usable prime must keep 3 and 11 away from {0, +-2} mod p and put one of
+gamma, delta in a split torus and the other in a non-split one: one of
+tr(gamma)^2 - 4 = 5 and tr(delta)^2 - 4 = 117 = 9 * 13 a square mod p
+and the other not.
 """
 
 from __future__ import annotations
@@ -40,32 +41,31 @@ class WitnessError(ValueError):
     pass
 
 
-def _degenerate(p: int) -> bool:
-    bad = {0, 2, p - 2}
-    return (TR_GAMMA % p) in bad or (TR_DELTA % p) in bad
-
-
 def find_prime(minimum: int = 5, mode: str = "relaxed") -> int:
-    """Least usable prime >= minimum.
+    """Least usable prime >= minimum: one where build succeeds (a
+    WitnessError marks a degenerate prime) and check_assumptions passes
+    run_pipeline's gate, the split/non-split and unipotent point
+    assumptions.
 
-    strict: the congruences p = 1 (mod 5), p = -2 (mod 13).
-    relaxed: the underlying quadratic conditions (5 a square, 13 not),
-    which they imply; unlocks desk-scale primes such as 19 and 31.
-    Both modes reject primes where tr(gamma) or tr(delta) degenerates.
+    relaxed: the gate alone, which either assignment of split and
+    non-split passes; unlocks desk-scale primes such as 17, 19 and 23.
+    strict: also the congruences p = 1 (mod 5), p = -2 (mod 13).
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"unknown mode {mode!r}")
-    p = max(5, minimum)
-    while True:
-        p = next_prime(p)
-        if mode == "strict":
-            ok = p % 5 == 1 and p % 13 == 11
-        else:
-            F = PrimeField(p)
-            ok = F.legendre(5) == 1 and F.legendre(13) == -1
-        if ok and not _degenerate(p):
-            return p
-        p += 1
+    p = next_prime(max(5, minimum))
+    while not ((mode == "relaxed" or (p % 5 == 1 and p % 13 == 11)) and _passes_gate(p)):
+        p = next_prime(p + 1)
+    return p
+
+
+def _passes_gate(p: int) -> bool:
+    try:
+        cfg = build(p)
+    except WitnessError:  # a degenerate prime
+        return False
+    report = check_assumptions(cfg)
+    return report.nonconjugation_ok and report.point_ok
 
 
 @dataclass

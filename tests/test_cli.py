@@ -45,7 +45,7 @@ def test_witness_find_prime_json(capsys):
     code, out = run(capsys, "witness", "--mode", "relaxed", "--min", "2", "--json")
     assert code == 0
     rep = json.loads(out)
-    assert rep["p"] == 19
+    assert rep["p"] == 17
     assert rep["assumptions"]["nonconjugation_5_1"]
 
 

@@ -1,4 +1,6 @@
+import cProfile
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -122,7 +124,6 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
     # so most keys new in a layer recur in its later slices
     for chunk in (997, 61):
         monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", chunk)
-        monkeypatch.setattr(orbit_mod, "WIDE_ROWS", 389)
         b = enumerate_orbit(cfg19.P, cfg19.params)
         assert (b.keys == orbit19.keys).all()
         assert (b.points == orbit19.points).all()
@@ -143,7 +144,6 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
     # inverse check) and 512 bytes per slice row; keying each letter's
     # images of that largest frontier at once would add about 2.9 MB
     monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
-    monkeypatch.setattr(orbit_mod, "WIDE_ROWS", 389)
     tracemalloc.start()
     try:
         orbit = enumerate_orbit(cfg19.P, cfg19.params)
@@ -153,6 +153,64 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
     resting = (orbit.points.nbytes + orbit.keys.nbytes
                + sum(perm.nbytes for perm in orbit.perms.values()))
     assert peak < resting + 40 * orbit.n + 512 * orbit_mod.CHUNK_ROWS
+
+
+def test_row_kernels_see_one_slice(monkeypatch):
+    # the kernels do not slice: every caller, in the BFS, the inverse
+    # edge pass and the reversal twist, passes at most CHUNK_ROWS rows
+    monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    widest = {}
+
+    def watched(name, fn, rows_arg):
+        def call(*args):
+            widest[name] = max(widest.get(name, 0), len(args[rows_arg]))
+            return fn(*args)
+        return call
+
+    for name, rows_arg in (("fast_keys", 1), ("apply_letter_np", 1), ("_twisted_reversal", 3)):
+        monkeypatch.setattr(orbit_mod, name, watched(name, getattr(orbit_mod, name), rows_arg))
+    monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent",
+                        watched("equivalent", orbit_mod._ExactChecker.equivalent, 1))
+    rep = wt.run_pipeline(19, include_permutations=False)
+    assert rep["n"] == 32400
+    assert sorted(widest) == ["_twisted_reversal", "apply_letter_np", "equivalent", "fast_keys"]
+    assert max(widest.values()) <= orbit_mod.CHUNK_ROWS, widest
+
+
+def _profiled(how, fn):
+    """fn() with a profiler or tracer installed the way `how` names."""
+    if how == "cProfile":
+        prof = cProfile.Profile()
+        prof.enable()
+        try:
+            return fn()
+        finally:
+            prof.disable()
+    get, install = {"setprofile": (sys.getprofile, sys.setprofile),
+                    "settrace": (sys.gettrace, sys.settrace)}[how]
+    before = get()
+    install(lambda frame, event, arg: None)
+    try:
+        return fn()
+    finally:
+        install(before)
+
+
+@pytest.mark.parametrize("how", ["cProfile", "setprofile", "settrace"])
+def test_bfs_under_profilers(orbit19, cfg19, how):
+    # a profiler or tracer holds extra references to the BFS's locals;
+    # the rows still grow, and the result is the plain run's
+    b = _profiled(how, lambda: enumerate_orbit(cfg19.P, cfg19.params))
+    assert (b.points == orbit19.points).all()
+    assert (b.keys == orbit19.keys).all()
+    for L in LETTERS:
+        assert (b.letter_perm(L) == orbit19.letter_perm(L)).all()
+    assert b.edges_verified == orbit19.edges_verified == 5 * b.n + 1
+
+
+def test_orbit_cli_under_cprofile(capsys):
+    assert _profiled("cProfile", lambda: main(["orbit", "19", "--no-permutations"])) == 0
+    assert "F2 surjects onto A_32400" in capsys.readouterr().out
 
 
 @pytest.fixture(params=["earlier-layer", "same-layer"])

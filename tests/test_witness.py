@@ -20,8 +20,8 @@ REPORT19_SEED7_SHA256 = "befefe47cbc4a369cb549f99b8f678c6fa8bca83d14bbb63fbb6109
 
 def test_find_prime():
     assert wt.find_prime(2, "strict") == 271
-    assert wt.find_prime(2, "relaxed") == 19
-    assert wt.find_prime(20, "relaxed") == 31
+    assert wt.find_prime(2, "relaxed") == 17
+    assert wt.find_prime(20, "relaxed") == 23
     with pytest.raises(ValueError):
         wt.find_prime(2, "bogus")
 
@@ -216,6 +216,19 @@ def test_run_pipeline_report_shape():
     buf = io.StringIO()
     to_json(rep, buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == REPORT19_SEED7_SHA256
+
+
+def test_run_pipeline_gamma_nonsplit():
+    # at p = 17, gamma is non-split and delta split: the gate accepts
+    # either assignment, and the pipeline certifies
+    rep = wt.run_pipeline(17, seed=0, include_permutations=False)
+    assert rep["assumptions"]["gamma_class"] == "nonsplit"
+    assert rep["assumptions"]["delta_class"] == "split"
+    assert rep["n"] == rep["x_count"] == 20736
+    assert rep["classification"] in ("Alternating", "Symmetric")
+    assert rep["f2_x_nontrivial"] and rep["f2_x_sign"] == 1
+    assert rep["certificate"] is not None
+    assert rep["edges_verified"] == 5 * rep["n"] + 1
 
 
 def test_psl_order_table(cfg19):
