@@ -59,18 +59,20 @@ and the sigma traces widen CHUNK_ROWS rows at a time.
 Memory.  What grows with the orbit is 32 bytes per point (the uint16
 quadruple) plus 12 per visited key (int64 key, int32 point index) and,
 during the BFS, 16 per point of int32 successors and frontiers (three
-letters); at rest the index keeps the six int64 letter permutations,
-48 bytes per point, 88 bytes per point in all.  A layer adds its images
-on unvisited keys, 40 bytes each (row and key; there are about 1.65 per
-new point at p = 19 and 31), and at its close their sort order, groups
-and representatives.  All but the kept rows and the representatives go
-before the rows grow by the new points (ndarray.resize, which may move
-them; until the keys are merged, the visited keys and indices are
-copied once).  The other temporaries of a layer are those of one slice,
-bounded by CHUNK_ROWS.  The permutations are filled one sigma_i at a time, each
-letter's successors freed once read, its inverse scattered beside it,
-and the rows are put into key order in place.  Point indices are
-int32, so max_points must stay below 2^31.
+letters).  At rest the index keeps 64 bytes per point: the row, the key
+and the six int32 letter permutations, 24 bytes of them.  A layer adds
+its images on unvisited keys, 40 bytes each (row and key; there are
+about 1.65 per new point at p = 19 and 31), and at its close their sort
+order, groups and representatives.  All but the kept rows and the
+representatives go before the rows grow by the new points
+(ndarray.resize, which may move them; until the keys are merged, the
+visited keys and indices are copied once).  The other temporaries of a
+layer are those of one slice, bounded by CHUNK_ROWS.  The permutations
+are filled one sigma_i at a time, each letter's successors freed once
+read, its inverse scattered beside it, and the rows are put into key
+order in place.  Point indices are int32 throughout, from the BFS
+successors to the letter permutations, epsilon_perm and f2_perms, so
+max_points must stay below 2^31.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ class OrbitIndex:
     params: Params
     points: np.ndarray  # (n, 16) ROW_DTYPE residues, ascending key order
     keys: np.ndarray    # (n,) packed canonical trace keys, ascending
-    perms: dict         # letter -> (n,) int64 index permutation
+    perms: dict         # letter -> (n,) int32 index permutation
     edges_verified: int = 0
 
     @property
@@ -310,7 +312,7 @@ class OrbitIndex:
 
     def perm_of(self, word) -> np.ndarray:
         """Permutation of a braid word (leftmost letter applied first)."""
-        out = np.arange(self.n, dtype=np.int64)
+        out = np.arange(self.n, dtype=np.int32)
         for letter in word:
             out = self.letter_perm(letter)[out]
         return out
@@ -322,7 +324,7 @@ class OrbitIndex:
         whole intermediate is built."""
         s2, s2i = self.letter_perm(bq.S2), self.letter_perm(bq.S2i)
         x = self.letter_perm(bq.S3i).take(self.letter_perm(bq.S1))
-        y = np.empty(self.n, dtype=np.int64)
+        y = np.empty(self.n, dtype=np.int32)
         for c in _row_chunks(self.n, CHUNK_ROWS):
             np.take(s2i, x.take(s2[c]), out=y[c])
         return x, y
@@ -510,12 +512,12 @@ def _letter_perms(layers, rank):
         for frontier, s in layers:
             succ[frontier] = s[k]
             s[k] = None
-        perm = np.empty(n, dtype=np.int64)
-        inv = np.full(n, -1, dtype=np.int64)
+        perm = np.empty(n, dtype=np.int32)
+        inv = np.full(n, -1, dtype=np.int32)
         for c in _row_chunks(n, CHUNK_ROWS):
             perm[rank[c]] = rank[succ[c]]
         for c in _row_chunks(n, CHUNK_ROWS):
-            inv[perm[c]] = np.arange(c.start, c.stop)
+            inv[perm[c]] = np.arange(c.start, c.stop, dtype=np.int32)
         missed = np.flatnonzero(inv < 0)
         if len(missed):
             raise OrbitError(f"orbit not closed: sigma{i} is not a bijection of the "
@@ -660,7 +662,7 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     """
     g, h = epsilon_conjugators(params)
     p = orbit.p
-    idx = np.empty(orbit.n, dtype=np.int64)
+    idx = np.empty(orbit.n, dtype=np.int32)
     for c in _row_chunks(orbit.n, CHUNK_ROWS):
         idx[c] = orbit.index_of_keys(fast_keys(p, orbit.points[c][:, _REVERSED]))
     if (idx < 0).any():

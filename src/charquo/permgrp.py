@@ -5,16 +5,18 @@ one-sided Monte-Carlo recognition of giants (groups containing A_n).
 Permutations are 0-based image arrays.  Composition is in diagram
 order: mult(p, q) applies p first, then q.
 
-Everything that computes works on int64 numpy arrays and accepts lists:
+Everything that computes works on numpy index arrays and accepts lists:
 the giant-recognition path (cycle_lengths, sign, is_transitive,
 window_primes, giant_certificate, GiantCertificate, classify_giant),
 which scales to orbits of millions of points, and the exact stabilizer
-chain (schreier_sims, BSGS) up to ORACLE_BOUND.  id_perm, mult, inverse
-and check_perm stay on plain lists, because readers of a JSON report
-compare their results with lists.  minimal_block, which only tests
-call, stays a union-find over lists: an array port by class-label
-propagation measured slower (11.5 s against 9.2 s per 100 calls at
-p = 19).
+chain (schreier_sims, BSGS) up to ORACLE_BOUND.  Their index dtype is
+int32 below 2^31 points (_index_dtype); an int32 array, such as an
+orbit's letter permutation, is used as it is, without a copy.  id_perm,
+mult, inverse and check_perm stay on plain lists, because readers of a
+JSON report compare their results with lists.  minimal_block, which
+only tests call, stays a union-find over lists: an array port by
+class-label propagation measured slower (11.5 s against 9.2 s per 100
+calls at p = 19).
 """
 
 from __future__ import annotations
@@ -54,23 +56,32 @@ def check_perm(p, n=None):
         seen[i] = 1
 
 
-def _int64_perms(gens):
-    return [np.asarray(g, dtype=np.int64) for g in gens]
+def _index_dtype(n):
+    """The dtype of index arrays on n points: int32 while every index
+    fits (it halves the bytes of each random gather; cycle labelling ran
+    about 25 % faster), int64 from 2^31 points on."""
+    return np.int32 if n < 2 ** 31 else np.int64
+
+
+def _index_array(g):
+    """g as an index array of _index_dtype: an array already of that
+    dtype is returned as it is, not copied."""
+    return np.asarray(g, dtype=_index_dtype(len(g)))
 
 
 def _cycle_labels(p):
     """Each point labelled by the least point of its cycle, by pointer
     doubling: after k rounds lab[i] is the minimum over the 2^k points
-    i, f(i), ..., so ceil(log2 n) rounds cover every cycle."""
-    # int32 halves the bytes of these random gathers (about 25 % faster)
-    dtype = np.int32 if len(p) < 2 ** 31 else np.int64
-    f = np.asarray(p, dtype=dtype)
-    lab = np.arange(len(f), dtype=dtype)
+    i, f(i), ..., so ceil(log2 n) rounds cover every cycle.  f is
+    squared between rounds only, not after the last."""
+    f = _index_array(p)
+    lab = np.arange(len(f), dtype=f.dtype)
     span = 1
     while span < len(f):
         lab = np.minimum(lab, np.take(lab, f))
-        f = np.take(f, f)
         span *= 2
+        if span < len(f):
+            f = np.take(f, f)
     return lab
 
 
@@ -93,7 +104,7 @@ def is_transitive(gens, n) -> bool:
         return True
     if not len(gens):
         return False
-    gens = _int64_perms(gens)
+    gens = [_index_array(g) for g in gens]
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
@@ -124,7 +135,7 @@ class OracleBoundExceeded(BudgetError):
 
 def _inverse(g):
     inv = np.empty_like(g)
-    inv[g] = np.arange(len(g), dtype=np.int64)
+    inv[g] = np.arange(len(g), dtype=g.dtype)
     return inv
 
 
@@ -133,7 +144,7 @@ class BSGS:
     """Base and strong generating set.  Level i holds the base point
     base[i], the strong generators gens[i] that fix base[:i], and the
     transversal transversals[i] = {x: (u, u^-1)} of the orbit of base[i]
-    under gens[i], u an int64 array mapping base[i] to x."""
+    under gens[i], u an index array mapping base[i] to x."""
 
     base: list
     gens: list
@@ -154,7 +165,7 @@ class BSGS:
         return h, len(self.base)
 
     def contains(self, g) -> bool:
-        h, j = self.sift(np.asarray(g, dtype=np.int64))
+        h, j = self.sift(_index_array(g))
         return j == len(self.base) and bool((h == np.arange(len(h))).all())
 
 
@@ -176,7 +187,7 @@ def _extend_orbit(transversal, gens, points, new_gens):
 
 
 def schreier_sims(gens, n=None) -> BSGS:
-    """Sims' incremental Schreier-Sims on int64 arrays (Seress 2003,
+    """Sims' incremental Schreier-Sims on index arrays (Seress 2003,
     ch. 4; Holt-Eick-O'Brien 2005, 4.4): exact group order and
     membership.  Each Schreier pair (orbit point, generator index) of
     level i is sifted once, from level i + 1; a non-identity residue
@@ -185,14 +196,14 @@ def schreier_sims(gens, n=None) -> BSGS:
     deepest pending level is processed next.  Refuses degrees above
     ORACLE_BOUND.
     """
-    gens = _int64_perms(gens)
+    gens = [_index_array(g) for g in gens]
     if n is None:
         n = len(gens[0]) if gens else 1
     if n > ORACLE_BOUND:
         raise OracleBoundExceeded(f"degree {n} exceeds oracle bound {ORACLE_BOUND}")
     for g in gens:
         check_perm(g, n)
-    ident = np.arange(n, dtype=np.int64)
+    ident = np.arange(n, dtype=_index_dtype(n))
     chain = BSGS([], [], [])
     done: list = []  # per level: the Schreier pairs already sifted
 
@@ -287,14 +298,14 @@ class CertificateError(InvariantError):
 
 
 def _inverses(gens):
-    """The inverse array of each int64 generator; an involution
+    """The inverse array of each index-array generator; an involution
     (g[g] = id) is its own, the very array, which is how _word_perm
     tells involutions apart."""
     return [g if (g.take(g) == np.arange(len(g))).all() else _inverse(g) for g in gens]
 
 
 def _word_perm(word, gens, invs, n):
-    """Permutation of a word [(index, +-1), ...] over int64 generators
+    """Permutation of a word [(index, +-1), ...] over index-array generators
     and their inverses (leftmost letter applied first; invs as
     _inverses builds them).  The word is freely reduced first: adjacent
     (i, e)(i, -e) cancel, and so do two adjacent letters of an
@@ -310,7 +321,7 @@ def _word_perm(word, gens, invs, n):
             reduced.pop()
         else:
             reduced.append((idx, e))
-    out = np.arange(n, dtype=np.int64)
+    out = np.arange(n, dtype=_index_dtype(n))
     for idx, e in reversed(reduced):
         out = np.take(out, gens[idx] if e == 1 else invs[idx])
     return out
@@ -327,8 +338,9 @@ class GiantCertificate:
     n: int
 
     def permutation(self, gens):
-        """The word's permutation as an int64 array."""
-        gens = _int64_perms(gens)
+        """The word's permutation as an index array (int32 below 2^31
+        points)."""
+        gens = [_index_array(g) for g in gens]
         return _word_perm(self.word, gens, _inverses(gens), self.n)
 
     def revalidate(self, gens) -> bool:
@@ -377,7 +389,7 @@ def giant_certificate(gens, n, seed=0, budget=WORD_BUDGET):
     if not is_transitive(gens, n):
         return Inconclusive("generators are not transitive")
     rng = random.Random(seed)
-    gens = _int64_perms(gens)
+    gens = [_index_array(g) for g in gens]
     invs = _inverses(gens)
     for _ in range(budget):
         word = _random_word(len(gens), rng)
@@ -412,7 +424,7 @@ def classify_giant(gens, n, seed=0, budget=WORD_BUDGET) -> GiantClassification:
     the group order; beyond that bound the answer is Inconclusive.  The
     sign of each generator is computed once and returned on every path.
     """
-    gens = _int64_perms(gens)
+    gens = [_index_array(g) for g in gens]
     signs = [sign(g) for g in gens]
     cert = giant_certificate(gens, n, seed=seed, budget=budget)
     if isinstance(cert, GiantCertificate):

@@ -901,8 +901,9 @@ def orbit_sigma_orders(orbit: OrbitIndex, i: int):
     """Order of the sigma_i matrix of every orbit point."""
     F = orbit.params.F
     table = psl_order_by_trace(F)
+    by_trace = np.array([table[t] for t in range(F.p)], dtype=np.int64)
     traces, ident = orbit.sigma_matrix_traces(i)
-    out = np.array([table[int(t)] for t in traces], dtype=np.int64)
+    out = by_trace.take(traces)
     out[ident] = 1
     return out
 
@@ -916,7 +917,7 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     """Witness -> orbit -> permutations -> classification -> verdict.
 
     Returns the QuotientReport as a plain dict.  Its "permutations"
-    (when included) are the six int64 arrays, not lists: cli.to_json
+    (when included) are the six int32 arrays, not lists: cli.to_json
     writes them as JSON lists.  Failures name their stage: WitnessError
     for a failed assumption, EpsilonOutsideOrbitError for a failed
     reversal twist and CertificateError for a certificate that fails

@@ -20,7 +20,8 @@ from conftest import rand_quad
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
 DUMP19_SHA256 = "c4cff0503cc6e32199d43f7b281fe71217d4efe851436925418f754c71246ee7"
 DUMP31_SHA256 = "b36aebeddc5c2aa68e856bb61e48b1cfd24503e7dccf2e2839bf61c9eb7a69f2"
-# sha256 of the int64 bytes of epsilon_perm and of f2_perms' x and y at p = 31
+# sha256 of the int64 bytes of epsilon_perm and of f2_perms' x and y at
+# p = 31 (the arrays are int32; they are widened before hashing)
 PERMS31_SHA256 = {
     "epsilon": "8a15b94c4663849144cdc7188ac20f7309b5c13f16e25485c4051959e2e58854",
     "x": "3ecd6dc331d2c972f84cb3641ca61e644da214fe594d1b35cc89e6c998269969",
@@ -530,9 +531,19 @@ def test_perms31_digests(orbit31, cfg31):
     x, y = orbit31.f2_perms()
     perms = {"epsilon": epsilon_perm(orbit31, cfg31.params), "x": x, "y": y}
     assert {name: (a.dtype, a.shape) for name, a in perms.items()} == \
-        {name: (np.dtype(np.int64), (orbit31.n,)) for name in PERMS31_SHA256}
-    assert {name: hashlib.sha256(a.tobytes()).hexdigest()
+        {name: (np.dtype(np.int32), (orbit31.n,)) for name in PERMS31_SHA256}
+    assert {name: hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest()
             for name, a in perms.items()} == PERMS31_SHA256
+
+
+def test_point_permutations_are_int32(orbit19, cfg19):
+    # every point index is below 2^31, so the six letter permutations,
+    # the reversal twist and the free generators are all int32
+    x, y = orbit19.f2_perms()
+    arrays = [*(orbit19.perms[L] for L in LETTERS), epsilon_perm(orbit19, cfg19.params), x, y]
+    assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * 9
+    word = orbit19.perm_of([bq.S1, bq.S3i])
+    assert word.dtype == np.int32 and (word == x).all()
 
 
 def _corrupt(orbit19, tmp_path, edit):

@@ -374,3 +374,46 @@ def test_failed_revalidation_raises(monkeypatch):
     monkeypatch.setattr(pg.GiantCertificate, "revalidate", lambda self, gens: False)
     with pytest.raises(pg.CertificateError, match=r"q = \d+, n = 100"):
         pg.giant_certificate(gens, 100, seed=3)
+
+
+def test_int32_arrays_are_used_as_given(monkeypatch):
+    # an int32 generator is taken as it is: classify_giant hands the
+    # very arrays it was given to sign and to every word composition,
+    # so it makes no wider copy; lists and int64 arrays become int32
+    n = 100
+    gens = [np.array(list(range(1, n)) + [0], dtype=np.int32),
+            np.array(cyc(n, (0, 1)), dtype=np.int32)]
+    assert all(pg._index_array(g) is g for g in gens)
+    for other in (cyc(n, (0, 1)), np.array(cyc(n, (0, 1)), dtype=np.int64)):
+        assert pg._index_array(other).dtype == np.int32
+    used = []
+    sign, word_perm = pg.sign, pg._word_perm
+    monkeypatch.setattr(pg, "sign", lambda g: used.append(g) or sign(g))
+    monkeypatch.setattr(pg, "_word_perm", lambda word, gs, invs, m:
+                        used.extend(gs) or word_perm(word, gs, invs, m))
+    cls = pg.classify_giant(gens, n, seed=9)
+    assert cls.kind == "Symmetric" and cls.certificate is not None
+    assert len(used) > len(gens) and all(any(g is h for h in gens) for g in used)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 32, 33])
+def test_int32_int64_and_list_inputs_agree(n):
+    # the same cycle lengths, signs, certificates and stabilizer-chain
+    # orders from every input form; the sizes straddle powers of two,
+    # where the last round of cycle labelling skips squaring f
+    rng = random.Random(300 + n)
+    cases = _perm_cases(n, rng)
+    forms = [cases, [np.array(g, dtype=np.int64) for g in cases],
+             [np.array(g, dtype=np.int32) for g in cases]]
+    for k, p in enumerate(cases):
+        assert [pg.cycle_lengths(f[k]) for f in forms] == [_ref_cycle_lengths(p)] * 3
+        assert [pg.sign(f[k]) for f in forms] == [_ref_sign(p)] * 3
+    word = [(rng.randrange(len(cases)), rng.choice((1, -1))) for _ in range(30)]
+    ref = _ref_word_perm(word, cases, n)
+    q = max(_ref_cycle_lengths(ref))
+    for f in forms:
+        perm = pg.GiantCertificate(word, q, n).permutation(f)
+        assert perm.dtype == np.int32 and perm.tolist() == ref
+    assert len({pg.GiantCertificate(word, q, n).revalidate(f) for f in forms}) == 1
+    assert len({pg.schreier_sims(f, n).order for f in forms}) == 1
+    assert pg.schreier_sims(forms[2], n).contains(np.array(ref, dtype=np.int32))
