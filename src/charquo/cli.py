@@ -26,6 +26,7 @@ from . import witness as wt
 from .numutil import BudgetError
 from .orbit import MAX_POINTS, read_dump
 from .permgrp import WORD_BUDGET
+from .qlinalg import mat_mul
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -227,11 +228,10 @@ def cmd_qrep(args) -> int:
             checks["w2_eigenvalue"] = mats.sigma[1][0][0] == qr.expected_w2_eigenvalue(ell)
             lines.append(f"eigenvalue: {mats.sigma[1][0][0]!r}")
         if n == 3:
-            checks["yang_baxter_on_v"] = qr.yang_baxter_on_v(ell)
+            checks["yang_baxter_on_v"] = qr.braid_relations_hold(mats.sigma_v, 3, mat_mul)
         if n >= 3:
-            checks["bn1_decomposition"] = qr.decomposition_check(n, ell, mats.basis,
-                                                                 mats.sigma_v)
-            checks["e_commutes"] = qr.e_commutes_with_braiding(n, ell, mats.sigma_v)
+            checks["bn1_decomposition"] = qr.decomposition_check(mats)
+            checks["e_commutes"] = qr.e_commutes_with_braiding(mats)
         if n == 4:
             # the form checks live on V_{4,1}: small and exact
             checks["starred_identities_v41"] = qr.starred_identities_check(1)

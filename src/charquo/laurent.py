@@ -26,10 +26,6 @@ class LaurentPoly2:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_dict(cls, d):
-        return cls({k: v for k, v in d.items() if v})
-
-    @classmethod
     def zero(cls):
         return cls({})
 
@@ -224,14 +220,6 @@ class LaurentPoly2:
 
 ZERO = LaurentPoly2.zero()
 ONE = LaurentPoly2.const(1)
-
-
-def qvar(e: int = 1) -> LaurentPoly2:
-    return LaurentPoly2.monomial(1, e, 0)
-
-
-def svar(e: int = 1) -> LaurentPoly2:
-    return LaurentPoly2.monomial(1, 0, e)
 
 
 def qs_monomial(eq: int, es: int, coeff: int = 1) -> LaurentPoly2:

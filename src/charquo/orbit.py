@@ -310,13 +310,6 @@ class OrbitIndex:
         exactly against the point it came from."""
         return self.perms[letter]
 
-    def perm_of(self, word) -> np.ndarray:
-        """Permutation of a braid word (leftmost letter applied first)."""
-        out = np.arange(self.n, dtype=np.int32)
-        for letter in word:
-            out = self.letter_perm(letter)[out]
-        return out
-
     def f2_perms(self):
         """Permutations of the free generators x = s1 s3^-1 and
         y = s2 x s2^-1, two gathers each: x = s3^-1[s1] and

@@ -117,16 +117,12 @@ def highest_weight_basis(n: int, ell: int):
     content-stripped; dimension binom(n+ell-2, ell) or an internal error."""
     if n < 2 or ell < 0:
         raise ValueError("need n >= 2, ell >= 0")
-    D = weight_dim(n, ell)
-    E = e_matrix(n, ell)
-    if not E:
-        basis = [[ONE if k == j else ZERO for k in range(D)] for j in range(D)]
-    else:
-        basis = nullspace(E)
+    E = e_matrix(n, ell)  # no rows at ell = 0: every unit vector is in ker(E)
+    basis = nullspace(E, ncols=weight_dim(n, ell))
     if len(basis) != hw_dim(n, ell):
         raise ArithmeticError(
             f"kernel dimension {len(basis)} != binom({n + ell - 2},{ell})")
-    if E and any(e.terms for row in mat_mul(E, mat_transpose(basis)) for e in row):
+    if any(e.terms for row in mat_mul(E, mat_transpose(basis)) for e in row):
         raise InvariantError(f"highest-weight basis of W_{n},{ell}: "
                              "a basis vector is not killed by E")
     return basis
@@ -210,28 +206,20 @@ def expected_w2_eigenvalue(ell: int) -> LaurentPoly2:
     return qs_monomial(ell * (ell - 1), -2 * ell, -1 if ell % 2 else 1)
 
 
-def yang_baxter_on_v(ell: int) -> bool:
-    """(R x 1)(1 x R)(R x 1) = (1 x R)(R x 1)(1 x R) on V_{3, ell}, exact."""
-    return braid_relations_hold({i: sigma_on_V(3, ell, i) for i in (1, 2)},
-                                3, mat_mul)
-
-
-def e_commutes_with_braiding(n: int, ell: int, sigma_v=None) -> bool:
-    """The two actions commute: E sigma_i = sigma_i E on V_{n, ell}.
-    sigma_v, when given, holds the sigma_i on V_{n, ell}
-    (RepMatrices.sigma_v); otherwise they are built here."""
+def e_commutes_with_braiding(mats: RepMatrices) -> bool:
+    """The two actions commute: E sigma_i = sigma_i E on V_{n, ell}."""
+    n, ell = mats.n, mats.ell
     if ell == 0:
         return True
-    sigma_v = sigma_v or {i: sigma_on_V(n, ell, i) for i in range(1, n)}
     E = e_matrix(n, ell)
     for i in range(1, n):
         lower = sigma_on_V(n, ell - 1, i)
-        if mat_mul(E, sigma_v[i]) != mat_mul(lower, E):
+        if mat_mul(E, mats.sigma_v[i]) != mat_mul(lower, E):
             return False
     return True
 
 
-def decomposition_check(n: int, ell: int, basis, sigma_v=None) -> bool:
+def decomposition_check(mats: RepMatrices) -> bool:
     """Dimension bookkeeping of the restriction to the braid subgroup on
     strands 2..n, plus the first-index filtration realizing it.
 
@@ -244,26 +232,25 @@ def decomposition_check(n: int, ell: int, basis, sigma_v=None) -> bool:
     dimensions, sum_{t = ell-j}^{ell} binom(n-3+t, t), which stacks up
     to the claimed direct-sum decomposition.
 
-    basis must be highest_weight_basis(n, ell), as RepMatrices.basis
-    holds it: its vectors end at distinct free columns f_k
+    The basis is the highest_weight_basis that braid_matrices
+    certified: its vectors end at distinct free columns f_k
     (_free_columns, which raises otherwise), so they are in echelon
     form.  Compositions are in lex order, so V_{<=j} is a prefix of the
     coordinates, and dim G_j = #{k : comps[f_k][0] <= j}, with no
-    elimination.  sigma_v, when given, holds the sigma_i on V_{n, ell}
-    (RepMatrices.sigma_v); otherwise they are built here.
+    elimination.
     """
+    n, ell = mats.n, mats.ell
     if n < 3:
         raise ValueError("need n >= 3")
     if hw_dim(n, ell) != sum(binom(n + k - 3, k) for k in range(ell + 1)):
         return False
-    sigma_v = sigma_v or {i: sigma_on_V(n, ell, i) for i in range(1, n)}
     comps = compositions(n, ell)
     for i in range(2, n):
         if any(e.terms and comps[r][0] != comps[c][0]
-               for r, row in enumerate(sigma_v[i])
+               for r, row in enumerate(mats.sigma_v[i])
                for c, e in enumerate(row)):
             return False
-    firsts = [comps[f][0] for f in _free_columns(basis)]
+    firsts = [comps[f][0] for f in _free_columns(mats.basis)]
     return all(sum(a <= j for a in firsts)
                == sum(binom(n - 3 + t, t) for t in range(ell - j, ell + 1))
                for j in range(ell + 1))
@@ -474,26 +461,6 @@ def _is_scalar_mod(M, r):
     return all(M[i][j] % r == (d if i == j else 0) for i in range(n) for j in range(n))
 
 
-def _proportional_mod(A, B, r):
-    n = len(A)
-    lam = None
-    for i in range(n):
-        for j in range(n):
-            a, b = A[i][j] % r, B[i][j] % r
-            if b:
-                lam = a * pow(b, r - 2, r) % r
-                break
-        if lam is not None:
-            break
-    if lam is None:
-        return _is_zero_mod(A, r)
-    return all(A[i][j] % r == lam * B[i][j] % r for i in range(n) for j in range(n))
-
-
-def _is_zero_mod(A, r):
-    return all(v % r == 0 for row in A for v in row)
-
-
 def check_point(r: int, q0: int, s0: int):
     """Raise ValueError unless (q0, s0) is a point over F_r at which the
     ring can be evaluated: r prime, q0 and s0 units mod r."""
@@ -507,10 +474,10 @@ def specialize(mats: RepMatrices, r: int, q0: int, s0: int, J=None) -> dict:
     """Evaluate the representation at (q0, s0) over F_r, entry by entry:
     the matrices are integral, so no denominator can vanish.
 
-    Re-verifies the braid relations over F_r, reports whether sigma_1
-    and sigma_3 agree projectively (they must not) and whether
-    x = sigma_1 sigma_3^-1 is scalar (it must not be).  Raises
-    ValueError at a point check_point refuses.
+    Re-verifies the braid relations over F_r and reports whether
+    x = sigma_1 sigma_3^-1 is scalar, that is whether sigma_1 and
+    sigma_3 agree projectively (they must not).  Raises ValueError at
+    a point check_point refuses.
     """
     check_point(r, q0, s0)
     spec = {i: [[e.eval_mod(q0, s0, r) for e in row] for row in S]
@@ -526,10 +493,11 @@ def specialize(mats: RepMatrices, r: int, q0: int, s0: int, J=None) -> dict:
            "dim": mats.dim, "sigma": {i: spec[i] for i in spec},
            "relations_hold": relations}
     if mats.n >= 4:
-        out["sigma1_eq_sigma3_projectively"] = _proportional_mod(spec[1], spec[3], r)
         x = mult(spec[1], _mat_inv_mod(spec[3], r))
+        scalar = _is_scalar_mod(x, r)
+        out["sigma1_eq_sigma3_projectively"] = scalar
         out["x_matrix"] = x
-        out["x_nonscalar"] = not _is_scalar_mod(x, r)
+        out["x_nonscalar"] = not scalar
     if J is not None:
         out["J"] = [[e.eval_mod(q0, s0, r) for e in row] for row in J]
     return out

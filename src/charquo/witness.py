@@ -188,7 +188,6 @@ def check_assumptions(cfg: WitnessConfig) -> AssumptionReport:
     F = cfg.F
     params = cfg.params
     cg, cd = classify(params.gamma), classify(params.delta)
-    nonconj = {cg, cd} == {ElementClass.SPLIT, ElementClass.NONSPLIT}
     sigma_mats = (cfg.u, cfg.v, cfg.w)
     unip = tuple(classify(ProjMat2.of(F, m)) is ElementClass.UNIPOTENT for m in sigma_mats)
     if all(unip):
@@ -199,7 +198,7 @@ def check_assumptions(cfg: WitnessConfig) -> AssumptionReport:
     og, od = order(params.gamma), order(params.delta)
     return AssumptionReport(
         gamma_class=cg.value, delta_class=cd.value,
-        nonconjugation_ok=nonconj,
+        nonconjugation_ok=params.satisfies_nonconjugation(),
         sigma_unipotent=unip,
         distinct_fixed_lines=distinct,
         point_ok=all(unip) and distinct,

@@ -20,6 +20,7 @@ from charquo import qrep as qr
 from charquo import witness as wt
 from charquo.ffield import ElementClass, ProjMat2, coarse_type
 from charquo.numutil import binom
+from charquo.qlinalg import mat_mul
 from conftest import rand_psl2, rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
@@ -191,15 +192,13 @@ def test_criterion_08_quantum_engine():
         for ell in range(4):
             mats = qr.braid_matrices(n, ell)  # verifies relations exactly
             assert mats.dim == binom(n + ell - 2, ell)
+            assert n < 3 or qr.decomposition_check(mats)
     for ell in range(5):
         assert qr.braid_matrices(2, ell).sigma[1][0][0] == qr.expected_w2_eigenvalue(ell)
-    for n in range(3, 6):
-        for ell in range(4):
-            assert qr.decomposition_check(n, ell, qr.highest_weight_basis(n, ell))
     for t in range(7):
         assert qr.qbinom_product_identity(t)
     for ell in range(5):
-        assert qr.yang_baxter_on_v(ell)
+        assert qr.braid_relations_hold(qr.braid_matrices(3, ell).sigma_v, 3, mat_mul)
     assert qr.starred_identities_check(1)
     for (n, ell) in ((4, 1), (4, 2)):
         J, info = qr.intertwiner_J(qr.braid_matrices(n, ell))

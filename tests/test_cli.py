@@ -199,6 +199,8 @@ def test_qrep_modulus_refused_before_work(capsys, monkeypatch):
 
 # sha256 of `qrep N ELL --verify --specialize 1009 517 897 --max-n N --json`
 QREP_REPORT_DIGESTS = {
+    (2, 3): "878c96f3fe07aa9cb8f8ac230b569f2f011c0f2a3f6492d97cea75455fd49360",
+    (3, 3): "d69c00cc28bd114bb57d3fd5de066fc5ec7e4aed35f28aa36b43416c142a4ab5",
     (4, 2): "468c636884ac11ccf8fe99f40b472ca31f4774892a09486f3a6781703b98c08f",
     (5, 3): "e28afae41508b762e66af3d2f1cbb64611bb80816739dd289572ea7cd2e6cf4a",
     (6, 3): "c2268089f220d27a2b0804ae8e7c10f03ee0658211308730d274b3099be43861",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from charquo.laurent import (ONE, ZERO, ExactDivisionError, LaurentPoly2,
-                             qbinom, qfact, qnum, qvar, svar)
+                             qbinom, qfact, qnum, qs_monomial)
 
 
 def rand_poly(rng, nterms=4, span=4):
@@ -11,7 +11,7 @@ def rand_poly(rng, nterms=4, span=4):
     for _ in range(nterms):
         t[(rng.randrange(-span, span + 1), rng.randrange(-span, span + 1))] = \
             rng.randrange(-9, 10)
-    return LaurentPoly2.from_dict(t)
+    return LaurentPoly2({k: v for k, v in t.items() if v})
 
 
 def test_ring_axioms_sample():
@@ -32,7 +32,7 @@ def test_bar_involution():
         a, b = rand_poly(rng), rand_poly(rng)
         assert a.bar().bar() == a
         assert (a * b).bar() == a.bar() * b.bar()
-    assert qvar(3).bar() == qvar(-3)
+    assert qs_monomial(3, 0).bar() == qs_monomial(-3, 0)
     assert qnum(4).bar() == qnum(4)  # q-numbers are bar-invariant
 
 
@@ -44,7 +44,7 @@ def test_exact_division():
             continue
         assert (a * b).exact_div(b) == a
     with pytest.raises(ExactDivisionError):
-        (qvar(1) + 1).exact_div(qvar(1) - 1)
+        (qs_monomial(1, 0) + 1).exact_div(qs_monomial(1, 0) - 1)
     with pytest.raises(ExactDivisionError):
         LaurentPoly2.const(3).exact_div(LaurentPoly2.const(2))
     with pytest.raises(ZeroDivisionError):
@@ -52,17 +52,17 @@ def test_exact_division():
 
 
 def test_content_stripping():
-    p = LaurentPoly2.from_dict({(2, 1): 6, (0, 1): -9})
+    p = LaurentPoly2({(2, 1): 6, (0, 1): -9})
     assert p.content() == (3, 0, 1)
     assert (-p).content() == (-3, 0, 1)
-    assert LaurentPoly2.from_dict({(-1, 2): 4}).content() == (4, -1, 2)
-    assert LaurentPoly2.from_dict({}).content() == (1, 0, 0)
+    assert LaurentPoly2({(-1, 2): 4}).content() == (4, -1, 2)
+    assert LaurentPoly2({}).content() == (1, 0, 0)
 
 
 def test_qnum_qfact_qbinom():
     assert qnum(0) == ZERO
     assert qnum(1) == ONE
-    assert qnum(2) == qvar(1) + qvar(-1)
+    assert qnum(2) == qs_monomial(1, 0) + qs_monomial(-1, 0)
     assert qfact(3) == qnum(3) * qnum(2)
     assert qbinom(2, 1) == qnum(2)
     for n in range(8):
@@ -72,7 +72,7 @@ def test_qnum_qfact_qbinom():
 
 
 def test_eval_mod():
-    p = qvar(2) * 3 + svar(-1) * 2 - 5
+    p = qs_monomial(2, 0) * 3 + qs_monomial(0, -1) * 2 - 5
     r = 101
     q0, s0 = 7, 9
     want = (3 * pow(7, 2, r) + 2 * pow(9, r - 2, r) - 5) % r

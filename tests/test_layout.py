@@ -192,11 +192,12 @@ def _hook_targets(path):
 
 
 def test_benchmark_hooks_resolve():
-    # the benchmark's tracer wraps charquo functions by name and its
-    # child calls them by name: a renamed or deleted one must fail here,
-    # not only inside a benchmark run
+    # the benchmark's tracer wraps charquo functions by name, its child
+    # calls them by name and its output checks revalidate with permgrp
+    # by name: a renamed or deleted one must fail here, not only inside
+    # a benchmark run
     found, checked = [], 0
-    for name in ("tracing.py", "child.py"):
+    for name in ("tracing.py", "child.py", "checks.py"):
         for line, text, resolved in _hook_targets(PERFBENCH / name):
             checked += 1
             if resolved is MISSING:

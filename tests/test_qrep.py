@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from charquo import qrep as qr
-from charquo.laurent import ONE, ZERO, qbinom, qnum, qs_monomial, qvar, svar
+from charquo.laurent import ONE, ZERO, qbinom, qnum, qs_monomial
 from charquo.numutil import BudgetError, InvariantError, binom
 from charquo.qlinalg import ff_jordan, mat_mul
 
@@ -18,13 +20,13 @@ def test_r_matrix_examples():
     r = dict(qr.r_matrix(0, 5))
     assert r == {(5, 0): qs_monomial(0, -5)}
     r10 = dict(qr.r_matrix(1, 0))
-    assert r10[(0, 1)] == svar(-1)
-    assert r10[(1, 0)] == svar(-1) * (svar(1) - svar(-1))
+    assert r10[(0, 1)] == qs_monomial(0, -1)
+    assert r10[(1, 0)] == qs_monomial(0, -1) * (qs_monomial(0, 1) - qs_monomial(0, -1))
 
 
 def test_yang_baxter():
     for ell in range(5):
-        assert qr.yang_baxter_on_v(ell)
+        assert qr.braid_relations_hold(qr.braid_matrices(3, ell).sigma_v, 3, mat_mul)
 
 
 def test_sigma_commutes_on_disjoint_factors():
@@ -124,42 +126,42 @@ def test_central_element_scalar():
 
 
 def test_decomposition_check():
-    assert qr.decomposition_check(4, 2, qr.highest_weight_basis(4, 2))
-    assert qr.decomposition_check(3, 2, qr.highest_weight_basis(3, 2))
-    assert qr.decomposition_check(5, 3, qr.highest_weight_basis(5, 3))
+    for n, ell in ((4, 2), (3, 2), (5, 3)):
+        assert qr.decomposition_check(qr.braid_matrices(n, ell))
     assert binom(4, 2) == 1 + 2 + 3
     assert binom(3, 2) == 1 + 1 + 1
     assert binom(6, 3) == 1 + 3 + 6 + 10
 
 
-def test_decomposition_check_rejects_first_index_moves(monkeypatch):
-    real = qr.sigma_on_V
+def _moved_sigma_v(mats, i, r, c, entry):
+    """mats with entry added at (r, c) of sigma_i on V."""
+    M = [list(row) for row in mats.sigma_v[i]]
+    M[r][c] = M[r][c] + entry
+    return replace(mats, sigma_v={**mats.sigma_v, i: M})
+
+
+def test_decomposition_check_rejects_first_index_moves():
     comps = qr.compositions(4, 2)
     r, c = comps.index((1, 1, 0, 0)), comps.index((0, 2, 0, 0))
-
-    def patched(n, ell, i):
-        M = real(n, ell, i)
-        if i == 3:
-            M[r][c] = ONE  # sends first part 0 to first part 1
-        return M
-
-    monkeypatch.setattr(qr, "sigma_on_V", patched)
-    assert not qr.decomposition_check(4, 2, qr.highest_weight_basis(4, 2))
+    # sends first part 0 to first part 1
+    mats = _moved_sigma_v(qr.braid_matrices(4, 2), 3, r, c, ONE)
+    assert not qr.decomposition_check(mats)
 
 
 def test_decomposition_check_rejects_a_dropped_vector():
     for n, ell in ((3, 2), (4, 2), (5, 3)):
-        basis = qr.highest_weight_basis(n, ell)
-        for k in (0, len(basis) - 1):
-            assert not qr.decomposition_check(n, ell, basis[:k] + basis[k + 1:])
+        mats = qr.braid_matrices(n, ell)
+        for k in (0, mats.dim - 1):
+            basis = mats.basis[:k] + mats.basis[k + 1:]
+            assert not qr.decomposition_check(replace(mats, basis=basis))
 
 
 def test_decomposition_check_rejects_a_non_echelon_basis():
     # b_0 + b_last spans the same W but ends where b_last does
-    basis = qr.highest_weight_basis(4, 2)
-    basis[0] = [a + b for a, b in zip(basis[0], basis[-1])]
+    mats = qr.braid_matrices(4, 2)
+    b0 = [a + b for a, b in zip(mats.basis[0], mats.basis[-1])]
     with pytest.raises(InvariantError, match="not in echelon form"):
-        qr.decomposition_check(4, 2, basis)
+        qr.decomposition_check(replace(mats, basis=[b0] + mats.basis[1:]))
 
 
 def _is_unit(u):
@@ -228,7 +230,7 @@ def _vv(m, q0, s0):
 
 def test_hermitian_values():
     assert qr.hermitian_form(0) == [[ONE]]
-    h = qvar(1) - qvar(-1)
+    h = qs_monomial(1, 0) - qs_monomial(-1, 0)
     anti = [[h if r + c == 3 else ZERO for c in range(4)] for r in range(4)]
     assert qr.hermitian_form(1) == anti
     # every entry of num(H) against the product of the (v_m, v_m) times
@@ -323,6 +325,14 @@ def test_specialize_good_point():
     assert rep["x_nonscalar"]
 
 
+def test_specialize_sigma1_proportional_to_sigma3():
+    # on the one-dimensional W_4,0 every sigma_i is the same scalar
+    rep = qr.specialize(qr.braid_matrices(4, 0), 7, 3, 5)
+    assert rep["relations_hold"]
+    assert rep["sigma1_eq_sigma3_projectively"]
+    assert not rep["x_nonscalar"]
+
+
 def test_specialize_flip_at_unit_point():
     M = [[e.eval_mod(1, 1, 97) for e in row] for row in qr.sigma_on_V(3, 2, 1)]
     comps = qr.compositions(3, 2)
@@ -352,4 +362,10 @@ def test_export_json_shape():
 
 def test_e_commutes():
     for (n, ell) in ((3, 2), (4, 2), (5, 2)):
-        assert qr.e_commutes_with_braiding(n, ell)
+        assert qr.e_commutes_with_braiding(qr.braid_matrices(n, ell))
+
+
+def test_e_commutes_rejects_a_perturbed_sigma():
+    mats = qr.braid_matrices(4, 2)
+    for i in (1, 3):
+        assert not qr.e_commutes_with_braiding(_moved_sigma_v(mats, i, 0, 0, ONE))
