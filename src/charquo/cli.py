@@ -234,9 +234,7 @@ def cmd_qrep(args) -> int:
             checks["e_commutes"] = qr.e_commutes_with_braiding(mats)
         if n == 4:
             # the form checks live on V_{4,1}: small and exact
-            checks["starred_identities_v41"] = qr.starred_identities_check(1)
-            checks["reversal_conjugation"] = qr.reversal_conjugation_check(1)
-            checks["constructive_intertwiner"] = qr.intertwiner_construction_check(1)
+            checks.update(qr.form_identities(1))
             J, info = qr.intertwiner_J(mats)
             checks["intertwiner"] = all(info.values())
             report["intertwiner"] = info

@@ -288,8 +288,9 @@ def unpack_np(p, keys, width):
     new last axis."""
     keys = np.asarray(keys, dtype=np.int64)
     out = np.empty(keys.shape + (width,), dtype=np.int64)
+    quotient = np.empty_like(keys)  # each digit is written in place, with no copy
     for j in range(width - 1, -1, -1):
-        keys, out[..., j] = np.divmod(keys, p)
+        keys = np.divmod(keys, p, out=(quotient, out[..., j]))[0]
     return out
 
 

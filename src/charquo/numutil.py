@@ -1,4 +1,4 @@
-"""Small integer number theory: primality, factoring, binomials, and
+"""Small integer number theory: primality and factoring, and
 the package's two error bases that are not ValueError: BudgetError
 (exit code 2) and InvariantError (exit code 3).
 
@@ -99,16 +99,6 @@ def factorize(n: int) -> dict:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return out
-
-
-def binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
     return out
 
 

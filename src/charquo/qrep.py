@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 
 from .laurent import ONE, ZERO, LaurentPoly2, qbinom, qfact, qs_monomial
-from .numutil import BudgetError, InvariantError, binom, is_prime
+from .numutil import BudgetError, InvariantError, is_prime
 from .qlinalg import mat_mul, mat_transpose, nullspace
 
 
@@ -48,11 +49,11 @@ def compositions(n: int, ell: int):
 
 
 def weight_dim(n, ell):
-    return binom(n + ell - 1, ell)
+    return comb(n + ell - 1, ell)
 
 
 def hw_dim(n, ell):
-    return binom(n + ell - 2, ell)
+    return comb(n + ell - 2, ell)
 
 
 # -- the R-matrix ------------------------------------------------------------
@@ -242,7 +243,7 @@ def decomposition_check(mats: RepMatrices) -> bool:
     n, ell = mats.n, mats.ell
     if n < 3:
         raise ValueError("need n >= 3")
-    if hw_dim(n, ell) != sum(binom(n + k - 3, k) for k in range(ell + 1)):
+    if hw_dim(n, ell) != sum(comb(n + k - 3, k) for k in range(ell + 1)):
         return False
     comps = compositions(n, ell)
     for i in range(2, n):
@@ -252,7 +253,7 @@ def decomposition_check(mats: RepMatrices) -> bool:
             return False
     firsts = [comps[f][0] for f in _free_columns(mats.basis)]
     return all(sum(a <= j for a in firsts)
-               == sum(binom(n - 3 + t, t) for t in range(ell - j, ell + 1))
+               == sum(comb(n - 3 + t, t) for t in range(ell - j, ell + 1))
                for j in range(ell + 1))
 
 
@@ -305,64 +306,43 @@ def hermitian_form(ell: int):
     return H
 
 
-def starred_identities_check(ell: int) -> bool:
-    """sigma_1^T H bar(sigma_3) = sigma_2^T H bar(sigma_2)
-    = sigma_3^T H bar(sigma_1) = H on V_{4, ell}, exactly, on num(H):
-    the one scalar denominator of H cancels from both sides."""
-    N = hermitian_form(ell)
-    mats = {i: sigma_on_V(4, ell, i) for i in (1, 2, 3)}
-    for i in (1, 2, 3):
-        bar = [[e.bar() for e in row] for row in mats[4 - i]]
-        if mat_mul(mat_mul(mat_transpose(mats[i]), N), bar) != N:
-            return False
-    return True
+def form_identities(ell: int) -> dict:
+    """The three form identities on V_{4, ell}, from one build of
+    sigma_1..sigma_3 and their bars, num(H), L = D_4 T_4 (D_4 diagonal
+    q^sum a_i(a_i+1), T_4 the reversal) and J_V, under the keys and in
+    the order `qrep --verify` reports them:
 
+    starred_identities_v41: sigma_i^T H bar(sigma_(4-i)) = H for every
+      i, exactly on num(H): its one scalar denominator cancels;
+    reversal_conjugation: L sigma_i^-1 L^-1 = bar(sigma_(4-i)), tested
+      in the inverse-free form L = bar(sigma_(4-i)) L sigma_i;
+    constructive_intertwiner: J_V sigma_i^T = sigma_i J_V for the
+      constructive J_V = H (L^-1)^T, taken as num(H) (T_4 D_4^-1)^T.
 
-def _d_t_matrices(ell: int):
-    """D_4 (diagonal q^sum a_i(a_i+1)) and T_4 (reversal) on V_{4, ell}."""
+    The first two hold at ell = 0..3; the third at ell <= 1 only, so the
+    construction is not a general intertwiner (intertwiner_J solves for
+    one at any ell).  `qrep --verify` runs this at ell = 1 whatever ell
+    is asked."""
     comps = compositions(4, ell)
     index = {c: k for k, c in enumerate(comps)}
-    D = len(comps)
-    Dm = [[ZERO] * D for _ in range(D)]
-    Dm_inv = [[ZERO] * D for _ in range(D)]
-    Tm = [[ZERO] * D for _ in range(D)]
+    S = {i: sigma_on_V(4, ell, i) for i in (1, 2, 3)}
+    bar = {i: [[e.bar() for e in row] for row in S[4 - i]] for i in S}  # bar(sigma_(4-i))
+    H = hermitian_form(ell)
+    L = [[ZERO] * len(comps) for _ in comps]
+    L_inv_t = [[ZERO] * len(comps) for _ in comps]  # (L^-1)^T = (T_4 D_4^-1)^T
     for k, c in enumerate(comps):
         e = sum(a * (a + 1) for a in c)
-        Dm[k][k] = qs_monomial(e, 0)
-        Dm_inv[k][k] = qs_monomial(-e, 0)
-        Tm[index[c[::-1]]][k] = ONE
-    return Dm, Dm_inv, Tm
-
-
-def reversal_conjugation_check(ell: int) -> bool:
-    """L sigma_i^-1 L^-1 = bar(sigma_(4-i)) on V_{4, ell} for L = D_4 T_4,
-    tested in the equivalent inverse-free form L = bar(sigma_(4-i)) L sigma_i."""
-    Dm, _, Tm = _d_t_matrices(ell)
-    L = mat_mul(Dm, Tm)
-    for i in (1, 2, 3):
-        bar = [[e.bar() for e in row] for row in sigma_on_V(4, ell, 4 - i)]
-        if L != mat_mul(mat_mul(bar, L), sigma_on_V(4, ell, i)):
-            return False
-    return True
-
-
-def intertwiner_construction_check(ell: int) -> bool:
-    """Whether the constructive transpose-intertwiner on V_{4, ell}, with
-    H the twisted form and L = D_4 T_4, J_V = H (L^-1)^T, satisfies
-    J_V sigma_i^T = sigma_i J_V for every generator.  The scalar
-    denominator of H cancels, so J_V is taken as num(H) (T_4 D_4^-1)^T.
-
-    It holds at ell <= 1 only: the check returns True, True, False,
-    False for ell = 0, 1, 2, 3, so the construction is not a general
-    intertwiner (intertwiner_J solves for one at any ell).  `qrep
-    --verify` runs it at ell = 1 whatever ell is asked."""
-    _, Dm_inv, Tm = _d_t_matrices(ell)
-    J = mat_mul(hermitian_form(ell), mat_transpose(mat_mul(Tm, Dm_inv)))
-    for i in (1, 2, 3):
-        S = sigma_on_V(4, ell, i)
-        if mat_mul(J, mat_transpose(S)) != mat_mul(S, J):
-            return False
-    return True
+        L[index[c[::-1]]][k] = qs_monomial(e, 0)
+        L_inv_t[k][index[c[::-1]]] = qs_monomial(-e, 0)
+    J = mat_mul(H, L_inv_t)
+    return {
+        "starred_identities_v41": all(
+            mat_mul(mat_mul(mat_transpose(S[i]), H), bar[i]) == H for i in S),
+        "reversal_conjugation": all(
+            mat_mul(mat_mul(bar[i], L), S[i]) == L for i in S),
+        "constructive_intertwiner": all(
+            mat_mul(J, mat_transpose(S[i])) == mat_mul(S[i], J) for i in S),
+    }
 
 
 # The largest W dimension whose intertwiner is solved.  On a 2-core

@@ -496,6 +496,12 @@ def _sorted_unique(keys):
     return keys[first]
 
 
+def _pair_keys(p, k2, k3):
+    """pack(M2) * p^4 + pack(M3) from the packed halves, by pack_np, which
+    refuses p^8 >= 2^63; unpack_np(p ** 4, keys, 2) splits them."""
+    return pack_np(p ** 4, np.stack((k2, k3), axis=-1))
+
+
 def _packed_signs(p, M):
     """pack_np of M and of -M, both reduced mod p."""
     return pack_np(p, M), pack_np(p, residue(p, -M))
@@ -576,13 +582,12 @@ def _orbit_minima(p, raw, ops, gauge):
     the images located in raw to find the fault.  Raises InvariantError
     naming the gauge and the offending packed pair.
     """
-    shift = p ** 4
-    m2, m3 = np.divmod(raw, shift)
+    m2, m3 = unpack_np(p ** 4, raw, 2).T  # not one interleaved array: searchsorted is slower on it
     keys = raw[_sign_canonical(p, m2) & _sign_canonical(p, m3)]
     quarter = unpack_np(p, keys, 8)
     gens, orders = _generators(p, ops)
-    images = (_canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, :4], gens)) * shift
-              + _canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, 4:], gens)))  # (n, G)
+    images = _pair_keys(p, _canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, :4], gens)),
+                        _canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, 4:], gens)))  # (n, G)
     succ = np.searchsorted(keys, images).clip(max=len(keys) - 1)
     outside = np.nonzero(keys[succ] != images)
     if len(outside[0]):
@@ -609,7 +614,7 @@ def _orbit_minima(p, raw, ops, gauge):
         block = rep_digits[start:start + step]
         k2 = _packed_signs(p, _apply_np(p, block[:, :4], ops))
         k3 = _packed_signs(p, _apply_np(p, block[:, 4:], ops))
-        images = np.concatenate([s2 * shift + s3 for s2 in k2 for s3 in k3], axis=1)
+        images = np.concatenate([_pair_keys(p, s2, s3) for s2 in k2 for s3 in k3], axis=1)
         images.sort(axis=1)  # (B, 4K)
         first = np.ones(images.shape, dtype=bool)
         first[:, 1:] = images[:, 1:] != images[:, :-1]
@@ -682,7 +687,7 @@ def _list_pairs(p, sl2, R1, tg, td):
     order = np.argsort(which, kind="stable")  # the M2 of each distinct N, grouped
     size = np.bincount(which)
     first = np.cumsum(size) - size
-    m2_keys = pack_np(p, sl2) * p ** 4
+    m2_keys = pack_np(p, sl2)
     tr_r1_m3 = tr_mm(p, R1, S)
     raw = []
     for eps in (1, -1):
@@ -691,7 +696,7 @@ def _list_pairs(p, sl2, R1, tg, td):
             continue
         hits = _trace_hits(p, ncoeff, M3s, eps * tg % p)
         at, n = _runs(first, size, hits[:, 0])
-        raw.append(m2_keys[order[at]] + np.repeat(pack_np(p, M3s)[hits[:, 1]], n))
+        raw.append(_pair_keys(p, m2_keys[order[at]], np.repeat(pack_np(p, M3s)[hits[:, 1]], n)))
     return _sorted_unique(np.concatenate(raw)) if raw else np.empty(0, dtype=np.int64)
 
 
@@ -871,7 +876,7 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
         mb = row_minima(r, kb)
         tie = kb == mb[r]
         r, k = r[tie], k[tie]  # every (row, pair) attaining the minimal (A, B)
-        out[start:start + len(u), 0] = min_a[u] * p ** 4 + mb
+        out[start:start + len(u), 0] = _pair_keys(p, min_a[u], mb)
         out[start:start + len(u), 1] = row_minima(r, tied(block, r, k, (8, 12)))
     return out
 

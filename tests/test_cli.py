@@ -132,6 +132,24 @@ def test_qrep_verify(capsys):
     assert all(rep["checks"].values())
 
 
+def test_qrep_builds_sigma_on_v41_at_most_twice(capsys, monkeypatch):
+    # once for the form identities, once as the level below W_4,2 in
+    # e_commutes_with_braiding
+    from collections import Counter
+
+    from charquo import qrep as qr
+    real, built = qr.sigma_on_V, Counter()
+
+    def counted(n, ell, i):
+        built[n, ell, i] += 1
+        return real(n, ell, i)
+
+    monkeypatch.setattr(qr, "sigma_on_V", counted)
+    code, _ = run(capsys, "qrep", "4", "2", "--verify", "--json")
+    assert code == 0
+    assert all(1 <= built[4, 1, i] <= 2 for i in (1, 2, 3))
+
+
 def test_qrep_internal_arithmetic_error_exit(capsys, monkeypatch):
     # the intertwiner kernel (the one system with d^2 = 9 unknowns at
     # W_4,1) comes back twice: intertwiner_J raises a bare ArithmeticError
@@ -201,6 +219,7 @@ def test_qrep_modulus_refused_before_work(capsys, monkeypatch):
 QREP_REPORT_DIGESTS = {
     (2, 3): "878c96f3fe07aa9cb8f8ac230b569f2f011c0f2a3f6492d97cea75455fd49360",
     (3, 3): "d69c00cc28bd114bb57d3fd5de066fc5ec7e4aed35f28aa36b43416c142a4ab5",
+    (4, 1): "f4de7938076ce4a8364bce8b63a280b77f4e381dfa9bd3442fabeb5de4c7afd7",
     (4, 2): "468c636884ac11ccf8fe99f40b472ca31f4774892a09486f3a6781703b98c08f",
     (5, 3): "e28afae41508b762e66af3d2f1cbb64611bb80816739dd289572ea7cd2e6cf4a",
     (6, 3): "c2268089f220d27a2b0804ae8e7c10f03ee0658211308730d274b3099be43861",

@@ -1,17 +1,18 @@
 from dataclasses import replace
+from math import comb
 
 import pytest
 
 from charquo import qrep as qr
 from charquo.laurent import ONE, ZERO, qbinom, qnum, qs_monomial
-from charquo.numutil import BudgetError, InvariantError, binom
-from charquo.qlinalg import ff_jordan, mat_mul
+from charquo.numutil import BudgetError, InvariantError
+from charquo.qlinalg import ff_jordan, mat_mul, mat_transpose
 
 
 def test_compositions():
     cs = qr.compositions(3, 2)
     assert cs == sorted(cs)
-    assert len(cs) == binom(4, 2)
+    assert len(cs) == comb(4, 2)
     assert qr.compositions(2, 0) == [(0, 0)]
 
 
@@ -52,7 +53,7 @@ def test_hw_dims_and_kernel():
     for n in range(2, 6):
         for ell in range(4):
             basis = qr.highest_weight_basis(n, ell)
-            assert len(basis) == binom(n + ell - 2, ell)
+            assert len(basis) == comb(n + ell - 2, ell)
     with pytest.raises(ValueError):
         qr.highest_weight_basis(1, 2)
 
@@ -128,9 +129,9 @@ def test_central_element_scalar():
 def test_decomposition_check():
     for n, ell in ((4, 2), (3, 2), (5, 3)):
         assert qr.decomposition_check(qr.braid_matrices(n, ell))
-    assert binom(4, 2) == 1 + 2 + 3
-    assert binom(3, 2) == 1 + 1 + 1
-    assert binom(6, 3) == 1 + 3 + 6 + 10
+    assert comb(4, 2) == 1 + 2 + 3
+    assert comb(3, 2) == 1 + 1 + 1
+    assert comb(6, 3) == 1 + 3 + 6 + 10
 
 
 def _moved_sigma_v(mats, i, r, c, entry):
@@ -264,19 +265,37 @@ def _starred_pointwise(ell):
 
 def test_starred_identities():
     for ell in range(4):
-        assert qr.starred_identities_check(ell) == _starred_pointwise(ell)
-    assert qr.starred_identities_check(1)
+        assert qr.form_identities(ell)["starred_identities_v41"] == _starred_pointwise(ell)
+    assert qr.form_identities(1)["starred_identities_v41"]
+
+
+def _l_matrix(ell):
+    """L = D_4 T_4 on V_{4, ell}: e_c -> q^(sum a_i(a_i+1)) e_reverse(c)."""
+    comps = qr.compositions(4, ell)
+    return [[qs_monomial(sum(a * (a + 1) for a in c), 0) if r == c[::-1] else ZERO
+             for c in comps] for r in comps]
 
 
 def test_reversal_conjugation():
-    assert qr.reversal_conjugation_check(1)
+    for ell in range(4):
+        assert qr.form_identities(ell)["reversal_conjugation"]
+
+
+def test_hl_intertwines_transpose():
+    # sigma_i^T (H L) = (H L) sigma_i follows from the starred and the
+    # reversal identities, at every ell
+    for ell in range(4):
+        HL = mat_mul(qr.hermitian_form(ell), _l_matrix(ell))
+        for i in (1, 2, 3):
+            S = qr.sigma_on_V(4, ell, i)
+            assert mat_mul(mat_transpose(S), HL) == mat_mul(HL, S)
 
 
 def _constructive_pointwise(ell):
-    _, Dm_inv, Tm = qr._d_t_matrices(ell)
     for q0, s0 in POINTS:
         H = _at(qr.hermitian_form(ell), q0, s0)
-        J = _mm(H, _tr(_at(mat_mul(Tm, Dm_inv), q0, s0)))
+        # L is monomial in q alone, so L^-1 is L at q^-1
+        J = _mm(H, _tr(_at(_l_matrix(ell), pow(q0, -1, R), s0)))
         for i in (1, 2, 3):
             S = _at(qr.sigma_on_V(4, ell, i), q0, s0)
             if _mm(J, _tr(S)) != _mm(S, J):
@@ -286,9 +305,22 @@ def _constructive_pointwise(ell):
 
 def test_constructive_intertwiner():
     for ell in range(4):
-        assert (qr.intertwiner_construction_check(ell)
+        assert (qr.form_identities(ell)["constructive_intertwiner"]
                 == _constructive_pointwise(ell))
-    assert qr.intertwiner_construction_check(1)
+    assert qr.form_identities(1)["constructive_intertwiner"]
+
+
+def test_form_identities_reject_a_perturbed_sigma(monkeypatch):
+    real = qr.sigma_on_V
+
+    def perturbed(n, ell, i):
+        M = real(n, ell, i)
+        if (n, ell, i) == (4, 1, 2):
+            M[0][1] = M[0][1] + ONE
+        return M
+
+    monkeypatch.setattr(qr, "sigma_on_V", perturbed)
+    assert list(qr.form_identities(1).values()) == [False, False, False]
 
 
 def test_intertwiner_J():
@@ -301,7 +333,7 @@ def test_intertwiner_J():
 
 
 def test_intertwiner_J_refused_above_bound():
-    assert binom(4, 2) == qr.MAX_INTERTWINER_DIM
+    assert comb(4, 2) == qr.MAX_INTERTWINER_DIM
     mats = qr.braid_matrices(4, 3)
     with pytest.raises(BudgetError, match="dimension 10 exceeds 6"):
         qr.intertwiner_J(mats)

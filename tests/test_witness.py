@@ -476,6 +476,16 @@ def test_sign_canonical_matches_first_nonzero(p):
     assert (wt._sign_canonical(p, values) == want).all()
 
 
+def test_pair_keys_refuse_int64_overflow():
+    top = 233 ** 4 - 1  # 233^8 < 2^63 < 239^8
+    k2, k3 = np.array([0, 5, top]), np.array([7, 0, top])
+    keys = wt._pair_keys(233, k2, k3)
+    assert keys.tolist() == [7, 5 * 233 ** 4, 233 ** 8 - 1]
+    assert (unpack_np(233 ** 4, keys, 2) == np.stack((k2, k3), axis=-1)).all()
+    with pytest.raises(ValueError, match="overflow int64"):
+        wt._pair_keys(239, k2, k3)
+
+
 def _brute_pairs(p, sl2, R1, tg, td):
     """The packed (M2, M3) pairs of the gauge R1, listed over every M2."""
     S = sl2.T
