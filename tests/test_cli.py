@@ -215,6 +215,23 @@ def test_qrep_modulus_refused_before_work(capsys, monkeypatch):
     assert "q0 = 3 and s0 = 1009 must be units mod 1009" in out
 
 
+# sha256 of `orbit 19 --seed S --no-permutations --json`, with timings_ms
+# blanked as perfbench/checks.digest does; it pins each certificate word and q
+ORBIT_REPORT_DIGESTS = {
+    0: "a76ce87e38fff65f5f029211e60ed013eb005c81c21350068f4af28b41e8e8e5",
+    7: "e143dd2d10016bf8ddc081a10f8cdca4ec910e359acac0c262b21c5ff9358d0f",
+    9: "45dd45b47beb17e9a79bbf8ace3da0ec97d25f6b17fe4151f766611229251354",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ORBIT_REPORT_DIGESTS))
+def test_orbit_report_digest(capsys, seed):
+    code, out = run(capsys, "orbit", "19", "--seed", str(seed), "--no-permutations", "--json")
+    assert code == 0
+    blanked = re.sub(r'"timings_ms": \{[^}]*\}', '"timings_ms": {}', out)
+    assert hashlib.sha256(blanked.encode()).hexdigest() == ORBIT_REPORT_DIGESTS[seed]
+
+
 # sha256 of `qrep N ELL --verify --specialize 1009 517 897 --max-n N --json`
 QREP_REPORT_DIGESTS = {
     (2, 3): "878c96f3fe07aa9cb8f8ac230b569f2f011c0f2a3f6492d97cea75455fd49360",
