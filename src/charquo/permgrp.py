@@ -17,11 +17,29 @@ JSON report compare their results with lists.  minimal_block, which
 only tests call, stays a union-find over lists: an array port by
 class-label propagation measured slower (11.5 s against 9.2 s per 100
 calls at p = 19).
+
+giant_certificate tests its random words two at a time: the caller and
+one helper thread run one loop (_first_hit), each drawing the next
+word from the one random.Random(seed) under a lock, and the
+certificate is the first word in draw order that hits, so a report
+equals a one-thread search's.  numpy's gathers release the GIL: the
+classification stage at p = 31 took 0.67-0.74 s (per-seed medians)
+against 0.97-1.26 s with one thread on a 2-core x86-64 host.  Each
+worker composes a word and labels its cycles in three index arrays of
+n entries, allocated before the helper starts (12 bytes per point per
+worker at int32), by np.take(..., out=, mode="clip"): mode="raise"
+would gather into a buffered copy of out.  np.take copies int32
+indices to intp, 8 bytes an entry, so the gathers go GATHER_ROWS
+entries at a time.  The unchecked gathers cannot make a certificate
+unsound: GiantCertificate.revalidate rebuilds the word's permutation
+from the generators alone, by checked gathers, and counts its cycles
+with cycle_lengths.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from math import factorial, isqrt, prod
 
@@ -69,19 +87,40 @@ def _index_array(g):
     return np.asarray(g, dtype=_index_dtype(len(g)))
 
 
-def _cycle_labels(p):
+# Entries per np.take in a gather into a given array: take copies its
+# int32 indices to intp first, 8 bytes an entry, and this bounds the copy.
+GATHER_ROWS = 65536
+
+
+def _gather(a, idx, out, mode="clip"):
+    """out[i] = a[idx[i]], by np.take on GATHER_ROWS entries at a time."""
+    for i in range(0, len(idx), GATHER_ROWS):
+        np.take(a, idx[i:i + GATHER_ROWS], out=out[i:i + GATHER_ROWS], mode=mode)
+
+
+def _cycle_labels(p, lab=None, tmp=None):
     """Each point labelled by the least point of its cycle, by pointer
-    doubling: after k rounds lab[i] is the minimum over the 2^k points
-    i, f(i), ..., so ceil(log2 n) rounds cover every cycle.  f is
-    squared between rounds only, not after the last."""
+    doubling on f = p: lab starts as f, so after k rounds lab[i] is the
+    minimum over the 2^k points f(i), f(f(i)), ..., and ceil(log2 n)
+    rounds cover every cycle.  f is squared between rounds only, not
+    after the last.  Given lab and tmp, arrays of p's dtype and length,
+    it allocates no array of its own: the gathers write into them
+    unchecked (mode="clip"; mode="raise" buffers out=) and f is squared
+    in place of p, which ends overwritten.  Without them it works on a
+    copy of p, by checked gathers."""
     f = _index_array(p)
-    lab = np.arange(len(f), dtype=f.dtype)
+    mode = "clip"
+    if lab is None:
+        f, lab, tmp, mode = f.copy(), np.empty_like(f), np.empty_like(f), "raise"
+    np.copyto(lab, f)
     span = 1
     while span < len(f):
-        lab = np.minimum(lab, np.take(lab, f))
+        _gather(lab, f, tmp, mode)
+        np.minimum(lab, tmp, out=lab)
         span *= 2
         if span < len(f):
-            f = np.take(f, f)
+            _gather(f, f, tmp, mode)
+            f, tmp = tmp, f
     return lab
 
 
@@ -304,7 +343,7 @@ def _inverses(gens):
     return [g if (g.take(g) == np.arange(len(g))).all() else _inverse(g) for g in gens]
 
 
-def _word_perm(word, gens, invs, n):
+def _word_perm(word, gens, invs, n, out=None, tmp=None):
     """Permutation of a word [(index, +-1), ...] over index-array generators
     and their inverses (leftmost letter applied first; invs as
     _inverses builds them).  The word is freely reduced first: adjacent
@@ -313,7 +352,10 @@ def _word_perm(word, gens, invs, n):
     back: out <- out[g].  Each gather then reads out at a generator's
     images, which for orbit letters lie near their points; g[out] would
     read g at the scattered entries of a long product (about 1.6x slower
-    on p = 31 orbit letters)."""
+    on p = 31 orbit letters).  Given out and tmp, arrays of n entries of
+    the generators' dtype, the product is composed in them by unchecked
+    gathers (mode="clip"; mode="raise" buffers out=) and returned in one
+    of the two; without them every gather is checked."""
     reduced = []
     for idx, e in word:
         if reduced and reduced[-1][0] == idx and (reduced[-1][1] == -e
@@ -321,9 +363,19 @@ def _word_perm(word, gens, invs, n):
             reduced.pop()
         else:
             reduced.append((idx, e))
-    out = np.arange(n, dtype=_index_dtype(n))
-    for idx, e in reversed(reduced):
-        out = np.take(out, gens[idx] if e == 1 else invs[idx])
+    letters = [gens[idx] if e == 1 else invs[idx] for idx, e in reversed(reduced)]
+    if out is None:
+        out = np.arange(n, dtype=_index_dtype(n))
+        for g in letters:
+            out = np.take(out, g)
+        return out
+    if not letters:
+        out[:] = np.arange(n)
+        return out
+    np.copyto(out, letters[0])  # the first gather reads the identity
+    for g in letters[1:]:
+        _gather(out, g, tmp)
+        out, tmp = tmp, out
     return out
 
 
@@ -376,6 +428,75 @@ def _random_word(n_gens, rng):
     return [(rng.randrange(n_gens), rng.choice((1, -1))) for _ in range(length)]
 
 
+def _window_cycle(word, gens, invs, primes, a, b, c):
+    """The length of the word's cycle whose length is in primes (all
+    above n/2), or None, composed and labelled in the three index
+    arrays a, b and c of n entries.  At most one cycle is longer than
+    n/2, and it owns more than half of the labels, so after partitioning
+    the labels at n // 2 the median is its label: its length is that
+    label's count, with no bincount of every label."""
+    n = len(a)
+    perm = _word_perm(word, gens, invs, n, a, b)
+    lab = _cycle_labels(perm, c, b if perm is a else a)
+    lab.partition(n // 2)
+    length = int(np.count_nonzero(lab == lab[n // 2]))
+    return length if length in primes else None
+
+
+def _first_hit(gens, invs, n, primes, rng, budget):
+    """(word, q) of the first of budget random words drawn from rng
+    whose permutation has a cycle of a length q in primes, or None.
+
+    The caller and one helper thread run the same loop, each in its own
+    three index arrays, allocated here: take the next draw index and
+    draw its word under the lock, so word i is rng's i-th draw whichever
+    thread takes it, then test it outside the lock (numpy's gathers
+    release the GIL).  A worker stops at its next draw once a word has
+    hit.  Every index drawn by then is tested to the end, so the lowest
+    index that hit is the first hit in draw order, the word a one-thread
+    search returns.  Two workers and no more: the caller is one of them,
+    so there are never more runnable threads than a 2-core host has
+    cores, and signal handlers keep running on the main thread.  The
+    helper calls nothing that a tracer may wrap (cycle_lengths, sign,
+    ...).  An exception in either worker stops the other; the helper's
+    is raised here as it is, and the helper is joined before this
+    returns or raises."""
+    lock = threading.Lock()
+    drawn, hit, stop, errors = 0, None, False, []
+
+    def work(bufs):
+        nonlocal drawn, hit
+        while True:
+            with lock:
+                if stop or errors or hit is not None or drawn >= budget:
+                    return
+                i, drawn = drawn, drawn + 1
+                word = _random_word(len(gens), rng)
+            q = _window_cycle(word, gens, invs, primes, *bufs)
+            if q is not None:
+                with lock:
+                    if hit is None or i < hit[0]:
+                        hit = (i, word, q)
+
+    def helper(bufs):
+        try:
+            work(bufs)
+        except BaseException as e:  # handed to the caller as it is
+            errors.append(e)
+
+    own, other = ([np.empty(n, dtype=_index_dtype(n)) for _ in range(3)] for _ in range(2))
+    thread = threading.Thread(target=helper, args=(other,), daemon=True)
+    thread.start()
+    try:
+        work(own)
+    finally:
+        stop = True
+        thread.join()
+    if errors:
+        raise errors[0]
+    return None if hit is None else hit[1:]
+
+
 def giant_certificate(gens, n, seed=0, budget=WORD_BUDGET):
     """Monte-Carlo search for a prime-cycle certificate.
 
@@ -388,18 +509,12 @@ def giant_certificate(gens, n, seed=0, budget=WORD_BUDGET):
         return Inconclusive("n too small - use schreier_sims")
     if not is_transitive(gens, n):
         return Inconclusive("generators are not transitive")
-    rng = random.Random(seed)
     gens = [_index_array(g) for g in gens]
-    invs = _inverses(gens)
-    for _ in range(budget):
-        word = _random_word(len(gens), rng)
-        q = next((length for length in set(cycle_lengths(_word_perm(word, gens, invs, n)))
-                  if length in primes), None)
-        if q is not None:
-            break
-    else:
+    # revalidate builds its own inverses, from the generators alone
+    found = _first_hit(gens, _inverses(gens), n, primes, random.Random(seed), budget)
+    if found is None:
         return Inconclusive(f"budget of {budget} random words exhausted")
-    del invs  # revalidate builds its own, from the generators alone
+    word, q = found
     cert = GiantCertificate(word, q, n)
     if not cert.revalidate(gens):
         raise CertificateError(f"certificate word of {len(word)} letters "

@@ -1,6 +1,8 @@
 import ast
 import itertools
 import random
+import sys
+import threading
 from math import factorial
 from pathlib import Path
 
@@ -389,8 +391,8 @@ def test_int32_arrays_are_used_as_given(monkeypatch):
     used = []
     sign, word_perm = pg.sign, pg._word_perm
     monkeypatch.setattr(pg, "sign", lambda g: used.append(g) or sign(g))
-    monkeypatch.setattr(pg, "_word_perm", lambda word, gs, invs, m:
-                        used.extend(gs) or word_perm(word, gs, invs, m))
+    monkeypatch.setattr(pg, "_word_perm", lambda word, gs, invs, m, *bufs:
+                        used.extend(gs) or word_perm(word, gs, invs, m, *bufs))
     cls = pg.classify_giant(gens, n, seed=9)
     assert cls.kind == "Symmetric" and cls.certificate is not None
     assert len(used) > len(gens) and all(any(g is h for h in gens) for g in used)
@@ -417,3 +419,183 @@ def test_int32_int64_and_list_inputs_agree(n):
     assert len({pg.GiantCertificate(word, q, n).revalidate(f) for f in forms}) == 1
     assert len({pg.schreier_sims(f, n).order for f in forms}) == 1
     assert pg.schreier_sims(forms[2], n).contains(np.array(ref, dtype=np.int32))
+
+
+# -- the two-worker search against a one-thread reference ------------------
+
+S100 = [list(range(1, 100)) + [0], cyc(100, (0, 1))]
+S100_INVOLUTION = S100 + [cyc(100, *[(k, 99 - k) for k in range(50)])]
+
+
+def _ref_draws(gens, n, seed):
+    """One thread, lists only: each word drawn from random.Random(seed)
+    in turn, with its window prime (None where it has none)."""
+    rng = random.Random(seed)
+    while True:
+        word = pg._random_word(len(gens), rng)
+        lengths = _ref_cycle_lengths(_ref_word_perm(word, gens, n))
+        yield word, next((q for q in lengths if is_prime(q) and n / 2 < q < n - 2), None)
+
+
+def _ref_first_hit(gens, n, seed, budget=pg.WORD_BUDGET):
+    """(draw index, word, q) of the first hit among budget draws, or None."""
+    draws = itertools.islice(_ref_draws(gens, n, seed), budget)
+    return next(((i, w, q) for i, (w, q) in enumerate(draws) if q is not None), None)
+
+
+@pytest.mark.parametrize("gens", [S100, S100_INVOLUTION], ids=["s100", "involution"])
+def test_search_matches_one_thread_reference(gens):
+    raced = 0
+    for seed in range(40):
+        ref = _ref_first_hit(gens, 100, seed)
+        if ref is not None:  # the next word hits too: the two race
+            after = next(itertools.islice(_ref_draws(gens, 100, seed), ref[0] + 1, None))
+            raced += after[1] is not None
+        for budget in (1, 2, pg.WORD_BUDGET):
+            got = pg.giant_certificate(gens, 100, seed=seed, budget=budget)
+            if ref is None or ref[0] >= budget:
+                assert isinstance(got, pg.Inconclusive), (seed, budget)
+            else:
+                assert (got.word, got.q) == ref[1:], (seed, budget)
+    assert raced >= 1
+
+
+def test_lower_word_wins_when_a_later_one_finishes_first(monkeypatch):
+    # words 0 and 1 both hit; word 0's test is held back until word 1
+    # has hit, and the certificate is still word 0's
+    seed = next(s for s in range(200)
+                if all(q is not None for _, q in itertools.islice(_ref_draws(S100, 100, s), 2)))
+    draws, later_hit = [], threading.Event()
+    random_word, window_cycle = pg._random_word, pg._window_cycle
+
+    def drawn(n_gens, rng):
+        draws.append(random_word(n_gens, rng))
+        return draws[-1]
+
+    def held(word, *args):
+        if word is draws[0]:
+            assert later_hit.wait(10)
+        q = window_cycle(word, *args)
+        if q is not None and word is not draws[0]:
+            later_hit.set()
+        return q
+
+    monkeypatch.setattr(pg, "_random_word", drawn)
+    monkeypatch.setattr(pg, "_window_cycle", held)
+    cert = pg.giant_certificate(S100, 100, seed=seed)
+    assert later_hit.is_set() and len(draws) == 2
+    assert (0, cert.word, cert.q) == _ref_first_hit(S100, 100, seed)
+
+
+def test_window_cycle_reads_the_long_cycle_off_the_median():
+    # the buffered composition and labelling against the list reference,
+    # on sizes straddling powers of two and long cycles of every length
+    rng = random.Random(33)
+    for n in (8, 9, 16, 17, 31, 100):
+        gens = [cyc(n, tuple(range(n))), cyc(n, (0, 1))]
+        for length in range(1, n + 1):
+            pts = rng.sample(range(n), n)
+            gens.append(cyc(n, tuple(pts[:length])))
+        arrays = [np.array(g, dtype=np.int32) for g in gens]
+        invs = pg._inverses(arrays)
+        primes = set(pg.window_primes(n))
+        for _ in range(60):
+            word = [(rng.randrange(len(gens)), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 4))]
+            ref = _ref_word_perm(word, gens, n)
+            bufs = [np.empty(n, dtype=np.int32) for _ in range(3)]
+            assert pg._word_perm(word, arrays, invs, n, *bufs[:2]).tolist() == ref
+            q = pg._window_cycle(word, arrays, invs, primes, *bufs)
+            assert q == next((c for c in _ref_cycle_lengths(ref) if c in primes), None)
+            f = np.array(ref, dtype=np.int32)
+            assert (pg._cycle_labels(f.copy(), *bufs[:2]) == pg._cycle_labels(f)).all()
+
+
+WREATH = [cyc(100, (0, 1)), list(range(2, 100)) + [0, 1]]  # C2 wr C50: no window cycle
+
+
+def _count_draws(monkeypatch):
+    draws = []
+    random_word = pg._random_word
+    monkeypatch.setattr(pg, "_random_word",
+                        lambda n_gens, rng: draws.append(1) or random_word(n_gens, rng))
+    return draws
+
+
+@pytest.mark.parametrize("budget", [1, 2, 120])
+def test_search_draws_at_most_budget_words_and_leaves_no_thread(monkeypatch, budget):
+    threads = threading.active_count()
+    draws = _count_draws(monkeypatch)
+    assert isinstance(pg.giant_certificate(WREATH, 100, seed=1, budget=budget), pg.Inconclusive)
+    assert len(draws) == budget and threading.active_count() == threads
+    for seed in range(5):
+        draws.clear()
+        cert = pg.giant_certificate(S100, 100, seed=seed, budget=budget)
+        assert len(draws) <= budget and threading.active_count() == threads
+        assert cert == pg.giant_certificate(S100, 100, seed=seed, budget=budget)
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    # the helper's kernel raises while the caller's is held: the very
+    # exception object comes out, the caller draws no more words, and no
+    # thread is left running
+    threads = threading.active_count()
+    err, raised = RuntimeError("helper kernel"), threading.Event()
+    labels = pg._cycle_labels
+
+    def failing(p, *bufs):
+        if threading.current_thread() is not threading.main_thread():
+            raised.set()
+            raise err
+        assert raised.wait(10)
+        return labels(p, *bufs)
+
+    monkeypatch.setattr(pg, "_cycle_labels", failing)
+    draws = _count_draws(monkeypatch)
+    for gens in (S100, WREATH):
+        raised.clear()
+        draws.clear()
+        with pytest.raises(RuntimeError) as info:
+            pg.giant_certificate(gens, 100, seed=3)
+        assert info.value is err and threading.active_count() == threads
+        assert len(draws) <= 3  # the caller stops at its next draw
+
+
+def test_caller_exception_joins_the_helper(monkeypatch):
+    threads = threading.active_count()
+    labels = pg._cycle_labels
+
+    def failing(p, *bufs):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyError("caller kernel")
+        return labels(p, *bufs)
+
+    monkeypatch.setattr(pg, "_cycle_labels", failing)
+    with pytest.raises(KeyError, match="caller kernel"):
+        pg.giant_certificate(WREATH, 100, seed=3)
+    assert threading.active_count() == threads
+
+
+def test_searches_on_more_threads_than_cores_keep_draw_order():
+    # three searches at once, each with its helper, switching threads
+    # every microsecond: a lost update of a search's draw index or of
+    # its lowest hit would change its certificate
+    seeds = range(12)
+    got, interval = {}, sys.getswitchinterval()
+
+    def run(part):
+        for s in part:
+            cert = pg.giant_certificate(S100, 100, seed=s)
+            got[s] = (cert.word, cert.q)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(seeds[k::3],)) for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == {s: _ref_first_hit(S100, 100, s)[1:] for s in seeds}
