@@ -92,8 +92,10 @@ def _index_array(g):
 GATHER_ROWS = 65536
 
 
-def _gather(a, idx, out, mode="clip"):
+def _gather(a, idx, out, mode):
     """out[i] = a[idx[i]], by np.take on GATHER_ROWS entries at a time."""
+    if len(idx) != len(out):
+        raise ValueError(f"{len(idx)} indices for {len(out)} entries")
     for i in range(0, len(idx), GATHER_ROWS):
         np.take(a, idx[i:i + GATHER_ROWS], out=out[i:i + GATHER_ROWS], mode=mode)
 
@@ -352,10 +354,13 @@ def _word_perm(word, gens, invs, n, out=None, tmp=None):
     back: out <- out[g].  Each gather then reads out at a generator's
     images, which for orbit letters lie near their points; g[out] would
     read g at the scattered entries of a long product (about 1.6x slower
-    on p = 31 orbit letters).  Given out and tmp, arrays of n entries of
-    the generators' dtype, the product is composed in them by unchecked
-    gathers (mode="clip"; mode="raise" buffers out=) and returned in one
-    of the two; without them every gather is checked."""
+    on p = 31 orbit letters).  The product is composed in two arrays of
+    n entries, out and tmp, and returned in one of them.  Given them, of
+    the generators' dtype, the gathers are unchecked (mode="clip";
+    mode="raise" buffers out=); without them two are allocated and every
+    gather is checked.  The first letter is copied, not gathered from the
+    identity; revalidate still range-checks every entry of the product,
+    by the checked gathers of cycle_lengths, which index by it."""
     reduced = []
     for idx, e in word:
         if reduced and reduced[-1][0] == idx and (reduced[-1][1] == -e
@@ -364,17 +369,15 @@ def _word_perm(word, gens, invs, n, out=None, tmp=None):
         else:
             reduced.append((idx, e))
     letters = [gens[idx] if e == 1 else invs[idx] for idx, e in reversed(reduced)]
+    mode = "clip"
     if out is None:
-        out = np.arange(n, dtype=_index_dtype(n))
-        for g in letters:
-            out = np.take(out, g)
-        return out
+        out, tmp, mode = np.empty(n, _index_dtype(n)), np.empty(n, _index_dtype(n)), "raise"
     if not letters:
         out[:] = np.arange(n)
         return out
     np.copyto(out, letters[0])  # the first gather reads the identity
     for g in letters[1:]:
-        _gather(out, g, tmp)
+        _gather(out, g, tmp, mode)
         out, tmp = tmp, out
     return out
 

@@ -344,6 +344,16 @@ def test_reduced_word_perm_matches_list_composition():
         assert pg._word_perm(word, arrays, invs, n).tolist() == pg.id_perm(n)
 
 
+def test_word_perm_without_buffers_checks_its_gathers():
+    # the bufferless composition, which revalidate uses, gathers with
+    # mode="raise": an index out of range raises instead of clipping
+    good, bad = np.array([1, 0, 2], dtype=np.int32), np.array([0, 1, 3], dtype=np.int32)
+    with pytest.raises(IndexError):
+        pg._word_perm([(1, 1), (0, 1)], [good, bad], [good, bad], 3)
+    with pytest.raises(ValueError):
+        pg._gather(good, good[:2], np.empty(3, dtype=np.int32), "raise")
+
+
 def test_revalidate_rejects_wrong_q_after_reduction():
     # an involution among the generators: the reduced product still
     # decides revalidation exactly
