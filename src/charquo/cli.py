@@ -3,7 +3,7 @@
 Subcommands: witness | orbit | count | qrep | selftest.  Every pipeline
 emits one JSON document (the machine format; the text summary is
 rendered from it), a failure too.  to_json writes it to its file as it
-is produced, a bounded piece at a time: to stdout for --json, through
+is produced, a slice at a time: to stdout for --json, through
 write_atomic for --out and qrep --export.  Exit codes: 0 success, 1
 precondition or assumption failure (ValueError, OSError; also a stdout
 closed by its reader, with no report), 2 budget (BudgetError), 3
@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import qrep as qr
 from . import witness as wt
-from .numutil import BudgetError
+from .numutil import BudgetError, slices
 from .orbit import MAX_POINTS, read_dump
 from .permgrp import WORD_BUDGET
 from .qlinalg import mat_mul
@@ -33,8 +33,6 @@ EXIT_PRECONDITION = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
-ARRAY_PIECE = 1 << 16  # permutation entries turned into text per write
-
 
 def to_json(report, fh):
     """Write the report to fh as JSON text: json.dump(report,
@@ -43,8 +41,8 @@ def to_json(report, fh):
 
     The json.dump text of the rest of the report is written around the
     arrays, where a placeholder string (a NUL and the array's name, which
-    no report value is) stands in for each; an array is written
-    ARRAY_PIECE entries at a time, as json.dump writes a list at depth 2
+    no report value is) stands in for each; an array is written a slice
+    at a time, as json.dump writes a list at depth 2
     (an entry a line at 6 spaces, the bracket at 4).  So no text of the
     whole report or of a whole array is built.  json.dump with indent
     takes the pure-Python encoder, which would spend about a second on
@@ -63,8 +61,8 @@ def to_json(report, fh):
         head, rest = rest.split(json.dumps(marks[name]), 1)
         fh.write(head)
         a = np.asarray(perms[name])
-        for s in range(0, len(a), ARRAY_PIECE):
-            fh.write(_entry_lines(a[s:s + ARRAY_PIECE], first=s == 0))
+        for c in slices(len(a), 8):  # _entry_lines' temporaries: about 8 int64 per entry
+            fh.write(_entry_lines(a[c], first=c.start == 0))
         fh.write("\n    ]" if len(a) else "[]")
     fh.write(rest)
 

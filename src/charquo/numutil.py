@@ -1,6 +1,6 @@
-"""Small integer number theory: primality and factoring, and
-the package's two error bases that are not ValueError: BudgetError
-(exit code 2) and InvariantError (exit code 3).
+"""Small integer number theory (primality, factoring), the package's
+error bases BudgetError (exit code 2) and InvariantError (exit code 3),
+and the slice size of every memory-bounded loop (slices).
 
 Deterministic Miller-Rabin is exact below psi_13 (about 3.3 * 10^24)
 and refuses larger inputs; factoring is trial division plus Pollard rho, enough for
@@ -30,6 +30,24 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# int64 entries (1 MiB) held by each temporary of a slice; results never
+# depend on it.  On a 2-core x86-64 host, at p = 31, BFS slices of 16 384
+# rows (width 16) raised the BFS peak by about 5 MB against 8 192, and
+# 4 096 rows the whole run's by about 3 MB.  2^20 entries put the p = 19
+# orbit_exact_keys tracemalloc peak at 25.5 MB (4.7 MB at 2^17, for a
+# 0.52 MB result) and made oracle-p19's peak RSS follow the length of its
+# working-directory path: median 73.7 MB, 79.4-79.7 MB at 8 of the
+# lengths 30-129, against median 68.9 MB and maximum 69.3 MB at 2^17.
+SLICE_ENTRIES = 1 << 17
+
+
+def slices(n, width=1):
+    """Slices covering range(n), max(1, SLICE_ENTRIES // width) items
+    each, for a loop whose temporaries hold width int64 entries per
+    item.  SLICE_ENTRIES is read at each call."""
+    step = max(1, SLICE_ENTRIES // width)
+    return [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 def is_prime(n: int) -> bool:

@@ -25,11 +25,11 @@ closes, so reports are byte-reproducible regardless of traversal order.
 The BFS applies and keys only the forward letters sigma_1, sigma_2,
 sigma_3: the orbit is finite, so closure under them is the group orbit.
 Each layer is deduplicated without per-key Python code, in slices: each
-letter in turn is applied to CHUNK_ROWS frontier points at a time (the
-layer's letter-major image order), and each image's key is located by
-searchsorted in the sorted visited keys (kept beside the point index of
-each).  An image on a visited key is a recurrent edge, verified in its
-slice against that older point.  The images on unvisited keys are kept,
+letter in turn is applied to one slice of frontier points at a time
+(the layer's letter-major image order), and each image's key is located
+by searchsorted in the sorted visited keys (kept beside the point index
+of each).  An image on a visited key is a recurrent edge, verified in
+its slice against that older point.  The images on unvisited keys are kept,
 key and row, until the layer closes.  Then one stable argsort groups
 them by key: the first image of each group in letter-major order is its
 representative, and every other member is a recurrent edge, verified
@@ -50,11 +50,13 @@ plus the 3n inverse edges, 5n + 1 in all.  No image is keyed twice.
 
 Rows are stored as ROW_DTYPE (uint16): every entry is a residue below
 p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np,
-exact verification and the twist) widen their whole input, at most
-CHUNK_ROWS rows from every caller, into an entry-major int64 (16, m)
-copy (ffield.entry_major), whose slices of four rows are blocks for the
-ffield kernels, so no narrow array reaches int arithmetic; the backstop
-and the sigma traces widen CHUNK_ROWS rows at a time.
+exact verification and the twist) widen their whole input, at most one
+slice of rows from every caller, into an entry-major int64 (16, m) copy
+(ffield.entry_major), whose slices of four rows are blocks for the
+ffield kernels, so no narrow array reaches int arithmetic.  Every loop
+here is cut by numutil.slices, with the int64 entries its temporaries
+hold per item as width: 16 for rows (8 192 a slice), 1 for an int32
+gather (numpy's intp copy of the indices) or scatter.
 
 Memory.  What grows with the orbit is 32 bytes per point (the uint16
 quadruple) plus 12 per visited key (int64 key, int32 point index) and,
@@ -67,12 +69,12 @@ order, groups and representatives.  All but the kept rows and the
 representatives go before the rows grow by the new points
 (ndarray.resize, which may move them; until the keys are merged, the
 visited keys and indices are copied once).  The other temporaries of a
-layer are those of one slice, bounded by CHUNK_ROWS.  The permutations
-are filled one sigma_i at a time, each letter's successors freed once
-read, its inverse scattered beside it, and the rows are put into key
-order in place.  Point indices are int32 throughout, from the BFS
-successors to the letter permutations, epsilon_perm and f2_perms, so
-max_points must stay below 2^31.
+layer are those of one slice.  The permutations are filled one sigma_i
+at a time, each letter's successors freed once read, its inverse
+scattered beside it, and the rows are put into key order in place.
+Point indices are int32 throughout, from the BFS successors to the
+letter permutations, epsilon_perm and f2_perms, so max_points must stay
+below 2^31.
 """
 
 from __future__ import annotations
@@ -84,11 +86,10 @@ import numpy as np
 
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np, from_quad, trace_coords
-from .ffield import (NotConjugateError, ProjMat2, adj_raw, centralizer_element_of_class,
-                     conjugator, det, entry_major, eq, is_scalar, legendre_table, mm,
-                     mm_raw, neg, pack_np, pencil_annihilators, pgl_canon, psl_canon_np,
-                     residue, tr, unpack_np)
-from .numutil import BudgetError, InvariantError
+from .ffield import (ProjMat2, adj_raw, conjugator, det, entry_major, eq, is_scalar,
+                     legendre_table, mm, mm_raw, neg, pack_np, pencil_annihilators,
+                     psl_canon_np, residue, tr, unpack_np)
+from .numutil import BudgetError, InvariantError, slices
 
 GENS = (bq.S1, bq.S2, bq.S3)
 
@@ -100,21 +101,9 @@ ROW_DTYPE = np.uint16
 if np.iinfo(ROW_DTYPE).max < MAX_PACKED_PRIME:
     raise InvariantError(f"{ROW_DTYPE.__name__} rows cannot hold residues mod {MAX_PACKED_PRIME}")
 
-# Rows per slice: BFS frontier points per slice (one letter at a time),
-# and the most rows any caller passes a row kernel.  Results do not
-# depend on it; it bounds the temporaries (about 2 MB for a BFS slice).
-# At p = 31 on a 2-core x86-64 host, 16 384 rows per kernel call raised
-# the BFS peak by about 5 MB, and 4096 the whole run's by about 3 MB.
-CHUNK_ROWS = 8192
-
 # Default cap on the orbit size (the enumerate_orbit and pipeline
 # default, and that of `charquo orbit --max-points`).
 MAX_POINTS = 2_000_000
-
-
-def _row_chunks(n, size):
-    """Slices covering range(n), size rows each."""
-    return [slice(s, min(s + size, n)) for s in range(0, n, size)]
 
 
 class OrbitError(InvariantError):
@@ -318,7 +307,7 @@ class OrbitIndex:
         s2, s2i = self.letter_perm(bq.S2), self.letter_perm(bq.S2i)
         x = self.letter_perm(bq.S3i).take(self.letter_perm(bq.S1))
         y = np.empty(self.n, dtype=np.int32)
-        for c in _row_chunks(self.n, CHUNK_ROWS):
+        for c in slices(self.n, 2):  # two gathers, their intp index copies
             np.take(s2i, x.take(s2[c]), out=y[c])
         return x, y
 
@@ -329,7 +318,7 @@ class OrbitIndex:
         x, y = 4 * (i - 1), 4 * i  # sigma_i's matrix is block i-1 times block i inverse
         traces = np.empty(self.n, dtype=np.int64)
         ident = np.empty(self.n, dtype=bool)
-        for c in _row_chunks(self.n, CHUNK_ROWS):
+        for c in slices(self.n, 16):
             q = entry_major(self.points[c])
             m = mm(p, q[x:x + 4], adj_raw(q[y:y + 4]))
             traces[c] = tr(p, m)
@@ -348,7 +337,7 @@ class OrbitIndex:
         with open(path, "wb") as fh:
             fh.write(self.MAGIC)
             fh.write(struct.pack("<IQQ", self.VERSION, p, self.n))
-            for c in _row_chunks(self.n, CHUNK_ROWS):
+            for c in slices(self.n, 16):
                 fh.write(unpack_np(p, self.keys[c], 7).astype("<u8"))
 
 
@@ -401,7 +390,7 @@ def _on_x(params: Params, A, B, C, D):
 def _on_x_mask(params: Params, rows) -> np.ndarray:
     """Mask over (m, 16) rows: _on_x of each."""
     ok = np.empty(len(rows), dtype=bool)
-    for c in _row_chunks(len(rows), CHUNK_ROWS):
+    for c in slices(len(rows), 16):
         ok[c] = _on_x(params, *entry_major(rows[c]).reshape(4, 4, -1))
     return ok
 
@@ -507,9 +496,9 @@ def _letter_perms(layers, rank):
             s[k] = None
         perm = np.empty(n, dtype=np.int32)
         inv = np.full(n, -1, dtype=np.int32)
-        for c in _row_chunks(n, CHUNK_ROWS):
+        for c in slices(n):
             perm[rank[c]] = rank[succ[c]]
-        for c in _row_chunks(n, CHUNK_ROWS):
+        for c in slices(n):
             inv[perm[c]] = np.arange(c.start, c.stop, dtype=np.int32)
         missed = np.flatnonzero(inv < 0)
         if len(missed):
@@ -527,7 +516,7 @@ def _verify_inverse_edges(p, pts, perms, checker):
     names the letter and the first point whose edge fails."""
     for i, _ in GENS:
         inv = perms[(i, -1)]
-        for c in _row_chunks(len(pts), CHUNK_ROWS):
+        for c in slices(len(pts), 16):
             images = apply_letter_np(p, pts[c], (i, -1))
             ok = checker.equivalent(images, pts.take(inv[c], axis=0))
             if not ok.all():
@@ -552,7 +541,7 @@ def _verify_recurrent(p, checker, images, reps, keys):
 
 def _expand(p, seen, frontier, checker, max_points):
     """One BFS layer, in slices: each of sigma_1, sigma_2, sigma_3 in
-    turn is applied to CHUNK_ROWS frontier points at a time, so the
+    turn is applied to one slice of frontier points at a time, so the
     slices follow the layer's letter-major image order.  An image whose
     key is visited is verified against that older point in its slice.
     The others are kept, key and row, until the layer closes; then one
@@ -573,7 +562,7 @@ def _expand(p, seen, frontier, checker, max_points):
     new_keys, new_rows = [], []  # those images, in letter-major order
     verified = 0
     for k, L in enumerate(GENS):
-        for c in _row_chunks(m, CHUNK_ROWS):
+        for c in slices(m, 16):
             images = apply_letter_np(p, pts.take(frontier[c], axis=0), L)
             ikeys = fast_keys(p, images)
             asc = np.argsort(ikeys)  # searchsorted is fastest on ascending needles
@@ -603,7 +592,7 @@ def _expand(p, seen, frontier, checker, max_points):
     del new_rows
     first = order[head]  # each new point's representative
     rec = np.flatnonzero(~head)
-    for c in _row_chunks(len(rec), CHUNK_ROWS):
+    for c in slices(len(rec), 16):
         r = rec[c]
         verified += _verify_recurrent(p, checker, pending.take(order[r], axis=0),
                                       pending.take(first[group[r]], axis=0), keys[r])
@@ -627,17 +616,21 @@ _REVERSED = np.r_[12:16, 8:12, 4:8, 0:4]  # columns of (D, C, B, A)
 
 
 def epsilon_conjugators(params: Params):
-    """(g, h): g gamma^-1 g^-1 = gamma, h delta h^-1 = delta^-1, with
-    equal determinant classes (adjusted through the gamma torus)."""
+    """(g, h): g gamma^-1 g^-1 = gamma and h delta h^-1 = delta^-1, of
+    equal determinant class, (-1 | p); InvariantError if they differ.
+
+    Each conjugates a non-involution A (build refuses involutions) onto
+    the lift adj(A) of A^-1 (-adj(A) has trace -tr(A) != tr(A)), by
+    conjugator_np's g = [w | adj(A) w] adj([v | A v]).  adj(A) has A's
+    cyclic vector, w = v, and det[v | adj(A) v] = -det[v | A v], so
+    det g = -det[v | A v]^2.
+    """
     g, cg = conjugator(params.gamma.inv(), params.gamma)
     h, ch = conjugator(params.delta, params.delta.inv())
     if cg != ch:
-        F = params.F
-        z = centralizer_element_of_class(params.gamma, -1)
-        g = pgl_canon(F, mm(F.p, z, g))
-        cg = F.legendre(det(F.p, g))
-        if cg != ch:
-            raise NotConjugateError("no class-compatible reversal conjugators")
+        raise InvariantError(f"reversal conjugators at p={params.F.p}: determinant class "
+                             f"{cg} for gamma, {ch} for delta (both are (-1 | p) for a "
+                             "non-involution)")
     return g, h
 
 
@@ -656,19 +649,19 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     g, h = epsilon_conjugators(params)
     p = orbit.p
     idx = np.empty(orbit.n, dtype=np.int32)
-    for c in _row_chunks(orbit.n, CHUNK_ROWS):
+    for c in slices(orbit.n, 16):
         idx[c] = orbit.index_of_keys(fast_keys(p, orbit.points[c][:, _REVERSED]))
     if (idx < 0).any():
         raise EpsilonOutsideOrbitError(
             f"epsilon maps {int((idx < 0).sum())} points outside the orbit at p={p}")
-    for c in _row_chunks(orbit.n, CHUNK_ROWS):
+    for c in slices(orbit.n, 2):  # an intp index copy and an int64 arange
         bad = np.flatnonzero(idx.take(idx[c]) != np.arange(c.start, c.stop))
         if len(bad):
             i = c.start + int(bad[0])
             raise OrbitError(f"epsilon is not an involution on the orbit at p={p}: "
                              f"index {i} -> {int(idx[i])} -> {int(idx[idx[i]])}")
     checker = make_checker(params)
-    for c in _row_chunks(orbit.n, CHUNK_ROWS):
+    for c in slices(orbit.n, 16):
         twisted = _twisted_reversal(p, g, h, orbit.points[c])
         if not checker.equivalent(twisted, orbit.points.take(idx[c], axis=0)).all():
             raise EpsilonOutsideOrbitError(

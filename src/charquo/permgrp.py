@@ -29,11 +29,11 @@ worker composes a word and labels its cycles in three index arrays of
 n entries, allocated before the helper starts (12 bytes per point per
 worker at int32), by np.take(..., out=, mode="clip"): mode="raise"
 would gather into a buffered copy of out.  np.take copies int32
-indices to intp, 8 bytes an entry, so the gathers go GATHER_ROWS
-entries at a time.  The unchecked gathers cannot make a certificate
-unsound: GiantCertificate.revalidate rebuilds the word's permutation
-from the generators alone, by checked gathers, and counts its cycles
-with cycle_lengths.
+indices to intp, 8 bytes an entry, so the gathers go a slice at a time
+(numutil.slices, width 1).  The unchecked gathers cannot make a
+certificate unsound: GiantCertificate.revalidate rebuilds the word's
+permutation from the generators alone, by checked gathers, and counts
+its cycles with cycle_lengths.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from math import factorial, isqrt, prod
 
 import numpy as np
 
-from .numutil import BudgetError, InvariantError, is_prime
+from .numutil import BudgetError, InvariantError, is_prime, slices
 
 
 def id_perm(n):
@@ -87,17 +87,12 @@ def _index_array(g):
     return np.asarray(g, dtype=_index_dtype(len(g)))
 
 
-# Entries per np.take in a gather into a given array: take copies its
-# int32 indices to intp first, 8 bytes an entry, and this bounds the copy.
-GATHER_ROWS = 65536
-
-
 def _gather(a, idx, out, mode):
-    """out[i] = a[idx[i]], by np.take on GATHER_ROWS entries at a time."""
+    """out[i] = a[idx[i]], by np.take a slice of idx at a time."""
     if len(idx) != len(out):
         raise ValueError(f"{len(idx)} indices for {len(out)} entries")
-    for i in range(0, len(idx), GATHER_ROWS):
-        np.take(a, idx[i:i + GATHER_ROWS], out=out[i:i + GATHER_ROWS], mode=mode)
+    for c in slices(len(idx)):
+        np.take(a, idx[c], out=out[c], mode=mode)
 
 
 def _cycle_labels(p, lab=None, tmp=None):

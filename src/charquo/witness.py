@@ -24,7 +24,7 @@ from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, 
                      exact_conjugator, inv_table, is_maximal, legendre_table, mm, mm_raw,
                      neg, order, pack_np, pgl_canon, pgl_canon_np, psl_canon, psl_canon_np,
                      residue, torus_pencil, tr, tr_mm, unpack_np)
-from .numutil import BudgetError, InvariantError, next_prime
+from .numutil import BudgetError, InvariantError, next_prime, slices
 from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
                     epsilon_perm, validate_start)
 from .permgrp import WORD_BUDGET, CertificateError, GiantCertificate, classify_giant, sign
@@ -474,10 +474,6 @@ def _conj_operators(p, taus):
     return _operators(p, taus, [x * scale % p for x in adj(p, taus)])
 
 
-# entries per temporary in the chunked oracle kernels (about 8 MB each)
-_CHUNK_ENTRIES = 1 << 20
-
-
 def _apply_np(p, X, ops):
     """op X for each row of X (m, 4) and each operator of ops (K, 4, 4):
     shape (m, K, 4).  One float64 product, exact because every entry of
@@ -608,10 +604,9 @@ def _orbit_minima(p, raw, ops, gauge):
 
     # the orbit of each representative, deduplicated within the orbit
     rep_digits = unpack_np(p, reps, 8)
-    step = max(1, _CHUNK_ENTRIES // (16 * len(ops)))
     members, owners = [], []
-    for start in range(0, len(reps), step):
-        block = rep_digits[start:start + step]
+    for c in slices(len(reps), 16 * len(ops)):
+        block = rep_digits[c]
         k2 = _packed_signs(p, _apply_np(p, block[:, :4], ops))
         k3 = _packed_signs(p, _apply_np(p, block[:, 4:], ops))
         images = np.concatenate([_pair_keys(p, s2, s3) for s2 in k2 for s3 in k3], axis=1)
@@ -619,7 +614,7 @@ def _orbit_minima(p, raw, ops, gauge):
         first = np.ones(images.shape, dtype=bool)
         first[:, 1:] = images[:, 1:] != images[:, :-1]
         members.append(images[first])
-        owners.append(start + np.nonzero(first)[0])
+        owners.append(c.start + np.nonzero(first)[0])
     members = np.concatenate(members)
     if len(members) == len(raw) and (np.sort(members) == raw).all():
         return reps  # the orbits partition raw: none of the checks below fails
@@ -662,12 +657,11 @@ def _runs(first, size, groups):
 def _trace_hits(p, ncoeff, M3s, target):
     """The (i, j) with tr(N_i M3_j) = target, for N given by the rows
     ncoeff of its transposed entries (so the trace is a dot product with
-    the entries of M3), over row slices of ncoeff so the (rows, n_m3)
-    products stay near _CHUNK_ENTRIES."""
-    step = max(1, _CHUNK_ENTRIES // len(M3s))
-    return np.concatenate([np.argwhere(residue(p, ncoeff[i:i + step] @ M3s.T) == target)
-                           + [i, 0]
-                           for i in range(0, len(ncoeff), step)])
+    the entries of M3), over row slices of ncoeff (numutil.slices) so the
+    (rows, n_m3) products stay within the slice budget."""
+    return np.concatenate([np.argwhere(residue(p, ncoeff[c] @ M3s.T) == target)
+                           + [c.start, 0]
+                           for c in slices(len(ncoeff), len(M3s))])
 
 
 def _list_pairs(p, sl2, R1, tg, td):
@@ -826,7 +820,7 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     The minimum is taken block by block.  The minimal packed image of
     block A over all pairs, and the pairs attaining it, depend on A
     alone: they are computed once per distinct packed A (np.unique), a
-    chunk of distinct blocks at a time.  Then, row by row, block B is
+    slice of distinct blocks at a time.  Then, row by row, block B is
     transformed only for the pairs attaining the minimal A of its row,
     and blocks C and D only for the pairs that still attain the minimal
     packed (A, B), ties included.  That is the lexicographic minimum
@@ -853,31 +847,29 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     distinct, which = np.unique(pack_np(p, rows[:, :4]), return_inverse=True)
     min_a = np.empty(len(distinct), dtype=np.int64)
     owner, pair = [], []
-    step = max(1, _CHUNK_ENTRIES // (4 * len(ops)))
-    for start in range(0, len(distinct), step):
-        blocks = unpack_np(p, distinct[start:start + step], 4)
+    for c in slices(len(distinct), 4 * len(ops)):
+        blocks = unpack_np(p, distinct[c], 4)
         ka = _canon_packed(p, pgl_canon_np, _apply_np(p, blocks, ops))  # (U, K)
-        ma = min_a[start:start + len(ka)] = ka.min(axis=1)
+        ma = min_a[c] = ka.min(axis=1)
         u, k = np.nonzero(ka == ma[:, None])
-        owner.append(start + u)
+        owner.append(c.start + u)
         pair.append(k)
     pair = np.concatenate(pair)
     size = np.bincount(np.concatenate(owner), minlength=len(distinct))
     first = np.cumsum(size) - size
 
     out = np.empty((len(rows), 2), dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // (16 * int(size.max())))  # bounds the ops[k] of tied
-    for start in range(0, len(rows), step):
-        block = entry_major(rows[start:start + step])  # (16, B) int64
-        u = which[start:start + step]
+    for c in slices(len(rows), 16 * int(size.max())):  # bounds the ops[k] of tied
+        block = entry_major(rows[c])  # (16, B) int64
+        u = which[c]
         at, n = _runs(first, size, u)
         r, k = np.repeat(np.arange(len(u)), n), pair[at]  # every (row, pair) attaining it
         kb = tied(block, r, k, (4,))
         mb = row_minima(r, kb)
         tie = kb == mb[r]
         r, k = r[tie], k[tie]  # every (row, pair) attaining the minimal (A, B)
-        out[start:start + len(u), 0] = _pair_keys(p, min_a[u], mb)
-        out[start:start + len(u), 1] = row_minima(r, tied(block, r, k, (8, 12)))
+        out[c, 0] = _pair_keys(p, min_a[u], mb)
+        out[c, 1] = row_minima(r, tied(block, r, k, (8, 12)))
     return out
 
 

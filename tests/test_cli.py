@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from charquo import cli
+from charquo import cli, numutil
 from charquo.cli import main
 
 
@@ -277,6 +277,7 @@ FAILURES = [
     # build = None: the refusal comes before the witness is built
     (["orbit", "19", "--max-points", "0"], 1, {"build": None}, {"p", "seed"}),
     (["orbit", "19", "--words", "0"], 1, {"build": None}, {"p", "seed"}),
+    (["orbit", "29"], 1, {}, {"p", "seed"}),  # fails the split/non-split assumption
     (["qrep", "9", "9"], 2, {}, {"n", "ell"}),
     (["qrep", "4", "3", "--verify"], 2, {}, {"n", "ell"}),
     (["qrep", "4", "3", "--specialize", "1009", "3", "5"], 2, {}, {"n", "ell"}),
@@ -308,6 +309,18 @@ def test_failure_reports(tmp_path, capsys, monkeypatch, argv, code, patches, key
     assert got == code
     assert out.startswith(f"{KINDS[code]}: {report['error']}\n")
     assert json.loads(stale.read_text()) == report
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "29"], "error: assumptions: split/non-split assumption fails"),
+    (["count", "23", "--orbit", "{dump19}"], "orbit dump is for p = 19, not 23"),
+])
+def test_refusals_name_their_cause(orbit19, tmp_path, capsys, argv, message):
+    dump = tmp_path / "orbit19.chqo"
+    orbit19.write_dump(dump)
+    code, out = run(capsys, *[a.format(dump19=dump) for a in argv])
+    assert code == 1
+    assert message in out
 
 
 @pytest.mark.parametrize("argv, name", [(["qrep", "1", "2"], "n"), (["qrep", "4", "-1"], "ell"),
@@ -414,7 +427,8 @@ def test_to_json_writes_what_json_dump_writes(argv, tmp_path, capsys, monkeypatc
 
 def test_to_json_arrays_of_any_length(monkeypatch):
     # 0 and 1 entries, one piece, two pieces, two pieces and one entry
-    monkeypatch.setattr(cli, "ARRAY_PIECE", 5)
+    # (5-entry pieces: the writer's width is 8)
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 5 * 8)
     lengths = {"d": 10, "a": 0, "e": 11, "b": 1, "c": 5}
     perms = {k: np.arange(n, dtype=np.int64)[::-1] * 3 for k, n in lengths.items()}
     report = {"permutations": perms, "n": 11, "z": [1, 2]}
@@ -427,9 +441,10 @@ def test_to_json_entry_digits():
     # every digit count from 1 to 7 (0, 9, 10, 99, 100, ..., 10**6), in
     # arrays one entry shorter and longer than a piece, and all zeros
     edges = [0] + [v for k in range(1, 7) for v in (10 ** k - 1, 10 ** k)]
-    perms = {"a": np.resize(np.array(edges, dtype=np.int64), cli.ARRAY_PIECE - 1),
-             "b": np.resize(np.array(edges[::-1], dtype=np.int64), cli.ARRAY_PIECE + 1),
-             "c": np.zeros(cli.ARRAY_PIECE + 1, dtype=np.int64)}
+    piece = numutil.SLICE_ENTRIES // 8  # the writer's width is 8
+    perms = {"a": np.resize(np.array(edges, dtype=np.int64), piece - 1),
+             "b": np.resize(np.array(edges[::-1], dtype=np.int64), piece + 1),
+             "c": np.zeros(piece + 1, dtype=np.int64)}
     report = {"permutations": perms, "n": len(edges)}
     buf = io.StringIO()
     cli.to_json(report, buf)
@@ -438,9 +453,9 @@ def test_to_json_entry_digits():
 
 def test_to_json_bounded_writes(monkeypatch):
     # each write of a p = 19 report carries one piece of one array (no
-    # key, at most ARRAY_PIECE entries) or the text between two arrays
+    # key, at most one slice of entries) or the text between two arrays
     from charquo import witness as wt
-    monkeypatch.setattr(cli, "ARRAY_PIECE", 1000)
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 1000 * 8)  # the writer's width is 8
     report = wt.run_pipeline(19, seed=7)
     writes = []
     cli.to_json(report, SimpleNamespace(write=writes.append))

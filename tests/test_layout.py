@@ -85,6 +85,28 @@ def test_no_unreferenced_definitions():
     assert not found, "unreferenced definitions: " + ", ".join(found)
 
 
+def _computed_steps(path):
+    """(line, call) of every range() call in a module whose step is not
+    a literal."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "range" and len(node.args) == 3):
+            try:
+                ast.literal_eval(node.args[2])
+            except ValueError:
+                yield node.lineno, ast.unparse(node)
+
+
+def test_slice_sizes_only_in_numutil():
+    # a loop that steps by a computed size is a slice loop, and
+    # numutil.slices owns slice sizes (SLICE_ENTRIES); literal steps,
+    # such as range(0, 16, 4) or a countdown by -1, are not slice sizes
+    found = [f"{path.name}:{line} {call}" for path in sorted(SRC.glob("*.py"))
+             if path.stem != "numutil" for line, call in _computed_steps(path)]
+    assert not found, "range() with a computed step outside numutil: " + ", ".join(found)
+
+
 def _is_dataclass(node):
     for dec in node.decorator_list:
         dec = dec.func if isinstance(dec, ast.Call) else dec

@@ -2,7 +2,8 @@ from math import comb
 
 import pytest
 
-from charquo.numutil import factorize, is_prime, next_prime
+from charquo import numutil
+from charquo.numutil import factorize, is_prime, next_prime, slices
 
 
 def test_is_prime():
@@ -40,3 +41,15 @@ def test_next_prime():
     assert next_prime(2) == 2
     assert next_prime(8) == 11
     assert next_prime(20) == 23
+
+
+def test_slices_cover_range_within_budget(monkeypatch):
+    # SLICE_ENTRIES is read at each call: one patch reaches every loop
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 100)
+    for n in (0, 1, 99, 100, 101, 1000):
+        for width in (1, 7, 16, 100, 1000):
+            step = max(1, 100 // width)
+            cut = slices(n, width)
+            assert [i for c in cut for i in range(n)[c]] == list(range(n))
+            assert all(c.stop - c.start == step for c in cut[:-1])
+            assert all(0 < c.stop - c.start <= step for c in cut)

@@ -1,5 +1,6 @@
 import cProfile
 import hashlib
+import struct
 import sys
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 
 from charquo import braidquandle as bq
 from charquo import charvar as cv
+from charquo import numutil
 from charquo import orbit as orbit_mod
 from charquo import witness as wt
 from charquo.cli import main
@@ -128,11 +130,11 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
     a_perms = [orbit19.letter_perm(L) for L in LETTERS]
     a_eps = epsilon_perm(orbit19, cfg19.params)
 
-    # small odd chunks leave a ragged last chunk in every gather and
+    # small odd slices leave a ragged last slice in every gather and
     # kernel; at 61 rows every large layer spans many slices per letter,
     # so most keys new in a layer recur in its later slices
-    for chunk in (997, 61):
-        monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", chunk)
+    for rows in (997, 61):
+        monkeypatch.setattr(numutil, "SLICE_ENTRIES", rows * 16)
         b = enumerate_orbit(cfg19.P, cfg19.params)
         assert (b.keys == orbit19.keys).all()
         assert (b.points == orbit19.points).all()
@@ -152,7 +154,7 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
     # of bookkeeping (the rank, the int32 frontiers and successors, the
     # inverse check) and 512 bytes per slice row; keying each letter's
     # images of that largest frontier at once would add about 2.9 MB
-    monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
     tracemalloc.start()
     try:
         orbit = enumerate_orbit(cfg19.P, cfg19.params)
@@ -161,13 +163,13 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
         tracemalloc.stop()
     resting = (orbit.points.nbytes + orbit.keys.nbytes
                + sum(perm.nbytes for perm in orbit.perms.values()))
-    assert peak < resting + 40 * orbit.n + 512 * orbit_mod.CHUNK_ROWS
+    assert peak < resting + 40 * orbit.n + 512 * 997
 
 
 def test_row_kernels_see_one_slice(monkeypatch):
     # the kernels do not slice: every caller, in the BFS, the inverse
-    # edge pass and the reversal twist, passes at most CHUNK_ROWS rows
-    monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    # edge pass and the reversal twist, passes at most one slice of rows
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
     widest = {}
 
     def watched(name, fn, rows_arg):
@@ -183,7 +185,7 @@ def test_row_kernels_see_one_slice(monkeypatch):
     rep = wt.run_pipeline(19, include_permutations=False)
     assert rep["n"] == 32400
     assert sorted(widest) == ["_twisted_reversal", "apply_letter_np", "equivalent", "fast_keys"]
-    assert max(widest.values()) <= orbit_mod.CHUNK_ROWS, widest
+    assert max(widest.values()) <= 997, widest
 
 
 def _profiled(how, fn):
@@ -225,12 +227,12 @@ def test_orbit_cli_under_cprofile(capsys):
 @pytest.fixture(params=["earlier-layer", "same-layer"])
 def reject_recurrent_edge(request, monkeypatch):
     """Make exact verification reject one recurrent edge of a layer whose
-    frontier spans several slices (CHUNK_ROWS = 997): the first whose
+    frontier spans several slices of 997 rows: the first whose
     representative is a point of an earlier layer (checked in the slice
     that finds it), or the first whose representative is a point new in
     that layer (checked when the layer closes).  The rejected key is
     recorded."""
-    monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
     keys, expand = orbit_mod.fast_keys, orbit_mod._expand
     equivalent = orbit_mod._ExactChecker.equivalent
     state = {"rejected": None, "frontier": 0}
@@ -241,7 +243,7 @@ def reject_recurrent_edge(request, monkeypatch):
 
     def rejecting(self, Qs, Rs):
         ok = equivalent(self, Qs, Rs)
-        if state["rejected"] is None and state["frontier"] > orbit_mod.CHUNK_ROWS:
+        if state["rejected"] is None and state["frontier"] > 997:
             rkeys = keys(self.p, Rs)
             older = np.isin(rkeys, state["older"])
             hits = np.flatnonzero(older if request.param == "earlier-layer" else ~older)
@@ -307,7 +309,7 @@ def reject_inverse_edge(monkeypatch):
     """Make exact verification reject one sigma_2^-1 edge of the pass
     after the BFS: that of point index 1000, row 3 of the second
     997-row slice."""
-    monkeypatch.setattr(orbit_mod, "CHUNK_ROWS", 997)
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
     verify, apply = orbit_mod._verify_inverse_edges, orbit_mod.apply_letter_np
     equivalent = orbit_mod._ExactChecker.equivalent
     state = {"inverse_pass": False, "s2i_slices": 0, "rejected": False}
@@ -406,6 +408,25 @@ def test_epsilon_not_involution_cli_exit(orbit19, cfg19, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "internal invariant violated: epsilon is not an involution" in out
     assert want in out
+
+
+def test_epsilon_conjugator_classes_checked(monkeypatch, capsys):
+    # both reversal conjugators have determinant class (-1 | p), -1 at
+    # p = 19 (epsilon_conjugators); a flipped class is an internal
+    # invariant violation
+    conjugator, classes = orbit_mod.conjugator, []
+
+    def flipped(M, N):
+        g, cls = conjugator(M, N)
+        classes.append(cls)
+        return g, -cls if len(classes) == 2 else cls
+
+    monkeypatch.setattr(orbit_mod, "conjugator", flipped)
+    assert main(["orbit", "19", "--no-permutations"]) == 3
+    out = capsys.readouterr().out
+    assert classes == [-1, -1]
+    assert ("internal invariant violated: reversal conjugators at p=19: determinant "
+            "class -1 for gamma, 1 for delta") in out
 
 
 def _reference_perm(orbit, letter):
@@ -579,6 +600,12 @@ def _out_of_range(head, body):
     (lambda head, body: head + body.tobytes()[:-10], "but a dump of n=32400"),
     (_out_of_range, "row 3 has a coordinate >= p=19"),
     (_swap_rows, "not strictly ascending at row 11"),
+    (lambda head, body: head[:4] + struct.pack("<I", 2) + head[8:] + body.tobytes(),
+     "unsupported dump version 2"),
+    (lambda head, body: head[:8] + struct.pack("<Q", 1) + head[16:] + body.tobytes(),
+     "p=1 outside the dump range 2..509"),
+    (lambda head, body: head[:8] + struct.pack("<Q", 521) + head[16:] + body.tobytes(),
+     "p=521 outside the dump range 2..509"),
 ])
 def test_read_dump_rejects_bad_dumps(orbit19, tmp_path, capsys, edit, defect):
     path = _corrupt(orbit19, tmp_path, edit)

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from charquo import braidquandle as bq
 from charquo import charvar as cv
+from charquo import numutil
 from charquo import witness as wt
 from charquo.cli import to_json
 from charquo.ffield import (ElementClass, adj, classify, eq, exact_conjugator, first_nonzero_np,
@@ -456,7 +458,7 @@ def test_exact_keys_np_in_small_chunks(cfg19, orbit19, monkeypatch):
 
     chunks, a_calls = [], []
     entry_major, apply_np = wt.entry_major, wt._apply_np
-    monkeypatch.setattr(wt, "_CHUNK_ENTRIES", 4 * pair_g.shape[1] * 3)
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 4 * pair_g.shape[1] * 3)
     monkeypatch.setattr(wt, "entry_major", lambda r: chunks.append(r) or entry_major(r))
     monkeypatch.setattr(wt, "_apply_np", lambda p, X, ops: a_calls.append(len(X))
                         or apply_np(p, X, ops))
@@ -467,6 +469,23 @@ def test_exact_keys_np_in_small_chunks(cfg19, orbit19, monkeypatch):
     assert sum(a_calls) == distinct_a and len(a_calls) > 1 and max(a_calls) == 3
     assert sum(map(len, chunks)) == len(rows) and len(chunks) > 1
     assert sum((c[:, :4] == points[0, :4]).all(axis=1).any() for c in chunks) > 1
+
+
+def test_exact_keys_transient_bounded_by_slices(cfg19, orbit19):
+    # the exact-key oracle's slices hold at most four int64 temporaries
+    # of SLICE_ENTRIES entries at once (the float64 product, its int64
+    # copy and its residue in _apply_np; then that residue, the
+    # pgl-canonical digits and their stack in _canon_packed), beside 40
+    # bytes per row of whole-array bookkeeping (the packed A blocks,
+    # np.unique's sorted copy and inverse); 2^20-entry slices peaked at
+    # about 25.5 MB here
+    tracemalloc.start()
+    try:
+        keys = wt.orbit_exact_keys(orbit19, cfg19.params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < keys.nbytes + 40 * orbit19.n + 4 * 8 * numutil.SLICE_ENTRIES
 
 
 @pytest.mark.parametrize("p", [7, 11])
