@@ -186,14 +186,15 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.orbit:  # a bad dump is refused before the count
+        p_dump, coords = read_dump(args.orbit)
+        if p_dump != args.p:
+            raise ValueError(f"{args.orbit}: orbit dump is for p = {p_dump}, not {args.p}")
     cfg = wt.build(args.p)
     count = wt.count_x(cfg.params, max_prime=args.count_budget)
     report = {"p": args.p, "x_count": count}
     lines = [f"|X^(2)| at p = {args.p}: {count} points"]
     if args.orbit:
-        p_dump, coords = read_dump(args.orbit)
-        if p_dump != args.p:
-            raise ValueError(f"{args.orbit}: orbit dump is for p = {p_dump}, not {args.p}")
         report["orbit_n"] = len(coords)
         report["orbit_ratio"] = len(coords) / count
         lines.append(f"orbit: {len(coords)} points, ratio {report['orbit_ratio']}")

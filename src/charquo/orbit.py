@@ -24,23 +24,25 @@ closes, so reports are byte-reproducible regardless of traversal order.
 
 The BFS applies and keys only the forward letters sigma_1, sigma_2,
 sigma_3: the orbit is finite, so closure under them is the group orbit.
-Each layer is deduplicated without per-key Python code, in slices: each
-letter in turn is applied to one slice of frontier points at a time
-(the layer's letter-major image order), and each image's key is located
-by searchsorted in the sorted visited keys (kept beside the point index
-of each).  An image on a visited key is a recurrent edge, verified in
-its slice against that older point.  The images on unvisited keys are kept,
-key and row, until the layer closes.  Then one stable argsort groups
-them by key: the first image of each group in letter-major order is its
-representative, and every other member is a recurrent edge, verified
-against it.  A letter maps distinct points to distinct keys, so the
-representative does not depend on the frontier's order.  The groups
-take the next point indices in ascending key order, and their keys are
-merged into the visited keys once.
+A layer's frontier is the block of points that the layer before it
+found, so it is read by slices of the rows, not gathered.  Each layer
+is deduplicated without per-key Python code, in slices: each letter in
+turn is applied to one slice of the frontier at a time (the layer's
+letter-major image order), and each image's key is located by
+searchsorted in the sorted visited keys (kept beside the point index of
+each).  An image on a visited key is a recurrent edge, verified in its
+slice against that older point.  The images on unvisited keys are
+kept, key and row, until the layer closes.  Then one stable argsort
+groups them by key: the first image of each group in letter-major
+order is its representative, and every other member is a recurrent
+edge, verified against it.  The groups take the next point indices in
+ascending key order, and their keys are merged into the visited keys
+once.
 
 Each layer also returns where every image of its frontier landed: the
 point index of the image's key group, as int32.  These successor
-arrays are the verified forward edges; once the BFS closes they are
+arrays are the verified forward edges; once the BFS closes each
+letter's are concatenated in layer order, which is point order, and
 renumbered by ascending key into sigma_1, sigma_2 and sigma_3, one
 letter at a time.  Each must be a bijection, and sigma_i^-1 is its
 inverse.  Then a pass without keys applies sigma_i^-1 to every point
@@ -60,17 +62,16 @@ gather (numpy's intp copy of the indices) or scatter.
 
 Memory.  What grows with the orbit is 32 bytes per point (the uint16
 quadruple) plus 12 per visited key (int64 key, int32 point index) and,
-during the BFS, 16 per point of int32 successors and frontiers (three
-letters).  At rest the index keeps 64 bytes per point: the row, the key
-and the six int32 letter permutations, 24 bytes of them.  A layer adds
-its images on unvisited keys, 40 bytes each (row and key; there are
-about 1.65 per new point at p = 19 and 31), and at its close their sort
-order, groups and representatives.  All but the kept rows and the
-representatives go before the rows grow by the new points
-(ndarray.resize, which may move them; until the keys are merged, the
-visited keys and indices are copied once).  The other temporaries of a
-layer are those of one slice.  The permutations are filled one sigma_i
-at a time, each letter's successors freed once read, its inverse
+during the BFS, 12 per point of int32 successors (three letters).  At
+rest the index keeps 64 bytes per point: the row, the key and the six
+int32 letter permutations, 24 bytes of them.  A layer adds its images
+on unvisited keys, 40 bytes each (row and key; there are about 1.65 per
+new point at p = 19 and 31), and at its close their sort order, groups
+and representatives.  All but the kept rows and the representatives go
+before the rows grow by the new points (ndarray.resize, which may move
+them; until the keys are merged, the visited keys and indices are
+copied once).  The other temporaries of a layer are those of one slice.
+The permutations are filled one sigma_i at a time, its inverse
 scattered beside it, and the rows are put into key order in place.
 Point indices are int32 throughout, from the BFS successors to the
 letter permutations, epsilon_perm and f2_perms, so max_points must stay
@@ -409,24 +410,23 @@ class _Visited:
     visited keys, ascending, beside the point index of each.  _expand
     replaces the keys and indices once per layer and grows the rows by
     ndarray.resize without its reference check.  That is safe because
-    every read of the rows is a take, which copies, so no view of them
-    exists when a layer closes; any other reference (a profiler's) is
-    to the same object, which sees the new buffer."""
+    no view of the rows outlives the call it is passed to: _expand hands
+    each slice of its frontier to apply_letter_np, which keeps only
+    copies, binds none to a name, and reads every other row by take.  So
+    no view exists when a layer closes; any other reference (a
+    profiler's) is to the same object, which sees the new buffer."""
 
     rows: np.ndarray
     keys: np.ndarray
     idx: np.ndarray
 
 
-def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
-                    frontier_shuffle_seed=None) -> OrbitIndex:
+def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
     """Closure of P under sigma_1, sigma_2 and sigma_3 (on a finite orbit,
     the braid group orbit), every recurrent edge verified exactly, with
     the letter permutations read off the edges and every sigma_i^-1
-    edge verified against the point it came from.
-    frontier_shuffle_seed reorders each frontier (the result must not
-    depend on it).  max_points must be below 2^31: point indices in
-    the BFS are stored as int32."""
+    edge verified against the point it came from.  max_points must be
+    below 2^31: point indices in the BFS are stored as int32."""
     F = params.F
     p = F.p
     if p > MAX_PACKED_PRIME:
@@ -438,25 +438,18 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
     checker = make_checker(params)
     validate_start(P, params)
 
-    rng = None
-    if frontier_shuffle_seed is not None:
-        rng = np.random.default_rng(frontier_shuffle_seed)
-
     start = quad_to_row(P)[None, :]
     seen = _Visited(start.copy(), fast_keys(p, start), np.zeros(1, dtype=np.int32))
-    frontier = np.zeros(1, dtype=np.int32)
+    lo = 0  # the frontier is the points lo .. len(seen.rows) - 1
     edges_verified = 0
-    layers = []  # (frontier, its int32 successors under each sigma_i) of each layer
+    layers = []  # the int32 successors of each layer's frontier under each sigma_i
 
-    while len(frontier):
-        if rng is not None:
-            frontier = rng.permutation(frontier)
+    while lo < len(seen.rows):
         n_now = len(seen.rows)
-        verified, succ = _expand(p, seen, frontier, checker, max_points)
-        # one array per letter, so that _letter_perms can free each once read
-        layers.append((frontier, [s.copy() for s in succ]))
+        verified, succ = _expand(p, seen, lo, checker, max_points)
+        layers.append(succ)
         edges_verified += verified
-        frontier = np.arange(n_now, len(seen.rows), dtype=np.int32)
+        lo = n_now
 
     pts, keys, idx = seen.rows, seen.keys, seen.idx
     del seen
@@ -481,23 +474,21 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS,
 
 def _letter_perms(layers, rank):
     """The six letter permutations in ascending-key numbering.  Each
-    sigma_i is read off the per-layer successors (point numbering,
-    renumbered by rank), one letter at a time, each letter's successors
-    freed once read; OrbitError unless it is a bijection, and
-    sigma_i^-1 is its inverse.  Bijectivity is read off the scatter of
+    sigma_i is the concatenation of its per-layer successors (the
+    frontiers are consecutive blocks of points, so that is point
+    numbering), renumbered by rank, one letter at a time; OrbitError
+    unless it is a bijection, and sigma_i^-1 is its inverse.  Bijectivity is read off the scatter of
     the inverse: a point no index lands on keeps the -1 it started
     with."""
     n = len(rank)
-    succ = np.empty(n, dtype=np.int32)  # one letter's successors, point numbering
     perms = {}
     for k, (i, _) in enumerate(GENS):
-        for frontier, s in layers:
-            succ[frontier] = s[k]
-            s[k] = None
+        succ = np.concatenate([s[k] for s in layers])  # point numbering
         perm = np.empty(n, dtype=np.int32)
-        inv = np.full(n, -1, dtype=np.int32)
         for c in slices(n):
             perm[rank[c]] = rank[succ[c]]
+        del succ
+        inv = np.full(n, -1, dtype=np.int32)
         for c in slices(n):
             inv[perm[c]] = np.arange(c.start, c.stop, dtype=np.int32)
         missed = np.flatnonzero(inv < 0)
@@ -539,9 +530,10 @@ def _verify_recurrent(p, checker, images, reps, keys):
     return len(ok)
 
 
-def _expand(p, seen, frontier, checker, max_points):
-    """One BFS layer, in slices: each of sigma_1, sigma_2, sigma_3 in
-    turn is applied to one slice of frontier points at a time, so the
+def _expand(p, seen, lo, checker, max_points):
+    """One BFS layer, in slices: the frontier is the points lo .. n_now - 1
+    that the previous layer found, and each of sigma_1, sigma_2, sigma_3
+    in turn is applied to one slice of it at a time, so the
     slices follow the layer's letter-major image order.  An image whose
     key is visited is verified against that older point in its slice.
     The others are kept, key and row, until the layer closes; then one
@@ -556,14 +548,15 @@ def _expand(p, seen, frontier, checker, max_points):
     those of one slice.
     """
     pts = seen.rows
-    n_now, m = len(pts), len(frontier)
+    n_now = len(pts)
+    m = n_now - lo
     # -1 marks an image on an unvisited key until the layer closes
     succ = np.empty((len(GENS), m), dtype=np.int32)
     new_keys, new_rows = [], []  # those images, in letter-major order
     verified = 0
     for k, L in enumerate(GENS):
         for c in slices(m, 16):
-            images = apply_letter_np(p, pts.take(frontier[c], axis=0), L)
+            images = apply_letter_np(p, pts[lo + c.start:lo + c.stop], L)
             ikeys = fast_keys(p, images)
             asc = np.argsort(ikeys)  # searchsorted is fastest on ascending needles
             pos = np.empty_like(asc)

@@ -5,18 +5,22 @@ one-sided Monte-Carlo recognition of giants (groups containing A_n).
 Permutations are 0-based image arrays.  Composition is in diagram
 order: mult(p, q) applies p first, then q.
 
-Everything that computes works on numpy index arrays and accepts lists:
+Everything that computes works on int32 index arrays and accepts lists:
 the giant-recognition path (cycle_lengths, sign, is_transitive,
 window_primes, giant_certificate, GiantCertificate, classify_giant),
 which scales to orbits of millions of points, and the exact stabilizer
-chain (schreier_sims, BSGS) up to ORACLE_BOUND.  Their index dtype is
-int32 below 2^31 points (_index_dtype); an int32 array, such as an
-orbit's letter permutation, is used as it is, without a copy.  id_perm,
-mult, inverse and check_perm stay on plain lists, because readers of a
-JSON report compare their results with lists.  minimal_block, which
-only tests call, stays a union-find over lists: an array port by
-class-label propagation measured slower (11.5 s against 9.2 s per 100
-calls at p = 19).
+chain (schreier_sims, BSGS) up to ORACLE_BOUND.  Each passes every
+permutation it is given through check_perm, once per call, which
+refuses a wrong length, an entry out of range or a repeated image by
+name and passes an int32 array, such as an orbit's letter permutation,
+without a copy.  Behind it the kernels (_gather and its callers
+_cycle_labels and _word_perm) index only by checked permutations and
+their products, which cannot leave the range, so their gathers are
+unchecked.  id_perm, mult and inverse stay on plain lists, because
+readers of a JSON report compare their results with lists.
+minimal_block, which only tests call, stays a union-find over lists:
+an array port by class-label propagation measured slower (11.5 s
+against 9.2 s per 100 calls at p = 19).
 
 giant_certificate tests its random words two at a time: the caller and
 one helper thread run one loop (_first_hit), each drawing the next
@@ -25,15 +29,14 @@ certificate is the first word in draw order that hits, so a report
 equals a one-thread search's.  numpy's gathers release the GIL: the
 classification stage at p = 31 took 0.67-0.74 s (per-seed medians)
 against 0.97-1.26 s with one thread on a 2-core x86-64 host.  Each
-worker composes a word and labels its cycles in three index arrays of
+worker composes a word and labels its cycles in three int32 arrays of
 n entries, allocated before the helper starts (12 bytes per point per
-worker at int32), by np.take(..., out=, mode="clip"): mode="raise"
-would gather into a buffered copy of out.  np.take copies int32
-indices to intp, 8 bytes an entry, so the gathers go a slice at a time
-(numutil.slices, width 1).  The unchecked gathers cannot make a
-certificate unsound: GiantCertificate.revalidate rebuilds the word's
-permutation from the generators alone, by checked gathers, and counts
-its cycles with cycle_lengths.
+worker), by np.take(..., out=, mode="clip"): mode="raise" would gather
+into a buffered copy of out.  np.take copies int32 indices to intp, 8
+bytes an entry, so the gathers go a slice at a time (numutil.slices,
+width 1).  GiantCertificate.revalidate rebuilds the word's permutation
+from the generators alone, each checked by check_perm, and counts its
+cycles with cycle_lengths.
 """
 
 from __future__ import annotations
@@ -65,82 +68,82 @@ def inverse(p):
 
 
 def check_perm(p, n=None):
-    if n is not None and len(p) != n:
-        raise ValueError(f"degree {len(p)} != {n}")
-    seen = bytearray(len(p))
-    for i in p:
-        if i < 0 or i >= len(p) or seen[i]:
-            raise ValueError("not a permutation")
-        seen[i] = 1
+    """p as an int32 index array, checked to be a permutation of degree n
+    (len(p) when n is None); ValueError names the defect: a degree not
+    below 2^31, a wrong length, entries that are not integers, an entry
+    out of range or a repeated image.  An int32 array is returned as it
+    is, not copied."""
+    a = np.asarray(p)
+    n = len(a) if n is None else n
+    if n >= 2 ** 31:
+        raise ValueError(f"degree {n} is not below 2^31, the bound of int32 indices")
+    if a.ndim != 1 or len(a) != n:
+        raise ValueError(f"wrong length: {a.size} entries for degree {n}")
+    if n and a.dtype.kind not in "iu":
+        raise ValueError(f"entries of dtype {a.dtype} are not integers")
+    if n and (a.min() < 0 or a.max() >= n):
+        i = int(np.flatnonzero((a < 0) | (a >= n))[0])
+        raise ValueError(f"entry out of range: {a[i]} at point {i}, degree {n}")
+    a = a.astype(np.int32, copy=False)
+    hit = np.zeros(n, dtype=bool)
+    for c in slices(n):  # the intp copy of a slice of indices
+        hit[a[c]] = True
+    if not hit.all():  # k is the first point whose image an earlier one has
+        k = int(np.setdiff1d(np.arange(n), np.unique(a, return_index=True)[1])[0])
+        raise ValueError(f"repeated image: {a[k]} at points {np.argmax(a == a[k])} and {k}")
+    return a
 
 
-def _index_dtype(n):
-    """The dtype of index arrays on n points: int32 while every index
-    fits (it halves the bytes of each random gather; cycle labelling ran
-    about 25 % faster), int64 from 2^31 points on."""
-    return np.int32 if n < 2 ** 31 else np.int64
-
-
-def _index_array(g):
-    """g as an index array of _index_dtype: an array already of that
-    dtype is returned as it is, not copied."""
-    return np.asarray(g, dtype=_index_dtype(len(g)))
-
-
-def _gather(a, idx, out, mode):
-    """out[i] = a[idx[i]], by np.take a slice of idx at a time."""
-    if len(idx) != len(out):
-        raise ValueError(f"{len(idx)} indices for {len(out)} entries")
+def _gather(a, idx, out):
+    """out[i] = a[idx[i]], by np.take a slice of idx at a time, unchecked
+    (mode="clip"; mode="raise" would gather into a buffered copy of out).
+    Precondition: every entry of idx is below len(a).  The callers keep
+    it: idx is a permutation of degree len(a) that check_perm accepted,
+    or a product of such."""
     for c in slices(len(idx)):
-        np.take(a, idx[c], out=out[c], mode=mode)
+        np.take(a, idx[c], out=out[c], mode="clip")
 
 
-def _cycle_labels(p, lab=None, tmp=None):
+def _cycle_labels(f, lab, tmp):
     """Each point labelled by the least point of its cycle, by pointer
-    doubling on f = p: lab starts as f, so after k rounds lab[i] is the
-    minimum over the 2^k points f(i), f(f(i)), ..., and ceil(log2 n)
-    rounds cover every cycle.  f is squared between rounds only, not
-    after the last.  Given lab and tmp, arrays of p's dtype and length,
-    it allocates no array of its own: the gathers write into them
-    unchecked (mode="clip"; mode="raise" buffers out=) and f is squared
-    in place of p, which ends overwritten.  Without them it works on a
-    copy of p, by checked gathers."""
-    f = _index_array(p)
-    mode = "clip"
-    if lab is None:
-        f, lab, tmp, mode = f.copy(), np.empty_like(f), np.empty_like(f), "raise"
+    doubling on the permutation f: lab starts as f, so after k rounds
+    lab[i] is the minimum over the 2^k points f(i), f(f(i)), ..., and
+    ceil(log2 n) rounds cover every cycle.  f is squared between rounds
+    only, not after the last.  f, lab and tmp are int32 arrays of one
+    length, and nothing else is allocated: f is squared in place and
+    ends overwritten, and lab is returned."""
     np.copyto(lab, f)
     span = 1
     while span < len(f):
-        _gather(lab, f, tmp, mode)
+        _gather(lab, f, tmp)
         np.minimum(lab, tmp, out=lab)
         span *= 2
         if span < len(f):
-            _gather(f, f, tmp, mode)
+            _gather(f, f, tmp)
             f, tmp = tmp, f
     return lab
 
 
 def cycle_lengths(p):
     """Multiset of cycle lengths (including fixed points) as a sorted list."""
-    sizes = np.bincount(_cycle_labels(p), minlength=len(p))
+    f = check_perm(p)
+    sizes = np.bincount(_cycle_labels(f.copy(), np.empty_like(f), np.empty_like(f)),
+                        minlength=len(f))
     return np.sort(sizes[sizes > 0]).tolist()
 
 
 def sign(p) -> int:
     """Parity via n minus the number of cycles."""
-    lab = _cycle_labels(p)
-    n_cycles = np.count_nonzero(lab == np.arange(len(lab)))
-    return -1 if (len(lab) - n_cycles) % 2 else 1
+    return -1 if (len(p) - len(cycle_lengths(p))) % 2 else 1
 
 
 def is_transitive(gens, n) -> bool:
     """Frontier BFS from point 0 over the generators."""
+    gens = [check_perm(g, n) for g in gens]
     if n <= 1:
         return True
-    if not len(gens):
+    if not gens:
         return False
-    gens = [_index_array(g) for g in gens]
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
@@ -177,11 +180,13 @@ def _inverse(g):
 
 @dataclass
 class BSGS:
-    """Base and strong generating set.  Level i holds the base point
-    base[i], the strong generators gens[i] that fix base[:i], and the
-    transversal transversals[i] = {x: (u, u^-1)} of the orbit of base[i]
-    under gens[i], u an index array mapping base[i] to x."""
+    """Base and strong generating set of a group of degree n.  Level i
+    holds the base point base[i], the strong generators gens[i] that fix
+    base[:i], and the transversal transversals[i] = {x: (u, u^-1)} of the
+    orbit of base[i] under gens[i], u an index array mapping base[i] to
+    x."""
 
+    n: int
     base: list
     gens: list
     transversals: list
@@ -201,7 +206,7 @@ class BSGS:
         return h, len(self.base)
 
     def contains(self, g) -> bool:
-        h, j = self.sift(_index_array(g))
+        h, j = self.sift(check_perm(g, self.n))
         return j == len(self.base) and bool((h == np.arange(len(h))).all())
 
 
@@ -232,15 +237,13 @@ def schreier_sims(gens, n=None) -> BSGS:
     deepest pending level is processed next.  Refuses degrees above
     ORACLE_BOUND.
     """
-    gens = [_index_array(g) for g in gens]
     if n is None:
         n = len(gens[0]) if gens else 1
     if n > ORACLE_BOUND:
         raise OracleBoundExceeded(f"degree {n} exceeds oracle bound {ORACLE_BOUND}")
-    for g in gens:
-        check_perm(g, n)
-    ident = np.arange(n, dtype=_index_dtype(n))
-    chain = BSGS([], [], [])
+    gens = [check_perm(g, n) for g in gens]
+    ident = np.arange(n, dtype=np.int32)
+    chain = BSGS(n, [], [], [])
     done: list = []  # per level: the Schreier pairs already sifted
 
     def add(h, lo, hi):
@@ -340,8 +343,8 @@ def _inverses(gens):
     return [g if (g.take(g) == np.arange(len(g))).all() else _inverse(g) for g in gens]
 
 
-def _word_perm(word, gens, invs, n, out=None, tmp=None):
-    """Permutation of a word [(index, +-1), ...] over index-array generators
+def _word_perm(word, gens, invs, out, tmp):
+    """Permutation of a word [(index, +-1), ...] over checked generators
     and their inverses (leftmost letter applied first; invs as
     _inverses builds them).  The word is freely reduced first: adjacent
     (i, e)(i, -e) cancel, and so do two adjacent letters of an
@@ -349,13 +352,9 @@ def _word_perm(word, gens, invs, n, out=None, tmp=None):
     back: out <- out[g].  Each gather then reads out at a generator's
     images, which for orbit letters lie near their points; g[out] would
     read g at the scattered entries of a long product (about 1.6x slower
-    on p = 31 orbit letters).  The product is composed in two arrays of
-    n entries, out and tmp, and returned in one of them.  Given them, of
-    the generators' dtype, the gathers are unchecked (mode="clip";
-    mode="raise" buffers out=); without them two are allocated and every
-    gather is checked.  The first letter is copied, not gathered from the
-    identity; revalidate still range-checks every entry of the product,
-    by the checked gathers of cycle_lengths, which index by it."""
+    on p = 31 orbit letters).  The product is composed in the two int32
+    arrays out and tmp of n entries and returned in one of them.  The
+    first letter is copied, not gathered from the identity."""
     reduced = []
     for idx, e in word:
         if reduced and reduced[-1][0] == idx and (reduced[-1][1] == -e
@@ -364,15 +363,12 @@ def _word_perm(word, gens, invs, n, out=None, tmp=None):
         else:
             reduced.append((idx, e))
     letters = [gens[idx] if e == 1 else invs[idx] for idx, e in reversed(reduced)]
-    mode = "clip"
-    if out is None:
-        out, tmp, mode = np.empty(n, _index_dtype(n)), np.empty(n, _index_dtype(n)), "raise"
     if not letters:
-        out[:] = np.arange(n)
+        out[:] = np.arange(len(out))
         return out
     np.copyto(out, letters[0])  # the first gather reads the identity
     for g in letters[1:]:
-        _gather(out, g, tmp, mode)
+        _gather(out, g, tmp)
         out, tmp = tmp, out
     return out
 
@@ -388,15 +384,21 @@ class GiantCertificate:
     n: int
 
     def permutation(self, gens):
-        """The word's permutation as an index array (int32 below 2^31
-        points)."""
-        gens = [_index_array(g) for g in gens]
-        return _word_perm(self.word, gens, _inverses(gens), self.n)
+        """The word's permutation as an int32 array, composed from the
+        generators, each checked to be a permutation of degree n."""
+        gens = [check_perm(g, self.n) for g in gens]
+        out, tmp = (np.empty(self.n, dtype=np.int32) for _ in range(2))
+        return _word_perm(self.word, gens, _inverses(gens), out, tmp)
 
     def revalidate(self, gens) -> bool:
+        """Whether q is a prime in the window and a cycle length of the
+        word's permutation, rebuilt from the generators alone.  The
+        product of checked permutations of degree n is one, so none of
+        its unchecked gathers leaves the range."""
+        perm = self.permutation(gens)
         if not is_prime(self.q) or not (2 * self.q > self.n and self.q < self.n - 2):
             return False
-        return self.q in cycle_lengths(self.permutation(gens))
+        return self.q in cycle_lengths(perm)
 
 
 @dataclass
@@ -434,7 +436,7 @@ def _window_cycle(word, gens, invs, primes, a, b, c):
     the labels at n // 2 the median is its label: its length is that
     label's count, with no bincount of every label."""
     n = len(a)
-    perm = _word_perm(word, gens, invs, n, a, b)
+    perm = _word_perm(word, gens, invs, a, b)
     lab = _cycle_labels(perm, c, b if perm is a else a)
     lab.partition(n // 2)
     length = int(np.count_nonzero(lab == lab[n // 2]))
@@ -482,7 +484,7 @@ def _first_hit(gens, invs, n, primes, rng, budget):
         except BaseException as e:  # handed to the caller as it is
             errors.append(e)
 
-    own, other = ([np.empty(n, dtype=_index_dtype(n)) for _ in range(3)] for _ in range(2))
+    own, other = ([np.empty(n, dtype=np.int32) for _ in range(3)] for _ in range(2))
     thread = threading.Thread(target=helper, args=(other,), daemon=True)
     thread.start()
     try:
@@ -502,12 +504,12 @@ def giant_certificate(gens, n, seed=0, budget=WORD_BUDGET):
     Inconclusive (never a negative claim).  Raises CertificateError if
     the certificate found fails revalidation.
     """
+    gens = [check_perm(g, n) for g in gens]
     primes = set(window_primes(n))
     if not primes:
         return Inconclusive("n too small - use schreier_sims")
     if not is_transitive(gens, n):
         return Inconclusive("generators are not transitive")
-    gens = [_index_array(g) for g in gens]
     # revalidate builds its own inverses, from the generators alone
     found = _first_hit(gens, _inverses(gens), n, primes, random.Random(seed), budget)
     if found is None:
@@ -537,7 +539,7 @@ def classify_giant(gens, n, seed=0, budget=WORD_BUDGET) -> GiantClassification:
     the group order; beyond that bound the answer is Inconclusive.  The
     sign of each generator is computed once and returned on every path.
     """
-    gens = [_index_array(g) for g in gens]
+    gens = [check_perm(g, n) for g in gens]
     signs = [sign(g) for g in gens]
     cert = giant_certificate(gens, n, seed=seed, budget=budget)
     if isinstance(cert, GiantCertificate):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,6 +78,25 @@ def test_orbit_report_and_determinism(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["x_count"] == 32400
     assert rep["orbit_ratio"] == 1.0
+
+
+def test_benchmark_checks_pass_on_fresh_outputs(tmp_path, capsys):
+    # the benchmark revalidates its reports through permgrp's list API
+    # (check_perm, mult, inverse, id_perm, sign, cycle_lengths) and the
+    # report contract: a change to either fails here, not only in a
+    # benchmark run.  perfbench is not a package, so its checks are
+    # loaded by path.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    report, dump, count = (tmp_path / name for name in ("orbit.json", "orbit.chqo", "count.json"))
+    assert main(["orbit", "19", "--seed", "9", "--out", str(report), "--dump", str(dump)]) == 0
+    assert main(["count", "19", "--orbit", str(dump), "--out", str(count)]) == 0
+    capsys.readouterr()
+    assert checks.check_orbit_report(report, 19, 9) == []
+    assert checks.check_dump(dump, 19) == []
+    assert checks.check_count_report(count, 19) == []
 
 
 def test_orbit_failed_certificate_exit(capsys, monkeypatch):
@@ -321,6 +342,32 @@ def test_refusals_name_their_cause(orbit19, tmp_path, capsys, argv, message):
     code, out = run(capsys, *[a.format(dump19=dump) for a in argv])
     assert code == 1
     assert message in out
+
+
+@pytest.mark.parametrize("defect", ["missing", "truncated", "other prime"])
+def test_count_refuses_a_bad_dump_before_counting(orbit19, tmp_path, capsys, monkeypatch,
+                                                  defect):
+    # the dump and its prime are checked first: count_x, seconds at
+    # p = 53, never runs for a dump that would be refused
+    from charquo import witness as wt
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("count_x ran before the dump was checked")
+
+    monkeypatch.setattr(wt, "count_x", no_count)
+    dump = tmp_path / "orbit19.chqo"
+    message = f"[Errno 2] No such file or directory: '{dump}'"
+    if defect != "missing":
+        orbit19.write_dump(dump)
+        message = f"{dump}: orbit dump is for p = 19, not 23"
+    if defect == "truncated":
+        dump.write_bytes(dump.read_bytes()[:-56])
+        message = f"{dump}: {24 + 56 * 32399} bytes, but a dump of n=32400 points has " \
+                  f"{24 + 56 * 32400}"
+    code, out = run(capsys, "count", "23" if defect == "other prime" else "19",
+                    "--orbit", str(dump))
+    assert code == 1
+    assert out == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, name", [(["qrep", "1", "2"], "n"), (["qrep", "4", "-1"], "ell"),

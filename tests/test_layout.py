@@ -107,6 +107,32 @@ def test_slice_sizes_only_in_numutil():
     assert not found, "range() with a computed step outside numutil: " + ", ".join(found)
 
 
+def test_unchecked_gathers_only_in_permgrp_gather():
+    # np.take(..., mode="clip") clips an index out of range instead of
+    # refusing it; the one unchecked gather is permgrp._gather, whose
+    # docstring states the precondition its callers keep (indices from
+    # permutations that check_perm accepted).  A mode= that is not the
+    # literal "raise" counts as unchecked, a computed one too.
+    found, allowed, doc = [], 0, ""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        gather = None
+        if path.stem == "permgrp":
+            gather = next(node for node in ast.walk(tree)
+                          if isinstance(node, ast.FunctionDef) and node.name == "_gather")
+            doc = ast.get_docstring(gather)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.keyword) and node.arg == "mode"
+                    and not (isinstance(node.value, ast.Constant) and node.value.value == "raise")):
+                line = node.value.lineno
+                if gather is not None and gather.lineno <= line <= gather.end_lineno:
+                    allowed += 1
+                else:
+                    found.append(f"{path.name}:{line} mode={ast.unparse(node.value)}")
+    assert not found, "unchecked gathers outside permgrp._gather: " + ", ".join(found)
+    assert allowed == 1 and "Precondition: every entry of idx is below len(a)" in doc
+
+
 def _is_dataclass(node):
     for dec in node.decorator_list:
         dec = dec.func if isinstance(dec, ast.Call) else dec

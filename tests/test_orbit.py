@@ -108,16 +108,32 @@ def test_budget_error(cfg19):
     assert ei.value.partial_count > 10
 
 
-def test_traversal_order_independence_exact(cfg19):
-    # a shuffled frontier also reorders the verified rows within each layer
-    a = enumerate_orbit(cfg19.P, cfg19.params)
-    b = enumerate_orbit(cfg19.P, cfg19.params, frontier_shuffle_seed=123)
-    assert a.n == b.n
-    assert (a.keys == b.keys).all()
-    assert (a.points == b.points).all()
-    assert a.edges_verified == b.edges_verified
-    for L in LETTERS:
-        assert (a.letter_perm(L) == b.letter_perm(L)).all()
+def test_frontiers_are_consecutive_blocks_read_in_place(cfg19, monkeypatch):
+    # each layer's frontier is the block of points that the layer before
+    # found: the layers tile the points in order, and the letters read
+    # slices of the stored rows, not gathered copies
+    expand, apply = orbit_mod._expand, orbit_mod.apply_letter_np
+    blocks, in_place, state = [], [], {"rows": None}
+
+    def layer(p, seen, lo, *args):
+        blocks.append((lo, len(seen.rows)))
+        state["rows"] = seen.rows
+        try:
+            return expand(p, seen, lo, *args)
+        finally:
+            state["rows"] = None
+
+    def spy(p, quads, letter):
+        if state["rows"] is not None:
+            in_place.append(quads.base is state["rows"])
+        return apply(p, quads, letter)
+
+    monkeypatch.setattr(orbit_mod, "_expand", layer)
+    monkeypatch.setattr(orbit_mod, "apply_letter_np", spy)
+    orbit = enumerate_orbit(cfg19.P, cfg19.params)
+    assert blocks[0] == (0, 1) and blocks[-1][1] == orbit.n
+    assert all(b[0] == a[1] for a, b in zip(blocks, blocks[1:]))
+    assert in_place and all(in_place)
 
 
 def test_exact_verification_ran(orbit19):
@@ -151,8 +167,7 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
     # the BFS builds no whole layer: with 997-row slices (the largest
     # p = 19 frontier has 7 147 points) its tracemalloc peak stays below
     # the resting size of the index it returns, plus 40 bytes per point
-    # of bookkeeping (the rank, the int32 frontiers and successors, the
-    # inverse check) and 512 bytes per slice row; keying each letter's
+    # of bookkeeping (the rank, the int32 successors, the inverse check) and 512 bytes per slice row; keying each letter's
     # images of that largest frontier at once would add about 2.9 MB
     monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
     tracemalloc.start()
@@ -237,9 +252,9 @@ def reject_recurrent_edge(request, monkeypatch):
     equivalent = orbit_mod._ExactChecker.equivalent
     state = {"rejected": None, "frontier": 0}
 
-    def layer(p, seen, frontier, *args):
-        state.update(older=seen.keys.copy(), frontier=len(frontier))
-        return expand(p, seen, frontier, *args)
+    def layer(p, seen, lo, *args):
+        state.update(older=seen.keys.copy(), frontier=len(seen.rows) - lo)
+        return expand(p, seen, lo, *args)
 
     def rejecting(self, Qs, Rs):
         ok = equivalent(self, Qs, Rs)

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import re
 import sys
 import threading
 from math import factorial
@@ -251,6 +252,17 @@ def _ref_cycle_lengths(p):
     return sorted(out)
 
 
+def _ref_cycle_labels(p):
+    """The least point of each point's cycle."""
+    out = [None] * len(p)
+    for i in range(len(p)):  # i is the least point of its cycle when first reached
+        j = i
+        while out[j] is None:
+            out[j] = i
+            j = p[j]
+    return out
+
+
 def _ref_sign(p):
     return -1 if (len(p) - len(_ref_cycle_lengths(p))) % 2 else 1
 
@@ -271,6 +283,11 @@ def _ref_word_perm(word, gens, n):
     for idx, e in word:
         out = pg.mult(out, gens[idx] if e == 1 else pg.inverse(gens[idx]))
     return out
+
+
+def _bufs(n, k):
+    """k int32 arrays of n entries, the buffers of the word kernels."""
+    return [np.empty(n, dtype=np.int32) for _ in range(k)]
 
 
 def _perm_cases(n, rng):
@@ -324,7 +341,7 @@ def test_reduced_word_perm_matches_list_composition():
             rng.shuffle(g)
             gens.append(g)
         gens.append(cyc(n, *[(k, k + 1) for k in range(0, n - 1, 2)]))  # an involution
-        arrays = [np.array(g, dtype=np.int64) for g in gens]
+        arrays = [pg.check_perm(g, n) for g in gens]
         invs = pg._inverses(arrays)
         assert invs[3] is arrays[3] and pg.mult(gens[3], gens[3]) == pg.id_perm(n)
         for _ in range(40):
@@ -336,22 +353,66 @@ def test_reduced_word_perm_matches_list_composition():
                     i, e = letter
                     word += [(i, e if i == 3 else -e), letter] * rng.randint(1, 3)
             ref = _ref_word_perm(word, gens, n)
-            assert pg._word_perm(word, arrays, invs, n).tolist() == ref
+            assert pg._word_perm(word, arrays, invs, *_bufs(n, 2)).tolist() == ref
             assert pg.GiantCertificate(word, 2, n).permutation(gens).tolist() == ref
     # words that cancel to nothing give the identity
     for word in ([(0, 1), (1, -1), (1, 1), (0, -1)], [(3, 1), (3, 1)], [(3, -1), (3, 1)],
                  [(2, -1), (3, 1), (3, -1), (2, 1)], []):
-        assert pg._word_perm(word, arrays, invs, n).tolist() == pg.id_perm(n)
+        assert pg._word_perm(word, arrays, invs, *_bufs(n, 2)).tolist() == pg.id_perm(n)
 
 
-def test_word_perm_without_buffers_checks_its_gathers():
-    # the bufferless composition, which revalidate uses, gathers with
-    # mode="raise": an index out of range raises instead of clipping
-    good, bad = np.array([1, 0, 2], dtype=np.int32), np.array([0, 1, 3], dtype=np.int32)
-    with pytest.raises(IndexError):
-        pg._word_perm([(1, 1), (0, 1)], [good, bad], [good, bad], 3)
-    with pytest.raises(ValueError):
-        pg._gather(good, good[:2], np.empty(3, dtype=np.int32), "raise")
+# -- the boundary: every entry refuses a non-permutation -------------------
+
+GOOD5 = [1, 2, 3, 4, 0]  # a 5-cycle
+BAD5 = [  # (a non-permutation of degree 5, the defect its refusal names)
+    ([1, 2, 3, 4, 5], "entry out of range: 5 at point 4, degree 5"),
+    ([1, 2, 3, 4, -1], "entry out of range: -1 at point 4, degree 5"),
+    ([1, 2, 3, 4, 1], "repeated image: 1 at points 0 and 4"),
+    ([1, 2, 3, 0], "wrong length: 4 entries for degree 5"),
+]
+# (name, a call on a generator g of degree 5, whether the degree is
+# given apart from g; where it is not, a shorter g is a permutation)
+ENTRIES = [
+    ("cycle_lengths", lambda g: pg.cycle_lengths(g), False),
+    ("sign", lambda g: pg.sign(g), False),
+    ("is_transitive", lambda g: pg.is_transitive([GOOD5, g], 5), True),
+    ("giant_certificate", lambda g: pg.giant_certificate([GOOD5, g], 5), True),
+    ("classify_giant", lambda g: pg.classify_giant([GOOD5, g], 5), True),
+    ("GiantCertificate.permutation",
+     lambda g: pg.GiantCertificate([(0, 1), (1, -1)], 3, 5).permutation([GOOD5, g]), True),
+    ("GiantCertificate.revalidate",
+     lambda g: pg.GiantCertificate([(0, 1), (1, -1)], 3, 5).revalidate([GOOD5, g]), True),
+    ("schreier_sims", lambda g: pg.schreier_sims([GOOD5, g], 5), True),
+    ("BSGS.contains", lambda g: pg.schreier_sims([GOOD5]).contains(g), True),
+]
+FORMS = {"list": list, "int64": lambda g: np.array(g, dtype=np.int64),
+         "int32": lambda g: np.array(g, dtype=np.int32)}
+
+
+@pytest.mark.parametrize("form", FORMS.values(), ids=FORMS.keys())
+@pytest.mark.parametrize("call, degree_given", [e[1:] for e in ENTRIES],
+                         ids=[e[0] for e in ENTRIES])
+def test_entries_refuse_non_permutations(call, degree_given, form):
+    # each public entry checks what it is given before any kernel runs:
+    # a repeated image no longer yields wrong cycle lengths, and an
+    # entry out of range never reaches an unchecked gather
+    call(form(GOOD5))
+    for bad, defect in BAD5:
+        if degree_given or len(bad) == 5:
+            with pytest.raises(ValueError, match=re.escape(defect)):
+                call(form(bad))
+
+
+def test_check_perm_names_each_defect():
+    assert pg.check_perm([]).tolist() == []
+    same = np.array(GOOD5, dtype=np.int32)
+    assert pg.check_perm(same, 5) is same
+    for bad, defect in [([0.0, 1.0], "entries of dtype float64 are not integers"),
+                        ([True, False], "entries of dtype bool are not integers"),
+                        (np.array([0, 2 ** 40]), "entry out of range: 1099511627776 at point 1"),
+                        ([0], "degree 2147483648 is not below 2^31")]:
+        with pytest.raises(ValueError, match=re.escape(defect)):
+            pg.check_perm(bad, 2 ** 31 if len(bad) == 1 else None)
 
 
 def test_revalidate_rejects_wrong_q_after_reduction():
@@ -395,14 +456,14 @@ def test_int32_arrays_are_used_as_given(monkeypatch):
     n = 100
     gens = [np.array(list(range(1, n)) + [0], dtype=np.int32),
             np.array(cyc(n, (0, 1)), dtype=np.int32)]
-    assert all(pg._index_array(g) is g for g in gens)
+    assert all(pg.check_perm(g, n) is g for g in gens)
     for other in (cyc(n, (0, 1)), np.array(cyc(n, (0, 1)), dtype=np.int64)):
-        assert pg._index_array(other).dtype == np.int32
+        assert pg.check_perm(other, n).dtype == np.int32
     used = []
     sign, word_perm = pg.sign, pg._word_perm
     monkeypatch.setattr(pg, "sign", lambda g: used.append(g) or sign(g))
-    monkeypatch.setattr(pg, "_word_perm", lambda word, gs, invs, m, *bufs:
-                        used.extend(gs) or word_perm(word, gs, invs, m, *bufs))
+    monkeypatch.setattr(pg, "_word_perm", lambda word, gs, invs, *bufs:
+                        used.extend(gs) or word_perm(word, gs, invs, *bufs))
     cls = pg.classify_giant(gens, n, seed=9)
     assert cls.kind == "Symmetric" and cls.certificate is not None
     assert len(used) > len(gens) and all(any(g is h for h in gens) for g in used)
@@ -513,12 +574,12 @@ def test_window_cycle_reads_the_long_cycle_off_the_median():
             word = [(rng.randrange(len(gens)), rng.choice((1, -1)))
                     for _ in range(rng.randint(0, 4))]
             ref = _ref_word_perm(word, gens, n)
-            bufs = [np.empty(n, dtype=np.int32) for _ in range(3)]
-            assert pg._word_perm(word, arrays, invs, n, *bufs[:2]).tolist() == ref
+            bufs = _bufs(n, 3)
+            assert pg._word_perm(word, arrays, invs, *bufs[:2]).tolist() == ref
             q = pg._window_cycle(word, arrays, invs, primes, *bufs)
             assert q == next((c for c in _ref_cycle_lengths(ref) if c in primes), None)
             f = np.array(ref, dtype=np.int32)
-            assert (pg._cycle_labels(f.copy(), *bufs[:2]) == pg._cycle_labels(f)).all()
+            assert pg._cycle_labels(f, *bufs[:2]).tolist() == _ref_cycle_labels(ref)
 
 
 WREATH = [cyc(100, (0, 1)), list(range(2, 100)) + [0, 1]]  # C2 wr C50: no window cycle
