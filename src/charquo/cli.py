@@ -6,9 +6,10 @@ rendered from it), a failure too.  to_json writes it to its file as it
 is produced, a slice at a time: to stdout for --json, through
 write_atomic for --out and qrep --export.  Exit codes: 0 success, 1
 precondition or assumption failure (ValueError, OSError; also a stdout
-closed by its reader, with no report), 2 budget (BudgetError), 3
-internal invariant violation (ArithmeticError, InvariantError among
-them); run() alone maps an exception class to its code and report.
+closed by its reader, with no report), 2 budget (BudgetError, a side
+job killed by a signal among them, and MemoryError), 3 internal
+invariant violation (ArithmeticError, InvariantError among them); run()
+alone maps an exception class to its code and report.
 """
 
 from __future__ import annotations
@@ -351,6 +352,11 @@ def run(args) -> int:
         raise
     except BudgetError as e:
         kind, code, error = "budget exhausted", EXIT_BUDGET, e
+    except MemoryError as e:  # raised on the main line or by a side job
+        at = ", ".join(f"{k} = {v}" for k, v in vars(args).items() if k in ("p", "n", "ell"))
+        text = f"out of memory in charquo {args.command}" + (f" at {at}" if at else "")
+        kind, code, error = "budget exhausted", EXIT_BUDGET, MemoryError(
+            text + (f": {e}" if str(e) else ""))
     except ArithmeticError as e:
         # InvariantError, ExactDivisionError, bare raises: never bad input
         kind, code, error = "internal invariant violated", EXIT_INTERNAL, e

@@ -1,12 +1,14 @@
 """Small integer number theory (primality, factoring), the package's
 error bases BudgetError (exit code 2) and InvariantError (exit code 3),
-and the slice size of every memory-bounded loop (slices).
+the slice size of every memory-bounded loop (slices) and the one way
+to run a job in a side process (SideJob).
 
 Deterministic Miller-Rabin is exact below psi_13 (about 3.3 * 10^24)
 and refuses larger inputs; factoring is trial division plus Pollard rho, enough for
 the torus orders (p -+ 1)/2 that the rest of the package feeds it.
 """
 
+import os
 from math import gcd
 
 
@@ -48,6 +50,124 @@ def slices(n, width=1):
     item.  SLICE_ENTRIES is read at each call."""
     step = max(1, SLICE_ENTRIES // width)
     return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+
+class SideJobKilled(BudgetError):
+    """A side job's process was ended by a signal, most often SIGKILL
+    from the kernel's out-of-memory killer; the command line reports it
+    with exit code 2, as it does a MemoryError."""
+
+
+class SideJob:
+    """fn(*args) run in a forked child process while the caller goes on.
+
+    result() waits for the child and returns fn's value, or raises its
+    exception: the same type with the same message, so the caller's
+    error handling does not depend on where the job ran.  A child ended
+    by a signal raises SideJobKilled, naming the job and the signal.
+    close() (also on leaving a with block) kills a child that has not
+    been waited for and reaps it, so no process outlives its SideJob.
+
+    The child writes only the pickled outcome to its pipe and ends with
+    os._exit: no atexit handler, buffered stdio or finally block of the
+    caller runs in it.  It runs in a copy of a process that may hold
+    threads (OpenBLAS's pool, once numpy is imported), so fn must not
+    take a lock that such a thread could hold, nor call a BLAS product.
+    Where os.fork does not exist, fn runs inline when the job is
+    created and its exception is raised by result().
+
+    what names the job in SideJobKilled and in the InvariantError of a
+    child that sent no outcome, e.g. "the count job at p = 31".
+    """
+
+    def __init__(self, what, fn, *args):
+        import pickle  # loaded by numpy anyway; not on the import path of qrep
+
+        self.what, self._pid, self._fd = what, None, None
+        if not hasattr(os, "fork"):
+            try:
+                self._outcome = (True, fn(*args))
+            except Exception as e:
+                self._outcome = (False, e)
+            return
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(r)
+                import gc
+                gc.freeze()  # no object of the caller's is finalized here too
+                try:
+                    outcome = (True, fn(*args))
+                except BaseException as e:
+                    outcome = (False, e)
+                try:
+                    data = pickle.dumps(outcome)
+                    pickle.loads(data)  # an exception whose class cannot be rebuilt
+                except Exception as e:
+                    kind = "value" if outcome[0] else "exception"
+                    data = pickle.dumps((False, InvariantError(
+                        f"{what}: its {kind} {type(outcome[1]).__name__}: {outcome[1]} "
+                        f"cannot be sent back ({type(e).__name__}: {e})")))
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(w, view):]
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(w)
+        self._pid, self._fd = pid, r
+
+    def result(self):
+        """fn's value, or its exception raised here."""
+        import pickle
+
+        if self._fd is None and self._pid is None:
+            ok, value = self._outcome
+        else:
+            chunks = []
+            while chunk := os.read(self._fd, 1 << 16):
+                chunks.append(chunk)
+            status = self._reap()
+            if os.WIFSIGNALED(status):
+                import signal
+                sig = os.WTERMSIG(status)
+                name = signal.Signals(sig).name if sig in set(signal.Signals) else "SIGRT"
+                raise SideJobKilled(f"{self.what} was killed by signal {name} ({sig})")
+            if os.waitstatus_to_exitcode(status) != 0 or not chunks:
+                raise InvariantError(f"{self.what} ended with exit status "
+                                     f"{os.waitstatus_to_exitcode(status)} and no outcome")
+            ok, value = self._outcome = pickle.loads(b"".join(chunks))
+        if ok:
+            return value
+        raise value
+
+    def close(self):
+        """Kill the child unless it has been waited for, and reap it."""
+        if self._pid is not None:
+            import signal
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self):
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        return status
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def is_prime(n: int) -> bool:

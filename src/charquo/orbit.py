@@ -8,14 +8,17 @@ base-p packing it runs on are ffield's, applied to entry-major copies of
 the rows; the trace coordinates and their key are charvar's
 (trace_coords, canon_keys_np).  This module owns the BFS, the
 exact-equivalence checker, the index and the dump format.  Every
-recurrent BFS edge, every sigma_i^-1 edge and every image of the
-reversal twist is re-verified against the stored representative with
+recurrent BFS edge (in enumerate_orbit), every sigma_i^-1 edge (in
+verify_inverse_edges) and every image of the reversal twist (in
+verify_epsilon) is re-verified against the stored representative with
 the centralizer-coset equivalence, so the enumeration is sound even
-where the injectivity of the trace map is unproven.  The check solves
-for one candidate centralizer pair per row, where the pencil
-span(I, gamma) meets the pencil of pairs that the A blocks allow, and
-tests only that pair (see _ExactChecker); there is no other path.  A
-genuine trace-key collision between inequivalent points raises
+where the injectivity of the trace map is unproven.  The last two are
+functions of a finished index, so the pipeline (witness.run_pipeline)
+runs them in a side process while it goes on with the permutations.
+The check solves for one candidate centralizer pair per row, where the
+pencil span(I, gamma) meets the pencil of pairs that the A blocks
+allow, and tests only that pair (see _ExactChecker); there is no other
+path.  A genuine trace-key collision between inequivalent points raises
 KeyCollisionError (the OrbitIndex contract requires pairwise-distinct
 keys).
 
@@ -45,10 +48,11 @@ arrays are the verified forward edges; once the BFS closes each
 letter's are concatenated in layer order, which is point order, and
 renumbered by ascending key into sigma_1, sigma_2 and sigma_3, one
 letter at a time.  Each must be a bijection, and sigma_i^-1 is its
-inverse.  Then a pass without keys applies sigma_i^-1 to every point
-and verifies the image exactly against the row the inverse names.  The
-edges verified are the 3n - (n - 1) = 2n + 1 recurrent forward edges
-plus the 3n inverse edges, 5n + 1 in all.  No image is keyed twice.
+inverse.  enumerate_orbit verifies the 3n - (n - 1) = 2n + 1 recurrent
+forward edges.  verify_inverse_edges is a pass without keys: it applies
+sigma_i^-1 to every point and verifies the image exactly against the
+row the inverse names, 3n edges, 5n + 1 in all.  No image is keyed
+twice.
 
 Rows are stored as ROW_DTYPE (uint16): every entry is a residue below
 p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np,
@@ -263,7 +267,7 @@ class OrbitIndex:
     points: np.ndarray  # (n, 16) ROW_DTYPE residues, ascending key order
     keys: np.ndarray    # (n,) packed canonical trace keys, ascending
     perms: dict         # letter -> (n,) int32 index permutation
-    edges_verified: int = 0
+    edges_verified: int = 0  # the BFS's recurrent edges, 2n + 1
 
     @property
     def n(self) -> int:
@@ -296,8 +300,8 @@ class OrbitIndex:
         For sigma_i it is the BFS's map of exact-verified edges (each
         image's key group, renumbered by ascending key), which
         enumerate_orbit checked to be a bijection; for sigma_i^-1 it is
-        that map's inverse, each of whose edges enumerate_orbit verified
-        exactly against the point it came from."""
+        that map's inverse, each of whose edges verify_inverse_edges
+        verifies exactly against the point it came from."""
         return self.perms[letter]
 
     def f2_perms(self):
@@ -424,9 +428,10 @@ class _Visited:
 def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
     """Closure of P under sigma_1, sigma_2 and sigma_3 (on a finite orbit,
     the braid group orbit), every recurrent edge verified exactly, with
-    the letter permutations read off the edges and every sigma_i^-1
-    edge verified against the point it came from.  max_points must be
-    below 2^31: point indices in the BFS are stored as int32."""
+    the letter permutations read off the edges; its edges_verified
+    counts those 2n + 1 edges.  The sigma_i^-1 edges are verified by
+    verify_inverse_edges, not here.  max_points must be below 2^31:
+    point indices in the BFS are stored as int32."""
     F = params.F
     p = F.p
     if p > MAX_PACKED_PRIME:
@@ -463,7 +468,6 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
     del idx, words
     perms = _letter_perms(layers, rank)
     del rank
-    edges_verified += _verify_inverse_edges(p, pts, perms, checker)
 
     # soundness backstop: every representative satisfies the defining equations
     if not _on_x_mask(params, pts).all():
@@ -500,13 +504,15 @@ def _letter_perms(layers, rank):
     return perms
 
 
-def _verify_inverse_edges(p, pts, perms, checker):
+def verify_inverse_edges(orbit: OrbitIndex) -> int:
     """Exact check of every sigma_i^-1 edge: sigma_i^-1 of each point is
     equivalent to the row that the inverse permutation names.  Nothing
     is keyed.  Returns the number of edges verified, 3n; OrbitError
     names the letter and the first point whose edge fails."""
+    p, pts = orbit.p, orbit.points
+    checker = make_checker(orbit.params)
     for i, _ in GENS:
-        inv = perms[(i, -1)]
+        inv = orbit.perms[(i, -1)]
         for c in slices(len(pts), 16):
             images = apply_letter_np(p, pts[c], (i, -1))
             ok = checker.equivalent(images, pts.take(inv[c], axis=0))
@@ -634,12 +640,11 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     The trace key of the image is independent of (g, h) (two-sided
     torus twists only flip lift signs), so the index map needs only the
     reversed quadruple; the conjugators are still required to exist
-    with compatible classes.  Every image is verified against its
-    representative through the twisted coset
-    C(gamma) g x h C(delta): as class(g) = class(h), that is the plain
-    equivalence test on the rows g eps(Q) h.
+    with compatible classes.  EpsilonOutsideOrbitError when an image's
+    key is not on the orbit.  The exact check of every image against
+    the point it names is verify_epsilon's, not made here.
     """
-    g, h = epsilon_conjugators(params)
+    epsilon_conjugators(params)
     p = orbit.p
     idx = np.empty(orbit.n, dtype=np.int32)
     for c in slices(orbit.n, 16):
@@ -653,13 +658,23 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
             i = c.start + int(bad[0])
             raise OrbitError(f"epsilon is not an involution on the orbit at p={p}: "
                              f"index {i} -> {int(idx[i])} -> {int(idx[idx[i]])}")
+    return idx
+
+
+def verify_epsilon(orbit: OrbitIndex, eps, params: Params):
+    """Exact check of the reversal twist that epsilon_perm indexed: each
+    image g eps(Q) h against the point eps names, through the twisted
+    coset C(gamma) g x h C(delta).  As class(g) = class(h), that is the
+    plain equivalence test on the rows g eps(Q) h.
+    EpsilonOutsideOrbitError on the first slice that fails."""
+    g, h = epsilon_conjugators(params)
+    p = orbit.p
     checker = make_checker(params)
     for c in slices(orbit.n, 16):
         twisted = _twisted_reversal(p, g, h, orbit.points[c])
-        if not checker.equivalent(twisted, orbit.points.take(idx[c], axis=0)).all():
+        if not checker.equivalent(twisted, orbit.points.take(eps[c], axis=0)).all():
             raise EpsilonOutsideOrbitError(
                 "epsilon image fails exact equivalence with its representative")
-    return idx
 
 
 def _twisted_reversal(p, g, h, rows):

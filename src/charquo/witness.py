@@ -12,6 +12,8 @@ and the other not.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import time
 from dataclasses import dataclass
 
@@ -24,9 +26,9 @@ from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, 
                      exact_conjugator, inv_table, is_maximal, legendre_table, mm, mm_raw,
                      neg, order, pack_np, pgl_canon, pgl_canon_np, psl_canon, psl_canon_np,
                      residue, torus_pencil, tr, tr_mm, unpack_np)
-from .numutil import BudgetError, InvariantError, next_prime, slices
+from .numutil import BudgetError, InvariantError, SideJob, next_prime, slices
 from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
-                    epsilon_perm, validate_start)
+                    epsilon_perm, validate_start, verify_epsilon, verify_inverse_edges)
 from .permgrp import WORD_BUDGET, CertificateError, GiantCertificate, classify_giant, sign
 
 TR_GAMMA = 3
@@ -906,18 +908,69 @@ def orbit_sigma_orders(orbit: OrbitIndex, i: int):
 
 # -- the pipeline ----------------------------------------------------------
 
+def _reversal_failure(p, e):
+    return EpsilonOutsideOrbitError(f"reversal twist fails at p = {p}: {e}")
+
+
+def _verification_job(orbit: OrbitIndex, eps, params: Params):
+    """The pipeline's verification job: the sigma_i^-1 edge checks, then,
+    when eps is given, the reversal twist's exact checks.  Returns the
+    sigma_i^-1 edges verified and the twist's EpsilonOutsideOrbitError
+    (None when it passes), so that the pipeline can place the dump,
+    which waits only on the sigma_i^-1 checks, before it raises that."""
+    verified = verify_inverse_edges(orbit)
+    if eps is not None:
+        try:
+            verify_epsilon(orbit, eps, params)
+        except EpsilonOutsideOrbitError as e:
+            return verified, e
+    return verified, None
+
+
+def _discard(path):
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+
+
 def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
                  giant_budget: int = WORD_BUDGET,
                  count_budget: int = COUNT_MAX_PRIME,
                  include_permutations: bool = True, dump_path=None) -> dict:
-    """Witness -> orbit -> permutations -> classification -> verdict.
+    """Witness -> orbit -> permutations -> classification -> count ->
+    verdict, with two of the checks in side processes (numutil.SideJob).
+
+    Stage order of the main line:
+    - witness: build and check_assumptions; then the count job
+      (count_x) starts;
+    - orbit: enumerate_orbit (the BFS, its recurrent edges, the letter
+      permutations and the check of the rows on X), and the dump,
+      written beside dump_path;
+    - permutations: epsilon_perm (the twist's index and involution
+      passes); then the verification job starts (verify_inverse_edges,
+      then verify_epsilon); f2_perms;
+    - classification: classify_giant and the sign of x;
+    - then the verification job and the count job are waited for, in
+      that order, and the dump is moved to dump_path once the
+      sigma_i^-1 checks have passed.
+
+    Every check runs, on the same rows, whatever the timing.  When two
+    fail, the one earlier in the serial order is raised: witness, orbit
+    (the BFS, the rows on X, then the sigma_i^-1 checks), permutations
+    (the twist's index and involution passes, then its exact checks),
+    classification, count.  So a main-line failure after the BFS first
+    waits for the sigma_i^-1 checks (in a job of their own when the
+    verification job has not started) and for the twist's exact checks
+    when they have; an earlier failure kills the count job.  The dump
+    is at dump_path exactly when the sigma_i^-1 checks passed.  Both
+    jobs are reaped on every way out.
 
     Returns the QuotientReport as a plain dict.  Its "permutations"
     (when included) are the six int32 arrays, not lists: cli.to_json
     writes them as JSON lists.  Failures name their stage: WitnessError
     for a failed assumption, EpsilonOutsideOrbitError for a failed
     reversal twist and CertificateError for a certificate that fails
-    revalidation.
+    revalidation.  timings_ms holds the main line's time in each stage;
+    count_ms is the wait for the two jobs after classification.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -936,32 +989,65 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     if not report.point_ok:
         raise WitnessError("assumptions: unipotent point assumption fails")
 
-    orbit = enumerate_orbit(cfg.P, cfg.params, max_points=max_points)
-    if dump_path is not None:
-        orbit.write_dump(dump_path)
-    lap("orbit_ms")
+    with contextlib.ExitStack() as jobs:  # a job not waited for is killed on the way out
+        count = None
+        if p <= count_budget:
+            count = jobs.enter_context(
+                SideJob(f"the count job at p = {p}", count_x, cfg.params, count_budget))
+        orbit = enumerate_orbit(cfg.P, cfg.params, max_points=max_points)
+        staged = None
+        if dump_path is not None:
+            staged = f"{dump_path}.{os.urandom(4).hex()}"
+            jobs.callback(_discard, staged)
+            orbit.write_dump(staged)
+        lap("orbit_ms")
 
-    s1 = orbit.letter_perm(bq.S1)
-    s2 = orbit.letter_perm(bq.S2)
-    s3 = orbit.letter_perm(bq.S3)
-    try:
-        eps = epsilon_perm(orbit, cfg.params)
-    except EpsilonOutsideOrbitError as e:
-        raise EpsilonOutsideOrbitError(f"reversal twist fails at p = {p}: {e}") from e
-    x, y = orbit.f2_perms()
-    n, edges_verified = orbit.n, orbit.edges_verified
-    del orbit  # from here on only the permutations are needed
-    lap("permutations_ms")
+        def verified(job):
+            """Wait for the verification job: its sigma_i^-1 failure is
+            raised, then the dump is put in place, then its twist failure
+            is raised; returns the sigma_i^-1 edges verified."""
+            edges, twist_failure = job.result()
+            if staged is not None:
+                os.replace(staged, dump_path)
+            if twist_failure is not None:
+                raise _reversal_failure(p, twist_failure)
+            return edges
 
-    gens = {"sigma1": s1, "sigma2": s2, "sigma3": s3, "epsilon": eps}
-    try:
-        cls = classify_giant(list(gens.values()), n, seed=seed, budget=giant_budget)
-    except CertificateError as e:
-        raise CertificateError(f"classification at p = {p}: {e}") from e
-    lap("classification_ms")
+        what = f"the verification job at p = {p}"
+        verify = None
+        try:
+            try:
+                eps = epsilon_perm(orbit, cfg.params)
+            except EpsilonOutsideOrbitError as e:
+                raise _reversal_failure(p, e) from e
+            verify = jobs.enter_context(
+                SideJob(what, _verification_job, orbit, eps, cfg.params))
+            s1 = orbit.letter_perm(bq.S1)
+            s2 = orbit.letter_perm(bq.S2)
+            s3 = orbit.letter_perm(bq.S3)
+            x, y = orbit.f2_perms()
+            n, edges_verified = orbit.n, orbit.edges_verified
+            del orbit  # from here on only the permutations are needed
+            lap("permutations_ms")
 
-    x_is_id = bool((x == np.arange(n)).all())
-    x_sign = sign(x)
+            gens = {"sigma1": s1, "sigma2": s2, "sigma3": s3, "epsilon": eps}
+            try:
+                cls = classify_giant(list(gens.values()), n, seed=seed, budget=giant_budget)
+            except CertificateError as e:
+                raise CertificateError(f"classification at p = {p}: {e}") from e
+            x_is_id = bool((x == np.arange(n)).all())
+            x_sign = sign(x)
+            lap("classification_ms")
+        except Exception:
+            if verify is None:  # failed before the job began: the sigma_i^-1 checks alone
+                verify = jobs.enter_context(
+                    SideJob(what, _verification_job, orbit, None, cfg.params))
+            verified(verify)
+            raise
+        edges_verified += verified(verify)
+        x_count = None if count is None else count.result()
+        lap("count_ms")
+
     signs = dict(zip(gens, cls.generator_signs))
     if cls.kind in ("Alternating", "Symmetric") and not x_is_id and x_sign == 1:
         verdict = (f"F2 surjects onto A_{n}: x = s1 s3^-1 acts nontrivially and "
@@ -971,11 +1057,6 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
         verdict = "giant certified but the F2 image is trivial or odd (unexpected)"
     else:
         verdict = "inconclusive: giant recognition did not certify"
-
-    x_count = None
-    if p <= count_budget:
-        x_count = count_x(cfg.params, max_prime=count_budget)
-    lap("count_ms")
 
     cert = None
     if isinstance(cls.certificate, GiantCertificate):

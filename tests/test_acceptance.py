@@ -19,6 +19,7 @@ from charquo import permgrp as pg
 from charquo import qrep as qr
 from charquo import witness as wt
 from charquo.ffield import ElementClass, ProjMat2, coarse_type
+from charquo.orbit import verify_inverse_edges
 from charquo.qlinalg import mat_mul
 from conftest import rand_psl2, rand_quad
 
@@ -88,8 +89,10 @@ def test_criterion_03_dual_key_agreement(orbit19, cfg19, orbit31, cfg31):
     # the flip-orbit invariance of the trace key this makes the two
     # partitions of the orbit literally equal.  The exact keys are also
     # recomputed independently below, for every point at p=19 and p=31.
+    # (the 2n + 1 recurrent BFS edges, and the 3n sigma_i^-1 edges that
+    # verify_inverse_edges checks: 5n + 1, the report's edges_verified)
     for orbit in (orbit19, orbit31):
-        assert orbit.edges_verified == 5 * orbit.n + 1
+        assert orbit.edges_verified + verify_inverse_edges(orbit) == 5 * orbit.n + 1
     keys19 = wt.orbit_exact_keys(orbit19, cfg19.params)
     assert len({(int(a), int(b)) for a, b in keys19}) == orbit19.n
     assert hashlib.sha256(keys19.tobytes()).hexdigest() == EXACT_KEYS19_SHA256

@@ -253,6 +253,36 @@ def test_orbit_report_digest(capsys, seed):
     assert hashlib.sha256(blanked.encode()).hexdigest() == ORBIT_REPORT_DIGESTS[seed]
 
 
+# sha256 of `orbit 19 --seed 9 --json` with its six permutation arrays
+# and timings_ms blanked ("report"), and of the JSON text of each array
+FULL_REPORT19_SEED9_DIGESTS = {
+    "report": "7ae23afb0c43b641ff878e7a8f2593d2ff973b105f0435ac85e58375a9aca9e3",
+    "epsilon": "3704b1fa5943b6c308abf522160dcc14c358dba03bb4d77e2aa4027f4e359eb6",
+    "sigma1": "ea5a0078e373ac3556410fb68bfa3384c99c13c1dc38a25bfc284c91b9c51909",
+    "sigma2": "d8232fbecdb8c0f61e4ad294d4c38975803ec82e5bfa13f2ce8b856cd9b7f09b",
+    "sigma3": "65445e8328ca5547ef6a64ca77a9346bbf86ad1330d61bbf183b3ddce6e03548",
+    "x": "44a4a0d2a9afcb7c6f0814a13be831f9fc09e5c6802ce916b2059017c00edd4a",
+    "y": "aaaa08bd12aad33e574698d60e076a7309c57d653e875bfb3dff51d133b2a655",
+}
+
+
+def test_full_orbit_report_digest(capsys):
+    # the arrays, the certificate and edges_verified of a report with
+    # its permutations, byte for byte
+    code, out = run(capsys, "orbit", "19", "--seed", "9", "--json")
+    assert code == 0
+    got = {}
+
+    def blank(m):
+        got[m.group(1)] = hashlib.sha256(m.group(2).encode()).hexdigest()
+        return f'"{m.group(1)}": []'
+
+    blanked = re.sub(r'"(epsilon|sigma1|sigma2|sigma3|x|y)": (\[[^\]]*\])', blank, out)
+    blanked = re.sub(r'"timings_ms": \{[^}]*\}', '"timings_ms": {}', blanked)
+    got["report"] = hashlib.sha256(blanked.encode()).hexdigest()
+    assert got == FULL_REPORT19_SEED9_DIGESTS
+
+
 # sha256 of `qrep N ELL --verify --specialize 1009 517 897 --max-n N --json`
 QREP_REPORT_DIGESTS = {
     (2, 3): "878c96f3fe07aa9cb8f8ac230b569f2f011c0f2a3f6492d97cea75455fd49360",

@@ -107,6 +107,50 @@ def test_slice_sizes_only_in_numutil():
     assert not found, "range() with a computed step outside numutil: " + ", ".join(found)
 
 
+PROCESS_CALLS = {"fork", "forkpty", "posix_spawn", "system", "wait", "wait3", "wait4",
+                 "waitpid", "_exit"}
+PROCESS_MODULES = {"multiprocessing", "subprocess"}
+
+
+def _process_uses(tree):
+    """(line, text) of every os process call and every use or import of
+    multiprocessing or subprocess in a module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in PROCESS_CALLS
+                and getattr(node.value, "id", None) == "os"):
+            yield node.lineno, f"os.{node.attr}"
+        elif isinstance(node, ast.Name) and node.id in PROCESS_MODULES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in PROCESS_MODULES:
+                    yield node.lineno, f"import {alias.name}"
+        elif isinstance(node, ast.ImportFrom):
+            root = (node.module or "").split(".")[0]
+            names = {alias.name for alias in node.names}
+            if root in PROCESS_MODULES or (root == "os" and names & PROCESS_CALLS):
+                yield node.lineno, f"from {node.module} import {', '.join(sorted(names))}"
+
+
+def test_processes_only_in_numutil_side_job():
+    # a child process is started, waited for and ended in one place,
+    # numutil.SideJob, which reaps every child it starts
+    found, allowed = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = None
+        if path.stem == "numutil":
+            helper = next(node for node in ast.walk(tree)
+                          if isinstance(node, ast.ClassDef) and node.name == "SideJob")
+        for line, text in _process_uses(tree):
+            if helper is not None and helper.lineno <= line <= helper.end_lineno:
+                allowed.add(text)
+            else:
+                found.append(f"{path.name}:{line} {text}")
+    assert not found, "process calls outside numutil.SideJob: " + ", ".join(found)
+    assert allowed == {"os.fork", "os.waitpid", "os._exit"}
+
+
 def test_unchecked_gathers_only_in_permgrp_gather():
     # np.take(..., mode="clip") clips an index out of range instead of
     # refusing it; the one unchecked gather is permgrp._gather, whose

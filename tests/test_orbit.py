@@ -16,7 +16,8 @@ from charquo.cli import main
 from charquo.ffield import entry_major, inv_table, mm
 from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError,
                            OrbitBudgetError, enumerate_orbit, epsilon_perm,
-                           fast_keys, quad_to_row, read_dump)
+                           fast_keys, quad_to_row, read_dump, verify_epsilon,
+                           verify_inverse_edges)
 from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
@@ -137,7 +138,10 @@ def test_frontiers_are_consecutive_blocks_read_in_place(cfg19, monkeypatch):
 
 
 def test_exact_verification_ran(orbit19):
-    assert orbit19.edges_verified == 5 * orbit19.n + 1
+    # the BFS verifies the 2n + 1 recurrent edges, verify_inverse_edges
+    # the 3n sigma_i^-1 edges: 5n + 1, the report's edges_verified
+    assert orbit19.edges_verified == 2 * orbit19.n + 1
+    assert verify_inverse_edges(orbit19) == 3 * orbit19.n
 
 
 def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
@@ -154,13 +158,14 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
         b = enumerate_orbit(cfg19.P, cfg19.params)
         assert (b.keys == orbit19.keys).all()
         assert (b.points == orbit19.points).all()
-        assert b.edges_verified == orbit19.edges_verified == 5 * b.n + 1
+        assert b.edges_verified + verify_inverse_edges(b) == 5 * b.n + 1
         b_dump = tmp_path / "b.chqo"
         b.write_dump(b_dump)
         assert b_dump.read_bytes() == a_dump.read_bytes()
         for L, perm in zip(LETTERS, a_perms):
             assert (b.letter_perm(L) == perm).all()
         assert (epsilon_perm(b, cfg19.params) == a_eps).all()
+        verify_epsilon(b, a_eps, cfg19.params)
 
 
 def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
@@ -181,9 +186,11 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
     assert peak < resting + 40 * orbit.n + 512 * 997
 
 
-def test_row_kernels_see_one_slice(monkeypatch):
+def test_row_kernels_see_one_slice(cfg19, monkeypatch):
     # the kernels do not slice: every caller, in the BFS, the inverse
     # edge pass and the reversal twist, passes at most one slice of rows
+    # (the last two are called here, as the pipeline's verification job
+    # calls them)
     monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
     widest = {}
 
@@ -197,8 +204,10 @@ def test_row_kernels_see_one_slice(monkeypatch):
         monkeypatch.setattr(orbit_mod, name, watched(name, getattr(orbit_mod, name), rows_arg))
     monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent",
                         watched("equivalent", orbit_mod._ExactChecker.equivalent, 1))
-    rep = wt.run_pipeline(19, include_permutations=False)
-    assert rep["n"] == 32400
+    orbit = enumerate_orbit(cfg19.P, cfg19.params)
+    assert orbit.n == 32400
+    verify_inverse_edges(orbit)
+    verify_epsilon(orbit, epsilon_perm(orbit, cfg19.params), cfg19.params)
     assert sorted(widest) == ["_twisted_reversal", "apply_letter_np", "equivalent", "fast_keys"]
     assert max(widest.values()) <= 997, widest
 
@@ -231,7 +240,7 @@ def test_bfs_under_profilers(orbit19, cfg19, how):
     assert (b.keys == orbit19.keys).all()
     for L in LETTERS:
         assert (b.letter_perm(L) == orbit19.letter_perm(L)).all()
-    assert b.edges_verified == orbit19.edges_verified == 5 * b.n + 1
+    assert b.edges_verified + verify_inverse_edges(b) == 5 * b.n + 1
 
 
 def test_orbit_cli_under_cprofile(capsys):
@@ -297,8 +306,9 @@ def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
 
 def test_bfs_work_counts(cfg19, monkeypatch):
     # the BFS keys only the forward images (and the start row); the
-    # inverse edges are applied and verified, never keyed: 3n + 1 rows
-    # keyed, 6n applied, 5n + 1 edges checked exactly
+    # inverse edges are applied and verified by verify_inverse_edges,
+    # never keyed: 3n + 1 rows keyed, 6n applied, 5n + 1 edges checked
+    # exactly
     rows = {"fast_keys": 0, "apply_letter_np": 0, "equivalent": 0}
 
     def counting(name, fn):
@@ -314,18 +324,21 @@ def test_bfs_work_counts(cfg19, monkeypatch):
                         counting("equivalent", orbit_mod._ExactChecker.equivalent))
     orbit = enumerate_orbit(cfg19.P, cfg19.params)
     n = orbit.n
+    assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 3 * n,
+                    "equivalent": 2 * n + 1}
+    assert orbit.edges_verified + verify_inverse_edges(orbit) == 5 * n + 1
     assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 6 * n,
                     "equivalent": 5 * n + 1}
-    assert orbit.edges_verified == 5 * n + 1
 
 
 @pytest.fixture()
 def reject_inverse_edge(monkeypatch):
-    """Make exact verification reject one sigma_2^-1 edge of the pass
-    after the BFS: that of point index 1000, row 3 of the second
-    997-row slice."""
+    """Make exact verification reject one sigma_2^-1 edge of
+    verify_inverse_edges: that of point index 1000, row 3 of the second
+    997-row slice.  state["rejected"] records it in the process that
+    ran the check: the pipeline runs it in a side process."""
     monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
-    verify, apply = orbit_mod._verify_inverse_edges, orbit_mod.apply_letter_np
+    verify, apply = orbit_mod.verify_inverse_edges, orbit_mod.apply_letter_np
     equivalent = orbit_mod._ExactChecker.equivalent
     state = {"inverse_pass": False, "s2i_slices": 0, "rejected": False}
 
@@ -345,26 +358,29 @@ def reject_inverse_edge(monkeypatch):
             state["rejected"] = True
         return ok
 
-    monkeypatch.setattr(orbit_mod, "_verify_inverse_edges", inverse_pass)
+    monkeypatch.setattr(wt, "verify_inverse_edges", inverse_pass)
     monkeypatch.setattr(orbit_mod, "apply_letter_np", tracking)
     monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent", rejecting)
     return state
 
 
 def test_inverse_edge_rejected(cfg19, reject_inverse_edge):
+    orbit = enumerate_orbit(cfg19.P, cfg19.params)
     with pytest.raises(orbit_mod.OrbitError) as ei:
-        enumerate_orbit(cfg19.P, cfg19.params)
+        wt.verify_inverse_edges(orbit)
     assert reject_inverse_edge["rejected"]
     assert not isinstance(ei.value, KeyCollisionError)
     assert "sigma2^-1 at point index 1000 fails exact verification" in str(ei.value)
 
 
 def test_inverse_edge_rejected_cli_exit(reject_inverse_edge, capsys):
+    # the pipeline runs the check in its verification job, so the
+    # rejection is read from the output, not from this process's state
     assert main(["orbit", "19", "--no-permutations"]) == 3
     out = capsys.readouterr().out
-    assert reject_inverse_edge["rejected"]
-    assert "internal invariant violated" in out
-    assert "sigma2^-1 at point index 1000" in out
+    assert out == ("internal invariant violated: the edge of sigma2^-1 at point index "
+                   "1000 fails exact verification at p=19 (it inverts a verified sigma2 "
+                   "edge)\n")
 
 
 def test_orbit_not_closed_cli_exit(monkeypatch, capsys):
