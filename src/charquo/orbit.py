@@ -120,6 +120,11 @@ class OrbitBudgetError(BudgetError):
         super().__init__(message)
         self.partial_count = partial_count
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold only the
+        # message: a side job would lose partial_count without this
+        return type(self), (str(self), self.partial_count)
+
 
 class KeyCollisionError(OrbitError):
     """Two inequivalent points share a canonical trace key (falsifies

@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import braidquandle as bq
 from . import charvar as cv
 from . import qrep as qr
 from . import witness as wt
-from .ffield import PrimeField, ProjMat2
+from .ffield import PrimeField, ProjMat2, pack_np
+from .orbit import enumerate_orbit
 from .permgrp import classify_giant, schreier_sims
 
 
@@ -91,6 +94,15 @@ def _check_pipeline():
             and 0 < rep["n"] <= rep["x_count"])
 
 
+def _check_x_classes():
+    cfg = wt.build(19)
+    orbit = enumerate_orbit(cfg.P, cfg.params)
+    count, class_keys = wt.enumerate_x_classes(cfg.params)
+    keys = np.unique(wt.orbit_exact_keys(orbit, cfg.params), axis=0)
+    return count == orbit.n == len(keys) and (
+        pack_np(19, np.array(class_keys).reshape(-1, 2, 8)) == keys).all()
+
+
 def run_selftest(fast: bool = False) -> int:
     checks = [
         ("quandle and braid identities over PSL2(F_1009)",
@@ -101,7 +113,8 @@ def run_selftest(fast: bool = False) -> int:
         ("quantum engine basics (identities, eigenvalues, W_4,2)", _check_qrep),
     ]
     if not fast:
-        checks.append(("end-to-end pipeline at p = 19", _check_pipeline))
+        checks += [("end-to-end pipeline at p = 19", _check_pipeline),
+                   ("X-class oracle agrees with the orbit at p = 19", _check_x_classes)]
     failures = 0
     for name, fn in checks:
         try:

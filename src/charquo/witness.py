@@ -23,12 +23,13 @@ from . import braidquandle as bq
 from .charvar import Params, canon_keys_np
 from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, classify,
                      centralizer_element_of_class, conjugator_np, det, entry_major, eq,
-                     exact_conjugator, inv_table, is_maximal, legendre_table, mm, mm_raw,
-                     neg, order, pack_np, pgl_canon, pgl_canon_np, psl_canon, psl_canon_np,
-                     residue, torus_pencil, tr, tr_mm, unpack_np)
+                     exact_conjugator, first_nonzero_np, inv_table, is_maximal, legendre_table,
+                     mm, mm_raw, neg, order, pack_np, pgl_canon, pgl_canon_np, psl_canon,
+                     psl_canon_np, residue, torus_pencil, tr, tr_mm, unpack_np)
 from .numutil import BudgetError, InvariantError, SideJob, next_prime, slices
-from .orbit import (MAX_POINTS, EpsilonOutsideOrbitError, OrbitIndex, enumerate_orbit,
-                    epsilon_perm, validate_start, verify_epsilon, verify_inverse_edges)
+from .orbit import (MAX_POINTS, ROW_DTYPE, EpsilonOutsideOrbitError, OrbitIndex,
+                    enumerate_orbit, epsilon_perm, validate_start, verify_epsilon,
+                    verify_inverse_edges)
 from .permgrp import WORD_BUDGET, CertificateError, GiantCertificate, classify_giant, sign
 
 TR_GAMMA = 3
@@ -441,7 +442,8 @@ def count_x(params: Params, max_prime: int = COUNT_MAX_PRIME) -> int:
 # -- independent exact enumeration of X^(2) -------------------------------
 
 def _all_sl2(F: PrimeField):
-    """All of SL2(F_p) as an (n, 4) int64 array."""
+    """All of SL2(F_p) as an (n, 4) int64 array, in ascending
+    lexicographic order."""
     p = F.p
     rows = []
     for a in range(p):
@@ -500,11 +502,6 @@ def _pair_keys(p, k2, k3):
     return pack_np(p ** 4, np.stack((k2, k3), axis=-1))
 
 
-def _packed_signs(p, M):
-    """pack_np of M and of -M, both reduced mod p."""
-    return pack_np(p, M), pack_np(p, residue(p, -M))
-
-
 def _canon_packed(p, canon, M):
     """pack_np of canon(p, M) (psl_canon_np or pgl_canon_np) for
     matrices M on the last axis."""
@@ -514,130 +511,6 @@ def _canon_packed(p, canon, M):
 def _where(mask, A, B):
     """A where mask holds, else B, entry by entry of two 4-sequences."""
     return tuple(np.where(mask, a, b) for a, b in zip(A, B))
-
-
-def _generators(p, ops):
-    """A generating set of the group of the (K, 4, 4) maps ops, as a
-    (G, 4, 4) array: the maps in descending order of their order mod p,
-    each kept when it lies outside the group the kept ones generate.
-    For a cyclic torus that is one generator; for the torus extended by
-    a reflection, one generator and the first reflection.  Returns
-    (generators, their orders)."""
-    def closure(gens):
-        one = np.eye(4, dtype=np.int64)
-        seen = {one.tobytes()}
-        frontier = [one]
-        while frontier:
-            images = [g @ x % p for x in frontier for g in gens]
-            frontier = [y for y in images if y.tobytes() not in seen]
-            seen.update(y.tobytes() for y in frontier)
-        return seen
-
-    orders = [len(closure([op])) for op in ops]
-    chosen = []
-    group = closure(chosen)
-    for k in sorted(range(len(ops)), key=lambda k: -orders[k]):
-        if ops[k].tobytes() not in group:
-            chosen.append(k)
-            group = closure(ops[chosen])
-    return ops[chosen], [orders[k] for k in chosen]
-
-
-def _sign_canonical(p, packed):
-    """Whether each packed 4-digit value is 0 or has its first nonzero
-    digit in [1, (p-1)/2], as psl_canon_np leaves it.  A value whose
-    leading power is p^j is so exactly when it lies below ((p+1)/2) p^j,
-    that is when an even number of the bounds ((p+1)/2) p^j and p^(j+1)
-    (j = 0, 1, 2) and ((p+1)/2) p^3 are at most it."""
-    bounds = [b for j in range(4) for b in ((p + 1) // 2 * p ** j, p ** (j + 1))][:-1]
-    return np.searchsorted(bounds, packed, side="right") % 2 == 0
-
-
-def _orbit_minima(p, raw, ops, gauge):
-    """Representatives of the packed (M2, M3) pairs raw (sorted, unique,
-    pack(M2) * p^4 + pack(M3)) under the group of the conjugations ops
-    and the independent lift signs of M2 and M3: the minimum of each
-    orbit.
-
-    Conjugation commutes with the signs, and the packed minimum of x and
-    -x is the packed psl_canon(x); so an orbit's minimum lies in the
-    sign-canonical quarter of raw (chosen on the packed halves by
-    _sign_canonical, so only the quarter is unpacked), and the orbits of
-    the quarter are those of its permutations tau: (M2, M3) -> psl_canon of
-    (tau M2 tau^-1, tau M3 tau^-1), one for each of a few generators of
-    ops (_generators).  Every pair is labelled by the minimum over its
-    orbit: starting from its own key, min-label pointer doubling along
-    each generator's permutation (ceil(log2 order) rounds make the label
-    constant on its cycles), swept over the generators until a sweep
-    changes nothing.  A pair that is its own label is a representative.
-
-    That holds only if ops is a group and raw a union of orbits, so it
-    is checked: each generator maps the quarter into itself, all 4K
-    images of every representative under ops lie in raw, and the image
-    sets partition raw, which proves that the generated orbits are
-    those of all of ops.  The image sets partition raw exactly when
-    their concatenation, sorted, equals raw; only when it does not are
-    the images located in raw to find the fault.  Raises InvariantError
-    naming the gauge and the offending packed pair.
-    """
-    m2, m3 = unpack_np(p ** 4, raw, 2).T  # not one interleaved array: searchsorted is slower on it
-    keys = raw[_sign_canonical(p, m2) & _sign_canonical(p, m3)]
-    quarter = unpack_np(p, keys, 8)
-    gens, orders = _generators(p, ops)
-    images = _pair_keys(p, _canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, :4], gens)),
-                        _canon_packed(p, psl_canon_np, _apply_np(p, quarter[:, 4:], gens)))  # (n, G)
-    succ = np.searchsorted(keys, images).clip(max=len(keys) - 1)
-    outside = np.nonzero(keys[succ] != images)
-    if len(outside[0]):
-        i, k = outside[0][0], outside[1][0]
-        raise InvariantError(f"gauge {gauge}: the orbit of pair {keys[i]} leaves "
-                             f"the solution set at pair {images[i, k]}")
-    labels = keys
-    changed = True
-    while changed:
-        before = labels
-        for k, order_k in enumerate(orders):
-            f = succ[:, k]
-            for _ in range((order_k - 1).bit_length()):
-                labels = np.minimum(labels, labels[f])
-                f = f[f]
-        changed = (labels != before).any()
-    reps = keys[labels == keys]
-
-    # the orbit of each representative, deduplicated within the orbit
-    rep_digits = unpack_np(p, reps, 8)
-    members, owners = [], []
-    for c in slices(len(reps), 16 * len(ops)):
-        block = rep_digits[c]
-        k2 = _packed_signs(p, _apply_np(p, block[:, :4], ops))
-        k3 = _packed_signs(p, _apply_np(p, block[:, 4:], ops))
-        images = np.concatenate([_pair_keys(p, s2, s3) for s2 in k2 for s3 in k3], axis=1)
-        images.sort(axis=1)  # (B, 4K)
-        first = np.ones(images.shape, dtype=bool)
-        first[:, 1:] = images[:, 1:] != images[:, :-1]
-        members.append(images[first])
-        owners.append(c.start + np.nonzero(first)[0])
-    members = np.concatenate(members)
-    if len(members) == len(raw) and (np.sort(members) == raw).all():
-        return reps  # the orbits partition raw: none of the checks below fails
-
-    owners = np.concatenate(owners)
-    at = np.searchsorted(raw, members).clip(max=len(raw) - 1)
-    outside = np.nonzero(raw[at] != members)[0]
-    if len(outside):
-        i = outside[0]
-        raise InvariantError(f"gauge {gauge}: the orbit of pair {reps[owners[i]]} leaves "
-                           f"the solution set at pair {members[i]}")
-    hits = np.bincount(at, minlength=len(raw))  # orbits through each pair
-    if (hits > 1).any():
-        x = np.argmax(hits > 1)
-        i, j = owners[at == x][:2]
-        raise InvariantError(f"gauge {gauge}: the orbits of pairs {reps[i]} and {reps[j]} "
-                           f"overlap at pair {raw[x]}")
-    if (hits == 0).any():
-        raise InvariantError(f"gauge {gauge}: pair {raw[np.argmax(hits == 0)]} lies in no "
-                           "representative's orbit")
-    return reps
 
 
 def _gauges(p):
@@ -656,62 +529,85 @@ def _runs(first, size, groups):
     return np.repeat(first[groups] - (np.cumsum(n) - n), n) + np.arange(n.sum()), n
 
 
-def _trace_hits(p, ncoeff, M3s, target):
-    """The (i, j) with tr(N_i M3_j) = target, for N given by the rows
-    ncoeff of its transposed entries (so the trace is a dot product with
-    the entries of M3), over row slices of ncoeff (numutil.slices) so the
-    (rows, n_m3) products stay within the slice budget."""
-    return np.concatenate([np.argwhere(residue(p, ncoeff[c] @ M3s.T) == target)
-                           + [c.start, 0]
-                           for c in slices(len(ncoeff), len(M3s))])
+def _m2_representatives(p, psl, R1, ops, gauge):
+    """The M2 representatives of the gauge R1: the rows of psl (one lift
+    of each PSL2 element, in ascending packed order) whose packed key is
+    the least of their psl-canonical images under the conjugations ops,
+    mapped one slice at a time (numutil.slices).
+
+    Each conjugation must map R1 to +-R1, so that it maps pairs to pairs;
+    and when ops is closed under composition, an element's least image
+    is the least element of its orbit, so a representative itself.  Both
+    are checked: a failure raises InvariantError naming the gauge.
+    """
+    fixed = _apply_np(p, np.array([R1]), ops)[0]  # (K, 4)
+    moved = ~(eq(fixed.T, R1) | eq(fixed.T, neg(p, R1)))
+    if moved.any():
+        raise InvariantError(f"gauge {gauge}: conjugation {int(np.argmax(moved))} maps R1 "
+                             f"to {fixed[np.argmax(moved)].tolist()}, not +-R1")
+    keys = pack_np(p, psl)
+    least = np.empty_like(keys)
+    for c in slices(len(psl), 4 * len(ops)):
+        least[c] = _canon_packed(p, psl_canon_np, _apply_np(p, psl[c], ops)).min(axis=1)
+    is_rep = least == keys
+    at = np.searchsorted(keys, least).clip(max=len(keys) - 1)
+    bad = ~((keys[at] == least) & is_rep[at])
+    if bad.any():
+        i = np.argmax(bad)
+        raise InvariantError(f"gauge {gauge}: the least image {least[i]} of element {keys[i]} "
+                             "is not a representative")
+    return psl[is_rep]
 
 
-def _list_pairs(p, sl2, R1, tg, td):
-    """The packed pairs pack(M2) * p^4 + pack(M3), sorted and unique, of
-    M2, M3 in SL2 (the rows of sl2) with tr(R1 M3) = eps td and
-    tr(M2^-1 R1 M2 M3) = eps tg for one sign eps.
-
-    N = M2^-1 R1 M2 depends only on the coset C(R1) M2: the trace
-    equation is solved once per distinct N (p(p^2 - 1) / |C(R1)| of
-    them, about p^2 for a non-scalar R1), and each solution (N, M3) is
-    expanded to every M2 of N's coset."""
-    S = sl2.T  # SL2 as an entry-major block
+def _list_pairs(p, reps, psl, R1, tg, td):
+    """The packed pairs pack(M2) * p^4 + pack(M3), for M2 a row of reps
+    and M3 a row of psl, with tr(R1 M3) = eps td and tr(N M3) = eps tg,
+    N = M2^-1 R1 M2, for one sign eps.  For each sign, the trace tr(N M3)
+    is the product of the entries of each N^T with those of the M3 that
+    meet the first equation, over slices of reps (numutil.slices)."""
+    S = reps.T
     N = mm(p, mm_raw(adj_raw(S), R1), S)  # S^-1 R1 unreduced, below 2p^2
-    distinct, which = np.unique(pack_np(p, np.stack(N, axis=1)), return_inverse=True)
-    # the entries of each distinct N^T: tr(N M3) is their dot product with those of M3
-    ncoeff = unpack_np(p, distinct, 4)[:, [0, 2, 1, 3]]
-    order = np.argsort(which, kind="stable")  # the M2 of each distinct N, grouped
-    size = np.bincount(which)
-    first = np.cumsum(size) - size
-    m2_keys = pack_np(p, sl2)
-    tr_r1_m3 = tr_mm(p, R1, S)
-    raw = []
+    ncoeff = np.stack((N[0], N[2], N[1], N[3]), axis=1)
+    m2_keys = pack_np(p, reps)
+    tr_r1_m3 = tr_mm(p, R1, psl.T)
+    pairs = []
     for eps in (1, -1):
-        M3s = sl2[tr_r1_m3 == eps * td % p]
-        if not len(M3s):
-            continue
-        hits = _trace_hits(p, ncoeff, M3s, eps * tg % p)
-        at, n = _runs(first, size, hits[:, 0])
-        raw.append(_pair_keys(p, m2_keys[order[at]], np.repeat(pack_np(p, M3s)[hits[:, 1]], n)))
-    return _sorted_unique(np.concatenate(raw)) if raw else np.empty(0, dtype=np.int64)
+        M3s = psl[tr_r1_m3 == eps * td % p]
+        m3_keys = pack_np(p, M3s)
+        for c in slices(len(reps), max(1, len(M3s))):
+            i, j = np.nonzero(residue(p, ncoeff[c] @ M3s.T) == eps * tg % p)
+            pairs.append(_pair_keys(p, m2_keys[c][i], m3_keys[j]))
+    return np.concatenate(pairs)
 
 
-def enumerate_x_classes(params: Params, max_prime: int = 23):
+def enumerate_x_classes(params: Params, max_prime: int = 31):
     """Full enumeration of X~^(2)/~ deduplicated by the exact
     centralizer-coset key; independent of the counting loop and of the
     orbit BFS (it shares only the ffield kernels).
 
     Triples (M1, M2, M3) satisfying the two trace conditions are listed
-    with M1 gauge-fixed to conjugacy representatives (_gauges), as
-    packed (M2, M3) pairs (_list_pairs, which solves the trace equation
-    once per distinct M2^-1 M1 M2).  The residual symmetries (torus
-    conjugation and lift sign flips) group them into orbits, each
-    labelled by its minimum pair (_orbit_minima, which checks that the
-    orbits partition the pairs).  The representatives of each gauge are
-    rebuilt into actual quadruples in one batch (_rebuild_rows,
-    closed-form conjugators), and the quadruples of all gauges are
-    deduplicated by the exact key (_exact_keys_np, which keys block A
-    once per distinct A).
+    with M1 gauge-fixed to conjugacy representatives R1 (_gauges) and M2
+    gauge-fixed too.  The residual symmetries of a gauge are the
+    conjugations by its torus (extended by a conjugator of R1 onto -R1
+    for the involution gauge) and the lift signs of M2 and M3.  The M2
+    representatives are the one-lift PSL2 elements that are the least of
+    their images under those conjugations (_m2_representatives); for
+    each, every M3 (one lift of each PSL2 element) meeting the trace
+    conditions for one sign is listed (_list_pairs).
+
+    That meets every class: by the two trace identities a conjugation
+    fixing R1 up to sign maps the solution pairs to solution pairs, and
+    a lift sign does too (with the other sign eps), so the orbit of any
+    pair (M2, M3) holds one whose M2 is the least element of M2's orbit,
+    a representative, and whose M3 is one of the listed lifts.  A pair
+    in an orbit is the same class, so the same classes are hit as by
+    listing every pair.  Representatives with a nontrivial stabilizer
+    list a few pairs of one class twice; the exact key merges them.
+
+    The pairs of each gauge are rebuilt into actual quadruples in one
+    batch (_rebuild_rows, closed-form conjugators), and the quadruples
+    of all gauges are deduplicated by the exact key (_exact_keys_np,
+    which keys block A once per distinct A).
 
     Returns (count, class_keys) with class_keys the sorted exact keys.
     """
@@ -722,32 +618,32 @@ def enumerate_x_classes(params: Params, max_prime: int = 23):
     if not params.satisfies_nonconjugation():
         raise WitnessError("enumeration requires the split/non-split assumption")
     sl2 = _all_sl2(F)
+    psl = sl2[first_nonzero_np(sl2.T) <= (p - 1) // 2]  # one lift of each PSL2 element
     rows = []
     for name, R1 in _gauges(p):
-        raw = _list_pairs(p, sl2, R1, params.tgamma, params.tdelta)
         if name == "id":
-            if len(raw):
+            # N = 1 whatever M2 is: M2 = 1 lists a pair if any M2 does
+            pairs = _list_pairs(p, np.array([I2]), psl, R1, params.tgamma, params.tdelta)
+            if len(pairs):
                 raise InvariantError(f"gauge id: identity gauge must be empty under 5.1, "
-                                   f"found pair {raw[0]}")
+                                     f"found pair {pairs[0]}")
             continue
-        if not len(raw):
-            continue
-
-        # residual symmetry: torus conjugation (extended by the sign
-        # swap for the involution gauge), and independent sign flips
         taus = [I2] + [g for g, _ in torus_pencil(F, R1)]
         if tr(p, R1) == 0:
             rho = exact_conjugator(F, R1, neg(p, R1))
             taus = taus + [pgl_canon(F, mm(p, rho, t)) for t in taus]
-        class_reps = _orbit_minima(p, raw, _conj_operators(p, taus), name)
-        rows.append(_rebuild_rows(p, R1, class_reps, params, name))
+        reps = _m2_representatives(p, psl, R1, _conj_operators(p, taus), name)
+        pairs = _list_pairs(p, reps, psl, R1, params.tgamma, params.tdelta)
+        if len(pairs):  # kept narrow, as the orbit's rows: _exact_keys_np widens slices
+            rows.append(_rebuild_rows(p, R1, pairs, params, name).astype(ROW_DTYPE))
 
     # dedupe the rebuilt quadruples by the exact key (charvar.key_exact:
     # the lexicographically minimal transformed row)
     pair_g, pair_d = _pair_arrays(params)
     keys = _exact_keys_np(p, np.concatenate(rows), pair_g, pair_d)
     keys = np.unique(keys, axis=0)
-    class_keys = [tuple(k) for k in unpack_np(p, keys, 8).reshape(-1, 16).tolist()]
+    digits = unpack_np(p, keys, 8).reshape(-1, 16)
+    class_keys = [tuple(k) for c in slices(len(digits), 16) for k in digits[c].tolist()]
     return len(class_keys), class_keys
 
 

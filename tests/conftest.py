@@ -44,6 +44,12 @@ def orbit31(cfg31):
     return enumerate_orbit(cfg31.P, cfg31.params)
 
 
+@pytest.fixture(scope="session")
+def exact_keys31(cfg31, orbit31):
+    """The exact key of every point of orbit31 (about 1.2 s to compute)."""
+    return wt.orbit_exact_keys(orbit31, cfg31.params)
+
+
 @pytest.fixture()
 def rng():
     return random.Random(0xC0FFEE)

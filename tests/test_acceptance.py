@@ -82,7 +82,7 @@ def test_criterion_02_trace_coordinate_consistency():
     _report(2, "1000 valid points at p=101, all 6 letters, exact")
 
 
-def test_criterion_03_dual_key_agreement(orbit19, cfg19, orbit31, cfg31):
+def test_criterion_03_dual_key_agreement(orbit19, cfg19, orbit31, exact_keys31):
     # Every recurrent BFS edge was re-verified against its representative
     # with the exact centralizer-coset equivalence, and representatives
     # carry pairwise-distinct trace keys by construction; together with
@@ -96,9 +96,8 @@ def test_criterion_03_dual_key_agreement(orbit19, cfg19, orbit31, cfg31):
     keys19 = wt.orbit_exact_keys(orbit19, cfg19.params)
     assert len({(int(a), int(b)) for a, b in keys19}) == orbit19.n
     assert hashlib.sha256(keys19.tobytes()).hexdigest() == EXACT_KEYS19_SHA256
-    keys31 = wt.orbit_exact_keys(orbit31, cfg31.params)
-    assert len(np.unique(keys31, axis=0)) == orbit31.n
-    assert hashlib.sha256(keys31.tobytes()).hexdigest() == EXACT_KEYS31_SHA256
+    assert len(np.unique(exact_keys31, axis=0)) == orbit31.n
+    assert hashlib.sha256(exact_keys31.tobytes()).hexdigest() == EXACT_KEYS31_SHA256
     # scalar cross-check of the batched exact key on a few points
     pairs = cfg19.params.equal_class_pairs()
     for i in (0, orbit19.n // 3, orbit19.n - 1):

@@ -457,6 +457,18 @@ def test_selftest_fast(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_selftest_x_class_check(monkeypatch):
+    # the full battery's oracle check passes, and fails when one class
+    # is listed twice and another missed
+    from charquo import selftest
+    from charquo import witness as wt
+
+    assert selftest._check_x_classes()
+    count, keys = wt.enumerate_x_classes(wt.build(19).params)
+    monkeypatch.setattr(wt, "enumerate_x_classes", lambda params: (count, keys[:1] + keys[:-1]))
+    assert not selftest._check_x_classes()
+
+
 def test_selftest_takes_no_report_options():
     for flag in (["--json"], ["--out", "report.json"]):
         with pytest.raises(SystemExit):

@@ -51,12 +51,27 @@ def test_side_job_reraises_same_type_and_message(exc):
     assert type(ei.value) is type(exc) and str(ei.value) == str(exc)
 
 
+class _TwoArgumentError(Exception):
+    """Takes two arguments, but pickles only its message."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
 def test_side_job_exception_that_cannot_be_rebuilt():
-    # OrbitBudgetError takes two arguments, but pickles only its message
-    with SideJob("the odd job at p = 7", _raise, OrbitBudgetError("too big", 5)) as job:
+    with SideJob("the odd job at p = 7", _raise, _TwoArgumentError("too big", 5)) as job:
         with pytest.raises(InvariantError, match=r"^the odd job at p = 7: its exception "
-                                                 r"OrbitBudgetError: too big cannot be sent back"):
+                                                 r"_TwoArgumentError: too big cannot be sent back"):
             job.result()
+
+
+def test_side_job_orbit_budget_error_keeps_partial_count():
+    with SideJob("a job", _raise, OrbitBudgetError("orbit exceeds max_points=10", 12)) as job:
+        with pytest.raises(numutil.BudgetError) as ei:
+            job.result()
+    assert type(ei.value) is OrbitBudgetError and ei.value.partial_count == 12
+    assert str(ei.value) == "orbit exceeds max_points=10"
 
 
 def test_side_job_killed_by_a_signal():

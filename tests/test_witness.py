@@ -11,9 +11,9 @@ from charquo import charvar as cv
 from charquo import numutil
 from charquo import witness as wt
 from charquo.cli import to_json
-from charquo.ffield import (ElementClass, adj, classify, eq, exact_conjugator, first_nonzero_np,
-                            mm, neg, pack_np, pgl_canon, pgl_canon_np, psl_canon, torus_pencil,
-                            tr, tr_mm, unpack_np)
+from charquo.ffield import (I2, ElementClass, adj, classify, exact_conjugator, first_nonzero_np, mm,
+                            neg, pack_np, pgl_canon, pgl_canon_np, psl_canon, torus_pencil, tr,
+                            tr_mm, unpack_np)
 from charquo.numutil import InvariantError
 
 # sha256 of the to_json text of run_pipeline(19, seed=7) without "timings_ms"
@@ -260,16 +260,17 @@ def _pack_pair(p, m2, m3):
 
 
 def _brute_orbit(F, taus, m2, m3):
-    """Packed images of (M2, M3) under conjugation by taus and the lift
-    signs, by scalar arithmetic."""
+    """Packed images of the pairs (M2, M3) under conjugation by taus and
+    the lift signs, by 2x2 arithmetic on the entry-major blocks m2 and
+    m3: one row of images for each conjugation and pair of signs."""
     p = F.p
-    out = set()
+    out = []
     for t in taus:
         c2, c3 = wt._conj_by(F, t, m2), wt._conj_by(F, t, m3)
         for s2 in (c2, neg(p, c2)):
             for s3 in (c3, neg(p, c3)):
-                out.add(_pack_pair(p, s2, s3))
-    return out
+                out.append(_pack_pair(p, s2, s3))
+    return np.stack(out)
 
 
 def _gauge_taus(F, R1):
@@ -281,81 +282,6 @@ def _gauge_taus(F, R1):
         rho = exact_conjugator(F, R1, neg(F.p, R1))
         taus += [pgl_canon(F, mm(F.p, rho, t)) for t in taus]
     return taus
-
-
-def _toy_orbits(F, taus):
-    """The orbits of 40 random pairs under taus and the lift signs,
-    keyed by their minima, and their union as a sorted array."""
-    sl2 = wt._all_sl2(F).tolist()
-    rng = np.random.default_rng(5)
-    orbits = {}
-    for i, j in rng.integers(0, len(sl2), size=(40, 2)):
-        orb = _brute_orbit(F, taus, tuple(sl2[i]), tuple(sl2[j]))
-        orbits[min(orb)] = orb
-    return orbits, np.array(sorted(set().union(*orbits.values())), dtype=np.int64)
-
-
-def test_orbit_minima_match_brute_force(monkeypatch):
-    F = wt.PrimeField(11)
-    p = F.p
-    apply_np = wt._apply_np
-    # split torus, unipotent, and the dihedral trace-0 gauge (torus and rho)
-    for R1, n_gens in (((0, p - 1, 1, 3), 1), ((1, 1, 0, 1), 1), ((0, p - 1, 1, 0), 2)):
-        taus = _gauge_taus(F, R1)
-        orbits, raw = _toy_orbits(F, taus)
-        ops = wt._conj_operators(p, taus)
-        # the label pass maps the sign-canonical quarter once per half,
-        # by the few generators; only the partition check applies all
-        # of ops
-        calls = []
-        with monkeypatch.context() as m:
-            m.setattr(wt, "_apply_np",
-                      lambda p, X, ops: calls.append((len(X), len(ops))) or apply_np(p, X, ops))
-            reps = wt._orbit_minima(p, raw, ops, "toy")
-        assert reps.tolist() == sorted(orbits), R1
-        assert [c for c in calls if c[1] != len(ops)] == [(len(raw) // 4, n_gens)] * 2, R1
-
-    taus = _gauge_taus(F, (0, p - 1, 1, 3))
-    orbits, raw = _toy_orbits(F, taus)
-    ops = wt._conj_operators(p, taus)
-    reps = wt._orbit_minima(p, raw, ops, "toy")
-    # a non-group operator set: its maps generate the whole torus, whose
-    # orbits label the pairs, but the images under the set itself miss
-    # pairs of those orbits
-    kept = [t for i, t in enumerate(taus) if i != 2]
-    covered = set().union(*(_brute_orbit(F, kept, tuple(d[:4]), tuple(d[4:]))
-                            for d in unpack_np(p, reps, 8).tolist()))
-    uncovered = min(set(raw.tolist()) - covered)
-    with pytest.raises(InvariantError,
-                       match=f"^gauge toy: pair {uncovered} lies in no representative's orbit$"):
-        wt._orbit_minima(p, raw, ops[np.arange(len(ops)) != 2], "toy")
-    # generators of a proper subgroup: their orbits split those of ops,
-    # and the images under ops of two representatives overlap
-    gens, orders = wt._generators(p, ops)
-    square = (gens[0] @ gens[0] % p)[None], [orders[0] // 2]
-    with monkeypatch.context() as m:
-        m.setattr(wt, "_generators", lambda p, ops: square)
-        with pytest.raises(InvariantError,
-                           match=r"^gauge toy: the orbits of pairs \d+ and \d+ overlap at pair \d+$"):
-            wt._orbit_minima(p, raw, ops, "toy")
-    # a pair set that is not a union of orbits: a sign-canonical pair is
-    # missed by the label pass, any other by the partition check
-    for missing in (reps[0], max(orbits[reps[0]])):
-        with pytest.raises(InvariantError, match=f"^gauge toy: the orbit of pair \\d+ leaves "
-                                                 f"the solution set at pair {missing}$"):
-            wt._orbit_minima(p, raw[raw != missing], ops, "toy")
-    # a stray pair whose sign-canonical partners are absent gets no label
-    sl2 = wt._all_sl2(F).tolist()
-    stray = next(max(orb) for orb in (_brute_orbit(F, taus, tuple(a), tuple(b))
-                                      for a, b in zip(sl2, sl2[::-1])) if not orb & set(raw.tolist()))
-    with pytest.raises(InvariantError, match=f"^gauge toy: pair {stray} lies in no"):
-        wt._orbit_minima(p, np.sort(np.append(raw, stray)), ops, "toy")
-    # both at once: as many images as pairs, yet not the same ones
-    missing = max(orbits[reps[0]])
-    swapped = np.sort(np.append(raw[raw != missing], stray))
-    with pytest.raises(InvariantError, match=f"^gauge toy: the orbit of pair \\d+ leaves "
-                                             f"the solution set at pair {missing}$"):
-        wt._orbit_minima(p, swapped, ops, "toy")
 
 
 def _brute_exact_keys(p, rows, pair_g, pair_d):
@@ -488,13 +414,6 @@ def test_exact_keys_transient_bounded_by_slices(cfg19, orbit19):
     assert peak < keys.nbytes + 40 * orbit19.n + 4 * 8 * numutil.SLICE_ENTRIES
 
 
-@pytest.mark.parametrize("p", [7, 11])
-def test_sign_canonical_matches_first_nonzero(p):
-    values = np.arange(p ** 4, dtype=np.int64)
-    want = first_nonzero_np(unpack_np(p, values, 4).T) <= (p - 1) // 2
-    assert (wt._sign_canonical(p, values) == want).all()
-
-
 def test_pair_keys_refuse_int64_overflow():
     top = 233 ** 4 - 1  # 233^8 < 2^63 < 239^8
     k2, k3 = np.array([0, 5, top]), np.array([7, 0, top])
@@ -519,21 +438,29 @@ def _brute_pairs(p, sl2, R1, tg, td):
 
 
 @pytest.mark.parametrize("p", [11, 13])
-def test_list_pairs_solves_once_per_distinct_n(p, monkeypatch):
+def test_representative_pairs_meet_every_orbit(p):
+    # the M2 representatives are the least elements of their orbits, and
+    # the orbits of the pairs listed for them (under the gauge's
+    # conjugations and the lift signs) are all of the pairs listed over
+    # every M2 and M3 of SL2
     F = wt.PrimeField(p)
     sl2 = wt._all_sl2(F)
-    trace_hits = wt._trace_hits
-    seen = []
-    monkeypatch.setattr(wt, "_trace_hits", lambda p, ncoeff, M3s, target:
-                        seen.append(ncoeff) or trace_hits(p, ncoeff, M3s, target))
+    psl = sl2[first_nonzero_np(sl2.T) <= (p - 1) // 2]
     for name, R1 in wt._gauges(p):
-        seen.clear()
-        raw = wt._list_pairs(p, sl2, R1, 3, 11)
-        assert raw.tolist() == _brute_pairs(p, sl2, R1, 3, 11).tolist(), name
-        # the trace products see each distinct N once: |SL2| / |C(R1)| rows
-        centralizer = int(eq(mm(p, sl2.T, R1), mm(p, R1, sl2.T)).sum())
-        assert seen and all(len(np.unique(n, axis=0)) == len(n) == len(sl2) // centralizer
-                            for n in seen), name
+        brute = _brute_pairs(p, sl2, R1, 3, 11)
+        if name == "id":
+            assert not len(brute) and not len(wt._list_pairs(p, np.array([I2]), psl, R1, 3, 11))
+            continue
+        taus = _gauge_taus(F, R1)
+        reps = wt._m2_representatives(p, psl, R1, wt._conj_operators(p, taus), name)
+        m2 = tuple(psl.T)
+        least = np.min(_brute_orbit(F, taus, m2, m2), axis=0) // p ** 4  # packed M2 halves
+        assert np.array_equal(reps, psl[pack_np(p, psl) == least]), name
+        listed = wt._list_pairs(p, reps, psl, R1, 3, 11)
+        assert len(np.unique(listed)) == len(listed), name
+        digits = unpack_np(p, listed, 8).T
+        covered = np.unique(_brute_orbit(F, taus, tuple(digits[:4]), tuple(digits[4:])))
+        assert covered.tolist() == brute.tolist(), name
 
 
 def test_rebuild_rejects_a_wrong_triple(cfg19):
@@ -569,10 +496,31 @@ def test_enumerate_x_classes_names_gauge_and_pair(cfg19, monkeypatch):
 
 
 def test_enumerate_x_classes_orbit_fault_is_an_invariant(cfg19, monkeypatch):
-    # a torus that is not a group breaks the oracle's own partition
-    # check: an internal fault (exit 3 by class), not bad input
+    # a torus that is not a group breaks the oracle's own closure check:
+    # an internal fault (exit 3 by class), not bad input
     conj_operators = wt._conj_operators
     monkeypatch.setattr(wt, "_conj_operators", lambda p, taus: conj_operators(p, taus)[:-1])
-    with pytest.raises(InvariantError, match="^gauge uni: ") as ei:
+    with pytest.raises(InvariantError, match=r"^gauge uni: the least image \d+ of element \d+ "
+                                             "is not a representative$") as ei:
         wt.enumerate_x_classes(cfg19.params)
     assert not isinstance(ei.value, ValueError)
+
+
+def test_enumerate_x_classes_refuses_a_conjugation_that_moves_r1(cfg19, monkeypatch):
+    # conjugation by the transpose of the unipotent gauge does not fix it,
+    # so it would not map solution pairs to solution pairs
+    conj_operators = wt._conj_operators
+    monkeypatch.setattr(wt, "_conj_operators",
+                        lambda p, taus: conj_operators(p, taus + [(1, 0, 1, 1)]))
+    with pytest.raises(InvariantError, match=r"^gauge uni: conjugation 19 maps R1 to "
+                                             r"\[\d+, \d+, \d+, \d+\], not \+-R1$"):
+        wt.enumerate_x_classes(cfg19.params)
+
+
+def test_enumerate_x_classes_p31_matches_orbit(cfg31, orbit31, exact_keys31):
+    # an independent check of the trace key's injectivity at p = 31: the
+    # classes of X~ are exactly the exact keys of the orbit's points
+    count, class_keys = wt.enumerate_x_classes(cfg31.params)
+    keys = pack_np(31, np.array(class_keys).reshape(-1, 2, 8))
+    assert count == orbit31.n == 230400
+    assert (keys == np.unique(exact_keys31, axis=0)).all()
