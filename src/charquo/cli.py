@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import qrep as qr
 from . import witness as wt
-from .numutil import BudgetError, slices
+from .numutil import BudgetError, naming, slices
 from .orbit import MAX_POINTS, read_dump
 from .permgrp import WORD_BUDGET
 from .qlinalg import mat_mul
@@ -95,17 +95,18 @@ def _entry_lines(a, first):
 
 
 def write_atomic(path: str, report):
-    # a new file beside path, created under the umask and named after
-    # path (so an OSError names it), replaces path once it is written
+    # a new file beside path, created under the umask, replaces path once
+    # it is written; an OSError names path, not that file
     tmp = f"{path}.{os.urandom(4).hex()}"
-    fh = open(tmp, "x")
-    try:
-        with fh:
-            to_json(report, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with naming(path):
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                to_json(report, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def emit(report, args, summary_lines):
@@ -165,6 +166,12 @@ def at_least(name, value, least):
 def cmd_orbit(args) -> int:
     at_least("--max-points", args.max_points, 1)
     at_least("--words", args.words, 1)
+    for flag, path in (("--out", args.out), ("--dump", args.dump)):
+        # refused before the run, not when it is written, minutes later
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            if flag == "--out":
+                args.out = None  # so the error report goes to stdout
+            raise ValueError(f"{flag} {path}: no such directory {os.path.dirname(path)}")
     report = wt.run_pipeline(
         args.p, seed=args.seed, max_points=args.max_points,
         giant_budget=args.words, count_budget=args.count_budget,

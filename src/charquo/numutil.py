@@ -1,13 +1,15 @@
 """Small integer number theory (primality, factoring), the package's
 error bases BudgetError (exit code 2) and InvariantError (exit code 3),
-the slice size of every memory-bounded loop (slices) and the one way
-to run a job in a side process (SideJob).
+the slice size of every memory-bounded loop (slices), the one way to
+run a job in a side process (SideJob) and the error of a file staged
+beside its target (naming).
 
 Deterministic Miller-Rabin is exact below psi_13 (about 3.3 * 10^24)
 and refuses larger inputs; factoring is trial division plus Pollard rho, enough for
 the torus orders (p -+ 1)/2 that the rest of the package feeds it.
 """
 
+import contextlib
 import os
 from math import gcd
 
@@ -37,7 +39,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # depend on it.  On a 2-core x86-64 host, at p = 31, BFS slices of 16 384
 # rows (width 16) raised the BFS peak by about 5 MB against 8 192, and
 # 4 096 rows the whole run's by about 3 MB.  2^20 entries put the p = 19
-# orbit_exact_keys tracemalloc peak at 25.5 MB (4.7 MB at 2^17, for a
+# orbit_exact_keys tracemalloc peak at 25.5 MB (4.5 MB at 2^17, for a
 # 0.52 MB result) and made oracle-p19's peak RSS follow the length of its
 # working-directory path: median 73.7 MB, 79.4-79.7 MB at 8 of the
 # lengths 30-129, against median 68.9 MB and maximum 69.3 MB at 2^17.
@@ -50,6 +52,19 @@ def slices(n, width=1):
     item.  SLICE_ENTRIES is read at each call."""
     step = max(1, SLICE_ENTRIES // width)
     return [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+
+@contextlib.contextmanager
+def naming(path):
+    """Within the block, an OSError about a file names path instead: a
+    file written beside path and then moved onto it fails with the path
+    the user gave, not the staged name."""
+    try:
+        yield
+    except OSError as e:
+        if e.filename is None:
+            raise
+        raise OSError(e.errno, e.strerror, path) from e
 
 
 class SideJobKilled(BudgetError):

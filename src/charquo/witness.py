@@ -22,11 +22,11 @@ import numpy as np
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np
 from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, classify,
-                     centralizer_element_of_class, conjugator_np, det, entry_major, eq,
+                     centralizer_element_of_class, conjugator_np, det, eq,
                      exact_conjugator, first_nonzero_np, inv_table, is_maximal, legendre_table,
                      mm, mm_raw, neg, order, pack_np, pgl_canon, pgl_canon_np, psl_canon,
                      psl_canon_np, residue, torus_pencil, tr, tr_mm, unpack_np)
-from .numutil import BudgetError, InvariantError, SideJob, next_prime, slices
+from .numutil import BudgetError, InvariantError, SideJob, naming, next_prime, slices
 from .orbit import (MAX_POINTS, ROW_DTYPE, EpsilonOutsideOrbitError, OrbitIndex,
                     enumerate_orbit, epsilon_perm, validate_start, verify_epsilon,
                     verify_inverse_edges)
@@ -521,14 +521,6 @@ def _gauges(p):
             + [(f"t{t}", (0, p - 1, 1, t)) for t in range((p - 1) // 2 + 1) if t != 2])
 
 
-def _runs(first, size, groups):
-    """The positions first[g], ..., first[g] + size[g] - 1 of each group
-    g of groups, concatenated in order, and their counts size[groups]
-    (the np.repeat counts of one entry per group)."""
-    n = size[groups]
-    return np.repeat(first[groups] - (np.cumsum(n) - n), n) + np.arange(n.sum()), n
-
-
 def _m2_representatives(p, psl, R1, ops, gauge):
     """The M2 representatives of the gauge R1: the rows of psl (one lift
     of each PSL2 element, in ascending packed order) whose packed key is
@@ -607,7 +599,8 @@ def enumerate_x_classes(params: Params, max_prime: int = 31):
     The pairs of each gauge are rebuilt into actual quadruples in one
     batch (_rebuild_rows, closed-form conjugators), and the quadruples
     of all gauges are deduplicated by the exact key (_exact_keys_np,
-    which keys block A once per distinct A).
+    which finds the one pair minimizing each distinct block A and
+    transforms the rest of each row by that pair alone).
 
     Returns (count, class_keys) with class_keys the sorted exact keys.
     """
@@ -709,65 +702,43 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     """Exact centralizer-coset key (charvar.key_exact) of each (m, 16)
     row, as an (m, 2) int64 array: the lexicographically minimal
     pgl-canonical transformed row over the pairs of the k-th matrices of
-    the blocks pair_g and pair_d,
-    packed into two base-p integers of 8 digits each (order-preserving,
-    so equal rows = equal exact keys).  The rows may have any integer
-    dtype, with entries in [0, p): each block of them is widened by
-    entry_major first.
+    the blocks pair_g and pair_d, packed into two base-p integers of 8
+    digits each (order-preserving, so equal rows = equal exact keys).
+    The rows may have any integer dtype, with entries in [0, p): each
+    slice of them is widened to int64 first.
 
-    The minimum is taken block by block.  The minimal packed image of
-    block A over all pairs, and the pairs attaining it, depend on A
-    alone: they are computed once per distinct packed A (np.unique), a
-    slice of distinct blocks at a time.  Then, row by row, block B is
-    transformed only for the pairs attaining the minimal A of its row,
-    and blocks C and D only for the pairs that still attain the minimal
-    packed (A, B), ties included.  That is the lexicographic minimum
-    over all pairs.
+    For each distinct packed block A (np.unique), a slice of distinct
+    blocks at a time, the one pair whose pgl-canonical image of A is
+    least is found; then every block of each row is transformed by its
+    A's pair alone, a slice of rows at a time.  That pair is unique, so
+    it gives the lexicographic minimum over all pairs: if ghat A dhat is
+    proportional to A for an invertible A, ghat lies in C(gamma) and in
+    A C(delta) A^-1, a split torus and a non-split one (assumption 5.1),
+    which meet only in the scalars.  Raises InvariantError naming p and
+    the block when more than one pair attains the least image of A.
     """
     if not len(rows):
         return np.empty((0, 2), dtype=np.int64)
     ops = _operators(p, pair_g, pair_d)  # X -> ghat X dhat
-
-    def tied(block, r, k, js):
-        """Packed images of the blocks js of the rows r under ops[k]."""
-        digits = []
-        for j in js:
-            image = residue(p, np.matmul(ops[k], block[j:j + 4, r].T[..., None])[..., 0])  # (n, 4)
-            digits.extend(pgl_canon_np(p, image.T))
-        return pack_np(p, np.stack(digits, axis=-1))
-
-    def row_minima(r, keys):
-        # r is ascending and names every row of the block
-        return np.minimum.reduceat(keys, np.flatnonzero(np.diff(r, prepend=-1)))
-
-    # the minimal A of each distinct A, and the pairs attaining it,
-    # grouped by distinct A (first and size index into pair)
     distinct, which = np.unique(pack_np(p, rows[:, :4]), return_inverse=True)
-    min_a = np.empty(len(distinct), dtype=np.int64)
-    owner, pair = [], []
+    best = np.empty(len(distinct), dtype=np.intp)
     for c in slices(len(distinct), 4 * len(ops)):
-        blocks = unpack_np(p, distinct[c], 4)
-        ka = _canon_packed(p, pgl_canon_np, _apply_np(p, blocks, ops))  # (U, K)
-        ma = min_a[c] = ka.min(axis=1)
-        u, k = np.nonzero(ka == ma[:, None])
-        owner.append(c.start + u)
-        pair.append(k)
-    pair = np.concatenate(pair)
-    size = np.bincount(np.concatenate(owner), minlength=len(distinct))
-    first = np.cumsum(size) - size
+        ka = _canon_packed(p, pgl_canon_np, _apply_np(p, unpack_np(p, distinct[c], 4), ops))
+        best[c] = ka.argmin(axis=1)
+        ties = np.count_nonzero(ka == ka.min(axis=1, keepdims=True), axis=1)
+        if (ties > 1).any():
+            i = int(np.argmax(ties > 1))
+            raise InvariantError(f"exact keys at p={p}: {ties[i]} pairs attain the least image "
+                                 f"of block A {unpack_np(p, distinct[c][i], 4).tolist()}")
 
+    right = np.ascontiguousarray(ops.transpose(0, 2, 1))  # x -> x ops[k]^T on row vectors x
     out = np.empty((len(rows), 2), dtype=np.int64)
-    for c in slices(len(rows), 16 * int(size.max())):  # bounds the ops[k] of tied
-        block = entry_major(rows[c])  # (16, B) int64
-        u = which[c]
-        at, n = _runs(first, size, u)
-        r, k = np.repeat(np.arange(len(u)), n), pair[at]  # every (row, pair) attaining it
-        kb = tied(block, r, k, (4,))
-        mb = row_minima(r, kb)
-        tie = kb == mb[r]
-        r, k = r[tie], k[tie]  # every (row, pair) attaining the minimal (A, B)
-        out[c, 0] = _pair_keys(p, min_a[u], mb)
-        out[c, 1] = row_minima(r, tied(block, r, k, (8, 12)))
+    for c in slices(len(rows), 16):
+        # the (B, block, entry) images, in temporaries that no name keeps
+        # into the next slice; then the packed blocks A, B, C, D of each row
+        packed = _canon_packed(p, pgl_canon_np, residue(
+            p, rows[c].astype(np.int64).reshape(-1, 4, 4) @ right[best[which[c]]]))
+        out[c] = pack_np(p ** 4, packed.reshape(-1, 2, 2))
     return out
 
 
@@ -895,7 +866,8 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
         if dump_path is not None:
             staged = f"{dump_path}.{os.urandom(4).hex()}"
             jobs.callback(_discard, staged)
-            orbit.write_dump(staged)
+            with naming(dump_path):
+                orbit.write_dump(staged)
         lap("orbit_ms")
 
         def verified(job):
@@ -904,7 +876,8 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
             is raised; returns the sigma_i^-1 edges verified."""
             edges, twist_failure = job.result()
             if staged is not None:
-                os.replace(staged, dump_path)
+                with naming(dump_path):
+                    os.replace(staged, dump_path)
             if twist_failure is not None:
                 raise _reversal_failure(p, twist_failure)
             return edges

@@ -46,7 +46,7 @@ def orbit31(cfg31):
 
 @pytest.fixture(scope="session")
 def exact_keys31(cfg31, orbit31):
-    """The exact key of every point of orbit31 (about 1.2 s to compute)."""
+    """The exact key of every point of orbit31 (about 0.5 s to compute)."""
     return wt.orbit_exact_keys(orbit31, cfg31.params)
 
 

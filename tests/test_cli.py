@@ -410,10 +410,49 @@ def test_out_of_range_arguments_are_named(capsys, argv, name):
 
 
 def test_unwritable_out(tmp_path, capsys):
+    # the error names the path given, not the file staged beside it
     path = tmp_path / "missing" / "r.json"
     assert main(["witness", "19", "--out", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out.startswith("error: ") and str(path) in captured.out
+    assert captured.out == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert captured.err == ""
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump"])
+def test_output_onto_a_directory_names_it(tmp_path, capsys, flag):
+    # the staged file is written, and moving it onto the directory fails
+    folder = tmp_path / "d"
+    folder.mkdir()
+    assert main(["orbit", "19", flag, str(folder)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == f"error: [Errno 21] Is a directory: '{folder}'"
+    assert os.listdir(tmp_path) == ["d"] and os.listdir(folder) == []
+
+
+def test_unwritable_staged_dump_names_the_dump(tmp_path):
+    from charquo import witness as wt
+
+    path = tmp_path / "missing" / "o.chqo"
+    with pytest.raises(FileNotFoundError) as info:
+        wt.run_pipeline(19, dump_path=str(path))
+    assert info.value.filename == str(path)
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump"])
+def test_orbit_refuses_a_missing_directory_at_once(tmp_path, capsys, monkeypatch, flag):
+    from charquo import witness as wt
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(wt, "build", never)
+    monkeypatch.setattr(wt, "classify_giant", never)
+    path = tmp_path / "missing" / "f"
+    assert main(["orbit", "59", flag, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"error: {flag} {path}: no such directory {path.parent}\n"
     assert captured.err == ""
     assert not (tmp_path / "missing").exists()
 

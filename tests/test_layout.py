@@ -296,3 +296,30 @@ def test_benchmark_hooks_resolve():
                 found.append(f"{name}:{line} {text}")
     assert checked > 30
     assert not found, "benchmark hooks that do not resolve: " + ", ".join(found)
+
+
+ENGINE = {"enumerate_orbit", "apply_letter_np", "fast_keys", "make_checker",
+          "verify_inverse_edges", "verify_epsilon", "epsilon_perm"}
+TRACE_KEY = {"canon_keys_np", "trace_coords"}
+
+
+def test_oracles_use_neither_the_engine_nor_the_trace_key():
+    # the X-class and exact-key oracles check the orbit engine and the
+    # injectivity of the trace key, so no witness function that they
+    # reach may name an engine function or the trace key
+    tree = ast.parse((SRC / "witness.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, found = set(), ["enumerate_x_classes", "orbit_exact_keys"], []
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            used = getattr(node, "id", None) or getattr(node, "attr", None)
+            if used in ENGINE | TRACE_KEY:
+                found.append(f"witness.{name}:{node.lineno} {used}")
+            elif used in functions:
+                todo.append(used)
+    assert {"_exact_keys_np", "_list_pairs", "_rebuild_rows", "_m2_representatives"} <= reached
+    assert not found, "oracle code naming the engine or the trace key: " + ", ".join(found)

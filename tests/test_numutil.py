@@ -53,3 +53,16 @@ def test_slices_cover_range_within_budget(monkeypatch):
             assert [i for c in cut for i in range(n)[c]] == list(range(n))
             assert all(c.stop - c.start == step for c in cut[:-1])
             assert all(0 < c.stop - c.start <= step for c in cut)
+
+
+def test_naming_names_the_given_path(tmp_path):
+    staged = tmp_path / "missing" / "f.1234"
+    with pytest.raises(FileNotFoundError) as info, numutil.naming("f"):
+        open(staged, "x")
+    assert str(info.value) == "[Errno 2] No such file or directory: 'f'"
+    assert info.value.filename2 is None and info.value.__cause__.filename == str(staged)
+    # an OSError about no file is raised as it is
+    error = OSError(28, "No space left on device")
+    with pytest.raises(OSError) as info, numutil.naming("f"):
+        raise error
+    assert info.value is error

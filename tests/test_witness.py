@@ -293,33 +293,24 @@ def _brute_exact_keys(p, rows, pair_g, pair_d):
     return [min(map(tuple, r)) for r in full.tolist()], full
 
 
-def _tie_rows(params, rng):
-    """40 rows with forced ties.  In the first 20, A and B are rank one
-    with image an eigenvector v of gamma, so ghat A = A projectively for
-    every ghat in C(gamma), and the (A, B) half depends on dhat alone;
-    the last 20 tie on A alone: A as above, B generic, so B breaks the
-    tie."""
+def _rank_one_rows(params, rng):
+    """20 rows whose block A is rank one with image an eigenvector v of
+    gamma, so ghat A = A projectively for every ghat in C(gamma): every
+    pair of one dhat attains the least image of A."""
     F = params.F
     p = F.p
     gm = params.gamma_mat
     v = next((x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)
              and (gm[0] * x + gm[1] * y) * y % p == (gm[2] * x + gm[3] * y) * x % p)
+    w = rng.integers(1, p, size=(20, 2))
+    A = np.stack([v[0] * w[:, 0], v[0] * w[:, 1], v[1] * w[:, 0], v[1] * w[:, 1]], axis=1) % p
+    return np.concatenate([A, _random_rows(F, rng, 20)[:, 4:]], axis=1)
+
+
+def _random_rows(F, rng, m):
+    """m rows of four random SL2 blocks each, off X almost surely."""
     sl2 = wt._all_sl2(F)
-
-    def rank_one():
-        w = rng.integers(1, p, size=2)
-        return [v[0] * w[0] % p, v[0] * w[1] % p, v[1] * w[0] % p, v[1] * w[1] % p]
-
-    synthetic = []
-    for _ in range(20):
-        A, B = rank_one(), rank_one()
-        C, D = sl2[rng.integers(0, len(sl2), size=2)]
-        synthetic.append(A + B + list(C) + list(D))
-    for _ in range(20):
-        A = rank_one()
-        B, C, D = sl2[rng.integers(0, len(sl2), size=3)]
-        synthetic.append(A + list(B) + list(C) + list(D))
-    return np.array(synthetic, dtype=np.int64)
+    return sl2[rng.integers(0, len(sl2), size=(m, 4))].reshape(m, 16)
 
 
 def _packed_brute_keys(p, rows, pair_g, pair_d):
@@ -344,24 +335,15 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
     rebuilt = wt._rebuild_rows(p, triples[:, 0].T, pairs, params, "orbit")
     assert (rebuilt != points).any(axis=1).all()
 
-    synthetic = _tie_rows(params, rng)
-    rows = np.concatenate([points, rebuilt, synthetic])
+    rows = np.concatenate([points, rebuilt, _random_rows(F, rng, 40)])
     keys = wt._exact_keys_np(p, rows, pair_g, pair_d)
     _, full = _brute_exact_keys(p, rows, pair_g, pair_d)
     assert keys.tolist() == _packed_brute_keys(p, rows, pair_g, pair_d)
     assert (keys[:len(idx)] == keys[len(idx):2 * len(idx)]).all()
 
-    def ties(width):
-        # the number of pairs attaining the minimal packed first width entries
-        first = pack_np(p, full[2 * len(idx):, :, :width])
-        return (first == first.min(axis=1, keepdims=True)).sum(axis=1)
-
-    # both tie paths ran: several pairs attain the minimal (A, B) half of
-    # the first synthetic rows; of the second, several attain the
-    # minimal A and fewer the minimal (A, B)
-    ties_a, ties_ab = ties(4), ties(8)
-    assert (ties_ab[:20] > 1).all()
-    assert (ties_a[20:] > 1).all() and (ties_ab[20:] < ties_a[20:]).all()
+    # one pair attains the least image of each invertible block A
+    first = pack_np(p, full[:, :, :4])
+    assert ((first == first.min(axis=1, keepdims=True)).sum(axis=1) == 1).all()
 
     # both halves of the scalar key, on a few rows of each kind
     for row, key in zip(rows[::10].tolist(), keys[::10].tolist()):
@@ -370,22 +352,38 @@ def test_exact_keys_np_against_brute_force(cfg19, orbit19):
         assert key == [int(pack_np(p, np.array(scalar[:8]))), int(pack_np(p, np.array(scalar[8:])))]
 
 
+def test_exact_keys_np_refuses_a_tied_block_a(cfg19):
+    # a rank-one A is fixed by all of C(gamma), so several pairs attain
+    # its least image and the one-pair key would not be sound
+    params, p = cfg19.params, 19
+    rows = _rank_one_rows(params, np.random.default_rng(13))
+    with pytest.raises(InvariantError, match=r"exact keys at p=19: \d+ pairs attain .* block A"):
+        wt._exact_keys_np(p, rows, *wt._pair_arrays(params))
+
+
 def test_exact_keys_np_in_small_chunks(cfg19, orbit19, monkeypatch):
     # distinct A blocks and rows both split into several chunks; one A
     # block recurs with other B, C, D in rows of different chunks
-    params, p = cfg19.params, 19
+    F, params, p = cfg19.F, cfg19.params, 19
     pair_g, pair_d = wt._pair_arrays(params)
     rng = np.random.default_rng(12)
     points = orbit19.points[rng.choice(orbit19.n, size=30, replace=False)].astype(np.int64)
     shared = np.concatenate([np.repeat(points[:1, :4], 12, axis=0),
                              points[rng.integers(0, 30, size=12), 4:]], axis=1)
-    rows = np.concatenate([points, shared, _tie_rows(params, rng)])
+    rows = np.concatenate([points, shared, _random_rows(F, rng, 240)])  # 282 rows, 135 a chunk
     rows = rows[rng.permutation(len(rows))]
 
-    chunks, a_calls = [], []
-    entry_major, apply_np = wt.entry_major, wt._apply_np
+    row_chunks, a_calls = [], []
+    slices, apply_np = numutil.slices, wt._apply_np
+
+    def recorded(n, width=1):
+        cut = slices(n, width)
+        if width == 16:
+            row_chunks.extend(cut)
+        return cut
+
     monkeypatch.setattr(numutil, "SLICE_ENTRIES", 4 * pair_g.shape[1] * 3)
-    monkeypatch.setattr(wt, "entry_major", lambda r: chunks.append(r) or entry_major(r))
+    monkeypatch.setattr(wt, "slices", recorded)
     monkeypatch.setattr(wt, "_apply_np", lambda p, X, ops: a_calls.append(len(X))
                         or apply_np(p, X, ops))
     keys = wt._exact_keys_np(p, rows, pair_g, pair_d)
@@ -393,18 +391,19 @@ def test_exact_keys_np_in_small_chunks(cfg19, orbit19, monkeypatch):
 
     distinct_a = len(np.unique(pack_np(p, rows[:, :4])))
     assert sum(a_calls) == distinct_a and len(a_calls) > 1 and max(a_calls) == 3
-    assert sum(map(len, chunks)) == len(rows) and len(chunks) > 1
-    assert sum((c[:, :4] == points[0, :4]).all(axis=1).any() for c in chunks) > 1
+    assert sum(c.stop - c.start for c in row_chunks) == len(rows) and len(row_chunks) > 1
+    assert sum((rows[c, :4] == points[0, :4]).all(axis=1).any() for c in row_chunks) > 1
 
 
 def test_exact_keys_transient_bounded_by_slices(cfg19, orbit19):
     # the exact-key oracle's slices hold at most four int64 temporaries
-    # of SLICE_ENTRIES entries at once (the float64 product, its int64
-    # copy and its residue in _apply_np; then that residue, the
-    # pgl-canonical digits and their stack in _canon_packed), beside 40
-    # bytes per row of whole-array bookkeeping (the packed A blocks,
-    # np.unique's sorted copy and inverse); 2^20-entry slices peaked at
-    # about 25.5 MB here
+    # of SLICE_ENTRIES entries at once (for the A blocks, the float64
+    # product, its int64 copy and its residue in _apply_np, then that
+    # residue, the pgl-canonical digits and their stack in _canon_packed;
+    # for the rows, the widened rows, their operators and the product,
+    # then its residue, digits and stack), beside 40 bytes per row of
+    # whole-array bookkeeping (the packed A blocks, np.unique's sorted
+    # copy and inverse); 2^20-entry slices peaked at about 25.5 MB here
     tracemalloc.start()
     try:
         keys = wt.orbit_exact_keys(orbit19, cfg19.params)
