@@ -24,6 +24,22 @@ S1i, S2i, S3i = (1, -1), (2, -1), (3, -1)
 CENTER_WORD = [S1, S2, S3] * 4
 INNER_WORD = [S1, S3, S2] * 2
 
+# g^-1 x g and g^-1 y g for the free generators x = s1 s3^-1 and
+# y = s2 x s2^-1, as words in x, y and Y = y^-1 read left to right, and
+# g^-1 w g read as g^-1, then w, then g.  Each pair is an automorphism of
+# F2, and the abelianised ones of s1, s2 and epsilon generate GL2(Z)
+# (both are checked in tier-1 by free reduction and 2x2 products).  So
+# on permutations that satisfy these identities, <x, y> is normal in the
+# group generated by the four, and by Nielsen's theorem (Aut(F2) maps
+# onto GL2(Z) with kernel Inn(F2)) the kernel of F2 acting through x, y
+# is characteristic.
+F2_CONJUGATES = {
+    "sigma1": ("x", "yx"),
+    "sigma2": ("xYx", "x"),
+    "sigma3": ("x", "xy"),
+    "epsilon": ("x", "xYx"),
+}
+
 
 def triangle(a, b):
     """The equivariant quandle operation a <| b = a b^-1 a."""

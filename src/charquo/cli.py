@@ -166,12 +166,6 @@ def at_least(name, value, least):
 def cmd_orbit(args) -> int:
     at_least("--max-points", args.max_points, 1)
     at_least("--words", args.words, 1)
-    for flag, path in (("--out", args.out), ("--dump", args.dump)):
-        # refused before the run, not when it is written, minutes later
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            if flag == "--out":
-                args.out = None  # so the error report goes to stdout
-            raise ValueError(f"{flag} {path}: no such directory {os.path.dirname(path)}")
     report = wt.run_pipeline(
         args.p, seed=args.seed, max_points=args.max_points,
         giant_budget=args.words, count_budget=args.count_budget,
@@ -354,6 +348,13 @@ def main(argv=None) -> int:
 
 def run(args) -> int:
     try:
+        for flag in ("out", "dump", "export"):
+            # refused before the run, not when it is written, minutes later
+            path = getattr(args, flag, None)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                if flag == "out":
+                    args.out = None  # so the error report goes to stdout
+                raise ValueError(f"--{flag} {path}: no such directory {os.path.dirname(path)}")
         return args.func(args)
     except BrokenPipeError:
         raise

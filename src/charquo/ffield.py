@@ -86,7 +86,7 @@ class PrimeField:
 # absolute value) and adj_raw (the entries of A, two of them negated).
 # The reducing kernels accept such unreduced inputs.  A caller that
 # chains unreduced products (conjugator_np here, charvar.trace_coords,
-# and orbit's apply_letter_np, _twisted_reversal and exact checker)
+# and orbit's apply_letter_np and exact checker)
 # states the bound of its largest intermediate, which must stay below
 # 2^63 for p <= 509, the largest prime whose 7-digit trace keys fit in
 # int64.
@@ -500,18 +500,3 @@ def exact_conjugator(F: PrimeField, M: Mat, N: Mat) -> Mat:
         return I2
     return tuple(int(x) for x in conjugator_np(p, M, N))
 
-
-def conjugator(M: ProjMat2, N: ProjMat2):
-    """A PGL2 element g with g M g^-1 = N at the PSL2 level.
-
-    Returns (g, det_class) with g pgl-canonical: the exact conjugator
-    onto N, or onto -N when there is none.
-    """
-    F = M.field
-    for target in (N.m, neg(F.p, N.m)):
-        try:
-            g = pgl_canon(F, exact_conjugator(F, M.m, target))
-        except NotConjugateError:
-            continue
-        return g, F.legendre(det(F.p, g))
-    raise NotConjugateError(f"{M} is not PGL2-conjugate to {N}")

@@ -8,13 +8,12 @@ base-p packing it runs on are ffield's, applied to entry-major copies of
 the rows; the trace coordinates and their key are charvar's
 (trace_coords, canon_keys_np).  This module owns the BFS, the
 exact-equivalence checker, the index and the dump format.  Every
-recurrent BFS edge (in enumerate_orbit), every sigma_i^-1 edge (in
-verify_inverse_edges) and every image of the reversal twist (in
-verify_epsilon) is re-verified against the stored representative with
-the centralizer-coset equivalence, so the enumeration is sound even
-where the injectivity of the trace map is unproven.  The last two are
-functions of a finished index, so the pipeline (witness.run_pipeline)
-runs them in a side process while it goes on with the permutations.
+recurrent BFS edge (in enumerate_orbit) and every sigma_i^-1 edge (in
+verify_inverse_edges) is re-verified against the stored representative
+with the centralizer-coset equivalence, so the enumeration is sound even
+where the injectivity of the trace map is unproven.  The latter is a
+function of a finished index, so the pipeline (witness.run_pipeline)
+runs it in a side process while it goes on with the permutations.
 The check solves for one candidate centralizer pair per row, where the
 pencil span(I, gamma) meets the pencil of pairs that the A blocks
 allow, and tests only that pair (see _ExactChecker); there is no other
@@ -54,10 +53,16 @@ sigma_i^-1 to every point and verifies the image exactly against the
 row the inverse names, 3n edges, 5n + 1 in all.  No image is keyed
 twice.
 
+The reversal twist's permutation (epsilon_perm) is read off keys alone.
+What the quotient needs of the four generators, check_f2_identities
+checks on the permutations themselves: braidquandle.F2_CONJUGATES, the
+eight identities that make <x, y> normal and, by Nielsen's theorem, the
+kernel of F2 acting through x and y characteristic.
+
 Rows are stored as ROW_DTYPE (uint16): every entry is a residue below
-p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np,
-exact verification and the twist) widen their whole input, at most one
-slice of rows from every caller, into an entry-major int64 (16, m) copy
+p <= MAX_PACKED_PRIME.  The row kernels (fast_keys, apply_letter_np and
+exact verification) widen their whole input, at most one slice of
+rows from every caller, into an entry-major int64 (16, m) copy
 (ffield.entry_major), whose slices of four rows are blocks for the
 ffield kernels, so no narrow array reaches int arithmetic.  Every loop
 here is cut by numutil.slices, with the int64 entries its temporaries
@@ -91,9 +96,9 @@ import numpy as np
 
 from . import braidquandle as bq
 from .charvar import Params, canon_keys_np, from_quad, trace_coords
-from .ffield import (ProjMat2, adj_raw, conjugator, det, entry_major, eq, is_scalar,
-                     legendre_table, mm, mm_raw, neg, pack_np, pencil_annihilators,
-                     psl_canon_np, residue, tr, unpack_np)
+from .ffield import (ProjMat2, adj_raw, det, entry_major, eq, is_scalar, legendre_table, mm,
+                     mm_raw, neg, pack_np, pencil_annihilators, psl_canon_np, residue, tr,
+                     unpack_np)
 from .numutil import BudgetError, InvariantError, slices
 
 GENS = (bq.S1, bq.S2, bq.S3)
@@ -258,9 +263,8 @@ class _ExactChecker:
 
 
 def make_checker(params: Params) -> _ExactChecker:
-    """The exact-equivalence checker of the BFS edges and the reversal
-    twist; ValueError unless params satisfy the split/non-split
-    assumption."""
+    """The exact-equivalence checker of the BFS and sigma_i^-1 edges;
+    ValueError unless params satisfy the split/non-split assumption."""
     return _ExactChecker(params)
 
 
@@ -614,42 +618,22 @@ def _expand(p, seen, lo, checker, max_points):
     return verified, succ
 
 
-# -- the reversal twist ---------------------------------------------------
+# -- the reversal twist and the free generators ---------------------------
 
 _REVERSED = np.r_[12:16, 8:12, 4:8, 0:4]  # columns of (D, C, B, A)
 
 
-def epsilon_conjugators(params: Params):
-    """(g, h): g gamma^-1 g^-1 = gamma and h delta h^-1 = delta^-1, of
-    equal determinant class, (-1 | p); InvariantError if they differ.
+def epsilon_perm(orbit: OrbitIndex) -> np.ndarray:
+    """Index permutation of the reversal twist Q -> g eps(Q) h (g and h
+    conjugate gamma^-1 to gamma and delta to delta^-1), an involution
+    (OrbitError names the first point where it is not).
 
-    Each conjugates a non-involution A (build refuses involutions) onto
-    the lift adj(A) of A^-1 (-adj(A) has trace -tr(A) != tr(A)), by
-    conjugator_np's g = [w | adj(A) w] adj([v | A v]).  adj(A) has A's
-    cyclic vector, w = v, and det[v | adj(A) v] = -det[v | A v], so
-    det g = -det[v | A v]^2.
+    The trace key of the image does not depend on g and h (two-sided
+    torus twists only flip lift signs), so the index map keys only the
+    reversed quadruple.  EpsilonOutsideOrbitError when an image's key is
+    not on the orbit.  No image is checked exactly: what the quotient
+    needs of this permutation, check_f2_identities checks.
     """
-    g, cg = conjugator(params.gamma.inv(), params.gamma)
-    h, ch = conjugator(params.delta, params.delta.inv())
-    if cg != ch:
-        raise InvariantError(f"reversal conjugators at p={params.F.p}: determinant class "
-                             f"{cg} for gamma, {ch} for delta (both are (-1 | p) for a "
-                             "non-involution)")
-    return g, h
-
-
-def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
-    """Index permutation of the reversal twist Q -> g eps(Q) h, an
-    involution (OrbitError names the first point where it is not).
-
-    The trace key of the image is independent of (g, h) (two-sided
-    torus twists only flip lift signs), so the index map needs only the
-    reversed quadruple; the conjugators are still required to exist
-    with compatible classes.  EpsilonOutsideOrbitError when an image's
-    key is not on the orbit.  The exact check of every image against
-    the point it names is verify_epsilon's, not made here.
-    """
-    epsilon_conjugators(params)
     p = orbit.p
     idx = np.empty(orbit.n, dtype=np.int32)
     for c in slices(orbit.n, 16):
@@ -666,29 +650,29 @@ def epsilon_perm(orbit: OrbitIndex, params: Params) -> np.ndarray:
     return idx
 
 
-def verify_epsilon(orbit: OrbitIndex, eps, params: Params):
-    """Exact check of the reversal twist that epsilon_perm indexed: each
-    image g eps(Q) h against the point eps names, through the twisted
-    coset C(gamma) g x h C(delta).  As class(g) = class(h), that is the
-    plain equivalence test on the rows g eps(Q) h.
-    EpsilonOutsideOrbitError on the first slice that fails."""
-    g, h = epsilon_conjugators(params)
-    p = orbit.p
-    checker = make_checker(params)
-    for c in slices(orbit.n, 16):
-        twisted = _twisted_reversal(p, g, h, orbit.points[c])
-        if not checker.equivalent(twisted, orbit.points.take(eps[c], axis=0)).all():
-            raise EpsilonOutsideOrbitError(
-                "epsilon image fails exact equivalence with its representative")
-
-
-def _twisted_reversal(p, g, h, rows):
-    """The rows g eps(Q) h, blockwise, as ROW_DTYPE: lifts of the twisted
-    images with invertible blocks, which is all the checker needs.  g Q_k
-    is left unreduced (below 2p^2), so each block is reduced once."""
-    out = np.empty(rows.shape, dtype=ROW_DTYPE)
-    q = entry_major(rows)
-    for k in range(0, 16, 4):  # eps reverses the blocks
-        for j, v in enumerate(mm(p, mm_raw(g, q[12 - k:16 - k]), h), k):
-            out[:, j] = v
-    return out
+def check_f2_identities(p, perms):
+    """Check braidquandle.F2_CONJUGATES on permutations: perms maps
+    "sigma1", "sigma2", "sigma3", "epsilon", "x" and "y" to permutations
+    of one degree (checked ones, as a report's arrays after
+    permgrp.check_perm).  g^-1 w g = u is tested as "w, then g" against
+    "g, then u", a slice of points at a time, so only y^-1 is built
+    whole.  InvariantError names p, g and x or y at the first failure."""
+    y = perms["y"]
+    n = len(y)
+    letters = {"x": perms["x"], "y": y, "Y": np.empty_like(y)}
+    for c in slices(n):
+        letters["Y"][y[c]] = np.arange(c.start, c.stop, dtype=y.dtype)
+    for g, images in bq.F2_CONJUGATES.items():
+        for w, u in zip("xy", images):
+            for c in slices(n, 2):  # a gather and its intp index copy
+                lhs = perms[g].take(letters[w][c])
+                rhs = perms[g][c]
+                for letter in u:
+                    rhs = letters[letter].take(rhs)
+                bad = np.flatnonzero(lhs != rhs)
+                if len(bad):
+                    word = u.replace("Y", "y^-1")
+                    raise InvariantError(
+                        f"F2 identity fails at p = {p}: {g}^-1 {w} {g} is not {word} "
+                        f"(words read left to right), first at point index "
+                        f"{c.start + int(bad[0])}")

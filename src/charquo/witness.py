@@ -28,7 +28,7 @@ from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, 
                      psl_canon_np, residue, torus_pencil, tr, tr_mm, unpack_np)
 from .numutil import BudgetError, InvariantError, SideJob, naming, next_prime, slices
 from .orbit import (MAX_POINTS, ROW_DTYPE, EpsilonOutsideOrbitError, OrbitIndex,
-                    enumerate_orbit, epsilon_perm, validate_start, verify_epsilon,
+                    check_f2_identities, enumerate_orbit, epsilon_perm, validate_start,
                     verify_inverse_edges)
 from .permgrp import WORD_BUDGET, CertificateError, GiantCertificate, classify_giant, sign
 
@@ -775,25 +775,6 @@ def orbit_sigma_orders(orbit: OrbitIndex, i: int):
 
 # -- the pipeline ----------------------------------------------------------
 
-def _reversal_failure(p, e):
-    return EpsilonOutsideOrbitError(f"reversal twist fails at p = {p}: {e}")
-
-
-def _verification_job(orbit: OrbitIndex, eps, params: Params):
-    """The pipeline's verification job: the sigma_i^-1 edge checks, then,
-    when eps is given, the reversal twist's exact checks.  Returns the
-    sigma_i^-1 edges verified and the twist's EpsilonOutsideOrbitError
-    (None when it passes), so that the pipeline can place the dump,
-    which waits only on the sigma_i^-1 checks, before it raises that."""
-    verified = verify_inverse_edges(orbit)
-    if eps is not None:
-        try:
-            verify_epsilon(orbit, eps, params)
-        except EpsilonOutsideOrbitError as e:
-            return verified, e
-    return verified, None
-
-
 def _discard(path):
     with contextlib.suppress(FileNotFoundError):
         os.unlink(path)
@@ -810,11 +791,11 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     - witness: build and check_assumptions; then the count job
       (count_x) starts;
     - orbit: enumerate_orbit (the BFS, its recurrent edges, the letter
-      permutations and the check of the rows on X), and the dump,
+      permutations and the check of the rows on X); then the
+      verification job (verify_inverse_edges) starts, and the dump is
       written beside dump_path;
     - permutations: epsilon_perm (the twist's index and involution
-      passes); then the verification job starts (verify_inverse_edges,
-      then verify_epsilon); f2_perms;
+      passes), f2_perms and check_f2_identities;
     - classification: classify_giant and the sign of x;
     - then the verification job and the count job are waited for, in
       that order, and the dump is moved to dump_path once the
@@ -822,22 +803,21 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
 
     Every check runs, on the same rows, whatever the timing.  When two
     fail, the one earlier in the serial order is raised: witness, orbit
-    (the BFS, the rows on X, then the sigma_i^-1 checks), permutations
-    (the twist's index and involution passes, then its exact checks),
-    classification, count.  So a main-line failure after the BFS first
-    waits for the sigma_i^-1 checks (in a job of their own when the
-    verification job has not started) and for the twist's exact checks
-    when they have; an earlier failure kills the count job.  The dump
-    is at dump_path exactly when the sigma_i^-1 checks passed.  Both
-    jobs are reaped on every way out.
+    (the BFS, the rows on X, the dump's write, then the sigma_i^-1
+    checks), permutations, classification, count.  So a main-line
+    failure after the dump is written first waits for the sigma_i^-1
+    checks; an earlier failure kills the jobs.  The dump is at dump_path
+    exactly when the sigma_i^-1 checks passed.  Both jobs are reaped on
+    every way out.
 
     Returns the QuotientReport as a plain dict.  Its "permutations"
     (when included) are the six int32 arrays, not lists: cli.to_json
     writes them as JSON lists.  Failures name their stage: WitnessError
-    for a failed assumption, EpsilonOutsideOrbitError for a failed
-    reversal twist and CertificateError for a certificate that fails
-    revalidation.  timings_ms holds the main line's time in each stage;
-    count_ms is the wait for the two jobs after classification.
+    for a failed assumption, EpsilonOutsideOrbitError for a reversal
+    twist off the orbit, InvariantError for a failed F2 identity and
+    CertificateError for a certificate that fails revalidation.
+    timings_ms holds the main line's time in each stage; count_ms is the
+    wait for the two jobs after classification.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -862,6 +842,8 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
             count = jobs.enter_context(
                 SideJob(f"the count job at p = {p}", count_x, cfg.params, count_budget))
         orbit = enumerate_orbit(cfg.P, cfg.params, max_points=max_points)
+        verify = jobs.enter_context(
+            SideJob(f"the verification job at p = {p}", verify_inverse_edges, orbit))
         staged = None
         if dump_path is not None:
             staged = f"{dump_path}.{os.urandom(4).hex()}"
@@ -870,36 +852,20 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
                 orbit.write_dump(staged)
         lap("orbit_ms")
 
-        def verified(job):
-            """Wait for the verification job: its sigma_i^-1 failure is
-            raised, then the dump is put in place, then its twist failure
-            is raised; returns the sigma_i^-1 edges verified."""
-            edges, twist_failure = job.result()
-            if staged is not None:
-                with naming(dump_path):
-                    os.replace(staged, dump_path)
-            if twist_failure is not None:
-                raise _reversal_failure(p, twist_failure)
-            return edges
-
-        what = f"the verification job at p = {p}"
-        verify = None
+        failure = None
         try:
             try:
-                eps = epsilon_perm(orbit, cfg.params)
+                eps = epsilon_perm(orbit)
             except EpsilonOutsideOrbitError as e:
-                raise _reversal_failure(p, e) from e
-            verify = jobs.enter_context(
-                SideJob(what, _verification_job, orbit, eps, cfg.params))
-            s1 = orbit.letter_perm(bq.S1)
-            s2 = orbit.letter_perm(bq.S2)
-            s3 = orbit.letter_perm(bq.S3)
+                raise EpsilonOutsideOrbitError(f"reversal twist fails at p = {p}: {e}") from e
+            gens = {"sigma1": orbit.letter_perm(bq.S1), "sigma2": orbit.letter_perm(bq.S2),
+                    "sigma3": orbit.letter_perm(bq.S3), "epsilon": eps}
             x, y = orbit.f2_perms()
             n, edges_verified = orbit.n, orbit.edges_verified
             del orbit  # from here on only the permutations are needed
+            check_f2_identities(p, {**gens, "x": x, "y": y})
             lap("permutations_ms")
 
-            gens = {"sigma1": s1, "sigma2": s2, "sigma3": s3, "epsilon": eps}
             try:
                 cls = classify_giant(list(gens.values()), n, seed=seed, budget=giant_budget)
             except CertificateError as e:
@@ -907,13 +873,15 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
             x_is_id = bool((x == np.arange(n)).all())
             x_sign = sign(x)
             lap("classification_ms")
-        except Exception:
-            if verify is None:  # failed before the job began: the sigma_i^-1 checks alone
-                verify = jobs.enter_context(
-                    SideJob(what, _verification_job, orbit, None, cfg.params))
-            verified(verify)
-            raise
-        edges_verified += verified(verify)
+        except Exception as e:  # raised after a sigma_i^-1 failure, which comes first
+            failure = e
+        edges = verify.result()
+        if staged is not None:
+            with naming(dump_path):
+                os.replace(staged, dump_path)
+        if failure is not None:
+            raise failure
+        edges_verified += edges
         x_count = None if count is None else count.result()
         lap("count_ms")
 

@@ -170,3 +170,94 @@ def test_generic_over_symmetric_group():
         Q = tuple(rng.choice(elts) * rng.choice(elts) for _ in range(4))
         assert bq.apply_word([bq.S1, bq.S2, bq.S1], Q) == bq.apply_word([bq.S2, bq.S1, bq.S2], Q)
         bq.center_image(Q)
+
+
+# -- the F2 identities: constants of the construction ----------------------
+# Words in x, y and their inverses X, Y, read left to right.
+
+# the inverse of each automorphism x -> u, y -> v of F2_CONJUGATES
+F2_INVERSES = {"sigma1": ("x", "yX"), "sigma2": ("y", "yXy"), "sigma3": ("x", "Xy"),
+               "epsilon": ("x", "xYx")}
+
+
+def _substitute(images, word):
+    """word with x -> images[0] and y -> images[1], freely reduced."""
+    out = []
+    for letter in word:
+        image = images["xy".index(letter.lower())]
+        if letter.isupper():
+            image = image[::-1].swapcase()
+        for c in image:
+            if out and out[-1] == c.swapcase():
+                out.pop()
+            else:
+                out.append(c)
+    return "".join(out)
+
+
+def _abelianised(images):
+    """The 2x2 integer matrix whose columns are the exponent sums of u and v."""
+    cols = [[w.count(c) - w.count(c.upper()) for c in "xy"] for w in images]
+    return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+
+
+def _mul(*mats):
+    out = ((1, 0), (0, 1))
+    for (e, f), (g, h) in mats:
+        (a, b), (c, d) = out
+        out = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    return out
+
+
+def _inv(m):
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    assert det in (1, -1)
+    return ((d * det, -b * det), (-c * det, a * det))
+
+
+def test_f2_conjugates_are_automorphisms():
+    # each substitution, composed with its stated inverse either way
+    # round, reduces to the identity
+    assert set(bq.F2_CONJUGATES) == set(F2_INVERSES)
+    for g, images in bq.F2_CONJUGATES.items():
+        for a, b in ((images, F2_INVERSES[g]), (F2_INVERSES[g], images)):
+            assert [_substitute(a, w) for w in b] == ["x", "y"], g
+    assert F2_INVERSES["epsilon"] == bq.F2_CONJUGATES["epsilon"]  # an involution
+
+
+def test_f2_conjugates_generate_gl2z():
+    # S = s2^-1 s1^-2, T = s1 and D = diag(1, -1) = s1^2 eps, abelianised.
+    # They generate GL2(Z): left factors S, T^+-1 and D reduce every
+    # matrix of determinant +-1 with entries in [-3, 3] to the identity
+    # (Euclid's algorithm on the first column)
+    m = {g: _abelianised(images) for g, images in bq.F2_CONJUGATES.items()}
+    assert m["sigma1"] == m["sigma3"] == ((1, 1), (0, 1))
+    S = _mul(_inv(m["sigma2"]), _inv(m["sigma1"]), _inv(m["sigma1"]))
+    T = m["sigma1"]
+    D = _mul(m["sigma1"], m["sigma1"], m["epsilon"])
+    assert (S, T, D) == (((0, -1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (0, -1)))
+    box = range(-3, 4)
+    reduced = 0
+    for a in box:
+        for b in box:
+            for c in box:
+                for d in box:
+                    M = ((a, b), (c, d))
+                    if a * d - b * c not in (1, -1):
+                        continue
+                    while M[1][0] != 0:
+                        (a1, _), (c1, _) = M
+                        if abs(a1) < abs(c1):
+                            M = _mul(S, M)
+                        else:
+                            M = _mul(_inv(T) if a1 * c1 > 0 else T, M)
+                    if M[1][1] * M[0][0] == -1:
+                        M = _mul(D, M)
+                    if M[0][0] == -1:
+                        M = _mul(S, S, M)
+                    while M[0][1] != 0:
+                        M = _mul(_inv(T) if M[0][1] > 0 else T, M)
+                    assert M == ((1, 0), (0, 1))
+                    reduced += 1
+    assert reduced > 100

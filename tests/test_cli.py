@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -15,6 +16,9 @@ import pytest
 
 from charquo import cli, numutil
 from charquo.cli import main
+from charquo.numutil import InvariantError
+from charquo.orbit import check_f2_identities
+from charquo.permgrp import check_perm
 
 
 def run(capsys, *argv):
@@ -266,10 +270,19 @@ FULL_REPORT19_SEED9_DIGESTS = {
 }
 
 
-def test_full_orbit_report_digest(capsys):
+@pytest.fixture(scope="module")
+def full_report19_seed9():
+    """Exit code and stdout of `orbit 19 --seed 9 --json`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["orbit", "19", "--seed", "9", "--json"])
+    return code, out.getvalue()
+
+
+def test_full_orbit_report_digest(full_report19_seed9):
     # the arrays, the certificate and edges_verified of a report with
     # its permutations, byte for byte
-    code, out = run(capsys, "orbit", "19", "--seed", "9", "--json")
+    code, out = full_report19_seed9
     assert code == 0
     got = {}
 
@@ -281,6 +294,20 @@ def test_full_orbit_report_digest(capsys):
     blanked = re.sub(r'"timings_ms": \{[^}]*\}', '"timings_ms": {}', blanked)
     got["report"] = hashlib.sha256(blanked.encode()).hexdigest()
     assert got == FULL_REPORT19_SEED9_DIGESTS
+
+
+def test_f2_identities_hold_on_report_permutations(full_report19_seed9):
+    # the characteristic kernel is checkable from a report alone: its
+    # six arrays, each checked to be a permutation, pass the eight
+    # identities; two swapped images of sigma2 fail them, named
+    code, out = full_report19_seed9
+    report = json.loads(out)
+    perms = {name: check_perm(a) for name, a in report["permutations"].items()}
+    check_f2_identities(report["p"], perms)
+    s2 = perms["sigma2"].copy()
+    s2[[0, 1]] = s2[[1, 0]]
+    with pytest.raises(InvariantError, match=r"^F2 identity fails at p = 19: sigma2\^-1 x sigma2 "):
+        check_f2_identities(report["p"], {**perms, "sigma2": s2})
 
 
 # sha256 of `qrep N ELL --verify --specialize 1009 517 897 --max-n N --json`
@@ -410,12 +437,17 @@ def test_out_of_range_arguments_are_named(capsys, argv, name):
 
 
 def test_unwritable_out(tmp_path, capsys):
-    # the error names the path given, not the file staged beside it
+    # the command line refuses a missing directory before the run; the
+    # write itself, should the directory go later, names the path given,
+    # not the file staged beside it
     path = tmp_path / "missing" / "r.json"
     assert main(["witness", "19", "--out", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == f"error: [Errno 2] No such file or directory: '{path}'\n"
+    assert captured.out == f"error: --out {path}: no such directory {path.parent}\n"
     assert captured.err == ""
+    with pytest.raises(FileNotFoundError) as info:
+        cli.write_atomic(str(path), {"p": 19})
+    assert info.value.filename == str(path)
     assert not (tmp_path / "missing").exists()
 
 
@@ -453,6 +485,26 @@ def test_orbit_refuses_a_missing_directory_at_once(tmp_path, capsys, monkeypatch
     assert main(["orbit", "59", flag, str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == f"error: {flag} {path}: no such directory {path.parent}\n"
+    assert captured.err == ""
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["count", "53", "--out"], "witness", "count_x"),
+    (["qrep", "4", "2", "--export"], "qrep", "braid_matrices"),
+], ids=["count --out", "qrep --export"])
+def test_missing_output_directory_refused_before_work(tmp_path, capsys, monkeypatch,
+                                                      argv, module, name):
+    # count and qrep learn of a missing directory before they count or
+    # build, as orbit does
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(f"charquo.{module}.{name}", never)
+    path = tmp_path / "missing" / "f.json"
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"error: {argv[-1]} {path}: no such directory {path.parent}\n"
     assert captured.err == ""
     assert not (tmp_path / "missing").exists()
 

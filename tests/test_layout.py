@@ -299,7 +299,7 @@ def test_benchmark_hooks_resolve():
 
 
 ENGINE = {"enumerate_orbit", "apply_letter_np", "fast_keys", "make_checker",
-          "verify_inverse_edges", "verify_epsilon", "epsilon_perm"}
+          "verify_inverse_edges", "epsilon_perm"}
 TRACE_KEY = {"canon_keys_np", "trace_coords"}
 
 

@@ -15,9 +15,8 @@ from charquo import witness as wt
 from charquo.cli import main
 from charquo.ffield import entry_major, inv_table, mm
 from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError,
-                           OrbitBudgetError, enumerate_orbit, epsilon_perm,
-                           fast_keys, quad_to_row, read_dump, verify_epsilon,
-                           verify_inverse_edges)
+                           OrbitBudgetError, check_f2_identities, enumerate_orbit, epsilon_perm,
+                           fast_keys, quad_to_row, read_dump, verify_inverse_edges)
 from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
@@ -148,7 +147,7 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
     a_dump = tmp_path / "a.chqo"
     orbit19.write_dump(a_dump)
     a_perms = [orbit19.letter_perm(L) for L in LETTERS]
-    a_eps = epsilon_perm(orbit19, cfg19.params)
+    a_eps = epsilon_perm(orbit19)
 
     # small odd slices leave a ragged last slice in every gather and
     # kernel; at 61 rows every large layer spans many slices per letter,
@@ -164,8 +163,11 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
         assert b_dump.read_bytes() == a_dump.read_bytes()
         for L, perm in zip(LETTERS, a_perms):
             assert (b.letter_perm(L) == perm).all()
-        assert (epsilon_perm(b, cfg19.params) == a_eps).all()
-        verify_epsilon(b, a_eps, cfg19.params)
+        assert (epsilon_perm(b) == a_eps).all()
+        x, y = b.f2_perms()
+        check_f2_identities(19, {"sigma1": b.letter_perm(bq.S1), "sigma2": b.letter_perm(bq.S2),
+                                 "sigma3": b.letter_perm(bq.S3), "epsilon": a_eps,
+                                 "x": x, "y": y})
 
 
 def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
@@ -188,9 +190,8 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
 
 def test_row_kernels_see_one_slice(cfg19, monkeypatch):
     # the kernels do not slice: every caller, in the BFS, the inverse
-    # edge pass and the reversal twist, passes at most one slice of rows
-    # (the last two are called here, as the pipeline's verification job
-    # calls them)
+    # edge pass and the reversal twist's index, passes at most one slice
+    # of rows (the last two are called here, as the pipeline calls them)
     monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
     widest = {}
 
@@ -200,15 +201,15 @@ def test_row_kernels_see_one_slice(cfg19, monkeypatch):
             return fn(*args)
         return call
 
-    for name, rows_arg in (("fast_keys", 1), ("apply_letter_np", 1), ("_twisted_reversal", 3)):
-        monkeypatch.setattr(orbit_mod, name, watched(name, getattr(orbit_mod, name), rows_arg))
+    for name in ("fast_keys", "apply_letter_np"):
+        monkeypatch.setattr(orbit_mod, name, watched(name, getattr(orbit_mod, name), 1))
     monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent",
                         watched("equivalent", orbit_mod._ExactChecker.equivalent, 1))
     orbit = enumerate_orbit(cfg19.P, cfg19.params)
     assert orbit.n == 32400
     verify_inverse_edges(orbit)
-    verify_epsilon(orbit, epsilon_perm(orbit, cfg19.params), cfg19.params)
-    assert sorted(widest) == ["_twisted_reversal", "apply_letter_np", "equivalent", "fast_keys"]
+    epsilon_perm(orbit)
+    assert sorted(widest) == ["apply_letter_np", "equivalent", "fast_keys"]
     assert max(widest.values()) <= 997, widest
 
 
@@ -295,7 +296,7 @@ def test_forced_collision_cli_exit(reject_recurrent_edge, capsys):
 
 def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
     # a failed reversal twist is a failed hypothesis at that prime: exit 1
-    def outside(orbit, params):
+    def outside(orbit):
         raise EpsilonOutsideOrbitError(f"epsilon maps 1 points outside the orbit at p={orbit.p}")
 
     monkeypatch.setattr(wt, "epsilon_perm", outside)
@@ -417,23 +418,23 @@ def _break_epsilon_involution(monkeypatch):
     monkeypatch.setattr(orbit_mod.OrbitIndex, "index_of_keys", tampered)
 
 
-def _first_non_involution(orbit19, cfg19):
-    eps = epsilon_perm(orbit19, cfg19.params)
+def _first_non_involution(orbit19):
+    eps = epsilon_perm(orbit19)
     eps[0] = eps[1]
     i = int(np.flatnonzero(eps[eps] != np.arange(orbit19.n))[0])
     return f"index {i} -> {int(eps[i])} -> {int(eps[eps[i]])}"
 
 
-def test_epsilon_not_involution_rejected(orbit19, cfg19, monkeypatch):
-    want = _first_non_involution(orbit19, cfg19)
+def test_epsilon_not_involution_rejected(orbit19, monkeypatch):
+    want = _first_non_involution(orbit19)
     _break_epsilon_involution(monkeypatch)
     with pytest.raises(orbit_mod.OrbitError, match="not an involution") as ei:
-        epsilon_perm(orbit19, cfg19.params)
+        epsilon_perm(orbit19)
     assert want in str(ei.value)
 
 
-def test_epsilon_not_involution_cli_exit(orbit19, cfg19, monkeypatch, capsys):
-    want = _first_non_involution(orbit19, cfg19)
+def test_epsilon_not_involution_cli_exit(orbit19, monkeypatch, capsys):
+    want = _first_non_involution(orbit19)
     _break_epsilon_involution(monkeypatch)
     assert main(["orbit", "19", "--no-permutations"]) == 3
     out = capsys.readouterr().out
@@ -441,23 +442,49 @@ def test_epsilon_not_involution_cli_exit(orbit19, cfg19, monkeypatch, capsys):
     assert want in out
 
 
-def test_epsilon_conjugator_classes_checked(monkeypatch, capsys):
-    # both reversal conjugators have determinant class (-1 | p), -1 at
-    # p = 19 (epsilon_conjugators); a flipped class is an internal
-    # invariant violation
-    conjugator, classes = orbit_mod.conjugator, []
+def test_epsilon_off_the_identities_cli_exit(monkeypatch, capsys):
+    # epsilon conjugated by a transposition is still an involution on the
+    # orbit, so epsilon_perm's own passes would accept it; the F2
+    # identities refuse it (exit 3), naming p and g
+    def conjugated(orbit):
+        eps = epsilon_perm(orbit)
+        t = np.arange(orbit.n, dtype=np.int32)
+        t[[0, 1]] = [1, 0]
+        out = t.take(eps.take(t))
+        assert (out.take(out) == t.take(t)).all() and (out != eps).any()
+        return out
 
-    def flipped(M, N):
-        g, cls = conjugator(M, N)
-        classes.append(cls)
-        return g, -cls if len(classes) == 2 else cls
-
-    monkeypatch.setattr(orbit_mod, "conjugator", flipped)
+    monkeypatch.setattr(wt, "epsilon_perm", conjugated)
     assert main(["orbit", "19", "--no-permutations"]) == 3
     out = capsys.readouterr().out
-    assert classes == [-1, -1]
-    assert ("internal invariant violated: reversal conjugators at p=19: determinant "
-            "class -1 for gamma, 1 for delta") in out
+    assert out.startswith("internal invariant violated: F2 identity fails at p = 19: "
+                          "epsilon^-1 ")
+
+
+def test_sigma2_off_the_identities_cli_exit(monkeypatch, capsys):
+    # sigma2 with two images swapped, and its inverse with them: the F2
+    # identities refuse it (exit 3), naming p and g.  y = s2 x s2^-1 is
+    # built from the changed pair, so the first identity to fail is
+    # sigma1's on y.  The verification job reads the index's own
+    # permutations, so it passes.
+    letter_perm = orbit_mod.OrbitIndex.letter_perm
+
+    def swapped(self, letter):
+        if letter not in (bq.S2, bq.S2i):
+            return letter_perm(self, letter)
+        s2 = letter_perm(self, bq.S2).copy()
+        s2[[0, 1]] = s2[[1, 0]]
+        if letter == bq.S2:
+            return s2
+        inverse = np.empty_like(s2)
+        inverse[s2] = np.arange(self.n, dtype=np.int32)
+        return inverse
+
+    monkeypatch.setattr(orbit_mod.OrbitIndex, "letter_perm", swapped)
+    assert main(["orbit", "19", "--no-permutations"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("internal invariant violated: F2 identity fails at p = 19: "
+                          "sigma1^-1 y sigma1 ")
 
 
 def _reference_perm(orbit, letter):
@@ -499,8 +526,8 @@ def test_letter_perms_apply_no_letter(cfg19, monkeypatch):
     assert len(calls) == in_bfs
 
 
-def test_epsilon_involution_and_twist(orbit19, cfg19):
-    eps = epsilon_perm(orbit19, cfg19.params)
+def test_epsilon_involution_and_twist(orbit19):
+    eps = epsilon_perm(orbit19)
     n = orbit19.n
     assert (eps[eps] == np.arange(n)).all()
     s1 = orbit19.letter_perm(bq.S1)
@@ -513,7 +540,7 @@ def test_epsilon_involution_and_twist(orbit19, cfg19):
 
 def test_epsilon_lands_on_sigma13_leaf(orbit19, cfg19):
     # the twisted reversal of P stays on the <s1, s3>-leaf of P
-    eps = epsilon_perm(orbit19, cfg19.params)
+    eps = epsilon_perm(orbit19)
     i0 = orbit19.index_of_point(cfg19.P)
     perms = [orbit19.letter_perm(L) for L in (bq.S1, bq.S1i, bq.S3, bq.S3i)]
     leaf = {i0}
@@ -585,22 +612,22 @@ def test_dump31_digest(orbit31, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP31_SHA256
 
 
-def test_perms31_digests(orbit31, cfg31):
+def test_perms31_digests(orbit31):
     # the p = 31 oracle of the permutation stage: the twist and the free
     # generators must stay byte-identical
     x, y = orbit31.f2_perms()
-    perms = {"epsilon": epsilon_perm(orbit31, cfg31.params), "x": x, "y": y}
+    perms = {"epsilon": epsilon_perm(orbit31), "x": x, "y": y}
     assert {name: (a.dtype, a.shape) for name, a in perms.items()} == \
         {name: (np.dtype(np.int32), (orbit31.n,)) for name in PERMS31_SHA256}
     assert {name: hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest()
             for name, a in perms.items()} == PERMS31_SHA256
 
 
-def test_point_permutations_are_int32(orbit19, cfg19):
+def test_point_permutations_are_int32(orbit19):
     # every point index is below 2^31, so the six letter permutations,
     # the reversal twist and the free generators are all int32
     x, y = orbit19.f2_perms()
-    arrays = [*(orbit19.perms[L] for L in LETTERS), epsilon_perm(orbit19, cfg19.params), x, y]
+    arrays = [*(orbit19.perms[L] for L in LETTERS), epsilon_perm(orbit19), x, y]
     assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * 9
     word = _word_perm(orbit19, [bq.S1, bq.S3i])
     assert word.dtype == np.int32 and (word == x).all()
@@ -698,8 +725,6 @@ def test_row_kernels_agree_on_narrow_and_wide_rows(p, request):
     assert not same(lambda r: checker.equivalent(r, np.roll(r, 1, axis=0))).all()
     on_x = same(lambda r: orbit_mod._on_x_mask(params, r))
     assert on_x.all() if p == 19 else on_x[0] and not on_x[1:].any()
-    g, h = orbit_mod.epsilon_conjugators(params)
-    same(lambda r: orbit_mod._twisted_reversal(p, g, h, r))
 
     def index(r):
         return orbit_mod.OrbitIndex(params, r, fast_keys(p, r), {})

@@ -1,5 +1,5 @@
 """The side processes: numutil.SideJob, and the pipeline's count job and
-verification job (the sigma_i^-1 and reversal-twist exact checks).
+verification job (the sigma_i^-1 exact checks).
 Every test here ends with no child process left to reap."""
 
 import os
@@ -9,7 +9,6 @@ import time
 import pytest
 
 from charquo import numutil
-from charquo import orbit as orbit_mod
 from charquo import witness as wt
 from charquo.cli import main
 from charquo.numutil import InvariantError, SideJob, SideJobKilled
@@ -146,49 +145,24 @@ def test_sigma_inverse_failure_leaves_no_dump(monkeypatch, capsys, tmp_path):
     assert files == []
 
 
-@pytest.mark.parametrize("main_line", ["twist index pass", "classification"])
+@pytest.mark.parametrize("main_line", ["twist index pass", "identity check",
+                                       "classification"])
 def test_sigma_inverse_failure_comes_first(monkeypatch, capsys, tmp_path, main_line):
     # the sigma_i^-1 failure arrives after the main line has failed, and
-    # still wins: the orbit stage comes before both
+    # still wins: the orbit stage comes before all three
     monkeypatch.setattr(wt, "verify_inverse_edges", _late(_reject_inverse_edges))
     if main_line == "classification":
         monkeypatch.setattr(wt, "classify_giant",
                             lambda *a, **k: _raise(CertificateError("no certificate")))
+    elif main_line == "identity check":
+        monkeypatch.setattr(wt, "check_f2_identities", lambda *a: _raise(InvariantError(
+            "F2 identity fails at p = 19: sigma2^-1 y sigma2 is not x")))
     else:
         monkeypatch.setattr(wt, "epsilon_perm",
                             lambda *a: _raise(EpsilonOutsideOrbitError("1 point outside")))
     code, out, files = _orbit19(capsys, tmp_path)
     assert code == 3 and "sigma2^-1 at point index 1000" in out
     assert files == []
-
-
-def test_twist_exact_failure(monkeypatch, capsys, tmp_path):
-    # one twisted row is changed, so its exact check fails: today's
-    # message and exit code, and the dump stays, as the sigma_i^-1
-    # checks passed
-    twisted = orbit_mod._twisted_reversal
-
-    def spoiled(p, g, h, rows):
-        out = twisted(p, g, h, rows)
-        out[0] = out[1]
-        return out
-
-    monkeypatch.setattr(orbit_mod, "_twisted_reversal", spoiled)
-    code, out, files = _orbit19(capsys, tmp_path)
-    assert code == 1
-    assert out == ("error: reversal twist fails at p = 19: epsilon image fails exact "
-                   "equivalence with its representative\n")
-    assert files == ["o.chqo"]
-
-
-def test_twist_exact_failure_comes_before_classification(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(wt, "verify_epsilon",
-                        _late(lambda *a: _raise(EpsilonOutsideOrbitError("late image"))))
-    monkeypatch.setattr(wt, "classify_giant",
-                        lambda *a, **k: _raise(CertificateError("no certificate")))
-    code, out, files = _orbit19(capsys, tmp_path)
-    assert (code, out) == (1, "error: reversal twist fails at p = 19: late image\n")
-    assert files == ["o.chqo"]
 
 
 @pytest.mark.parametrize("exc, code, kind", [
