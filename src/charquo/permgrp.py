@@ -14,22 +14,20 @@ permutation it is given through check_perm, once per call, which
 refuses a wrong length, an entry out of range or a repeated image by
 name and passes an int32 array, such as an orbit's letter permutation,
 without a copy.  Behind it the kernels (_gather and its callers
-_cycle_labels and _word_perm) index only by checked permutations and
-their products, which cannot leave the range, so their gathers are
-unchecked.  id_perm, mult and inverse stay on plain lists, because
-readers of a JSON report compare their results with lists.
-minimal_block, which only tests call, stays a union-find over lists:
-an array port by class-label propagation measured slower (11.5 s
+_cycle_labels, _word_perm and _power) index only by checked
+permutations and their products, which cannot leave the range, so
+their gathers are unchecked.  id_perm, mult and inverse stay on plain
+lists, because readers of a JSON report compare their results with
+lists.  minimal_block, which only tests call, stays a union-find over
+lists: an array port by class-label propagation measured slower (11.5 s
 against 9.2 s per 100 calls at p = 19).
 
 giant_certificate tests its random words two at a time: the caller and
 one helper thread run one loop (_first_hit), each drawing the next
 word from the one random.Random(seed) under a lock, and the
 certificate is the first word in draw order that hits, so a report
-equals a one-thread search's.  numpy's gathers release the GIL: the
-classification stage at p = 31 took 0.67-0.74 s (per-seed medians)
-against 0.97-1.26 s with one thread on a 2-core x86-64 host.  Each
-worker composes a word and labels its cycles in three int32 arrays of
+equals a one-thread search's.  numpy's gathers release the GIL.  Each
+worker composes a word and tests its cycles in three int32 arrays of
 n entries, allocated before the helper starts (12 bytes per point per
 worker), by np.take(..., out=, mode="clip"): mode="raise" would gather
 into a buffered copy of out.  np.take copies int32 indices to intp, 8
@@ -37,6 +35,24 @@ bytes an entry, so the gathers go a slice at a time (numutil.slices,
 width 1).  GiantCertificate.revalidate rebuilds the word's permutation
 from the generators alone, each checked by check_perm, and counts its
 cycles with cycle_lengths.
+
+The cycle tests are exact and stop early.  Pointer doubling
+(_cycle_labels, behind cycle_lengths and sign) ends at the first round
+that lowers no label, about log2 of the longest cycle rounds instead of
+ceil(log2 n).  A word's test (_window_cycle) first probes for the one
+cycle longer than n/2: the length of point 0's cycle by Shanks'
+baby-step giant-step, with at most s = 2^k > sqrt(n) baby steps on the
+permutation and n/s giant steps on its s-th power (k squarings), then,
+while the cycles measured cover less than half of the points, that of
+the least point outside them, PROBES cycles at most; only a word the
+probes leave undecided has its cycles labelled.  Each path returns the
+length of the one cycle longer than n/2 when it is a window prime and
+None otherwise, so every word gets the answer it got from labels
+alone, and the first hit, the certificate and every report are
+unchanged.  At p = 31 the classification stage took 0.38-0.52 s
+(per-seed medians over the six benchmark seeds) against 0.56-0.76 s
+with labels alone, and 0.97-1.26 s with one thread and labels alone,
+on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -108,14 +124,22 @@ def _cycle_labels(f, lab, tmp):
     """Each point labelled by the least point of its cycle, by pointer
     doubling on the permutation f: lab starts as f, so after k rounds
     lab[i] is the minimum over the 2^k points f(i), f(f(i)), ..., and
-    ceil(log2 n) rounds cover every cycle.  f is squared between rounds
-    only, not after the last.  f, lab and tmp are int32 arrays of one
-    length, and nothing else is allocated: f is squared in place and
-    ends overwritten, and lab is returned."""
+    ceil(log2 n) rounds cover every cycle.  Labelling stops earlier, at
+    the first round that lowers no label: lab[i] <= lab[g(i)] for every
+    i, where g = f^(2^k), makes lab constant on each orbit of g, and the
+    windows of that orbit's points cover their whole cycle of f, so each
+    label is already the least point of its cycle.  That takes about
+    log2 of the longest cycle rounds (2 for an involution).  f is
+    squared between rounds only, not after the last.  f, lab and tmp are
+    int32 arrays of one length, and nothing else is allocated but one
+    slice of comparisons at a time: f is squared in place and ends
+    overwritten, and lab is returned."""
     np.copyto(lab, f)
     span = 1
     while span < len(f):
         _gather(lab, f, tmp)
+        if not any((tmp[c] < lab[c]).any() for c in slices(len(f))):
+            break
         np.minimum(lab, tmp, out=lab)
         span *= 2
         if span < len(f):
@@ -166,6 +190,14 @@ ORACLE_BOUND = 100
 
 # Default number of random words the giant-certificate search tries.
 WORD_BUDGET = 300
+
+# Cycles _window_cycle measures one at a time, looking for the one
+# longer than n/2, before it labels all of a word's cycles.  A uniform
+# random permutation has one with probability about ln 2, and point 0
+# lies in it with probability above 1/2 then; each probe costs O(sqrt n)
+# Python steps and at most n/s small gathers, the labels about
+# 2 log2(longest cycle) gathers of n entries.
+PROBES = 3
 
 
 class OracleBoundExceeded(BudgetError):
@@ -428,16 +460,92 @@ def _random_word(n_gens, rng):
     return [(rng.randrange(n_gens), rng.choice((1, -1))) for _ in range(length)]
 
 
+def _power(perm, k, x, y):
+    """perm^(2^k) by k >= 1 squarings into the int32 arrays x and y in
+    turn, returned in one of them; perm itself is kept."""
+    f = perm
+    for i in range(k):
+        out = (x, y)[i % 2]
+        _gather(f, f, out)
+        f = out
+    return f
+
+
+def _baby_steps(perm, x, s):
+    """The points x, perm(x), perm^2(x), ... of x's cycle in order, up to
+    the return to x or s points, whichever comes first."""
+    baby, y = [x], perm.item(x)
+    while y != x and len(baby) < s:
+        baby.append(y)
+        y = perm.item(y)
+    return baby
+
+
+def _giant_steps(power, baby):
+    """(t, L): baby holds the first s points of a cycle of L >= s points
+    of a permutation perm, baby[j] = perm^j(x), and power is perm^s.
+    The giant steps perm^s(x), perm^2s(x), ... first meet a baby point
+    at step t = ceil(L / s), at baby[j] with j = t s - L (Shanks'
+    baby-step giant-step)."""
+    s, place = len(baby), {y: j for j, y in enumerate(baby)}
+    t, y = 1, power.item(baby[0])
+    while y not in place:
+        t, y = t + 1, power.item(y)
+    return t, t * s - place[y]
+
+
 def _window_cycle(word, gens, invs, primes, a, b, c):
     """The length of the word's cycle whose length is in primes (all
-    above n/2), or None, composed and labelled in the three index
-    arrays a, b and c of n entries.  At most one cycle is longer than
-    n/2, and it owns more than half of the labels, so after partitioning
-    the labels at n // 2 the median is its label: its length is that
+    above n/2), or None, composed in the three index arrays a, b and c
+    of n entries.  At most one cycle is longer than n/2, and each path
+    below finds it or shows there is none, so the answer is the same
+    whichever path gives it.
+
+    First it probes: the length L of one point's cycle, by at most s
+    baby steps on the word's permutation and at most n/s giant steps on
+    its s-th power, s = 2^k > sqrt(n), the power made by k squarings
+    into the two arrays the permutation leaves free once some probe
+    meets a cycle of s points or more.  If 2L > n, that is the one long
+    cycle.  Otherwise its points are marked in an n-byte array (the baby
+    points, then their images under the power, at most n/s block
+    gathers of s points), and if the cycles probed cover half of the
+    points, no cycle longer than n/2 fits in the rest.  Else the next
+    probe starts from the least unmarked point, PROBES probes at most,
+    each of at most s + n/s Python steps and a dict of at most s points.
+    Undecided, it labels the cycles (_cycle_labels): the long cycle, if
+    any, owns more than half of the labels, so after partitioning the
+    labels at n // 2 the median is its label and its length is that
     label's count, with no bincount of every label."""
     n = len(a)
     perm = _word_perm(word, gens, invs, a, b)
-    lab = _cycle_labels(perm, c, b if perm is a else a)
+    free = (c, b if perm is a else a)
+    k = isqrt(n).bit_length()
+    s = 1 << k
+    power = mark = None
+    start = covered = 0
+    for probe in range(PROBES):
+        baby = _baby_steps(perm, start, s)
+        blocks, length = 1, len(baby)
+        if length == s:
+            if power is None:
+                power = _power(perm, k, *free)
+            blocks, length = _giant_steps(power, baby)
+        if 2 * length > n:
+            return length if length in primes else None
+        covered += length
+        if 2 * covered >= n:
+            return None
+        if probe + 1 == PROBES:
+            break
+        if mark is None:
+            mark = np.zeros(n, dtype=bool)
+        block = np.array(baby)
+        mark[block] = True
+        for _ in range(blocks - 1):
+            block = power[block]
+            mark[block] = True
+        start = int(np.argmin(mark))
+    lab = _cycle_labels(perm, *free)
     lab.partition(n // 2)
     length = int(np.count_nonzero(lab == lab[n // 2]))
     return length if length in primes else None
@@ -458,9 +566,9 @@ def _first_hit(gens, invs, n, primes, rng, budget):
     so there are never more runnable threads than a 2-core host has
     cores, and signal handlers keep running on the main thread.  The
     helper calls nothing that a tracer may wrap (cycle_lengths, sign,
-    ...).  An exception in either worker stops the other; the helper's
-    is raised here as it is, and the helper is joined before this
-    returns or raises."""
+    ...; tests/test_layout.py walks what it reaches).  An exception in
+    either worker stops the other; the helper's is raised here as it
+    is, and the helper is joined before this returns or raises."""
     lock = threading.Lock()
     drawn, hit, stop, errors = 0, None, False, []
 

@@ -323,3 +323,28 @@ def test_oracles_use_neither_the_engine_nor_the_trace_key():
                 todo.append(used)
     assert {"_exact_keys_np", "_list_pairs", "_rebuild_rows", "_m2_representatives"} <= reached
     assert not found, "oracle code naming the engine or the trace key: " + ", ".join(found)
+
+
+def test_search_helper_calls_nothing_the_tracer_wraps():
+    # perfbench's Tracer keeps one span stack for all threads, so the
+    # helper thread of permgrp._first_hit may call no function that
+    # tracing.py wraps: no permgrp function it reaches names one
+    tree = ast.parse((SRC / "permgrp.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    wrapped = {obj.__name__ for _, _, obj in _hook_targets(PERFBENCH / "tracing.py")
+               if inspect.isfunction(obj)}
+    reached, todo, found = set(), ["_first_hit"], []
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            used = getattr(node, "id", None) or getattr(node, "attr", None)
+            if used in wrapped:
+                found.append(f"permgrp.{name}:{node.lineno} {used}")
+            elif used in functions:
+                todo.append(used)
+    assert {"cycle_lengths", "sign", "is_transitive", "revalidate"} <= wrapped
+    assert {"_window_cycle", "_word_perm", "_cycle_labels", "_power", "_gather"} <= reached
+    assert not found, "search code naming a traced function: " + ", ".join(found)

@@ -4,7 +4,7 @@ import random
 import re
 import sys
 import threading
-from math import factorial
+from math import factorial, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -582,6 +582,111 @@ def test_window_cycle_reads_the_long_cycle_off_the_median():
             assert pg._cycle_labels(f, *bufs[:2]).tolist() == _ref_cycle_labels(ref)
 
 
+def _blocks(n, lengths, rng):
+    """A permutation of degree n whose cycles have the given lengths and
+    hold consecutive points, the first from point 0, each in a shuffled
+    order; the points after them are fixed.  Probes from the least
+    unmarked point then meet the cycles in the order given."""
+    cycles, start = [], 0
+    for length in lengths:
+        pts = list(range(start, start + length))
+        rng.shuffle(pts)
+        cycles.append(tuple(pts))
+        start += length
+    return cyc(n, *cycles)
+
+
+def _spy(monkeypatch, name):
+    """Calls of permgrp.<name>, counted."""
+    calls, fn = [], getattr(pg, name)
+    monkeypatch.setattr(pg, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 4096, 4097])
+def test_window_cycle_probes_match_the_reference(monkeypatch, n):
+    # each case: the cycle lengths from point 0 on, and whether the
+    # probes leave the word undecided, so that its cycles are labelled
+    primes = set(pg.window_primes(n))
+    q, q_low = max(primes), min(primes)
+    s = 1 << isqrt(n).bit_length()
+    cases = [
+        ([n // 2], False),  # 2L = n or n - 1: the covered half decides, at n odd on a second probe
+        ([n // 2 + 1], False),  # the long cycle, not prime
+        ([q], False), ([q_low], False),  # a window prime, L > s: giant steps
+        ([3 * n // 10, 3 * n // 10], False),  # covered half after marking one large cycle
+        ([2] * (n // 2), True),  # n/2 transpositions: no probe decides
+        ([1, q], False), ([5, 7, q_low], False),  # point 0 misses the long cycle: probes 2, 3
+        ([1, 1, 1, q], True),  # three fixed points first: the labels find it
+        ([s - 1, q_low], False), ([s, q_low], False), ([s + 1, q_low], False),
+        ([2 * s, q_low], False), ([2 * s + 1, q_low], False),  # the first cycle's length decides
+        ([s, s, n - 2 * s], False),  # where the second probe starts
+        ([n // 10] * 5, True),  # three probes cover 3n/10: labels, and no long cycle
+    ]
+    labelled = _spy(monkeypatch, "_cycle_labels")
+    rng = random.Random(n)
+    for lengths, undecided in cases:
+        p = _blocks(n, lengths, rng)
+        gens = [np.array(p, dtype=np.int32)]
+        want = next((c for c in _ref_cycle_lengths(p) if c in primes), None)
+        labelled.clear()
+        assert pg._window_cycle([(0, 1)], gens, gens, primes, *_bufs(n, 3)) == want, lengths
+        assert len(labelled) == undecided, lengths
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_baby_and_giant_steps_find_each_cycle_length(k):
+    # the length of x's cycle, exact on either side of s and its
+    # multiples; the power perm^s by k squarings, perm kept
+    s, n = 1 << k, (1 << k) * 4 + 3
+    rng = random.Random(k)
+    for length in range(1, n + 1):
+        p = _blocks(n, [length], rng)
+        perm = np.array(p, dtype=np.int32)
+        x, y = _bufs(n, 2)
+        power = pg._power(perm, k, x, y)
+        assert perm.tolist() == p and any(power is b for b in (x, y))
+        ref = pg.id_perm(n)
+        for _ in range(s):
+            ref = pg.mult(ref, p)
+        assert power.tolist() == ref
+        start = rng.randrange(length)
+        baby = pg._baby_steps(perm, start, s)
+        assert baby[0] == start and all(p[a] == b for a, b in zip(baby, baby[1:]))
+        assert len(baby) == min(length, s)
+        assert sorted(baby) == sorted(set(baby)) and all(b < length for b in baby)
+        if length >= s:
+            assert pg._giant_steps(power, baby) == (-(-length // s), length)
+
+
+@pytest.mark.parametrize("longest", sorted({2 ** k + d for k in range(11) for d in (0, 1)}))
+def test_cycle_labels_stop_once_settled(monkeypatch, longest):
+    # the labels settle in ceil(log2 longest) rounds, and one more round
+    # that lowers none ends the labelling: 2 ceil(log2 longest) + 1
+    # gathers, where the parent's 2 ceil(log2 n) - 1 are 23 at n = 3000
+    n, rng = 3000, random.Random(longest)
+    rest = []
+    while sum(rest) + longest < n:  # shorter cycles after the longest one
+        rest.append(rng.randint(1, longest))
+    p = _blocks(n, [longest] + rest[:-1], rng)
+    gathers = _spy(monkeypatch, "_gather")
+    lab = pg._cycle_labels(np.array(p, dtype=np.int32), *_bufs(n, 2))
+    assert lab.tolist() == _ref_cycle_labels(p)
+    assert len(gathers) == 2 * (longest - 1).bit_length() + 1
+
+
+def test_involution_labels_in_three_gathers(monkeypatch):
+    # at n = 5 000 the parent ran 13 rounds of labels and 12 squarings
+    n = 5000
+    p = cyc(n, *[(k, n - 1 - k) for k in range(0, n // 2, 3)])
+    gathers = _spy(monkeypatch, "_gather")
+    assert pg._cycle_labels(np.array(p, dtype=np.int32), *_bufs(n, 2)).tolist() == \
+        _ref_cycle_labels(p)
+    assert len(gathers) <= 3
+    gathers.clear()
+    assert pg.sign(p) == _ref_sign(p) and len(gathers) <= 3
+
+
 WREATH = [cyc(100, (0, 1)), list(range(2, 100)) + [0, 1]]  # C2 wr C50: no window cycle
 
 
@@ -612,16 +717,16 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
     # thread is left running
     threads = threading.active_count()
     err, raised = RuntimeError("helper kernel"), threading.Event()
-    labels = pg._cycle_labels
+    word_perm = pg._word_perm  # every word composes, however its cycles are then found
 
-    def failing(p, *bufs):
+    def failing(word, *args):
         if threading.current_thread() is not threading.main_thread():
             raised.set()
             raise err
         assert raised.wait(10)
-        return labels(p, *bufs)
+        return word_perm(word, *args)
 
-    monkeypatch.setattr(pg, "_cycle_labels", failing)
+    monkeypatch.setattr(pg, "_word_perm", failing)
     draws = _count_draws(monkeypatch)
     for gens in (S100, WREATH):
         raised.clear()
@@ -634,14 +739,14 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
 
 def test_caller_exception_joins_the_helper(monkeypatch):
     threads = threading.active_count()
-    labels = pg._cycle_labels
+    word_perm = pg._word_perm
 
-    def failing(p, *bufs):
+    def failing(word, *args):
         if threading.current_thread() is threading.main_thread():
             raise KeyError("caller kernel")
-        return labels(p, *bufs)
+        return word_perm(word, *args)
 
-    monkeypatch.setattr(pg, "_cycle_labels", failing)
+    monkeypatch.setattr(pg, "_word_perm", failing)
     with pytest.raises(KeyError, match="caller kernel"):
         pg.giant_certificate(WREATH, 100, seed=3)
     assert threading.active_count() == threads

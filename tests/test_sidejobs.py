@@ -3,6 +3,7 @@ verification job (the sigma_i^-1 exact checks).
 Every test here ends with no child process left to reap."""
 
 import os
+import pickle
 import signal
 import time
 
@@ -63,6 +64,12 @@ def test_side_job_exception_that_cannot_be_rebuilt():
         with pytest.raises(InvariantError, match=r"^the odd job at p = 7: its exception "
                                                  r"_TwoArgumentError: too big cannot be sent back"):
             job.result()
+
+
+def test_orbit_budget_error_pickles_with_partial_count():
+    err = pickle.loads(pickle.dumps(OrbitBudgetError("orbit exceeds max_points=10", 12)))
+    assert type(err) is OrbitBudgetError and err.partial_count == 12
+    assert str(err) == "orbit exceeds max_points=10"
 
 
 def test_side_job_orbit_budget_error_keeps_partial_count():
