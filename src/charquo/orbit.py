@@ -7,19 +7,18 @@ deduplicates on the packed canonical trace key.  The 2x2 kernels and the
 base-p packing it runs on are ffield's, applied to entry-major copies of
 the rows; the trace coordinates and their key are charvar's
 (trace_coords, canon_keys_np).  This module owns the BFS, the
-exact-equivalence checker, the index and the dump format.  Every
-recurrent BFS edge (in enumerate_orbit) and every sigma_i^-1 edge (in
-verify_inverse_edges) is re-verified against the stored representative
-with the centralizer-coset equivalence, so the enumeration is sound even
-where the injectivity of the trace map is unproven.  The latter is a
-function of a finished index, so the pipeline (witness.run_pipeline)
-runs it in a side process while it goes on with the permutations.
-The check solves for one candidate centralizer pair per row, where the
-pencil span(I, gamma) meets the pencil of pairs that the A blocks
-allow, and tests only that pair (see _ExactChecker); there is no other
-path.  A genuine trace-key collision between inequivalent points raises
-KeyCollisionError (the OrbitIndex contract requires pairwise-distinct
-keys).
+exact-equivalence checker, the index and the dump format.  The BFS only
+enumerates.  verify_edges, a function of a finished index, re-verifies
+every sigma_i and sigma_i^-1 edge against the stored row it names with
+the centralizer-coset equivalence, so the enumeration is sound even
+where the injectivity of the trace map is unproven; the pipeline
+(witness.run_pipeline) runs it in a side process while it goes on with
+the permutations.  The check solves for one candidate centralizer pair
+per row, where the pencil span(I, gamma) meets the pencil of pairs that
+the A blocks allow, and tests only that pair (see _ExactChecker); there
+is no other path.  A genuine trace-key collision between inequivalent
+points raises KeyCollisionError (the OrbitIndex contract requires
+pairwise-distinct keys).
 
 Indices are assigned by ascending canonical key after enumeration
 closes, so reports are byte-reproducible regardless of traversal order.
@@ -32,26 +31,24 @@ is deduplicated without per-key Python code, in slices: each letter in
 turn is applied to one slice of the frontier at a time (the layer's
 letter-major image order), and each image's key is located by
 searchsorted in the sorted visited keys (kept beside the point index of
-each).  An image on a visited key is a recurrent edge, verified in its
-slice against that older point.  The images on unvisited keys are
-kept, key and row, until the layer closes.  Then one stable argsort
-groups them by key: the first image of each group in letter-major
-order is its representative, and every other member is a recurrent
-edge, verified against it.  The groups take the next point indices in
-ascending key order, and their keys are merged into the visited keys
-once.
+each).  The images on unvisited keys are kept, key and row, until the
+layer closes.  Then one stable argsort groups them by key: the first
+image of each group in letter-major order is its representative, whose
+row is stored.  The groups take the next point indices in ascending key
+order, and their keys are merged into the visited keys once.
 
 Each layer also returns where every image of its frontier landed: the
-point index of the image's key group, as int32.  These successor
-arrays are the verified forward edges; once the BFS closes each
-letter's are concatenated in layer order, which is point order, and
-renumbered by ascending key into sigma_1, sigma_2 and sigma_3, one
-letter at a time.  Each must be a bijection, and sigma_i^-1 is its
-inverse.  enumerate_orbit verifies the 3n - (n - 1) = 2n + 1 recurrent
-forward edges.  verify_inverse_edges is a pass without keys: it applies
-sigma_i^-1 to every point and verifies the image exactly against the
-row the inverse names, 3n edges, 5n + 1 in all.  No image is keyed
-twice.
+point index of the image's key group, as int32, and for each new point
+the letter whose image is its stored row (the BFS tree, OrbitIndex.tree).
+Once the BFS closes, each letter's successor arrays are concatenated in
+layer order, which is point order, and renumbered by ascending key into
+sigma_1, sigma_2 and sigma_3, one letter at a time.  Each must be a
+bijection, and sigma_i^-1 is its inverse.  verify_edges is a pass
+without keys: it applies each letter to every point and verifies the
+image exactly against the row the permutation names.  Of the 3n
+sigma_i edges it skips the n - 1 tree edges, whose image is the stored
+row itself, and checks the other 2n + 1; with the 3n sigma_i^-1 edges
+that is 5n + 1 in all.  No image is keyed twice.
 
 The reversal twist's permutation (epsilon_perm) is read off keys alone.
 What the quotient needs of the four generators, check_f2_identities
@@ -69,14 +66,15 @@ here is cut by numutil.slices, with the int64 entries its temporaries
 hold per item as width: 16 for rows (8 192 a slice), 1 for an int32
 gather (numpy's intp copy of the indices) or scatter.
 
-Memory.  What grows with the orbit is 32 bytes per point (the uint16
-quadruple) plus 12 per visited key (int64 key, int32 point index) and,
-during the BFS, 12 per point of int32 successors (three letters).  At
-rest the index keeps 64 bytes per point: the row, the key and the six
-int32 letter permutations, 24 bytes of them.  A layer adds its images
-on unvisited keys, 40 bytes each (row and key; there are about 1.65 per
-new point at p = 19 and 31), and at its close their sort order, groups
-and representatives.  All but the kept rows and the representatives go
+Memory.  What grows with the orbit is 33 bytes per point (the uint16
+quadruple and the uint8 tree letter) plus 12 per visited key (int64
+key, int32 point index) and, during the BFS, 12 per point of int32
+successors (three letters).  At rest the index keeps 65 bytes per
+point: the row, the key, the tree letter and the six int32 letter
+permutations, 24 bytes of them.  A layer adds its images on unvisited
+keys, 40 bytes each (row and key; there are about 1.65 per new point at
+p = 19 and 31), and at its close their sort order, groups and
+representatives.  All but the kept rows and the representatives go
 before the rows grow by the new points (ndarray.resize, which may move
 them; until the keys are merged, the visited keys and indices are
 copied once).  The other temporaries of a layer are those of one slice.
@@ -263,8 +261,8 @@ class _ExactChecker:
 
 
 def make_checker(params: Params) -> _ExactChecker:
-    """The exact-equivalence checker of the BFS and sigma_i^-1 edges;
-    ValueError unless params satisfy the split/non-split assumption."""
+    """The exact-equivalence checker of verify_edges; ValueError unless
+    params satisfy the split/non-split assumption."""
     return _ExactChecker(params)
 
 
@@ -276,7 +274,8 @@ class OrbitIndex:
     points: np.ndarray  # (n, 16) ROW_DTYPE residues, ascending key order
     keys: np.ndarray    # (n,) packed canonical trace keys, ascending
     perms: dict         # letter -> (n,) int32 index permutation
-    edges_verified: int = 0  # the BFS's recurrent edges, 2n + 1
+    tree: np.ndarray    # (n,) uint8 k: the row is sigma_(k+1) of the BFS parent's
+                        # row (255 at the start point)
 
     @property
     def n(self) -> int:
@@ -306,11 +305,10 @@ class OrbitIndex:
 
     def letter_perm(self, letter) -> np.ndarray:
         """Index permutation of one braid letter, not a second key lookup.
-        For sigma_i it is the BFS's map of exact-verified edges (each
-        image's key group, renumbered by ascending key), which
-        enumerate_orbit checked to be a bijection; for sigma_i^-1 it is
-        that map's inverse, each of whose edges verify_inverse_edges
-        verifies exactly against the point it came from."""
+        For sigma_i it is the BFS's map of edges (each image's key group,
+        renumbered by ascending key), which enumerate_orbit checked to be
+        a bijection; for sigma_i^-1 it is that map's inverse.
+        verify_edges verifies the edges of all six exactly."""
         return self.perms[letter]
 
     def f2_perms(self):
@@ -436,11 +434,10 @@ class _Visited:
 
 def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
     """Closure of P under sigma_1, sigma_2 and sigma_3 (on a finite orbit,
-    the braid group orbit), every recurrent edge verified exactly, with
-    the letter permutations read off the edges; its edges_verified
-    counts those 2n + 1 edges.  The sigma_i^-1 edges are verified by
-    verify_inverse_edges, not here.  max_points must be below 2^31:
-    point indices in the BFS are stored as int32."""
+    the braid group orbit), with the letter permutations read off the
+    edges and the BFS tree beside them.  It only enumerates: verify_edges
+    checks the edges exactly.  max_points must be below 2^31: point
+    indices in the BFS are stored as int32."""
     F = params.F
     p = F.p
     if p > MAX_PACKED_PRIME:
@@ -449,20 +446,19 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
     if max_points >= 2 ** 31:
         raise OrbitBudgetError(f"max_points={max_points} is not below 2^31, the bound "
                                "of the int32 BFS successor indices", 0)
-    checker = make_checker(params)
     validate_start(P, params)
 
     start = quad_to_row(P)[None, :]
     seen = _Visited(start.copy(), fast_keys(p, start), np.zeros(1, dtype=np.int32))
     lo = 0  # the frontier is the points lo .. len(seen.rows) - 1
-    edges_verified = 0
     layers = []  # the int32 successors of each layer's frontier under each sigma_i
+    trees = [np.full(1, 255, dtype=np.uint8)]  # the tree letter of each layer's new points
 
     while lo < len(seen.rows):
         n_now = len(seen.rows)
-        verified, succ = _expand(p, seen, lo, checker, max_points)
+        succ, tree = _expand(p, seen, lo, max_points)
         layers.append(succ)
-        edges_verified += verified
+        trees.append(tree)
         lo = n_now
 
     pts, keys, idx = seen.rows, seen.keys, seen.idx
@@ -474,7 +470,8 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
     words = pts.view(np.uint64)
     for j in range(words.shape[1]):
         words[:, j] = words[:, j].take(idx)
-    del idx, words
+    tree = np.concatenate(trees).take(idx)
+    del idx, words, trees
     perms = _letter_perms(layers, rank)
     del rank
 
@@ -482,7 +479,7 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
     if not _on_x_mask(params, pts).all():
         raise OrbitError("internal error: representative violates the defining equations")
 
-    return OrbitIndex(params, pts, keys, perms, edges_verified)
+    return OrbitIndex(params, pts, keys, perms, tree)
 
 
 def _letter_perms(layers, rank):
@@ -513,54 +510,61 @@ def _letter_perms(layers, rank):
     return perms
 
 
-def verify_inverse_edges(orbit: OrbitIndex) -> int:
-    """Exact check of every sigma_i^-1 edge: sigma_i^-1 of each point is
-    equivalent to the row that the inverse permutation names.  Nothing
-    is keyed.  Returns the number of edges verified, 3n; OrbitError
-    names the letter and the first point whose edge fails."""
+def verify_edges(orbit: OrbitIndex) -> int:
+    """Exact check of every edge of the six letters, one slice of points
+    at a time: the image of each point under sigma_i and sigma_i^-1 is
+    equivalent to the row that the letter's permutation names.  A
+    sigma_i edge into a point whose tree letter is i - 1 is skipped: the
+    point has one preimage, its BFS parent, and its row is that image.
+    Nothing is keyed.  Returns the number of edges verified, 2n + 1 of
+    sigma_i and 3n of sigma_i^-1.  A failed sigma_i edge raises
+    KeyCollisionError naming the key that the BFS merged the image into;
+    a failed sigma_i^-1 edge raises OrbitError naming the letter and the
+    point; ValueError unless orbit.params satisfy the split/non-split
+    assumption."""
     p, pts = orbit.p, orbit.points
     checker = make_checker(orbit.params)
-    for i, _ in GENS:
-        inv = orbit.perms[(i, -1)]
-        for c in slices(len(pts), 16):
-            images = apply_letter_np(p, pts[c], (i, -1))
-            ok = checker.equivalent(images, pts.take(inv[c], axis=0))
+    verified = 0
+    for c in slices(len(pts), 16):
+        for i, _ in GENS:
+            to = orbit.perms[(i, 1)][c]
+            off_tree = orbit.tree.take(to) != i - 1
+            to = to[off_tree]
+            ok = checker.equivalent(apply_letter_np(p, pts[c], (i, 1))[off_tree],
+                                    pts.take(to, axis=0))
+            if not ok.all():
+                raise KeyCollisionError(
+                    "canonical trace key collision between inequivalent points "
+                    f"(key {int(orbit.keys[to[np.argmin(ok)]])}); exact dedup falsified "
+                    f"at p={p}")
+            back = orbit.perms[(i, -1)][c]
+            ok = checker.equivalent(apply_letter_np(p, pts[c], (i, -1)), pts.take(back, axis=0))
             if not ok.all():
                 raise OrbitError(f"the edge of sigma{i}^-1 at point index "
                                  f"{c.start + int(np.argmin(ok))} fails exact "
                                  f"verification at p={p} (it inverts a verified "
                                  f"sigma{i} edge)")
-    return len(GENS) * len(pts)
+            verified += len(to) + len(back)
+    return verified
 
 
-def _verify_recurrent(p, checker, images, reps, keys):
-    """Exact check of recurrent edges: each image against the
-    representative of its key.  Returns the number of edges verified;
-    KeyCollisionError names the key of the first image that fails."""
-    ok = checker.equivalent(images, reps)
-    if not ok.all():
-        raise KeyCollisionError(
-            "canonical trace key collision between inequivalent points "
-            f"(key {int(keys[np.argmin(ok)])}); exact dedup falsified at p={p}")
-    return len(ok)
-
-
-def _expand(p, seen, lo, checker, max_points):
+def _expand(p, seen, lo, max_points):
     """One BFS layer, in slices: the frontier is the points lo .. n_now - 1
     that the previous layer found, and each of sigma_1, sigma_2, sigma_3
     in turn is applied to one slice of it at a time, so the
     slices follow the layer's letter-major image order.  An image whose
-    key is visited is verified against that older point in its slice.
-    The others are kept, key and row, until the layer closes; then one
-    stable sort groups them by key, the first image of each group in
-    letter-major order is its representative, every other member is
-    verified against it, and the groups become points n_now, n_now + 1,
-    ... in ascending key order, merged into seen once.
+    key is visited lands on that older point.  The others are kept, key
+    and row, until the layer closes; then one stable sort groups them by
+    key, the first image of each group in letter-major order is its
+    representative, and the groups become points n_now, n_now + 1, ...
+    in ascending key order, merged into seen once.
 
-    Returns (edges verified, successors): successors is the (3, m) int32
-    point index of the image of each frontier point under each sigma_i.
-    Apart from the layer's images on unvisited keys, the temporaries are
-    those of one slice.
+    Returns (successors, tree): successors is the (3, m) int32 point
+    index of the image of each frontier point under each sigma_i, and
+    tree holds for each new point the uint8 k such that its
+    representative is an image under sigma_(k+1), read off each letter's
+    running count of kept images.  Apart from the layer's images on
+    unvisited keys, the temporaries are those of one slice.
     """
     pts = seen.rows
     n_now = len(pts)
@@ -568,7 +572,7 @@ def _expand(p, seen, lo, checker, max_points):
     # -1 marks an image on an unvisited key until the layer closes
     succ = np.empty((len(GENS), m), dtype=np.int32)
     new_keys, new_rows = [], []  # those images, in letter-major order
-    verified = 0
+    ends = []  # how many of them each letter's slices end at
     for k, L in enumerate(GENS):
         for c in slices(m, 16):
             images = apply_letter_np(p, pts[lo + c.start:lo + c.stop], L)
@@ -577,12 +581,10 @@ def _expand(p, seen, lo, checker, max_points):
             pos = np.empty_like(asc)
             pos[asc] = np.minimum(np.searchsorted(seen.keys, ikeys[asc]), n_now - 1)
             old = seen.keys[pos] == ikeys
-            at = np.where(old, seen.idx[pos], -1)
-            verified += _verify_recurrent(p, checker, images[old],
-                                          pts.take(at[old], axis=0), ikeys[old])
-            succ[k, c] = at
+            succ[k, c] = np.where(old, seen.idx[pos], -1)
             new_keys.append(ikeys[~old])
             new_rows.append(images[~old])
+        ends.append(sum(map(len, new_keys)))
 
     keys = np.concatenate(new_keys)
     del new_keys
@@ -599,11 +601,7 @@ def _expand(p, seen, lo, checker, max_points):
     pending = np.concatenate(new_rows)
     del new_rows
     first = order[head]  # each new point's representative
-    rec = np.flatnonzero(~head)
-    for c in slices(len(rec), 16):
-        r = rec[c]
-        verified += _verify_recurrent(p, checker, pending.take(order[r], axis=0),
-                                      pending.take(first[group[r]], axis=0), keys[r])
+    tree = np.searchsorted(ends, first, side="right").astype(np.uint8)
     dest = np.empty(len(order), dtype=np.int32)
     dest[order] = group
     dest += n_now
@@ -612,10 +610,10 @@ def _expand(p, seen, lo, checker, max_points):
     at = np.searchsorted(seen.keys, keys)
     seen.keys = np.insert(seen.keys, at, keys)
     seen.idx = np.insert(seen.idx, at, np.arange(n_now, n_next, dtype=np.int32))
-    del keys, order, head, group, rec, dest, at  # freed before the rows grow
+    del keys, order, head, group, dest, at  # freed before the rows grow
     seen.rows.resize((n_next, 16), refcheck=False)  # see _Visited
     np.take(pending, first, axis=0, out=seen.rows[n_now:])
-    return verified, succ
+    return succ, tree
 
 
 # -- the reversal twist and the free generators ---------------------------

@@ -29,7 +29,7 @@ from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, 
 from .numutil import BudgetError, InvariantError, SideJob, naming, next_prime, slices
 from .orbit import (MAX_POINTS, ROW_DTYPE, EpsilonOutsideOrbitError, OrbitIndex,
                     check_f2_identities, enumerate_orbit, epsilon_perm, validate_start,
-                    verify_inverse_edges)
+                    verify_edges)
 from .permgrp import WORD_BUDGET, CertificateError, GiantCertificate, classify_giant, sign
 
 TR_GAMMA = 3
@@ -790,25 +790,24 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     Stage order of the main line:
     - witness: build and check_assumptions; then the count job
       (count_x) starts;
-    - orbit: enumerate_orbit (the BFS, its recurrent edges, the letter
-      permutations and the check of the rows on X); then the
-      verification job (verify_inverse_edges) starts, and the dump is
-      written beside dump_path;
+    - orbit: enumerate_orbit (the BFS, the letter permutations and the
+      check of the rows on X); then the verification job (verify_edges,
+      the exact check of every edge) starts, and the dump is written
+      beside dump_path;
     - permutations: epsilon_perm (the twist's index and involution
       passes), f2_perms and check_f2_identities;
     - classification: classify_giant and the sign of x;
     - then the verification job and the count job are waited for, in
-      that order, and the dump is moved to dump_path once the
-      sigma_i^-1 checks have passed.
+      that order, and the dump is moved to dump_path once the edge
+      checks have passed.
 
     Every check runs, on the same rows, whatever the timing.  When two
     fail, the one earlier in the serial order is raised: witness, orbit
-    (the BFS, the rows on X, the dump's write, then the sigma_i^-1
-    checks), permutations, classification, count.  So a main-line
-    failure after the dump is written first waits for the sigma_i^-1
-    checks; an earlier failure kills the jobs.  The dump is at dump_path
-    exactly when the sigma_i^-1 checks passed.  Both jobs are reaped on
-    every way out.
+    (the BFS, the rows on X, the dump's write, then the edge checks),
+    permutations, classification, count.  So a main-line failure after
+    the dump is written first waits for the edge checks; an earlier
+    failure kills the jobs.  The dump is at dump_path exactly when every
+    edge check passed.  Both jobs are reaped on every way out.
 
     Returns the QuotientReport as a plain dict.  Its "permutations"
     (when included) are the six int32 arrays, not lists: cli.to_json
@@ -843,7 +842,7 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
                 SideJob(f"the count job at p = {p}", count_x, cfg.params, count_budget))
         orbit = enumerate_orbit(cfg.P, cfg.params, max_points=max_points)
         verify = jobs.enter_context(
-            SideJob(f"the verification job at p = {p}", verify_inverse_edges, orbit))
+            SideJob(f"the verification job at p = {p}", verify_edges, orbit))
         staged = None
         if dump_path is not None:
             staged = f"{dump_path}.{os.urandom(4).hex()}"
@@ -861,7 +860,7 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
             gens = {"sigma1": orbit.letter_perm(bq.S1), "sigma2": orbit.letter_perm(bq.S2),
                     "sigma3": orbit.letter_perm(bq.S3), "epsilon": eps}
             x, y = orbit.f2_perms()
-            n, edges_verified = orbit.n, orbit.edges_verified
+            n = orbit.n
             del orbit  # from here on only the permutations are needed
             check_f2_identities(p, {**gens, "x": x, "y": y})
             lap("permutations_ms")
@@ -873,15 +872,14 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
             x_is_id = bool((x == np.arange(n)).all())
             x_sign = sign(x)
             lap("classification_ms")
-        except Exception as e:  # raised after a sigma_i^-1 failure, which comes first
+        except Exception as e:  # raised after an edge check's failure, which comes first
             failure = e
-        edges = verify.result()
+        edges_verified = verify.result()
         if staged is not None:
             with naming(dump_path):
                 os.replace(staged, dump_path)
         if failure is not None:
             raise failure
-        edges_verified += edges
         x_count = None if count is None else count.result()
         lap("count_ms")
 

@@ -19,7 +19,7 @@ from charquo import permgrp as pg
 from charquo import qrep as qr
 from charquo import witness as wt
 from charquo.ffield import ElementClass, ProjMat2, coarse_type
-from charquo.orbit import verify_inverse_edges
+from charquo.orbit import verify_edges
 from charquo.qlinalg import mat_mul
 from conftest import rand_psl2, rand_quad
 
@@ -83,16 +83,16 @@ def test_criterion_02_trace_coordinate_consistency():
 
 
 def test_criterion_03_dual_key_agreement(orbit19, cfg19, orbit31, exact_keys31):
-    # Every recurrent BFS edge was re-verified against its representative
-    # with the exact centralizer-coset equivalence, and representatives
+    # Every sigma_i and sigma_i^-1 edge is re-verified against the row it
+    # names with the exact centralizer-coset equivalence, and representatives
     # carry pairwise-distinct trace keys by construction; together with
     # the flip-orbit invariance of the trace key this makes the two
     # partitions of the orbit literally equal.  The exact keys are also
     # recomputed independently below, for every point at p=19 and p=31.
-    # (the 2n + 1 recurrent BFS edges, and the 3n sigma_i^-1 edges that
-    # verify_inverse_edges checks: 5n + 1, the report's edges_verified)
-    for orbit in (orbit19, orbit31):
-        assert orbit.edges_verified + verify_inverse_edges(orbit) == 5 * orbit.n + 1
+    # (verify_edges checks the 2n + 1 sigma_i edges off the BFS tree and
+    # the 3n sigma_i^-1 edges: 5n + 1, the report's edges_verified)
+    verified = [verify_edges(orbit) for orbit in (orbit19, orbit31)]
+    assert verified == [5 * orbit19.n + 1, 5 * orbit31.n + 1]
     keys19 = wt.orbit_exact_keys(orbit19, cfg19.params)
     assert len({(int(a), int(b)) for a, b in keys19}) == orbit19.n
     assert hashlib.sha256(keys19.tobytes()).hexdigest() == EXACT_KEYS19_SHA256
@@ -107,7 +107,7 @@ def test_criterion_03_dual_key_agreement(orbit19, cfg19, orbit31, exact_keys31):
             packed = packed * 19 + v
         assert packed == int(keys19[i][0])
     _report(3, f"p=19: {orbit19.n} and p=31: {orbit31.n} exact keys all distinct; "
-               f"p=31: {orbit31.edges_verified} edges exact-verified")
+               f"p=31: {verified[1]} edges exact-verified")
 
 
 def test_criterion_04_counting_oracle_agreement(cfg19, orbit19):

@@ -4,6 +4,8 @@ the p = 19 orbit: twists of equal and of unequal determinant class and
 inequivalent pairs; parameters with gamma and delta in tori of one type
 are refused."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -113,13 +115,13 @@ def test_inequivalent_pairs_refused(orbit19, cfg19, rng):
     assert not make_checker(params).equivalent(_rows(Qs), _rows(Rs)).any()
 
 
-def test_one_torus_type_refused(cfg19):
+def test_one_torus_type_refused(cfg19, orbit19):
     # gamma and delta in one torus: rows with A_Q = 1 and A_R in that
     # torus would fix no candidate, so the checker refuses the parameters
-    # (and with it the BFS)
+    # (and with it the edge pass)
     params = Params(cfg19.F, cfg19.params.gamma_mat, cfg19.params.gamma_mat)
     assert not params.satisfies_nonconjugation()
     with pytest.raises(ValueError, match="tori of different type"):
         make_checker(params)
     with pytest.raises(ValueError, match="tori of different type"):
-        orbit_mod.enumerate_orbit(cfg19.P, params)
+        orbit_mod.verify_edges(dataclasses.replace(orbit19, params=params))

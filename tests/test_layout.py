@@ -298,18 +298,14 @@ def test_benchmark_hooks_resolve():
     assert not found, "benchmark hooks that do not resolve: " + ", ".join(found)
 
 
-ENGINE = {"enumerate_orbit", "apply_letter_np", "fast_keys", "make_checker",
-          "verify_inverse_edges", "epsilon_perm"}
-TRACE_KEY = {"canon_keys_np", "trace_coords"}
-
-
-def test_oracles_use_neither_the_engine_nor_the_trace_key():
-    # the X-class and exact-key oracles check the orbit engine and the
-    # injectivity of the trace key, so no witness function that they
-    # reach may name an engine function or the trace key
-    tree = ast.parse((SRC / "witness.py").read_text())
+def _reach(module, start, names):
+    """Walk the module-level functions of charquo.<module> from those in
+    start through every function each one names.  Returns the functions
+    reached and "module.function:line name" for each use of a name in
+    names (whose functions are not walked on)."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo, found = set(), ["enumerate_x_classes", "orbit_exact_keys"], []
+    reached, todo, found = set(), list(start), []
     while todo:
         name = todo.pop()
         if name in reached:
@@ -317,10 +313,24 @@ def test_oracles_use_neither_the_engine_nor_the_trace_key():
         reached.add(name)
         for node in ast.walk(functions[name]):
             used = getattr(node, "id", None) or getattr(node, "attr", None)
-            if used in ENGINE | TRACE_KEY:
-                found.append(f"witness.{name}:{node.lineno} {used}")
+            if used in names:
+                found.append(f"{module}.{name}:{node.lineno} {used}")
             elif used in functions:
                 todo.append(used)
+    return reached, found
+
+
+ENGINE = {"enumerate_orbit", "apply_letter_np", "fast_keys", "make_checker",
+          "verify_edges", "epsilon_perm"}
+TRACE_KEY = {"canon_keys_np", "trace_coords"}
+
+
+def test_oracles_use_neither_the_engine_nor_the_trace_key():
+    # the X-class and exact-key oracles check the orbit engine and the
+    # injectivity of the trace key, so no witness function that they
+    # reach may name an engine function or the trace key
+    reached, found = _reach("witness", ["enumerate_x_classes", "orbit_exact_keys"],
+                            ENGINE | TRACE_KEY)
     assert {"_exact_keys_np", "_list_pairs", "_rebuild_rows", "_m2_representatives"} <= reached
     assert not found, "oracle code naming the engine or the trace key: " + ", ".join(found)
 
@@ -329,22 +339,18 @@ def test_search_helper_calls_nothing_the_tracer_wraps():
     # perfbench's Tracer keeps one span stack for all threads, so the
     # helper thread of permgrp._first_hit may call no function that
     # tracing.py wraps: no permgrp function it reaches names one
-    tree = ast.parse((SRC / "permgrp.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     wrapped = {obj.__name__ for _, _, obj in _hook_targets(PERFBENCH / "tracing.py")
                if inspect.isfunction(obj)}
-    reached, todo, found = set(), ["_first_hit"], []
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in ast.walk(functions[name]):
-            used = getattr(node, "id", None) or getattr(node, "attr", None)
-            if used in wrapped:
-                found.append(f"permgrp.{name}:{node.lineno} {used}")
-            elif used in functions:
-                todo.append(used)
+    reached, found = _reach("permgrp", ["_first_hit"], wrapped)
     assert {"cycle_lengths", "sign", "is_transitive", "revalidate"} <= wrapped
     assert {"_window_cycle", "_word_perm", "_cycle_labels", "_power", "_gather"} <= reached
     assert not found, "search code naming a traced function: " + ", ".join(found)
+
+
+def test_bfs_names_no_exact_checker():
+    # the BFS only enumerates: verify_edges checks its edges, so no orbit
+    # function that enumerate_orbit reaches names the exact checker
+    reached, found = _reach("orbit", ["enumerate_orbit"],
+                            {"make_checker", "_ExactChecker", "equivalent"})
+    assert {"_expand", "_letter_perms", "validate_start", "_on_x_mask"} <= reached
+    assert not found, "BFS code naming the exact checker: " + ", ".join(found)

@@ -16,7 +16,7 @@ from charquo.cli import main
 from charquo.ffield import entry_major, inv_table, mm
 from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError,
                            OrbitBudgetError, check_f2_identities, enumerate_orbit, epsilon_perm,
-                           fast_keys, quad_to_row, read_dump, verify_inverse_edges)
+                           fast_keys, quad_to_row, read_dump, verify_edges)
 from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
@@ -137,10 +137,22 @@ def test_frontiers_are_consecutive_blocks_read_in_place(cfg19, monkeypatch):
 
 
 def test_exact_verification_ran(orbit19):
-    # the BFS verifies the 2n + 1 recurrent edges, verify_inverse_edges
-    # the 3n sigma_i^-1 edges: 5n + 1, the report's edges_verified
-    assert orbit19.edges_verified == 2 * orbit19.n + 1
-    assert verify_inverse_edges(orbit19) == 3 * orbit19.n
+    # the 2n + 1 sigma_i edges off the BFS tree and the 3n sigma_i^-1
+    # edges: 5n + 1, the report's edges_verified
+    assert verify_edges(orbit19) == 5 * orbit19.n + 1
+
+
+def test_tree_rows_are_parent_images(orbit19):
+    # every point but the start has a tree letter k, and its row is
+    # sigma_(k+1) of its preimage's row, byte for byte
+    tree = orbit19.tree
+    assert tree.dtype == np.uint8 and np.count_nonzero(tree == 255) == 1
+    assert np.isin(tree, [0, 1, 2, 255]).all()
+    for k, (i, _) in enumerate(orbit_mod.GENS):
+        w = np.flatnonzero(tree == k)
+        parents = orbit19.letter_perm((i, -1))[w]
+        images = orbit_mod.apply_letter_np(19, orbit19.points[parents], (i, 1))
+        assert images.tobytes() == orbit19.points[w].tobytes()
 
 
 def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
@@ -157,7 +169,8 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
         b = enumerate_orbit(cfg19.P, cfg19.params)
         assert (b.keys == orbit19.keys).all()
         assert (b.points == orbit19.points).all()
-        assert b.edges_verified + verify_inverse_edges(b) == 5 * b.n + 1
+        assert (b.tree == orbit19.tree).all()
+        assert verify_edges(b) == 5 * b.n + 1
         b_dump = tmp_path / "b.chqo"
         b.write_dump(b_dump)
         assert b_dump.read_bytes() == a_dump.read_bytes()
@@ -189,8 +202,8 @@ def test_bfs_transient_bounded_by_slices(cfg19, monkeypatch):
 
 
 def test_row_kernels_see_one_slice(cfg19, monkeypatch):
-    # the kernels do not slice: every caller, in the BFS, the inverse
-    # edge pass and the reversal twist's index, passes at most one slice
+    # the kernels do not slice: every caller, in the BFS, the edge pass
+    # and the reversal twist's index, passes at most one slice
     # of rows (the last two are called here, as the pipeline calls them)
     monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
     widest = {}
@@ -207,7 +220,7 @@ def test_row_kernels_see_one_slice(cfg19, monkeypatch):
                         watched("equivalent", orbit_mod._ExactChecker.equivalent, 1))
     orbit = enumerate_orbit(cfg19.P, cfg19.params)
     assert orbit.n == 32400
-    verify_inverse_edges(orbit)
+    verify_edges(orbit)
     epsilon_perm(orbit)
     assert sorted(widest) == ["apply_letter_np", "equivalent", "fast_keys"]
     assert max(widest.values()) <= 997, widest
@@ -241,7 +254,8 @@ def test_bfs_under_profilers(orbit19, cfg19, how):
     assert (b.keys == orbit19.keys).all()
     for L in LETTERS:
         assert (b.letter_perm(L) == orbit19.letter_perm(L)).all()
-    assert b.edges_verified + verify_inverse_edges(b) == 5 * b.n + 1
+    assert (b.tree == orbit19.tree).all()
+    assert verify_edges(b) == 5 * b.n + 1
 
 
 def test_orbit_cli_under_cprofile(capsys):
@@ -249,49 +263,72 @@ def test_orbit_cli_under_cprofile(capsys):
     assert "F2 surjects onto A_32400" in capsys.readouterr().out
 
 
-@pytest.fixture(params=["earlier-layer", "same-layer"])
-def reject_recurrent_edge(request, monkeypatch):
-    """Make exact verification reject one recurrent edge of a layer whose
-    frontier spans several slices of 997 rows: the first whose
-    representative is a point of an earlier layer (checked in the slice
-    that finds it), or the first whose representative is a point new in
-    that layer (checked when the layer closes).  The rejected key is
-    recorded."""
-    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
-    keys, expand = orbit_mod.fast_keys, orbit_mod._expand
-    equivalent = orbit_mod._ExactChecker.equivalent
-    state = {"rejected": None, "frontier": 0}
+def _bfs_layers(orbit):
+    """Each point's BFS layer: its distance from the start point under
+    sigma_1, sigma_2 and sigma_3."""
+    layer = np.full(orbit.n, -1)
+    frontier, d = np.flatnonzero(orbit.tree == 255), 0
+    while len(frontier):
+        layer[frontier] = d
+        reached = np.concatenate([orbit.letter_perm(L)[frontier] for L in orbit_mod.GENS])
+        frontier, d = np.unique(reached[layer[reached] < 0]), d + 1
+    return layer
 
-    def layer(p, seen, lo, *args):
-        state.update(older=seen.keys.copy(), frontier=len(seen.rows) - lo)
-        return expand(p, seen, lo, *args)
+
+@pytest.fixture(params=["earlier-layer", "same-layer"])
+def reject_sigma_edge(request, monkeypatch, orbit19):
+    """Make exact verification in verify_edges reject one sigma_i edge
+    off the BFS tree, from a point past the first 997-row slice: the
+    first whose target the BFS had found before it expanded the source's
+    layer, or the first whose target is a point new in that layer (whose
+    row is another image).  state["key"] is the target's key, chosen
+    here, so that it is known in this process also where the pipeline
+    runs the check in a side process."""
+    monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
+    layer = _bfs_layers(orbit19)
+    src = np.arange(997, orbit19.n)
+    for i, _ in orbit_mod.GENS:
+        dst = orbit19.letter_perm((i, 1))[src]
+        hit = (orbit19.tree[dst] != i - 1) & (
+            layer[dst] <= layer[src] if request.param == "earlier-layer"
+            else layer[dst] == layer[src] + 1)
+        if hit.any():
+            target = int(dst[np.argmax(hit)])
+            break
+    row = orbit19.points[target]
+    apply, equivalent = orbit_mod.apply_letter_np, orbit_mod._ExactChecker.equivalent
+    state = {"key": int(orbit19.keys[target]), "letter": None}
+
+    def tracking(p, quads, letter):
+        state["letter"] = letter
+        return apply(p, quads, letter)
 
     def rejecting(self, Qs, Rs):
         ok = equivalent(self, Qs, Rs)
-        if state["rejected"] is None and state["frontier"] > 997:
-            rkeys = keys(self.p, Rs)
-            older = np.isin(rkeys, state["older"])
-            hits = np.flatnonzero(older if request.param == "earlier-layer" else ~older)
-            if len(hits):
-                ok[hits[0]] = False
-                state["rejected"] = int(rkeys[hits[0]])
+        if state["letter"] == (i, 1):  # one sigma_i edge ends at row
+            ok &= ~(Rs == row).all(axis=1)
         return ok
 
-    monkeypatch.setattr(orbit_mod, "_expand", layer)
+    monkeypatch.setattr(orbit_mod, "apply_letter_np", tracking)
     monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent", rejecting)
     return state
 
 
-def test_forced_collision_names_key(cfg19, reject_recurrent_edge):
+def test_forced_collision_names_key(orbit19, reject_sigma_edge):
     with pytest.raises(KeyCollisionError) as ei:
-        enumerate_orbit(cfg19.P, cfg19.params)
-    assert f"(key {reject_recurrent_edge['rejected']})" in str(ei.value)
+        verify_edges(orbit19)
+    assert str(ei.value) == ("canonical trace key collision between inequivalent points "
+                             f"(key {reject_sigma_edge['key']}); exact dedup falsified "
+                             "at p=19")
 
 
-def test_forced_collision_cli_exit(reject_recurrent_edge, capsys):
-    assert main(["orbit", "19", "--no-permutations"]) == 3
+def test_forced_collision_cli_exit(reject_sigma_edge, capsys, tmp_path):
+    # the verification job rejects the edge: exit 3, and no dump
+    code = main(["orbit", "19", "--no-permutations", "--dump", str(tmp_path / "o.chqo")])
+    assert code == 3
     out = capsys.readouterr().out
-    assert f"(key {reject_recurrent_edge['rejected']})" in out
+    assert f"(key {reject_sigma_edge['key']})" in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
@@ -306,9 +343,9 @@ def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
 
 
 def test_bfs_work_counts(cfg19, monkeypatch):
-    # the BFS keys only the forward images (and the start row); the
-    # inverse edges are applied and verified by verify_inverse_edges,
-    # never keyed: 3n + 1 rows keyed, 6n applied, 5n + 1 edges checked
+    # the BFS keys only the forward images (and the start row) and
+    # checks no edge; verify_edges applies all six letters to every row
+    # and keys none: 3n + 1 rows keyed, 9n applied, 5n + 1 edges checked
     # exactly
     rows = {"fast_keys": 0, "apply_letter_np": 0, "equivalent": 0}
 
@@ -325,30 +362,29 @@ def test_bfs_work_counts(cfg19, monkeypatch):
                         counting("equivalent", orbit_mod._ExactChecker.equivalent))
     orbit = enumerate_orbit(cfg19.P, cfg19.params)
     n = orbit.n
-    assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 3 * n,
-                    "equivalent": 2 * n + 1}
-    assert orbit.edges_verified + verify_inverse_edges(orbit) == 5 * n + 1
-    assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 6 * n,
+    assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 3 * n, "equivalent": 0}
+    assert verify_edges(orbit) == 5 * n + 1
+    assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 9 * n,
                     "equivalent": 5 * n + 1}
 
 
 @pytest.fixture()
 def reject_inverse_edge(monkeypatch):
     """Make exact verification reject one sigma_2^-1 edge of
-    verify_inverse_edges: that of point index 1000, row 3 of the second
+    verify_edges: that of point index 1000, row 3 of the second
     997-row slice.  state["rejected"] records it in the process that
     ran the check: the pipeline runs it in a side process."""
     monkeypatch.setattr(numutil, "SLICE_ENTRIES", 997 * 16)
-    verify, apply = orbit_mod.verify_inverse_edges, orbit_mod.apply_letter_np
+    verify, apply = orbit_mod.verify_edges, orbit_mod.apply_letter_np
     equivalent = orbit_mod._ExactChecker.equivalent
-    state = {"inverse_pass": False, "s2i_slices": 0, "rejected": False}
+    state = {"edge_pass": False, "s2i_slices": 0, "rejected": False}
 
-    def inverse_pass(*args):
-        state["inverse_pass"] = True
+    def edge_pass(*args):
+        state["edge_pass"] = True
         return verify(*args)
 
     def tracking(p, quads, letter):
-        if state["inverse_pass"] and letter == bq.S2i:
+        if state["edge_pass"] and letter == bq.S2i:
             state["s2i_slices"] += 1
         return apply(p, quads, letter)
 
@@ -359,7 +395,7 @@ def reject_inverse_edge(monkeypatch):
             state["rejected"] = True
         return ok
 
-    monkeypatch.setattr(wt, "verify_inverse_edges", inverse_pass)
+    monkeypatch.setattr(wt, "verify_edges", edge_pass)
     monkeypatch.setattr(orbit_mod, "apply_letter_np", tracking)
     monkeypatch.setattr(orbit_mod._ExactChecker, "equivalent", rejecting)
     return state
@@ -368,7 +404,7 @@ def reject_inverse_edge(monkeypatch):
 def test_inverse_edge_rejected(cfg19, reject_inverse_edge):
     orbit = enumerate_orbit(cfg19.P, cfg19.params)
     with pytest.raises(orbit_mod.OrbitError) as ei:
-        wt.verify_inverse_edges(orbit)
+        wt.verify_edges(orbit)
     assert reject_inverse_edge["rejected"]
     assert not isinstance(ei.value, KeyCollisionError)
     assert "sigma2^-1 at point index 1000 fails exact verification" in str(ei.value)
@@ -390,11 +426,11 @@ def test_orbit_not_closed_cli_exit(monkeypatch, capsys):
     state = {"done": False}
 
     def redirect_one(*args):
-        *out, succ = expand(*args)
+        succ, tree = expand(*args)
         if not state["done"] and succ.shape[1] >= 2:
             succ[0, 0] = succ[0, 1]  # two frontier points now share a sigma1 image
             state["done"] = True
-        return (*out, succ)
+        return succ, tree
 
     monkeypatch.setattr(orbit_mod, "_expand", redirect_one)
     assert main(["orbit", "19", "--no-permutations"]) == 3
@@ -727,7 +763,8 @@ def test_row_kernels_agree_on_narrow_and_wide_rows(p, request):
     assert on_x.all() if p == 19 else on_x[0] and not on_x[1:].any()
 
     def index(r):
-        return orbit_mod.OrbitIndex(params, r, fast_keys(p, r), {})
+        return orbit_mod.OrbitIndex(params, r, fast_keys(p, r), {},
+                                    np.full(len(r), 255, dtype=np.uint8))
 
     for i in (1, 2, 3):
         same(lambda r: np.stack(index(r).sigma_matrix_traces(i)))

@@ -144,7 +144,7 @@ def _late(fn, seconds=0.5):
 
 
 def test_sigma_inverse_failure_leaves_no_dump(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(wt, "verify_inverse_edges", _reject_inverse_edges)
+    monkeypatch.setattr(wt, "verify_edges", _reject_inverse_edges)
     code, out, files = _orbit19(capsys, tmp_path)
     assert code == 3
     assert out == ("internal invariant violated: the edge of sigma2^-1 at point index 1000 "
@@ -157,7 +157,7 @@ def test_sigma_inverse_failure_leaves_no_dump(monkeypatch, capsys, tmp_path):
 def test_sigma_inverse_failure_comes_first(monkeypatch, capsys, tmp_path, main_line):
     # the sigma_i^-1 failure arrives after the main line has failed, and
     # still wins: the orbit stage comes before all three
-    monkeypatch.setattr(wt, "verify_inverse_edges", _late(_reject_inverse_edges))
+    monkeypatch.setattr(wt, "verify_edges", _late(_reject_inverse_edges))
     if main_line == "classification":
         monkeypatch.setattr(wt, "classify_giant",
                             lambda *a, **k: _raise(CertificateError("no certificate")))
@@ -197,7 +197,7 @@ def test_interrupt_kills_both_jobs(monkeypatch, capsys, tmp_path):
     # are killed and reaped (no_child_left), and no dump is left, staged
     # or in place
     monkeypatch.setattr(wt, "count_x", lambda *a: time.sleep(60))
-    monkeypatch.setattr(wt, "verify_inverse_edges", lambda orbit: time.sleep(60))
+    monkeypatch.setattr(wt, "verify_edges", lambda orbit: time.sleep(60))
     monkeypatch.setattr(wt, "classify_giant", lambda *a, **k: _raise(KeyboardInterrupt()))
     t = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
@@ -206,13 +206,13 @@ def test_interrupt_kills_both_jobs(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("patched, job", [("count_x", "the count job"),
-                                          ("verify_inverse_edges", "the verification job")])
+                                          ("verify_edges", "the verification job")])
 def test_killed_job_is_an_error_not_a_hang(monkeypatch, capsys, tmp_path, patched, job):
     monkeypatch.setattr(wt, patched, _kill_self)
     code, out, files = _orbit19(capsys, tmp_path)
     assert code == 2
     assert out == f"budget exhausted: {job} at p = 19 was killed by signal SIGKILL (9)\n"
-    assert files == ([] if patched == "verify_inverse_edges" else ["o.chqo"])
+    assert files == ([] if patched == "verify_edges" else ["o.chqo"])
 
 
 @pytest.mark.parametrize("patched", ["classify_giant", "count_x"])
