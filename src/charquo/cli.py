@@ -168,7 +168,7 @@ def cmd_orbit(args) -> int:
     at_least("--words", args.words, 1)
     report = wt.run_pipeline(
         args.p, seed=args.seed, max_points=args.max_points,
-        giant_budget=args.words, count_budget=args.count_budget,
+        giant_budget=args.words,
         include_permutations=not args.no_permutations,
         dump_path=args.dump)
     lines = [
@@ -301,8 +301,6 @@ def build_parser():
     o.add_argument("--max-points", type=int, default=MAX_POINTS)
     o.add_argument("--words", type=int, default=WORD_BUDGET,
                    help="random-word budget for giant recognition")
-    o.add_argument("--count-budget", type=int, default=wt.COUNT_MAX_PRIME,
-                   help="largest p for the |X| counting loop")
     o.add_argument("--dump", help="write the orbit key dump (CHQO format)")
     o.add_argument("--no-permutations", action="store_true",
                    help="omit the permutation arrays from the report")

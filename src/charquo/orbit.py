@@ -514,9 +514,10 @@ def verify_edges(orbit: OrbitIndex) -> int:
     """Exact check of every edge of the six letters, one slice of points
     at a time: the image of each point under sigma_i and sigma_i^-1 is
     equivalent to the row that the letter's permutation names.  A
-    sigma_i edge into a point whose tree letter is i - 1 is skipped: the
-    point has one preimage, its BFS parent, and its row is that image.
-    Nothing is keyed.  Returns the number of edges verified, 2n + 1 of
+    sigma_i edge into a point whose tree letter is i - 1 is skipped (the
+    point has one preimage, its BFS parent, and its row is that image),
+    and sigma_i is applied only to the rows of the other edges.  Nothing
+    is keyed.  Returns the number of edges verified, 2n + 1 of
     sigma_i and 3n of sigma_i^-1.  A failed sigma_i edge raises
     KeyCollisionError naming the key that the BFS merged the image into;
     a failed sigma_i^-1 edge raises OrbitError naming the letter and the
@@ -530,7 +531,7 @@ def verify_edges(orbit: OrbitIndex) -> int:
             to = orbit.perms[(i, 1)][c]
             off_tree = orbit.tree.take(to) != i - 1
             to = to[off_tree]
-            ok = checker.equivalent(apply_letter_np(p, pts[c], (i, 1))[off_tree],
+            ok = checker.equivalent(apply_letter_np(p, pts[c][off_tree], (i, 1)),
                                     pts.take(to, axis=0))
             if not ok.all():
                 raise KeyCollisionError(

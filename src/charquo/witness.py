@@ -1,7 +1,7 @@
 """The explicit witness construction over PSL2(F_p): primes, matrices,
-the base point, assumption validation, proper decompositions, the
-brute-force point-counting oracle for X^(2), and the end-to-end
-quotient pipeline.
+the base point, assumption validation, proper decompositions, the size
+of X^(2) in closed form (x_size) and its brute-force counting oracle,
+and the end-to-end quotient pipeline.
 
 gamma = u w has trace 3 and delta = (u v w v^-1)^-1 has trace 11, so a
 usable prime must keep 3 and 11 away from {0, +-2} mod p and put one of
@@ -362,6 +362,59 @@ def normalize_unipotent_decomposition(F, dec):
 
 
 # -- counting X^(2) -------------------------------------------------------
+
+def x_size(p: int) -> int:
+    """|X^(2)| = ((p^2 - 1)/2)^2: the number of gauge classes in the half
+    of the level set that holds the orbit, for any gamma and delta that
+    pass run_pipeline's gate (traces off +-2, so both are regular
+    semisimple; one in a split torus, the other in a non-split one).
+
+    Proof.  Let G = SL2(F_p), |G| = p (p^2 - 1), and fix SL2 lifts g of
+    gamma and h of delta, one split and one non-split.
+    1. The count formula.  The number N(g, h) of (A, B, C, D) in G^4 with
+       A B^-1 C D^-1 = g and A^-1 B C^-1 D = h is
+       |G|^2 sum_chi chi(g^-1) conj(chi(h)) / chi(1)^2, over the
+       irreducible characters chi of G.  The first equation fixes
+       D = g^-1 A B^-1 C.  Put W = C B^-1: the second becomes
+       (A^-1 (g W)^-1 A)(B^-1 W B) = h, a product of an element of the
+       class of (g W)^-1 and one of the class of W.  For fixed W there
+       are |G| sum_chi chi((g W)^-1) chi(W) conj(chi(h)) / chi(1) pairs
+       (A, B) (Frobenius), and Schur orthogonality sums over W:
+       sum_W chi(W) chi(W^-1 g^-1) = |G| chi(g^-1) / chi(1).
+    2. Only two characters count.  In the character table of SL2(F_p)
+       (W. Fulton, J. Harris, Representation Theory, 5.2) every
+       irreducible character but the trivial one and the Steinberg
+       character St, of degree p, vanishes on the split regular classes
+       or on the non-split ones.  St is 1 on the former and -1 on the
+       latter, and -g, -h are regular of the same types as g, h.  So
+       each of the four sign choices gives
+       N(+-g, +-h) = |G|^2 (1 - 1/p^2) = (p^2 - 1)^3.
+    3. Two halves.  Each block occurs once in each word, so negating the
+       lift of one block negates both words: the relative sign e of the
+       words (e1 g and e2 h, e = e1 e2) is one for all 16 lifts of a
+       PSL2 quadruple Q with gamma(Q) = gamma and delta(Q) = delta.  Those
+       lifts are the G^4 solutions for (g, e h) and (-g, -e h), so each
+       half holds 2 (p^2 - 1)^3 / 16 = (p^2 - 1)^3 / 8 quadruples.  The
+       braid letters act on lifts by the quandle formulas, which fix both
+       words exactly in any group (braidquandle.gamma and delta), so an
+       orbit lies in one half.
+    4. Free gauge.  The gauge is the (p - 1)/2 * (p + 1)/2 * 2
+       = (p^2 - 1)/2 pairs (ghat, dhat) of C(gamma) x C(delta) in PGL2
+       with equal determinant class, acting by Q -> ghat Q dhat.  Scaled
+       to det(ghat) det(dhat) = 1 they map lifts to lifts and fix both
+       words (ghat commutes with g, dhat with h), so each half is a union
+       of gauge orbits.  The action is free: ghat A dhat = A puts ghat in
+       C(gamma) and in A C(delta) A^-1, a split torus and a non-split
+       one, which meet only in the scalars (as _exact_keys_np argues),
+       so ghat = dhat = 1 in PGL2.  So each half holds (p^2 - 1)^3 / 8 / ((p^2 - 1)/2) classes.
+
+    The orbit's points are those classes, one trace key each, so n equals
+    this count exactly when the orbit fills its half.  count_x counts the
+    trace keys of the membership equations' solutions instead; the two
+    agree at every prime and trace pair tier-1 tries.
+    """
+    return ((p * p - 1) // 2) ** 2
+
 
 # Default count gate: the largest p whose |X| count_x computes.
 COUNT_MAX_PRIME = 59
@@ -782,14 +835,12 @@ def _discard(path):
 
 def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
                  giant_budget: int = WORD_BUDGET,
-                 count_budget: int = COUNT_MAX_PRIME,
                  include_permutations: bool = True, dump_path=None) -> dict:
-    """Witness -> orbit -> permutations -> classification -> count ->
-    verdict, with two of the checks in side processes (numutil.SideJob).
+    """Witness -> orbit -> permutations -> classification -> verdict,
+    with the exact edge checks in a side process (numutil.SideJob).
 
     Stage order of the main line:
-    - witness: build and check_assumptions; then the count job
-      (count_x) starts;
+    - witness: build and check_assumptions;
     - orbit: enumerate_orbit (the BFS, the letter permutations and the
       check of the rows on X); then the verification job (verify_edges,
       the exact check of every edge) starts, and the dump is written
@@ -797,26 +848,27 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     - permutations: epsilon_perm (the twist's index and involution
       passes), f2_perms and check_f2_identities;
     - classification: classify_giant and the sign of x;
-    - then the verification job and the count job are waited for, in
-      that order, and the dump is moved to dump_path once the edge
-      checks have passed.
+    - then the verification job is waited for, and the dump is moved to
+      dump_path once the edge checks have passed.
 
     Every check runs, on the same rows, whatever the timing.  When two
     fail, the one earlier in the serial order is raised: witness, orbit
     (the BFS, the rows on X, the dump's write, then the edge checks),
-    permutations, classification, count.  So a main-line failure after
-    the dump is written first waits for the edge checks; an earlier
-    failure kills the jobs.  The dump is at dump_path exactly when every
-    edge check passed.  Both jobs are reaped on every way out.
+    permutations, classification.  So a main-line failure after the dump
+    is written first waits for the edge checks; an earlier failure kills
+    the job.  The dump is at dump_path exactly when every edge check
+    passed.  The job is reaped on every way out.
 
-    Returns the QuotientReport as a plain dict.  Its "permutations"
-    (when included) are the six int32 arrays, not lists: cli.to_json
-    writes them as JSON lists.  Failures name their stage: WitnessError
-    for a failed assumption, EpsilonOutsideOrbitError for a reversal
-    twist off the orbit, InvariantError for a failed F2 identity and
-    CertificateError for a certificate that fails revalidation.
+    x_count is x_size(p), the gauge classes in the orbit's half of the
+    level set (a theorem under the gate's assumptions), and orbit_ratio
+    is n / x_count.  Returns the QuotientReport as a plain dict.  Its
+    "permutations" (when included) are the six int32 arrays, not lists:
+    cli.to_json writes them as JSON lists.  Failures name their stage:
+    WitnessError for a failed assumption, EpsilonOutsideOrbitError for a
+    reversal twist off the orbit, InvariantError for a failed F2 identity
+    and CertificateError for a certificate that fails revalidation.
     timings_ms holds the main line's time in each stage; count_ms is the
-    wait for the two jobs after classification.
+    wait for the verification job after classification.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -836,10 +888,6 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
         raise WitnessError("assumptions: unipotent point assumption fails")
 
     with contextlib.ExitStack() as jobs:  # a job not waited for is killed on the way out
-        count = None
-        if p <= count_budget:
-            count = jobs.enter_context(
-                SideJob(f"the count job at p = {p}", count_x, cfg.params, count_budget))
         orbit = enumerate_orbit(cfg.P, cfg.params, max_points=max_points)
         verify = jobs.enter_context(
             SideJob(f"the verification job at p = {p}", verify_edges, orbit))
@@ -880,7 +928,6 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
                 os.replace(staged, dump_path)
         if failure is not None:
             raise failure
-        x_count = None if count is None else count.result()
         lap("count_ms")
 
     signs = dict(zip(gens, cls.generator_signs))
@@ -901,8 +948,8 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     out = {
         "p": p,
         "n": n,
-        "x_count": x_count,
-        "orbit_ratio": (n / x_count) if x_count else None,
+        "x_count": x_size(p),
+        "orbit_ratio": n / x_size(p),
         "classification": cls.kind,
         "generator_signs": signs,
         "f2_verdict": verdict,

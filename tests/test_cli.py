@@ -106,8 +106,7 @@ def test_benchmark_checks_pass_on_fresh_outputs(tmp_path, capsys):
 def test_orbit_failed_certificate_exit(capsys, monkeypatch):
     from charquo.permgrp import GiantCertificate
     monkeypatch.setattr(GiantCertificate, "revalidate", lambda self, gens: False)
-    code, out = run(capsys, "orbit", "19", "--seed", "7", "--no-permutations",
-                    "--count-budget", "0")
+    code, out = run(capsys, "orbit", "19", "--seed", "7", "--no-permutations")
     assert code == 3
     assert "internal invariant violated: classification at p = 19" in out
     assert "q = 27941" in out

@@ -354,3 +354,12 @@ def test_bfs_names_no_exact_checker():
                             {"make_checker", "_ExactChecker", "equivalent"})
     assert {"_expand", "_letter_perms", "validate_start", "_on_x_mask"} <= reached
     assert not found, "BFS code naming the exact checker: " + ", ".join(found)
+
+
+def test_pipeline_never_counts():
+    # |X| in a report is witness.x_size, a theorem: the O(p^5) scan
+    # count_x stays the count subcommand's, so no witness function that
+    # run_pipeline reaches names it
+    reached, found = _reach("witness", ["run_pipeline"], {"count_x"})
+    assert {"build", "check_assumptions", "x_size"} <= reached
+    assert not found, "pipeline code naming count_x: " + ", ".join(found)

@@ -344,9 +344,9 @@ def test_epsilon_outside_orbit_cli_exit(monkeypatch, capsys):
 
 def test_bfs_work_counts(cfg19, monkeypatch):
     # the BFS keys only the forward images (and the start row) and
-    # checks no edge; verify_edges applies all six letters to every row
-    # and keys none: 3n + 1 rows keyed, 9n applied, 5n + 1 edges checked
-    # exactly
+    # checks no edge; verify_edges applies sigma_i^-1 to every row and
+    # sigma_i only to the rows of off-tree edges, and keys none: 3n + 1
+    # rows keyed, 8n + 1 applied, 5n + 1 edges checked exactly
     rows = {"fast_keys": 0, "apply_letter_np": 0, "equivalent": 0}
 
     def counting(name, fn):
@@ -364,7 +364,7 @@ def test_bfs_work_counts(cfg19, monkeypatch):
     n = orbit.n
     assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 3 * n, "equivalent": 0}
     assert verify_edges(orbit) == 5 * n + 1
-    assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 9 * n,
+    assert rows == {"fast_keys": 3 * n + 1, "apply_letter_np": 8 * n + 1,
                     "equivalent": 5 * n + 1}
 
 

@@ -1,7 +1,8 @@
-"""The side processes: numutil.SideJob, and the pipeline's count job and
-verification job (the sigma_i^-1 exact checks).
+"""The side processes: numutil.SideJob, and the pipeline's one job, the
+verification job (the exact edge checks).
 Every test here ends with no child process left to reap."""
 
+import json
 import os
 import pickle
 import signal
@@ -81,10 +82,10 @@ def test_side_job_orbit_budget_error_keeps_partial_count():
 
 
 def test_side_job_killed_by_a_signal():
-    with SideJob("the count job at p = 19", _kill_self) as job:
+    with SideJob("the verification job at p = 19", _kill_self) as job:
         with pytest.raises(SideJobKilled) as ei:
             job.result()
-    assert str(ei.value) == "the count job at p = 19 was killed by signal SIGKILL (9)"
+    assert str(ei.value) == "the verification job at p = 19 was killed by signal SIGKILL (9)"
 
 
 def test_side_job_close_kills_a_running_child():
@@ -172,31 +173,27 @@ def test_sigma_inverse_failure_comes_first(monkeypatch, capsys, tmp_path, main_l
     assert files == []
 
 
-@pytest.mark.parametrize("exc, code, kind", [
-    (wt.WitnessError("count_x requires the split/non-split assumption"), 1, "error"),
-    (numutil.BudgetError("count_x refuses p=19 > 7"), 2, "budget exhausted"),
-])
-def test_count_job_failure(monkeypatch, capsys, tmp_path, exc, code, kind):
-    monkeypatch.setattr(wt, "count_x", lambda *a: _raise(exc))
-    got, out, files = _orbit19(capsys, tmp_path)
-    assert (got, out) == (code, f"{kind}: {exc}\n")
-    assert files == ["o.chqo"]
+def test_pipeline_runs_one_job_and_never_counts(monkeypatch, capsys):
+    # |X| is wt.x_size, a theorem: count_x, the O(p^5) scan, never runs
+    # in the pipeline, and the verification job is its one side process
+    jobs = []
 
+    def counted(*args):
+        jobs.append(args[0])
+        return SideJob(*args)
 
-def test_count_job_killed_when_an_earlier_stage_fails(monkeypatch, capsys, tmp_path):
-    # the count job would run for a minute; the failed BFS ends it
-    monkeypatch.setattr(wt, "count_x", lambda *a: time.sleep(60))
-    t = time.perf_counter()
-    code, out, files = _orbit19(capsys, tmp_path, "--max-points", "10")
-    assert code == 2 and "orbit exceeds max_points=10" in out
-    assert files == [] and time.perf_counter() - t < 30
+    monkeypatch.setattr(wt, "count_x", lambda *a, **k: _raise(AssertionError("count_x ran")))
+    monkeypatch.setattr(wt, "SideJob", counted)
+    assert main(["orbit", "19", "--no-permutations", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["x_count"], rep["orbit_ratio"]) == (32400, 1.0)
+    assert jobs == ["the verification job at p = 19"]
 
 
 def test_interrupt_kills_both_jobs(monkeypatch, capsys, tmp_path):
-    # an interrupt in giant recognition, while both jobs still run: both
-    # are killed and reaped (no_child_left), and no dump is left, staged
-    # or in place
-    monkeypatch.setattr(wt, "count_x", lambda *a: time.sleep(60))
+    # an interrupt in giant recognition, while the verification job still
+    # runs: the job is killed and reaped (no_child_left), and no dump is
+    # left, staged or in place
     monkeypatch.setattr(wt, "verify_edges", lambda orbit: time.sleep(60))
     monkeypatch.setattr(wt, "classify_giant", lambda *a, **k: _raise(KeyboardInterrupt()))
     t = time.perf_counter()
@@ -205,20 +202,19 @@ def test_interrupt_kills_both_jobs(monkeypatch, capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [] and time.perf_counter() - t < 30
 
 
-@pytest.mark.parametrize("patched, job", [("count_x", "the count job"),
-                                          ("verify_edges", "the verification job")])
+@pytest.mark.parametrize("patched, job", [("verify_edges", "the verification job")])
 def test_killed_job_is_an_error_not_a_hang(monkeypatch, capsys, tmp_path, patched, job):
     monkeypatch.setattr(wt, patched, _kill_self)
     code, out, files = _orbit19(capsys, tmp_path)
     assert code == 2
     assert out == f"budget exhausted: {job} at p = 19 was killed by signal SIGKILL (9)\n"
-    assert files == ([] if patched == "verify_edges" else ["o.chqo"])
+    assert files == []
 
 
-@pytest.mark.parametrize("patched", ["classify_giant", "count_x"])
+@pytest.mark.parametrize("patched", ["classify_giant", "verify_edges"])
 def test_memory_error_exit(monkeypatch, capsys, patched):
-    # out of memory on the main line (classification) or in the count
-    # job: one line and exit 2, not a traceback
+    # out of memory on the main line (classification) or in the
+    # verification job: one line and exit 2, not a traceback
     monkeypatch.setattr(wt, patched, lambda *a, **k: _raise(MemoryError()))
     assert main(["orbit", "19", "--no-permutations"]) == 2
     assert capsys.readouterr().out == \

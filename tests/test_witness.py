@@ -11,9 +11,9 @@ from charquo import charvar as cv
 from charquo import numutil
 from charquo import witness as wt
 from charquo.cli import to_json
-from charquo.ffield import (I2, ElementClass, adj, classify, exact_conjugator, first_nonzero_np, mm,
-                            neg, pack_np, pgl_canon, pgl_canon_np, psl_canon, torus_pencil, tr,
-                            tr_mm, unpack_np)
+from charquo.ffield import (I2, ElementClass, PrimeField, ProjMat2, adj, classify, eq,
+                            exact_conjugator, first_nonzero_np, mm, neg, pack_np, pgl_canon,
+                            pgl_canon_np, psl_canon, torus_pencil, tr, tr_mm, unpack_np)
 from charquo.numutil import InvariantError
 
 # sha256 of the to_json text of run_pipeline(19, seed=7) without "timings_ms"
@@ -191,6 +191,68 @@ def test_flip_orbits_meet_the_count_slice(cfg19):
 
 def test_count_x_equals_orbit_p31(cfg31, orbit31):
     assert wt.count_x(cfg31.params) == orbit31.n == 230400
+
+
+def _companion(p, t):
+    return (0, p - 1, 1, t % p)
+
+
+def _halves(p, g, h):
+    """The proof of x_size by brute force: every PSL2 quadruple (A, B, C,
+    D), one lift per element, with A B^-1 C D^-1 = g exactly (D =
+    g^-1 A B^-1 C), sorted by the relative sign e of A^-1 B C^-1 D = e h.
+    Returns {e: (m, 16) rows}; C runs over the lifts one at a time."""
+    sl2 = wt._all_sl2(PrimeField(p))
+    psl = sl2[first_nonzero_np(sl2.T) <= (p - 1) // 2]
+    A, B = np.repeat(psl, len(psl), axis=0).T, np.tile(psl, (len(psl), 1)).T
+    ab, a_b, gi = mm(p, A, adj(p, B)), mm(p, adj(p, A), B), adj(p, g)
+    rows = {1: [], -1: []}
+    for C in psl.tolist():
+        D = mm(p, gi, mm(p, ab, C))
+        word = mm(p, mm(p, a_b, adj(p, C)), D)
+        for e in rows:
+            hit = eq(word, h if e == 1 else neg(p, h))
+            Cs = np.broadcast_to(np.array(C)[:, None], (4, int(np.count_nonzero(hit))))
+            rows[e].append(np.stack([*A[:, hit], *B[:, hit], *Cs, *(d[hit] for d in D)], axis=1))
+    return {e: np.concatenate(r) for e, r in rows.items()}
+
+
+def test_x_size_proof_by_brute_force_p7():
+    # gamma split (trace 1) and delta non-split (trace 3) at p = 7: each
+    # relative-sign half holds (p^2 - 1)^3 / 8 quadruples, and the
+    # (p^2 - 1)/2 gauge pairs act freely on it (the exact key refuses a
+    # tie), leaving ((p^2 - 1)/2)^2 classes
+    p = 7
+    g, h = _companion(p, 1), _companion(p, 3)
+    F = PrimeField(p)
+    assert (classify(ProjMat2.of(F, g)), classify(ProjMat2.of(F, h))) == \
+        (ElementClass.SPLIT, ElementClass.NONSPLIT)
+    pairs = wt._pair_arrays(cv.Params(F, g, h))
+    assert pairs[0].shape == (4, (p * p - 1) // 2)
+    for e, rows in _halves(p, g, h).items():
+        assert len(rows) == (p * p - 1) ** 3 // 8 == 13824, e
+        keys = wt._exact_keys_np(p, rows, *pairs)
+        assert len(np.unique(keys, axis=0)) == wt.x_size(p) == 576, e
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_x_size_is_count_x_at_every_trace_pair(p):
+    # companions of every trace pair off {0, +-2} with one split and one
+    # non-split: the theorem's count and the membership equations' agree
+    F = PrimeField(p)
+    kind = {t: classify(ProjMat2.of(F, _companion(p, t)))
+            for t in range(p) if t not in (0, 2, p - 2)}
+    pairs = [(a, b) for a in kind for b in kind
+             if {kind[a], kind[b]} == {ElementClass.SPLIT, ElementClass.NONSPLIT}]
+    assert pairs
+    for a, b in pairs:
+        params = cv.Params(F, _companion(p, a), _companion(p, b))
+        assert wt.count_x(params) == wt.x_size(p), (a, b)
+
+
+@pytest.mark.parametrize("p", [17, 19, 23, 31])
+def test_x_size_is_count_x_at_the_witness(p):
+    assert wt.count_x(wt.build(p).params) == wt.x_size(p)
 
 
 def test_run_pipeline_report_shape():
