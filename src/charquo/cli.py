@@ -25,7 +25,7 @@ from . import __version__
 from . import qrep as qr
 from . import witness as wt
 from .numutil import BudgetError, naming, slices
-from .orbit import MAX_POINTS, read_dump
+from .orbit import read_dump
 from .permgrp import WORD_BUDGET
 from .qlinalg import mat_mul
 
@@ -164,11 +164,9 @@ def at_least(name, value, least):
 
 
 def cmd_orbit(args) -> int:
-    at_least("--max-points", args.max_points, 1)
     at_least("--words", args.words, 1)
     report = wt.run_pipeline(
-        args.p, seed=args.seed, max_points=args.max_points,
-        giant_budget=args.words,
+        args.p, seed=args.seed, giant_budget=args.words,
         include_permutations=not args.no_permutations,
         dump_path=args.dump)
     lines = [
@@ -298,7 +296,6 @@ def build_parser():
                                      "the induced permutation action")
     o.add_argument("p", type=int)
     o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--max-points", type=int, default=MAX_POINTS)
     o.add_argument("--words", type=int, default=WORD_BUDGET,
                    help="random-word budget for giant recognition")
     o.add_argument("--dump", help="write the orbit key dump (CHQO format)")
@@ -370,8 +367,6 @@ def run(args) -> int:
         kind, code, error = "error", EXIT_PRECONDITION, e
     report = {k: v for k, v in vars(args).items() if k in ("p", "n", "ell", "seed")}
     report["error"] = str(error)
-    if hasattr(error, "partial_count"):
-        report["partial_count"] = error.partial_count
     emit(report, args, [f"{kind}: {error}"])
     return code
 

@@ -92,7 +92,7 @@ class SideJob:
     created and its exception is raised by result().
 
     what names the job in SideJobKilled and in the InvariantError of a
-    child that sent no outcome, e.g. "the count job at p = 31".
+    child that sent no outcome, e.g. "the verification job at p = 31".
     """
 
     def __init__(self, what, fn, *args):
@@ -250,8 +250,7 @@ def factorize(n: int) -> dict:
             out[m] = out.get(m, 0) + 1
             continue
         d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        stack += [d, m // d]
     return out
 
 

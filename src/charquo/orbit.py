@@ -81,8 +81,9 @@ copied once).  The other temporaries of a layer are those of one slice.
 The permutations are filled one sigma_i at a time, its inverse
 scattered beside it, and the rows are put into key order in place.
 Point indices are int32 throughout, from the BFS successors to the
-letter permutations, epsilon_perm and f2_perms, so max_points must stay
-below 2^31.
+letter permutations, epsilon_perm and f2_perms.  check_budget refuses
+an orbit of n points that is not below 2^31 or whose n * BYTES_PER_POINT
+exceeds MemAvailable (not checked where /proc/meminfo does not exist).
 """
 
 from __future__ import annotations
@@ -109,24 +110,35 @@ ROW_DTYPE = np.uint16
 if np.iinfo(ROW_DTYPE).max < MAX_PACKED_PRIME:
     raise InvariantError(f"{ROW_DTYPE.__name__} rows cannot hold residues mod {MAX_PACKED_PRIME}")
 
-# Default cap on the orbit size (the enumerate_orbit and pipeline
-# default, and that of `charquo orbit --max-points`).
-MAX_POINTS = 2_000_000
+# Bytes per orbit point that run_pipeline needs, parent and verification
+# job together: 176-199 measured at p = 41 and 59, rounded up (README)
+BYTES_PER_POINT = 250
+
+
+def check_budget(p, n):
+    """BudgetError unless n is below 2^31 (the point indices are int32)
+    and n * BYTES_PER_POINT is within the memory available."""
+    if n >= 2 ** 31:
+        raise BudgetError(f"an orbit of n = {n} points at p = {p} is not below 2^31, "
+                          "the bound of the int32 point indices")
+    need, have = n * BYTES_PER_POINT, mem_available()
+    if have is not None and need > have:
+        raise BudgetError(f"an orbit of n = {n} points at p = {p} needs about "
+                          f"{need / 1e6:.1f} MB, and {have / 1e6:.1f} MB is available")
+
+
+def mem_available():
+    """MemAvailable of /proc/meminfo in bytes; None where there is none."""
+    try:
+        with open("/proc/meminfo") as fh:
+            return next((int(line.split()[1]) * 1024 for line in fh
+                         if line.startswith("MemAvailable:")), None)
+    except FileNotFoundError:
+        return None
 
 
 class OrbitError(InvariantError):
     pass
-
-
-class OrbitBudgetError(BudgetError):
-    def __init__(self, message, partial_count):
-        super().__init__(message)
-        self.partial_count = partial_count
-
-    def __reduce__(self):
-        # pickle rebuilds an exception from its args, which hold only the
-        # message: a side job would lose partial_count without this
-        return type(self), (str(self), self.partial_count)
 
 
 class KeyCollisionError(OrbitError):
@@ -167,10 +179,7 @@ def apply_letter_np(p, quads, letter):
 
 
 def quad_to_row(Q):
-    out = []
-    for X in Q:
-        out.extend(X.m)
-    return np.array(out, dtype=ROW_DTYPE)
+    return np.array([v for X in Q for v in X.m], dtype=ROW_DTYPE)
 
 
 def row_to_quad(F, row):
@@ -432,20 +441,16 @@ class _Visited:
     idx: np.ndarray
 
 
-def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
+def enumerate_orbit(P, params: Params) -> OrbitIndex:
     """Closure of P under sigma_1, sigma_2 and sigma_3 (on a finite orbit,
     the braid group orbit), with the letter permutations read off the
     edges and the BFS tree beside them.  It only enumerates: verify_edges
-    checks the edges exactly.  max_points must be below 2^31: point
-    indices in the BFS are stored as int32."""
-    F = params.F
-    p = F.p
+    checks the edges exactly.  BudgetError for a layer that would reach
+    2^31 points: point indices in the BFS are stored as int32."""
+    p = params.F.p
     if p > MAX_PACKED_PRIME:
-        raise OrbitBudgetError(f"p={p} exceeds the packed-key engine bound "
-                               f"{MAX_PACKED_PRIME} (orbit would be ~p^4 points)", 0)
-    if max_points >= 2 ** 31:
-        raise OrbitBudgetError(f"max_points={max_points} is not below 2^31, the bound "
-                               "of the int32 BFS successor indices", 0)
+        raise BudgetError(f"p={p} exceeds the packed-key engine bound "
+                          f"{MAX_PACKED_PRIME} (orbit would be ~p^4 points)")
     validate_start(P, params)
 
     start = quad_to_row(P)[None, :]
@@ -456,7 +461,7 @@ def enumerate_orbit(P, params: Params, max_points=MAX_POINTS) -> OrbitIndex:
 
     while lo < len(seen.rows):
         n_now = len(seen.rows)
-        succ, tree = _expand(p, seen, lo, max_points)
+        succ, tree = _expand(p, seen, lo)
         layers.append(succ)
         trees.append(tree)
         lo = n_now
@@ -549,7 +554,7 @@ def verify_edges(orbit: OrbitIndex) -> int:
     return verified
 
 
-def _expand(p, seen, lo, max_points):
+def _expand(p, seen, lo):
     """One BFS layer, in slices: the frontier is the points lo .. n_now - 1
     that the previous layer found, and each of sigma_1, sigma_2, sigma_3
     in turn is applied to one slice of it at a time, so the
@@ -597,8 +602,8 @@ def _expand(p, seen, lo, max_points):
     group = np.cumsum(head, dtype=np.int32)
     group -= 1  # each sorted image's new point, less n_now
     n_next = n_now + int(np.count_nonzero(head))
-    if n_next > max_points:
-        raise OrbitBudgetError(f"orbit exceeds max_points={max_points}", n_next)
+    if n_next >= 2 ** 31:  # the point indices are int32
+        raise BudgetError(f"the orbit at p={p} reaches {n_next} points, not below 2^31")
     pending = np.concatenate(new_rows)
     del new_rows
     first = order[head]  # each new point's representative

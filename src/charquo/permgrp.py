@@ -10,7 +10,8 @@ the giant-recognition path (cycle_lengths, sign, is_transitive,
 window_primes, giant_certificate, GiantCertificate, classify_giant),
 which scales to orbits of millions of points, and the exact stabilizer
 chain (schreier_sims, BSGS) up to ORACLE_BOUND.  Each passes every
-permutation it is given through check_perm, once per call, which
+permutation it is given through check_perm, once per call
+(classify_giant leaves that to sign and giant_certificate), which
 refuses a wrong length, an entry out of range or a repeated image by
 name and passes an int32 array, such as an orbit's letter permutation,
 without a copy.  Behind it the kernels (_gather and its callers
@@ -647,7 +648,6 @@ def classify_giant(gens, n, seed=0, budget=WORD_BUDGET) -> GiantClassification:
     the group order; beyond that bound the answer is Inconclusive.  The
     sign of each generator is computed once and returned on every path.
     """
-    gens = [check_perm(g, n) for g in gens]
     signs = [sign(g) for g in gens]
     cert = giant_certificate(gens, n, seed=seed, budget=budget)
     if isinstance(cert, GiantCertificate):

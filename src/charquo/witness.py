@@ -27,7 +27,7 @@ from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, 
                      mm, mm_raw, neg, order, pack_np, pgl_canon, pgl_canon_np, psl_canon,
                      psl_canon_np, residue, torus_pencil, tr, tr_mm, unpack_np)
 from .numutil import BudgetError, InvariantError, SideJob, naming, next_prime, slices
-from .orbit import (MAX_POINTS, ROW_DTYPE, EpsilonOutsideOrbitError, OrbitIndex,
+from .orbit import (ROW_DTYPE, EpsilonOutsideOrbitError, OrbitIndex, check_budget,
                     check_f2_identities, enumerate_orbit, epsilon_perm, validate_start,
                     verify_edges)
 from .permgrp import WORD_BUDGET, CertificateError, GiantCertificate, classify_giant, sign
@@ -88,9 +88,7 @@ class WitnessConfig:
 def build(p: int) -> WitnessConfig:
     """The witness matrices reduced mod p, with invariants verified."""
     F = PrimeField(p)
-    u = tuple(x % p for x in U0)
-    v = tuple(x % p for x in V0)
-    w = tuple(x % p for x in W0)
+    u, v, w = (tuple(x % p for x in M) for M in (U0, V0, W0))
     gamma = mm(p, u, w)
     delta = adj(p, mm(p, mm(p, u, v), mm(p, w, adj(p, v))))
     for name, m, want in (("gamma", gamma, TR_GAMMA), ("delta", delta, TR_DELTA)):
@@ -833,18 +831,17 @@ def _discard(path):
         os.unlink(path)
 
 
-def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
-                 giant_budget: int = WORD_BUDGET,
+def run_pipeline(p: int, seed: int = 0, giant_budget: int = WORD_BUDGET,
                  include_permutations: bool = True, dump_path=None) -> dict:
     """Witness -> orbit -> permutations -> classification -> verdict,
     with the exact edge checks in a side process (numutil.SideJob).
 
     Stage order of the main line:
     - witness: build and check_assumptions;
-    - orbit: enumerate_orbit (the BFS, the letter permutations and the
-      check of the rows on X); then the verification job (verify_edges,
-      the exact check of every edge) starts, and the dump is written
-      beside dump_path;
+    - orbit: check_budget for x_size(p) >= n points; enumerate_orbit (the
+      BFS, the letter permutations and the check of the rows on X); then
+      the verification job (verify_edges, the exact check of every edge)
+      starts, and the dump is written beside dump_path;
     - permutations: epsilon_perm (the twist's index and involution
       passes), f2_perms and check_f2_identities;
     - classification: classify_giant and the sign of x;
@@ -887,8 +884,12 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     if not report.point_ok:
         raise WitnessError("assumptions: unipotent point assumption fails")
 
+    x_count = x_size(p)
+    check_budget(p, x_count)
     with contextlib.ExitStack() as jobs:  # a job not waited for is killed on the way out
-        orbit = enumerate_orbit(cfg.P, cfg.params, max_points=max_points)
+        orbit = enumerate_orbit(cfg.P, cfg.params)
+        if orbit.n > x_count:  # the points are distinct classes of the orbit's half
+            raise InvariantError(f"orbit at p = {p}: n = {orbit.n} > x_size = {x_count}")
         verify = jobs.enter_context(
             SideJob(f"the verification job at p = {p}", verify_edges, orbit))
         staged = None
@@ -948,8 +949,8 @@ def run_pipeline(p: int, seed: int = 0, max_points: int = MAX_POINTS,
     out = {
         "p": p,
         "n": n,
-        "x_count": x_size(p),
-        "orbit_ratio": n / x_size(p),
+        "x_count": x_count,
+        "orbit_ratio": n / x_count,
         "classification": cls.kind,
         "generator_signs": signs,
         "f2_verdict": verdict,

@@ -122,23 +122,49 @@ def test_witness_invariant_exit(capsys, monkeypatch, command):
     assert "internal invariant violated: witness at p = 19: tr(gamma) = 3, expected 4" in out
 
 
-def test_orbit_budget_exit(capsys):
-    code, out = run(capsys, "orbit", "19", "--max-points", "10")
-    assert code == 2
-    assert "budget" in out
+def _no_layer(*args):
+    raise AssertionError("a BFS layer was expanded")
 
 
-def test_orbit_max_points_int32_bound(capsys, monkeypatch):
-    # successor indices are int32: the bound is refused before any BFS layer
+def test_orbit_budget_exit(capsys, monkeypatch):
+    # an orbit whose estimate exceeds the memory available is refused
+    # before any BFS layer, and its report is the error and the inputs
     from charquo import orbit as orbit_mod
-
-    def no_layer(*args):
-        raise AssertionError("a BFS layer was expanded")
-
-    monkeypatch.setattr(orbit_mod, "_expand", no_layer)
-    code, out = run(capsys, "orbit", "19", "--max-points", "3000000000")
+    from charquo import witness as wt
+    need = wt.x_size(19) * orbit_mod.BYTES_PER_POINT
+    monkeypatch.setattr(orbit_mod, "_expand", _no_layer)
+    monkeypatch.setattr(orbit_mod, "mem_available", lambda: need // 2)
+    code, out = run(capsys, "orbit", "19", "--json")
     assert code == 2
-    assert "max_points=3000000000 is not below 2^31" in out
+    report = json.loads(out)
+    assert set(report) == {"p", "seed", "error"}
+    assert report["error"] == (f"an orbit of n = 32400 points at p = 19 needs about "
+                               f"{need / 1e6:.1f} MB, and {need / 2e6:.1f} MB is available")
+
+
+def test_orbit_int32_bound(capsys, monkeypatch):
+    # point indices are int32: p = 313 passes the gate, and its orbit
+    # could hold x_size(313) >= 2^31 points, so it is refused before any
+    # BFS layer on any host
+    from charquo import orbit as orbit_mod
+    from charquo import witness as wt
+    assert wt.x_size(313) == 2_399_432_256 >= 2 ** 31
+    monkeypatch.setattr(orbit_mod, "_expand", _no_layer)
+    code, out = run(capsys, "orbit", "313")
+    assert code == 2
+    assert out == ("budget exhausted: an orbit of n = 2399432256 points at p = 313 is not "
+                   "below 2^31, the bound of the int32 point indices\n")
+
+
+def test_orbit_more_points_than_x_size(capsys, monkeypatch):
+    # x_size(p) bounds n: the BFS points are distinct gauge classes of
+    # the orbit's half, so an orbit beyond it is an internal fault
+    from charquo import witness as wt
+    monkeypatch.setattr(wt, "x_size", lambda p: 32400 - 1)
+    code, out = run(capsys, "orbit", "19", "--no-permutations")
+    assert code == 3
+    assert out == ("internal invariant violated: orbit at p = 19: n = 32400 > "
+                   "x_size = 32399\n")
 
 
 def test_count_budget_refusal(capsys):
@@ -352,14 +378,13 @@ FAILURES = [
     (["qrep", "1", "2"], 1, {}, {"n", "ell"}),
     (["qrep", "4", "-1"], 1, {}, {"n", "ell"}),
     # build = None: the refusal comes before the witness is built
-    (["orbit", "19", "--max-points", "0"], 1, {"build": None}, {"p", "seed"}),
     (["orbit", "19", "--words", "0"], 1, {"build": None}, {"p", "seed"}),
     (["orbit", "29"], 1, {}, {"p", "seed"}),  # fails the split/non-split assumption
     (["qrep", "9", "9"], 2, {}, {"n", "ell"}),
     (["qrep", "4", "3", "--verify"], 2, {}, {"n", "ell"}),
     (["qrep", "4", "3", "--specialize", "1009", "3", "5"], 2, {}, {"n", "ell"}),
     (["count", "61"], 2, {}, {"p"}),
-    (["orbit", "19", "--max-points", "10"], 2, {}, {"p", "seed", "partial_count"}),
+    (["orbit", "313"], 2, {}, {"p", "seed"}),  # beyond the int32 point indices
     (["witness", "19"], 3, {"TR_GAMMA": 4}, {"p"}),
 ]
 KINDS = {1: "error", 2: "budget exhausted", 3: "internal invariant violated"}
@@ -427,7 +452,7 @@ def test_count_refuses_a_bad_dump_before_counting(orbit19, tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("argv, name", [(["qrep", "1", "2"], "n"), (["qrep", "4", "-1"], "ell"),
-                                        (["orbit", "19", "--max-points", "0"], "--max-points"),
+                                        (["orbit", "19", "--words", "0"], "--words"),
                                         (["orbit", "19", "--words", "-3"], "--words")])
 def test_out_of_range_arguments_are_named(capsys, argv, name):
     code, out = run(capsys, *argv)
@@ -580,7 +605,7 @@ def _json_dump_text(report):
 @pytest.mark.parametrize("argv", [
     ["orbit", "19", "--seed", "7"],
     ["orbit", "19", "--no-permutations"],
-    ["orbit", "19", "--max-points", "10"],  # a budget error report
+    ["orbit", "313"],  # a budget error report
     ["qrep", "4", "2", "--verify"],
 ])
 def test_to_json_writes_what_json_dump_writes(argv, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import cProfile
 import hashlib
+import io
 import struct
 import sys
 import tracemalloc
@@ -14,9 +15,9 @@ from charquo import orbit as orbit_mod
 from charquo import witness as wt
 from charquo.cli import main
 from charquo.ffield import entry_major, inv_table, mm
-from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError,
-                           OrbitBudgetError, check_f2_identities, enumerate_orbit, epsilon_perm,
-                           fast_keys, quad_to_row, read_dump, verify_edges)
+from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError, check_budget,
+                           check_f2_identities, enumerate_orbit, epsilon_perm, fast_keys,
+                           mem_available, quad_to_row, read_dump, verify_edges)
 from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
@@ -102,10 +103,37 @@ def test_gamma_mismatch_rejected(cfg19, rng):
         enumerate_orbit(Q, cfg19.params)
 
 
-def test_budget_error(cfg19):
-    with pytest.raises(OrbitBudgetError) as ei:
-        enumerate_orbit(cfg19.P, cfg19.params, max_points=10)
-    assert ei.value.partial_count > 10
+def test_budget_error(monkeypatch):
+    # n at 2^31 is refused whatever the memory; below it, n is refused
+    # when n * BYTES_PER_POINT exceeds the memory available, if it is known
+    monkeypatch.setattr(orbit_mod, "mem_available", lambda: None)
+    check_budget(19, 2 ** 31 - 1)
+    with pytest.raises(numutil.BudgetError, match=r"^an orbit of n = 2147483648 points at "
+                                                  r"p = 19 is not below 2\^31"):
+        check_budget(19, 2 ** 31)
+    monkeypatch.setattr(orbit_mod, "mem_available", lambda: 2000 * orbit_mod.BYTES_PER_POINT)
+    check_budget(19, 2000)
+    with pytest.raises(numutil.BudgetError) as ei:
+        check_budget(19, 4000)
+    need, have = (k * orbit_mod.BYTES_PER_POINT / 1e6 for k in (4000, 2000))
+    assert str(ei.value) == (f"an orbit of n = 4000 points at p = 19 needs about {need:.1f} MB, "
+                             f"and {have:.1f} MB is available")
+
+
+@pytest.mark.parametrize("meminfo, available", [
+    ("MemTotal:        8211000 kB\nMemAvailable:    7722000 kB\n", 7722000 * 1024),
+    ("MemTotal:        8211000 kB\nMemFree:         7722000 kB\n", None),  # before Linux 3.14
+    (None, None),  # no /proc/meminfo
+], ids=["MemAvailable", "no MemAvailable line", "no meminfo"])
+def test_mem_available_reads_meminfo(monkeypatch, meminfo, available):
+    def fake_open(path, *args):
+        assert path == "/proc/meminfo"
+        if meminfo is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(meminfo)
+
+    monkeypatch.setattr(orbit_mod, "open", fake_open, raising=False)
+    assert mem_available() == available
 
 
 def test_frontiers_are_consecutive_blocks_read_in_place(cfg19, monkeypatch):

@@ -4,17 +4,15 @@ Every test here ends with no child process left to reap."""
 
 import json
 import os
-import pickle
 import signal
 import time
 
 import pytest
 
-from charquo import numutil
 from charquo import witness as wt
 from charquo.cli import main
-from charquo.numutil import InvariantError, SideJob, SideJobKilled
-from charquo.orbit import EpsilonOutsideOrbitError, OrbitBudgetError, OrbitError
+from charquo.numutil import BudgetError, InvariantError, SideJob, SideJobKilled
+from charquo.orbit import EpsilonOutsideOrbitError, OrbitError
 from charquo.permgrp import CertificateError
 
 
@@ -44,7 +42,9 @@ def test_side_job_returns_value_and_runs_in_a_child():
 
 @pytest.mark.parametrize("exc", [wt.WitnessError("assumption x fails"),
                                  OrbitError("sigma2^-1 at point index 1000"),
-                                 MemoryError(), KeyboardInterrupt()])
+                                 MemoryError(), KeyboardInterrupt(),
+                                 BudgetError("an orbit of n = 32400 points at p = 19 needs "
+                                             "about 8.1 MB, and 4.0 MB is available")])
 def test_side_job_reraises_same_type_and_message(exc):
     with SideJob("a job", _raise, exc) as job:
         with pytest.raises(type(exc)) as ei:
@@ -65,20 +65,6 @@ def test_side_job_exception_that_cannot_be_rebuilt():
         with pytest.raises(InvariantError, match=r"^the odd job at p = 7: its exception "
                                                  r"_TwoArgumentError: too big cannot be sent back"):
             job.result()
-
-
-def test_orbit_budget_error_pickles_with_partial_count():
-    err = pickle.loads(pickle.dumps(OrbitBudgetError("orbit exceeds max_points=10", 12)))
-    assert type(err) is OrbitBudgetError and err.partial_count == 12
-    assert str(err) == "orbit exceeds max_points=10"
-
-
-def test_side_job_orbit_budget_error_keeps_partial_count():
-    with SideJob("a job", _raise, OrbitBudgetError("orbit exceeds max_points=10", 12)) as job:
-        with pytest.raises(numutil.BudgetError) as ei:
-            job.result()
-    assert type(ei.value) is OrbitBudgetError and ei.value.partial_count == 12
-    assert str(ei.value) == "orbit exceeds max_points=10"
 
 
 def test_side_job_killed_by_a_signal():
