@@ -4,7 +4,7 @@ Subcommands: witness | orbit | count | qrep | selftest.  Every pipeline
 emits one JSON document (the machine format; the text summary is
 rendered from it), a failure too.  to_json writes it to its file as it
 is produced, a slice at a time: to stdout for --json, through
-write_atomic for --out and qrep --export.  Exit codes: 0 success, 1
+numutil.write_atomic for --out and qrep --export.  Exit codes: 0 success, 1
 precondition or assumption failure (ValueError, OSError; also a stdout
 closed by its reader, with no report), 2 budget (BudgetError, a side
 job killed by a signal among them, and MemoryError), 3 internal
@@ -18,13 +18,14 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from . import qrep as qr
 from . import witness as wt
-from .numutil import BudgetError, naming, slices
+from .numutil import BudgetError, slices, write_atomic
 from .orbit import read_dump
 from .permgrp import WORD_BUDGET
 from .qlinalg import mat_mul
@@ -94,27 +95,12 @@ def _entry_lines(a, first):
     return text[keep].tobytes().decode("ascii")
 
 
-def write_atomic(path: str, report):
-    # a new file beside path, created under the umask, replaces path once
-    # it is written; an OSError names path, not that file
-    tmp = f"{path}.{os.urandom(4).hex()}"
-    with naming(path):
-        fh = open(tmp, "x")
-        try:
-            with fh:
-                to_json(report, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-
 def emit(report, args, summary_lines):
     # a run writes --out at most once: when that write fails, the error
     # report that follows goes to stdout only
     out, args.out = args.out, None
     if out:
-        write_atomic(out, report)
+        write_atomic(out, partial(to_json, report), "t")
     if args.json:
         to_json(report, sys.stdout)
     else:
@@ -257,7 +243,7 @@ def cmd_qrep(args) -> int:
                          f"x nonscalar: {spec['x_nonscalar']}")
 
     if args.export:
-        write_atomic(args.export, qr.export_rep(mats))
+        write_atomic(args.export, partial(to_json, qr.export_rep(mats)), "t")
         lines.append(f"matrices exported to {args.export}")
 
     emit(report, args, lines)

@@ -1,8 +1,9 @@
 """Small integer number theory (primality, factoring), the package's
 error bases BudgetError (exit code 2) and InvariantError (exit code 3),
 the slice size of every memory-bounded loop (slices), the one way to
-run a job in a side process (SideJob) and the error of a file staged
-beside its target (naming).
+run a job in a side process (SideJob) and the one way to write an
+output file (write_atomic: staged beside its target, whose path its
+errors name).
 
 Deterministic Miller-Rabin is exact below psi_13 (about 3.3 * 10^24)
 and refuses larger inputs; factoring is trial division plus Pollard rho, enough for
@@ -65,6 +66,23 @@ def naming(path):
         if e.filename is None:
             raise
         raise OSError(e.errno, e.strerror, path) from e
+
+
+def write_atomic(path, write, mode):
+    """write(fh) on a new file beside path, opened in mode "t" (text) or
+    "b" (binary) and created under the umask, which replaces path once
+    it is written and is removed if the write fails; an OSError names
+    path, not that file."""
+    tmp = f"{path}.{os.urandom(4).hex()}"
+    with naming(path):
+        fh = open(tmp, "x" + mode)
+        try:
+            with fh:
+                write(fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 class SideJobKilled(BudgetError):

@@ -37,13 +37,13 @@ image of each group in letter-major order is its representative, whose
 row is stored.  The groups take the next point indices in ascending key
 order, and their keys are merged into the visited keys once.
 
-Each layer also returns where every image of its frontier landed: the
+Each layer also writes where every image of its frontier landed: the
 point index of the image's key group, as int32, and for each new point
 the letter whose image is its stored row (the BFS tree, OrbitIndex.tree).
-Once the BFS closes, each letter's successor arrays are concatenated in
-layer order, which is point order, and renumbered by ascending key into
-sigma_1, sigma_2 and sigma_3, one letter at a time.  Each must be a
-bijection, and sigma_i^-1 is its inverse.  verify_edges is a pass
+Once the BFS closes, each letter's successors, in point order, are
+renumbered by ascending key into sigma_1, sigma_2 and sigma_3, one
+letter at a time.  Each must be a bijection, and sigma_i^-1 is its
+inverse.  verify_edges is a pass
 without keys: it applies each letter to every point and verifies the
 image exactly against the row the permutation names.  Of the 3n
 sigma_i edges it skips the n - 1 tree edges, whose image is the stored
@@ -66,23 +66,25 @@ here is cut by numutil.slices, with the int64 entries its temporaries
 hold per item as width: 16 for rows (8 192 a slice), 1 for an int32
 gather (numpy's intp copy of the indices) or scatter.
 
-Memory.  What grows with the orbit is 33 bytes per point (the uint16
-quadruple and the uint8 tree letter) plus 12 per visited key (int64
-key, int32 point index) and, during the BFS, 12 per point of int32
-successors (three letters).  At rest the index keeps 65 bytes per
-point: the row, the key, the tree letter and the six int32 letter
-permutations, 24 bytes of them.  A layer adds its images on unvisited
-keys, 40 bytes each (row and key; there are about 1.65 per new point at
-p = 19 and 31), and at its close their sort order, groups and
-representatives.  All but the kept rows and the representatives go
-before the rows grow by the new points (ndarray.resize, which may move
-them; until the keys are merged, the visited keys and indices are
-copied once).  The other temporaries of a layer are those of one slice.
-The permutations are filled one sigma_i at a time, its inverse
-scattered beside it, and the rows are put into key order in place.
-Point indices are int32 throughout, from the BFS successors to the
-letter permutations, epsilon_perm and f2_perms.  check_budget refuses
-an orbit of n points that is not below 2^31 or whose n * BYTES_PER_POINT
+Memory.  An orbit has at most x_size(p) points, so enumerate_orbit
+allocates its state once, before the first layer, for that many: 33
+bytes per point of rows and tree letters (the uint16 quadruple, the
+uint8 letter) and 12 of int32 successors (three letters).  The layers
+write into it in place, and pages never written are never resident
+(n = x_size(p) at every prime run so far).  The visited keys take 12
+bytes per point (int64 key, int32 point index) and are merged once a
+layer.  At rest the index keeps 65 bytes per point: the row, the key,
+the tree letter and the six int32 letter permutations, 24 bytes of
+them.  A layer adds its images on unvisited keys, 40 bytes each (row
+and key; there are about 1.65 per new point at p = 19 and 31), and at
+its close their sort order, groups and representatives.  The other
+temporaries of a layer are those of one slice.  The permutations are
+filled one sigma_i at a time, its inverse scattered beside it, and the
+rows are put into key order in place.  Point indices are int32
+throughout, from the BFS successors to the letter permutations,
+epsilon_perm and f2_perms.  check_budget is the one size rule, and
+enumerate_orbit calls it before anything else: it refuses x_size(p)
+points when that is not below 2^31 or when x_size(p) * BYTES_PER_POINT
 exceeds MemAvailable (not checked where /proc/meminfo does not exist).
 """
 
@@ -98,7 +100,7 @@ from .charvar import Params, canon_keys_np, from_quad, trace_coords
 from .ffield import (ProjMat2, adj_raw, det, entry_major, eq, is_scalar, legendre_table, mm,
                      mm_raw, neg, pack_np, pencil_annihilators, psl_canon_np, residue, tr,
                      unpack_np)
-from .numutil import BudgetError, InvariantError, slices
+from .numutil import BudgetError, InvariantError, slices, write_atomic
 
 GENS = (bq.S1, bq.S2, bq.S3)
 
@@ -113,6 +115,61 @@ if np.iinfo(ROW_DTYPE).max < MAX_PACKED_PRIME:
 # Bytes per orbit point that run_pipeline needs, parent and verification
 # job together: 176-199 measured at p = 41 and 59, rounded up (README)
 BYTES_PER_POINT = 250
+
+
+def x_size(p: int) -> int:
+    """|X^(2)| = ((p^2 - 1)/2)^2: the number of gauge classes in the half
+    of the level set that holds the orbit, for any gamma and delta that
+    pass witness.run_pipeline's gate (traces off +-2, so both are regular
+    semisimple; one in a split torus, the other in a non-split one).
+
+    Proof.  Let G = SL2(F_p), |G| = p (p^2 - 1), and fix SL2 lifts g of
+    gamma and h of delta, one split and one non-split.
+    1. The count formula.  The number N(g, h) of (A, B, C, D) in G^4 with
+       A B^-1 C D^-1 = g and A^-1 B C^-1 D = h is
+       |G|^2 sum_chi chi(g^-1) conj(chi(h)) / chi(1)^2, over the
+       irreducible characters chi of G.  The first equation fixes
+       D = g^-1 A B^-1 C.  Put W = C B^-1: the second becomes
+       (A^-1 (g W)^-1 A)(B^-1 W B) = h, a product of an element of the
+       class of (g W)^-1 and one of the class of W.  For fixed W there
+       are |G| sum_chi chi((g W)^-1) chi(W) conj(chi(h)) / chi(1) pairs
+       (A, B) (Frobenius), and Schur orthogonality sums over W:
+       sum_W chi(W) chi(W^-1 g^-1) = |G| chi(g^-1) / chi(1).
+    2. Only two characters count.  In the character table of SL2(F_p)
+       (W. Fulton, J. Harris, Representation Theory, 5.2) every
+       irreducible character but the trivial one and the Steinberg
+       character St, of degree p, vanishes on the split regular classes
+       or on the non-split ones.  St is 1 on the former and -1 on the
+       latter, and -g, -h are regular of the same types as g, h.  So
+       each of the four sign choices gives
+       N(+-g, +-h) = |G|^2 (1 - 1/p^2) = (p^2 - 1)^3.
+    3. Two halves.  Each block occurs once in each word, so negating the
+       lift of one block negates both words: the relative sign e of the
+       words (e1 g and e2 h, e = e1 e2) is one for all 16 lifts of a
+       PSL2 quadruple Q with gamma(Q) = gamma and delta(Q) = delta.  Those
+       lifts are the G^4 solutions for (g, e h) and (-g, -e h), so each
+       half holds 2 (p^2 - 1)^3 / 16 = (p^2 - 1)^3 / 8 quadruples.  The
+       braid letters act on lifts by the quandle formulas, which fix both
+       words exactly in any group (braidquandle.gamma and delta), so an
+       orbit lies in one half.
+    4. Free gauge.  The gauge is the (p - 1)/2 * (p + 1)/2 * 2
+       = (p^2 - 1)/2 pairs (ghat, dhat) of C(gamma) x C(delta) in PGL2
+       with equal determinant class, acting by Q -> ghat Q dhat.  Scaled
+       to det(ghat) det(dhat) = 1 they map lifts to lifts and fix both
+       words (ghat commutes with g, dhat with h), so each half is a union
+       of gauge orbits.  The action is free: ghat A dhat = A puts ghat in
+       C(gamma) and in A C(delta) A^-1, a split torus and a non-split
+       one, which meet only in the scalars (as witness._exact_keys_np
+       argues), so ghat = dhat = 1 in PGL2.  So each half holds
+       (p^2 - 1)^3 / 8 / ((p^2 - 1)/2) classes.
+
+    The orbit's points are those classes, one trace key each, so n is at
+    most this count, and equals it exactly when the orbit fills its half;
+    enumerate_orbit sizes its buffers by it.  witness.count_x counts the
+    trace keys of the membership equations' solutions instead; the two
+    agree at every prime and trace pair tier-1 tries.
+    """
+    return ((p * p - 1) // 2) ** 2
 
 
 def check_budget(p, n):
@@ -351,15 +408,19 @@ class OrbitIndex:
     MAGIC = b"CHQO"
     VERSION = 1
 
-    def write_dump(self, path):
-        """Binary stream of the 7-tuple canonical keys: header (magic,
-        version, p, n) then n*7 little-endian u64 scalars."""
-        p = self.p
-        with open(path, "wb") as fh:
-            fh.write(self.MAGIC)
-            fh.write(struct.pack("<IQQ", self.VERSION, p, self.n))
-            for c in slices(self.n, 16):
-                fh.write(unpack_np(p, self.keys[c], 7).astype("<u8"))
+    @staticmethod
+    def write_dump(path, p, keys):
+        """The dump of an orbit at p with the ascending packed keys, written
+        through numutil.write_atomic: header (magic, version, p, n) then
+        n*7 little-endian u64 scalars, the 7-tuple canonical keys.  It
+        needs the keys alone, so the index can be dropped before."""
+        def write(fh):
+            fh.write(OrbitIndex.MAGIC)
+            fh.write(struct.pack("<IQQ", OrbitIndex.VERSION, p, len(keys)))
+            for c in slices(len(keys), 16):
+                fh.write(unpack_np(p, keys[c], 7).astype("<u8"))
+
+        write_atomic(path, write, "b")
 
 
 def read_dump(path):
@@ -424,61 +485,40 @@ def validate_start(P, params: Params):
         raise ValueError("gamma mismatch: point does not lie in X for these parameters")
 
 
-@dataclass
-class _Visited:
-    """What the BFS has found so far: the rows in point order, and the
-    visited keys, ascending, beside the point index of each.  _expand
-    replaces the keys and indices once per layer and grows the rows by
-    ndarray.resize without its reference check.  That is safe because
-    no view of the rows outlives the call it is passed to: _expand hands
-    each slice of its frontier to apply_letter_np, which keeps only
-    copies, binds none to a name, and reads every other row by take.  So
-    no view exists when a layer closes; any other reference (a
-    profiler's) is to the same object, which sees the new buffer."""
-
-    rows: np.ndarray
-    keys: np.ndarray
-    idx: np.ndarray
-
-
 def enumerate_orbit(P, params: Params) -> OrbitIndex:
     """Closure of P under sigma_1, sigma_2 and sigma_3 (on a finite orbit,
     the braid group orbit), with the letter permutations read off the
     edges and the BFS tree beside them.  It only enumerates: verify_edges
-    checks the edges exactly.  BudgetError for a layer that would reach
-    2^31 points: point indices in the BFS are stored as int32."""
+    checks the edges exactly.  check_budget(p, x_size(p)) runs first, so
+    BudgetError comes before any allocation; then the rows, the int32
+    successors of the three letters and the tree letters are allocated
+    once for x_size(p) points, and the BFS fills them in place."""
     p = params.F.p
-    if p > MAX_PACKED_PRIME:
-        raise BudgetError(f"p={p} exceeds the packed-key engine bound "
-                          f"{MAX_PACKED_PRIME} (orbit would be ~p^4 points)")
+    size = x_size(p)
+    check_budget(p, size)
     validate_start(P, params)
+    rows = np.empty((size, 16), dtype=ROW_DTYPE)
+    succ = np.empty((len(GENS), size), dtype=np.int32)
+    tree = np.empty(size, dtype=np.uint8)
+    rows[0], tree[0] = quad_to_row(P), 255
+    keys, idx = fast_keys(p, rows[:1]), np.zeros(1, dtype=np.int32)
+    lo = 0  # the frontier is the points lo .. len(keys) - 1
+    while lo < len(keys):
+        lo, (keys, idx) = len(keys), _expand(p, rows, succ, tree, keys, idx, lo)
 
-    start = quad_to_row(P)[None, :]
-    seen = _Visited(start.copy(), fast_keys(p, start), np.zeros(1, dtype=np.int32))
-    lo = 0  # the frontier is the points lo .. len(seen.rows) - 1
-    layers = []  # the int32 successors of each layer's frontier under each sigma_i
-    trees = [np.full(1, 255, dtype=np.uint8)]  # the tree letter of each layer's new points
-
-    while lo < len(seen.rows):
-        n_now = len(seen.rows)
-        succ, tree = _expand(p, seen, lo)
-        layers.append(succ)
-        trees.append(tree)
-        lo = n_now
-
-    pts, keys, idx = seen.rows, seen.keys, seen.idx
-    del seen
-    rank = np.empty(len(idx), dtype=np.int32)  # point index -> ascending-key index
-    rank[idx] = np.arange(len(idx), dtype=np.int32)
+    n = len(keys)
+    pts, succ, tree = rows[:n], succ[:, :n], tree[:n]  # views, if ever n < size
+    rank = np.empty(n, dtype=np.int32)  # point index -> ascending-key index
+    rank[idx] = np.arange(n, dtype=np.int32)
     # the rows into ascending-key order in place: a row is four 8-byte
     # words, gathered one word column at a time
     words = pts.view(np.uint64)
     for j in range(words.shape[1]):
         words[:, j] = words[:, j].take(idx)
-    tree = np.concatenate(trees).take(idx)
-    del idx, words, trees
-    perms = _letter_perms(layers, rank)
-    del rank
+    tree = tree.take(idx)
+    del idx, words
+    perms = _letter_perms(succ, rank)
+    del rank, succ
 
     # soundness backstop: every representative satisfies the defining equations
     if not _on_x_mask(params, pts).all():
@@ -487,22 +527,19 @@ def enumerate_orbit(P, params: Params) -> OrbitIndex:
     return OrbitIndex(params, pts, keys, perms, tree)
 
 
-def _letter_perms(layers, rank):
-    """The six letter permutations in ascending-key numbering.  Each
-    sigma_i is the concatenation of its per-layer successors (the
-    frontiers are consecutive blocks of points, so that is point
-    numbering), renumbered by rank, one letter at a time; OrbitError
-    unless it is a bijection, and sigma_i^-1 is its inverse.  Bijectivity is read off the scatter of
-    the inverse: a point no index lands on keeps the -1 it started
-    with."""
+def _letter_perms(succ, rank):
+    """The six letter permutations in ascending-key numbering.  Row k of
+    succ is sigma_(k+1) in point numbering (the frontiers are
+    consecutive blocks of points), renumbered here by rank, one letter
+    at a time; OrbitError unless it is a bijection, and sigma_i^-1 is
+    its inverse.  Bijectivity is read off the scatter of the inverse: a
+    point no index lands on keeps the -1 it started with."""
     n = len(rank)
     perms = {}
     for k, (i, _) in enumerate(GENS):
-        succ = np.concatenate([s[k] for s in layers])  # point numbering
         perm = np.empty(n, dtype=np.int32)
         for c in slices(n):
-            perm[rank[c]] = rank[succ[c]]
-        del succ
+            perm[rank[c]] = rank[succ[k, c]]
         inv = np.full(n, -1, dtype=np.int32)
         for c in slices(n):
             inv[perm[c]] = np.arange(c.start, c.stop, dtype=np.int32)
@@ -554,72 +591,72 @@ def verify_edges(orbit: OrbitIndex) -> int:
     return verified
 
 
-def _expand(p, seen, lo):
-    """One BFS layer, in slices: the frontier is the points lo .. n_now - 1
-    that the previous layer found, and each of sigma_1, sigma_2, sigma_3
-    in turn is applied to one slice of it at a time, so the
-    slices follow the layer's letter-major image order.  An image whose
-    key is visited lands on that older point.  The others are kept, key
-    and row, until the layer closes; then one stable sort groups them by
-    key, the first image of each group in letter-major order is its
-    representative, and the groups become points n_now, n_now + 1, ...
-    in ascending key order, merged into seen once.
+def _expand(p, rows, succ, tree, keys, idx, lo):
+    """One BFS layer, in slices, in place: the frontier is the points
+    lo .. n_now - 1 (n_now = len(keys)) that the previous layer found,
+    and each of sigma_1, sigma_2, sigma_3 in turn is applied to one slice
+    of its rows at a time, so the slices follow the layer's letter-major
+    image order.  keys are the visited keys, ascending, and idx the
+    point index of each.  An image whose key is visited lands on that
+    older point.  The others are kept, key and row, until the layer
+    closes; then one stable sort groups them by key, the first image of
+    each group in letter-major order is its representative, and the
+    groups become points n_now, n_now + 1, ... in ascending key order.
 
-    Returns (successors, tree): successors is the (3, m) int32 point
-    index of the image of each frontier point under each sigma_i, and
-    tree holds for each new point the uint8 k such that its
-    representative is an image under sigma_(k+1), read off each letter's
-    running count of kept images.  Apart from the layer's images on
-    unvisited keys, the temporaries are those of one slice.
+    Writes succ[k, lo:n_now], the point index of the image of each
+    frontier point under sigma_(k+1); the representatives' rows into
+    rows[n_now:n_next]; and tree[n_now:n_next], for each new point the
+    k whose letter its representative is an image under, read off each
+    letter's running count of kept images.  Returns the visited keys and
+    indices with the new points merged in, n_next of each.
+    InvariantError, naming p, for a layer that would pass len(rows),
+    which is x_size(p).  Apart from the layer's images on unvisited
+    keys, the temporaries are those of one slice.
     """
-    pts = seen.rows
-    n_now = len(pts)
-    m = n_now - lo
-    # -1 marks an image on an unvisited key until the layer closes
-    succ = np.empty((len(GENS), m), dtype=np.int32)
-    new_keys, new_rows = [], []  # those images, in letter-major order
+    n_now = len(keys)
+    new_keys, new_rows = [], []  # the images on unvisited keys, in letter-major order
     ends = []  # how many of them each letter's slices end at
     for k, L in enumerate(GENS):
-        for c in slices(m, 16):
-            images = apply_letter_np(p, pts[lo + c.start:lo + c.stop], L)
+        for c in slices(n_now - lo, 16):
+            c = slice(lo + c.start, lo + c.stop)
+            images = apply_letter_np(p, rows[c], L)
             ikeys = fast_keys(p, images)
             asc = np.argsort(ikeys)  # searchsorted is fastest on ascending needles
             pos = np.empty_like(asc)
-            pos[asc] = np.minimum(np.searchsorted(seen.keys, ikeys[asc]), n_now - 1)
-            old = seen.keys[pos] == ikeys
-            succ[k, c] = np.where(old, seen.idx[pos], -1)
+            pos[asc] = np.minimum(np.searchsorted(keys, ikeys[asc]), n_now - 1)
+            old = keys[pos] == ikeys
+            succ[k, c] = np.where(old, idx[pos], -1)  # -1 until the layer closes
             new_keys.append(ikeys[~old])
             new_rows.append(images[~old])
         ends.append(sum(map(len, new_keys)))
 
-    keys = np.concatenate(new_keys)
-    del new_keys
-    order = np.argsort(keys, kind="stable")  # each group's first image first
-    keys.sort()
-    head = np.empty(len(keys), dtype=bool)
-    head[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    group = np.cumsum(head, dtype=np.int32)
-    group -= 1  # each sorted image's new point, less n_now
-    n_next = n_now + int(np.count_nonzero(head))
-    if n_next >= 2 ** 31:  # the point indices are int32
-        raise BudgetError(f"the orbit at p={p} reaches {n_next} points, not below 2^31")
+    found = np.concatenate(new_keys)
     pending = np.concatenate(new_rows)
-    del new_rows
+    del new_keys, new_rows
+    order = np.argsort(found, kind="stable")  # each group's first image first
+    found.sort()
+    head = np.empty(len(found), dtype=bool)
+    head[:1] = True
+    np.not_equal(found[1:], found[:-1], out=head[1:])
+    n_next = n_now + int(np.count_nonzero(head))
+    if n_next > len(rows):  # the points are distinct gauge classes of the orbit's half
+        raise InvariantError(f"orbit at p = {p}: a BFS layer reaches n = {n_next} > "
+                             f"x_size = {len(rows)}")
     first = order[head]  # each new point's representative
-    tree = np.searchsorted(ends, first, side="right").astype(np.uint8)
+    np.take(pending, first, axis=0, out=rows[n_now:n_next])
+    del pending  # before the keys are merged: the caller holds the old ones until we return
+    tree[n_now:n_next] = np.searchsorted(ends, first, side="right")
+    group = np.cumsum(head, dtype=np.int32)
+    group += n_now - 1  # each sorted image's new point
     dest = np.empty(len(order), dtype=np.int32)
     dest[order] = group
-    dest += n_now
-    succ[succ < 0] = dest  # in C order, the -1 entries are the kept images' order
-    keys = keys[head]
-    at = np.searchsorted(seen.keys, keys)
-    seen.keys = np.insert(seen.keys, at, keys)
-    seen.idx = np.insert(seen.idx, at, np.arange(n_now, n_next, dtype=np.int32))
-    del keys, order, head, group, dest, at  # freed before the rows grow
-    seen.rows.resize((n_next, 16), refcheck=False)  # see _Visited
-    np.take(pending, first, axis=0, out=seen.rows[n_now:])
-    return succ, tree
+    layer = succ[:, lo:n_now]
+    layer[layer < 0] = dest  # in C order, the -1 entries are the kept images' order
+    del first, group, order, dest, layer  # likewise
+    found = found[head]
+    at = np.searchsorted(keys, found)
+    return (np.insert(keys, at, found),
+            np.insert(idx, at, np.arange(n_now, n_next, dtype=np.int32)))
 
 
 # -- the reversal twist and the free generators ---------------------------

@@ -1,7 +1,7 @@
 """The explicit witness construction over PSL2(F_p): primes, matrices,
-the base point, assumption validation, proper decompositions, the size
-of X^(2) in closed form (x_size) and its brute-force counting oracle,
-and the end-to-end quotient pipeline.
+the base point, assumption validation, proper decompositions, the
+brute-force counting oracle of X^(2) (count_x; its size in closed form
+is orbit.x_size) and the end-to-end quotient pipeline.
 
 gamma = u w has trace 3 and delta = (u v w v^-1)^-1 has trace 11, so a
 usable prime must keep 3 and 11 away from {0, +-2} mod p and put one of
@@ -12,8 +12,6 @@ and the other not.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import time
 from dataclasses import dataclass
 
@@ -26,10 +24,9 @@ from .ffield import (I2, ElementClass, Mat, PrimeField, ProjMat2, adj, adj_raw, 
                      exact_conjugator, first_nonzero_np, inv_table, is_maximal, legendre_table,
                      mm, mm_raw, neg, order, pack_np, pgl_canon, pgl_canon_np, psl_canon,
                      psl_canon_np, residue, torus_pencil, tr, tr_mm, unpack_np)
-from .numutil import BudgetError, InvariantError, SideJob, naming, next_prime, slices
-from .orbit import (ROW_DTYPE, EpsilonOutsideOrbitError, OrbitIndex, check_budget,
-                    check_f2_identities, enumerate_orbit, epsilon_perm, validate_start,
-                    verify_edges)
+from .numutil import BudgetError, InvariantError, SideJob, next_prime, slices
+from .orbit import (ROW_DTYPE, EpsilonOutsideOrbitError, OrbitIndex, check_f2_identities,
+                    enumerate_orbit, epsilon_perm, validate_start, verify_edges, x_size)
 from .permgrp import WORD_BUDGET, CertificateError, GiantCertificate, classify_giant, sign
 
 TR_GAMMA = 3
@@ -361,57 +358,6 @@ def normalize_unipotent_decomposition(F, dec):
 
 # -- counting X^(2) -------------------------------------------------------
 
-def x_size(p: int) -> int:
-    """|X^(2)| = ((p^2 - 1)/2)^2: the number of gauge classes in the half
-    of the level set that holds the orbit, for any gamma and delta that
-    pass run_pipeline's gate (traces off +-2, so both are regular
-    semisimple; one in a split torus, the other in a non-split one).
-
-    Proof.  Let G = SL2(F_p), |G| = p (p^2 - 1), and fix SL2 lifts g of
-    gamma and h of delta, one split and one non-split.
-    1. The count formula.  The number N(g, h) of (A, B, C, D) in G^4 with
-       A B^-1 C D^-1 = g and A^-1 B C^-1 D = h is
-       |G|^2 sum_chi chi(g^-1) conj(chi(h)) / chi(1)^2, over the
-       irreducible characters chi of G.  The first equation fixes
-       D = g^-1 A B^-1 C.  Put W = C B^-1: the second becomes
-       (A^-1 (g W)^-1 A)(B^-1 W B) = h, a product of an element of the
-       class of (g W)^-1 and one of the class of W.  For fixed W there
-       are |G| sum_chi chi((g W)^-1) chi(W) conj(chi(h)) / chi(1) pairs
-       (A, B) (Frobenius), and Schur orthogonality sums over W:
-       sum_W chi(W) chi(W^-1 g^-1) = |G| chi(g^-1) / chi(1).
-    2. Only two characters count.  In the character table of SL2(F_p)
-       (W. Fulton, J. Harris, Representation Theory, 5.2) every
-       irreducible character but the trivial one and the Steinberg
-       character St, of degree p, vanishes on the split regular classes
-       or on the non-split ones.  St is 1 on the former and -1 on the
-       latter, and -g, -h are regular of the same types as g, h.  So
-       each of the four sign choices gives
-       N(+-g, +-h) = |G|^2 (1 - 1/p^2) = (p^2 - 1)^3.
-    3. Two halves.  Each block occurs once in each word, so negating the
-       lift of one block negates both words: the relative sign e of the
-       words (e1 g and e2 h, e = e1 e2) is one for all 16 lifts of a
-       PSL2 quadruple Q with gamma(Q) = gamma and delta(Q) = delta.  Those
-       lifts are the G^4 solutions for (g, e h) and (-g, -e h), so each
-       half holds 2 (p^2 - 1)^3 / 16 = (p^2 - 1)^3 / 8 quadruples.  The
-       braid letters act on lifts by the quandle formulas, which fix both
-       words exactly in any group (braidquandle.gamma and delta), so an
-       orbit lies in one half.
-    4. Free gauge.  The gauge is the (p - 1)/2 * (p + 1)/2 * 2
-       = (p^2 - 1)/2 pairs (ghat, dhat) of C(gamma) x C(delta) in PGL2
-       with equal determinant class, acting by Q -> ghat Q dhat.  Scaled
-       to det(ghat) det(dhat) = 1 they map lifts to lifts and fix both
-       words (ghat commutes with g, dhat with h), so each half is a union
-       of gauge orbits.  The action is free: ghat A dhat = A puts ghat in
-       C(gamma) and in A C(delta) A^-1, a split torus and a non-split
-       one, which meet only in the scalars (as _exact_keys_np argues),
-       so ghat = dhat = 1 in PGL2.  So each half holds (p^2 - 1)^3 / 8 / ((p^2 - 1)/2) classes.
-
-    The orbit's points are those classes, one trace key each, so n equals
-    this count exactly when the orbit fills its half.  count_x counts the
-    trace keys of the membership equations' solutions instead; the two
-    agree at every prime and trace pair tier-1 tries.
-    """
-    return ((p * p - 1) // 2) ** 2
 
 
 # Default count gate: the largest p whose |X| count_x computes.
@@ -793,11 +739,10 @@ def _exact_keys_np(p, rows, pair_g, pair_d):
     return out
 
 
-def orbit_exact_keys(orbit: OrbitIndex, params: Params, indices=None):
-    """Exact centralizer-coset key of orbit points, batched: an (m, 2)
-    int64 array from _exact_keys_np."""
-    rows = orbit.points if indices is None else orbit.points[indices]
-    return _exact_keys_np(orbit.p, rows, *_pair_arrays(params))
+def orbit_exact_keys(orbit: OrbitIndex, params: Params):
+    """Exact centralizer-coset key of every orbit point, batched: an
+    (n, 2) int64 array from _exact_keys_np."""
+    return _exact_keys_np(orbit.p, orbit.points, *_pair_arrays(params))
 
 
 # -- sigma-matrix orders over an orbit ------------------------------------
@@ -826,11 +771,6 @@ def orbit_sigma_orders(orbit: OrbitIndex, i: int):
 
 # -- the pipeline ----------------------------------------------------------
 
-def _discard(path):
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-
-
 def run_pipeline(p: int, seed: int = 0, giant_budget: int = WORD_BUDGET,
                  include_permutations: bool = True, dump_path=None) -> dict:
     """Witness -> orbit -> permutations -> classification -> verdict,
@@ -838,23 +778,24 @@ def run_pipeline(p: int, seed: int = 0, giant_budget: int = WORD_BUDGET,
 
     Stage order of the main line:
     - witness: build and check_assumptions;
-    - orbit: check_budget for x_size(p) >= n points; enumerate_orbit (the
+    - orbit: enumerate_orbit (check_budget for x_size(p) points, the
       BFS, the letter permutations and the check of the rows on X); then
       the verification job (verify_edges, the exact check of every edge)
-      starts, and the dump is written beside dump_path;
+      starts, and the main line keeps the orbit's keys for the dump;
     - permutations: epsilon_perm (the twist's index and involution
       passes), f2_perms and check_f2_identities;
     - classification: classify_giant and the sign of x;
-    - then the verification job is waited for, and the dump is moved to
-      dump_path once the edge checks have passed.
+    - then the verification job is waited for, and once every edge
+      check has passed the dump is written to dump_path (write_dump,
+      through numutil.write_atomic).
 
     Every check runs, on the same rows, whatever the timing.  When two
     fail, the one earlier in the serial order is raised: witness, orbit
-    (the BFS, the rows on X, the dump's write, then the edge checks),
-    permutations, classification.  So a main-line failure after the dump
-    is written first waits for the edge checks; an earlier failure kills
-    the job.  The dump is at dump_path exactly when every edge check
-    passed.  The job is reaped on every way out.
+    (the BFS, the rows on X, the edge checks, then the dump's write),
+    permutations, classification.  So a main-line failure after the
+    orbit stage first waits for the edge checks and the dump; an earlier
+    failure kills the job.  The dump is at dump_path exactly when every
+    edge check passed.  The job is reaped on every way out.
 
     x_count is x_size(p), the gauge classes in the orbit's half of the
     level set (a theorem under the gate's assumptions), and orbit_ratio
@@ -865,7 +806,8 @@ def run_pipeline(p: int, seed: int = 0, giant_budget: int = WORD_BUDGET,
     reversal twist off the orbit, InvariantError for a failed F2 identity
     and CertificateError for a certificate that fails revalidation.
     timings_ms holds the main line's time in each stage; count_ms is the
-    wait for the verification job after classification.
+    wait for the verification job after classification and the dump's
+    write.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -884,20 +826,9 @@ def run_pipeline(p: int, seed: int = 0, giant_budget: int = WORD_BUDGET,
     if not report.point_ok:
         raise WitnessError("assumptions: unipotent point assumption fails")
 
-    x_count = x_size(p)
-    check_budget(p, x_count)
-    with contextlib.ExitStack() as jobs:  # a job not waited for is killed on the way out
-        orbit = enumerate_orbit(cfg.P, cfg.params)
-        if orbit.n > x_count:  # the points are distinct classes of the orbit's half
-            raise InvariantError(f"orbit at p = {p}: n = {orbit.n} > x_size = {x_count}")
-        verify = jobs.enter_context(
-            SideJob(f"the verification job at p = {p}", verify_edges, orbit))
-        staged = None
-        if dump_path is not None:
-            staged = f"{dump_path}.{os.urandom(4).hex()}"
-            jobs.callback(_discard, staged)
-            with naming(dump_path):
-                orbit.write_dump(staged)
+    orbit = enumerate_orbit(cfg.P, cfg.params)
+    with SideJob(f"the verification job at p = {p}", verify_edges, orbit) as verify:
+        keys = orbit.keys  # the dump's, 8 bytes a point
         lap("orbit_ms")
 
         failure = None
@@ -910,7 +841,7 @@ def run_pipeline(p: int, seed: int = 0, giant_budget: int = WORD_BUDGET,
                     "sigma3": orbit.letter_perm(bq.S3), "epsilon": eps}
             x, y = orbit.f2_perms()
             n = orbit.n
-            del orbit  # from here on only the permutations are needed
+            del orbit  # from here on only the permutations (and the keys) are needed
             check_f2_identities(p, {**gens, "x": x, "y": y})
             lap("permutations_ms")
 
@@ -924,13 +855,13 @@ def run_pipeline(p: int, seed: int = 0, giant_budget: int = WORD_BUDGET,
         except Exception as e:  # raised after an edge check's failure, which comes first
             failure = e
         edges_verified = verify.result()
-        if staged is not None:
-            with naming(dump_path):
-                os.replace(staged, dump_path)
+        if dump_path is not None:
+            OrbitIndex.write_dump(dump_path, p, keys)
         if failure is not None:
             raise failure
         lap("count_ms")
 
+    x_count = x_size(p)
     signs = dict(zip(gens, cls.generator_signs))
     if cls.kind in ("Alternating", "Symmetric") and not x_is_id and x_sign == 1:
         verdict = (f"F2 surjects onto A_{n}: x = s1 s3^-1 acts nontrivially and "

@@ -17,7 +17,7 @@ import pytest
 from charquo import cli, numutil
 from charquo.cli import main
 from charquo.numutil import InvariantError
-from charquo.orbit import check_f2_identities
+from charquo.orbit import OrbitIndex, check_f2_identities
 from charquo.permgrp import check_perm
 
 
@@ -158,13 +158,14 @@ def test_orbit_int32_bound(capsys, monkeypatch):
 
 def test_orbit_more_points_than_x_size(capsys, monkeypatch):
     # x_size(p) bounds n: the BFS points are distinct gauge classes of
-    # the orbit's half, so an orbit beyond it is an internal fault
-    from charquo import witness as wt
-    monkeypatch.setattr(wt, "x_size", lambda p: 32400 - 1)
+    # the orbit's half, so a layer that would pass it is an internal
+    # fault, refused at that layer
+    from charquo import orbit as orbit_mod
+    monkeypatch.setattr(orbit_mod, "x_size", lambda p: 32400 - 1)
     code, out = run(capsys, "orbit", "19", "--no-permutations")
     assert code == 3
-    assert out == ("internal invariant violated: orbit at p = 19: n = 32400 > "
-                   "x_size = 32399\n")
+    assert out == ("internal invariant violated: orbit at p = 19: a BFS layer reaches "
+                   "n = 32400 > x_size = 32399\n")
 
 
 def test_count_budget_refusal(capsys):
@@ -419,7 +420,7 @@ def test_failure_reports(tmp_path, capsys, monkeypatch, argv, code, patches, key
 ])
 def test_refusals_name_their_cause(orbit19, tmp_path, capsys, argv, message):
     dump = tmp_path / "orbit19.chqo"
-    orbit19.write_dump(dump)
+    OrbitIndex.write_dump(dump, orbit19.p, orbit19.keys)
     code, out = run(capsys, *[a.format(dump19=dump) for a in argv])
     assert code == 1
     assert message in out
@@ -439,7 +440,7 @@ def test_count_refuses_a_bad_dump_before_counting(orbit19, tmp_path, capsys, mon
     dump = tmp_path / "orbit19.chqo"
     message = f"[Errno 2] No such file or directory: '{dump}'"
     if defect != "missing":
-        orbit19.write_dump(dump)
+        OrbitIndex.write_dump(dump, orbit19.p, orbit19.keys)
         message = f"{dump}: orbit dump is for p = 19, not 23"
     if defect == "truncated":
         dump.write_bytes(dump.read_bytes()[:-56])
@@ -470,7 +471,7 @@ def test_unwritable_out(tmp_path, capsys):
     assert captured.out == f"error: --out {path}: no such directory {path.parent}\n"
     assert captured.err == ""
     with pytest.raises(FileNotFoundError) as info:
-        cli.write_atomic(str(path), {"p": 19})
+        numutil.write_atomic(str(path), lambda fh: fh.write("{}"), "t")
     assert info.value.filename == str(path)
     assert not (tmp_path / "missing").exists()
 

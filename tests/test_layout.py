@@ -361,5 +361,34 @@ def test_pipeline_never_counts():
     # count_x stays the count subcommand's, so no witness function that
     # run_pipeline reaches names it
     reached, found = _reach("witness", ["run_pipeline"], {"count_x"})
-    assert {"build", "check_assumptions", "x_size"} <= reached
+    assert {"build", "check_assumptions"} <= reached
     assert not found, "pipeline code naming count_x: " + ", ".join(found)
+
+
+def test_budget_rule_only_in_check_budget():
+    # n <= x_size(p) is known before the BFS, so check_budget is the one
+    # size rule of the orbit engine: orbit.py raises BudgetError nowhere
+    # else, enumerate_orbit calls it for every caller, and run_pipeline
+    # does not call it again
+    tree = ast.parse((SRC / "orbit.py").read_text())
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "check_budget")
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and "BudgetError" in ast.unparse(node.exc)]
+    found = [f"orbit.py:{node.lineno}" for node in raises
+             if not rule.lineno <= node.lineno <= rule.end_lineno]
+    assert len(raises) > len(found)
+    assert not found, "BudgetError raised outside check_budget: " + ", ".join(found)
+    assert "check_budget" in _reach("orbit", ["enumerate_orbit"], set())[0]
+    _, found = _reach("witness", ["run_pipeline"], {"check_budget"})
+    assert not found, "run_pipeline calls check_budget: " + ", ".join(found)
+
+
+def test_no_array_resize():
+    # ndarray.resize(refcheck=False) moves an array under any view of it;
+    # the BFS sizes its buffers once from x_size(p) instead
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "resize"]
+    assert not found, "resize calls: " + ", ".join(found)

@@ -66,3 +66,18 @@ def test_naming_names_the_given_path(tmp_path):
     with pytest.raises(OSError) as info, numutil.naming("f"):
         raise error
     assert info.value is error
+
+
+def test_write_atomic_replaces_the_target_only_when_written(tmp_path):
+    path = tmp_path / "r.json"
+    numutil.write_atomic(str(path), lambda fh: fh.write("old"), "t")
+    numutil.write_atomic(str(path), lambda fh: fh.write(b"new"), "b")
+    assert path.read_text() == "new"
+
+    def fail(fh):
+        fh.write("partial")
+        raise ValueError("the writer fails")
+
+    with pytest.raises(ValueError, match="the writer fails"):
+        numutil.write_atomic(str(path), fail, "t")
+    assert path.read_text() == "new" and [f.name for f in tmp_path.iterdir()] == ["r.json"]

@@ -15,9 +15,9 @@ from charquo import orbit as orbit_mod
 from charquo import witness as wt
 from charquo.cli import main
 from charquo.ffield import entry_major, inv_table, mm
-from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError, check_budget,
-                           check_f2_identities, enumerate_orbit, epsilon_perm, fast_keys,
-                           mem_available, quad_to_row, read_dump, verify_edges)
+from charquo.orbit import (EpsilonOutsideOrbitError, KeyCollisionError, OrbitIndex,
+                           check_budget, check_f2_identities, enumerate_orbit, epsilon_perm,
+                           fast_keys, mem_available, quad_to_row, read_dump, verify_edges)
 from conftest import rand_quad
 
 LETTERS = [bq.S1, bq.S1i, bq.S2, bq.S2i, bq.S3, bq.S3i]
@@ -120,6 +120,24 @@ def test_budget_error(monkeypatch):
                              f"and {have:.1f} MB is available")
 
 
+def test_direct_call_checks_the_budget_first(monkeypatch):
+    # every caller of enumerate_orbit gets check_budget: at p = 313,
+    # x_size(p) >= 2^31, so a direct call is refused before any buffer
+    # is allocated and before any BFS layer
+    def no_layer(*args):
+        raise AssertionError("a BFS layer was expanded")
+
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("a buffer was allocated")
+
+    cfg = wt.build(313)
+    monkeypatch.setattr(orbit_mod, "_expand", no_layer)
+    monkeypatch.setattr(orbit_mod.np, "empty", no_buffer)
+    with pytest.raises(numutil.BudgetError, match=r"^an orbit of n = 2399432256 points at "
+                                                  r"p = 313 is not below 2\^31"):
+        enumerate_orbit(cfg.P, cfg.params)
+
+
 @pytest.mark.parametrize("meminfo, available", [
     ("MemTotal:        8211000 kB\nMemAvailable:    7722000 kB\n", 7722000 * 1024),
     ("MemTotal:        8211000 kB\nMemFree:         7722000 kB\n", None),  # before Linux 3.14
@@ -143,11 +161,11 @@ def test_frontiers_are_consecutive_blocks_read_in_place(cfg19, monkeypatch):
     expand, apply = orbit_mod._expand, orbit_mod.apply_letter_np
     blocks, in_place, state = [], [], {"rows": None}
 
-    def layer(p, seen, lo, *args):
-        blocks.append((lo, len(seen.rows)))
-        state["rows"] = seen.rows
+    def layer(p, rows, succ, tree, keys, idx, lo):
+        blocks.append((lo, len(keys)))
+        state["rows"] = rows
         try:
-            return expand(p, seen, lo, *args)
+            return expand(p, rows, succ, tree, keys, idx, lo)
         finally:
             state["rows"] = None
 
@@ -185,7 +203,7 @@ def test_tree_rows_are_parent_images(orbit19):
 
 def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
     a_dump = tmp_path / "a.chqo"
-    orbit19.write_dump(a_dump)
+    OrbitIndex.write_dump(a_dump, orbit19.p, orbit19.keys)
     a_perms = [orbit19.letter_perm(L) for L in LETTERS]
     a_eps = epsilon_perm(orbit19)
 
@@ -200,7 +218,7 @@ def test_chunk_size_invariance(orbit19, cfg19, monkeypatch, tmp_path):
         assert (b.tree == orbit19.tree).all()
         assert verify_edges(b) == 5 * b.n + 1
         b_dump = tmp_path / "b.chqo"
-        b.write_dump(b_dump)
+        OrbitIndex.write_dump(b_dump, b.p, b.keys)
         assert b_dump.read_bytes() == a_dump.read_bytes()
         for L, perm in zip(LETTERS, a_perms):
             assert (b.letter_perm(L) == perm).all()
@@ -453,12 +471,12 @@ def test_orbit_not_closed_cli_exit(monkeypatch, capsys):
     expand = orbit_mod._expand
     state = {"done": False}
 
-    def redirect_one(*args):
-        succ, tree = expand(*args)
-        if not state["done"] and succ.shape[1] >= 2:
-            succ[0, 0] = succ[0, 1]  # two frontier points now share a sigma1 image
+    def redirect_one(p, rows, succ, tree, keys, idx, lo):
+        out = expand(p, rows, succ, tree, keys, idx, lo)
+        if not state["done"] and len(keys) - lo >= 2:
+            succ[0, lo] = succ[0, lo + 1]  # two frontier points now share a sigma1 image
             state["done"] = True
-        return succ, tree
+        return out
 
     monkeypatch.setattr(orbit_mod, "_expand", redirect_one)
     assert main(["orbit", "19", "--no-permutations"]) == 3
@@ -654,7 +672,7 @@ def test_sigma_powers_do_not_commute(orbit19):
 
 def test_dump_roundtrip(orbit19, tmp_path):
     path = tmp_path / "orbit.chqo"
-    orbit19.write_dump(path)
+    OrbitIndex.write_dump(path, orbit19.p, orbit19.keys)
     p, coords = read_dump(path)
     assert p == 19
     assert coords.shape == (orbit19.n, 7)
@@ -672,7 +690,7 @@ def test_dump_roundtrip(orbit19, tmp_path):
 def test_dump31_digest(orbit31, tmp_path):
     # the p = 31 refactor oracle: the dump must stay byte-identical
     path = tmp_path / "orbit31.chqo"
-    orbit31.write_dump(path)
+    OrbitIndex.write_dump(path, orbit31.p, orbit31.keys)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP31_SHA256
 
 
@@ -700,7 +718,7 @@ def test_point_permutations_are_int32(orbit19):
 def _corrupt(orbit19, tmp_path, edit):
     """A p = 19 dump with its (n, 7) coordinate body changed by edit."""
     path = tmp_path / "orbit.chqo"
-    orbit19.write_dump(path)
+    OrbitIndex.write_dump(path, orbit19.p, orbit19.keys)
     data = path.read_bytes()
     body = np.frombuffer(data, dtype="<u8", offset=24).reshape(-1, 7).copy()
     path.write_bytes(edit(data[:24], body))
@@ -798,7 +816,7 @@ def test_row_kernels_agree_on_narrow_and_wide_rows(p, request):
         same(lambda r: np.stack(index(r).sigma_matrix_traces(i)))
     if p ** 8 < 2 ** 63:  # the exact key packs 8 base-p digits
         # 27 144 centralizer pairs per row at p = 233: a few rows do
-        same(lambda r: wt.orbit_exact_keys(index(r), params, np.arange(0, len(r), 50)))
+        same(lambda r: wt.orbit_exact_keys(index(r[::50]), params))
 
 
 def test_unreduced_intermediates_exact_at_largest_packed_prime():

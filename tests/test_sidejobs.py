@@ -139,6 +139,19 @@ def test_sigma_inverse_failure_leaves_no_dump(monkeypatch, capsys, tmp_path):
     assert files == []
 
 
+def test_main_line_failure_after_the_edge_checks_leaves_the_dump(monkeypatch, capsys,
+                                                                 tmp_path):
+    # the dump is written once every edge check has passed, before a
+    # later stage's failure is raised: a failed classification leaves it
+    monkeypatch.setattr(wt, "classify_giant",
+                        lambda *a, **k: _raise(CertificateError("no certificate")))
+    code, out, files = _orbit19(capsys, tmp_path)
+    assert code == 3 and "classification at p = 19: no certificate" in out
+    assert files == ["o.chqo"]
+    with open(tmp_path / "o.chqo", "rb") as fh:
+        assert fh.read(4) == b"CHQO"
+
+
 @pytest.mark.parametrize("main_line", ["twist index pass", "identity check",
                                        "classification"])
 def test_sigma_inverse_failure_comes_first(monkeypatch, capsys, tmp_path, main_line):
