@@ -1,9 +1,10 @@
-"""Exact sparse arithmetic in the ring Z[q^+-1, s^+-1].
+"""Exact sparse arithmetic in Z[q^+-1, s^+-1], the quantum engine's one ring.
 
-A LaurentPoly2 is a dict {(q_exp, s_exp): coeff} with no zero
-coefficients; exponents may be negative.  The quantum engine works in
-this ring alone: every matrix it computes is a ring matrix, with no
-denominator.
+A LaurentPoly2 maps the int keys k = e * 2^32 + f (pack, unpack) of its
+monomials q^e s^f to nonzero coefficients.  Key order is lex order, so
+exponents add as ints and max(terms) is the leading term.  Each
+polynomial carries a bound sb on |f|, checked against 2^30 wherever
+terms are made: no sum of two keys aliases.  Products run through dot.
 """
 
 from __future__ import annotations
@@ -11,31 +12,101 @@ from __future__ import annotations
 from functools import cache
 from math import gcd
 
+import numpy as np
+
+SB = 1 << 30    # |f| < SB for every stored term
+_I64 = 1 << 62  # keys below this in size sum within int64
+NP_PAIRS = 300  # measured on the qrep suite: numpy is slower below ~200 pairs
+
 
 class ExactDivisionError(ArithmeticError):
     pass
 
 
+def pack(e: int, f: int) -> int:
+    """The key of q^e s^f; OverflowError if |f| >= 2^30."""
+    if -SB < f < SB:
+        return (e << 32) + f
+    raise OverflowError(f"monomial q^{e} s^{f} outside the packing bound |s-exponent| < 2^30")
+
+
+def unpack(k: int):
+    """(e, f) of the key k."""
+    e = (k + (1 << 31)) >> 32
+    return e, k - (e << 32)
+
+
+def dot(pairs) -> LaurentPoly2:
+    """sum of a * b over pairs (a, b) of LaurentPoly2: every term product
+    added into one dict, or from NP_PAIRS term pairs on summed in numpy."""
+    n = sb = 0
+    for a, b in pairs:
+        n += len(a.terms) * len(b.terms)
+        if a.sb + b.sb > sb:
+            sb = a.sb + b.sb
+    if n < NP_PAIRS or (out := _dot_np(pairs)) is None:
+        out = {}
+        get = out.get
+        for a, b in pairs:
+            a, b = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
+            bi = b.items()
+            for k1, c1 in a.items():
+                for k2, c2 in bi:
+                    k = k1 + k2
+                    v = get(k, 0) + c1 * c2
+                    if v:
+                        out[k] = v
+                    else:
+                        del out[k]
+    return LaurentPoly2(out, sb)
+
+
+def _dot_np(pairs):
+    """dot's terms: a stable sort of the outer key sums, np.add.reduceat
+    of the coefficient products; None unless int64 holds every sum."""
+    keys, coeffs, bound = [], [], 0
+    for a, b in pairs:
+        if a.terms and b.terms:
+            a, b = a.terms, b.terms
+            if not (-_I64 < min(a) and max(a) < _I64 and -_I64 < min(b) and max(b) < _I64):
+                return None
+            bound += len(a) * len(b) * max(map(abs, a.values())) * max(map(abs, b.values()))
+            ka, kb, ca, cb = (np.fromiter(t, np.int64, len(t)) for t in (a, b, a.values(), b.values()))
+            keys.append(np.add.outer(ka, kb).ravel())
+            coeffs.append(np.multiply.outer(ca, cb).ravel())
+    if bound >= 1 << 63:
+        return None
+    keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
+    order = keys.argsort(kind="stable")
+    keys, coeffs = keys[order], coeffs[order]
+    # a difference, not !=: numpy's comparison kernel pages in twice the code
+    first = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
+    sums = np.add.reduceat(coeffs, first)
+    nz = np.flatnonzero(sums)
+    return dict(zip(keys[first[nz]].tolist(), sums[nz].tolist()))
+
+
 class LaurentPoly2:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "sb")
 
-    def __init__(self, terms=None):
-        # terms must already be free of zero coefficients
-        self.terms = terms or {}
-
-    # -- constructors ----------------------------------------------------
+    def __init__(self, terms, sb):
+        # terms packed, no coefficient zero; |f| <= sb, read exactly from SB on
+        if sb >= SB and terms:
+            for k in terms:
+                pack(*unpack(k))  # OverflowError at a term past SB
+            sb = max(abs(unpack(k)[1]) for k in terms)
+        self.terms = terms
+        self.sb = sb
 
     @classmethod
-    def zero(cls):
-        return cls({})
+    def from_terms(cls, terms):
+        """sum c q^e s^f over {(e, f): c}: the one constructor from exponents."""
+        return cls({pack(e, f): c for (e, f), c in terms.items() if c},
+                   max((abs(f) for e, f in terms), default=0))
 
     @classmethod
     def const(cls, n: int):
-        return cls({(0, 0): n} if n else {})
-
-    @classmethod
-    def monomial(cls, coeff: int, eq: int = 0, es: int = 0):
-        return cls({(eq, es): coeff} if coeff else {})
+        return cls({0: n} if n else {}, 0)
 
     # -- predicates -------------------------------------------------------
 
@@ -47,7 +118,7 @@ class LaurentPoly2:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.terms == ({(0, 0): other} if other else {})
+            return self.terms == ({0: other} if other else {})
         return isinstance(other, LaurentPoly2) and self.terms == other.terms
 
     def __hash__(self):
@@ -55,56 +126,46 @@ class LaurentPoly2:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
         if isinstance(other, int):
             other = LaurentPoly2.const(other)
         out = dict(self.terms)
+        get = out.get
         for k, v in other.terms.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
+            v = get(k, 0) + sign * v
+            if v:
+                out[k] = v
             else:
-                out.pop(k, None)
-        return LaurentPoly2(out)
+                del out[k]
+        return LaurentPoly2(out, self.sb if self.sb > other.sb else other.sb)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentPoly2({k: -v for k, v in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly2.const(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return LaurentPoly2.const(other) - self
+
+    def __neg__(self):
+        return LaurentPoly2({k: -v for k, v in self.terms.items()}, self.sb)
 
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
-                return LaurentPoly2.zero()
-            return LaurentPoly2({k: v * other for k, v in self.terms.items()})
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for (e1, f1), c1 in a.items():
-            for (e2, f2), c2 in b.items():
-                k = (e1 + e2, f1 + f2)
-                nv = out.get(k, 0) + c1 * c2
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
-        return LaurentPoly2(out)
+                return ZERO
+            return LaurentPoly2({k: v * other for k, v in self.terms.items()}, self.sb)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = LaurentPoly2.const(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -115,11 +176,12 @@ class LaurentPoly2:
 
     def shift(self, eq: int, es: int):
         """Multiply by the monomial q^eq s^es."""
-        return LaurentPoly2({(e + eq, f + es): c for (e, f), c in self.terms.items()})
+        m = pack(eq, es)
+        return LaurentPoly2({k + m: c for k, c in self.terms.items()}, self.sb + abs(es))
 
     def bar(self):
         """The involution q -> q^-1, s -> s^-1."""
-        return LaurentPoly2({(-e, -f): c for (e, f), c in self.terms.items()})
+        return LaurentPoly2({-k: c for k, c in self.terms.items()}, self.sb)
 
     # -- content and division ----------------------------------------------
 
@@ -133,48 +195,63 @@ class LaurentPoly2:
             g = gcd(g, abs(v))
         if self.terms[max(self.terms)] < 0:
             g = -g
-        eq = min(e for e, _ in self.terms)
-        es = min(f for _, f in self.terms)
+        eq = unpack(min(self.terms))[0]
+        es = min(unpack(k)[1] for k in self.terms)
         return g, eq, es
 
     def exact_div(self, d: "LaurentPoly2") -> "LaurentPoly2":
-        """Exact quotient self / d; raises ExactDivisionError otherwise."""
+        """Exact quotient self / d, else ExactDivisionError.  An exact
+        quotient's exponents lie between the dividend's and divisor's
+        minima and maxima.  Quotient terms strictly decrease, so checking
+        them against that box ends the loop.  The first len(a) go
+        unchecked when no remainder key can leave |f| < 2^31 in as many
+        steps (each step moves f by at most 2 d.sb)."""
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        if len(d.terms) == 1:
-            (de, df), dc = next(iter(d.terms.items()))
+        a, dt = self.terms, d.terms
+        if len(dt) == 1:
+            dk, dc = next(iter(dt.items()))
             out = {}
-            for (e, f), c in self.terms.items():
+            for k, c in a.items():
                 if c % dc:
                     raise ExactDivisionError("coefficient not divisible")
-                out[(e - de, f - df)] = c // dc
-            return LaurentPoly2(out)
-        rem = dict(self.terms)
-        dl = max(d.terms)
-        dc = d.terms[dl]
-        lo = (min(self.terms)[0] - min(d.terms)[0],
-              min(self.terms)[1] - min(d.terms)[1])
+                out[k - dk] = c // dc
+            return LaurentPoly2(out, self.sb + d.sb)
+        rem = dict(a)
+        get = rem.get
+        dl = max(dt)
+        dc = dt[dl]
+        ditems = list(dt.items())
         out = {}
+        box = None
+        unchecked = len(a) if self.sb + 2 * len(a) * d.sb < 1 << 31 else 0
         while rem:
             rl = max(rem)
             rc = rem[rl]
             if rc % dc:
                 raise ExactDivisionError("leading coefficient not divisible")
-            mono = (rl[0] - dl[0], rl[1] - dl[1])
-            if mono < lo:
-                raise ExactDivisionError("quotient support escaped its box")
+            mono = rl - dl
+            if len(out) >= unchecked:
+                if box is None:
+                    fa, fd = [unpack(k)[1] for k in a], [unpack(k)[1] for k in dt]
+                    box = (unpack(min(a))[0] - unpack(min(dt))[0], unpack(max(a))[0] - unpack(dl)[0],
+                           min(fa) - min(fd), max(fa) - max(fd))
+                e, f = unpack(mono)
+                if not (box[0] <= e <= box[1] and box[2] <= f <= box[3]):
+                    raise ExactDivisionError(f"quotient term q^{e} s^{f} outside the "
+                                             "exponent box of an exact quotient")
             coef = rc // dc
             out[mono] = coef
-            for (e, f), c in d.terms.items():
-                k = (e + mono[0], f + mono[1])
-                nv = rem.get(k, 0) - coef * c
-                if nv:
-                    rem[k] = nv
+            for k, c in ditems:
+                k += mono
+                v = get(k, 0) - coef * c
+                if v:
+                    rem[k] = v
                 else:
-                    rem.pop(k, None)
-        return LaurentPoly2(out)
+                    del rem[k]
+        return LaurentPoly2(out, self.sb + d.sb)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -187,7 +264,8 @@ class LaurentPoly2:
         qi = pow(q0, r - 2, r)
         si = pow(s0, r - 2, r)
         out = 0
-        for (e, f), c in self.terms.items():
+        for k, c in self.terms.items():
+            e, f = unpack(k)
             t = pow(q0 if e >= 0 else qi, abs(e), r)
             t = t * pow(s0 if f >= 0 else si, abs(f), r) % r
             out = (out + c * t) % r
@@ -199,7 +277,8 @@ class LaurentPoly2:
         if not self.terms:
             return "0"
         bits = []
-        for (e, f), c in sorted(self.terms.items(), reverse=True):
+        for k, c in sorted(self.terms.items(), reverse=True):
+            e, f = unpack(k)
             mono = []
             if e:
                 mono.append(f"q^{e}" if e != 1 else "q")
@@ -218,12 +297,12 @@ class LaurentPoly2:
         return out[1:] if out.startswith("+") else out
 
 
-ZERO = LaurentPoly2.zero()
+ZERO = LaurentPoly2({}, 0)
 ONE = LaurentPoly2.const(1)
 
 
 def qs_monomial(eq: int, es: int, coeff: int = 1) -> LaurentPoly2:
-    return LaurentPoly2.monomial(coeff, eq, es)
+    return LaurentPoly2.from_terms({(eq, es): coeff})
 
 
 # -- q-combinatorics -------------------------------------------------------
@@ -232,7 +311,7 @@ def qnum(n: int) -> LaurentPoly2:
     """[n]_q = q^(n-1) + q^(n-3) + ... + q^(1-n)."""
     if n < 0:
         raise ValueError("q-number of a negative integer")
-    return LaurentPoly2({(n - 1 - 2 * k, 0): 1 for k in range(n)})
+    return LaurentPoly2.from_terms({(n - 1 - 2 * k, 0): 1 for k in range(n)})
 
 
 def qfact(n: int) -> LaurentPoly2:
@@ -256,4 +335,3 @@ def qbinom(n: int, k: int) -> LaurentPoly2:
         new.append(ONE)
         row = new
     return row[k]
-

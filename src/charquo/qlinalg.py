@@ -18,22 +18,26 @@ elimination.
 
 from __future__ import annotations
 
-from .laurent import ONE, ZERO, LaurentPoly2
+from collections import defaultdict
+
+from .laurent import ONE, ZERO, dot, qs_monomial
 
 
 def mat_mul(A, B):
-    """A B.  Each nonzero a = A[i][t], in t order, adds a * B[t][j] to
-    entry j of row i over the nonzero B[t][j]: the terms and their order
-    are those of the dense triple loop."""
+    """A B.  Entry (i, j) is one dot over the nonzero products A[i][t]
+    B[t][j], in t order, with no LaurentPoly2 per product."""
     n = len(B[0]) if B else 0
     Bnz = [[(j, b) for j, b in enumerate(row) if b.terms] for row in B]
     out = []
     for Ai in A:
-        row = [ZERO] * n
+        entries = defaultdict(list)
         for a, bt in zip(Ai, Bnz):
             if a.terms:
                 for j, b in bt:
-                    row[j] = row[j] + a * b
+                    entries[j].append((a, b))
+        row = [ZERO] * n
+        for j, pairs in entries.items():
+            row[j] = dot(pairs)
         out.append(row)
     return out
 
@@ -104,18 +108,9 @@ def ff_jordan(A):
             row = rows[i]
             if stamps[i] is not prev:
                 row = _rescale(row, prev, stamps[i])
-            head = row[c]
-            new = []
-            for e, p in zip(row, prow):
-                if p.terms:
-                    v = e * piv - head * p if e.terms else -(head * p)
-                elif e.terms:
-                    v = e * piv
-                else:
-                    new.append(ZERO)
-                    continue
-                new.append(v.exact_div(prev))
-            rows[i] = new
+            neg = -row[c]
+            rows[i] = [dot(((e, piv), (neg, p))).exact_div(prev)
+                       if e.terms or p.terms else ZERO for e, p in zip(row, prow)]
             stamps[i] = piv
         stamps[r] = piv
         prev = piv
@@ -167,6 +162,6 @@ def _strip_vector(vec):
             break
     if lead < 0:
         g = -g
-    mono = LaurentPoly2.monomial(g, eq, es)
+    mono = qs_monomial(eq, es, g)
     return [v.exact_div(mono) if v.terms else v for v in vec]
 

@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb
+from operator import mul
 
-from .laurent import ONE, ZERO, LaurentPoly2, qbinom, qfact, qs_monomial
+from .laurent import ONE, ZERO, LaurentPoly2, qbinom, qfact, qs_monomial, unpack
 from .numutil import BudgetError, InvariantError, is_prime
 from .qlinalg import mat_mul, mat_transpose, nullspace
 
@@ -346,8 +347,8 @@ def form_identities(ell: int) -> dict:
 
 
 # The largest W dimension whose intertwiner is solved.  On a 2-core
-# x86 host d = 6 at (4, 2) takes under 0.5 s, while d = 10 at (4, 3), a
-# 300 x 100 ring system, takes about 400 s.
+# x86 host d = 6 at (4, 2) takes about 0.14 s, while d = 10 at (4, 3), a
+# 300 x 100 ring system, takes about 95 s.
 MAX_INTERTWINER_DIM = 6
 
 
@@ -464,9 +465,8 @@ def specialize(mats: RepMatrices, r: int, q0: int, s0: int, J=None) -> dict:
             for i, S in mats.sigma.items()}
 
     def mult(A, B):
-        n = len(A)
-        return [[sum(A[i][k] * B[k][j] for k in range(n)) % r for j in range(n)]
-                for i in range(n)]
+        cols = list(zip(*B))
+        return [[sum(map(mul, row, col)) % r for col in cols] for row in A]
 
     relations = braid_relations_hold(spec, mats.n, mult)
     out = {"r": r, "q0": q0 % r, "s0": s0 % r, "n": mats.n, "ell": mats.ell,
@@ -486,7 +486,7 @@ def specialize(mats: RepMatrices, r: int, q0: int, s0: int, J=None) -> dict:
 # -- export -------------------------------------------------------------------
 
 def poly_json(p: LaurentPoly2):
-    return [[c, e, f] for (e, f), c in sorted(p.terms.items())]
+    return [[c, *unpack(k)] for k, c in sorted(p.terms.items())]
 
 
 def export_rep(mats: RepMatrices) -> dict:
@@ -515,7 +515,8 @@ def operator_relations_check(jmax: int = 6, nmax: int = 3) -> bool:
     def k(j):  # K v_j = k(j) v_j
         return qs_monomial(-2 * j, 1)
 
-    def f(n, j):  # F^(n) v_j = f(n, j) v_{j+n}
+    @cache
+    def f(n, j):  # F^(n) v_j = f(n, j) v_{j+n}, memoised for this call
         return qbinom(n + j, j) * _torus_factor(n, j)
 
     for j in range(jmax + 1):
