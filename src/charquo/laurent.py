@@ -16,6 +16,7 @@ import numpy as np
 
 SB = 1 << 30    # |f| < SB for every stored term
 _I64 = 1 << 62  # keys below this in size sum within int64
+_H, _M = 1 << 31, (1 << 32) - 1  # the key k has f = ((k + _H) & _M) - _H
 NP_PAIRS = 300  # measured on the qrep suite: numpy is slower below ~200 pairs
 
 
@@ -32,13 +33,14 @@ def pack(e: int, f: int) -> int:
 
 def unpack(k: int):
     """(e, f) of the key k."""
-    e = (k + (1 << 31)) >> 32
-    return e, k - (e << 32)
+    f = ((k + _H) & _M) - _H
+    return (k - f) >> 32, f
 
 
 def dot(pairs) -> LaurentPoly2:
-    """sum of a * b over pairs (a, b) of LaurentPoly2: every term product
-    added into one dict, or from NP_PAIRS term pairs on summed in numpy."""
+    """sum of a * b over a sequence of pairs (a, b) of LaurentPoly2: every
+    term product added into one dict, or from NP_PAIRS term pairs on
+    summed in numpy."""
     n = sb = 0
     for a, b in pairs:
         n += len(a.terms) * len(b.terms)
@@ -63,7 +65,8 @@ def dot(pairs) -> LaurentPoly2:
 
 def _dot_np(pairs):
     """dot's terms: a stable sort of the outer key sums, np.add.reduceat
-    of the coefficient products; None unless int64 holds every sum."""
+    of the coefficient products; None, before a pair's arrays are made,
+    once int64 might not hold every key, product and partial sum."""
     keys, coeffs, bound = [], [], 0
     for a, b in pairs:
         if a.terms and b.terms:
@@ -71,11 +74,11 @@ def _dot_np(pairs):
             if not (-_I64 < min(a) and max(a) < _I64 and -_I64 < min(b) and max(b) < _I64):
                 return None
             bound += len(a) * len(b) * max(map(abs, a.values())) * max(map(abs, b.values()))
+            if bound >> 63:
+                return None
             ka, kb, ca, cb = (np.fromiter(t, np.int64, len(t)) for t in (a, b, a.values(), b.values()))
             keys.append(np.add.outer(ka, kb).ravel())
             coeffs.append(np.multiply.outer(ca, cb).ravel())
-    if bound >= 1 << 63:
-        return None
     keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
     order = keys.argsort(kind="stable")
     keys, coeffs = keys[order], coeffs[order]
@@ -201,11 +204,12 @@ class LaurentPoly2:
 
     def exact_div(self, d: "LaurentPoly2") -> "LaurentPoly2":
         """Exact quotient self / d, else ExactDivisionError.  An exact
-        quotient's exponents lie between the dividend's and divisor's
-        minima and maxima.  Quotient terms strictly decrease, so checking
-        them against that box ends the loop.  The first len(a) go
-        unchecked when no remainder key can leave |f| < 2^31 in as many
-        steps (each step moves f by at most 2 d.sb)."""
+        quotient's terms lie in a box: keys from min(self) - min(d) up,
+        s-exponents between the differences of self's and d's least and
+        greatest.  Quotient terms strictly decrease from max(self) -
+        max(d), so checking each against the box ends the loop, and
+        inside it every remainder term keeps an s-exponent of self's:
+        no key aliases."""
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -224,24 +228,19 @@ class LaurentPoly2:
         dl = max(dt)
         dc = dt[dl]
         ditems = list(dt.items())
+        fa, fd = [(k + _H) & _M for k in a], [(k + _H) & _M for k in dt]  # f + _H
+        flo, fhi = min(fa) - min(fd), max(fa) - max(fd)
+        lo = min(a) - min(dt)
         out = {}
-        box = None
-        unchecked = len(a) if self.sb + 2 * len(a) * d.sb < 1 << 31 else 0
         while rem:
             rl = max(rem)
             rc = rem[rl]
             if rc % dc:
                 raise ExactDivisionError("leading coefficient not divisible")
             mono = rl - dl
-            if len(out) >= unchecked:
-                if box is None:
-                    fa, fd = [unpack(k)[1] for k in a], [unpack(k)[1] for k in dt]
-                    box = (unpack(min(a))[0] - unpack(min(dt))[0], unpack(max(a))[0] - unpack(dl)[0],
-                           min(fa) - min(fd), max(fa) - max(fd))
-                e, f = unpack(mono)
-                if not (box[0] <= e <= box[1] and box[2] <= f <= box[3]):
-                    raise ExactDivisionError(f"quotient term q^{e} s^{f} outside the "
-                                             "exponent box of an exact quotient")
+            if mono < lo or not flo <= ((mono + _H) & _M) - _H <= fhi:
+                raise ExactDivisionError("quotient term q^{} s^{} outside the exponent box "
+                                         "of an exact quotient".format(*unpack(mono)))
             coef = rc // dc
             out[mono] = coef
             for k, c in ditems:

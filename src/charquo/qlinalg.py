@@ -19,6 +19,7 @@ elimination.
 from __future__ import annotations
 
 from collections import defaultdict
+from math import gcd
 
 from .laurent import ONE, ZERO, dot, qs_monomial
 
@@ -144,24 +145,14 @@ def nullspace(A, ncols=None):
 
 
 def _strip_vector(vec):
-    nonzero = [v for v in vec if v.terms]
-    if not nonzero:
+    """vec divided by the gcd of its entries' contents and the least
+    monomial dividing them all, signed so that the first nonzero entry
+    keeps a positive lex-leading coefficient."""
+    cs = [v.content() for v in vec if v.terms]
+    if not cs:
         return vec
-    from math import gcd as igcd
     g = 0
-    eq = es = None
-    for v in nonzero:
-        cg, ceq, ces = v.content()
-        g = igcd(g, abs(cg))
-        eq = ceq if eq is None else min(eq, ceq)
-        es = ces if es is None else min(es, ces)
-    lead = None
-    for v in vec:
-        if v.terms:
-            lead = v.terms[max(v.terms)]
-            break
-    if lead < 0:
-        g = -g
-    mono = qs_monomial(eq, es, g)
+    for c in cs:
+        g = gcd(g, c[0])
+    mono = qs_monomial(min(c[1] for c in cs), min(c[2] for c in cs), g if cs[0][0] > 0 else -g)
     return [v.exact_div(mono) if v.terms else v for v in vec]
-

@@ -179,3 +179,11 @@ def test_numpy_product_matches_dict_loop(monkeypatch):
             m.setattr(laurent, "NP_PAIRS", 10 ** 9)
             calls.clear()
             assert dot([(a, b), (c, d)]).terms == got.terms and not calls
+    # a coefficient past int64 falls back before any array is made
+    calls.clear()
+    a, b = rand_poly(rng, 30), rand_poly(rng, 30)
+    assert len(a.terms) * len(b.terms) >= laurent.NP_PAIRS
+    for big in (a * 2 ** 64, a + qs_monomial(9, 9, -2 ** 64)):
+        want = _ref_mul(big, b) + _ref_mul(b, b)
+        assert dot([(b, b), (big, b)]) == want and dot([(big, b), (b, b)]) == want
+    assert calls == [False] * 4
